@@ -140,9 +140,11 @@ type kernel_row = {
   kr_identical : bool;
 }
 
-(* Incremental resynthesis (DESIGN.md §13): the cost of a second pass on a
-   large synthetic circuit, full re-enumeration vs dirty-region tracking,
-   plus the bit-identity checks CI gates on. *)
+(* Incremental resynthesis (DESIGN.md §13, §17): the cost of a second pass
+   on a large synthetic circuit, the reference full walk vs the production
+   worklist walk, plus the pop and commit counters and the bit-identity
+   check CI gates on. [in_concurrent_commits] is the structural claim that
+   deferred splices really land in multi-splice groups. *)
 type incr_row = {
   in_circuit : string;
   in_domains : int;
@@ -152,34 +154,15 @@ type incr_row = {
   in_pass2_full_s : float;
   in_pass2_incr_s : float;
   in_speedup : float;
-  in_identical : bool; (* full = incremental = concurrent-commit *)
-  in_gate_ok : bool; (* identical && speedup >= 1 && fraction < 1 *)
-}
-
-(* Worklist walk + conflict-graph commit scheduler (DESIGN.md §17): pass-2
-   cost of the three engine generations on the same circuit — full
-   re-enumeration, scan-walk incremental (flush scheduler), and the
-   worklist walk with graph-scheduled commits — plus the pop and wave
-   counters the CI gate reads. [wl_waves_gt_flushes] is the structural
-   claim: at least one splice survived a touch that the flush rule would
-   have landed it on and was then verified in a multi-splice wave. *)
-type wl_row = {
-  wl_circuit : string;
-  wl_domains : int;
-  wl_pass2_full_s : float;
-  wl_pass2_scan_s : float;
-  wl_pass2_wl_s : float;
-  wl_speedup_vs_full : float;
-  wl_speedup_vs_scan : float;
-  wl_popped : int;
-  wl_total_roots : int; (* scan-walk visit bound: passes x circuit size *)
-  wl_pop_fraction : float;
-  wl_commit_waves : int;
-  wl_wave_coalesced : int;
-  wl_conflict_edges : int;
-  wl_identical : bool; (* full = scan-incremental = worklist+graph *)
-  wl_waves_gt_flushes : bool; (* wave_coalesced > 0 *)
-  wl_gate_ok : bool;
+  in_popped : int;
+  in_total_roots : int; (* full-walk visit bound: passes x circuit size *)
+  in_pop_fraction : float;
+  in_commit_waves : int;
+  in_concurrent_commits : int;
+  in_identical : bool; (* reference = production = production on the pool *)
+  in_gate_ok : bool;
+      (* identical && speedup >= 1 && fraction < 1 && pop fraction < 1
+         && concurrent commits > 0 *)
 }
 
 (* Persistent identification cache (DESIGN.md §15): lookup traffic of the
@@ -242,7 +225,6 @@ let json_circuits : (string * int * int * int * int) list ref = ref []
 let json_speedups : speedup_row list ref = ref []
 let json_kernels : kernel_row list ref = ref []
 let json_incremental : incr_row list ref = ref []
-let json_worklist : wl_row list ref = ref []
 let json_idcache : idc_row list ref = ref []
 let json_sat_atpg : sat_atpg_row list ref = ref []
 let json_journal : journal_row list ref = ref []
@@ -1278,15 +1260,15 @@ let kernels () =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resynthesis: second-pass cost on a large synthetic       *)
-(* circuit, full re-enumeration vs dirty-region tracking, and the       *)
-(* bit-identity of serial vs concurrent splice commits (DESIGN.md §13). *)
+(* circuit, the reference full walk vs the production worklist walk,   *)
+(* and the bit-identity of the two (DESIGN.md §13, §17).                *)
 (* ------------------------------------------------------------------ *)
 
 let incremental () =
-  (* Cut enumeration counts come from the engine.candidates counter, so
-     collection must be on even when no --json/--metrics sink asked for it
-     (this section registers last: earlier sections keep their baseline
-     probe cost when run together without a sink). *)
+  (* Cut enumeration, pop and commit counts come from the engine.*
+     counters, so collection must be on even when no --json/--metrics
+     sink asked for it (this section registers last: earlier sections keep
+     their baseline probe cost when run together without a sink). *)
   Obs.enable ();
   let base =
     Circuit_gen.generate
@@ -1306,57 +1288,52 @@ let incremental () =
   in
   record_circuit "incr-large" base;
   let candidates_c = Obs.Counter.make "engine.candidates" in
-  let opts ~incremental ~passes ~domains ~commit_batch =
-    {
-      (proc2_options 4) with
-      Engine.max_candidates = 24;
-      max_passes = passes;
-      incremental;
-      commit_batch;
-      domains;
-      (* Pin the PR-6 configuration: this section measures dirty-region
-         tracking alone. The worklist walk and the graph scheduler get
-         their own section below. *)
-      worklist = false;
-      scheduler = Engine.Flush;
-    }
+  let popped_c = Obs.Counter.make "engine.worklist_popped" in
+  let waves_c = Obs.Counter.make "engine.commit_waves" in
+  let concurrent_c = Obs.Counter.make "engine.concurrent_commits" in
+  let opts ~passes ~domains =
+    { (proc2_options 4) with Engine.max_candidates = 24; max_passes = passes; domains }
   in
   (* The timed configurations below are all serial (domains = 1), so they
      are measured in process CPU time, not wall clock: the pass-2 cost is
      a difference of two short runs and scheduler noise on a loaded box
      would otherwise dominate it (the §8 wall-clock rationale only applies
-     to the parallel kernels). *)
-  let run o =
+     to the parallel kernels). The counter deltas are exactly
+     reproducible. *)
+  let run optimize o =
     let c = Circuit.copy base in
-    let c0 = Obs.Counter.value candidates_c in
+    let counters = [ candidates_c; popped_c; waves_c; concurrent_c ] in
+    let v0 = List.map Obs.Counter.value counters in
     let t0 = Sys.time () in
-    let stats = Engine.optimize Engine.Gates o c in
+    let stats = optimize Engine.Gates o c in
     let t = max 0. (Sys.time () -. t0) in
-    (stats, Bench_format.to_string c, Obs.Counter.value candidates_c - c0, t)
+    let deltas = List.map2 (fun k v -> Obs.Counter.value k - v) counters v0 in
+    (stats, Bench_format.to_string c, deltas, t, Circuit.size c)
   in
-  (* Even CPU time jitters (allocation, GC): keep the exactly reproducible
-     stats and counter deltas from one run, take the minimum time over a
-     few repetitions. *)
-  let run_best o =
-    let s, n, cuts, w0 = run o in
+  (* Even CPU time jitters (allocation, GC): keep the stats and counter
+     deltas from one run, take the minimum time over a few repetitions. *)
+  let run_best optimize o =
+    let s, n, deltas, w0, size = run optimize o in
     let w = ref w0 in
     for _ = 2 to 3 do
-      let _, _, _, wi = run o in
+      let _, _, _, wi, _ = run optimize o in
       if wi < !w then w := wi
     done;
-    (s, n, cuts, !w)
+    (s, n, deltas, !w, size)
   in
+  let reference = Engine.optimize_reference and production = Engine.optimize in
   (* Pass-2 cost = (two-pass run) - (one-pass run): cut counts are exact
-     (deterministic enumeration), wall clock is the measured difference. *)
-  let s1f, _, cuts1f, t1f = run_best (opts ~incremental:false ~passes:1 ~domains:1 ~commit_batch:1) in
-  let sf, nf, cuts2f, t2f = run_best (opts ~incremental:false ~passes:2 ~domains:1 ~commit_batch:1) in
-  let _, _, cuts1i, t1i = run_best (opts ~incremental:true ~passes:1 ~domains:1 ~commit_batch:1) in
-  let si, ni, cuts2i, t2i = run_best (opts ~incremental:true ~passes:2 ~domains:1 ~commit_batch:1) in
-  (* Concurrent commits: deferred batches on the --domains pool must land
-     the exact same netlist as immediate serial splices. *)
-  let sc, nc, _, _ = run (opts ~incremental:true ~passes:2 ~domains:!domains ~commit_batch:8) in
-  let pass2_cuts_full = max 0 (cuts2f - cuts1f) in
-  let pass2_cuts_incr = max 0 (cuts2i - cuts1i) in
+     (deterministic enumeration), CPU time is the measured difference. *)
+  let s1f, _, d1f, t1f, _ = run_best reference (opts ~passes:1 ~domains:1) in
+  let sf, nf, d2f, t2f, _ = run_best reference (opts ~passes:2 ~domains:1) in
+  let _, _, d1i, t1i, _ = run_best production (opts ~passes:1 ~domains:1) in
+  let si, ni, d2i, t2i, size = run_best production (opts ~passes:2 ~domains:1) in
+  (* Concurrent commits: the production walk with each landing group
+     verified on the --domains pool must land the exact same netlist. *)
+  let sc, nc, _, _, _ = run production (opts ~passes:2 ~domains:!domains) in
+  let cuts = function c :: _ -> c | [] -> 0 in
+  let pass2_cuts_full = max 0 (cuts d2f - cuts d1f) in
+  let pass2_cuts_incr = max 0 (cuts d2i - cuts d1i) in
   let fraction =
     if pass2_cuts_full = 0 then 1.
     else float_of_int pass2_cuts_incr /. float_of_int pass2_cuts_full
@@ -1369,6 +1346,17 @@ let incremental () =
     if pass2_incr_s <= 0. then if pass2_full_s <= 0. then 1. else 99.99
     else pass2_full_s /. pass2_incr_s
   in
+  let popped, waves, concurrent =
+    match d2i with
+    | [ _; p; w; k ] -> (p, w, k)
+    | _ -> assert false
+  in
+  (* The full walk visits every root of every pass; the worklist pops only
+     the dirty ones. *)
+  let total_roots = si.Engine.passes * size in
+  let pop_fraction =
+    if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots
+  in
   let identical = sf = si && sf = sc && nf = ni && nf = nc in
   let row =
     {
@@ -1380,8 +1368,15 @@ let incremental () =
       in_pass2_full_s = pass2_full_s;
       in_pass2_incr_s = pass2_incr_s;
       in_speedup = speedup;
+      in_popped = popped;
+      in_total_roots = total_roots;
+      in_pop_fraction = pop_fraction;
+      in_commit_waves = waves;
+      in_concurrent_commits = concurrent;
       in_identical = identical;
-      in_gate_ok = identical && speedup >= 1. && fraction < 1.;
+      in_gate_ok =
+        identical && speedup >= 1. && fraction < 1. && pop_fraction < 1.
+        && concurrent > 0;
     }
   in
   json_incremental := row :: !json_incremental;
@@ -1393,141 +1388,11 @@ let incremental () =
     pass2_cuts_full pass2_cuts_incr (100. *. fraction);
   Printf.printf "  pass-2 cpu    full %7.3fs   incremental %7.3fs   (speedup %.2fx)\n"
     pass2_full_s pass2_incr_s speedup;
-  Printf.printf "  identical results: %b (full vs incremental vs concurrent domains=%d)\n%!"
-    identical !domains
-
-(* ------------------------------------------------------------------ *)
-(* "Worklist + conflict-graph commits" section (DESIGN.md §17).        *)
-(* ------------------------------------------------------------------ *)
-
-let worklist () =
-  (* Pop/wave evidence comes from the engine.worklist_* counters, so
-     collection must be on (same rationale as the incremental section). *)
-  Obs.enable ();
-  let base =
-    Circuit_gen.generate
-      {
-        (* Same profile as the incremental section: local fanout cones, so
-           pass-1 splices dirty a small region and the dirty-root worklist
-           pops a small fraction of the roots the scan walk visits. *)
-        Circuit_gen.name = "incr-large";
-        n_pi = 400;
-        n_po = 360;
-        n_gates = (if !quick then 5200 else 10400);
-        depth = 4;
-        combine_pct = 1;
-        xor_pct = 4;
-        seed = 4242L;
-      }
-  in
-  record_circuit "incr-large" base;
-  let popped_c = Obs.Counter.make "engine.worklist_popped" in
-  let waves_c = Obs.Counter.make "engine.commit_waves" in
-  let coalesced_c = Obs.Counter.make "engine.wave_coalesced" in
-  let edges_c = Obs.Counter.make "engine.conflict_edges" in
-  let opts ~incremental ~worklist ~scheduler ~passes ~domains =
-    {
-      (proc2_options 4) with
-      Engine.max_candidates = 24;
-      max_passes = passes;
-      incremental;
-      worklist;
-      scheduler;
-      commit_batch = 8;
-      domains;
-    }
-  in
-  (* CPU time, minimum of three runs, like the incremental section; the
-     counter deltas and result strings are exactly reproducible, so they
-     come from the first run. *)
-  let run o =
-    let c = Circuit.copy base in
-    let p0 = Obs.Counter.value popped_c in
-    let w0 = Obs.Counter.value waves_c in
-    let k0 = Obs.Counter.value coalesced_c in
-    let e0 = Obs.Counter.value edges_c in
-    let t0 = Sys.time () in
-    let stats = Engine.optimize Engine.Gates o c in
-    let t = max 0. (Sys.time () -. t0) in
-    ( stats,
-      Bench_format.to_string c,
-      t,
-      Circuit.size c,
-      ( Obs.Counter.value popped_c - p0,
-        Obs.Counter.value waves_c - w0,
-        Obs.Counter.value coalesced_c - k0,
-        Obs.Counter.value edges_c - e0 ) )
-  in
-  let run_best o =
-    let s, n, w0, size, counters = run o in
-    let w = ref w0 in
-    for _ = 2 to 3 do
-      let _, _, wi, _, _ = run o in
-      if wi < !w then w := wi
-    done;
-    (s, n, !w, size, counters)
-  in
-  let full ~passes = opts ~incremental:false ~worklist:false ~scheduler:Engine.Flush ~passes ~domains:1 in
-  let scan ~passes = opts ~incremental:true ~worklist:false ~scheduler:Engine.Flush ~passes ~domains:1 in
-  let wl ~passes ~domains = opts ~incremental:true ~worklist:true ~scheduler:Engine.Graph ~passes ~domains in
-  let _, _, t1f, _, _ = run_best (full ~passes:1) in
-  let sf, nf, t2f, _, _ = run_best (full ~passes:2) in
-  let _, _, t1s, _, _ = run_best (scan ~passes:1) in
-  let ss, ns, t2s, _, _ = run_best (scan ~passes:2) in
-  let _, _, t1w, _, _ = run_best (wl ~passes:1 ~domains:1) in
-  let sw, nw, t2w, size_w, (popped, waves, coalesced, edges) =
-    run_best (wl ~passes:2 ~domains:1)
-  in
-  (* Fourth leg: the same worklist+graph run with wave verification fanned
-     out across the pool must still land the identical netlist. *)
-  let sp, np, _, _, _ = run (wl ~passes:2 ~domains:!domains) in
-  let pass2_full_s = max 0. (t2f -. t1f) in
-  let pass2_scan_s = max 0. (t2s -. t1s) in
-  let pass2_wl_s = max 0. (t2w -. t1w) in
-  let speedup num den = if den <= 0. then if num <= 0. then 1. else 99.99 else num /. den in
-  (* The scan walk visits every root of every pass; the worklist pops only
-     the dirty ones. *)
-  let total_roots = sw.Engine.passes * size_w in
-  let pop_fraction =
-    if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots
-  in
-  let identical =
-    sf = ss && sf = sw && sf = sp && nf = ns && nf = nw && nf = np
-  in
-  let waves_gt_flushes = coalesced > 0 in
-  let row =
-    {
-      wl_circuit = "incr-large";
-      wl_domains = !domains;
-      wl_pass2_full_s = pass2_full_s;
-      wl_pass2_scan_s = pass2_scan_s;
-      wl_pass2_wl_s = pass2_wl_s;
-      wl_speedup_vs_full = speedup pass2_full_s pass2_wl_s;
-      wl_speedup_vs_scan = speedup pass2_scan_s pass2_wl_s;
-      wl_popped = popped;
-      wl_total_roots = total_roots;
-      wl_pop_fraction = pop_fraction;
-      wl_commit_waves = waves;
-      wl_wave_coalesced = coalesced;
-      wl_conflict_edges = edges;
-      wl_identical = identical;
-      wl_waves_gt_flushes = waves_gt_flushes;
-      wl_gate_ok =
-        identical && pop_fraction < 1. && edges = 0 && waves_gt_flushes;
-    }
-  in
-  json_worklist := row :: !json_worklist;
-  Printf.printf "worklist walk + graph commits on %s (%d two-input gates)\n"
-    row.wl_circuit
-    (Circuit.two_input_gate_count base);
   Printf.printf
-    "  pass-2 cpu    full %7.3fs   scan-incr %7.3fs   worklist %7.3fs\n"
-    pass2_full_s pass2_scan_s pass2_wl_s;
+    "  worklist pops %d of %d full-walk visits (%.2f%%); %d commit waves, %d concurrent commits\n"
+    popped total_roots (100. *. pop_fraction) waves concurrent;
   Printf.printf
-    "  worklist pops %d of %d scan visits (%.2f%%); %d waves, %d coalesced, %d conflict edges\n"
-    popped total_roots (100. *. pop_fraction) waves coalesced edges;
-  Printf.printf
-    "  identical results: %b (full vs scan-incremental vs worklist+graph vs domains=%d)\n%!"
+    "  identical results: %b (reference vs production vs production domains=%d)\n%!"
     identical !domains
 
 (* ------------------------------------------------------------------ *)
@@ -1818,31 +1683,16 @@ let write_json file =
            "    {\"circuit\": \"%s\", \"domains\": %d, \"pass2_cuts_full\": %d, \
             \"pass2_cuts_incremental\": %d, \"reenum_fraction\": %.4f, \
             \"pass2_full_seconds\": %.6f, \"pass2_incremental_seconds\": %.6f, \
-            \"speedup\": %.4f, \"identical_results\": %b, \"gate_ok\": %b}"
+            \"speedup\": %.4f, \"worklist_popped\": %d, \"total_roots\": %d, \
+            \"pop_fraction\": %.4f, \"commit_waves\": %d, \
+            \"concurrent_commits\": %d, \"identical_results\": %b, \
+            \"gate_ok\": %b}"
            (json_escape r.in_circuit) r.in_domains r.in_pass2_cuts_full
            r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_full_s
-           r.in_pass2_incr_s r.in_speedup r.in_identical r.in_gate_ok))
+           r.in_pass2_incr_s r.in_speedup r.in_popped r.in_total_roots
+           r.in_pop_fraction r.in_commit_waves r.in_concurrent_commits
+           r.in_identical r.in_gate_ok))
     (List.rev !json_incremental);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"worklist\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"domains\": %d, \
-            \"pass2_full_seconds\": %.6f, \"pass2_scan_seconds\": %.6f, \
-            \"pass2_worklist_seconds\": %.6f, \"speedup_vs_full\": %.4f, \
-            \"speedup_vs_scan\": %.4f, \"worklist_popped\": %d, \
-            \"total_roots\": %d, \"pop_fraction\": %.4f, \
-            \"commit_waves\": %d, \"wave_coalesced\": %d, \
-            \"conflict_edges\": %d, \"identical_results\": %b, \
-            \"waves_gt_flushes\": %b, \"gate_ok\": %b}"
-           (json_escape r.wl_circuit) r.wl_domains r.wl_pass2_full_s
-           r.wl_pass2_scan_s r.wl_pass2_wl_s r.wl_speedup_vs_full
-           r.wl_speedup_vs_scan r.wl_popped r.wl_total_roots r.wl_pop_fraction
-           r.wl_commit_waves r.wl_wave_coalesced r.wl_conflict_edges
-           r.wl_identical r.wl_waves_gt_flushes r.wl_gate_ok))
-    (List.rev !json_worklist);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"idcache\": [\n";
   List.iteri
@@ -1930,8 +1780,7 @@ let () =
   section "ablations" "design-choice ablations" ablations;
   section "micro" "Bechamel micro-benchmarks" micro;
   section "kernels" "word-parallel kernels vs scalar baselines" kernels;
-  section "incremental" "incremental resynthesis vs full re-enumeration" incremental;
-  section "worklist" "worklist walk + conflict-graph commit scheduling" worklist;
+  section "incremental" "incremental resynthesis vs the reference full walk" incremental;
   section "idcache" "persistent identification cache: cold vs warm vs off" idcache;
   section "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg;
   section "journal" "decision journal: overhead and bit-identity" journal;

@@ -242,8 +242,7 @@ let gen_cmd =
 
 let optimize_cmd =
   let run file bench objective k engine budget no_merge verify dontcares units
-      no_id_cache cache_dir incremental commit_batch no_worklist scheduler
-      domains output metrics trace trace_out journal =
+      no_id_cache cache_dir domains output metrics trace trace_out journal =
     with_obs ?journal ~cmd:"optimize" metrics trace trace_out (fun ppf ->
         let c = load ~file ~bench in
         let objective =
@@ -258,12 +257,6 @@ let optimize_cmd =
           | "sampled" -> Comparison_fn.Sampled budget
           | other -> die "unknown engine %S" other
         in
-        let scheduler =
-          match scheduler with
-          | "flush" -> Engine.Flush
-          | "graph" -> Engine.Graph
-          | other -> die "unknown scheduler %S" other
-        in
         let options =
           {
             Engine.default_options with
@@ -275,12 +268,6 @@ let optimize_cmd =
             max_units = units;
             id_cache = not no_id_cache;
             cache_dir;
-            incremental =
-              Option.value incremental
-                ~default:Engine.default_options.Engine.incremental;
-            commit_batch;
-            worklist = not no_worklist;
-            scheduler;
             domains;
           }
         in
@@ -340,63 +327,13 @@ let optimize_cmd =
              across concurrent runs; results are bit-identical cold, warm \
              or with the cache off.")
   in
-  let incremental =
-    Arg.(
-      value
-      & vflag None
-          [
-            ( Some true,
-              info [ "incremental" ]
-                ~doc:
-                  "Track dirty regions across passes and re-enumerate only \
-                   roots whose footprint a splice touched (the default; \
-                   results are bit-identical to a full re-enumeration)." );
-            ( Some false,
-              info [ "no-incremental" ]
-                ~doc:
-                  "Re-enumerate every cut on every pass and commit each \
-                   splice immediately — the full (pre-incremental) engine, \
-                   kept as a debugging escape hatch." );
-          ])
-  in
-  let commit_batch =
-    Arg.(
-      value
-      & opt int Engine.default_options.Engine.commit_batch
-      & info [ "commit-batch" ] ~docv:"N"
-          ~doc:
-            "Defer up to $(docv) accepted splices and land them in one \
-             flush whose local verification fans out across --domains \
-             (1 commits immediately; results are bit-identical either way).")
-  in
-  let no_worklist =
-    Arg.(
-      value & flag
-      & info [ "no-worklist" ]
-          ~doc:
-            "Scan every root of the circuit each pass instead of popping \
-             dirty roots from the ordered worklist (DESIGN.md Sec. 17). \
-             Results are bit-identical; this is a debugging escape hatch.")
-  in
-  let scheduler =
-    Arg.(
-      value & opt string "graph"
-      & info [ "scheduler" ] ~docv:"SCHED"
-          ~doc:
-            "Commit-queue landing discipline (DESIGN.md Sec. 17): \
-             $(b,graph) lands only the splices a touched root can observe \
-             and verifies independent sets concurrently; $(b,flush) lands \
-             the whole queue on any touch. Results are bit-identical \
-             either way.")
-  in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Resynthesise with comparison units (Procedures 2 and 3 of the paper).")
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
-      $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ incremental
-      $ commit_batch $ no_worklist $ scheduler $ domains_arg $ output_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
+      $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ domains_arg
+      $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 

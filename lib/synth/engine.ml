@@ -7,10 +7,6 @@ type verify =
   | `Sampled of int
   | `Full ]
 
-type scheduler =
-  | Flush
-  | Graph
-
 type options = {
   k : int;
   max_candidates : int;
@@ -26,13 +22,8 @@ type options = {
   domains : int;
   obs : bool;
   verify : verify;
-  inject_unsound : int;
   id_cache : bool;
   cache_dir : string option;
-  incremental : bool;
-  commit_batch : int;
-  worklist : bool;
-  scheduler : scheduler;
 }
 
 let default_options =
@@ -51,14 +42,14 @@ let default_options =
     domains = 0;
     obs = false;
     verify = `Sampled 8;
-    inject_unsound = 0;
     id_cache = true;
     cache_dir = None;
-    incremental = true;
-    commit_batch = 8;
-    worklist = true;
-    scheduler = Graph;
   }
+
+(* Deferred-commit window: up to this many accepted splices queue before
+   landing in one group, whose local verifications fan out across the
+   pool. Results do not depend on it. *)
+let commit_batch = 8
 
 (* Observability probes. [cut_size_h] and [realised_c] fire inside worker
    evaluation — counters and histograms are atomic, so that is safe; spans
@@ -83,29 +74,17 @@ let dirty_regions_c =
 let dirty_nodes_h =
   Obs.Histogram.make ~help:"nodes newly dirtied per splice footprint" "engine.dirty_nodes"
 
-let reenum_skipped_c =
-  Obs.Counter.make ~help:"clean roots skipped without re-enumeration" "engine.reenum_skipped"
-
 let concurrent_commits_c =
-  Obs.Counter.make ~help:"splices landed through a multi-splice commit flush"
+  Obs.Counter.make ~help:"splices landed through a multi-splice commit group"
     "engine.concurrent_commits"
 
 let worklist_popped_c =
   Obs.Counter.make ~help:"dirty roots popped from the pass worklist"
     "engine.worklist_popped"
 
-let conflict_edges_c =
-  Obs.Counter.make ~help:"footprint overlaps between queued splices"
-    "engine.conflict_edges"
-
 let commit_waves_c =
-  Obs.Counter.make ~help:"independent-set verification waves landed"
+  Obs.Counter.make ~help:"landed commit groups, each verified as one wave"
     "engine.commit_waves"
-
-let wave_coalesced_c =
-  Obs.Counter.make
-    ~help:"splices verified in a multi-splice wave after surviving a touch"
-    "engine.wave_coalesced"
 
 type stats = {
   passes : int;
@@ -209,28 +188,31 @@ let candidate_seed base root idx =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Per-run scratch threaded through every pass: the persistent dirty
-   worklist of the incremental walk, the output-reachable set that stands
-   in for the scan walk's [marked] array, the reusable enumeration dedup
-   table, the serial extraction buffer, and the pending-footprint scratch
-   the commit queue clears instead of reallocating. All survive circuit
-   growth — the bitsets grow on demand, the dedup table is cleared per
-   root, and the scratch buffer is re-allocated when the circuit outgrows
-   it. *)
+(* Scoring scratch shared by every pass of a run: the reusable enumeration
+   dedup table (cleared per root) and the serial extraction buffer
+   (re-allocated when the circuit outgrows it). *)
+type scoring = {
+  dedup : Subcircuit.dedup;
+  mutable scratch : int64 array;
+}
+
+(* Footprint state of the production walk, threaded through every pass:
+   the persistent dirty worklist, the output-reachable set that stands in
+   for the reference walk's [marked] array, and the will-die set of the
+   commit queue, cleared instead of reallocated. The bitsets grow on
+   demand, so all of it survives circuit growth. *)
 type run_state = {
   wl : Footprint.Worklist.t;
   reachable : Footprint.set;
-  dedup : Subcircuit.dedup;
-  mutable scratch : int64 array;
-  pending_scratch : Footprint.set;
-  members_scratch : Footprint.set;
+  pending_members : Footprint.set;
 }
 
-(* The scan walk's [marked] array computes output-reachability on the fly
-   (outputs seed it, every processed root propagates to its fanins). The
-   worklist walk visits only dirty roots, so it needs the same predicate as
-   a set: seeded here by one DFS from the outputs, extended with the fresh
-   nodes of every splice. No other node ever becomes reachable — new edges
+(* The reference walk's [marked] array computes output-reachability on
+   the fly (outputs seed it, every processed root propagates to its
+   fanins). The production walk visits only dirty roots, so it needs the
+   same predicate as a set: seeded here by one DFS from the outputs,
+   extended with the fresh nodes of every splice. No other node ever
+   becomes reachable — new edges
    only point at freshly spliced regions — and nodes that stop being
    reachable are dead (the post-splice sweep removes them), which the
    [is_gate] check already filters. *)
@@ -251,16 +233,11 @@ let reachable_from_outputs c =
   done;
   s
 
-let make_run_state opts c =
-  let track = opts.incremental && opts.worklist in
+let make_run_state c =
   {
-    wl = Footprint.Worklist.create ~all:true ~track (Circuit.size c);
-    reachable =
-      (if track then reachable_from_outputs c else Footprint.create 1);
-    dedup = Subcircuit.dedup ();
-    scratch = [||];
-    pending_scratch = Footprint.create 1;
-    members_scratch = Footprint.create 1;
+    wl = Footprint.Worklist.create ~all:true (Circuit.size c);
+    reachable = reachable_from_outputs c;
+    pending_members = Footprint.create 1;
   }
 
 (* Below this many candidates a pooled scoring batch runs inline on the
@@ -279,10 +256,10 @@ let score_serial_cutoff = 48
    records its misses locally; the orchestrating domain merges them below
    once the whole batch is back. Deferring the serial merge too keeps
    hit/miss counts identical across [domains] settings. *)
-let score_candidates ?pool ?cache ~st opts ~sim labels c root =
+let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
   let subs =
     Array.of_list
-      (Subcircuit.enumerate ~dedup:st.dedup ~k:opts.k
+      (Subcircuit.enumerate ~dedup:sc.dedup ~k:opts.k
          ~max_candidates:opts.max_candidates c root)
   in
   Obs.Counter.add candidates_c (Array.length subs);
@@ -325,9 +302,9 @@ let score_candidates ?pool ?cache ~st opts ~sim labels c root =
         ~state:(fun _ -> Array.make (Circuit.size c) 0L)
         ~f:eval subs
     | _ ->
-      if Array.length st.scratch < Circuit.size c then
-        st.scratch <- Array.make (Circuit.size c) 0L;
-      Array.mapi (eval st.scratch) subs
+      if Array.length sc.scratch < Circuit.size c then
+        sc.scratch <- Array.make (Circuit.size c) 0L;
+      Array.mapi (eval sc.scratch) subs
   in
   (match cache with
   | None -> ()
@@ -357,11 +334,13 @@ let better objective ~current_paths a b =
 (* Whole-circuit SAT verification of accepted replacements (DESIGN.md §10).
    [attempts] counts accepted splices across passes so a `Sampled cadence is
    per optimisation run, not per pass; the first acceptance is always
-   proved. *)
+   proved. [inject_unsound] is the test hook's corruption index (0 =
+   never, see [Test_hooks]). *)
 type verify_state = {
   mutable attempts : int;
   mutable checks : int;
   mutable refused : int;
+  inject_unsound : int;
 }
 
 let should_verify (verify : verify) idx =
@@ -390,24 +369,22 @@ let is_gate c id =
   | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
   | Gate.Xnor -> true
 
-(* A splice decision not yet applied to the netlist (incremental mode with
-   [commit_batch > 1]): the winning candidate, its root, and the
-   accepted-splice index it drew — the index drives verification sampling
-   and the [inject_unsound] hook, so it is fixed at decision time and
-   replayed at landing. [p_fp] is the decision-time observer set (every
-   root whose evaluation could distinguish the deferred circuit from the
-   committed one, see [splice_casualties]), kept per-splice only by the
-   conflict-graph scheduler, whose touch rule lands individual observer
-   sets instead of the whole queue. [p_dead] is the exact set of nodes the
-   splice's sweep will remove; [p_kept] records that the splice survived
-   at least one pop the flush rule would have landed it on. *)
+(* A splice decision queued for landing: the winning candidate, its root,
+   and the accepted-splice index it drew — the index drives verification
+   sampling and the [inject_unsound] hook, so it is fixed at decision time
+   and replayed at landing. The three sets are computed on the pre-splice
+   circuit at decision time (see [splice_casualties]): [p_obs] is the
+   observer set (every root whose evaluation could distinguish the
+   deferred circuit from the committed one), [p_dead] the exact set of
+   nodes the splice's sweep will remove, and [p_boundary] the live fanins
+   of those nodes, whose fanout degree the landing changes. *)
 type pending = {
   p_root : int;
   p_cand : candidate;
   p_idx : int;
-  p_fp : Footprint.set option;
+  p_obs : Footprint.set;
   p_dead : int list;
-  mutable p_kept : bool;
+  p_boundary : int list;
 }
 
 (* Exact casualty prediction for a splice, computed on the pre-splice
@@ -491,70 +468,120 @@ let splice_casualties c ~queued_dead (sub : Subcircuit.t)
     !dead_list;
   (!dead_list, !boundary_list)
 
-let run_pass ?pool ?cache objective opts vstate st c =
-  let labels = Paths.labels c in
-  let dirty = Footprint.Worklist.fp st.wl in
-  let incremental = opts.incremental in
-  let use_worklist = incremental && opts.worklist in
-  (* Deferred commits need the footprint machinery for their touch rule, so
-     [--no-incremental] also forces immediate serial splices: that is
-     exactly the pre-incremental engine. *)
-  let batch = if incremental then max 1 opts.commit_batch else 1 in
-  let use_graph = batch > 1 && opts.scheduler = Graph in
-  (* Simulation snapshot for don't-care analysis. Replacements only rewrite
-     logic downstream of the gates still to be processed, so upstream node
-     values stay valid for the whole pass. Compiling the circuit is pure
-     overhead when don't-cares are off, so it only happens here. *)
-  let sim =
-    if opts.use_dontcares then begin
-      let cmp0 = Compiled.of_circuit c in
-      let sim_rng = Rng.create (Int64.logxor opts.seed 0x5FCAL) in
-      let n_pi = Array.length (Compiled.inputs cmp0) in
-      Some
-        ( cmp0,
-          Array.init 32 (fun _ ->
-              Compiled.simulate cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng))) )
-    end
-    else None
+(* Simulation snapshot for don't-care analysis. Replacements only rewrite
+   logic downstream of the gates still to be processed, so upstream node
+   values stay valid for the whole pass. Compiling the circuit is pure
+   overhead when don't-cares are off, so it only happens here. *)
+let dontcare_sim opts c =
+  if not opts.use_dontcares then None
+  else begin
+    let cmp0 = Compiled.of_circuit c in
+    let sim_rng = Rng.create (Int64.logxor opts.seed 0x5FCAL) in
+    let n_pi = Array.length (Compiled.inputs cmp0) in
+    Some
+      ( cmp0,
+        Array.init 32 (fun _ ->
+            Compiled.simulate cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng))) )
+  end
+
+(* The best improving candidate at root [g], if any. *)
+let choose ?pool ?cache ~sc objective opts ~sim labels c g =
+  List.fold_left
+    (fun best cand ->
+      if better objective ~current_paths:labels.(g) cand best then Some cand
+      else best)
+    None
+    (score_candidates ?pool ?cache ~sc opts ~sim labels c g)
+
+(* Apply one decided splice, SAT-proving it against a snapshot when the
+   sampling cadence asks for it. [pre_verified] means the landing group
+   already ran the exhaustive local check. Returns false if the miter
+   refused the replacement and rolled it back. *)
+let apply ?pool opts vstate ~pre_verified c ~root ~idx cand =
+  (* Don't-care replacements intentionally differ from the subcircuit
+     function on proved-unreachable combinations, so the exhaustive local
+     check only applies to exact ones. *)
+  let verify_local = opts.verify_local && cand.exact && not pre_verified in
+  let snapshot =
+    if should_verify opts.verify idx then Some (Circuit.copy c) else None
   in
+  let fresh = Replace.splice ~verify_local c cand.sub cand.built in
+  (if vstate.inject_unsound = idx + 1 then
+     match inverted_kind (Circuit.kind c fresh) with
+     | Some k -> Circuit.set_kind c fresh k
+     | None -> ());
+  let sound =
+    match snapshot with
+    | None -> true
+    | Some before -> (
+      vstate.checks <- vstate.checks + 1;
+      Obs.Counter.incr verify_checks_c;
+      match Cec.check ?pool before c with
+      | Cec.Equivalent -> true
+      | Cec.Unknown _ ->
+        (* Budget exhausted is not evidence of unsoundness: the local
+           checks already passed, so the replacement stands. *)
+        Obs.Counter.incr verify_unknown_c;
+        if Obs.Journal.enabled () then
+          Obs.Journal.emit "cec_unknown"
+            [ ("root", Obs_json.Int root); ("idx", Obs_json.Int idx) ];
+        true
+      | Cec.Counterexample _ ->
+        Circuit.overwrite c ~with_:before;
+        vstate.refused <- vstate.refused + 1;
+        Obs.Counter.incr verify_refused_c;
+        Obs.Trace.instant ~cat:"engine" "engine.verify_refused";
+        if Obs.Journal.enabled () then
+          Obs.Journal.emit "splice_rollback"
+            [
+              ("root", Obs_json.Int root);
+              ("idx", Obs_json.Int idx);
+              ("reason", Obs_json.String "cec_counterexample");
+            ];
+        false)
+  in
+  if sound then begin
+    Obs.Counter.incr accepted_c;
+    Obs.Trace.instant ~cat:"engine" "engine.accepted";
+    if Obs.Journal.enabled () then
+      Obs.Journal.emit "splice_accept"
+        [
+          ("root", Obs_json.Int root);
+          ("idx", Obs_json.Int idx);
+          ("gain", Obs_json.Int cand.gain);
+          ("new_paths", Obs_json.Int cand.new_paths);
+          ("cut", Obs_json.Int (Array.length cand.sub.Subcircuit.inputs));
+          ("exact", Obs_json.Bool cand.exact);
+        ]
+  end;
+  sound
+
+(* One pass of the production walk (DESIGN.md §13, §17). It pops exactly
+   the dirty roots, in descending topological order — the reference walk's
+   outputs-towards-inputs order, in O(changes) pops instead of O(size)
+   visits (the topological sort itself is already paid for by
+   [Paths.labels]). A popped root is processed iff it is a live gate
+   reachable from an output, which is precisely when the reference walk
+   would have marked it; a clean root is never queued, because its
+   evaluation would reproduce its previous rejection bit-exactly.
+
+   Accepted splices queue and land in decision-order groups of at most
+   [commit_batch]. A group lands early when the walk pops a root that one
+   of its splices can be observed from, so every evaluation reads exactly
+   the circuit the reference walk's immediate commits would have left. *)
+let run_pass ?pool ?cache objective opts vstate sc st c =
+  let labels = Paths.labels c in
+  let sim = dontcare_sim opts c in
   let replacements = ref 0 in
   let pending = ref [] (* newest first; landed in decision order *) in
-  let npending = ref 0 in
-  (* Touch set of the queue: evaluating any root inside it could observe a
-     not-yet-applied splice, so the touch rule lands splices first. Under
-     the flush scheduler this is the union of the decision-time footprint
-     closures (cut inputs, members, everything downstream — the PR-6
-     over-approximation). The graph scheduler keeps the union of the much
-     smaller per-splice *observer* sets instead: evaluation at a root [y]
-     reads only the fanin structure of [y]'s strict fanin cone and the
-     fanout lists of its member gates, so [y] can distinguish the deferred
-     circuit from the committed one iff that cone contains a node the
-     commit restructures (a reader of the replaced root) or whose fanout
-     list it changes (a surviving cut input or a sweep-boundary node) —
-     equivalently iff [y] lies in the fanout cone of a live reader of one
-     of those. Dead regions cannot re-export an edge (a dead node has no
-     live reader), so in particular a surviving cut input itself scores
-     identically before and after the landing and is NOT an observer: the
-     walk re-evaluates it without forcing a landing, which is what lets
-     batches outlive their own footprints. Cleared (not reallocated)
-     whenever the queue drains. *)
-  let pending_dirty = st.pending_scratch in
-  (* Union of the queued splices' exact will-die sets ([splice_casualties]).
-     Had the queue committed immediately these nodes would already be gone
-     and the walk would pass them silently, so a pop here is skipped — and
-     must be: a casualty outside the footprint (sweep cascade past the cut)
-     that is dirty for unrelated reasons would otherwise be evaluated
-     alive in deferred mode and dead in immediate mode. *)
-  let pending_members = st.members_scratch in
-  (* Pre-splice footprint of a decided candidate: its cut inputs (whose
-     fanout sets change), its member gates (which die), and everything
-     downstream of either. Marked before the splice mutates the netlist,
-     while the members' fanout edges still exist. *)
-  let footprint_seeds cand =
-    Array.fold_left
-      (fun acc input -> input :: acc)
-      cand.sub.Subcircuit.gates cand.sub.Subcircuit.inputs
-  in
+  (* Union of the queued splices' exact will-die sets. Had the queue
+     committed immediately these nodes would already be gone and the walk
+     would pass them silently, so a pop here is skipped — and must be: a
+     casualty outside the footprint (sweep cascade past the cut) that is
+     dirty for unrelated reasons would otherwise be evaluated alive here
+     and dead by the reference walk. Skipping instead of landing is what
+     lets the queue outlive its own members. *)
+  let pending_members = st.pending_members in
   (* Kinds whose fanout list the scoring of some future root could read:
      member gates and constants, but never primary inputs (a PI cannot be
      a member of a subcircuit, and nothing else reads fanouts). *)
@@ -562,268 +589,129 @@ let run_pass ?pool ?cache objective opts vstate st c =
     Circuit.is_alive c id
     && match Circuit.kind c id with Gate.Input -> false | _ -> true
   in
-  (* Returns the per-splice observer set (graph scheduler) and the exact
-     will-die list. The casualty and observer computations are frozen at
-     decision time: no later decision can reach into a queued splice's
-     region without first landing it (its root would be a skipped casualty
-     or a landing observer), so the sets stay valid while queued. *)
-  let mark_decision cand =
-    let seeds = footprint_seeds cand in
+  (* Queue a decided candidate, computing its sets on the pre-splice
+     circuit. The dirty region is the fanout cone of the cut inputs, the
+     member gates and the sweep boundary; an immediate commit would dirty
+     the same region at this walk position. The observer set: evaluation
+     at a root [y] reads only the fanin structure of [y]'s strict fanin
+     cone and the fanout lists of its member gates, so [y] can distinguish
+     the deferred circuit from the committed one iff that cone contains a
+     node the commit restructures (a reader of the replaced root) or whose
+     fanout list it changes (a surviving cut input or a sweep-boundary
+     node) — equivalently iff [y] lies in the fanout cone of a live reader
+     of one of those. Dead regions cannot re-export an edge, so a
+     surviving cut input itself scores identically before and after the
+     landing and is not an observer. The sets stay valid while queued: no
+     later decision can reach into a queued splice's region without first
+     landing it (its root would be a skipped casualty or an observer). *)
+  let decide g cand =
+    let sub = cand.sub in
+    let idx = vstate.attempts in
+    vstate.attempts <- idx + 1;
     Obs.Counter.incr dirty_regions_c;
-    if batch = 1 then begin
-      Obs.Histogram.observe dirty_nodes_h
-        (Footprint.Worklist.mark_fanout_cone c st.wl seeds);
-      (None, [])
-    end
-    else begin
-      let sub = cand.sub in
-      let dead, boundary =
-        splice_casualties c ~queued_dead:pending_members sub cand.built
-      in
-      List.iter (Footprint.add pending_members) dead;
-      if use_graph then begin
-        (* Dirty the sweep-boundary cones now as well: an immediate commit
-           marks them at this same walk position ([mark_swept_boundary]),
-           and the observers below must be queued to trigger landings. *)
-        Obs.Histogram.observe dirty_nodes_h
-          (Footprint.Worklist.mark_fanout_cone c st.wl
-             (List.rev_append boundary seeds));
-        let obs = Footprint.create (Circuit.size c) in
-        let srcs =
-          sub.Subcircuit.root
-          :: List.rev_append
-               (List.filter observable_src boundary)
-               (List.filter observable_src
-                  (Array.to_list sub.Subcircuit.inputs))
-        in
-        let obs_seeds =
-          List.concat_map
-            (fun v ->
-              List.filter
-                (fun r -> not (Footprint.mem pending_members r))
-                (Circuit.fanouts c v))
-            srcs
-        in
-        ignore (Footprint.mark_fanout_cone c obs obs_seeds);
-        Footprint.union_into pending_dirty obs;
-        (Some obs, dead)
-      end
-      else begin
-        (* Flush scheduler: the touch closure must cover the sweep-boundary
-           cones too. The exact-casualty skip no longer lands the queue on a
-           doomed cut input the way the PR-6 closure touch did, so without
-           [boundary] here a root between the boundary and the eventual
-           touch would be evaluated against the pre-splice fanouts. Dirty
-           marks at decision time mirror the immediate commit's
-           [mark_swept_boundary] at this same walk position. *)
-        let all = List.rev_append boundary seeds in
-        Obs.Histogram.observe dirty_nodes_h
-          (Footprint.Worklist.mark_fanout_cone c st.wl all);
-        ignore (Footprint.mark_fanout_cone c pending_dirty all);
-        (None, dead)
-      end
-    end
-  in
-  (* Nodes the splice imported (ids allocated past [since]) and their fanout
-     cones: dirty so the next pass re-evaluates the rebuilt region. Fresh
-     nodes are output-reachable by construction (the splice retargets the
-     old root's readers onto them), so the worklist's reachability predicate
-     learns them here. *)
-  let mark_fresh since =
-    let seeds = ref [] in
-    for id = Circuit.size c - 1 downto since do
-      if Circuit.is_alive c id then begin
-        seeds := id :: !seeds;
-        if use_worklist then Footprint.add st.reachable id
-      end
-    done;
-    ignore (Footprint.Worklist.mark_fanout_cone c st.wl !seeds)
-  in
-  (* The sweep inside [Replace.splice] cascades upstream past the cut: a cut
-     input left without consumers dies, then its fanins lose a consumer, and
-     so on. Survivors on that boundary change fanout degree — which
-     [Subcircuit.removable_gates] reads — so every root downstream of them
-     must be re-evaluated, and the decision-time footprint (cut inputs +
-     members) does not reach them. [pre_alive]/[pre_fanins] snapshot the
-     graph before the splice; afterwards the live former fanins of every
-     swept node seed a fanout-cone marking on the new graph. *)
-  let snapshot_fanins () =
-    Array.init (Circuit.size c) (fun id ->
-        if Circuit.is_alive c id then Array.copy (Circuit.fanins c id)
-        else [||])
-  in
-  let mark_swept_boundary pre_fanins =
-    let seeds = ref [] in
-    Array.iteri
-      (fun id fins ->
-        if Array.length fins > 0 && not (Circuit.is_alive c id) then
-          Array.iter
-            (fun f -> if Circuit.is_alive c f then seeds := f :: !seeds)
-            fins)
-      pre_fanins;
-    ignore (Footprint.Worklist.mark_fanout_cone c st.wl !seeds)
-  in
-  (* Apply one decided splice. [pre_verified] means a concurrent flush
-     already ran the exhaustive local check. Returns false if the CEC miter
-     refused the replacement and rolled it back. *)
-  let commit_one ~pre_verified p =
-    let cand = p.p_cand in
-    (* Don't-care replacements intentionally differ from the subcircuit
-       function on proved-unreachable combinations, so the exhaustive
-       local check only applies to exact ones. *)
-    let verify_local = opts.verify_local && cand.exact && not pre_verified in
-    let snapshot =
-      if should_verify opts.verify p.p_idx then Some (Circuit.copy c) else None
+    let dead, boundary =
+      splice_casualties c ~queued_dead:pending_members sub cand.built
     in
+    List.iter (Footprint.add pending_members) dead;
+    let seeds =
+      Array.fold_left
+        (fun acc input -> input :: acc)
+        sub.Subcircuit.gates sub.Subcircuit.inputs
+    in
+    Obs.Histogram.observe dirty_nodes_h
+      (Footprint.Worklist.mark_fanout_cone c st.wl
+         (List.rev_append boundary seeds));
+    let obs = Footprint.create (Circuit.size c) in
+    let srcs =
+      sub.Subcircuit.root
+      :: List.rev_append
+           (List.filter observable_src boundary)
+           (List.filter observable_src (Array.to_list sub.Subcircuit.inputs))
+    in
+    let obs_seeds =
+      List.concat_map
+        (fun v ->
+          List.filter
+            (fun r -> not (Footprint.mem pending_members r))
+            (Circuit.fanouts c v))
+        srcs
+    in
+    ignore (Footprint.mark_fanout_cone c obs obs_seeds);
+    { p_root = g; p_cand = cand; p_idx = idx; p_obs = obs; p_dead = dead;
+      p_boundary = boundary }
+  in
+  (* Land one queued splice. On success, dirty the nodes it imported (ids
+     allocated past [since]) and their fanout cones, so the next pass
+     re-evaluates the rebuilt region; fresh nodes are output-reachable by
+     construction (the splice retargets the old root's readers onto them),
+     so the reachability predicate learns them here. Then dirty the cone of
+     the sweep boundary on the post-splice graph: the sweep inside
+     [Replace.splice] cascades upstream past the cut, and the survivors on
+     that boundary change fanout degree — which
+     [Subcircuit.removable_gates] reads. *)
+  let commit ~pre_verified p =
     let since = Circuit.size c in
-    let pre_fanins = if incremental then Some (snapshot_fanins ()) else None in
-    let fresh = Replace.splice ~verify_local c cand.sub cand.built in
-    (if opts.inject_unsound = p.p_idx + 1 then
-       match inverted_kind (Circuit.kind c fresh) with
-       | Some k -> Circuit.set_kind c fresh k
-       | None -> ());
     let sound =
-      match snapshot with
-      | None -> true
-      | Some before -> (
-        vstate.checks <- vstate.checks + 1;
-        Obs.Counter.incr verify_checks_c;
-        match Cec.check ?pool before c with
-        | Cec.Equivalent -> true
-        | Cec.Unknown _ ->
-          (* Budget exhausted is not evidence of unsoundness: the local
-             checks already passed, so the replacement stands. *)
-          Obs.Counter.incr verify_unknown_c;
-          if Obs.Journal.enabled () then
-            Obs.Journal.emit "cec_unknown"
-              [
-                ("root", Obs_json.Int p.p_root); ("idx", Obs_json.Int p.p_idx);
-              ];
-          true
-        | Cec.Counterexample _ ->
-          Circuit.overwrite c ~with_:before;
-          vstate.refused <- vstate.refused + 1;
-          Obs.Counter.incr verify_refused_c;
-          Obs.Trace.instant ~cat:"engine" "engine.verify_refused";
-          if Obs.Journal.enabled () then
-            Obs.Journal.emit "splice_rollback"
-              [
-                ("root", Obs_json.Int p.p_root);
-                ("idx", Obs_json.Int p.p_idx);
-                ("reason", Obs_json.String "cec_counterexample");
-              ];
-          false)
+      apply ?pool opts vstate ~pre_verified c ~root:p.p_root ~idx:p.p_idx
+        p.p_cand
     in
     if sound then begin
       incr replacements;
-      Obs.Counter.incr accepted_c;
-      Obs.Trace.instant ~cat:"engine" "engine.accepted";
-      if Obs.Journal.enabled () then
-        Obs.Journal.emit "splice_accept"
-          [
-            ("root", Obs_json.Int p.p_root);
-            ("idx", Obs_json.Int p.p_idx);
-            ("gain", Obs_json.Int cand.gain);
-            ("new_paths", Obs_json.Int cand.new_paths);
-            ("cut", Obs_json.Int (Array.length cand.sub.Subcircuit.inputs));
-            ("exact", Obs_json.Bool cand.exact);
-          ];
-      if incremental then begin
-        mark_fresh since;
-        Option.iter mark_swept_boundary pre_fanins
-      end
+      let fresh = ref [] in
+      for id = Circuit.size c - 1 downto since do
+        if Circuit.is_alive c id then begin
+          fresh := id :: !fresh;
+          Footprint.add st.reachable id
+        end
+      done;
+      ignore (Footprint.Worklist.mark_fanout_cone c st.wl !fresh);
+      ignore (Footprint.Worklist.mark_fanout_cone c st.wl p.p_boundary)
     end;
     sound
   in
-  (* Land a decision-order group of queued splices. The read-only half —
-     the exhaustive local check of each replacement — is scheduled by the
-     conflict graph: footprint overlap is an edge (bitset intersection on
-     the per-splice closures), and a greedy colouring in decision order
-     cuts the group into consecutive independent-set waves, each of which
-     fans its verifications out across the pool. The touch rule keeps the
-     queue pairwise disjoint in practice, so the colouring almost always
-     produces a single wave; the edges counter proves that invariant at
-     runtime rather than assuming it. Mutations stay serial in decision
-     order across all waves: that fixed tie-break (and the id allocation
-     order it implies) is what keeps batched commits bit-identical to
-     immediate ones. *)
+  (* Land a decision-order group. Its exhaustive local checks run as one
+     read-only wave across the pool (each re-extracts its sub from the
+     current circuit); the mutations stay serial in decision order, the
+     fixed tie-break (and id allocation order) that keeps deferred commits
+     bit-identical to immediate ones. Verifying the whole group before any
+     of it lands is sound because an older commit could only perturb a
+     newer verification by reaching into its sub, which needs the newer
+     root inside the older splice's observer set — impossible for
+     co-queued splices, since a root popped while another splice was
+     queued either landed it as an observer or was skipped as a
+     casualty. *)
   let land_group ps =
     Obs.Span.with_ "engine.commit_flush" (fun () ->
         let m = Array.length ps in
+        assert (
+          let disjoint = ref true in
+          Array.iteri
+            (fun i p ->
+              for j = i + 1 to m - 1 do
+                if Footprint.mem p.p_obs ps.(j).p_root then disjoint := false
+              done)
+            ps;
+          !disjoint);
         if Obs.Journal.enabled () then
           Obs.Journal.emit "commit_flush" [ ("batch", Obs_json.Int m) ];
-        (* [conflict i j], for [i] decided before [j]: could committing the
-           older splice perturb the verification of the newer one? Wave
-           verifications are read-only (each re-extracts its sub from the
-           current circuit) and the commits stay serial in decision order,
-           so the only dangerous direction is an older commit reaching into
-           a newer sub — which needs the newer root inside the older
-           splice's observer set. That is impossible for co-queued splices
-           (a root popped while another splice was queued either landed it
-           as an observer or was skipped as a casualty), so the colouring
-           should always produce a single wave. The matrix is kept as a
-           runtime proof of that theorem rather than an assumption: an edge
-           both splits the wave (restoring soundness) and increments the
-           counter the bench gates on. Counted once per ordered pair. *)
-        let conflict =
-          if use_graph && m > 1 then begin
-            let edges = Array.make_matrix m m false in
-            for i = 0 to m - 1 do
-              for j = i + 1 to m - 1 do
-                let clash =
-                  match ps.(i).p_fp with
-                  | Some oi -> Footprint.mem oi ps.(j).p_root
-                  | None -> true
-                in
-                if clash then begin
-                  edges.(i).(j) <- true;
-                  edges.(j).(i) <- true;
-                  Obs.Counter.incr conflict_edges_c
-                end
-              done
-            done;
-            fun i j -> edges.(i).(j)
-          end
-          else fun _ _ -> false
+        Obs.Counter.incr commit_waves_c;
+        let pre_verified =
+          match pool with
+          | Some pool when m > 1 && opts.verify_local ->
+            Array.iter
+              (fun ok -> if not ok then Replace.reject ())
+              (Pool.map pool ~chunk:1
+                 (fun p ->
+                   (not p.p_cand.exact)
+                   || Replace.implements c p.p_cand.sub p.p_cand.built)
+                 ps);
+            true
+          | _ -> false
         in
-        let wave_start = ref 0 in
-        while !wave_start < m do
-          let lo = !wave_start in
-          let hi = ref (lo + 1) in
-          let open_ = ref true in
-          while !open_ && !hi < m do
-            let clashes = ref false in
-            for j = lo to !hi - 1 do
-              if conflict !hi j then clashes := true
-            done;
-            if !clashes then open_ := false else incr hi
-          done;
-          let hi = !hi in
-          wave_start := hi;
-          let wlen = hi - lo in
-          Obs.Counter.incr commit_waves_c;
-          if Obs.Journal.enabled () then
-            Obs.Journal.emit "commit_wave"
-              [ ("size", Obs_json.Int wlen); ("batch", Obs_json.Int m) ];
-          let pre_verified =
-            match pool with
-            | Some pool when wlen > 1 && opts.verify_local ->
-              let ok =
-                Pool.map_sub pool ~chunk:1 ~lo ~len:wlen
-                  (fun p ->
-                    (not p.p_cand.exact)
-                    || Replace.implements c p.p_cand.sub p.p_cand.built)
-                  ps
-              in
-              Array.iter (fun o -> if not o then Replace.reject ()) ok;
-              true
-            | _ -> false
-          in
-          for i = lo to hi - 1 do
-            let p = ps.(i) in
-            if commit_one ~pre_verified p then begin
-              if m > 1 then Obs.Counter.incr concurrent_commits_c;
-              if wlen > 1 && p.p_kept then Obs.Counter.incr wave_coalesced_c
+        Array.iter
+          (fun p ->
+            if commit ~pre_verified p then begin
+              if m > 1 then Obs.Counter.incr concurrent_commits_c
             end
             else begin
               (* Refused and rolled back: the root survives with its old
@@ -836,201 +724,112 @@ let run_pass ?pool ?cache objective opts vstate st c =
                 (fun f -> if is_gate c f then Footprint.Worklist.push st.wl f)
                 (Circuit.fanins c p.p_root);
               List.iter
-                (fun m -> if is_gate c m then Footprint.Worklist.push st.wl m)
+                (fun d -> if is_gate c d then Footprint.Worklist.push st.wl d)
                 p.p_dead
-            end
-          done
-        done)
+            end)
+          ps)
   in
   let land_all () =
-    if !npending > 0 then begin
+    if !pending <> [] then begin
       let ps = Array.of_list (List.rev !pending) in
       pending := [];
-      npending := 0;
-      Footprint.clear pending_dirty;
       Footprint.clear pending_members;
       land_group ps
     end
   in
-  (* Touch rule at root [g] (the walk is about to read [g]'s region). The
-     flush scheduler lands the whole queue. The graph scheduler lands the
-     decision-order prefix up to the newest splice whose closure reaches
-     [g] — every splice the evaluation of [g] could observe, and everything
-     decided before them so fresh ids keep their immediate-mode allocation
-     order — while newer, disjoint splices stay queued and accumulate into
-     larger (more concurrent) waves. *)
+  (* Touch rule at root [g] (the walk is about to read [g]'s region): land
+     the decision-order prefix up to the newest splice whose observer set
+     contains [g] — every splice the evaluation of [g] could observe, and
+     everything decided before them so fresh ids keep their immediate-mode
+     allocation order — while newer splices stay queued. *)
   let land_covering g =
-    if not use_graph then land_all ()
-    else begin
-      let rec split kept = function
-        | [] -> None
-        | p :: older -> (
-          match p.p_fp with
-          | Some fp when Footprint.mem fp g -> Some (kept, p :: older)
-          | _ -> split (p :: kept) older)
-      in
-      match split [] !pending with
-      | None ->
-        (* The union closure said touched but no queued splice reaches [g];
-           only stale state could cause this — land everything. *)
-        land_all ()
-      | Some (kept_oldest_first, landing_newest_first) ->
-        let ps = Array.of_list (List.rev landing_newest_first) in
+    let rec split kept_oldest_first = function
+      | [] -> ()
+      | p :: older when Footprint.mem p.p_obs g ->
         pending := List.rev kept_oldest_first;
-        npending := List.length kept_oldest_first;
-        Footprint.clear pending_dirty;
         Footprint.clear pending_members;
         List.iter
-          (fun p ->
-            p.p_kept <- true;
-            List.iter (Footprint.add pending_members) p.p_dead;
-            match p.p_fp with
-            | Some fp -> Footprint.union_into pending_dirty fp
-            | None -> ())
+          (fun q -> List.iter (Footprint.add pending_members) q.p_dead)
           kept_oldest_first;
-        land_group ps
-    end
-  in
-  (* A popped member gate is a touch the PR-6 flush rule landed the whole
-     queue on (members sit inside every decision's footprint closure): the
-     member-skip is exactly what lets the queue outlive it. Record the
-     survival on every splice queued right now, so a later multi-splice
-     wave is counted as coalescing the old rule could not have produced. *)
-  let outlived_flush () = List.iter (fun p -> p.p_kept <- true) !pending in
-  (* Evaluate one root and decide. [on_accept] runs after a deferred or
-     sound immediate splice (the scan walk marks the cut inputs for further
-     processing; the worklist walk already queued them through
-     [mark_decision]); [on_reject] runs when no candidate improved on [g]
-     or an immediate splice was refused (the scan walk marks [g]'s fanins;
-     the worklist walk needs nothing — dirty fanins are already queued, and
-     clean ones would only replay their previous rejection). *)
-  let process_root ~on_accept ~on_reject g =
-    if incremental then Footprint.remove dirty g;
-    let chosen =
-      List.fold_left
-        (fun best cand ->
-          if better objective ~current_paths:labels.(g) cand best then Some cand
-          else best)
-        None
-        (score_candidates ?pool ?cache ~st opts ~sim labels c g)
+        land_group (Array.of_list (List.rev (p :: older)))
+      | p :: older -> split (p :: kept_oldest_first) older
     in
-    match chosen with
-    | Some cand ->
-      let idx = vstate.attempts in
-      vstate.attempts <- idx + 1;
-      let p_fp, p_dead =
-        if incremental then mark_decision cand else (None, [])
-      in
-      let p =
-        { p_root = g; p_cand = cand; p_idx = idx; p_fp; p_dead;
-          p_kept = false }
-      in
-      if batch > 1 then begin
-        (* Defer the splice; treat it as accepted for the walk. A landing
-           refusal cannot retract these marks — it reschedules the root
-           for the next pass instead (see [land_group]). *)
-        pending := p :: !pending;
-        incr npending;
-        on_accept cand;
-        if !npending >= batch then land_all ()
+    split [] !pending
+  in
+  let order = Circuit.topo_order c in
+  let pos = Array.make (Circuit.size c) (-1) in
+  Array.iteri (fun i id -> pos.(id) <- i) order;
+  Footprint.Worklist.start_pass st.wl ~pos;
+  let dirty = Footprint.Worklist.fp st.wl in
+  let continue_ = ref true in
+  while !continue_ do
+    match Footprint.Worklist.pop st.wl with
+    | None -> continue_ := false
+    | Some g ->
+      Obs.Counter.incr worklist_popped_c;
+      if
+        is_gate c g
+        && Footprint.mem st.reachable g
+        && not (Footprint.mem pending_members g)
+      then begin
+        land_covering g;
+        if is_gate c g then begin
+          Footprint.remove dirty g;
+          match choose ?pool ?cache ~sc objective opts ~sim labels c g with
+          | None -> ()
+          | Some cand ->
+            pending := decide g cand :: !pending;
+            if List.length !pending >= commit_batch then land_all ()
+        end
       end
-      else if commit_one ~pre_verified:false p then on_accept cand
-      else
-        (* Unsound rewrite refused: the splice was rolled back, so [g] is
-           intact — continue as if no candidate had improved on it. *)
-        on_reject g
-    | None -> on_reject g
-  in
-  if use_worklist then begin
-    (* Dirty-root worklist (DESIGN.md §17): pop exactly the dirty roots in
-       descending topological order — the same outputs-towards-inputs
-       order as the scan walk, O(changes) pops instead of O(size) visits
-       (the topological sort itself is already paid for by [Paths.labels]
-       above). The scan walk's [marked] array is replaced by the
-       persistent [st.reachable] predicate: a popped root is processed iff
-       it is a live gate on a path to an output, which is precisely when
-       the scan walk would have marked it. Clean roots are never queued,
-       so the skip branch disappears entirely. *)
-    let order = Circuit.topo_order c in
-    let pos = Array.make (Circuit.size c) (-1) in
-    Array.iteri (fun i id -> pos.(id) <- i) order;
-    Footprint.Worklist.start_pass st.wl ~pos;
-    let on_accept _ = () and on_reject _ = () in
-    let continue_ = ref true in
-    while !continue_ do
-      match Footprint.Worklist.pop st.wl with
-      | None -> continue_ := false
-      | Some g ->
-        Obs.Counter.incr worklist_popped_c;
-        if is_gate c g && Footprint.mem st.reachable g then
-          if !npending > 0 && Footprint.mem pending_members g then
-            (* Deferred-dead: under immediate commits this member would
-               already be gone and the walk would pass it silently. Leave
-               the queue intact — this is what lets batches accumulate. *)
-            outlived_flush ()
-          else begin
-            (* About to read [g]'s region: any deferred splice whose
-               footprint reaches [g] must land first so the evaluation
-               observes it. *)
-            if !npending > 0 && Footprint.mem pending_dirty g then
-              land_covering g;
-            if is_gate c g then process_root ~on_accept ~on_reject g
-          end
-    done
-  end
-  else begin
-    (* Scan walk: outputs towards inputs, descending topological positions.
-       The paper's line numbering is BFS from the inputs; descending
-       topological order visits every line after all lines it feeds, which
-       is what Step 2 needs. *)
-    let marked = Array.make (Circuit.size c) false in
-    Array.iter
-      (fun o -> if is_gate c o then marked.(o) <- true)
-      (Circuit.outputs c);
-    let order = Circuit.topo_order c in
-    let mark_fanins_of g =
-      Array.iter
-        (fun input -> if is_gate c input then marked.(input) <- true)
-        (Circuit.fanins c g)
-    in
-    let on_accept cand =
-      Array.iter
-        (fun input -> if is_gate c input then marked.(input) <- true)
-        cand.sub.Subcircuit.inputs
-    in
-    for i = Array.length order - 1 downto 0 do
-      let g = order.(i) in
-      if is_gate c g && marked.(g) then
-        if incremental && not (Footprint.mem dirty g) then begin
-          (* Clean root: nothing its enumeration, scoring or don't-care
-             analysis reads has changed since it was last evaluated (and
-             rejected), so re-evaluation would reproduce that rejection
-             bit-exactly. Keep the walk moving and skip the work. *)
-          Obs.Counter.incr reenum_skipped_c;
-          mark_fanins_of g
-        end
-        else if !npending > 0 && Footprint.mem pending_members g then
-          (* Deferred-dead member, as in the worklist walk above: an
-             immediate commit would have removed it already, and a dead
-             node neither enumerates nor marks its fanins. *)
-          outlived_flush ()
-        else begin
-          (* Touch rule, as in the worklist walk above. *)
-          if !npending > 0 && Footprint.mem pending_dirty g then
-            land_covering g;
-          if is_gate c g then
-            process_root ~on_accept ~on_reject:mark_fanins_of g
-        end
-    done
-  end;
+  done;
   land_all ();
   !replacements
 
-let optimize_with ?pool objective opts c =
-  let reference = if opts.verify_global then Some (Circuit.copy c) else None in
+(* One pass of the paper's full walk, the oracle the production walk is
+   tested against: every marked gate, outputs towards inputs. The paper
+   numbers lines breadth-first from the inputs; descending topological
+   order visits every line after all lines it feeds, which is what Step 2
+   needs. Outputs start marked; an accepted replacement marks its cut
+   inputs, a gate with no improving candidate marks its fanins. Every
+   splice commits immediately and no footprint state is kept. *)
+let run_pass_reference ?pool ?cache objective opts vstate sc c =
+  let labels = Paths.labels c in
+  let sim = dontcare_sim opts c in
+  let replacements = ref 0 in
+  let marked = Array.make (Circuit.size c) false in
+  let mark id = if is_gate c id then marked.(id) <- true in
+  Array.iter mark (Circuit.outputs c);
+  let order = Circuit.topo_order c in
+  for i = Array.length order - 1 downto 0 do
+    let g = order.(i) in
+    if is_gate c g && marked.(g) then begin
+      let accepted =
+        match choose ?pool ?cache ~sc objective opts ~sim labels c g with
+        | None -> None
+        | Some cand ->
+          let idx = vstate.attempts in
+          vstate.attempts <- idx + 1;
+          (* A refused splice was rolled back, so [g] is intact: continue
+             as if no candidate had improved on it. *)
+          if apply ?pool opts vstate ~pre_verified:false c ~root:g ~idx cand
+          then Some cand
+          else None
+      in
+      match accepted with
+      | Some cand ->
+        incr replacements;
+        Array.iter mark cand.sub.Subcircuit.inputs
+      | None -> Array.iter mark (Circuit.fanins c g)
+    end
+  done;
+  !replacements
+
+let optimize_with ?pool ~reference ~inject_unsound objective opts c =
+  let golden = if opts.verify_global then Some (Circuit.copy c) else None in
   (* Establish "alive implies output-reachable (or Input)" before the first
      pass. Every splice sweeps, so the invariant then holds for the whole
-     run — and the incremental casualty prediction depends on it: a
+     run — and the production walk's casualty prediction depends on it: a
      pre-existing unreachable node would count as a live reader when the
      cascade decides what a queued splice kills, while the splice's global
      sweep reaps it along with everything it was propping up. *)
@@ -1051,22 +850,27 @@ let optimize_with ?pool objective opts c =
   in
   let passes = ref 0 in
   let replacements = ref 0 in
-  let vstate = { attempts = 0; checks = 0; refused = 0 } in
-  (* The dirty set starts all-true (first pass looks at everything) and
-     persists across passes: a pass only re-evaluates roots whose region
-     some earlier splice touched. *)
-  let st = make_run_state opts c in
+  let vstate = { attempts = 0; checks = 0; refused = 0; inject_unsound } in
+  let sc = { dedup = Subcircuit.dedup (); scratch = [||] } in
+  let run_pass =
+    if reference then fun () ->
+      run_pass_reference ?pool ?cache objective opts vstate sc c
+    else begin
+      (* The dirty set starts all-true (the first pass looks at
+         everything) and persists across passes: a pass only re-evaluates
+         roots whose region some earlier splice touched. *)
+      let st = make_run_state c in
+      fun () -> run_pass ?pool ?cache objective opts vstate sc st c
+    end
+  in
   let continue = ref true in
   while !continue && !passes < opts.max_passes do
     incr passes;
-    let r =
-      Obs.Span.with_ "engine.pass" (fun () ->
-          run_pass ?pool ?cache objective opts vstate st c)
-    in
+    let r = Obs.Span.with_ "engine.pass" run_pass in
     replacements := !replacements + r;
-    (match reference with
-    | Some reference ->
-      if not (Eval.equivalent_random ~patterns:2048 ~seed:opts.seed reference c)
+    (match golden with
+    | Some golden ->
+      if not (Eval.equivalent_random ~patterns:2048 ~seed:opts.seed golden c)
       then failwith "Engine.optimize: pass broke circuit equivalence"
     | None -> ());
     if r = 0 then continue := false
@@ -1085,9 +889,19 @@ let optimize_with ?pool objective opts c =
     verify_refused = vstate.refused;
   }
 
-let optimize objective opts c =
+let run ?(inject_unsound = 0) ~reference objective opts c =
   if opts.obs then Obs.enable ();
   let domains = Pool.domains_of_flag opts.domains in
-  if domains <= 1 then optimize_with objective opts c
+  if domains <= 1 then
+    optimize_with ~reference ~inject_unsound objective opts c
   else
-    Pool.with_pool ~domains (fun pool -> optimize_with ~pool objective opts c)
+    Pool.with_pool ~domains (fun pool ->
+        optimize_with ~pool ~reference ~inject_unsound objective opts c)
+
+let optimize objective opts c = run ~reference:false objective opts c
+let optimize_reference objective opts c = run ~reference:true objective opts c
+
+module Test_hooks = struct
+  let optimize_unsound ~nth objective opts c =
+    run ~inject_unsound:nth ~reference:false objective opts c
+end

@@ -6,7 +6,16 @@
     functions, scores each viable replacement, and splices in the best one.
     Inputs of a selected subcircuit are marked for further processing; a gate
     with no improving candidate keeps its structure and marks its fanins.
-    Passes repeat until a fixpoint. *)
+    Passes repeat until a fixpoint.
+
+    There is one production path, {!optimize}, and one reference oracle,
+    {!optimize_reference}, which the tests and the bench hold it to
+    bit-for-bit. The reference is the walk just described, committing each
+    splice at once. The production walk (DESIGN.md §13, §17) tracks the
+    footprint of every splice, so later passes pop only the dirty roots
+    from an ordered worklist; accepted splices queue and land in small
+    groups whose local verifications fan out across the [domains] pool,
+    while the mutations stay serial in decision order. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -29,26 +38,6 @@ type verify =
     whole-circuit miter: they only diverge on subcircuit input combinations
     already proved unreachable from the primary inputs, so the miter stays
     UNSAT. *)
-
-type scheduler =
-  | Flush
-      (** Flush-on-touch (the PR-6 rule): the first time the walk reads a
-          root inside the pending footprint closure, the whole deferred
-          queue lands. Conservative and simple, but a touch near one
-          splice also forces every unrelated queued splice to land, so
-          batches rarely fill. *)
-  | Graph
-      (** Conflict-graph commit scheduling (DESIGN.md §17): each queued
-          splice keeps its own footprint closure; a touch lands only the
-          decision-order prefix up to the newest splice whose closure
-          reaches the touched root, and the landing group is cut into
-          independent-set verification waves by greedy colouring of the
-          footprint-overlap graph. Overlapping batches land in a later
-          wave instead of forcing a flush; mutations stay serial in
-          decision order, so results are bit-identical to [Flush] and to
-          immediate commits. *)
-(** How the deferred commit queue lands (only meaningful with
-    [incremental] and [commit_batch > 1]). *)
 
 type options = {
   k : int;  (** subcircuit input limit K (paper: 5 or 6) *)
@@ -77,11 +66,6 @@ type options = {
           and merged back in enumeration order. *)
   obs : bool;  (** force-enable {!Obs} collection for this run. *)
   verify : verify;  (** SAT-based replacement verification, see {!verify}. *)
-  inject_unsound : int;
-      (** Fault-injection hook for the test suite: corrupt the [n]-th
-          accepted replacement (1-based; [0] = never) by inverting the
-          spliced root {e after} local verification, so only the {!verify}
-          miter can catch it. Never set this outside tests. *)
   id_cache : bool;
       (** Share one {!Idcache} across all candidates, roots and passes of
           the run (DESIGN.md §12, §15): raw verdicts replay verbatim and
@@ -99,49 +83,14 @@ type options = {
           [None] (the default) keeps the cache run-scoped in memory.
           Requires [id_cache]; results are bit-identical cold, warm or
           off. *)
-  incremental : bool;
-      (** Dirty-region tracking across passes (DESIGN.md §13): after each
-          accepted splice the transitive fanout footprint of the replaced
-          cone — its cut inputs, its member gates and everything downstream
-          of either, plus the imported unit gates — is marked dirty, and
-          later passes re-enumerate only dirty roots (the first pass sees
-          everything dirty). A clean root's evaluation would reproduce its
-          previous rejection bit-exactly, so skipping it never changes the
-          result: incremental runs are bit-identical to full re-enumeration,
-          at steady-state pass cost near-linear in the amount of logic that
-          changed. The CLI escape hatch is [--no-incremental]. *)
-  commit_batch : int;
-      (** Deferred-commit window for the incremental engine: up to this many
-          accepted splices queue before landing in one flush, whose
-          read-only local verification fans out across the [domains] pool
-          (the footprints are pairwise disjoint by the flush-on-touch rule)
-          while the graph mutations stay serial in decision order. [<= 1]
-          commits every splice immediately; ignored (treated as 1) when
-          [incremental] is off, since deferral rides on the footprint
-          machinery. Either way results are bit-identical. *)
-  worklist : bool;
-      (** Dirty-root worklist walk (DESIGN.md §17): instead of scanning
-          every root of the circuit just to skip the clean ones, the pass
-          pops exactly the dirty roots from an ordered
-          {!Footprint.Worklist} view in descending id order — the same
-          outputs-towards-inputs order as the scan walk, so results are
-          bit-identical while pass time becomes O(changes). A popped root
-          is processed iff it is a live gate reachable from an output,
-          which is precisely when the scan walk would have marked it.
-          Effective only with [incremental] (the scan walk has no dirty
-          set to order); the CLI escape hatch is [--no-worklist]. *)
-  scheduler : scheduler;
-      (** Commit-queue landing discipline, see {!scheduler}. The CLI knob
-          is [--scheduler flush|graph]. *)
 }
 
 val default_options : options
 (** K = 6, 64 candidates, exact identification, merging, local verification
     on, global verification off, at most 16 passes, seed 1, extensions off,
     [domains = 0] (auto), [obs = false], [verify = `Sampled 8],
-    [inject_unsound = 0], [id_cache = true], [cache_dir = None],
-    [incremental = true], [commit_batch = 8], [worklist = true],
-    [scheduler = Graph]. *)
+    [id_cache = true], [cache_dir = None] — the [sft optimize]
+    defaults. *)
 
 type stats = {
   passes : int;
@@ -157,27 +106,36 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val optimize : objective -> options -> Circuit.t -> stats
-(** Mutates the circuit. Raises [Failure] if [verify_global] is set and a
-    pass breaks equivalence (which would indicate a bug).
+(** The production path. Mutates the circuit. Raises [Failure] if
+    [verify_global] is set and a pass breaks equivalence (which would
+    indicate a bug).
 
     Observability (when enabled): counters [engine.candidates],
     [engine.realised], [engine.accepted], [engine.verify_checks],
     [engine.verify_refused], [engine.verify_unknown], [engine.dirty_regions]
-    (splice footprints marked dirty), [engine.reenum_skipped] (clean roots
-    skipped without re-enumeration by the scan walk; the worklist walk
-    never visits them at all), [engine.worklist_popped] (dirty roots popped
-    from the pass worklist), [engine.conflict_edges] (footprint overlaps
-    detected between queued splices — the touch rule keeps this at zero, so
-    a non-zero value flags a scheduler invariant violation),
-    [engine.commit_waves] (independent-set verification waves landed),
-    [engine.wave_coalesced] (splices verified in a multi-splice wave after
-    surviving a touch the flush rule would have landed them on),
-    [engine.concurrent_commits] (splices
-    landed through a multi-splice flush), and the {!Idcache} probes
-    [idcache.hits], [idcache.npn_hits], [idcache.disk_hits],
+    (splice footprints marked dirty), [engine.worklist_popped] (dirty roots
+    popped from the pass worklist), [engine.commit_waves] (landed commit
+    groups, each verified as one wave), [engine.concurrent_commits]
+    (splices landed through a multi-splice group), and the {!Idcache}
+    probes [idcache.hits], [idcache.npn_hits], [idcache.disk_hits],
     [idcache.misses], [idcache.canon_ns]; histograms [engine.cut_size],
     [engine.dirty_nodes] (nodes newly dirtied per footprint) and
     [idcache.class_hits]; spans [engine.pass] (one per resynthesis pass)
-    and [engine.commit_flush] (one per deferred-commit flush).
+    and [engine.commit_flush] (one per landed commit group).
     [extract.words] counts the 64-minterm words swept by the bit-parallel
     extractor (see {!Subcircuit.extract}). *)
+
+val optimize_reference : objective -> options -> Circuit.t -> stats
+(** The paper's full walk: every pass re-evaluates every marked gate and
+    commits each accepted splice immediately, with no footprint state.
+    Same contract as {!optimize} and bit-identical results (stats and
+    netlist); far slower on multi-pass runs. For tests and the bench
+    only — it is the oracle the production walk is checked against. *)
+
+(** Fault injection for the test suite. *)
+module Test_hooks : sig
+  val optimize_unsound : nth:int -> objective -> options -> Circuit.t -> stats
+  (** {!optimize} with the [nth] accepted replacement (1-based) corrupted
+      by inverting the spliced root {e after} local verification, so only
+      the {!verify} miter can catch it. Never use this outside tests. *)
+end

@@ -215,15 +215,8 @@ let test_engine_refuses_unsound () =
      the splice back and still finish with an equivalent circuit. *)
   let reference = c17 () in
   let c = Circuit.copy reference in
-  let opts =
-    {
-      Engine.default_options with
-      Engine.verify = `Full;
-      inject_unsound = 1;
-      seed = 7L;
-    }
-  in
-  let stats = Engine.optimize Engine.Gates opts c in
+  let opts = { Engine.default_options with Engine.verify = `Full; seed = 7L } in
+  let stats = Engine.Test_hooks.optimize_unsound ~nth:1 Engine.Gates opts c in
   check bool_ "at least one miter check ran" true (stats.Engine.verify_checks >= 1);
   check bool_ "the corrupted replacement was refused" true
     (stats.Engine.verify_refused >= 1);
@@ -231,11 +224,7 @@ let test_engine_refuses_unsound () =
     (Eval.equivalent_exhaustive reference c);
   (* Sanity: the same run without injection refuses nothing. *)
   let c2 = Circuit.copy reference in
-  let stats2 =
-    Engine.optimize Engine.Gates
-      { opts with Engine.inject_unsound = 0 }
-      c2
-  in
+  let stats2 = Engine.optimize Engine.Gates opts c2 in
   check int_ "clean run refuses nothing" 0 stats2.Engine.verify_refused;
   check bool_ "clean run still equivalent" true
     (Eval.equivalent_exhaustive reference c2)

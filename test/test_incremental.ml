@@ -1,8 +1,8 @@
-(* Incremental, region-parallel resynthesis (DESIGN.md §13): dirty-region
+(* Incremental, region-parallel resynthesis (DESIGN.md §13, §17): dirty-region
    tracking, deferred splice commits, the enumeration dedup table and the
-   pool work-size cutoff. The load-bearing property is bit-identity — every
-   incremental/batched/parallel configuration must reproduce the full
-   re-enumeration engine exactly. *)
+   pool work-size cutoff. The load-bearing property is bit-identity — the
+   production engine must reproduce the reference full walk
+   ([Engine.optimize_reference]) exactly, for every configuration. *)
 
 open Helpers
 
@@ -57,26 +57,7 @@ let test_footprint_setops () =
   check bool_ "cleared member" false (Footprint.mem s 2);
   Footprint.add s 9;
   check int_ "reusable after clear" 1 (Footprint.count s);
-  (* intersects: word-level fast path and byte tail, across growth *)
-  let a = Footprint.create 4 and b = Footprint.create 200 in
-  check bool_ "empty vs empty" false (Footprint.intersects a b);
-  Footprint.add a 3;
-  Footprint.add b 100;
-  check bool_ "disjoint" false (Footprint.intersects a b);
-  Footprint.add a 100 (* grows [a] past [b]'s word boundary *);
-  check bool_ "overlap" true (Footprint.intersects a b);
-  check bool_ "symmetric" true (Footprint.intersects b a);
-  Footprint.remove a 100;
-  check bool_ "overlap removed" false (Footprint.intersects a b);
-  (* union_into grows the destination and leaves the source unchanged *)
-  let dst = Footprint.create 2 in
-  Footprint.add dst 1;
-  Footprint.union_into dst b;
-  check bool_ "union member" true (Footprint.mem dst 100);
-  check int_ "union count" 2 (Footprint.count dst);
-  check int_ "source unchanged" 1 (Footprint.count b);
-  Footprint.union_into dst b (* idempotent *);
-  check int_ "union idempotent" 2 (Footprint.count dst)
+  check bool_ "grown past the old store" true (Footprint.mem s 9)
 
 (* --- Worklist ordering ------------------------------------------------------- *)
 
@@ -100,12 +81,7 @@ let test_worklist_ordering () =
   (* ...of the *position*, not the id: a permuted table reorders pops *)
   let wl = Footprint.Worklist.create ~all:true 4 in
   Footprint.Worklist.start_pass wl ~pos:[| 3; 2; 1; 0 |];
-  check (Alcotest.list int_) "by position" [ 0; 1; 2; 3 ] (drain wl);
-  (* track:false degrades to a plain set wrapper *)
-  let wl = Footprint.Worklist.create ~all:true ~track:false 4 in
-  Footprint.Worklist.start_pass wl ~pos:[| 0; 1; 2; 3 |];
-  check bool_ "untracked pops nothing" true (Footprint.Worklist.pop wl = None);
-  check int_ "untracked set intact" 4 (Footprint.count (Footprint.Worklist.fp wl))
+  check (Alcotest.list int_) "by position" [ 0; 1; 2; 3 ] (drain wl)
 
 let test_worklist_cursor () =
   (* The sweep-cascade boundary case: a splice at the cursor re-dirties an
@@ -179,14 +155,16 @@ let test_pool_serial_cutoff () =
       check bool_ "map at boundary" true
         (Pool.map pool ~serial_below:257 (fun x -> x * 3) input = expect))
 
-(* --- Bit-identity: incremental = full re-enumeration ------------------------ *)
+(* --- Bit-identity: production = reference full walk ------------------------ *)
 
-let fingerprint objective options c0 =
+let fingerprint ?(reference = false) objective options c0 =
   let c = Circuit.copy c0 in
   let stats =
-    match objective with
-    | Engine.Gates -> Procedure2.run ~options c
-    | Engine.Paths -> Procedure3.run ~options c
+    if reference then Engine.optimize_reference objective options c
+    else
+      match objective with
+      | Engine.Gates -> Procedure2.run ~options c
+      | Engine.Paths -> Procedure3.run ~options c
   in
   Check.validate c;
   (stats, Bench_format.to_string c)
@@ -194,33 +172,29 @@ let fingerprint objective options c0 =
 let base =
   { Engine.default_options with Engine.k = 4; max_candidates = 16; max_passes = 8 }
 
-let full = { base with Engine.incremental = false }
-
-(* [base] inherits the defaults: incremental, worklist walk, graph
-   scheduler, commit_batch 8. The variants cover both walks and both
-   schedulers — every row must reproduce the full re-enumeration walk
-   bit-exactly. *)
+(* The production engine under each setting that changes how it runs but
+   must not change what it computes; every row must reproduce the
+   reference walk bit-exactly. *)
 let variants =
   [
-    ( "scan serial-commit",
-      { base with Engine.worklist = false; commit_batch = 1 } );
-    ( "scan flush-batched",
-      { base with Engine.worklist = false; scheduler = Engine.Flush; commit_batch = 4 } );
-    ("worklist flush-batched", { base with Engine.scheduler = Engine.Flush });
-    ("worklist graph serial-commit", { base with Engine.commit_batch = 1 });
-    ("worklist graph (defaults)", base);
-    ("worklist graph domains=3", { base with Engine.domains = 3 });
+    ("defaults", base);
+    ("domains=3", { base with Engine.domains = 3 });
     ("no-id-cache", { base with Engine.id_cache = false });
   ]
 
-let identical_on objective c seed =
-  let want = fingerprint objective full c in
-  List.iter
-    (fun (label, options) ->
-      if fingerprint objective options c <> want then
-        Alcotest.failf "seed %d: incremental (%s) diverged from full path" seed
-          label)
+let diverging_variants objective c =
+  let want = fingerprint ~reference:true objective base c in
+  List.filter
+    (fun (_, options) -> fingerprint objective options c <> want)
     variants
+  |> List.map fst
+
+let identical_on objective c seed =
+  match diverging_variants objective c with
+  | [] -> ()
+  | label :: _ ->
+    Alcotest.failf "seed %d: production (%s) diverged from the reference walk"
+      seed label
 
 let test_incremental_identity_gates () =
   identical_on Engine.Gates (c17 ()) 0;
@@ -237,22 +211,17 @@ let test_incremental_identity_extensions () =
   (* don't-cares and multi-unit covers exercise the per-candidate rng and
      the care-set verification path *)
   let ext = { base with Engine.use_dontcares = true; max_units = 2 } in
-  let full = { ext with Engine.incremental = false } in
   for seed = 140 to 144 do
     let c = random_circuit ~n_pi:6 ~n_gates:32 ~n_po:4 seed in
-    let want = fingerprint Engine.Gates full c in
-    let got =
-      fingerprint Engine.Gates
-        { ext with Engine.incremental = true; commit_batch = 4 }
-        c
-    in
+    let want = fingerprint ~reference:true Engine.Gates ext c in
+    let got = fingerprint Engine.Gates ext c in
     if got <> want then
       Alcotest.failf "seed %d: incremental extensions diverged" seed
   done
 
 let test_incremental_equivalence () =
   (* The optimised circuit must stay functionally equal to the original
-     under the default (incremental, batched) options. *)
+     under the default options. *)
   for seed = 150 to 156 do
     let c = random_circuit ~n_pi:6 ~n_gates:36 ~n_po:4 seed in
     let reference = Circuit.copy c in
@@ -263,49 +232,40 @@ let test_incremental_equivalence () =
   done
 
 let test_incremental_skips_clean_roots () =
-  (* A multi-pass run must actually skip work. The scan walk visits every
-     root and skips the clean ones (the skip counter moves); the worklist
-     walk never visits them at all (the skip counter stays put and the pop
-     counter stays well below a full visit count). *)
-  let skipped = Obs.Counter.make "engine.reenum_skipped" in
+  (* A multi-pass run must actually skip work: the production walk pops
+     only dirty roots (well below a full visit per pass), so it enumerates
+     fewer candidates than the reference walk, which re-evaluates every
+     marked root on every pass. *)
   let candidates = Obs.Counter.make "engine.candidates" in
   let popped = Obs.Counter.make "engine.worklist_popped" in
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       let c = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s0 = Obs.Counter.value skipped in
-      let stats =
-        Procedure2.run ~options:{ base with Engine.worklist = false } c
-      in
-      let s1 = Obs.Counter.value skipped in
-      if stats.Engine.replacements > 0 && stats.Engine.passes > 1 then
-        check bool_ "clean roots were skipped" true (s1 - s0 > 0);
-      (* the worklist walk pops instead of skipping *)
-      let c2 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s2 = Obs.Counter.value skipped in
       let p0 = Obs.Counter.value popped in
-      let stats2 = Procedure2.run ~options:base c2 in
-      check int_ "worklist walk never skip-scans" s2 (Obs.Counter.value skipped);
+      let c0 = Obs.Counter.value candidates in
+      let stats = Procedure2.run ~options:base c in
       let pops = Obs.Counter.value popped - p0 in
+      let production = Obs.Counter.value candidates - c0 in
       check bool_ "worklist popped dirty roots" true (pops > 0);
       check bool_ "worklist pops below full visits" true
-        (pops < stats2.Engine.passes * Circuit.size c2);
-      (* and a --no-incremental run never skips, but re-enumerates more *)
-      let c3 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
-      let s3 = Obs.Counter.value skipped in
-      let c0 = Obs.Counter.value candidates in
-      ignore (Procedure2.run ~options:{ base with Engine.incremental = false } c3);
-      check int_ "full path skips nothing" s3 (Obs.Counter.value skipped);
-      check bool_ "full path enumerates at least as much" true
-        (Obs.Counter.value candidates - c0 >= 0))
+        (pops < stats.Engine.passes * Circuit.size c);
+      let c2 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
+      let c1 = Obs.Counter.value candidates in
+      let rstats = Engine.optimize_reference Engine.Gates base c2 in
+      let reference = Obs.Counter.value candidates - c1 in
+      check int_ "same number of passes" stats.Engine.passes rstats.Engine.passes;
+      check bool_ "the circuit needs more than one pass" true
+        (stats.Engine.passes > 1);
+      check bool_ "reference enumerates more than production" true
+        (reference > production))
 
 (* Sweep-cascade regression: [Replace.splice] ends in a sweep that can kill
    nodes upstream of the cut (a cut input left without consumers dies, then
    its fanins lose a consumer, ...). Survivors on that boundary change
    fanout degree, which removability accounting reads, so roots downstream
-   of them must be re-dirtied. These seeds all diverged (full found more
-   replacements than incremental) before the boundary marking in
-   [Engine.commit_one]. *)
+   of them must be re-dirtied when the splice lands. These seeds all
+   diverged (the reference found more replacements than the production
+   walk) before the engine marked the sweep boundary. *)
 let test_sweep_cascade_boundary () =
   List.iter
     (fun seed ->
@@ -322,13 +282,11 @@ let test_sweep_cascade_boundary () =
         }
       in
       let c = Circuit_gen.generate profile in
-      let want = fingerprint Engine.Gates full c in
-      List.iter
-        (fun (label, options) ->
-          if fingerprint Engine.Gates options c <> want then
-            Alcotest.failf "seed %d: incremental (%s) missed a swept-boundary region"
-              seed label)
-        variants)
+      match diverging_variants Engine.Gates c with
+      | [] -> ()
+      | label :: _ ->
+        Alcotest.failf "seed %d: production (%s) missed a swept-boundary region"
+          seed label)
     [ 83418; 83420; 83490; 83566 ]
 
 (* --- qcheck: identity over generated circuits -------------------------------- *)
@@ -345,46 +303,21 @@ let gen_profile seed =
     seed = Int64.of_int seed;
   }
 
+let prop_identity objective ~name =
+  QCheck.Test.make ~name ~count:20 (QCheck.int_range 1 100_000) (fun seed ->
+      diverging_variants objective (Circuit_gen.generate (gen_profile seed))
+      = [])
+
 let prop_incremental_identity =
-  QCheck.Test.make ~name:"incremental = full (circuit_gen)" ~count:6
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let c = Circuit_gen.generate (gen_profile seed) in
-      let want = fingerprint Engine.Gates full c in
-      List.for_all
-        (fun (_, options) -> fingerprint Engine.Gates options c = want)
-        variants)
+  prop_identity Engine.Gates ~name:"incremental = full (circuit_gen)"
 
-(* Full worklist matrix: scheduler x domains x commit batch, every cell
-   bit-identical to the full re-enumeration walk. *)
-let worklist_matrix =
-  List.concat_map
-    (fun scheduler ->
-      List.concat_map
-        (fun domains ->
-          List.map
-            (fun commit_batch ->
-              { base with Engine.scheduler; domains; commit_batch })
-            [ 1; 8 ])
-        [ 1; 3 ])
-    [ Engine.Flush; Engine.Graph ]
-
-let prop_worklist_matrix =
-  QCheck.Test.make
-    ~name:"worklist x {flush,graph} x domains x batch = full (circuit_gen)"
-    ~count:4
-    (QCheck.int_range 1 100_000)
-    (fun seed ->
-      let c = Circuit_gen.generate (gen_profile seed) in
-      let want = fingerprint Engine.Gates full c in
-      List.for_all
-        (fun options -> fingerprint Engine.Gates options c = want)
-        worklist_matrix)
+let prop_incremental_identity_paths =
+  prop_identity Engine.Paths ~name:"incremental = full, paths (circuit_gen)"
 
 let suite =
   [
     ("footprint: set operations", `Quick, test_footprint_set);
-    ("footprint: clear / intersects / union_into", `Quick, test_footprint_setops);
+    ("footprint: clear keeps the store", `Quick, test_footprint_setops);
     ("footprint: fanout cone marking", `Quick, test_footprint_cone);
     ("worklist: topological pop order", `Quick, test_worklist_ordering);
     ("worklist: cursor and deferral", `Quick, test_worklist_cursor);
@@ -398,4 +331,4 @@ let suite =
     ("sweep-cascade boundary re-dirtied", `Quick, test_sweep_cascade_boundary);
   ]
 
-let qchecks = [ prop_incremental_identity; prop_worklist_matrix ]
+let qchecks = [ prop_incremental_identity; prop_incremental_identity_paths ]
