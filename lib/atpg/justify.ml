@@ -7,23 +7,12 @@ exception Abort
 
 type state = {
   cmp : Compiled.t;
+  imp : Imply.t;
   targets : (int * Tv.v) array;
-  pi_value : Tv.v array;
-  values : Tv.v array;
   mutable backtracks : int;
   limit : int;
   rng : Rng.t option;  (* randomises backtrace tie-breaks for retries *)
 }
-
-let imply st =
-  Array.iter
-    (fun id ->
-      match Compiled.kind st.cmp id with
-      | Gate.Input -> st.values.(id) <- st.pi_value.(id)
-      | k ->
-        let fins = Compiled.fanins st.cmp id in
-        st.values.(id) <- Tv.eval k (Array.map (fun f -> st.values.(f)) fins))
-    (Compiled.order st.cmp)
 
 let status st =
   (* Conflict: a target line is known and wrong. Satisfied: all targets hold. *)
@@ -31,7 +20,7 @@ let status st =
   let open_target = ref None in
   Array.iter
     (fun (node, want) ->
-      let v = st.values.(node) in
+      let v = Imply.good st.imp node in
       if Tv.known v then begin
         if not (Tv.equal v want) then conflict := true
       end
@@ -42,7 +31,7 @@ let status st =
 
 (* Pick an unassigned fanin; with an rng, pick uniformly among them. *)
 let pick_x st fins =
-  let xs = Array.to_list fins |> List.filter (fun f -> not (Tv.known st.values.(f))) in
+  let xs = Array.to_list fins |> List.filter (fun f -> not (Tv.known (Imply.good st.imp f))) in
   match (xs, st.rng) with
   | [], _ -> None
   | x :: _, None -> Some x
@@ -51,7 +40,7 @@ let pick_x st fins =
 let backtrace st node v =
   let rec walk node v =
     match Compiled.kind st.cmp node with
-    | Gate.Input -> if Tv.known st.values.(node) then None else Some (node, v)
+    | Gate.Input -> if Tv.known (Imply.good st.imp node) then None else Some (node, v)
     | Gate.Const0 | Gate.Const1 -> None
     | Gate.Buf -> walk (Compiled.fanins st.cmp node).(0) v
     | Gate.Not -> walk (Compiled.fanins st.cmp node).(0) (Tv.lnot v)
@@ -68,7 +57,8 @@ let backtrace st node v =
       let parity = ref Tv.F in
       Array.iter
         (fun f ->
-          if Tv.known st.values.(f) then parity := Tv.lxor_ !parity st.values.(f)
+          let v = Imply.good st.imp f in
+          if Tv.known v then parity := Tv.lxor_ !parity v
           else if !x_input = None then x_input := Some f)
         fins;
       Option.bind !x_input (fun f -> walk f (Tv.lxor_ phase !parity))
@@ -78,7 +68,6 @@ let backtrace st node v =
 type outcome = Found | Exhausted
 
 let rec search_rec st =
-  imply st;
   match status st with
   | `Satisfied -> Found
   | `Conflict -> Exhausted
@@ -87,7 +76,7 @@ let rec search_rec st =
     | None -> Exhausted
     | Some (pi, pv) ->
       let attempt value =
-        st.pi_value.(pi) <- value;
+        Imply.assign st.imp pi value;
         search_rec st
       in
       (match attempt pv with
@@ -98,38 +87,37 @@ let rec search_rec st =
         (match attempt (Tv.lnot pv) with
         | Found -> Found
         | Exhausted ->
-          st.pi_value.(pi) <- Tv.X;
+          Imply.assign st.imp pi Tv.X;
           Exhausted)))
 
 let search ?(backtrack_limit = Limits.default.Limits.justify_backtracks) ?rng ?prefer c
     targets =
-  let cmp = Compiled.of_circuit c in
-  let size = Compiled.size cmp in
-  let st =
-    {
-      cmp;
-      targets = Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets);
-      pi_value = Array.make size Tv.X;
-      values = Array.make size Tv.X;
-      backtracks = 0;
-      limit = backtrack_limit;
-      rng;
-    }
-  in
-  match search_rec st with
-  | Found ->
-    let fill i =
-      match prefer with Some p -> p.(i) | None -> false
-    in
-    let vec =
-      Array.mapi
-        (fun i pi ->
-          match st.pi_value.(pi) with Tv.T -> true | Tv.F -> false | Tv.X -> fill i)
-        (Compiled.inputs cmp)
-    in
-    Sat vec
-  | Exhausted -> Unsat
-  | exception Abort -> Unknown
+  Obs.Span.with_ "justify.search" (fun () ->
+      let cmp = Compiled.of_circuit c in
+      let st =
+        {
+          cmp;
+          imp = Imply.create cmp;
+          targets = Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets);
+          backtracks = 0;
+          limit = backtrack_limit;
+          rng;
+        }
+      in
+      match search_rec st with
+      | Found ->
+        let fill i =
+          match prefer with Some p -> p.(i) | None -> false
+        in
+        let vec =
+          Array.mapi
+            (fun i pi ->
+              match Imply.good st.imp pi with Tv.T -> true | Tv.F -> false | Tv.X -> fill i)
+            (Compiled.inputs cmp)
+        in
+        Sat vec
+      | Exhausted -> Unsat
+      | exception Abort -> Unknown)
 
 let reachable_exhaustive c targets =
   let n = Circuit.num_inputs c in

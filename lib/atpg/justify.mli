@@ -2,7 +2,8 @@
     values on internal lines, or prove none exists.
 
     This is the PODEM search without a fault: decisions on primary inputs,
-    objectives from unjustified targets, full three-valued implication. Used
+    objectives from unjustified targets, event-driven three-valued
+    implication ({!Imply}, whose values equal a full forward pass). Used
     to prove input combinations of a subcircuit unreachable (controllability
     don't-cares) — the paper's first "remaining issue" (Sec. 6). *)
 
@@ -25,7 +26,8 @@ val search :
     of the [Unsat] verdict is unaffected. [prefer] supplies values for
     primary inputs the search left unassigned (default all-false); the
     two-frame path-delay test generator passes the first vector so
-    unconstrained inputs stay stable. *)
+    unconstrained inputs stay stable. Observability (when enabled): span
+    [justify.search]. *)
 
 val reachable_exhaustive : Circuit.t -> (int * bool) list -> bool
 (** Ground truth by exhaustive simulation (<= 20 inputs); for testing. *)

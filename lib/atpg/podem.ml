@@ -14,107 +14,77 @@ exception Abort
 
 type state = {
   cmp : Compiled.t;
+  imp : Imply.t;
   stuck : Tv.v; (* forced faulty value at the site *)
   site_stem : int; (* node whose good value activates the fault *)
-  fault_gate : int; (* gate with the faulty pin, -1 for stem faults *)
-  fault_pin : int;
-  stem_node : int; (* node carrying the forced value, -1 for branch faults *)
-  pi_value : Tv.v array; (* per node id, X when unassigned; only PIs used *)
-  good : Tv.v array;
-  faul : Tv.v array;
+  cone_pos : int array; (* primary outputs in the fault cone *)
+  visited : Bytes.t; (* X-path marks: [mark] for this decision's search *)
+  mutable mark : char; (* '\001'..'\255'; [visited] is cleared on wrap *)
   mutable backtracks : int;
   limit : int;
 }
 
-let eval_node values st id =
-  let fins = Compiled.fanins st.cmp id in
-  Tv.eval (Compiled.kind st.cmp id) (Array.map (fun f -> values.(f)) fins)
+(* Outside the fault cone the faulty value is the good value, so D values,
+   the D-frontier and X-paths all lie in the cone (DESIGN.md §18). *)
+let has_d st id =
+  let g = Imply.good st.imp id and f = Imply.faulty st.imp id in
+  Tv.known g && Tv.known f && not (Tv.equal g f)
 
-let eval_faulty st id =
-  if id = st.stem_node then st.stuck
-  else begin
-    let fins = Compiled.fanins st.cmp id in
-    let vals =
-      Array.mapi
-        (fun pin f ->
-          if id = st.fault_gate && pin = st.fault_pin then st.stuck
-          else st.faul.(f))
-        fins
-    in
-    match Compiled.kind st.cmp id with
-    | Gate.Input -> st.faul.(id)
-    | k -> Tv.eval k vals
+let composite_x st id =
+  not (Tv.known (Imply.good st.imp id)) || not (Tv.known (Imply.faulty st.imp id))
+
+let detected st = Array.exists (has_d st) st.cone_pos
+
+(* D-frontier membership: output composite-X with a D on some input
+   (including the injected faulty pin). *)
+let on_frontier st id =
+  match Compiled.kind st.cmp id with
+  | Gate.Input | Gate.Const0 | Gate.Const1 -> false
+  | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
+  | Gate.Xnor ->
+    composite_x st id
+    && begin
+      let fins = Compiled.fanins st.cmp id in
+      let d_in = ref false and pin = ref 0 in
+      while (not !d_in) && !pin < Array.length fins do
+        let gv = Imply.good st.imp fins.(!pin) in
+        let fv = Imply.pin_faulty st.imp id !pin in
+        d_in := Tv.known gv && Tv.known fv && not (Tv.equal gv fv);
+        incr pin
+      done;
+      !d_in
+    end
+
+(* Is there a path of composite-X lines from [id] to a PO? *)
+let rec x_path st id =
+  Bytes.get st.visited id <> st.mark
+  && begin
+    Bytes.set st.visited id st.mark;
+    composite_x st id
+    && (Compiled.is_po st.cmp id || Array.exists (x_path st) (Compiled.fanouts st.cmp id))
   end
 
-let imply st =
-  Array.iter
-    (fun id ->
-      match Compiled.kind st.cmp id with
-      | Gate.Input ->
-        st.good.(id) <- st.pi_value.(id);
-        st.faul.(id) <- (if id = st.stem_node then st.stuck else st.pi_value.(id))
-      | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.And | Gate.Or
-      | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor ->
-        st.good.(id) <- eval_node st.good st id;
-        st.faul.(id) <- eval_faulty st id)
-    (Compiled.order st.cmp)
-
-let has_d st id =
-  Tv.known st.good.(id) && Tv.known st.faul.(id)
-  && not (Tv.equal st.good.(id) st.faul.(id))
-
-let composite_x st id = not (Tv.known st.good.(id)) || not (Tv.known st.faul.(id))
-
-let detected st =
-  Array.exists (fun po -> has_d st po) (Compiled.outputs st.cmp)
-
-(* D-frontier: gates whose output is composite-X with a D on some input
-   (including the injected faulty pin). *)
-let d_frontier st =
-  let frontier = ref [] in
-  Array.iter
-    (fun id ->
-      match Compiled.kind st.cmp id with
-      | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
-      | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
-      | Gate.Xor | Gate.Xnor ->
-        if composite_x st id then begin
-          let fins = Compiled.fanins st.cmp id in
-          let d_in = ref false in
-          Array.iteri
-            (fun pin f ->
-              let fv =
-                if id = st.fault_gate && pin = st.fault_pin then st.stuck
-                else st.faul.(f)
-              in
-              let gv = st.good.(f) in
-              if Tv.known gv && Tv.known fv && not (Tv.equal gv fv) then
-                d_in := true)
-            fins;
-          if !d_in then frontier := id :: !frontier
-        end)
-    (Compiled.order st.cmp);
-  List.rev !frontier
-
-(* Is there a path of composite-X lines from some frontier gate to a PO? *)
-let x_path_exists st frontier =
-  let size = Compiled.size st.cmp in
-  let visited = Bytes.make size '\000' in
-  let rec dfs id =
-    if Bytes.get visited id = '\001' then false
-    else begin
-      Bytes.set visited id '\001';
-      if not (composite_x st id) then false
-      else if Compiled.is_po st.cmp id then true
-      else Array.exists dfs (Compiled.fanouts st.cmp id)
-    end
-  in
-  List.exists
-    (fun g ->
-      (* the frontier gate's own output is composite-X; search from it *)
-      Bytes.fill visited 0 size '\000';
-      dfs g)
-    frontier
+(* The first D-frontier gate in topological order, provided some frontier
+   gate has an X-path to a PO; -1 otherwise. The frontier gates share one
+   visited table: a node an earlier, failed search visited has no X-path
+   (DESIGN.md §18), so skipping it does not change the answer. *)
+let frontier_gate st =
+  if st.mark = '\255' then begin
+    Bytes.fill st.visited 0 (Bytes.length st.visited) '\000';
+    st.mark <- '\000'
+  end;
+  st.mark <- Char.chr (Char.code st.mark + 1);
+  let cone = Imply.cone st.imp in
+  let first = ref (-1) and path = ref false and i = ref 0 in
+  while (not !path) && !i < Array.length cone do
+    let id = cone.(!i) in
+    if on_frontier st id then begin
+      if !first < 0 then first := id;
+      path := x_path st id
+    end;
+    incr i
+  done;
+  if !path then !first else -1
 
 let backtrace st node v =
   let rec walk node v =
@@ -133,7 +103,7 @@ let backtrace st node v =
           (fun acc f ->
             match acc with
             | Some _ -> acc
-            | None -> if Tv.known st.good.(f) then None else Some f)
+            | None -> if Tv.known (Imply.good st.imp f) then None else Some f)
           None fins
       in
       (match x_input with
@@ -158,7 +128,8 @@ let backtrace st node v =
       let parity = ref Tv.F in
       Array.iter
         (fun f ->
-          if Tv.known st.good.(f) then parity := Tv.lxor_ !parity st.good.(f)
+          let v = Imply.good st.imp f in
+          if Tv.known v then parity := Tv.lxor_ !parity v
           else if !x_input = None then x_input := Some f)
         fins;
       (match !x_input with
@@ -176,25 +147,23 @@ let backtracks_c = Obs.Counter.make ~help:"decision reversals" "podem.backtracks
 let aborted_c = Obs.Counter.make ~help:"searches hitting the backtrack limit" "podem.aborted"
 
 let rec search st =
-  imply st;
   if detected st then Found
   else begin
-    let site_gv = st.good.(st.site_stem) in
+    let site_gv = Imply.good st.imp st.site_stem in
     if Tv.known site_gv && Tv.equal site_gv st.stuck then Exhausted
     else begin
       let objective =
         if not (Tv.known site_gv) then Some (st.site_stem, Tv.lnot st.stuck)
         else begin
           (* Fault is activated: extend the D-frontier. *)
-          let frontier = d_frontier st in
-          match frontier with
-          | [] -> None
-          | _ :: _ when not (x_path_exists st frontier) -> None
-          | g :: _ ->
+          let g = frontier_gate st in
+          if g < 0 then None
+          else begin
             let fins = Compiled.fanins st.cmp g in
             let side = ref None in
             Array.iter
-              (fun f -> if !side = None && not (Tv.known st.good.(f)) then side := Some f)
+              (fun f ->
+                if !side = None && not (Tv.known (Imply.good st.imp f)) then side := Some f)
               fins;
             (match !side with
             | Some f ->
@@ -207,6 +176,7 @@ let rec search st =
             | None ->
               (* output X but all inputs known: impossible for total gates *)
               None)
+          end
         end
       in
       match objective with
@@ -217,7 +187,7 @@ let rec search st =
         | Some (pi, pv) ->
           let try_value value =
             Obs.Counter.incr decisions_c;
-            st.pi_value.(pi) <- value;
+            Imply.assign st.imp pi value;
             search st
           in
           (match try_value pv with
@@ -229,53 +199,52 @@ let rec search st =
             (match try_value (Tv.lnot pv) with
             | Found -> Found
             | Exhausted ->
-              st.pi_value.(pi) <- Tv.X;
+              Imply.assign st.imp pi Tv.X;
               Exhausted)))
     end
   end
 
 let generate ?(backtrack_limit = Limits.default.Limits.podem_backtracks) c
     (f : Fault.t) =
-  let cmp = Compiled.of_circuit c in
-  let stuck = Tv.of_bool f.Fault.stuck in
-  let site_stem, fault_gate, fault_pin, stem_node =
-    match f.Fault.site with
-    | Fault.Stem u -> (u, -1, -1, u)
-    | Fault.Branch (g, pin) -> ((Circuit.fanins c g).(pin), g, pin, -1)
-  in
-  let size = Compiled.size cmp in
-  let st =
-    {
-      cmp;
-      stuck;
-      site_stem;
-      fault_gate;
-      fault_pin;
-      stem_node;
-      pi_value = Array.make size Tv.X;
-      good = Array.make size Tv.X;
-      faul = Array.make size Tv.X;
-      backtracks = 0;
-      limit = backtrack_limit;
-    }
-  in
-  match search st with
-  | Found ->
-    let vec =
-      Array.map
-        (fun pi -> match st.pi_value.(pi) with Tv.T -> true | Tv.F | Tv.X -> false)
-        (Compiled.inputs cmp)
-    in
-    Test vec
-  | Exhausted -> Untestable
-  | exception Abort ->
-    Obs.Counter.incr aborted_c;
-    Obs.Trace.instant ~cat:"atpg" "podem.aborted";
-    if Obs.Journal.enabled () then
-      Obs.Journal.emit "podem_abort"
-        (Fault.journal_fields f
-        @ [ ("backtracks", Obs_json.Int st.backtracks) ]);
-    Aborted
+  Obs.Span.with_ "podem.generate" (fun () ->
+      let cmp = Compiled.of_circuit c in
+      let imp = Imply.create ~fault:f cmp in
+      let site_stem =
+        match f.Fault.site with
+        | Fault.Stem u -> u
+        | Fault.Branch (g, pin) -> (Circuit.fanins c g).(pin)
+      in
+      let st =
+        {
+          cmp;
+          imp;
+          stuck = Tv.of_bool f.Fault.stuck;
+          site_stem;
+          cone_pos =
+            Array.of_list (List.filter (Compiled.is_po cmp) (Array.to_list (Imply.cone imp)));
+          visited = Bytes.make (Compiled.size cmp) '\000';
+          mark = '\000';
+          backtracks = 0;
+          limit = backtrack_limit;
+        }
+      in
+      match search st with
+      | Found ->
+        let vec =
+          Array.map
+            (fun pi -> match Imply.good imp pi with Tv.T -> true | Tv.F | Tv.X -> false)
+            (Compiled.inputs cmp)
+        in
+        Test vec
+      | Exhausted -> Untestable
+      | exception Abort ->
+        Obs.Counter.incr aborted_c;
+        Obs.Trace.instant ~cat:"atpg" "podem.aborted";
+        if Obs.Journal.enabled () then
+          Obs.Journal.emit "podem_abort"
+            (Fault.journal_fields f
+            @ [ ("backtracks", Obs_json.Int st.backtracks) ]);
+        Aborted)
 
 type stats = {
   tested : int;

@@ -76,8 +76,9 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
     incr passes;
     let found = find_untestable ~limits ~sat ?prefilter_patterns ~seed c in
     aborted := List.length found.unresolved;
-    match found.untestable @ found.sat_redundant with
-    | [] -> continue := false
+    let removed_before = !removed in
+    (match found.untestable @ found.sat_redundant with
+    | [] -> ()
     | candidates ->
       (* Removing one redundancy can make another candidate testable, so
          each is re-proved against the current circuit right before its
@@ -113,9 +114,14 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
                       @ [ ("method", Obs_json.String "sat") ]);
                   incr removed;
                   incr removed_sat
-                | Sat_atpg.Test _ | Sat_atpg.Unknown _ -> ()
-              end)
-        candidates
+                | Sat_atpg.Test _ -> ()
+                | Sat_atpg.Unknown _ -> incr aborted
+              end
+              else incr aborted)
+        candidates);
+    (* A pass that removes nothing leaves the circuit as it was, so the next
+       pass would find the same candidates and fail on them again. *)
+    if !removed = removed_before then continue := false
   done;
   {
     removed = !removed;

@@ -17,7 +17,9 @@ type report = {
       (** subset of [removed] whose justifying proof came from the SAT
           escalation rather than PODEM *)
   aborted : int;
-      (** faults left undecided by both engines in the final pass (kept) *)
+      (** faults left undecided in the final pass (kept): PODEM aborts the
+          SAT escalation could not settle, plus candidates whose re-proof
+          ended undecided *)
   passes : int;
 }
 
@@ -50,7 +52,9 @@ val remove :
   seed:int64 ->
   Circuit.t ->
   report
-(** Remove redundancies in place (the circuit is mutated and swept). *)
+(** Remove redundancies in place (the circuit is mutated and swept). Passes
+    repeat until one removes nothing: after such a pass the circuit is
+    unchanged, so another would find the same candidates again. *)
 
 val make_irredundant :
   ?limits:Limits.t ->

@@ -24,19 +24,3 @@ let lxor_ a b =
   | T, F | F, T -> T
 
 let to_char = function F -> '0' | T -> '1' | X -> 'x'
-
-let fold f init a = Array.fold_left f init a
-
-let eval kind inputs =
-  match kind with
-  | Gate.Input -> invalid_arg "Tv.eval: Input"
-  | Gate.Const0 -> F
-  | Gate.Const1 -> T
-  | Gate.Buf -> inputs.(0)
-  | Gate.Not -> lnot inputs.(0)
-  | Gate.And -> fold land_ T inputs
-  | Gate.Nand -> lnot (fold land_ T inputs)
-  | Gate.Or -> fold lor_ F inputs
-  | Gate.Nor -> lnot (fold lor_ F inputs)
-  | Gate.Xor -> fold lxor_ F inputs
-  | Gate.Xnor -> lnot (fold lxor_ F inputs)

@@ -10,6 +10,3 @@ val land_ : v -> v -> v
 val lor_ : v -> v -> v
 val lxor_ : v -> v -> v
 val to_char : v -> char
-
-val eval : Gate.kind -> v array -> v
-(** Three-valued gate evaluation (logic kinds only). *)

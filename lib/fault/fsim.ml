@@ -1,55 +1,3 @@
-(* Min-heap over topo positions with lazy deduplication via a pending flag. *)
-module Heap = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 64 0; n = 0 }
-
-  let push h x =
-    if h.n = Array.length h.a then begin
-      let bigger = Array.make (2 * h.n) 0 in
-      Array.blit h.a 0 bigger 0 h.n;
-      h.a <- bigger
-    end;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    h.a.(!i) <- x;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if h.a.(p) > h.a.(!i) then begin
-        let tmp = h.a.(p) in
-        h.a.(p) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := p
-      end
-      else continue := false
-    done
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.n && h.a.(l) < h.a.(!smallest) then smallest := l;
-        if r < h.n && h.a.(r) < h.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.a.(!smallest) in
-          h.a.(!smallest) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
-end
-
 type t = {
   cmp : Compiled.t;
   good : int64 array;
@@ -57,18 +5,12 @@ type t = {
   touched : Bytes.t;
   mutable touched_list : int list;
   pending : Bytes.t;
-  heap : Heap.t;
+  heap : Int_heap.t; (* pending gates by topological position *)
   mutable loaded : bool;
 }
 
 let create cmp =
   let n = Compiled.size cmp in
-  (* The event heap encodes (topo_pos, id) as [topo_pos * n + id], so the
-     largest encoding is about [n * n]; reject circuits where that would
-     overflow the native int range instead of silently corrupting the
-     ordering. *)
-  if n > 0 && n > max_int / n then
-    invalid_arg "Fsim.create: circuit too large for heap encoding";
   {
     cmp;
     good = Array.make n 0L;
@@ -76,7 +18,7 @@ let create cmp =
     touched = Bytes.make n '\000';
     touched_list = [];
     pending = Bytes.make n '\000';
-    heap = Heap.create ();
+    heap = Int_heap.create ();
     loaded = false;
   }
 
@@ -91,15 +33,10 @@ let good_values st = st.good
 
 let value st id = if Bytes.get st.touched id = '\001' then st.fval.(id) else st.good.(id)
 
-(* The heap holds (topo_pos, id) encoded as one int so it orders by topo
-   position; ids are recovered on pop. *)
-let encode st id = ((Compiled.topo_index st.cmp).(id) * Compiled.size st.cmp) + id
-let decode st x = x mod Compiled.size st.cmp
-
 let schedule st id =
   if Bytes.get st.pending id = '\000' then begin
     Bytes.set st.pending id '\001';
-    Heap.push st.heap (encode st id)
+    Int_heap.push st.heap (Compiled.topo_index st.cmp).(id)
   end
 
 let set_value st id v =
@@ -158,20 +95,15 @@ let detect st (f : Fault.t) =
       Array.iter (fun g -> schedule st g) (Compiled.fanouts st.cmp u)
     end
   | Fault.Branch (g, _) -> schedule st g);
-  let rec drain () =
-    match Heap.pop st.heap with
-    | None -> ()
-    | Some x ->
-      let id = decode st x in
-      Bytes.set st.pending id '\000';
-      let v = eval_gate st ~fault_gate ~fault_pin ~forced id in
-      if v <> value st id then begin
-        set_value st id v;
-        Array.iter (fun g -> schedule st g) (Compiled.fanouts st.cmp id)
-      end;
-      drain ()
-  in
-  drain ();
+  while not (Int_heap.is_empty st.heap) do
+    let id = (Compiled.order st.cmp).(Int_heap.pop st.heap) in
+    Bytes.set st.pending id '\000';
+    let v = eval_gate st ~fault_gate ~fault_pin ~forced id in
+    if v <> value st id then begin
+      set_value st id v;
+      Array.iter (fun g -> schedule st g) (Compiled.fanouts st.cmp id)
+    end
+  done;
   let det = ref 0L in
   List.iter
     (fun id ->

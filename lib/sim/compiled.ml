@@ -8,7 +8,7 @@ type t = {
   fanouts : int array array;
   inputs : int array;
   outputs : int array;
-  po_flags : bool array;
+  po_flags : Bytes.t;
 }
 
 let of_circuit c =
@@ -24,8 +24,8 @@ let of_circuit c =
       fanins.(id) <- Array.copy (Circuit.fanins c id);
       fanouts.(id) <- Array.of_list (Circuit.fanouts c id));
   let outputs = Circuit.outputs c in
-  let po_flags = Array.make size false in
-  Array.iter (fun o -> po_flags.(o) <- true) outputs;
+  let po_flags = Bytes.make size '\000' in
+  Array.iter (fun o -> Bytes.set po_flags o '\001') outputs;
   {
     circuit = c;
     size;
@@ -48,7 +48,7 @@ let fanins t id = t.fanins.(id)
 let fanouts t id = t.fanouts.(id)
 let inputs t = t.inputs
 let outputs t = t.outputs
-let is_po t id = t.po_flags.(id)
+let is_po t id = Bytes.get t.po_flags id <> '\000'
 
 let eval_node t values id =
   let fins = t.fanins.(id) in

@@ -21,7 +21,10 @@
 #     NPN class layer that strictly improves on raw keys, and a warm hit
 #     rate at least the cold one — DESIGN.md §15);
 #   - `sat_atpg`: no PODEM-aborted fault stays undecided after SAT
-#     escalation (`escalation_ok`, DESIGN.md §14);
+#     escalation (`escalation_ok`, DESIGN.md §14), and PODEM's verdicts
+#     are the baseline's: each row's `survivors`, `aborted_before`,
+#     `sat_tests` and `sat_redundant` equal the baseline row's (DESIGN.md
+#     §18; a changed abort set would still escalate cleanly);
 #   - `journal`: the decision journal's never-perturb contract (journaled
 #     run bit-identical to plain, funnel invariant holds, no dropped
 #     events — DESIGN.md §16), additionally exercised through the CLI
@@ -59,9 +62,10 @@ echo "check_regression: bench smoke run (--quick --only micro,kernels,incrementa
 dune exec --no-build bench/main.exe -- \
     --quick --only micro,kernels,incremental,idcache,sat_atpg,journal --domains 2 --json "$tmp" > /dev/null
 
-# The rows of one snapshot section, one JSON object per line.
+# The rows of one snapshot section, one JSON object per line (from the
+# smoke snapshot, or from FILE when given).
 rows() {
-    sed -n "/^  \"$1\": \[/,/^  \]/p" "$tmp" | grep '^    {' || true
+    sed -n "/^  \"$1\": \[/,/^  \]/p" "${2:-$tmp}" | grep '^    {' || true
 }
 
 # require SECTION PATTERN: the section has rows and every row matches.
@@ -87,6 +91,18 @@ require idcache '"gate_ok": true'
 require sat_atpg '"escalation_ok": true'
 require journal '"identical_results": true'
 require journal '"gate_ok": true'
+
+# PODEM verdict gate: the sat_atpg counts must equal the baseline's.
+verdicts() {
+    rows sat_atpg "$1" | grep -o '"circuit": "[^"]*", "survivors": [0-9]*, "aborted_before": [0-9]*, "sat_tests": [0-9]*, "sat_redundant": [0-9]*' || true
+}
+base_verdicts=$(verdicts "$baseline")
+if [ -z "$base_verdicts" ] || [ "$(verdicts "$tmp")" != "$base_verdicts" ]; then
+    echo "check_regression: sat_atpg PODEM/SAT verdict counts differ from $baseline:" >&2
+    echo "  baseline: $base_verdicts" >&2
+    echo "  snapshot: $(verdicts "$tmp")" >&2
+    exit 1
+fi
 
 # CLI journal gate (DESIGN.md §16): a journaled multi-domain optimize run
 # must land the same netlist as a plain one, and `sft report` must accept

@@ -9,6 +9,8 @@ let () =
       ("sim", Test_sim.suite);
       ("fault", Test_fault.suite);
       ("atpg", Test_atpg.suite);
+      ("imply", Test_imply.suite);
+      Helpers.qsuite "imply-properties" Test_imply.qchecks;
       ("delay", Test_delay.suite);
       ("comparison", Test_comparison.suite);
       ("synth", Test_synth.suite);

@@ -106,6 +106,28 @@ let test_redundancy_preserves_random () =
       (Eval.equivalent_exhaustive reference fresh)
   done
 
+(* A pass can have candidates and remove none: the shared escalation solver
+   proved a fault redundant, but the fresh solver of its re-proof runs out of
+   conflicts. Such a pass leaves the circuit unchanged, so removal used to
+   repeat it forever. *)
+let test_redundancy_terminates_on_failed_reproofs () =
+  let c =
+    Circuit_gen.generate
+      {
+        Circuit_gen.name = "stall";
+        n_pi = 13;
+        n_po = 7;
+        n_gates = 100;
+        depth = 9;
+        combine_pct = 30;
+        xor_pct = 4;
+        seed = 1L;
+      }
+  in
+  let limits = { Limits.default with Limits.podem_backtracks = 0; sat_conflicts = 5 } in
+  let report = Redundancy.remove ~limits ~prefilter_patterns:256 ~seed:1L c in
+  check bool_ "failed re-proofs counted as undecided" true (report.Redundancy.aborted >= 1)
+
 let test_equiv () =
   let c = c17 () in
   let c2 = Bench_format.of_string (Bench_format.to_string c) in
@@ -159,6 +181,9 @@ let suite =
     ("PODEM agrees with exhaustive simulation", `Quick, test_podem_agrees_with_exhaustive);
     ("redundancy removal", `Quick, test_redundancy_removal);
     ("redundancy removal preserves function", `Quick, test_redundancy_preserves_random);
+    ( "redundancy removal stops when a pass removes nothing",
+      `Quick,
+      test_redundancy_terminates_on_failed_reproofs );
     ("miter equivalence", `Quick, test_equiv);
     ("miter equivalence via PODEM only", `Quick, test_equiv_beyond_simulation);
   ]
