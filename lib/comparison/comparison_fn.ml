@@ -212,19 +212,6 @@ let identify engine rng f =
   | Exact -> identify_exact f
   | Sampled budget -> identify_sampled ~budget rng f
 
-(* --- Run-scoped identification cache ------------------------------------- *)
-
-module Cache = struct
-  type t = spec option TT.t
-
-  let create () = TT.create 4096
-  let find = TT.find_opt
-
-  let add c f verdict = if not (TT.mem c f) then TT.add c f verdict
-
-  let length = TT.length
-end
-
 (* --- Don't-care-aware identification ------------------------------------- *)
 
 let dc_matches ~care_on ~dc s =

@@ -48,39 +48,6 @@ type engine = Exact | Sampled of int
 
 val identify : engine -> Rng.t -> Truthtable.t -> spec option
 
-(** Run-scoped identification cache (DESIGN.md §12).
-
-    Maps a truth table — keyed on its packed words via {!Truthtable.equal}
-    and {!Truthtable.hash}, no canonical string is ever built — to the
-    identification verdict [spec option]. The resynthesis engine shares one
-    cache across every candidate, root and pass of a run: the same small
-    cone functions recur constantly, and {!identify_exact} is a pure
-    function of the table, so a verdict never needs invalidation.
-
-    Only deterministic verdicts may be cached ({!Exact} engine — the
-    sampled engine's outcome depends on the per-candidate random stream, so
-    caching it would change results between cache-on and cache-off runs).
-    The cache itself is not synchronised: concurrent readers are safe only
-    while no writer runs. The engine's pool path therefore has workers look
-    up against the frozen cache and report misses back for the
-    orchestrating domain to merge (see DESIGN.md §12). *)
-module Cache : sig
-  type t
-
-  val create : unit -> t
-
-  val find : t -> Truthtable.t -> spec option option
-  (** [Some verdict] when the table has been identified before —
-      [verdict = None] records "not a comparison function". *)
-
-  val add : t -> Truthtable.t -> spec option -> unit
-  (** Record a verdict. Adding a key twice keeps the first verdict (for a
-      deterministic engine both are equal, so merge order cannot matter). *)
-
-  val length : t -> int
-  (** Number of distinct tables cached. *)
-end
-
 val identify_dc :
   ?budget:int -> Rng.t -> care_on:Truthtable.t -> dc:Truthtable.t -> spec option
 (** Don't-care-aware identification (the paper's first "remaining issue",

@@ -5,13 +5,15 @@
      header   "SFTIDC" (6 bytes) + version u16 LE
      records  kind u8 | arity u8 | payload | fnv1a-32 of the record bytes
 
-   kind 1 (raw verdict): the packed table words (LE), then the exact
-   verdict — tag u8 0/1, and for tag 1 the spec (arity perm bytes, lo u16,
-   hi u16, complemented u8). kind 2 (NPN negative): the canonical table
-   words, then the pushed phase psi u16.
+   kind 1 (raw verdict, the only kind): the packed table words (LE), then
+   the exact verdict — tag u8 0/1, and for tag 1 the spec (arity perm
+   bytes, lo u16, hi u16, complemented u8). Version 1 stores, which also
+   held kind-2 NPN-class records, read as empty and are rewritten by the
+   next append.
 
    Recovery rules. A reader stops at the first structurally invalid or
-   checksum-failing record and keeps the prefix: a crash mid-append (the
+   checksum-failing record, or at a positive verdict whose spec does not
+   denote its table, and keeps the prefix: a crash mid-append (the
    only writer failure mode — every append is one write of whole records)
    costs at most the torn tail. A bad header (magic or version mismatch)
    reads as empty. Writers repair rather than tolerate: under the advisory
@@ -19,12 +21,10 @@
    over a bad one, atomically via write-temp + rename), and only then
    append. Readers never lock. *)
 
-type entry =
-  | Raw of Truthtable.t * Comparison_fn.spec option
-  | Npn_neg of Truthtable.t * int
+type entry = Raw of Truthtable.t * Comparison_fn.spec option
 
 let magic = "SFTIDC"
-let version = 1
+let version = 2
 let header_len = 8
 let file ~dir = Filename.concat dir "idcache.bin"
 
@@ -50,30 +50,26 @@ let add_table buf t =
   Buffer.add_uint8 buf (Truthtable.arity t);
   Array.iter (Buffer.add_int64_le buf) (Truthtable.words t)
 
-let encode buf = function
-  | Raw (t, v) ->
-    add_record buf (fun buf ->
+let encode buf (Raw (t, v)) =
+  add_record buf (fun buf ->
+      Buffer.add_uint8 buf 1;
+      add_table buf t;
+      match v with
+      | None -> Buffer.add_uint8 buf 0
+      | Some (s : Comparison_fn.spec) ->
         Buffer.add_uint8 buf 1;
-        add_table buf t;
-        match v with
-        | None -> Buffer.add_uint8 buf 0
-        | Some (s : Comparison_fn.spec) ->
-          Buffer.add_uint8 buf 1;
-          Array.iter (Buffer.add_uint8 buf) s.perm;
-          Buffer.add_uint16_le buf s.lo;
-          Buffer.add_uint16_le buf s.hi;
-          Buffer.add_uint8 buf (if s.complemented then 1 else 0))
-  | Npn_neg (t, psi) ->
-    add_record buf (fun buf ->
-        Buffer.add_uint8 buf 2;
-        add_table buf t;
-        Buffer.add_uint16_le buf psi)
+        Array.iter (Buffer.add_uint8 buf) s.perm;
+        Buffer.add_uint16_le buf s.lo;
+        Buffer.add_uint16_le buf s.hi;
+        Buffer.add_uint8 buf (if s.complemented then 1 else 0))
 
 (* --- decoding ---------------------------------------------------------- *)
 
-(* Decode one record at [pos]; [None] on anything structurally invalid or
-   truncated — the caller treats that position as the end of the valid
-   prefix. *)
+(* Decode one record at [pos]; [None] on anything structurally invalid,
+   truncated, checksum-failing, or carrying a spec that does not denote its
+   table — the caller treats that position as the end of the valid prefix.
+   The last check matters because a replayed spec is spliced as is: a wrong
+   one would build a unit of the wrong function. *)
 let decode s pos =
   let len = String.length s in
   let ok_perm n perm =
@@ -84,60 +80,42 @@ let decode s pos =
   in
   if pos + 2 > len then None
   else begin
-    let kind = Char.code s.[pos] in
     let n = Char.code s.[pos + 1] in
-    if (kind <> 1 && kind <> 2) || n < 1 || n > 16 then None
+    let words_end = pos + 2 + (8 * nwords n) in
+    (* Arity 0 is legal: the engine's cuts include constant cones. *)
+    if Char.code s.[pos] <> 1 || n > 16 || words_end + 1 > len then None
     else begin
-      let nw = nwords n in
-      let words_end = pos + 2 + (8 * nw) in
-      if words_end > len then None
+      let tag = Char.code s.[words_end] in
+      let body_end = words_end + 1 + if tag = 1 then n + 5 else 0 in
+      if
+        tag > 1
+        || body_end + 4 > len
+        || Int32.to_int (String.get_int32_le s body_end) land 0xFFFFFFFF
+           <> fnv1a s pos (body_end - pos)
+      then None
       else begin
-        let table () =
+        let table =
           Truthtable.of_words n
-            (Array.init nw (fun i -> String.get_int64_le s (pos + 2 + (8 * i))))
+            (Array.init (nwords n) (fun i -> String.get_int64_le s (pos + 2 + (8 * i))))
         in
-        let finish body_end entry =
-          if body_end + 4 > len then None
-          else if
-            Int32.to_int (String.get_int32_le s body_end) land 0xFFFFFFFF
-            <> fnv1a s pos (body_end - pos)
+        let entry v = Some (Raw (table, v), body_end + 4) in
+        if tag = 0 then entry None
+        else begin
+          let p = words_end + 1 in
+          let perm = Array.init n (fun i -> Char.code s.[p + i]) in
+          let compl_ = Char.code s.[p + n + 4] in
+          let spec =
+            {
+              Comparison_fn.perm;
+              lo = String.get_uint16_le s (p + n);
+              hi = String.get_uint16_le s (p + n + 2);
+              complemented = compl_ = 1;
+            }
+          in
+          if compl_ > 1 || (not (ok_perm n perm)) || not (Comparison_fn.check table spec)
           then None
-          else Some (entry (), body_end + 4)
-        in
-        match kind with
-        | 1 ->
-          if words_end + 1 > len then None
-          else begin
-            match Char.code s.[words_end] with
-            | 0 -> finish (words_end + 1) (fun () -> Raw (table (), None))
-            | 1 ->
-              let body_end = words_end + 1 + n + 5 in
-              if body_end > len then None
-              else begin
-                let perm = Array.init n (fun i -> Char.code s.[words_end + 1 + i]) in
-                let lo = String.get_uint16_le s (words_end + 1 + n) in
-                let hi = String.get_uint16_le s (words_end + 3 + n) in
-                let compl_ = Char.code s.[words_end + 5 + n] in
-                if (not (ok_perm n perm)) || lo > hi || hi >= 1 lsl n || compl_ > 1
-                then None
-                else
-                  finish body_end (fun () ->
-                      Raw
-                        ( table (),
-                          Some
-                            { Comparison_fn.perm; lo; hi; complemented = compl_ = 1 }
-                        ))
-              end
-            | _ -> None
-          end
-        | _ ->
-          let body_end = words_end + 2 in
-          if body_end > len then None
-          else begin
-            let psi = String.get_uint16_le s (words_end) in
-            if psi >= 1 lsl n then None
-            else finish body_end (fun () -> Npn_neg (table (), psi))
-          end
+          else entry (Some spec)
+        end
       end
     end
   end

@@ -13,10 +13,6 @@ type entry =
   | Raw of Truthtable.t * Comparison_fn.spec option
       (** An exact identification verdict for the table, replayed verbatim
           on a warm start. *)
-  | Npn_neg of Truthtable.t * int
-      (** A canonical representative plus pushed phase ({!Npn.push_phase})
-          recording "no function of this class-and-phase is a comparison
-          function". *)
 (** One persisted cache entry. *)
 
 val magic : string
@@ -32,8 +28,10 @@ val file : dir:string -> string
 
 val load : string -> entry list
 (** [load path] reads every valid record, in file order, stopping silently
-    at the first torn or corrupt one; a missing file or unusable header
-    yields [[]]. Lock-free — safe concurrently with writers. *)
+    at the first torn or corrupt one — including a checksum-valid record
+    whose spec does not denote its table ({!Comparison_fn.check}); a
+    missing file or unusable header yields [[]]. Lock-free — safe
+    concurrently with writers. *)
 
 val append : string -> entry list -> unit
 (** [append path entries] appends under the advisory lock ([path ^

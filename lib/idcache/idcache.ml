@@ -1,25 +1,9 @@
-(* Layered, optionally disk-persistent identification cache (DESIGN.md §15).
+(* Optionally disk-persistent identification cache (DESIGN.md §15).
 
-   Two layers, looked up in order:
-
-   1. Raw layer: packed table -> exact [Comparison_fn.identify_exact]
-      verdict. A hit replays the recorded spec verbatim, so cached runs
-      build byte-identical circuits — the spec determines the unit, the
-      unit the splice.
-
-   2. NPN layer: (canonical table, pushed phase) -> "not a comparison
-      function". Only negative verdicts live here: a canonical-key match
-      with equal pushed phase proves the queried function differs from a
-      known-negative one by an input permutation and an output negation
-      only (Npn.push_phase), and comparison-function-ness is invariant
-      under exactly those two — so serving [None] is sound and exact.
-      Positive verdicts cannot ride the class key: comparison-function-ness
-      is *not* invariant under input negation (DESIGN.md §15 has the
-      counterexample), and even a sound mapped-back spec could differ from
-      [identify_exact]'s own choice, breaking bit-identity.
-
-   Canonicalisation runs only on a raw miss — once per distinct table per
-   run — and its cost is metered in [idcache.canon_ns].
+   One map: packed table -> exact [Comparison_fn.identify_exact] verdict. A
+   hit replays the recorded spec verbatim, so cached runs build
+   byte-identical circuits — the spec determines the unit, the unit the
+   splice.
 
    Concurrency contract (the engine's frozen-read/deferred-merge
    discipline, DESIGN.md §12): [find] is read-only and safe from pool
@@ -36,90 +20,66 @@ module TT = Hashtbl.Make (struct
   let hash = Truthtable.hash
 end)
 
-module TTP = Hashtbl.Make (struct
-  type t = Truthtable.t * int
-
-  let equal (a, pa) (b, pb) = pa = pb && Truthtable.equal a b
-  let hash (a, p) = ((Truthtable.hash a * 0x01000193) lxor p) land max_int
-end)
-
 type verdict = Comparison_fn.spec option
 
-type raw_entry = {
+type entry = {
   verdict : verdict;
   from_disk : bool;
   hits : int Atomic.t;
 }
 
-type neg_entry = {
-  nfrom_disk : bool;
-  nhits : int Atomic.t;
-}
-
 type t = {
-  raw : raw_entry TT.t;
-  npn : neg_entry TTP.t;
+  table : entry TT.t;
   file : string option;
   mutable fresh : Id_store.entry list; (* newest first; flushed in order *)
 }
 
-type miss = {
-  m_table : Truthtable.t;
-  m_repr : Truthtable.t;
-  m_psi : int;
-}
-
-type lookup =
-  | Hit of verdict
-  | Neg_hit
-  | Miss of miss
-
 let hits_c =
-  Obs.Counter.make ~help:"identification verdicts served from the raw-key cache"
+  Obs.Counter.make ~help:"identification verdicts served from the cache"
     "idcache.hits"
 
 let misses_c =
   Obs.Counter.make ~help:"identification verdicts computed and cached" "idcache.misses"
 
-let npn_hits_c =
-  Obs.Counter.make ~help:"negative verdicts served from the NPN class layer"
-    "idcache.npn_hits"
-
 let disk_hits_c =
   Obs.Counter.make ~help:"cache hits on entries loaded from the disk store"
     "idcache.disk_hits"
 
-let canon_ns_c =
-  Obs.Counter.make ~help:"nanoseconds spent NPN-canonicalising cache misses"
+(* Retired with the NPN class layer and never incremented: the perf
+   benchmark's per-layer metrics still read both names and refuse a run
+   on an unregistered counter, so they stay registered at 0. *)
+let _ : Obs.Counter.t =
+  Obs.Counter.make ~help:"retired: always 0 (NPN class layer removed)"
+    "idcache.npn_hits"
+
+let _ : Obs.Counter.t =
+  Obs.Counter.make ~help:"retired: always 0 (NPN class layer removed)"
     "idcache.canon_ns"
 
 let class_hits_h =
-  Obs.Histogram.make ~help:"hits per cached class over the run (hit classes only)"
+  Obs.Histogram.make ~help:"hits per cached table over the run (hit tables only)"
     "idcache.class_hits"
 
 let create ?dir () =
-  let raw = TT.create 1024 in
-  let npn = TTP.create 1024 in
+  let table = TT.create 1024 in
   let file = Option.map (fun d -> Id_store.file ~dir:d) dir in
-  (match file with
-  | None -> ()
-  | Some path ->
-    List.iter
-      (function
-        | Id_store.Raw (tbl, v) ->
-          if not (TT.mem raw tbl) then
-            TT.add raw tbl { verdict = v; from_disk = true; hits = Atomic.make 0 }
-        | Id_store.Npn_neg (repr, psi) ->
-          if not (TTP.mem npn (repr, psi)) then
-            TTP.add npn (repr, psi) { nfrom_disk = true; nhits = Atomic.make 0 })
-      (Id_store.load path));
-  { raw; npn; file; fresh = [] }
+  Option.iter
+    (fun path ->
+      List.iter
+        (fun (Id_store.Raw (tbl, v)) ->
+          if not (TT.mem table tbl) then
+            TT.add table tbl { verdict = v; from_disk = true; hits = Atomic.make 0 })
+        (Id_store.load path))
+    file;
+  { table; file; fresh = [] }
 
-let length t = TT.length t.raw
-let npn_length t = TTP.length t.npn
+let length t = TT.length t.table
 
 let find t f =
-  match TT.find_opt t.raw f with
+  match TT.find_opt t.table f with
+  | None ->
+    Obs.Counter.incr misses_c;
+    None
   | Some e ->
     Atomic.incr e.hits;
     Obs.Counter.incr hits_c;
@@ -132,51 +92,17 @@ let find t f =
           );
           ("verdict", Obs_json.Bool (e.verdict <> None));
         ];
-    Hit e.verdict
-  | None -> (
-    let canonical =
-      if Obs.enabled () then begin
-        let t0 = Obs.now () in
-        let c = Npn.canon f in
-        Obs.Counter.add canon_ns_c (int_of_float ((Obs.now () -. t0) *. 1e9));
-        c
-      end
-      else Npn.canon f
-    in
-    match TTP.find_opt t.npn (canonical.Npn.repr, canonical.Npn.psi) with
-    | Some ne ->
-      Atomic.incr ne.nhits;
-      Obs.Counter.incr npn_hits_c;
-      if ne.nfrom_disk then Obs.Counter.incr disk_hits_c;
-      if Obs.Journal.enabled () then
-        Obs.Journal.emit "identify"
-          [
-            ("src", Obs_json.String "idcache_class");
-            ("verdict", Obs_json.Bool false);
-            ("disk", Obs_json.Bool ne.nfrom_disk);
-          ];
-      Neg_hit
-    | None ->
-      Obs.Counter.incr misses_c;
-      Miss { m_table = f; m_repr = canonical.Npn.repr; m_psi = canonical.Npn.psi })
+    Some e.verdict
 
-let record t m v =
+let record t f v =
   if Obs.Journal.enabled () then
     Obs.Journal.emit "identify"
       [
         ("src", Obs_json.String "fresh"); ("verdict", Obs_json.Bool (v <> None));
       ];
-  if not (TT.mem t.raw m.m_table) then begin
-    TT.add t.raw m.m_table { verdict = v; from_disk = false; hits = Atomic.make 0 };
-    t.fresh <- Id_store.Raw (m.m_table, v) :: t.fresh;
-    match v with
-    | Some _ -> ()
-    | None ->
-      if not (TTP.mem t.npn (m.m_repr, m.m_psi)) then begin
-        TTP.add t.npn (m.m_repr, m.m_psi)
-          { nfrom_disk = false; nhits = Atomic.make 0 };
-        t.fresh <- Id_store.Npn_neg (m.m_repr, m.m_psi) :: t.fresh
-      end
+  if not (TT.mem t.table f) then begin
+    TT.add t.table f { verdict = v; from_disk = false; hits = Atomic.make 0 };
+    t.fresh <- Id_store.Raw (f, v) :: t.fresh
   end
 
 let flush t =
@@ -190,10 +116,5 @@ let finish t =
     (fun _ e ->
       let h = Atomic.get e.hits in
       if h > 0 then Obs.Histogram.observe class_hits_h h)
-    t.raw;
-  TTP.iter
-    (fun _ ne ->
-      let h = Atomic.get ne.nhits in
-      if h > 0 then Obs.Histogram.observe class_hits_h h)
-    t.npn;
+    t.table;
   flush t

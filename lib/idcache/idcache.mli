@@ -1,22 +1,12 @@
-(** NPN-canonical, disk-persistent identification cache (DESIGN.md §15).
+(** Disk-persistent identification cache (DESIGN.md §15).
 
     The resynthesis engine asks the same question — "is this K-input
     function a comparison function, and under which spec?" — tens of
     thousands of times per run, and the same small functions recur across
-    candidates, circuits and runs. This cache layers two lookups over the
-    exact identifier:
-
-    - a {e raw layer} keyed on the packed table, replaying the exact
-      {!Comparison_fn.identify_exact} verdict (positive or negative)
-      verbatim — warm results are byte-identical to cold ones;
-    - an {e NPN layer} keyed on ({!Npn.canon} representative, pushed
-      phase), serving only {e negative} verdicts: equal canonical key and
-      phase prove the query differs from a known non-comparison function
-      by input permutation + output negation, under which
-      comparison-function-ness is invariant. (Positive verdicts never ride
-      the class key — identification is {e not} invariant under input
-      negation, and a mapped-back spec could differ from the identifier's
-      own choice.)
+    candidates, circuits and runs. This cache maps each packed table to
+    its exact {!Comparison_fn.identify_exact} verdict (positive or
+    negative) and replays it verbatim, so warm results are byte-identical
+    to cold ones.
 
     With a cache directory, entries load at {!create} and fresh ones are
     appended at {!finish} through {!Id_store}, sharing verdicts across
@@ -25,9 +15,8 @@
     the orchestrating domain — the engine's frozen-read/deferred-merge
     discipline, which keeps [domains = 1] and [domains = n] bit-identical.
 
-    Probes: [idcache.hits] (raw hits), [idcache.npn_hits],
-    [idcache.disk_hits], [idcache.misses], [idcache.canon_ns], and the
-    [idcache.class_hits] histogram (hits per cached class over a run). *)
+    Probes: [idcache.hits], [idcache.disk_hits], [idcache.misses], and the
+    [idcache.class_hits] histogram (hits per cached table over a run). *)
 
 type t
 (** A cache instance; one per engine run (or shared across runs via the
@@ -37,48 +26,29 @@ type verdict = Comparison_fn.spec option
 (** An exact identification verdict; [None] means "not a comparison
     function". *)
 
-type miss
-(** A failed lookup, carrying the canonical key computed on the way — pass
-    it back to {!record} with the freshly computed verdict. *)
-
-type lookup =
-  | Hit of verdict
-      (** Raw-layer hit: the recorded exact verdict, replayed verbatim. *)
-  | Neg_hit
-      (** NPN-layer hit: the function is provably not a comparison
-          function (treat as a [None] verdict). *)
-  | Miss of miss
-      (** Not cached; identify and {!record} the result. *)
-(** Result of {!find}. *)
-
 val create : ?dir:string -> unit -> t
 (** [create ()] is an empty in-memory cache; [create ~dir ()] additionally
     loads every valid entry of [dir]'s disk store ({!Id_store.load}) and
     arranges for {!finish} to append this run's fresh entries there. *)
 
-val find : t -> Truthtable.t -> lookup
-(** Look a table up, raw layer first; a raw miss pays one NPN
-    canonicalisation ({!Npn.canon}, metered in [idcache.canon_ns]) to try
-    the class layer. Read-only — never mutates the cache beyond atomic
-    per-entry hit counts, so concurrent calls from pool workers are
-    safe. *)
+val find : t -> Truthtable.t -> verdict option
+(** [find t f] is [Some v] when [f]'s verdict [v] is cached, [None] on a
+    miss (identify [f] and {!record} the result). Read-only — never
+    mutates the cache beyond atomic per-entry hit counts, so concurrent
+    calls from pool workers are safe. *)
 
-val record : t -> miss -> verdict -> unit
-(** Merge a computed verdict for an earlier {!Miss} into the cache (raw
-    layer always; NPN layer too when negative). First verdict wins — for
-    the deterministic exact engine duplicates are equal, so merge order
-    cannot matter. Orchestrating domain only. *)
+val record : t -> Truthtable.t -> verdict -> unit
+(** Merge a computed verdict for a table {!find} missed. First verdict
+    wins — for the deterministic exact engine duplicates are equal, so
+    merge order cannot matter. Orchestrating domain only. *)
 
 val length : t -> int
-(** Number of distinct raw tables cached. *)
-
-val npn_length : t -> int
-(** Number of distinct negative NPN classes cached. *)
+(** Number of distinct tables cached. *)
 
 val flush : t -> unit
 (** Append the entries recorded since the last flush to the disk store (a
     no-op without [~dir]). *)
 
 val finish : t -> unit
-(** End-of-run hook: observes the per-class hit histogram and runs
+(** End-of-run hook: observes the per-table hit histogram and runs
     {!flush}. *)

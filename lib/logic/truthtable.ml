@@ -343,37 +343,6 @@ let swap_index_bits words a b =
     done
   end
 
-let flip t ~var =
-  if var < 1 || var > t.n then invalid_arg "Truthtable.flip: variable out of range";
-  let p = t.n - var in
-  let words = Array.copy t.words in
-  if p < 6 then begin
-    (* The negated bit lives inside each word: exchange the two 2^p-bit
-       block halves — bits with index-bit p set move down, the rest up. *)
-    let d = 1 lsl p in
-    let patt = sim_patterns.(p) in
-    for w = 0 to Array.length words - 1 do
-      let x = words.(w) in
-      words.(w) <-
-        Int64.logor
-          (Int64.shift_right_logical (Int64.logand x patt) d)
-          (Int64.shift_left (Int64.logand x period_masks.(p)) d)
-    done
-  end
-  else begin
-    (* The negated bit selects whole words: swap word pairs. *)
-    let wb = 1 lsl (p - 6) in
-    for w = 0 to Array.length words - 1 do
-      if w land wb = 0 then begin
-        let w' = w lor wb in
-        let tmp = words.(w) in
-        words.(w) <- words.(w');
-        words.(w') <- tmp
-      end
-    done
-  end;
-  norm { n = t.n; words }
-
 let permute t pi =
   if Array.length pi <> t.n then invalid_arg "Truthtable.permute: bad permutation size";
   let seen = Array.make (t.n + 1) false in

@@ -80,13 +80,6 @@ val depends_on : t -> int -> bool
 val support : t -> int list
 (** Variables the function depends on, 1-based, increasing. *)
 
-val flip : t -> var:int -> t
-(** [flip f ~var:i] negates input [x_i]: the result [g] satisfies
-    [g(.., x_i, ..) = f(.., not x_i, ..)] — i.e. the value on minterm [m]
-    is [f]'s value on [m] with index bit [n - i] toggled. One delta-swap
-    word pass ([n - i < 6]) or a word-pair exchange otherwise; the NPN
-    canonicaliser's input-negation kernel (DESIGN.md §15). *)
-
 val permute : t -> int array -> t
 (** [permute f pi] renames variables: position [j] (0-based) of the new
     variable order is the old variable [pi.(j)] (1-based). I.e. the new

@@ -303,8 +303,7 @@ let render t =
       Buffer.add_string b (Table.render tbl)
     end
   in
-  tally_table "identification sources" "identify"
-    [ "fresh"; "run_cache"; "idcache_raw"; "idcache_class" ];
+  tally_table "identification sources" "identify" [ "fresh"; "run_cache"; "idcache_raw" ];
   tally_table "sat escalations" "sat_escalation" [ "test"; "redundant"; "unknown" ];
   tally_table "redundancy proofs" "redundancy_proof" [ "podem"; "sat" ];
   tally_table "cec checks" "cec_check" [ "equivalent"; "counterexample"; "unknown" ];
@@ -365,9 +364,7 @@ let run_json t =
             ("compactions", Obs_json.Int t.compactions);
             ("peak_rss_kb", Obs_json.Int t.peak_rss_kb);
           ] );
-      ( "identify",
-        tallies_json t "identify"
-          [ "fresh"; "run_cache"; "idcache_raw"; "idcache_class" ] );
+      ("identify", tallies_json t "identify" [ "fresh"; "run_cache"; "idcache_raw" ]);
       ( "sat_escalations",
         tallies_json t "sat_escalation" [ "test"; "redundant"; "unknown" ] );
       ("redundancy_proofs", tallies_json t "redundancy_proof" [ "podem"; "sat" ]);

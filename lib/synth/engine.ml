@@ -273,11 +273,10 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
       | None -> Comparison_fn.identify opts.engine rng tt
       | Some cache -> (
         match Idcache.find cache tt with
-        | Idcache.Hit verdict -> verdict
-        | Idcache.Neg_hit -> None
-        | Idcache.Miss m ->
+        | Some verdict -> verdict
+        | None ->
           let verdict = Comparison_fn.identify opts.engine rng tt in
-          misses := (m, verdict) :: !misses;
+          misses := (tt, verdict) :: !misses;
           verdict)
     in
     let cand =
@@ -312,7 +311,7 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
     Array.iter
       (fun (_, misses) ->
         List.iter
-          (fun (m, verdict) -> Idcache.record cache m verdict)
+          (fun (tt, verdict) -> Idcache.record cache tt verdict)
           (List.rev misses))
       scored);
   List.filter_map fst (Array.to_list scored)
@@ -875,7 +874,7 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
     | None -> ());
     if r = 0 then continue := false
   done;
-  (* Per-class hit accounting + disk flush; serial, after the last batch
+  (* Per-table hit accounting + disk flush; serial, after the last batch
      merged, so the frozen-read discipline is respected. *)
   Option.iter Idcache.finish cache;
   {

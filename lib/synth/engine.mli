@@ -68,8 +68,8 @@ type options = {
   verify : verify;  (** SAT-based replacement verification, see {!verify}. *)
   id_cache : bool;
       (** Share one {!Idcache} across all candidates, roots and passes of
-          the run (DESIGN.md §12, §15): raw verdicts replay verbatim and
-          the NPN class layer short-circuits provably negative lookups.
+          the run (DESIGN.md §12, §15): each distinct table is identified
+          once and its verdict replayed verbatim on every repeat.
           Effective only with the deterministic {!Comparison_fn.Exact}
           engine — sampled verdicts depend on the candidate random stream
           and are never cached — so results are bit-identical with the
@@ -117,11 +117,11 @@ val optimize : objective -> options -> Circuit.t -> stats
     popped from the pass worklist), [engine.commit_waves] (landed commit
     groups, each verified as one wave), [engine.concurrent_commits]
     (splices landed through a multi-splice group), and the {!Idcache}
-    probes [idcache.hits], [idcache.npn_hits], [idcache.disk_hits],
-    [idcache.misses], [idcache.canon_ns]; histograms [engine.cut_size],
-    [engine.dirty_nodes] (nodes newly dirtied per footprint) and
-    [idcache.class_hits]; spans [engine.pass] (one per resynthesis pass)
-    and [engine.commit_flush] (one per landed commit group).
+    probes [idcache.hits], [idcache.disk_hits], [idcache.misses];
+    histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
+    dirtied per footprint) and [idcache.class_hits]; spans [engine.pass]
+    (one per resynthesis pass) and [engine.commit_flush] (one per landed
+    commit group).
     [extract.words] counts the 64-minterm words swept by the bit-parallel
     extractor (see {!Subcircuit.extract}). *)
 

@@ -17,9 +17,9 @@
 #     than it and lands deferred splices in multi-splice groups (`gate_ok`,
 #     `concurrent_commits` > 0) — DESIGN.md §13, §17;
 #   - `idcache`: the persistent identification cache's determinism
-#     contract (off = cold = warm bit-identity, warm-start disk hits, an
-#     NPN class layer that strictly improves on raw keys, and a warm hit
-#     rate at least the cold one — DESIGN.md §15);
+#     contract (off = cold = warm bit-identity, warm-start disk hits, no
+#     warm misses — a deterministic rerun is answered entirely from the
+#     store — and a warm hit rate at least the cold one — DESIGN.md §15);
 #   - `sat_atpg`: no PODEM-aborted fault stays undecided after SAT
 #     escalation (`escalation_ok`, DESIGN.md §14), and PODEM's verdicts
 #     are the baseline's: each row's `survivors`, `aborted_before`,

@@ -1,156 +1,11 @@
-(* The NPN-canonical, disk-persistent identification cache (DESIGN.md §15):
-   the flip kernel against a per-minterm reference, canonicalisation as an
-   exact NPN-equivalence decision procedure (class counts are known for
-   small arities), soundness of the layered cache against the exact
-   identifier over whole orbits, and the disk store's round-trip,
-   version-mismatch, torn-tail and warm-start behaviour. *)
+(* The disk-persistent identification cache (DESIGN.md §15): the disk
+   store's round-trip, version-mismatch, torn-tail, corrupt-record and
+   wrong-spec behaviour, and warm-start identity of the engine. *)
 
 open Helpers
 
-let tt_of_ref n r = Truthtable.create n (fun m -> r.(m))
-
 let random_table rng n =
   Truthtable.create n (fun _ -> Rng.int rng 2 = 1)
-
-(* --- Truthtable.flip ------------------------------------------------------- *)
-
-let test_flip_reference () =
-  for n = 1 to 8 do
-    let rng = Rng.create (Int64.of_int (100 + n)) in
-    let r = Array.init (1 lsl n) (fun _ -> Rng.int rng 2 = 1) in
-    let t = tt_of_ref n r in
-    for var = 1 to n do
-      let flipped = Truthtable.flip t ~var in
-      for m = 0 to (1 lsl n) - 1 do
-        let m' = m lxor (1 lsl (n - var)) in
-        if Truthtable.get flipped m <> r.(m') then
-          Alcotest.failf "flip n=%d var=%d minterm %d" n var m
-      done;
-      if not (Truthtable.equal (Truthtable.flip flipped ~var) t) then
-        Alcotest.failf "flip^2 <> id (n=%d var=%d)" n var
-    done
-  done
-
-(* --- NPN canonicalisation -------------------------------------------------- *)
-
-let rec perms = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x -> List.map (fun r -> x :: r) (perms (List.filter (( <> ) x) l)))
-      l
-
-(* Every NPN transform of arity [n] (2^(n+1) * n! of them). *)
-let all_transforms n =
-  let pis = List.map Array.of_list (perms (List.init n (fun i -> i + 1))) in
-  List.concat_map
-    (fun pi ->
-      List.concat_map
-        (fun negate ->
-          List.init (1 lsl n) (fun phase -> { Npn.pi; phase; negate }))
-        [ false; true ])
-    pis
-
-let random_transform rng n =
-  let pi = Array.init n (fun j -> j + 1) in
-  for j = n - 1 downto 1 do
-    let k = Rng.int rng (j + 1) in
-    let t = pi.(j) in
-    pi.(j) <- pi.(k);
-    pi.(k) <- t
-  done;
-  { Npn.pi; phase = Rng.int rng (1 lsl n); negate = Rng.int rng 2 = 1 }
-
-let test_canon_decomposition () =
-  for n = 1 to 4 do
-    let rng = Rng.create (Int64.of_int (200 + n)) in
-    for _ = 1 to 20 do
-      let f = random_table rng n in
-      let c = Npn.canon f in
-      if not (Truthtable.equal (Npn.apply c.Npn.tr f) c.Npn.repr) then
-        Alcotest.failf "apply tr f <> repr (n=%d, f=%s)" n (Truthtable.to_string f);
-      check int_ "psi = push_phase tr" (Npn.push_phase c.Npn.tr) c.Npn.psi
-    done
-  done
-
-let test_canon_invariance_exhaustive () =
-  (* n = 3, all 256 functions x all 96 transforms: the canonical
-     representative is constant on every orbit. *)
-  let n = 3 in
-  let transforms = all_transforms n in
-  for v = 0 to 255 do
-    let f = Truthtable.of_minterms n (List.filter (fun m -> v land (1 lsl m) <> 0) (List.init 8 Fun.id)) in
-    let repr = (Npn.canon f).Npn.repr in
-    List.iter
-      (fun tr ->
-        let g = Npn.apply tr f in
-        if not (Truthtable.equal (Npn.canon g).Npn.repr repr) then
-          Alcotest.failf "canon not orbit-invariant (v=%d, g=%s)" v
-            (Truthtable.to_string g))
-      transforms
-  done
-
-(* canon(f) = canon(g) <=> f ~NPN g, checked exhaustively through the known
-   NPN class counts: distinct representatives over all 2^(2^n) functions
-   must number 2, 4, 14, 222 for n = 1..4 (e.g. Tarau & Luderman's
-   catalogues; the counts pin both directions of the iff — fewer classes
-   would mean a collision between inequivalent functions, more would mean
-   an orbit with two representatives, given the orbit-invariance test
-   above). *)
-let test_canon_class_counts () =
-  List.iter
-    (fun (n, expected) ->
-      let seen = Hashtbl.create 256 in
-      for v = 0 to (1 lsl (1 lsl n)) - 1 do
-        let f = Truthtable.create n (fun m -> v land (1 lsl m) <> 0) in
-        Hashtbl.replace seen (Truthtable.to_string (Npn.canon f).Npn.repr) ()
-      done;
-      check int_ (Printf.sprintf "NPN classes at n=%d" n) expected
-        (Hashtbl.length seen))
-    [ (1, 2); (2, 4); (3, 14); (4, 222) ]
-
-(* --- cache soundness over whole orbits ------------------------------------- *)
-
-(* Populate a cache with every 3-input function's exact verdict, then query
-   every NPN image of every function: a raw hit must replay the exact
-   verdict, and an NPN-layer hit must only ever stand in for a genuine
-   negative. This exercises the load-bearing subtlety that
-   comparison-function-ness is *not* NPN-invariant (DESIGN.md §15). *)
-let test_cache_sound_on_orbits () =
-  let n = 3 in
-  let cache = Idcache.create () in
-  let all = List.init 256 Fun.id in
-  let table_of v =
-    Truthtable.create n (fun m -> v land (1 lsl m) <> 0)
-  in
-  List.iter
-    (fun v ->
-      let f = table_of v in
-      match Idcache.find cache f with
-      | Idcache.Hit _ | Idcache.Neg_hit -> ()
-      | Idcache.Miss m -> Idcache.record cache m (Comparison_fn.identify_exact f))
-    all;
-  let transforms = all_transforms n in
-  List.iter
-    (fun v ->
-      let f = table_of v in
-      List.iter
-        (fun tr ->
-          let g = Npn.apply tr f in
-          let truth = Comparison_fn.identify_exact g in
-          match Idcache.find cache g with
-          | Idcache.Miss _ -> ()
-          | Idcache.Hit verdict ->
-            if verdict <> truth then
-              Alcotest.failf "raw hit returned a wrong verdict for %s"
-                (Truthtable.to_string g)
-          | Idcache.Neg_hit ->
-            if truth <> None then
-              Alcotest.failf
-                "NPN layer claimed %s is not a comparison function, but it is"
-                (Truthtable.to_string g))
-        transforms)
-    all
 
 (* --- disk store ------------------------------------------------------------ *)
 
@@ -160,37 +15,33 @@ let tmpdir () =
   Unix.mkdir d 0o700;
   d
 
-let populate_n3 cache count =
-  (* Record the first [count] 3-input functions' verdicts (cache-miss order). *)
-  for v = 0 to count - 1 do
-    let f = Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0) in
-    match Idcache.find cache f with
-    | Idcache.Hit _ | Idcache.Neg_hit -> ()
-    | Idcache.Miss m -> Idcache.record cache m (Comparison_fn.identify_exact f)
-  done
-
 let test_disk_round_trip () =
   let dir = tmpdir () in
   let cold = Idcache.create ~dir () in
-  populate_n3 cold 64;
-  let raw_n = Idcache.length cold and npn_n = Idcache.npn_length cold in
+  (* The two 0-input constants (the engine's constant cones) first: a
+     reader that rejected them would lose every later entry. *)
+  let tables =
+    [ Truthtable.const 0 false; Truthtable.const 0 true ]
+    @ List.init 64 (fun v -> Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0))
+  in
+  List.iter
+    (fun f ->
+      if Idcache.find cold f = None then
+        Idcache.record cold f (Comparison_fn.identify_exact f))
+    tables;
+  check int_ "one entry per table" 66 (Idcache.length cold);
   Idcache.finish cold;
   let warm = Idcache.create ~dir () in
-  check int_ "raw entries survive the round trip" raw_n (Idcache.length warm);
-  check int_ "npn entries survive the round trip" npn_n (Idcache.npn_length warm);
-  for v = 0 to 63 do
-    (* Every populated function must warm-hit: raw entries replay the exact
-       verdict; functions that NPN-hit during population have no raw entry
-       and must NPN-hit again, which is only sound for negatives. *)
-    let f = Truthtable.create 3 (fun m -> v land (1 lsl m) <> 0) in
-    let truth = Comparison_fn.identify_exact f in
-    match Idcache.find warm f with
-    | Idcache.Hit verdict ->
-      if verdict <> truth then Alcotest.failf "warm verdict differs for %d" v
-    | Idcache.Neg_hit ->
-      if truth <> None then Alcotest.failf "unsound warm NPN hit for %d" v
-    | Idcache.Miss _ -> Alcotest.failf "expected a warm hit for %d" v
-  done
+  check int_ "entries survive the round trip" 66 (Idcache.length warm);
+  List.iter
+    (fun f ->
+      (* Every populated function must warm-hit with its exact verdict. *)
+      match Idcache.find warm f with
+      | Some verdict ->
+        if verdict <> Comparison_fn.identify_exact f then
+          Alcotest.failf "warm verdict differs for %s" (Truthtable.to_string f)
+      | None -> Alcotest.failf "expected a warm hit for %s" (Truthtable.to_string f))
+    tables
 
 let test_disk_version_mismatch () =
   let dir = tmpdir () in
@@ -205,12 +56,36 @@ let test_disk_version_mismatch () =
   (* ...and the next append must rewrite the file, not extend it. *)
   let t = Truthtable.of_minterms 3 [ 1; 2; 3 ] in
   Id_store.append path [ Id_store.Raw (t, Comparison_fn.identify_exact t) ];
-  (match Id_store.load path with
-  | [ Id_store.Raw (t', v) ] ->
-    check bool_ "table round-trips" true (Truthtable.equal t t');
-    if v <> Comparison_fn.identify_exact t then Alcotest.fail "verdict changed"
-  | _ -> Alcotest.fail "append after mismatch did not rewrite");
-  ()
+  let expect_only_t what =
+    match Id_store.load path with
+    | [ Id_store.Raw (t', v) ] ->
+      check bool_ "table round-trips" true (Truthtable.equal t t');
+      if v <> Comparison_fn.identify_exact t then Alcotest.fail "verdict changed"
+    | _ -> Alcotest.failf "append after %s did not rewrite" what
+  in
+  expect_only_t "a version mismatch";
+  (* A version-1 store (the format before the NPN class layer went) holding
+     a checksum-valid kind-2 class record: also read as empty and
+     rewritten, never decoded. *)
+  let record =
+    let b = Buffer.create 16 in
+    Buffer.add_uint8 b 2;
+    Buffer.add_uint8 b 3;
+    Buffer.add_int64_le b (Truthtable.words t).(0);
+    Buffer.add_uint16_le b 0b101;
+    let body = Buffer.contents b in
+    let h = ref 0x811C9DC5 in
+    String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) body;
+    Buffer.add_int32_le b (Int32.of_int !h);
+    Buffer.contents b
+  in
+  let oc = open_out_bin path in
+  output_string oc "SFTIDC\x01\x00";
+  output_string oc record;
+  close_out oc;
+  check int_ "version-1 store reads as empty" 0 (List.length (Id_store.load path));
+  Id_store.append path [ Id_store.Raw (t, Comparison_fn.identify_exact t) ];
+  expect_only_t "a version-1 store"
 
 let test_disk_torn_tail () =
   let dir = tmpdir () in
@@ -291,22 +166,53 @@ let test_engine_warm_start_identity () =
   if warm <> off then Alcotest.fail "warm cached run diverges from cache-off";
   if disk_hits = 0 then Alcotest.fail "warm run never hit the disk store"
 
+(* A checksum-valid record whose spec does not denote its table (here:
+   every positive verdict of a cold run rewritten with [hi - 1]) must end
+   the valid prefix like a corrupt one: replayed, it would splice a unit
+   of the wrong function. The warm run must equal the cache-off run, and
+   its append must truncate the bad records. *)
+let test_engine_wrong_spec_record () =
+  let dir = tmpdir () in
+  let path = Id_store.file ~dir in
+  let c = random_circuit ~n_pi:6 ~n_gates:40 3 in
+  let base = { Engine.default_options with Engine.verify = `Off; domains = 1 } in
+  let off = optimize_fingerprint { base with Engine.id_cache = false } c in
+  ignore (optimize_fingerprint { base with Engine.cache_dir = Some dir } c);
+  let wrong = ref 0 in
+  let entries =
+    List.map
+      (function
+        | Id_store.Raw (t, Some s) when s.Comparison_fn.hi > s.lo ->
+          incr wrong;
+          Id_store.Raw (t, Some { s with hi = s.hi - 1 })
+        | e -> e)
+      (Id_store.load path)
+  in
+  if !wrong = 0 then Alcotest.fail "cold run recorded no rewritable positive verdict";
+  let first_wrong =
+    let rec go i = function
+      | Id_store.Raw (t, Some s) :: _ when not (Comparison_fn.check t s) -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> i
+    in
+    go 0 entries
+  in
+  Sys.remove path;
+  Id_store.append path entries;
+  check int_ "a wrong spec ends the valid prefix" first_wrong
+    (List.length (Id_store.load path));
+  let warm = optimize_fingerprint { base with Engine.cache_dir = Some dir } c in
+  if warm <> off then Alcotest.fail "warm run over a wrong spec diverges from cache-off";
+  List.iter
+    (function
+      | Id_store.Raw (t, Some s) when not (Comparison_fn.check t s) ->
+        Alcotest.fail "the warm run's append kept a wrong spec"
+      | _ -> ())
+    (Id_store.load path)
+
 (* --- qcheck ---------------------------------------------------------------- *)
 
 let arb_seed = QCheck.int_range 1 1_000_000
-
-let prop_canon_invariant_k56 =
-  QCheck.Test.make ~name:"canon is NPN-orbit-invariant at K = 5, 6" ~count:60
-    (QCheck.pair (QCheck.int_range 5 6) arb_seed)
-    (fun (n, seed) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let f = random_table rng n in
-      let c = Npn.canon f in
-      let g = Npn.apply (random_transform rng n) f in
-      let cg = Npn.canon g in
-      Truthtable.equal (Npn.apply c.Npn.tr f) c.Npn.repr
-      && Truthtable.equal cg.Npn.repr c.Npn.repr
-      && c.Npn.psi = Npn.push_phase c.Npn.tr)
 
 let prop_store_round_trip =
   QCheck.Test.make ~name:"disk entries round-trip bit-exactly" ~count:30 arb_seed
@@ -315,38 +221,20 @@ let prop_store_round_trip =
       let dir = tmpdir () in
       let path = Id_store.file ~dir in
       let entries =
-        List.init 5 (fun i ->
-            let n = 1 + Rng.int rng 6 in
-            let t = random_table rng n in
-            if i mod 2 = 0 then Id_store.Raw (t, Comparison_fn.identify_exact t)
-            else
-              let c = Npn.canon t in
-              Id_store.Npn_neg (c.Npn.repr, c.Npn.psi))
+        List.init 5 (fun _ ->
+            let t = random_table rng (Rng.int rng 7) in
+            Id_store.Raw (t, Comparison_fn.identify_exact t))
       in
       Id_store.append path entries;
       let back = Id_store.load path in
       List.length back = List.length entries
       && List.for_all2
-           (fun a b ->
-             match (a, b) with
-             | Id_store.Raw (t, v), Id_store.Raw (t', v') ->
-               Truthtable.equal t t' && v = v'
-             | Id_store.Npn_neg (t, p), Id_store.Npn_neg (t', p') ->
-               Truthtable.equal t t' && p = p'
-             | _ -> false)
+           (fun (Id_store.Raw (t, v)) (Id_store.Raw (t', v')) ->
+             Truthtable.equal t t' && v = v')
            entries back)
 
 let suite =
   [
-    Alcotest.test_case "flip matches per-minterm reference" `Quick test_flip_reference;
-    Alcotest.test_case "canon decomposes: apply tr f = repr" `Quick
-      test_canon_decomposition;
-    Alcotest.test_case "canon orbit-invariant (n=3, exhaustive)" `Quick
-      test_canon_invariance_exhaustive;
-    Alcotest.test_case "NPN class counts 2/4/14/222 (n=1..4)" `Slow
-      test_canon_class_counts;
-    Alcotest.test_case "cache sound over whole orbits (n=3)" `Slow
-      test_cache_sound_on_orbits;
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "version mismatch reads empty, append rewrites" `Quick
       test_disk_version_mismatch;
@@ -356,6 +244,8 @@ let suite =
       test_disk_corrupt_record;
     Alcotest.test_case "engine warm start: identical circuits, disk hits" `Slow
       test_engine_warm_start_identity;
+    Alcotest.test_case "wrong-spec record: warm run equals cache-off" `Slow
+      test_engine_wrong_spec_record;
   ]
 
-let qchecks = [ prop_canon_invariant_k56; prop_store_round_trip ]
+let qchecks = [ prop_store_round_trip ]
