@@ -84,9 +84,10 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
          each is re-proved against the current circuit right before its
          tie-off. An untestability proof on the current circuit justifies the
          tie-off even if earlier removals rewired the site. PODEM aborts on
-         the re-proof escalate to a fresh SAT engine (the mutations above
-         invalidate any shared encoding), whose exact verdict either
-         justifies the tie-off or returns the fault to the undecided pool. *)
+         the re-proof escalate to SAT, whose exact verdict either justifies
+         the tie-off or returns the fault to the undecided pool. The first
+         candidate meets the circuit [find_untestable] classified it on, and
+         both proofs decide the same formula, so it is always removed. *)
       List.iter
         (fun f ->
           if structurally_valid c f then
@@ -119,8 +120,8 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
               end
               else incr aborted)
         candidates);
-    (* A pass that removes nothing leaves the circuit as it was, so the next
-       pass would find the same candidates and fail on them again. *)
+    (* Only a pass without candidates removes nothing; the next pass would
+       find none either. *)
     if !removed = removed_before then continue := false
   done;
   {

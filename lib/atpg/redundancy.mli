@@ -42,8 +42,7 @@ val find_untestable :
   Circuit.t ->
   candidates
 (** Classify the collapsed faults surviving a random-pattern prefilter.
-    [sat] (default [true]) escalates PODEM aborts to {!Sat_atpg.escalate}
-    on a shared incremental solver. *)
+    [sat] (default [true]) escalates PODEM aborts to {!Sat_atpg.escalate}. *)
 
 val remove :
   ?limits:Limits.t ->
@@ -53,8 +52,13 @@ val remove :
   Circuit.t ->
   report
 (** Remove redundancies in place (the circuit is mutated and swept). Passes
-    repeat until one removes nothing: after such a pass the circuit is
-    unchanged, so another would find the same candidates again. *)
+    repeat until one removes nothing. Each candidate is re-proved on the
+    current circuit before its tie-off, with the same PODEM budget and the
+    same per-fault SAT formula that classified it, so a pass's first
+    candidate is always removed and only a pass without candidates stops
+    the loop: at exit, {!find_untestable} with the same arguments finds no
+    untestable and no SAT-redundant fault, and leaves [aborted] faults
+    unresolved. *)
 
 val make_irredundant :
   ?limits:Limits.t ->

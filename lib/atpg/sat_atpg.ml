@@ -1,8 +1,9 @@
 (* SAT-based test generation and redundancy proofs for single stuck-at
-   faults. One incremental solver holds the good circuit; each fault adds
-   only its fanout cone as a faulty copy (nodes outside the cone share the
-   good copy's literals) plus an activation-guarded miter clause, so a
-   whole escalation sweep amortises the encoding and the learned clauses. *)
+   faults. Every fault gets its own solver, holding only the fault's cone of
+   influence: the good copy of the fanin cones of the outputs its fanout
+   cone reaches, the faulty copy of the fanout cone inside them, one miter
+   clause and Larrabee's D-chain clauses. The formula depends on nothing
+   but the circuit and the fault, so every caller decides the same one. *)
 
 type outcome =
   | Test of bool array
@@ -25,27 +26,15 @@ let redundant_c =
 type t = {
   circuit : Circuit.t;
   fsim : Fsim.t;
-  sat : Sat.t;
-  env : Cnf.env;
-  node_lit : int array;  (* good-copy literal per node id *)
-  pi_vars : int array;  (* solver variable per input position *)
+  order : int array;  (* topological order of the live nodes *)
   budget : int;
 }
 
 let create ?(limits = Limits.default) c =
-  let cmp = Compiled.of_circuit c in
-  let sat = Sat.create () in
-  let env = Cnf.create sat in
-  let pi_vars = Array.map (fun _ -> Sat.new_var sat) (Circuit.inputs c) in
-  let pi_lits = Array.map Sat.lit pi_vars in
-  let node_lit = Cnf.encode_nodes env ~pi_lits c in
   {
     circuit = c;
-    fsim = Fsim.create cmp;
-    sat;
-    env;
-    node_lit;
-    pi_vars;
+    fsim = Fsim.create (Compiled.of_circuit c);
+    order = Circuit.topo_order c;
     budget = limits.Limits.sat_conflicts;
   }
 
@@ -62,52 +51,85 @@ let fanout_cone c root =
   visit root;
   mask
 
-(* Encode the faulty copy of the fault's fanout cone; returns the faulty
-   literal per node ([Cnf.no_lit] outside the cone). Fanins outside the
-   cone read the good copy's literals — structural hashing then collapses
-   everything the fault cannot influence. *)
-let encode_faulty t (f : Fault.t) mask =
-  let c = t.circuit in
-  let env = t.env in
-  let stuck_lit = if f.Fault.stuck then Cnf.ltrue env else Cnf.lfalse env in
-  let flit = Array.make (Circuit.size c) Cnf.no_lit in
-  let fanin_lit gate pin fi =
-    let base = if mask.(fi) then flit.(fi) else t.node_lit.(fi) in
-    match f.Fault.site with
-    | Fault.Branch (g, p) when g = gate && p = pin -> stuck_lit
-    | _ -> base
+(* Transitive fanin of [outputs], as a node-id mask: the cone of influence
+   when [outputs] are the outputs the fault can reach. *)
+let fanin_cones c outputs =
+  let mask = Array.make (Circuit.size c) false in
+  let rec visit id =
+    if not mask.(id) then begin
+      mask.(id) <- true;
+      Array.iter visit (Circuit.fanins c id)
+    end
   in
+  List.iter visit outputs;
+  mask
+
+(* The fault's miter over its cone of influence [coi]: good literals on
+   every [coi] node, faulty literals on [fo] ∩ [coi] (fanins outside [fo]
+   read the good copy), the plain miter clause over [reached], and the
+   D-chain: [d_v] claims that [v] carries the fault effect (good ≠ faulty)
+   on to a primary output, so for a non-output [v] some in-cone fanout does
+   too, and the unit [d_root] demands the effect at the fault site.
+   Returns the solver variable of each input position, [-1] outside the
+   cone. *)
+let encode t (f : Fault.t) ~root ~fo ~coi ~reached sat =
+  let c = t.circuit in
+  let env = Cnf.create sat in
+  let stuck = if f.Fault.stuck then Cnf.ltrue env else Cnf.lfalse env in
+  let n = Circuit.size c in
+  let good = Array.make n Cnf.no_lit and faulty = Array.make n Cnf.no_lit in
+  let pi_vars =
+    Array.map
+      (fun id ->
+        if not coi.(id) then -1
+        else begin
+          let v = Sat.new_var sat in
+          good.(id) <- Sat.lit v;
+          v
+        end)
+      (Circuit.inputs c)
+  in
+  let faulty_fanin id pin x =
+    if f.Fault.site = Fault.Branch (id, pin) then stuck
+    else if fo.(x) then faulty.(x)
+    else good.(x)
+  in
+  let cone = ref [] in
   Array.iter
     (fun id ->
-      if mask.(id) then
-        flit.(id) <-
-          (match f.Fault.site with
-          | Fault.Stem u when u = id -> stuck_lit
-          | _ -> (
-            match Circuit.kind c id with
-            | Gate.Input -> t.node_lit.(id)
-            | Gate.Const0 -> Cnf.lfalse env
-            | Gate.Const1 -> Cnf.ltrue env
-            | kind ->
-              let fins = Circuit.fanins c id in
-              let args =
-                Array.to_list (Array.mapi (fun pin fi -> fanin_lit id pin fi) fins)
-              in
-              (match kind with
-              | Gate.Buf -> List.hd args
-              | Gate.Not -> Sat.neg (List.hd args)
-              | Gate.And -> Cnf.and_lits env args
-              | Gate.Or -> Cnf.or_lits env args
-              | Gate.Nand -> Sat.neg (Cnf.and_lits env args)
-              | Gate.Nor -> Sat.neg (Cnf.or_lits env args)
-              | Gate.Xor -> Cnf.xor_lits env args
-              | Gate.Xnor -> Sat.neg (Cnf.xor_lits env args)
-              | Gate.Input | Gate.Const0 | Gate.Const1 -> assert false))))
-    (Circuit.topo_order c);
-  flit
-
-let decode_model t =
-  Array.map (fun v -> Sat.value t.sat v) t.pi_vars
+      if coi.(id) then begin
+        let fins = Circuit.fanins c id in
+        let kind = Circuit.kind c id in
+        if kind <> Gate.Input then
+          good.(id) <- Cnf.encode_kind env kind (Array.map (fun x -> good.(x)) fins);
+        if fo.(id) then begin
+          cone := id :: !cone;
+          faulty.(id) <-
+            (if f.Fault.site = Fault.Stem id then stuck
+             else Cnf.encode_kind env kind (Array.mapi (faulty_fanin id) fins))
+        end
+      end)
+    t.order;
+  Sat.add_clause sat
+    (Array.of_list
+       (List.map (fun o -> Cnf.xor_lits env [ good.(o); faulty.(o) ]) reached));
+  let d = Array.make n Cnf.no_lit in
+  List.iter (fun v -> d.(v) <- Sat.lit (Sat.new_var sat)) !cone;
+  List.iter
+    (fun v ->
+      let dv = d.(v) in
+      Sat.add_clause sat [| Sat.neg dv; good.(v); faulty.(v) |];
+      Sat.add_clause sat [| Sat.neg dv; Sat.neg good.(v); Sat.neg faulty.(v) |];
+      if not (Circuit.is_output c v) then
+        Sat.add_clause sat
+          (Array.of_list
+             (Sat.neg dv
+             :: List.filter_map
+                  (fun w -> if coi.(w) then Some d.(w) else None)
+                  (Circuit.fanouts c v))))
+    !cone;
+  Sat.add_clause sat [| d.(root) |];
+  pi_vars
 
 (* Replay a SAT test vector through the fault simulator; the solver must
    never fabricate a detecting vector the simulator rejects. *)
@@ -124,48 +146,36 @@ let run t (f : Fault.t) =
       let root =
         match f.Fault.site with Fault.Stem u -> u | Fault.Branch (g, _) -> g
       in
-      let mask = fanout_cone c root in
-      let flit = encode_faulty t f mask in
-      let diffs =
-        Array.to_list (Circuit.outputs c)
-        |> List.filter_map (fun o ->
-               if not mask.(o) then None
-               else
-                 let d = Cnf.xor_lits t.env [ t.node_lit.(o); flit.(o) ] in
-                 if d = Cnf.lfalse t.env then None else Some d)
-      in
+      let fo = fanout_cone c root in
+      let reached = List.filter (fun o -> fo.(o)) (Array.to_list (Circuit.outputs c)) in
       let journal outcome =
         if Obs.Journal.enabled () then
           Obs.Journal.emit "sat_escalation"
             (Fault.journal_fields f
             @ [ ("outcome", Obs_json.String outcome) ])
       in
-      match diffs with
-      | [] ->
-        (* Every reachable output hashes to its good-copy literal: the
-           fault provably never changes a primary output. *)
+      let redundant () =
         Obs.Counter.incr redundant_c;
         journal "redundant";
         Redundant
-      | _ ->
-        let act = Sat.lit (Sat.new_var t.sat) in
-        Sat.add_clause t.sat (Array.of_list (Sat.neg act :: diffs));
+      in
+      match reached with
+      | [] -> redundant ()
+      | _ -> (
+        let sat = Sat.create () in
+        let coi = fanin_cones c reached in
+        let pi_vars = encode t f ~root ~fo ~coi ~reached sat in
         let options =
           { Sat.Options.default with Sat.Options.budget = Some t.budget }
         in
-        let result = Sat.solve_assuming ~options t.sat [| act |] in
-        (* Retire the miter either way: later queries must not pay for it. *)
-        Sat.add_clause t.sat [| Sat.neg act |];
-        (match result with
+        match Sat.solve ~options sat with
         | Sat.Sat ->
-          let vec = decode_model t in
+          (* Inputs outside the cone cannot affect a reached output: 0. *)
+          let vec = Array.map (fun v -> v >= 0 && Sat.value sat v) pi_vars in
           validate_test t f vec;
           journal "test";
           Test vec
-        | Sat.Unsat ->
-          Obs.Counter.incr redundant_c;
-          journal "redundant";
-          Redundant
+        | Sat.Unsat -> redundant ()
         | Sat.Unknown ->
           Obs.Trace.instant ~cat:"atpg" "atpg.sat_budget_exhausted";
           journal "unknown";

@@ -2,22 +2,35 @@
     faults.
 
     The escalation tier above {!Podem}: where PODEM's bounded search answers
-    [Aborted], this module gives an exact verdict by encoding the fault
-    miter into the incremental {!Sat} solver. The good circuit is encoded
-    once per engine; for each fault only the {e fanout cone} of the fault
-    site is re-encoded as a faulty copy, reading the good copy's literals
-    for every fanin outside the cone — {!Cnf}'s structural hashing then
-    collapses all logic the fault cannot influence, so the per-fault miter
-    is proportional to the cone, not the circuit. Output differences are
-    XOR-ed, guarded behind a fresh activation literal, decided with
-    {!Sat.solve_assuming} and retired with a unit clause, which lets one
-    solver carry learned clauses across a whole fault list.
+    [Aborted], this module gives an exact verdict by deciding the fault
+    miter with the {!Sat} solver. Every fault gets a fresh solver holding
+    only its {e cone of influence} — the fanin cones of the primary outputs
+    the fault site's fanout cone reaches:
+
+    - the good copy of every node in that cone;
+    - a faulty copy of the fanout cone inside it, whose fanins outside the
+      fanout cone read the good copy's literals ({!Cnf.encode_kind} encodes
+      both copies, so logic the fault cannot change hashes to shared
+      literals);
+    - one plain miter clause: some reached output differs;
+    - Larrabee's D-chain clauses: a variable [d_v] per faulty-copy node,
+      with [d_v → good_v ≠ faulty_v], [d_v → ∨ d_w] over the in-cone
+      fanouts [w] of a non-output [v], and the unit clause [d_root] at the
+      fault site (the gate of a branch fault).
+
+    The formula is a function of the circuit and the fault alone, so
+    {!escalate}, [Redundancy.find_untestable] and the re-proofs inside
+    [Redundancy.remove] decide the same formula for the same fault and
+    reach the same verdict. A fault whose fanout cone reaches no output is
+    [Redundant] without a solver.
 
     Soundness is asymmetric, mirroring [Cec]: a [Sat] model is decoded into
-    an input vector and replayed through {!Fsim} — a detecting vector is
-    never reported on the solver's word alone (a disagreement raises
-    [Failure]) — while [Redundant] rests on the UNSAT proof, which the test
-    suite cross-checks against exhaustive simulation on small circuits.
+    an input vector (inputs outside the cone set to 0) and replayed through
+    {!Fsim} — a detecting vector is never reported on the solver's word
+    alone (a disagreement raises [Failure]) — while [Redundant] rests on
+    the UNSAT proof: the D-chain clauses are implied by any test (DESIGN.md
+    §14), and the test suite cross-checks the verdicts against exhaustive
+    simulation and a reference miter without them.
 
     Observability (when enabled): counters [atpg.sat_escalations],
     [atpg.sat_redundant] (plus the solver's own [sat.conflicts] and
@@ -34,19 +47,16 @@ type outcome =
 val pp_outcome : Format.formatter -> outcome -> unit
 
 type t
-(** A per-circuit escalation engine: one incremental solver holding the
-    good-circuit CNF, the structural-hash environment and a fault simulator
-    for replay. Single-owner mutable state; invalidated if the circuit is
-    mutated after {!create}. *)
+(** A per-circuit escalation context: the circuit's topological order, the
+    conflict budget and a fault simulator for replay. Single-owner mutable
+    state; invalidated if the circuit is mutated after {!create}. *)
 
 val create : ?limits:Limits.t -> Circuit.t -> t
-(** Encode the (unmodified) circuit once. [limits.sat_conflicts] becomes
-    the per-fault conflict budget. *)
+(** Prepare escalation on the (unmodified) circuit. [limits.sat_conflicts]
+    becomes the per-fault conflict budget. *)
 
 val run : t -> Fault.t -> outcome
-(** Decide one fault on the shared engine. Cheap to call repeatedly: each
-    call adds the fault's cone and one activation variable, and retires the
-    miter afterwards. *)
+(** Decide one fault on a solver built for it and dropped afterwards. *)
 
 type escalation = {
   escalated : int;  (** faults submitted *)
@@ -57,5 +67,5 @@ type escalation = {
 }
 
 val escalate : ?limits:Limits.t -> Circuit.t -> Fault.t list -> escalation
-(** Run every fault through one shared engine (created only when the list
-    is non-empty); result lists preserve the input order. *)
+(** {!run} every fault on one {!t} (created only when the list is
+    non-empty); result lists preserve the input order. *)

@@ -114,30 +114,16 @@ let cone c root =
 (* Encode just the cone of [root]; returns its literal. *)
 let encode_cone env ~pi_lits ~order ~input_pos c root =
   let mask = cone c root in
-  let node_lit = Array.make (Circuit.size c) min_int in
+  let node_lit = Array.make (Circuit.size c) Cnf.no_lit in
   Array.iter
     (fun id ->
       if mask.(id) then
         node_lit.(id) <-
           (match Circuit.kind c id with
           | Gate.Input -> pi_lits.(input_pos.(id))
-          | Gate.Const0 -> Cnf.lfalse env
-          | Gate.Const1 -> Cnf.ltrue env
           | kind ->
-            let args =
-              Array.to_list
-                (Array.map (fun f -> node_lit.(f)) (Circuit.fanins c id))
-            in
-            (match kind with
-            | Gate.Buf -> List.hd args
-            | Gate.Not -> Sat.neg (List.hd args)
-            | Gate.And -> Cnf.and_lits env args
-            | Gate.Or -> Cnf.or_lits env args
-            | Gate.Nand -> Sat.neg (Cnf.and_lits env args)
-            | Gate.Nor -> Sat.neg (Cnf.or_lits env args)
-            | Gate.Xor -> Cnf.xor_lits env args
-            | Gate.Xnor -> Sat.neg (Cnf.xor_lits env args)
-            | Gate.Input | Gate.Const0 | Gate.Const1 -> assert false)))
+            Cnf.encode_kind env kind
+              (Array.map (fun f -> node_lit.(f)) (Circuit.fanins c id))))
     order;
   node_lit.(root)
 

@@ -81,132 +81,137 @@ let load path =
       match (str_field "ev" h, int_field "journal_version" h) with
       | Some "journal_begin", Some v when v = supported_version ->
         let cmd = Option.value ~default:"?" (str_field "cmd" h) in
-        let run =
-          ref
-            {
-              path;
-              cmd;
-              events = 0;
-              dropped = 0;
-              truncated = true;
-              wall_s = 0.;
-              counters = [];
-              spans = Hashtbl.create 16;
-              tallies = Hashtbl.create 16;
-              accepts = 0;
-              rollbacks = 0;
-              gain = 0;
-              samples = 0;
-              minor_words = 0.;
-              major_words = 0.;
-              compactions = 0;
-              peak_rss_kb = 0;
-            }
+        let empty =
+          {
+            path;
+            cmd;
+            events = 0;
+            dropped = 0;
+            truncated = true;
+            wall_s = 0.;
+            counters = [];
+            spans = Hashtbl.create 16;
+            tallies = Hashtbl.create 16;
+            accepts = 0;
+            rollbacks = 0;
+            gain = 0;
+            samples = 0;
+            minor_words = 0.;
+            major_words = 0.;
+            compactions = 0;
+            peak_rss_kb = 0;
+          }
         in
-        let stop = ref false in
-        List.iter
-          (fun line ->
-            if not !stop then
-              match Obs_json.parse line with
-              | Error _ -> stop := true (* torn tail: keep what we have *)
-              | Ok j -> (
-                let r = !run in
-                match str_field "ev" j with
-                | None -> stop := true
-                | Some "journal_end" ->
-                  let counters =
-                    match Obs_json.member "counters" j with
-                    | Some (Obs_json.Obj kvs) ->
-                      List.filter_map
-                        (fun (k, v) ->
-                          match v with
-                          | Obs_json.Int n -> Some (k, n)
-                          | _ -> None)
-                        kvs
-                    | _ -> []
-                  in
-                  run :=
+        (* [read n] starts at line [n] of the file. Only the final line may
+           be cut short (a crash mid-write): an unparseable line
+           anywhere else, a line with no event kind, or anything after the
+           footer means the file was damaged, and a report built from the
+           lines before it would pass for the whole run. *)
+        let bad n msg = Error (Printf.sprintf "%s: line %d: %s" path n msg) in
+        let rec read n r = function
+          | [] -> Ok r
+          | line :: more -> (
+            match Obs_json.parse line with
+            | Error _ when more = [] -> Ok r (* torn tail: keep what we have *)
+            | Error msg -> bad n ("unparseable event: " ^ msg)
+            | Ok j -> (
+              match str_field "ev" j with
+              | None -> bad n "event without an \"ev\" kind"
+              | Some "journal_end" ->
+                let counters =
+                  match Obs_json.member "counters" j with
+                  | Some (Obs_json.Obj kvs) ->
+                    List.filter_map
+                      (fun (k, v) ->
+                        match v with
+                        | Obs_json.Int n -> Some (k, n)
+                        | _ -> None)
+                      kvs
+                  | _ -> []
+                in
+                if more <> [] then bad (n + 1) "content after the journal_end footer"
+                else
+                  Ok
                     {
                       r with
                       truncated = false;
                       dropped = Option.value ~default:0 (int_field "dropped" j);
                       wall_s = Option.value ~default:r.wall_s (float_field "wall_s" j);
                       counters;
-                    };
-                  stop := true
-                | Some kind ->
-                  let r = { r with events = r.events + 1 } in
-                  (* Truncated runs have no footer: keep the high-water
-                     timestamp as a wall-time stand-in. *)
-                  let r =
-                    match float_field "ts" j with
-                    | Some ts when ts > r.wall_s -> { r with wall_s = ts }
-                    | _ -> r
-                  in
-                  let r =
-                    match kind with
-                    | "span" ->
-                      let name = Option.value ~default:"?" (str_field "name" j) in
-                      let dur = Option.value ~default:0. (float_field "dur_s" j) in
-                      let calls, wall =
-                        Option.value ~default:(0, 0.)
-                          (Hashtbl.find_opt r.spans name)
-                      in
-                      Hashtbl.replace r.spans name (calls + 1, wall +. dur);
-                      r
-                    | "runtime_sample" ->
-                      {
-                        r with
-                        samples = r.samples + 1;
-                        minor_words =
-                          r.minor_words
-                          +. Option.value ~default:0. (float_field "minor_words_d" j);
-                        major_words =
-                          r.major_words
-                          +. Option.value ~default:0. (float_field "major_words_d" j);
-                        compactions =
-                          r.compactions
-                          + Option.value ~default:0 (int_field "compactions_d" j);
-                        peak_rss_kb =
-                          max r.peak_rss_kb
-                            (Option.value ~default:0 (int_field "maxrss_kb" j));
-                      }
-                    | "splice_accept" ->
-                      {
-                        r with
-                        accepts = r.accepts + 1;
-                        gain = r.gain + Option.value ~default:0 (int_field "gain" j);
-                      }
-                    | "splice_rollback" -> { r with rollbacks = r.rollbacks + 1 }
-                    | "identify" ->
-                      let src = Option.value ~default:"?" (str_field "src" j) in
-                      bump r.tallies ("identify/" ^ src) 1;
-                      (match Obs_json.member "verdict" j with
-                      | Some (Obs_json.Bool true) ->
-                        bump r.tallies ("identify_pos/" ^ src) 1
-                      | _ -> ());
-                      r
-                    | "sat_escalation" ->
-                      let o = Option.value ~default:"?" (str_field "outcome" j) in
-                      bump r.tallies ("sat_escalation/" ^ o) 1;
-                      r
-                    | "cec_check" ->
-                      let v = Option.value ~default:"?" (str_field "verdict" j) in
-                      bump r.tallies ("cec_check/" ^ v) 1;
-                      r
-                    | "redundancy_proof" ->
-                      let m = Option.value ~default:"?" (str_field "method" j) in
-                      bump r.tallies ("redundancy_proof/" ^ m) 1;
-                      r
-                    | kind ->
-                      (* podem_abort, commit_flush, cec_unknown, and any
-                         event kind a newer writer may add. *)
-                      bump r.tallies kind 1;
-                      r
-                  in
-                  run := r))
-          rest;
-        Ok !run
+                    }
+              | Some kind ->
+                let r = { r with events = r.events + 1 } in
+                (* Truncated runs have no footer: keep the high-water
+                   timestamp as a wall-time stand-in. *)
+                let r =
+                  match float_field "ts" j with
+                  | Some ts when ts > r.wall_s -> { r with wall_s = ts }
+                  | _ -> r
+                in
+                let r =
+                  match kind with
+                  | "span" ->
+                    let name = Option.value ~default:"?" (str_field "name" j) in
+                    let dur = Option.value ~default:0. (float_field "dur_s" j) in
+                    let calls, wall =
+                      Option.value ~default:(0, 0.)
+                        (Hashtbl.find_opt r.spans name)
+                    in
+                    Hashtbl.replace r.spans name (calls + 1, wall +. dur);
+                    r
+                  | "runtime_sample" ->
+                    {
+                      r with
+                      samples = r.samples + 1;
+                      minor_words =
+                        r.minor_words
+                        +. Option.value ~default:0. (float_field "minor_words_d" j);
+                      major_words =
+                        r.major_words
+                        +. Option.value ~default:0. (float_field "major_words_d" j);
+                      compactions =
+                        r.compactions
+                        + Option.value ~default:0 (int_field "compactions_d" j);
+                      peak_rss_kb =
+                        max r.peak_rss_kb
+                          (Option.value ~default:0 (int_field "maxrss_kb" j));
+                    }
+                  | "splice_accept" ->
+                    {
+                      r with
+                      accepts = r.accepts + 1;
+                      gain = r.gain + Option.value ~default:0 (int_field "gain" j);
+                    }
+                  | "splice_rollback" -> { r with rollbacks = r.rollbacks + 1 }
+                  | "identify" ->
+                    let src = Option.value ~default:"?" (str_field "src" j) in
+                    bump r.tallies ("identify/" ^ src) 1;
+                    (match Obs_json.member "verdict" j with
+                    | Some (Obs_json.Bool true) ->
+                      bump r.tallies ("identify_pos/" ^ src) 1
+                    | _ -> ());
+                    r
+                  | "sat_escalation" ->
+                    let o = Option.value ~default:"?" (str_field "outcome" j) in
+                    bump r.tallies ("sat_escalation/" ^ o) 1;
+                    r
+                  | "cec_check" ->
+                    let v = Option.value ~default:"?" (str_field "verdict" j) in
+                    bump r.tallies ("cec_check/" ^ v) 1;
+                    r
+                  | "redundancy_proof" ->
+                    let m = Option.value ~default:"?" (str_field "method" j) in
+                    bump r.tallies ("redundancy_proof/" ^ m) 1;
+                    r
+                  | kind ->
+                    (* podem_abort, commit_flush, cec_unknown, and any
+                       event kind a newer writer may add. *)
+                    bump r.tallies kind 1;
+                    r
+                in
+                read (n + 1) r more))
+        in
+        read 2 empty rest
       | Some "journal_begin", Some v ->
         Error (Printf.sprintf "%s: unsupported journal_version %d" path v)
       | _ -> Error (Printf.sprintf "%s: not a journal (no journal_begin)" path)))
@@ -282,7 +287,9 @@ let render t =
          t.samples t.minor_words t.major_words t.compactions
          (Table.int t.peak_rss_kb));
   let f = funnel t in
-  if f.candidates + f.identified + f.verified + f.committed > 0 then
+  (* Without the footer's counters a funnel would start from zeros. *)
+  if (not t.truncated) && f.candidates + f.identified + f.verified + f.committed > 0
+  then
     Buffer.add_string b
       (Printf.sprintf
          "funnel: %s candidates -> %s identified -> %s verified -> %s committed (gain %s)%s\n"

@@ -7,7 +7,8 @@
     from [span] events, GC/RSS movement from [runtime_sample] events, the
     decision funnel, cache-effectiveness and SAT-escalation tallies.
     Truncated journals (crashed run, no footer) still load — [truncated]
-    is set and footer-derived fields fall back to zero.
+    is set, footer-derived fields fall back to zero and {!render} prints
+    no funnel line.
 
     {b Decision funnel.} [candidates] is every cut enumerated by the
     engine (counter [engine.candidates]); [identified] the subset whose
@@ -36,8 +37,11 @@ type t
 val load : string -> (t, string) result
 (** [load path] parses the journal at [path]. [Error] when the file is
     unreadable, does not start with a [journal_begin] header, or carries a
-    [journal_version] this reader does not understand. A parse failure
-    {e after} the header marks the run [truncated] instead of failing. *)
+    [journal_version] this reader does not understand; [Error "PATH: line
+    N: ..."] when line [N] is unparseable but not the last line, is an
+    event without an [ev] kind, or follows the [journal_end] footer. Only
+    an unparseable {e final} line is a torn tail: the lines before it load
+    and the run is marked [truncated]. *)
 
 val path : t -> string
 (** The file the journal was loaded from. *)

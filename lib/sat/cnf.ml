@@ -99,10 +99,10 @@ let encode_kind env kind args =
   | Gate.Xor -> xor_lits env args
   | Gate.Xnor -> Sat.neg (xor_lits env args)
 
-let encode_nodes env ~pi_lits c =
+let encode env ~pi_lits c =
   let inputs = Circuit.inputs c in
   if Array.length pi_lits < Array.length inputs then
-    invalid_arg "Cnf.encode_nodes: not enough input literals";
+    invalid_arg "Cnf.encode: not enough input literals";
   let node_lit = Array.make (Circuit.size c) no_lit in
   Array.iteri (fun j id -> node_lit.(id) <- pi_lits.(j)) inputs;
   Array.iter
@@ -113,8 +113,4 @@ let encode_nodes env ~pi_lits c =
         let args = Array.map (fun f -> node_lit.(f)) (Circuit.fanins c id) in
         node_lit.(id) <- encode_kind env kind args)
     (Circuit.topo_order c);
-  node_lit
-
-let encode env ~pi_lits c =
-  let node_lit = encode_nodes env ~pi_lits c in
   Array.map (fun o -> node_lit.(o)) (Circuit.outputs c)

@@ -11,8 +11,8 @@
     environment collapses their shared logic to shared variables. This is
     what makes per-replacement miters in the resynthesis engine cheap, and
     what lets {!Sat_atpg} encode a faulty cone against the good circuit —
-    the untouched cone of both copies maps to the {e same} literals and
-    drops out of the problem entirely. *)
+    logic the fault cannot change maps to the {e same} literals in both
+    copies. *)
 
 type env
 (** An encoding environment: a solver plus the structural-hash table and the
@@ -32,8 +32,8 @@ val lfalse : env -> int
 (** Negation of {!ltrue}. *)
 
 val no_lit : int
-(** Sentinel ([min_int]) marking a node with no encoded literal in the map
-    returned by {!encode_nodes}. *)
+(** Sentinel ([min_int]) for "no literal encoded": callers that keep a
+    per-node literal map fill the nodes they did not encode with it. *)
 
 val and_lits : env -> int list -> int
 (** Conjunction of literals: folds constants, deduplicates, recognises
@@ -46,17 +46,17 @@ val or_lits : env -> int list -> int
 val xor_lits : env -> int list -> int
 (** Parity of the literals (the netlist semantics of k-ary [Xor]). *)
 
-val encode_nodes : env -> pi_lits:int array -> Circuit.t -> int array
-(** Encode a whole circuit and expose the structural-hash node map:
-    [pi_lits.(j)] is the literal driving primary input [j] (indexed like
-    {!Circuit.inputs}); the result maps every node id of the circuit to its
-    encoded literal ({!no_lit} for dead nodes that are never reached from
-    the topological order). This is the hook that lets callers pin circuit
-    nodes to solver variables — e.g. to assert fault-site values or build
-    miters over internal nets. The circuit is not modified. Raises
-    [Invalid_argument] if [pi_lits] is shorter than the circuit's input
-    list. *)
+val encode_kind : env -> Gate.kind -> int array -> int
+(** The literal of one gate of kind [kind] over the fanin literals [args]
+    (in pin order): [Buf]/[Not] pass [args.(0)] through, [And]/[Or]/[Xor]
+    and their inversions go through {!and_lits}/{!or_lits}/{!xor_lits},
+    the constants return {!lfalse}/{!ltrue}. This is the one gate-kind
+    encoder; every circuit encoding builds on it. Raises [Invalid_argument]
+    on [Input], whose literal is the caller's choice. *)
 
 val encode : env -> pi_lits:int array -> Circuit.t -> int array
-(** Like {!encode_nodes} but returns one literal per primary output
-    (indexed like {!Circuit.outputs}). *)
+(** Encode a whole circuit and return one literal per primary output
+    (indexed like {!Circuit.outputs}). [pi_lits.(j)] is the literal driving
+    primary input [j] (indexed like {!Circuit.inputs}). The circuit is not
+    modified. Raises [Invalid_argument] if [pi_lits] is shorter than the
+    circuit's input list. *)

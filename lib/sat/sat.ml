@@ -1,9 +1,8 @@
 (* Incremental CDCL SAT solver: two-watched literals, first-UIP learning,
    VSIDS-lite activities on a binary max-heap, phase saving, Luby restarts.
-   Solver state survives across [solve]/[solve_assuming] calls: after every
-   call the trail is rolled back to decision level 0 and learned clauses are
-   retained, so assumption-based queries amortise both the CNF and the
-   conflict analysis done by earlier queries. *)
+   Solver state survives across [solve] calls: after every call the trail is
+   rolled back to decision level 0 and learned clauses are retained, so
+   clauses may be added between calls. *)
 
 let conflicts_c = Obs.Counter.make ~help:"SAT conflicts" "sat.conflicts"
 
@@ -465,14 +464,6 @@ let decide t =
     true
   end
 
-(* Open a fresh (possibly empty) decision level. Assumptions get one level
-   each, so the level of an assumption equals its index + 1 and backjumps
-   land between assumptions without forgetting the earlier ones. *)
-let push_level t =
-  t.trail_lim <- grow_int t.trail_lim (t.levels + 1) 0;
-  t.trail_lim.(t.levels) <- t.trail_size;
-  t.levels <- t.levels + 1
-
 let seed_phases t seed =
   if t.seeded_upto < t.nvars then begin
     for v = t.seeded_upto to t.nvars - 1 do
@@ -498,8 +489,8 @@ let save_model t =
   if Array.length t.model < t.nvars then t.model <- Array.make t.nvars 0;
   Array.blit t.assign 0 t.model 0 t.nvars
 
-let solve_assuming ?(options = Options.default) t assumptions =
-  if t.levels <> 0 then invalid_arg "Sat.solve_assuming: mid-solve";
+let solve ?(options = Options.default) t =
+  if t.levels <> 0 then invalid_arg "Sat.solve: mid-solve";
   if not t.ok then Unsat
   else begin
     let limit =
@@ -508,7 +499,6 @@ let solve_assuming ?(options = Options.default) t assumptions =
     if options.Options.seed <> 0L then seed_phases t options.Options.seed;
     let start_conflicts = t.n_conflicts in
     let start_propagations = t.n_propagations in
-    let n_assumed = Array.length assumptions in
     let result = ref None in
     let restart_no = ref 0 in
     let restart_left = ref (options.Options.restart_base * luby 0) in
@@ -534,23 +524,6 @@ let solve_assuming ?(options = Options.default) t assumptions =
           decay t
         end
       end
-      else if t.levels < n_assumed then begin
-        (* Re-establish the next assumption as a decision. Each assumption
-           opens its own level even when already implied, so assumption i
-           always sits at level i + 1. *)
-        let p = assumptions.(t.levels) in
-        match lit_value t p with
-        | 0 ->
-          (* The prefix of assumptions (plus the problem clauses) forces
-             this one false: unsat under assumptions, but the instance
-             itself stays alive. *)
-          result := Some Unsat
-        | 1 -> push_level t
-        | _ ->
-          push_level t;
-          t.n_decisions <- t.n_decisions + 1;
-          enqueue t p (-1)
-      end
       else if !restart_left <= 0 then begin
         incr restart_no;
         restart_left := options.Options.restart_base * luby !restart_no;
@@ -569,5 +542,4 @@ let solve_assuming ?(options = Options.default) t assumptions =
     match !result with Some r -> r | None -> assert false
   end
 
-let solve ?options t = solve_assuming ?options t [||]
 let value t v = t.model.(v) = 1

@@ -5,16 +5,17 @@
     with non-chronological backjumping, VSIDS-style decaying variable
     activities (binary max-heap), phase saving and Luby-sequence restarts.
     No preprocessing and no learned-clause deletion — the CNFs produced by
-    {!Cnf} for miters are small and heavily structurally shared, and the
-    conflict budget bounds memory growth.
+    {!Cnf} for miters are small and heavily structurally shared, every
+    caller builds a fresh solver per query, and the conflict budget bounds
+    memory growth.
 
-    The solver is {e incremental}: after every {!solve} or {!solve_assuming}
-    call the trail is rolled back to decision level 0 while learned clauses,
-    variable activities and saved phases are retained, so clauses may be
-    added between calls and a sequence of assumption-based queries on one
-    solver amortises all earlier work. Satisfying assignments are copied
-    into a separate model the rollback does not disturb; read them with
-    {!value}.
+    The solver is {e incremental} only in the plain sense: after every
+    {!solve} call the trail is rolled back to decision level 0 while learned
+    clauses, variable activities and saved phases are retained, so clauses
+    may be added between calls and a later call starts from what earlier
+    ones learned. There are no assumptions: a query that must be retired
+    belongs in its own solver. Satisfying assignments are copied into a
+    separate model the rollback does not disturb; read them with {!value}.
 
     Variables are dense non-negative integers handed out by {!new_var}.
     Literals are integers [2*v] (positive) and [2*v + 1] (negated); use
@@ -67,26 +68,18 @@ val add_clause : t -> int array -> unit
     duplicate literals merged; an empty clause (or a contradicting pair of
     unit clauses) makes the instance trivially unsatisfiable. Clauses may
     be added at creation time or between solver calls — the solver is
-    always at decision level 0 outside {!solve}/{!solve_assuming}. *)
+    always at decision level 0 outside {!solve}. *)
 
 type outcome =
   | Sat  (** A satisfying assignment exists; read it with {!value}. *)
-  | Unsat  (** Proved unsatisfiable (under the assumptions, if any). *)
+  | Unsat  (** Proved unsatisfiable. *)
   | Unknown  (** Conflict budget exhausted before a verdict. *)
 
 val solve : ?options:Options.t -> t -> outcome
-(** Run the CDCL loop with no assumptions. Equivalent to
-    [solve_assuming t [||]]. *)
-
-val solve_assuming : ?options:Options.t -> t -> int array -> outcome
-(** [solve_assuming t lits] decides satisfiability with every literal of
-    [lits] held true. Assumptions are planted as decisions at levels
-    [1..n], re-established after restarts and backjumps, so [Unsat] here
-    means "unsatisfiable {e under these assumptions}" and leaves the
-    instance usable — only a conflict at level 0 marks the instance
-    permanently unsatisfiable. On return (any outcome) the solver is back
-    at decision level 0 with learned clauses retained; a [Sat] model is
-    saved for {!value} before the rollback. *)
+(** Run the CDCL loop. [Unsat] is permanent: a conflict at decision level 0
+    leaves the instance unsatisfiable for every later call. On return (any
+    outcome) the solver is back at decision level 0 with learned clauses
+    retained; a [Sat] model is saved for {!value} before the rollback. *)
 
 val value : t -> int -> bool
 (** Model value of a variable, from the most recent call that returned

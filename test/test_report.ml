@@ -107,6 +107,34 @@ let test_run_report_truncated () =
       check bool_ "funnel vacuously ok without footer" true
         (Run_report.funnel_ok r))
 
+let test_run_report_corrupt_middle_line () =
+  (* One damaged line mid-file: the loader must name it instead of
+     reporting the lines before it as a truncated run. *)
+  let damaged = List.mapi (fun i l -> if i = 2 then {|{"ev":"identify","seq":2,|} else l) body in
+  with_journal
+    ((header :: damaged) @ [ footer ~candidates:50 ~identified:10 ])
+    (fun path ->
+      match Run_report.load path with
+      | Error msg ->
+        check bool_ "error names the file and line" true
+          (contains ~affix:(path ^ ": line 4:") msg)
+      | Ok _ -> Alcotest.fail "loaded a journal with a corrupt middle line");
+  with_journal
+    ((header :: body) @ [ footer ~candidates:50 ~identified:10; List.hd body ])
+    (fun path ->
+      match Run_report.load path with
+      | Error msg -> check bool_ "line after the footer named" true (contains ~affix:"line 8:" msg)
+      | Ok _ -> Alcotest.fail "loaded a journal with content after its footer")
+
+let test_run_report_torn_tail () =
+  (* A crash mid-write cuts the last line short: still a truncated run,
+     rendered without a funnel built from zeroed counters. *)
+  with_journal ((header :: body) @ [ {|{"ev":"splice_acc|} ]) (fun path ->
+      let r = load_ok path in
+      check bool_ "truncated flagged" true (Run_report.truncated r);
+      check int_ "complete events counted" 5 (Run_report.events r);
+      check bool_ "no funnel line" false (contains ~affix:"funnel" (Run_report.render r)))
+
 let test_run_report_rejects_non_journal () =
   with_journal [ {|{"not":"a journal"}|} ] (fun path ->
       match Run_report.load path with
@@ -151,6 +179,8 @@ let suite =
     ("run report: load and funnel", `Quick, test_run_report_load_and_funnel);
     ("run report: funnel violation", `Quick, test_run_report_funnel_violation);
     ("run report: truncated journal", `Quick, test_run_report_truncated);
+    ("run report: corrupt middle line", `Quick, test_run_report_corrupt_middle_line);
+    ("run report: torn tail", `Quick, test_run_report_torn_tail);
     ("run report: rejects non-journals", `Quick, test_run_report_rejects_non_journal);
     ("run report: json schema and diff", `Quick, test_run_report_json_and_diff);
   ]

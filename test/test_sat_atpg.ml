@@ -1,11 +1,11 @@
-(* SAT-powered ATPG: incremental-solver semantics, fault-miter soundness
-   and exact redundancy proofs.
+(* SAT-powered ATPG: solver semantics, fault-miter soundness and exact
+   redundancy proofs.
 
    Verdicts are cross-validated against the fault simulator in both
    directions: every Test vector must detect its fault under Fsim (also
    enforced internally by Sat_atpg.run), and Redundant verdicts are
    compared with exhaustive simulation of all 2^n input vectors on small
-   circuits. *)
+   circuits and with the reference miter of [Ref_sat_atpg] on larger ones. *)
 
 open Helpers
 
@@ -22,74 +22,31 @@ let detectable_exhaustive c f =
   done;
   !found
 
-(* --- incremental solver semantics ----------------------------------------- *)
+(* --- solver ------------------------------------------------------------------ *)
 
-let test_solve_assuming_basics () =
+(* Clauses added between calls constrain the next call; a top-level
+   contradiction is permanent. *)
+let test_solve_basics () =
   let s = Sat.create () in
   let a = Sat.new_var s and b = Sat.new_var s in
   Sat.add_clause s [| Sat.lit a; Sat.lit b |];
-  (* Assuming ~a forces b. *)
-  (match Sat.solve_assuming s [| Sat.neg (Sat.lit a) |] with
-  | Sat.Sat ->
-    check bool_ "a false under assumption" false (Sat.value s a);
-    check bool_ "b true under assumption" true (Sat.value s b)
-  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "expected SAT under ~a");
-  (* Assuming ~a and ~b contradicts the clause — but only under the
-     assumptions: the instance itself stays alive. *)
-  (match Sat.solve_assuming s [| Sat.neg (Sat.lit a); Sat.neg (Sat.lit b) |] with
-  | Sat.Unsat -> ()
-  | Sat.Sat | Sat.Unknown -> Alcotest.fail "expected UNSAT under ~a ~b");
   (match Sat.solve s with
-  | Sat.Sat -> ()
-  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "instance must stay satisfiable");
-  (* Clauses can be added after a solve; a top-level contradiction is
-     permanent. *)
+  | Sat.Sat -> check bool_ "a or b" true (Sat.value s a || Sat.value s b)
+  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "expected SAT");
   Sat.add_clause s [| Sat.neg (Sat.lit a) |];
+  (match Sat.solve s with
+  | Sat.Sat ->
+    check bool_ "a false after the added clause" false (Sat.value s a);
+    check bool_ "b forced true" true (Sat.value s b)
+  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "expected SAT under ~a");
   Sat.add_clause s [| Sat.neg (Sat.lit b) |];
   (match Sat.solve s with
   | Sat.Unsat -> ()
   | Sat.Sat | Sat.Unknown -> Alcotest.fail "expected global UNSAT");
-  match Sat.solve_assuming s [| Sat.lit a |] with
+  Sat.add_clause s [| Sat.lit a; Sat.lit b |];
+  match Sat.solve s with
   | Sat.Unsat -> ()
   | Sat.Sat | Sat.Unknown -> Alcotest.fail "dead instance must stay UNSAT"
-
-(* The same first query on a reused and a fresh solver is bit-identical:
-   same outcome, same model, same statistics. Later queries on the reused
-   solver keep their learned clauses, so only verdicts must agree. *)
-let test_reuse_matches_fresh () =
-  let c = c17 () in
-  let encode () =
-    let s = Sat.create () in
-    let env = Cnf.create s in
-    let pi_vars = Array.map (fun _ -> Sat.new_var s) (Circuit.inputs c) in
-    let po = Cnf.encode env ~pi_lits:(Array.map Sat.lit pi_vars) c in
-    (s, pi_vars, po)
-  in
-  let shared, pi_vars, po = encode () in
-  Array.iteri
-    (fun j lit_o ->
-      List.iter
-        (fun phase ->
-          let assumption = if phase then lit_o else Sat.neg lit_o in
-          let fresh_s, fresh_pi, fresh_po = encode () in
-          let fresh_assumption =
-            if phase then fresh_po.(j) else Sat.neg fresh_po.(j)
-          in
-          let shared_r = Sat.solve_assuming shared [| assumption |] in
-          let fresh_r = Sat.solve_assuming fresh_s [| fresh_assumption |] in
-          check bool_ "reused and fresh solver verdicts agree" true
-            (shared_r = fresh_r);
-          match (shared_r, fresh_r) with
-          | Sat.Sat, Sat.Sat ->
-            (* Both models must actually drive output j to [phase]. *)
-            let vec vars s = Array.map (fun v -> Sat.value s v) vars in
-            let out_shared = (Eval.run c (vec pi_vars shared)).(j) in
-            let out_fresh = (Eval.run c (vec fresh_pi fresh_s)).(j) in
-            check bool_ "shared model drives the output" phase out_shared;
-            check bool_ "fresh model drives the output" phase out_fresh
-          | _ -> ())
-        [ false; true ])
-    po
 
 (* --- fault miters ---------------------------------------------------------- *)
 
@@ -121,25 +78,108 @@ let test_random_exact () =
     check_circuit_exact (random_circuit ~n_pi:5 ~n_gates:14 seed)
   done
 
-(* The shared-engine sweep and per-fault fresh engines give the same
-   verdict for every fault (solver reuse must not change answers). *)
-let test_escalate_matches_fresh () =
-  for seed = 70 to 73 do
-    let c = random_circuit ~n_pi:5 ~n_gates:16 seed in
-    let faults = Fault.collapsed c in
-    let engine = Sat_atpg.create c in
-    List.iter
-      (fun f ->
-        let shared = Sat_atpg.run engine f in
-        let fresh = Sat_atpg.run (Sat_atpg.create c) f in
-        let tag = function
-          | Sat_atpg.Test _ -> 0
-          | Sat_atpg.Redundant -> 1
-          | Sat_atpg.Unknown _ -> 2
-        in
-        check int_ "shared vs fresh engine verdict" (tag fresh) (tag shared))
-      faults
-  done
+(* --- D-chain edge cases ------------------------------------------------------ *)
+
+let verdict_tag = function
+  | Sat_atpg.Test _ -> "test"
+  | Sat_atpg.Redundant -> "redundant"
+  | Sat_atpg.Unknown _ -> "unknown"
+
+let ref_tag = function
+  | Ref_sat_atpg.Test _ -> "test"
+  | Ref_sat_atpg.Redundant -> "redundant"
+  | Ref_sat_atpg.Unknown -> "unknown"
+
+(* The fault's verdict, held to exhaustive simulation and to the reference
+   miter; a Test vector must replay through Fsim. *)
+let pinned c f expected =
+  let got = Sat_atpg.run (Sat_atpg.create c) f in
+  let name = Fault.to_string c f in
+  check Alcotest.string (name ^ ": verdict") expected (verdict_tag got);
+  check Alcotest.string (name ^ ": reference") expected (ref_tag (Ref_sat_atpg.run c f));
+  check Alcotest.string (name ^ ": exhaustive") expected
+    (if detectable_exhaustive c f then "test" else "redundant");
+  match got with
+  | Sat_atpg.Test v ->
+    check bool_ (name ^ ": replay") true
+      (Fsim.detect_single (Fsim.create (Compiled.of_circuit c)) f v)
+  | Sat_atpg.Redundant | Sat_atpg.Unknown _ -> ()
+
+let stem ?(stuck = false) u = { Fault.site = Fault.Stem u; stuck }
+let branch ?(stuck = false) g pin = { Fault.site = Fault.Branch (g, pin); stuck }
+
+(* y = a | (a & b): the branch a -> AND is redundant s-a-0 (y = a either
+   way) while the stem is testable; the branch s-a-1 is testable. *)
+let test_branch_faults () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let ab = Circuit.add_gate c Gate.And [| a; b |] in
+  let y = Circuit.add_gate c Gate.Or [| a; ab |] in
+  Circuit.mark_output c y;
+  pinned c (branch ab 0) "redundant";
+  pinned c (branch ~stuck:true ab 0) "test";
+  pinned c (branch y 0) "test";
+  pinned c (stem a) "test"
+
+(* The site is a primary output that also fans out: its D-chain variable
+   gets no fanout clause, so observing the site itself is a test, even when
+   every fanout masks the effect (z = x & ~x is constant 0). *)
+let test_output_site_with_fanout () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let x = Circuit.add_gate c Gate.And [| a; b |] in
+  let nx = Circuit.add_gate c Gate.Not [| x |] in
+  let z = Circuit.add_gate c Gate.And [| x; nx |] in
+  Circuit.mark_output c x;
+  Circuit.mark_output c z;
+  pinned c (stem x) "test";
+  pinned c (stem ~stuck:true x) "test";
+  pinned c (stem ~stuck:true z) "test";
+  pinned c (stem z) "redundant"
+
+(* Reconvergent cones. In w = (a & b) | (a & ~b) = a the effect of a stem
+   fault on a travels one of two paths, chosen by b. In y = a1 xor a2 with
+   a1 = a2 = a the two paths cancel: with y the only output, both stem
+   faults of a are redundant while a fault on either path is testable. *)
+let test_reconvergent_cones () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let a1 = Circuit.add_gate c Gate.Buf [| a |] in
+  let a2 = Circuit.add_gate c Gate.Buf [| a |] in
+  let y = Circuit.add_gate c Gate.Xor [| a1; a2 |] in
+  let nb = Circuit.add_gate c Gate.Not [| b |] in
+  let p = Circuit.add_gate c Gate.And [| a; b |] in
+  let q = Circuit.add_gate c Gate.And [| a; nb |] in
+  let w = Circuit.add_gate c Gate.Or [| p; q |] in
+  Circuit.mark_output c y;
+  Circuit.mark_output c w;
+  pinned c (stem a1) "test";
+  pinned c (stem ~stuck:true a2) "test";
+  pinned c (stem p) "test";
+  pinned c (stem ~stuck:true a) "test";
+  let c' = Circuit.create () in
+  let a = Circuit.add_input c' in
+  let a1 = Circuit.add_gate c' Gate.Buf [| a |] in
+  let a2 = Circuit.add_gate c' Gate.Buf [| a |] in
+  let y = Circuit.add_gate c' Gate.Xor [| a1; a2 |] in
+  Circuit.mark_output c' y;
+  pinned c' (stem a) "redundant";
+  pinned c' (stem ~stuck:true a) "redundant";
+  pinned c' (stem a1) "test"
+
+(* A site that reaches no primary output is redundant without a solver;
+   a site with one dead and one live fanout keeps the live path. *)
+let test_no_reachable_output () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let dead = Circuit.add_gate c Gate.And [| a; b |] in
+  let _dangling = Circuit.add_gate c Gate.Not [| dead |] in
+  let live = Circuit.add_gate c Gate.Or [| a; b |] in
+  Circuit.mark_output c live;
+  pinned c (stem dead) "redundant";
+  pinned c (stem ~stuck:true dead) "redundant";
+  pinned c (stem a) "test";
+  pinned c (stem ~stuck:true b) "test"
 
 (* escalate covers the whole worklist and partitions it. *)
 let test_escalate_partition () =
@@ -209,16 +249,71 @@ let qcheck_verdicts_exact =
           | Sat_atpg.Unknown _ -> false)
         (Fault.collapsed c))
 
+(* --- differential oracle ----------------------------------------------------- *)
+
+(* Circuits of about 50-300 gates (after the generator's sweep), too wide
+   for exhaustive simulation: every collapsed fault gets the reference
+   miter's verdict, every Test replays through Fsim, and every fault PODEM
+   proves untestable is Redundant. *)
+let qcheck_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (n_gates, n_pi, depth, combine_pct, xor_pct, seed) ->
+          {
+            Circuit_gen.name = "diff";
+            n_pi;
+            n_po = 3 + (n_gates / 40);
+            n_gates;
+            depth;
+            combine_pct;
+            xor_pct;
+            seed = Int64.of_int seed;
+          })
+        (tup6 (int_range 100 450) (int_range 12 28) (int_range 4 12)
+           (int_range 10 50) (int_range 0 15) (int_bound 1_000_000)))
+  in
+  let print p =
+    Printf.sprintf "n_gates %d, n_pi %d, n_po %d, depth %d, combine %d%%, xor %d%%, seed %Ld"
+      p.Circuit_gen.n_gates p.n_pi p.n_po p.depth p.combine_pct p.xor_pct p.seed
+  in
+  QCheck.Test.make ~count:5 ~name:"per-fault SAT matches the reference miter"
+    (QCheck.make ~print gen)
+    (fun profile ->
+      let c = Circuit_gen.generate profile in
+      let engine = Sat_atpg.create c in
+      let fsim = Fsim.create (Compiled.of_circuit c) in
+      List.for_all
+        (fun f ->
+          let got = Sat_atpg.run engine f in
+          let expected = ref_tag (Ref_sat_atpg.run c f) in
+          let fail what =
+            QCheck.Test.fail_reportf "%s: %s (reference: %s)" (Fault.to_string c f) what
+              expected
+          in
+          if verdict_tag got <> expected then fail (verdict_tag got);
+          (match got with
+          | Sat_atpg.Test v -> if not (Fsim.detect_single fsim f v) then fail "replay failed"
+          | Sat_atpg.Redundant -> ()
+          | Sat_atpg.Unknown _ -> fail "budget ran out");
+          (match Podem.generate c f with
+          | Podem.Untestable -> if got <> Sat_atpg.Redundant then fail "PODEM untestable"
+          | Podem.Test _ | Podem.Aborted -> ());
+          true)
+        (Fault.collapsed c))
+
 let suite =
   [
-    ("solve_assuming basics", `Quick, test_solve_assuming_basics);
-    ("solver reuse matches fresh solver", `Quick, test_reuse_matches_fresh);
+    ("solve basics", `Quick, test_solve_basics);
     ("c17 verdicts exact", `Quick, test_c17_exact);
     ("mixed verdicts exact", `Quick, test_mixed_exact);
     ("random circuits exact", `Quick, test_random_exact);
-    ("shared engine matches fresh engines", `Quick, test_escalate_matches_fresh);
+    ("D-chain: branch faults", `Quick, test_branch_faults);
+    ("D-chain: output site with fanout", `Quick, test_output_site_with_fanout);
+    ("D-chain: reconvergent cones", `Quick, test_reconvergent_cones);
+    ("D-chain: no reachable output", `Quick, test_no_reachable_output);
     ("escalate partitions the worklist", `Quick, test_escalate_partition);
     ("removal sound with crippled PODEM", `Quick, test_remove_with_tiny_podem);
   ]
 
-let qchecks = [ qcheck_injected_redundant; qcheck_verdicts_exact ]
+let qchecks = [ qcheck_injected_redundant; qcheck_verdicts_exact; qcheck_matches_reference ]
