@@ -1309,24 +1309,36 @@ let incremental () =
     let deltas = List.map2 (fun k v -> Obs.Counter.value k - v) counters v0 in
     (stats, Bench_format.to_string c, deltas, t, Circuit.size c)
   in
-  (* Even CPU time jitters (allocation, GC): keep the stats and counter
-     deltas from one run, take the minimum time over a few repetitions. *)
-  let run_best optimize o =
-    let s, n, deltas, w0, size = run optimize o in
-    let w = ref w0 in
-    for _ = 2 to 3 do
-      let _, _, _, wi, _ = run optimize o in
-      if wi < !w then w := wi
-    done;
-    (s, n, deltas, !w, size)
-  in
   let reference = Engine.optimize_reference and production = Engine.optimize in
-  (* Pass-2 cost = (two-pass run) - (one-pass run): cut counts are exact
-     (deterministic enumeration), CPU time is the measured difference. *)
-  let s1f, _, d1f, t1f, _ = run_best reference (opts ~passes:1 ~domains:1) in
-  let sf, nf, d2f, t2f, _ = run_best reference (opts ~passes:2 ~domains:1) in
-  let _, _, d1i, t1i, _ = run_best production (opts ~passes:1 ~domains:1) in
-  let si, ni, d2i, t2i, size = run_best production (opts ~passes:2 ~domains:1) in
+  let one = opts ~passes:1 ~domains:1 and two = opts ~passes:2 ~domains:1 in
+  (* Pass-2 cost = (two-pass run) - (one-pass run). The cut counts are
+     exact (deterministic enumeration), taken from one run of each. *)
+  let s1f, _, d1f, _, _ = run reference one in
+  let sf, nf, d2f, _, _ = run reference two in
+  let _, _, d1i, _, _ = run production one in
+  let si, ni, d2i, _, size = run production two in
+  (* Even CPU time jitters (allocation, GC, the host's speed drifting):
+     each round runs all four configurations back to back, and the pass-2
+     time is the median over rounds of the round's difference. A minimum
+     is no estimator here: a few runs land well below the rest, and a
+     difference of two minima taken minutes apart can lose the whole
+     pass-2 cost. *)
+  let cpu optimize o =
+    let _, _, _, t, _ = run optimize o in
+    t
+  in
+  let rounds =
+    Array.init 7 (fun _ ->
+        let f1 = cpu reference one in
+        let f2 = cpu reference two in
+        let i1 = cpu production one in
+        let i2 = cpu production two in
+        (f2 -. f1, i2 -. i1))
+  in
+  let median xs =
+    Array.sort Float.compare xs;
+    xs.(Array.length xs / 2)
+  in
   (* Concurrent commits: the production walk with each landing group
      verified on the --domains pool must land the exact same netlist. *)
   let sc, nc, _, _, _ = run production (opts ~passes:2 ~domains:!domains) in
@@ -1337,8 +1349,8 @@ let incremental () =
     if pass2_cuts_full = 0 then 1.
     else float_of_int pass2_cuts_incr /. float_of_int pass2_cuts_full
   in
-  let pass2_full_s = max 0. (t2f -. t1f) in
-  let pass2_incr_s = max 0. (t2i -. t1i) in
+  let pass2_full_s = max 0. (median (Array.map fst rounds)) in
+  let pass2_incr_s = max 0. (median (Array.map snd rounds)) in
   (* An unmeasurably cheap incremental pass counts as fast, not as a
      division-by-zero failure of the gate. *)
   let speedup =

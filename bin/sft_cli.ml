@@ -244,6 +244,9 @@ let optimize_cmd =
   let run file bench objective k engine budget no_merge verify dontcares units
       no_id_cache cache_dir domains output metrics trace trace_out journal =
     with_obs ?journal ~cmd:"optimize" metrics trace trace_out (fun ppf ->
+        if k < 1 || k > Engine.max_k then die "-k %d is outside 1..%d" k Engine.max_k;
+        if budget < 1 then die "--budget %d is below 1" budget;
+        if units < 1 then die "--units %d is below 1" units;
         let c = load ~file ~bench in
         let objective =
           match objective with
@@ -282,7 +285,7 @@ let optimize_cmd =
       & info [ "objective" ] ~docv:"OBJ"
           ~doc:"$(b,gates) for Procedure 2, $(b,paths) for Procedure 3.")
   in
-  let k = Arg.(value & opt int 6 & info [ "k" ] ~doc:"Subcircuit input limit K.") in
+  let k = Arg.(value & opt int 6 & info [ "k" ] ~doc:"Subcircuit input limit K, 1 to 16.") in
   let engine =
     Arg.(
       value & opt string "exact"

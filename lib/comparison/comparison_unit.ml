@@ -87,12 +87,43 @@ let paths_to_output c =
   done;
   cnt
 
-let build ?(merge = true) ~n (s : Comparison_fn.spec) =
+let check_spec fn ~n (s : Comparison_fn.spec) =
   if Array.length s.Comparison_fn.perm <> n then
-    invalid_arg "Comparison_unit.build: spec arity mismatch";
+    invalid_arg (fn ^ ": spec arity mismatch");
   if s.Comparison_fn.lo > s.Comparison_fn.hi || s.Comparison_fn.lo < 0
      || s.Comparison_fn.hi >= 1 lsl n
-  then invalid_arg "Comparison_unit.build: bad bounds";
+  then invalid_arg (fn ^ ": bad bounds")
+
+(* [build]'s gate count and input paths, counted from the spec. [chain]
+   below skips the positions after q (they fold into its constant), starts
+   with the literal at q and adds one gate per position from q - 1 down to
+   f. Merging keeps the count: a k-input gate counts k - 1. *)
+let cost ~n (s : Comparison_fn.spec) =
+  check_spec "Comparison_unit.cost" ~n s;
+  let lo = s.Comparison_fn.lo and hi = s.Comparison_fn.hi in
+  let bit v p = (v lsr (n - 1 - p)) land 1 in
+  let f = free_variable_count ~n ~lo ~hi in
+  let ones_core = (1 lsl (n - f)) - 1 in
+  let paths = Array.make n 0 in
+  let on_path p =
+    let j = s.Comparison_fn.perm.(p) - 1 in
+    paths.(j) <- paths.(j) + 1
+  in
+  for p = 0 to f - 1 do on_path p done;
+  let gates = ref 0 and terms = ref f in
+  let chain ~bound ~and_bit =
+    let q = ref (n - 1) in
+    while bit bound !q <> and_bit do decr q done;
+    gates := !gates + (!q - f);
+    for p = f to !q do on_path p done;
+    incr terms
+  in
+  if lo land ones_core <> 0 then chain ~bound:lo ~and_bit:1;
+  if hi land ones_core <> ones_core then chain ~bound:hi ~and_bit:0;
+  (!gates + max 0 (!terms - 1), paths)
+
+let build ?(merge = true) ~n (s : Comparison_fn.spec) =
+  check_spec "Comparison_unit.build" ~n s;
   let c = Circuit.create ~name:"comparison_unit" () in
   let inputs =
     Array.init n (fun j -> Circuit.add_input ~name:(Printf.sprintf "y%d" (j + 1)) c)

@@ -9,7 +9,9 @@
     constant function, wire) are handled.
 
     The resulting structure has at most two paths from any input to the
-    output, at most one for free variables or when a chain is omitted. *)
+    output, at most one for free variables or when a chain is omitted.
+    {!cost} gives the unit's gate count and input paths without building
+    it. *)
 
 type built = {
   circuit : Circuit.t;
@@ -25,6 +27,16 @@ val build : ?merge:bool -> n:int -> Comparison_fn.spec -> built
 (** Build the unit for a spec over [n] original variables. Input [j] of the
     returned circuit is original variable [y_(j+1)]; the spec's permutation
     is realised in the wiring. *)
+
+val cost : n:int -> Comparison_fn.spec -> int * int array
+(** [(gates2, input_paths)] of [build ~n spec], computed from the spec
+    alone with either [merge] setting (merging keeps the 2-input gate
+    count). A chain over positions [f..q], where [f] is the free variable
+    count and [q] the last position whose bound bit selects the chain's
+    gate kind, has [q - f] gates and one path per position; free variables
+    have one path each; the output AND adds one gate fewer than it has
+    terms; inverters are free. So no input has more than two paths. Raises
+    [Invalid_argument] where {!build} does. *)
 
 val build_interval : ?merge:bool -> lo:int -> hi:int -> int -> built
 (** [build_interval ~lo ~hi n]: unit for the identity permutation and

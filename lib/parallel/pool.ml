@@ -39,8 +39,19 @@ let domains_of_flag n = if n <= 0 then default_domains () else n
 (* Per-domain busy-time counters are keyed by slot, not by pool, so every
    pool of the process aggregates into the same probes (idempotent
    [Obs.Counter.make]). Created lazily: a process that never builds a pool
-   registers nothing. *)
-let chunks_counter = lazy (Obs.Counter.make ~help:"pool chunks executed" "pool.chunks")
+   registers nothing. The chunk counter is first looked up inside chunk
+   bodies, on worker domains, where a shared [Lazy.t] is unsafe (racing
+   forces raise [CamlinternalLazy.Undefined]); racing first lookups here
+   both call the idempotent, locked [Obs.Counter.make] and agree. *)
+let chunks_cell = Atomic.make None
+
+let chunks_counter () =
+  match Atomic.get chunks_cell with
+  | Some c -> c
+  | None ->
+    let c = Obs.Counter.make ~help:"pool chunks executed" "pool.chunks" in
+    Atomic.set chunks_cell (Some c);
+    c
 
 (* Work-size cutoff accounting: submissions kept inline because they were
    smaller than the caller's [serial_below] threshold vs. submissions that
@@ -169,7 +180,7 @@ let for_chunks t ?chunk ?(serial_below = 0) ~n body =
             let dt = Obs.now () -. t0 in
             Obs.Trace.complete ~cat:"pool" "pool.chunk" ~ts:t0 ~dur:dt;
             Obs.Counter.add t.busy.(slot) (max 0 (int_of_float (dt *. 1e6)));
-            Obs.Counter.incr (Lazy.force chunks_counter))
+            Obs.Counter.incr (chunks_counter ()))
           (fun () -> body ~slot ~lo ~hi)
   in
   if n > 0 then

@@ -242,6 +242,12 @@ let funnel_ok t =
   && (t.truncated
      || (f.verified <= f.identified && f.identified <= f.candidates))
 
+(* The engine's phase timers ([engine.enumerate_ns], [engine.score_ns]),
+   in seconds, from the footer's counters. *)
+let engine_phase_s t =
+  let s name = float_of_int (counter t name) /. 1e9 in
+  (s "engine.enumerate_ns", s "engine.score_ns")
+
 let phases t =
   Hashtbl.fold
     (fun name (calls, wall) acc ->
@@ -296,6 +302,11 @@ let render t =
          (Table.int f.candidates) (Table.int f.identified)
          (Table.int f.verified) (Table.int f.committed) (Table.int t.gain)
          (if funnel_ok t then "" else "   [FUNNEL VIOLATION]"));
+  let enumerate_s, score_s = engine_phase_s t in
+  if enumerate_s +. score_s > 0. then
+    Buffer.add_string b
+      (Printf.sprintf "engine phases: enumerate %.3fs, score %.3fs (%.1f%% of wall)\n"
+         enumerate_s score_s (pct (enumerate_s +. score_s) t.wall_s));
   let tally_table title prefix labels =
     let rows =
       List.filter_map
@@ -333,6 +344,7 @@ let tallies_json t prefix labels =
 
 let run_json t =
   let f = funnel t in
+  let enumerate_s, score_s = engine_phase_s t in
   Obs_json.Obj
     [
       ("path", Obs_json.String t.path);
@@ -351,6 +363,9 @@ let run_json t =
             ("gain", Obs_json.Int t.gain);
             ("funnel_ok", Obs_json.Bool (funnel_ok t));
           ] );
+      ( "engine_phases",
+        Obs_json.Obj
+          [ ("enumerate_s", Obs_json.Float enumerate_s); ("score_s", Obs_json.Float score_s) ] );
       ( "phases",
         Obs_json.List
           (List.map
@@ -419,6 +434,9 @@ let diff a b =
   irow "verified" fa.verified fb.verified;
   irow "committed" fa.committed fb.committed;
   irow "gain" a.gain b.gain;
+  let ea, sa = engine_phase_s a and eb, sb = engine_phase_s b in
+  frow "enumerate_s" ea eb (Printf.sprintf "%.4f");
+  frow "score_s" sa sb (Printf.sprintf "%.4f");
   frow "minor_words" a.minor_words b.minor_words (Printf.sprintf "%.3g");
   frow "major_words" a.major_words b.major_words (Printf.sprintf "%.3g");
   irow "peak_rss_kb" a.peak_rss_kb b.peak_rss_kb;

@@ -74,8 +74,9 @@ val phases : t -> phase list
 
 val render : t -> string
 (** Human-readable report: header, phase table, runtime/GC summary,
-    decision funnel, identification-source and SAT-escalation tables —
-    sections with no data are omitted. *)
+    decision funnel, the engine's enumerate/score split (counters
+    [engine.enumerate_ns] and [engine.score_ns]), identification-source and
+    SAT-escalation tables — sections with no data are omitted. *)
 
 val to_json_value : t list -> Obs_json.t
 (** All loaded runs as one JSON document:

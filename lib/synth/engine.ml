@@ -86,6 +86,20 @@ let commit_waves_c =
   Obs.Counter.make ~help:"landed commit groups, each verified as one wave"
     "engine.commit_waves"
 
+(* Phase timers, summed per root and only while metrics are on. They are
+   counters rather than spans because every span end is also a journal
+   event, and a run scores thousands of roots. *)
+let enumerate_ns_c =
+  Obs.Counter.make ~help:"nanoseconds enumerating cuts (metrics on only)"
+    "engine.enumerate_ns"
+
+let score_ns_c =
+  Obs.Counter.make
+    ~help:"nanoseconds scoring cuts: extract, identify, cost (metrics on only)"
+    "engine.score_ns"
+
+let elapsed_ns t0 t1 = max 0 (int_of_float ((t1 -. t0) *. 1e9))
+
 type stats = {
   passes : int;
   replacements : int;
@@ -107,18 +121,29 @@ let pp_stats ppf s =
          Printf.sprintf " (%d REFUSED as unsound)" s.verify_refused
        else "")
 
-(* Paths on the root if the subcircuit is replaced by the unit:
-   sum over inputs of N_p(input) * K_p(input). *)
-let replaced_path_label labels (s : Subcircuit.t) (b : Comparison_unit.built) =
+(* Paths on the root if the subcircuit is replaced by a unit with the
+   given input paths: sum over inputs of N_p(input) * K_p(input). *)
+let replaced_path_label labels (s : Subcircuit.t) input_paths =
   let acc = ref 0 in
   Array.iteri
-    (fun j input -> acc := !acc + (labels.(input) * b.Comparison_unit.input_paths.(j)))
+    (fun j input -> acc := !acc + (labels.(input) * input_paths.(j)))
     s.Subcircuit.inputs;
   !acc
 
-type candidate = {
+(* A scored candidate's unit. An exact identification keeps only its spec:
+   [Comparison_unit.cost] gives the unit's gate count and input paths, so
+   only the root's winner is built, in [choose]. The don't-care and
+   multi-unit fallbacks build their unit to check or cover the function,
+   and keep it. *)
+type plan =
+  | Spec of Comparison_fn.spec
+  | Built of Comparison_unit.built
+
+(* A candidate replacement: ['u] is [plan] while candidates are scored and
+   [Comparison_unit.built] once one is chosen. *)
+type 'u candidate = {
   sub : Subcircuit.t;
-  built : Comparison_unit.built;
+  unit_ : 'u;
   gain : int;  (** removable 2-input gates minus unit 2-input gates *)
   new_paths : int;  (** path label on the root after replacement *)
   exact : bool;  (** false for don't-care replacements (care-set verified) *)
@@ -150,11 +175,11 @@ let realise opts rng ~identify ~sim c sub tt =
             let built = Comparison_unit.build ~merge:opts.merge ~n spec in
             let g = Eval.output_table built.Comparison_unit.circuit 0 in
             let diff = Truthtable.minterms (Truthtable.lxor_ g tt) in
-            if diff = [] then Some (built, true)
+            if diff = [] then Some (Built built, true)
             else if
               Dontcare.prove_unreachable ~backtrack_limit:opts.dc_backtracks c
                 sub.Subcircuit.inputs diff
-            then Some (built, false)
+            then Some (Built built, false)
             else None
         end)
   in
@@ -162,11 +187,11 @@ let realise opts rng ~identify ~sim c sub tt =
     if opts.max_units <= 1 then None
     else
       match Multi_unit.find ~max_units:opts.max_units rng tt with
-      | Some cover -> Some (Multi_unit.build ~merge:opts.merge ~n cover, true)
+      | Some cover -> Some (Built (Multi_unit.build ~merge:opts.merge ~n cover), true)
       | None -> None
   in
   match identify tt with
-  | Some spec -> Some (Comparison_unit.build ~merge:opts.merge ~n spec, true)
+  | Some spec -> Some (Spec spec, true)
   | None -> (
     (* a don't-care single unit is usually cheaper than a multi-unit cover *)
     match with_dontcares () with
@@ -257,11 +282,14 @@ let score_serial_cutoff = 48
    once the whole batch is back. Deferring the serial merge too keeps
    hit/miss counts identical across [domains] settings. *)
 let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
+  let timed = Obs.enabled () in
+  let t0 = if timed then Obs.now () else 0. in
   let subs =
     Array.of_list
       (Subcircuit.enumerate ~dedup:sc.dedup ~k:opts.k
          ~max_candidates:opts.max_candidates c root)
   in
+  let t1 = if timed then Obs.now () else 0. in
   Obs.Counter.add candidates_c (Array.length subs);
   let eval scratch idx sub =
     let rng = Rng.create (candidate_seed opts.seed root idx) in
@@ -282,11 +310,16 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
     let cand =
       match realise opts rng ~identify ~sim c sub tt with
       | None -> None
-      | Some (built, exact) ->
+      | Some (plan, exact) ->
         Obs.Counter.incr realised_c;
-        let gain = Subcircuit.removable_cost c sub - built.Comparison_unit.gates2 in
-        let new_paths = replaced_path_label labels sub built in
-        Some { sub; built; gain; new_paths; exact }
+        let gates2, input_paths =
+          match plan with
+          | Spec spec -> Comparison_unit.cost ~n:(Array.length sub.Subcircuit.inputs) spec
+          | Built b -> (b.Comparison_unit.gates2, b.Comparison_unit.input_paths)
+        in
+        let gain = Subcircuit.removable_cost c sub - gates2 in
+        let new_paths = replaced_path_label labels sub input_paths in
+        Some { sub; unit_ = plan; gain; new_paths; exact }
     in
     (cand, !misses)
   in
@@ -314,6 +347,10 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
           (fun (tt, verdict) -> Idcache.record cache tt verdict)
           (List.rev misses))
       scored);
+  if timed then begin
+    Obs.Counter.add enumerate_ns_c (elapsed_ns t0 t1);
+    Obs.Counter.add score_ns_c (elapsed_ns t1 (Obs.now ()))
+  end;
   List.filter_map fst (Array.to_list scored)
 
 (* Strictly-better-than ordering for the two objectives. [current_paths] is
@@ -379,7 +416,7 @@ let is_gate c id =
    of those nodes, whose fanout degree the landing changes. *)
 type pending = {
   p_root : int;
-  p_cand : candidate;
+  p_cand : Comparison_unit.built candidate;
   p_idx : int;
   p_obs : Footprint.set;
   p_dead : int list;
@@ -483,7 +520,7 @@ let dontcare_sim opts c =
             Compiled.simulate cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng))) )
   end
 
-(* The best improving candidate at root [g], if any. *)
+(* The best improving candidate at root [g], if any, with its unit built. *)
 let choose ?pool ?cache ~sc objective opts ~sim labels c g =
   List.fold_left
     (fun best cand ->
@@ -491,6 +528,12 @@ let choose ?pool ?cache ~sc objective opts ~sim labels c g =
       else best)
     None
     (score_candidates ?pool ?cache ~sc opts ~sim labels c g)
+  |> Option.map (fun cand ->
+         match cand.unit_ with
+         | Built b -> { cand with unit_ = b }
+         | Spec spec ->
+           let n = Array.length cand.sub.Subcircuit.inputs in
+           { cand with unit_ = Comparison_unit.build ~merge:opts.merge ~n spec })
 
 (* Apply one decided splice, SAT-proving it against a snapshot when the
    sampling cadence asks for it. [pre_verified] means the landing group
@@ -504,7 +547,7 @@ let apply ?pool opts vstate ~pre_verified c ~root ~idx cand =
   let snapshot =
     if should_verify opts.verify idx then Some (Circuit.copy c) else None
   in
-  let fresh = Replace.splice ~verify_local c cand.sub cand.built in
+  let fresh = Replace.splice ~verify_local c cand.sub cand.unit_ in
   (if vstate.inject_unsound = idx + 1 then
      match inverted_kind (Circuit.kind c fresh) with
      | Some k -> Circuit.set_kind c fresh k
@@ -609,7 +652,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
     vstate.attempts <- idx + 1;
     Obs.Counter.incr dirty_regions_c;
     let dead, boundary =
-      splice_casualties c ~queued_dead:pending_members sub cand.built
+      splice_casualties c ~queued_dead:pending_members sub cand.unit_
     in
     List.iter (Footprint.add pending_members) dead;
     let seeds =
@@ -702,7 +745,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
               (Pool.map pool ~chunk:1
                  (fun p ->
                    (not p.p_cand.exact)
-                   || Replace.implements c p.p_cand.sub p.p_cand.built)
+                   || Replace.implements c p.p_cand.sub p.p_cand.unit_)
                  ps);
             true
           | _ -> false
@@ -888,7 +931,12 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
     verify_refused = vstate.refused;
   }
 
+(* The widest cut [Subcircuit.extract] takes. *)
+let max_k = 16
+
 let run ?(inject_unsound = 0) ~reference objective opts c =
+  if opts.k < 1 || opts.k > max_k then
+    invalid_arg (Printf.sprintf "Engine.optimize: k = %d is outside 1..%d" opts.k max_k);
   if opts.obs then Obs.enable ();
   let domains = Pool.domains_of_flag opts.domains in
   if domains <= 1 then

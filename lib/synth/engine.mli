@@ -40,7 +40,7 @@ type verify =
     UNSAT. *)
 
 type options = {
-  k : int;  (** subcircuit input limit K (paper: 5 or 6) *)
+  k : int;  (** subcircuit input limit K (paper: 5 or 6), 1 to {!max_k} *)
   max_candidates : int;  (** candidate cap per root *)
   engine : Comparison_fn.engine;
   merge : bool;  (** merge chain gates inside units (Fig. 4) *)
@@ -105,10 +105,15 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val max_k : int
+(** The largest supported [k], 16: the widest cut {!Subcircuit.extract}
+    takes. *)
+
 val optimize : objective -> options -> Circuit.t -> stats
-(** The production path. Mutates the circuit. Raises [Failure] if
-    [verify_global] is set and a pass breaks equivalence (which would
-    indicate a bug).
+(** The production path. Mutates the circuit. Raises [Invalid_argument],
+    before touching the circuit, if [k] is outside 1 to {!max_k}. Raises
+    [Failure] if [verify_global] is set and a pass breaks equivalence
+    (which would indicate a bug).
 
     Observability (when enabled): counters [engine.candidates],
     [engine.realised], [engine.accepted], [engine.verify_checks],
@@ -116,7 +121,9 @@ val optimize : objective -> options -> Circuit.t -> stats
     (splice footprints marked dirty), [engine.worklist_popped] (dirty roots
     popped from the pass worklist), [engine.commit_waves] (landed commit
     groups, each verified as one wave), [engine.concurrent_commits]
-    (splices landed through a multi-splice group), and the {!Idcache}
+    (splices landed through a multi-splice group), [engine.enumerate_ns]
+    and [engine.score_ns] (nanoseconds spent enumerating cuts and scoring
+    them: extraction, identification and unit cost), and the {!Idcache}
     probes [idcache.hits], [idcache.disk_hits], [idcache.misses];
     histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
     dirtied per footprint) and [idcache.class_hits]; spans [engine.pass]

@@ -17,18 +17,25 @@ type t = {
 val pp : Format.formatter -> t -> unit
 
 type dedup
-(** Reusable gate-set dedup table for {!enumerate}. *)
+(** Reusable enumeration scratch for {!enumerate}: the breadth-first queue
+    of gate sets and their dedup table. *)
 
 val dedup : unit -> dedup
-(** A fresh empty table. The engine keeps one per optimisation run and
-    threads it through every enumeration, so the bucket array is allocated
-    and sized once instead of per root. *)
+(** Fresh, empty scratch. The engine keeps one per optimisation run and
+    threads it through every enumeration, so its arrays grow once to the
+    largest root's working set instead of being allocated per root. *)
 
 val enumerate : ?dedup:dedup -> k:int -> max_candidates:int -> Circuit.t -> int -> t list
-(** All candidates rooted at a gate, smallest first (the single-gate
-    subcircuit is always first when it fits in [k] inputs). [dedup] is an
-    optional caller-owned scratch table; it is cleared on entry, so results
-    are identical with or without it (a fresh table is used when absent). *)
+(** All candidates rooted at a gate, in breadth-first order from the
+    single-gate subcircuit (always first when it fits in [k] inputs). A
+    popped gate set within [k] inputs is a candidate and absorbs each
+    gate on its cut, in ascending order; one within [k + 2] inputs only
+    absorbs. At most [max 256 (20 * max_candidates)] sets are pushed; a
+    set pushed before is skipped and uses none of that budget. Each set's
+    cut is derived from its parent's when it is pushed (DESIGN.md §13.1).
+    [dedup] is optional caller-owned scratch; it is cleared on entry, so
+    results are identical with or without it (fresh scratch is used when
+    absent). *)
 
 val extract : ?scratch:int64 array -> Circuit.t -> t -> Truthtable.t
 (** The function computed on [root] in terms of [inputs], by bit-parallel

@@ -14,6 +14,7 @@ let () =
       ("delay", Test_delay.suite);
       ("comparison", Test_comparison.suite);
       ("synth", Test_synth.suite);
+      Helpers.qsuite "synth-properties" Test_synth.qchecks;
       ("rar", Test_rar.suite);
       ("techmap", Test_techmap.suite);
       ("gen", Test_gen.suite);

@@ -165,6 +165,49 @@ let test_unit_all_specs_exhaustive_small () =
     done
   done
 
+(* [cost] counts what [build] builds: for every interval over 0..6
+   variables, both polarities, merging on and off, and the identity plus a
+   random permutation per interval. *)
+let test_unit_cost_matches_build () =
+  let rng = Rng.create 17L in
+  let shuffled n =
+    let p = Array.init n (fun i -> i + 1) in
+    for i = n - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = p.(i) in
+      p.(i) <- p.(j);
+      p.(j) <- t
+    done;
+    p
+  in
+  for n = 0 to 6 do
+    let total = 1 lsl n in
+    for lo = 0 to total - 1 do
+      for hi = lo to total - 1 do
+        List.iter
+          (fun perm ->
+            List.iter
+              (fun complemented ->
+                let spec = { Comparison_fn.perm; lo; hi; complemented } in
+                let gates2, input_paths = Comparison_unit.cost ~n spec in
+                List.iter
+                  (fun merge ->
+                    let b = Comparison_unit.build ~merge ~n spec in
+                    if
+                      gates2 <> b.Comparison_unit.gates2
+                      || input_paths <> b.Comparison_unit.input_paths
+                    then
+                      Alcotest.failf
+                        "n=%d [%d,%d] perm [%s] compl=%b merge=%b: cost (%d) vs build (%d)" n lo hi
+                        (String.concat " " (Array.to_list (Array.map string_of_int perm)))
+                        complemented merge gates2 b.Comparison_unit.gates2)
+                  [ true; false ])
+              [ false; true ])
+          [ Array.init n (fun i -> i + 1); shuffled n ]
+      done
+    done
+  done
+
 let test_unit_complemented () =
   let spec =
     { Comparison_fn.perm = [| 2; 1; 3 |]; lo = 2; hi = 5; complemented = true }
@@ -225,4 +268,5 @@ let suite =
     ("unit: merging reduces depth (Fig. 4)", `Quick, test_unit_merging_reduces_depth);
     ("unit: Figure 6 robust test set", `Quick, test_unit_fully_robustly_testable);
     ("unit: all 4-var units fully robustly testable", `Quick, test_units_fully_testable_sweep);
+    ("unit: cost matches build (n<=6)", `Quick, test_unit_cost_matches_build);
   ]

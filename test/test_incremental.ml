@@ -1,8 +1,8 @@
 (* Incremental, region-parallel resynthesis (DESIGN.md §13, §17): dirty-region
-   tracking, deferred splice commits, the enumeration dedup table and the
-   pool work-size cutoff. The load-bearing property is bit-identity — the
-   production engine must reproduce the reference full walk
-   ([Engine.optimize_reference]) exactly, for every configuration. *)
+   tracking, deferred splice commits and the pool work-size cutoff. The
+   load-bearing property is bit-identity — the production engine must
+   reproduce the reference full walk ([Engine.optimize_reference]) exactly,
+   for every configuration. *)
 
 open Helpers
 
@@ -111,28 +111,6 @@ let test_worklist_cursor () =
   check bool_ "unplaced id deferred" true (Footprint.Worklist.pop wl = None);
   Footprint.Worklist.start_pass wl ~pos:(Array.init 10 (fun i -> i));
   check (Alcotest.list int_) "placed next pass" [ 9 ] (drain wl)
-
-(* --- Subcircuit dedup reuse ------------------------------------------------- *)
-
-let test_enumerate_dedup_reuse () =
-  let dedup = Subcircuit.dedup () in
-  let same_on c =
-    Array.iter
-      (fun g ->
-        match Circuit.kind c g with
-        | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
-        | _ ->
-          let fresh = Subcircuit.enumerate ~k:4 ~max_candidates:16 c g in
-          let reused = Subcircuit.enumerate ~dedup ~k:4 ~max_candidates:16 c g in
-          if fresh <> reused then
-            Alcotest.failf "root %d: dedup reuse changed enumeration" g)
-      (Circuit.topo_order c)
-  in
-  same_on (c17 ());
-  same_on (mixed ());
-  for seed = 1 to 5 do
-    same_on (random_circuit ~n_pi:6 ~n_gates:25 seed)
-  done
 
 (* --- Pool work-size cutoff -------------------------------------------------- *)
 
@@ -321,7 +299,6 @@ let suite =
     ("footprint: fanout cone marking", `Quick, test_footprint_cone);
     ("worklist: topological pop order", `Quick, test_worklist_ordering);
     ("worklist: cursor and deferral", `Quick, test_worklist_cursor);
-    ("enumerate: dedup reuse is invisible", `Quick, test_enumerate_dedup_reuse);
     ("pool: work-size cutoff", `Quick, test_pool_serial_cutoff);
     ("identity: gates objective", `Quick, test_incremental_identity_gates);
     ("identity: paths objective", `Quick, test_incremental_identity_paths);

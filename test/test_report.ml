@@ -166,11 +166,27 @@ let test_run_report_json_and_diff () =
                 (Obs_json.member k run <> None))
             [
               "path"; "cmd"; "events"; "funnel"; "phases"; "runtime";
-              "identify"; "sat_escalations"; "cec_checks";
+              "identify"; "sat_escalations"; "cec_checks"; "engine_phases";
             ]
         | _ -> Alcotest.fail "runs is not a one-element list"));
       let d = Run_report.diff r r in
       check bool_ "self-diff renders" true (String.length d > 0))
+
+(* The engine's phase timers in the footer become one render line; a run
+   without them (the plain footer) prints none. *)
+let test_run_report_engine_phases () =
+  let timed_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.candidates":50,"engine.realised":10,"engine.enumerate_ns":750000000,"engine.score_ns":1250000000}}|}
+  in
+  with_journal ((header :: body) @ [ timed_footer ]) (fun path ->
+      check bool_ "phase line" true
+        (contains ~affix:"engine phases: enumerate 0.750s, score 1.250s (80.0% of wall)"
+           (Run_report.render (load_ok path))));
+  with_journal
+    ((header :: body) @ [ footer ~candidates:50 ~identified:10 ])
+    (fun path ->
+      check bool_ "no phase line without timers" false
+        (contains ~affix:"engine phases" (Run_report.render (load_ok path))))
 
 let suite =
   [
@@ -183,4 +199,5 @@ let suite =
     ("run report: torn tail", `Quick, test_run_report_torn_tail);
     ("run report: rejects non-journals", `Quick, test_run_report_rejects_non_journal);
     ("run report: json schema and diff", `Quick, test_run_report_json_and_diff);
+    ("run report: engine phase split", `Quick, test_run_report_engine_phases);
   ]

@@ -20,6 +20,138 @@ let test_enumerate_c17 () =
       check bool_ "root member" true (List.mem g22 s.Subcircuit.gates))
     subs
 
+(* --- Enumeration against the reference ----------------------------------------- *)
+
+let gates_of c =
+  List.filter
+    (fun g ->
+      match Circuit.kind c g with
+      | Gate.Input | Gate.Const0 | Gate.Const1 -> false
+      | _ -> true)
+    (Array.to_list (Circuit.topo_order c))
+
+(* The first gate whose production enumeration differs from the reference
+   (same list, same order), with one table per call or [dedup] reused. *)
+let enumeration_diverges ?dedup ~k ~max_candidates c =
+  List.find_opt
+    (fun g ->
+      Subcircuit.enumerate ?dedup ~k ~max_candidates c g
+      <> Ref_subcircuit.enumerate ~k ~max_candidates c g)
+    (gates_of c)
+
+let check_matches_reference ?dedup ~k ~max_candidates c =
+  match enumeration_diverges ?dedup ~k ~max_candidates c with
+  | None -> ()
+  | Some g ->
+    Alcotest.failf "root %d (K = %d, max %d) differs from the reference" g k max_candidates
+
+(* A repeated fanin is one cut input, and absorbing the gate that carries
+   it must not count it twice. *)
+let test_enumerate_repeated_fanin () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c in
+  let b = Circuit.add_input c in
+  let g1 = Circuit.add_gate c Gate.And [| a; a |] in
+  let g2 = Circuit.add_gate c Gate.Or [| g1; b; b |] in
+  let g3 = Circuit.add_gate c Gate.Xor [| g2; g1 |] in
+  Circuit.mark_output c g3;
+  (match Subcircuit.enumerate ~k:2 ~max_candidates:8 c g1 with
+  | [ s ] -> check (Alcotest.array int_) "AND(a, a) reads one input" [| a |] s.Subcircuit.inputs
+  | subs -> Alcotest.failf "AND(a, a): %d candidates" (List.length subs));
+  let all = Subcircuit.enumerate ~k:2 ~max_candidates:8 c g3 in
+  check bool_ "{g1, g2, g3} reads a and b once each" true
+    (List.exists
+       (fun s -> s.Subcircuit.gates = [ g1; g2; g3 ] && s.Subcircuit.inputs = [| a; b |])
+       all);
+  for k = 0 to 4 do
+    List.iter (fun max_candidates -> check_matches_reference ~k ~max_candidates c) [ 1; 4; 16 ]
+  done
+
+(* Constant fanins are never cut inputs. *)
+let test_enumerate_constant_fanins () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c in
+  let b = Circuit.add_input c in
+  let zero = Circuit.add_const c false in
+  let one = Circuit.add_const c true in
+  let g1 = Circuit.add_gate c Gate.And [| a; one |] in
+  let g2 = Circuit.add_gate c Gate.Or [| g1; zero; b |] in
+  let g3 = Circuit.add_gate c Gate.Nand [| one; zero |] in
+  let g4 = Circuit.add_gate c Gate.Xor [| g2; g3 |] in
+  Circuit.mark_output c g4;
+  (match Subcircuit.enumerate ~k:0 ~max_candidates:8 c g3 with
+  | [ s ] -> check int_ "NAND(1, 0) has an empty cut" 0 (Array.length s.Subcircuit.inputs)
+  | subs -> Alcotest.failf "NAND(1, 0): %d candidates" (List.length subs));
+  List.iter
+    (fun s ->
+      Array.iter
+        (fun i -> check bool_ "no constant input" true (i <> zero && i <> one))
+        s.Subcircuit.inputs)
+    (Subcircuit.enumerate ~k:4 ~max_candidates:64 c g4);
+  for k = 0 to 4 do
+    List.iter (fun max_candidates -> check_matches_reference ~k ~max_candidates c) [ 1; 4; 64 ]
+  done
+
+(* A Fibonacci ladder over two inputs (g_i = NAND(g_(i-1), g_(i-2))): nearly
+   every gate set has two or three cut inputs, so at K = 1 the top gate's
+   enumeration finds few candidates and stops on the push budget. *)
+let test_enumerate_push_budget_binds () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c in
+  let b = Circuit.add_input c in
+  let rec ladder p q n =
+    if n = 0 then q else ladder q (Circuit.add_gate c Gate.Nand [| p; q |]) (n - 1)
+  in
+  let top = ladder a b 40 in
+  Circuit.mark_output c top;
+  List.iter
+    (fun max_candidates ->
+      let expected, pushes = Ref_subcircuit.enumerate_counted ~k:1 ~max_candidates c top in
+      check int_ "the push budget binds" (max 256 (max_candidates * 20)) pushes;
+      check bool_ "same candidates as the reference" true
+        (Subcircuit.enumerate ~k:1 ~max_candidates c top = expected))
+    [ 1; 4; 16; 64 ]
+
+(* Generated circuits of about 50-300 gates: every gate's enumeration equals
+   the reference for a drawn K and candidate cap, with a fresh table per
+   root or one table reused across all of them (as the engine does). *)
+let qcheck_enumerate_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((n_gates, n_pi, depth, combine_pct, seed), (k, max_candidates, reuse)) ->
+          ( {
+              Circuit_gen.name = "enum";
+              n_pi;
+              n_po = 3 + (n_gates / 40);
+              n_gates;
+              depth;
+              combine_pct;
+              xor_pct = 10;
+              seed = Int64.of_int seed;
+            },
+            k,
+            max_candidates,
+            reuse ))
+        (pair
+           (tup5 (int_range 100 450) (int_range 12 28) (int_range 4 12) (int_range 10 50)
+              (int_bound 1_000_000))
+           (triple (int_range 0 8) (oneofl [ 1; 4; 16; 64 ]) bool)))
+  in
+  let print (p, k, max_candidates, reuse) =
+    Printf.sprintf "n_gates %d, n_pi %d, depth %d, combine %d%%, seed %Ld; K %d, max %d, %s table"
+      p.Circuit_gen.n_gates p.n_pi p.depth p.combine_pct p.seed k max_candidates
+      (if reuse then "reused" else "fresh")
+  in
+  QCheck.Test.make ~count:50 ~name:"enumerate matches the reference enumerator"
+    (QCheck.make ~print gen)
+    (fun (profile, k, max_candidates, reuse) ->
+      let c = Circuit_gen.generate profile in
+      let dedup = if reuse then Some (Subcircuit.dedup ()) else None in
+      match enumeration_diverges ?dedup ~k ~max_candidates c with
+      | None -> true
+      | Some g -> QCheck.Test.fail_reportf "root %d differs from the reference" g)
+
 let test_extract_single_gate () =
   let c = c17 () in
   let g22 = (Circuit.outputs c).(0) in
@@ -201,6 +333,26 @@ let test_procedure2_removes_waste () =
   check bool_ "shrank" true (stats.Engine.gates_after < stats.Engine.gates_before);
   check bool_ "unit-sized result" true (stats.Engine.gates_after <= 7)
 
+(* K outside 1..16 is refused before the circuit is touched (a 17-input
+   cut would overflow the extractor). *)
+let test_engine_rejects_bad_k () =
+  let c = c17 () in
+  let before = Bench_format.to_string c in
+  List.iter
+    (fun (name, optimize) ->
+      List.iter
+        (fun k ->
+          (match optimize Engine.Gates { proc_options with Engine.k } c with
+          | _ -> Alcotest.failf "%s accepted K = %d" name k
+          | exception Invalid_argument _ -> ());
+          check Alcotest.string
+            (Printf.sprintf "%s, K = %d: circuit unchanged" name k)
+            before (Bench_format.to_string c))
+        [ -3; 0; 17; 18 ])
+    [ ("optimize", Engine.optimize); ("optimize_reference", Engine.optimize_reference) ];
+  let stats = Engine.optimize Engine.Gates { proc_options with Engine.k = 16 } c in
+  check bool_ "K = 16 runs" true (stats.Engine.passes >= 1)
+
 let test_sampled_engine_also_works () =
   let options =
     { proc_options with Engine.engine = Comparison_fn.Sampled 200 }
@@ -226,4 +378,10 @@ let suite =
     ("procedure 2 keeps minimal >=3 structure", `Quick, test_procedure2_reduces_on_chain_example);
     ("procedure 2 rebuilds wasteful interval logic", `Quick, test_procedure2_removes_waste);
     ("procedure 2 with sampled identification", `Quick, test_sampled_engine_also_works);
+    ("engine rejects K outside 1..16", `Quick, test_engine_rejects_bad_k);
+    ("enumerate: repeated fanin", `Quick, test_enumerate_repeated_fanin);
+    ("enumerate: constant fanins", `Quick, test_enumerate_constant_fanins);
+    ("enumerate: push budget binds", `Quick, test_enumerate_push_budget_binds);
   ]
+
+let qchecks = [ qcheck_enumerate_matches_reference ]
