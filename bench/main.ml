@@ -17,7 +17,8 @@
                     DESIGN.md "Parallel execution" and §9)
      --domains N    domain budget for the parallel kernels (0 or omitted
                     picks Pool.default_domains (), i.e. recommended - 1;
-                    resolved by Pool.domains_of_flag like the CLI flag)
+                    resolved by Pool.domains_of_flag like the CLI flag;
+                    at most Pool.max_domains)
      --metrics SINK observability export: "text" prints a readable dump,
                     "json" prints the JSON document, anything else is a
                     file path receiving the JSON (see DESIGN.md §9)
@@ -77,6 +78,10 @@ let () =
       parse rest
     | "--domains" :: n :: rest ->
       (match int_of_string_opt n with
+      | Some n when n > Pool.max_domains ->
+        Printf.eprintf "error: --domains %d is above the runtime's limit of %d\n" n
+          Pool.max_domains;
+        exit 2
       | Some n -> domains := Pool.domains_of_flag n
       | None ->
         Printf.eprintf "error: --domains expects an integer, got %s\n" n;
@@ -142,9 +147,8 @@ type kernel_row = {
 
 (* Incremental resynthesis (DESIGN.md §13, §17): the cost of a second pass
    on a large synthetic circuit, the reference full walk vs the production
-   worklist walk, plus the pop and commit counters and the bit-identity
-   check CI gates on. [in_concurrent_commits] is the structural claim that
-   deferred splices really land in multi-splice groups. *)
+   worklist walk, plus the pop counter and the bit-identity check CI gates
+   on. *)
 type incr_row = {
   in_circuit : string;
   in_domains : int;
@@ -157,12 +161,8 @@ type incr_row = {
   in_popped : int;
   in_total_roots : int; (* full-walk visit bound: passes x circuit size *)
   in_pop_fraction : float;
-  in_commit_waves : int;
-  in_concurrent_commits : int;
   in_identical : bool; (* reference = production = production on the pool *)
-  in_gate_ok : bool;
-      (* identical && speedup >= 1 && fraction < 1 && pop fraction < 1
-         && concurrent commits > 0 *)
+  in_gate_ok : bool; (* identical && speedup >= 1 && fraction < 1 && pop fraction < 1 *)
 }
 
 (* Persistent identification cache (DESIGN.md §15): lookup traffic of the
@@ -1264,7 +1264,7 @@ let kernels () =
 (* ------------------------------------------------------------------ *)
 
 let incremental () =
-  (* Cut enumeration, pop and commit counts come from the engine.*
+  (* Cut enumeration and pop counts come from the engine.*
      counters, so collection must be on even when no --json/--metrics
      sink asked for it (this section registers last: earlier sections keep
      their baseline probe cost when run together without a sink). *)
@@ -1288,8 +1288,6 @@ let incremental () =
   record_circuit "incr-large" base;
   let candidates_c = Obs.Counter.make "engine.candidates" in
   let popped_c = Obs.Counter.make "engine.worklist_popped" in
-  let waves_c = Obs.Counter.make "engine.commit_waves" in
-  let concurrent_c = Obs.Counter.make "engine.concurrent_commits" in
   let opts ~passes ~domains =
     { (proc2_options 4) with Engine.max_candidates = 24; max_passes = passes; domains }
   in
@@ -1301,7 +1299,7 @@ let incremental () =
      reproducible. *)
   let run optimize o =
     let c = Circuit.copy base in
-    let counters = [ candidates_c; popped_c; waves_c; concurrent_c ] in
+    let counters = [ candidates_c; popped_c ] in
     let v0 = List.map Obs.Counter.value counters in
     let t0 = Sys.time () in
     let stats = optimize Engine.Gates o c in
@@ -1339,8 +1337,8 @@ let incremental () =
     Array.sort Float.compare xs;
     xs.(Array.length xs / 2)
   in
-  (* Concurrent commits: the production walk with each landing group
-     verified on the --domains pool must land the exact same netlist. *)
+  (* The production walk scoring candidates on the --domains pool must
+     land the exact same netlist. *)
   let sc, nc, _, _, _ = run production (opts ~passes:2 ~domains:!domains) in
   let cuts = function c :: _ -> c | [] -> 0 in
   let pass2_cuts_full = max 0 (cuts d2f - cuts d1f) in
@@ -1357,11 +1355,7 @@ let incremental () =
     if pass2_incr_s <= 0. then if pass2_full_s <= 0. then 1. else 99.99
     else pass2_full_s /. pass2_incr_s
   in
-  let popped, waves, concurrent =
-    match d2i with
-    | [ _; p; w; k ] -> (p, w, k)
-    | _ -> assert false
-  in
+  let popped = match d2i with [ _; p ] -> p | _ -> assert false in
   (* The full walk visits every root of every pass; the worklist pops only
      the dirty ones. *)
   let total_roots = si.Engine.passes * size in
@@ -1382,12 +1376,8 @@ let incremental () =
       in_popped = popped;
       in_total_roots = total_roots;
       in_pop_fraction = pop_fraction;
-      in_commit_waves = waves;
-      in_concurrent_commits = concurrent;
       in_identical = identical;
-      in_gate_ok =
-        identical && speedup >= 1. && fraction < 1. && pop_fraction < 1.
-        && concurrent > 0;
+      in_gate_ok = identical && speedup >= 1. && fraction < 1. && pop_fraction < 1.;
     }
   in
   json_incremental := row :: !json_incremental;
@@ -1399,9 +1389,8 @@ let incremental () =
     pass2_cuts_full pass2_cuts_incr (100. *. fraction);
   Printf.printf "  pass-2 cpu    full %7.3fs   incremental %7.3fs   (speedup %.2fx)\n"
     pass2_full_s pass2_incr_s speedup;
-  Printf.printf
-    "  worklist pops %d of %d full-walk visits (%.2f%%); %d commit waves, %d concurrent commits\n"
-    popped total_roots (100. *. pop_fraction) waves concurrent;
+  Printf.printf "  worklist pops %d of %d full-walk visits (%.2f%%)\n" popped
+    total_roots (100. *. pop_fraction);
   Printf.printf
     "  identical results: %b (reference vs production vs production domains=%d)\n%!"
     identical !domains
@@ -1676,14 +1665,12 @@ let write_json file =
             \"pass2_cuts_incremental\": %d, \"reenum_fraction\": %.4f, \
             \"pass2_full_seconds\": %.6f, \"pass2_incremental_seconds\": %.6f, \
             \"speedup\": %.4f, \"worklist_popped\": %d, \"total_roots\": %d, \
-            \"pop_fraction\": %.4f, \"commit_waves\": %d, \
-            \"concurrent_commits\": %d, \"identical_results\": %b, \
+            \"pop_fraction\": %.4f, \"identical_results\": %b, \
             \"gate_ok\": %b}"
            (json_escape r.in_circuit) r.in_domains r.in_pass2_cuts_full
            r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_full_s
            r.in_pass2_incr_s r.in_speedup r.in_popped r.in_total_roots
-           r.in_pop_fraction r.in_commit_waves r.in_concurrent_commits
-           r.in_identical r.in_gate_ok))
+           r.in_pop_fraction r.in_identical r.in_gate_ok))
     (List.rev !json_incremental);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"idcache\": [\n";

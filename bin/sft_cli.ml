@@ -56,14 +56,25 @@ let output_arg =
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* Checked here, before any subcommand runs: a pool wider than the
+   runtime's domain limit would die spawning its workers. *)
 let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Computation domains for parallel execution: 0 picks the \
-           recommended domain count, 1 forces the serial path. Results are \
-           identical for every value.")
+  let check n =
+    if n > Pool.max_domains then
+      die "--domains %d is above the runtime's limit of %d" n Pool.max_domains;
+    n
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt int 0
+        & info [ "domains" ] ~docv:"N"
+            ~doc:
+              (Printf.sprintf
+                 "Computation domains for parallel execution: 0 picks the \
+                  recommended domain count, 1 forces the serial path, at \
+                  most %d. Results are identical for every value."
+                 Pool.max_domains)))
 
 (* --- observability plumbing ---------------------------------------------- *)
 

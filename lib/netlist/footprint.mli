@@ -3,10 +3,9 @@
 
     A {!set} is a growable bitset over node ids: the engine keeps one per
     optimisation run recording which roots must be re-enumerated, and one
-    per queued splice recording the roots that could observe it before it
-    lands. Ids beyond the current capacity are simply
-    absent; {!add} grows the set on demand, so the same set survives the
-    circuit growing across splices.
+    recording which nodes are reachable from an output. Ids beyond the
+    current capacity are simply absent; {!add} grows the set on demand, so
+    the same set survives the circuit growing across splices.
 
     {!Worklist} is an ordered view over a set: it additionally keeps the
     dirty roots in a max-heap keyed on their position in the current pass's
@@ -36,9 +35,9 @@ val count : set -> int
 (** Number of ids currently in the set. *)
 
 val clear : set -> unit
-(** Empty the set, keeping the backing store for reuse — the per-landing
-    reset of the engine's will-die set must not reallocate a
-    circuit-sized buffer every few splices. *)
+(** Empty the set, keeping the backing store for reuse — the worklist's
+    per-pass reset of its queued set must not reallocate a circuit-sized
+    buffer every pass. *)
 
 val mark_fanout_cone : ?on_add:(int -> unit) -> Circuit.t -> set -> int list -> int
 (** [mark_fanout_cone c s seeds] inserts every live seed and every live

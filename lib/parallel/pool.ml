@@ -34,6 +34,10 @@ type t = {
 
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* The runtime's [Max_domains] on 64-bit hosts (caml/domain.h): past it
+   [Domain.spawn] fails with [Failure "failed to allocate domain"]. *)
+let max_domains = 128
+
 let domains_of_flag n = if n <= 0 then default_domains () else n
 
 (* Per-domain busy-time counters are keyed by slot, not by pool, so every
@@ -132,6 +136,10 @@ let create ?domains () =
   let n_domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
+  if n_domains > max_domains then
+    invalid_arg
+      (Printf.sprintf "Pool.create: %d domains is above the runtime's limit of %d"
+         n_domains max_domains);
   let t =
     {
       n_domains;

@@ -41,11 +41,17 @@ val domains_of_flag : int -> int
     and the campaign/engine config records all resolve through this single
     function. *)
 
+val max_domains : int
+(** The most domains the OCaml runtime can run at once (128 on 64-bit
+    hosts), counting the calling domain. Entry points check a
+    user-supplied domain count against it before spawning anything. *)
+
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains - 1] worker domains ([domains] defaults to
     {!default_domains}; values [<= 1] are clamped to 1 and spawn nothing).
-    Pools hold OS-level resources — release with {!shutdown}, or prefer
-    {!with_pool}. *)
+    Raises [Invalid_argument], before spawning, if [domains] is above
+    {!max_domains}. Pools hold OS-level resources — release with
+    {!shutdown}, or prefer {!with_pool}. *)
 
 val domains : t -> int
 (** Total participating domains (including the caller), i.e. the number of

@@ -204,8 +204,8 @@ let load path =
                     bump r.tallies ("redundancy_proof/" ^ m) 1;
                     r
                   | kind ->
-                    (* podem_abort, commit_flush, cec_unknown, and any
-                       event kind a newer writer may add. *)
+                    (* podem_abort, cec_unknown, and any event kind a
+                       newer writer may add. *)
                     bump r.tallies kind 1;
                     r
                 in
@@ -330,7 +330,7 @@ let render t =
       (fun k ->
         let n = tally t k in
         if n = 0 then None else Some (Printf.sprintf "%s %s" k (Table.int n)))
-      [ "podem_abort"; "commit_flush"; "cec_unknown" ]
+      [ "podem_abort"; "cec_unknown" ]
   in
   if misc <> [] then
     Buffer.add_string b (String.concat ", " misc ^ "\n");
@@ -394,7 +394,6 @@ let run_json t =
         tallies_json t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]
       );
       ("podem_aborts", Obs_json.Int (tally t "podem_abort"));
-      ("commit_flushes", Obs_json.Int (tally t "commit_flush"));
     ]
 
 let to_json_value runs =

@@ -46,11 +46,6 @@ let default_options =
     cache_dir = None;
   }
 
-(* Deferred-commit window: up to this many accepted splices queue before
-   landing in one group, whose local verifications fan out across the
-   pool. Results do not depend on it. *)
-let commit_batch = 8
-
 (* Observability probes. [cut_size_h] and [realised_c] fire inside worker
    evaluation — counters and histograms are atomic, so that is safe; spans
    stay on the orchestrating domain. *)
@@ -74,16 +69,15 @@ let dirty_regions_c =
 let dirty_nodes_h =
   Obs.Histogram.make ~help:"nodes newly dirtied per splice footprint" "engine.dirty_nodes"
 
-let concurrent_commits_c =
-  Obs.Counter.make ~help:"splices landed through a multi-splice commit group"
-    "engine.concurrent_commits"
-
 let worklist_popped_c =
   Obs.Counter.make ~help:"dirty roots popped from the pass worklist"
     "engine.worklist_popped"
 
-let commit_waves_c =
-  Obs.Counter.make ~help:"landed commit groups, each verified as one wave"
+(* Retired with the deferred commit queue and never incremented: the perf
+   benchmark's per-layer metrics still read the name and refuse a run on
+   an unregistered counter, so it stays registered at 0. *)
+let _ : Obs.Counter.t =
+  Obs.Counter.make ~help:"retired: always 0 (splices land one at a time)"
     "engine.commit_waves"
 
 (* Phase timers, summed per root and only while metrics are on. They are
@@ -222,14 +216,12 @@ type scoring = {
 }
 
 (* Footprint state of the production walk, threaded through every pass:
-   the persistent dirty worklist, the output-reachable set that stands in
-   for the reference walk's [marked] array, and the will-die set of the
-   commit queue, cleared instead of reallocated. The bitsets grow on
-   demand, so all of it survives circuit growth. *)
+   the persistent dirty worklist and the output-reachable set that stands
+   in for the reference walk's [marked] array. The bitsets grow on demand,
+   so both survive circuit growth. *)
 type run_state = {
   wl : Footprint.Worklist.t;
   reachable : Footprint.set;
-  pending_members : Footprint.set;
 }
 
 (* The reference walk's [marked] array computes output-reachability on
@@ -262,7 +254,6 @@ let make_run_state c =
   {
     wl = Footprint.Worklist.create ~all:true (Circuit.size c);
     reachable = reachable_from_outputs c;
-    pending_members = Footprint.create 1;
   }
 
 (* Below this many candidates a pooled scoring batch runs inline on the
@@ -405,37 +396,16 @@ let is_gate c id =
   | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
   | Gate.Xnor -> true
 
-(* A splice decision queued for landing: the winning candidate, its root,
-   and the accepted-splice index it drew — the index drives verification
-   sampling and the [inject_unsound] hook, so it is fixed at decision time
-   and replayed at landing. The three sets are computed on the pre-splice
-   circuit at decision time (see [splice_casualties]): [p_obs] is the
-   observer set (every root whose evaluation could distinguish the
-   deferred circuit from the committed one), [p_dead] the exact set of
-   nodes the splice's sweep will remove, and [p_boundary] the live fanins
-   of those nodes, whose fanout degree the landing changes. *)
-type pending = {
-  p_root : int;
-  p_cand : Comparison_unit.built candidate;
-  p_idx : int;
-  p_obs : Footprint.set;
-  p_dead : int list;
-  p_boundary : int list;
-}
-
-(* Exact casualty prediction for a splice, computed on the pre-splice
-   circuit. [Replace.splice] retargets the root's readers onto the fresh
-   unit and then sweeps global output-reachability; in a DAG whose only
-   edge changes are that retarget, the sweep kills exactly the
-   reference-count cascade from the root — a node dies iff it is neither
-   a primary input, nor an output, nor a cut input the fresh unit reads
-   (the unit's output cone does not necessarily use every cut position),
-   and every one of its readers dies. Returns [(dead, boundary)]:
-   [dead] always contains the root; [boundary] is the sweep boundary —
-   the live fanins of dead nodes, whose fanout degree the commit will
-   change. Both lists are duplicate-free. *)
-let splice_casualties c ~queued_dead (sub : Subcircuit.t)
-    (built : Comparison_unit.built) =
+(* The sweep boundary of a splice, computed on the pre-splice circuit: the
+   live fanins of the nodes its sweep will remove, whose fanout degree the
+   splice changes. [Replace.splice] retargets the root's readers onto the
+   fresh unit and then sweeps global output-reachability; in a DAG whose
+   only edge changes are that retarget, the sweep kills exactly the
+   reference-count cascade from the root — a node dies iff it is neither a
+   primary input, nor an output, nor a cut input the fresh unit reads (the
+   unit's output cone does not necessarily use every cut position), and
+   every one of its readers dies. The list is duplicate-free. *)
+let sweep_boundary c (sub : Subcircuit.t) (built : Comparison_unit.built) =
   let unit_c = built.Comparison_unit.circuit in
   let used_unit = Array.make (Circuit.size unit_c) false in
   let rec mark_unit id =
@@ -458,14 +428,7 @@ let splice_casualties c ~queued_dead (sub : Subcircuit.t)
     dead_list := id :: !dead_list
   in
   kill sub.Subcircuit.root;
-  (* [queued_dead] holds the predicted casualties of older splices still
-     in the queue: they are alive right now but will be gone before this
-     splice commits (landings are in decision order), so the cascade must
-     count them as dead readers. A node that dies only through the
-     combination is attributed to this (newer) splice — exactly right,
-     since any landed prefix containing this splice contains the older
-     ones too. *)
-  let gone r = Hashtbl.mem dead r || Footprint.mem queued_dead r in
+  let gone r = Hashtbl.mem dead r in
   (* Every kill re-examines the victim's fanins, so a fanin is re-checked
      whenever one of its readers dies: when its last reader goes, the
      check passes — the fixpoint needs no separate worklist. *)
@@ -502,7 +465,7 @@ let splice_casualties c ~queued_dead (sub : Subcircuit.t)
           end)
         (Circuit.fanins c d))
     !dead_list;
-  (!dead_list, !boundary_list)
+  !boundary_list
 
 (* Simulation snapshot for don't-care analysis. Replacements only rewrite
    logic downstream of the gates still to be processed, so upstream node
@@ -536,14 +499,13 @@ let choose ?pool ?cache ~sc objective opts ~sim labels c g =
            { cand with unit_ = Comparison_unit.build ~merge:opts.merge ~n spec })
 
 (* Apply one decided splice, SAT-proving it against a snapshot when the
-   sampling cadence asks for it. [pre_verified] means the landing group
-   already ran the exhaustive local check. Returns false if the miter
-   refused the replacement and rolled it back. *)
-let apply ?pool opts vstate ~pre_verified c ~root ~idx cand =
+   sampling cadence asks for it. Returns false if the miter refused the
+   replacement and rolled it back. *)
+let apply ?pool opts vstate c ~root ~idx cand =
   (* Don't-care replacements intentionally differ from the subcircuit
      function on proved-unreachable combinations, so the exhaustive local
      check only applies to exact ones. *)
-  let verify_local = opts.verify_local && cand.exact && not pre_verified in
+  let verify_local = opts.verify_local && cand.exact in
   let snapshot =
     if should_verify opts.verify idx then Some (Circuit.copy c) else None
   in
@@ -605,56 +567,28 @@ let apply ?pool opts vstate ~pre_verified c ~root ~idx cand =
    [Paths.labels]). A popped root is processed iff it is a live gate
    reachable from an output, which is precisely when the reference walk
    would have marked it; a clean root is never queued, because its
-   evaluation would reproduce its previous rejection bit-exactly.
-
-   Accepted splices queue and land in decision-order groups of at most
-   [commit_batch]. A group lands early when the walk pops a root that one
-   of its splices can be observed from, so every evaluation reads exactly
-   the circuit the reference walk's immediate commits would have left. *)
+   evaluation would reproduce its previous rejection bit-exactly. Each
+   accepted splice lands at once, as in the reference walk. *)
 let run_pass ?pool ?cache objective opts vstate sc st c =
   let labels = Paths.labels c in
   let sim = dontcare_sim opts c in
   let replacements = ref 0 in
-  let pending = ref [] (* newest first; landed in decision order *) in
-  (* Union of the queued splices' exact will-die sets. Had the queue
-     committed immediately these nodes would already be gone and the walk
-     would pass them silently, so a pop here is skipped — and must be: a
-     casualty outside the footprint (sweep cascade past the cut) that is
-     dirty for unrelated reasons would otherwise be evaluated alive here
-     and dead by the reference walk. Skipping instead of landing is what
-     lets the queue outlive its own members. *)
-  let pending_members = st.pending_members in
-  (* Kinds whose fanout list the scoring of some future root could read:
-     member gates and constants, but never primary inputs (a PI cannot be
-     a member of a subcircuit, and nothing else reads fanouts). *)
-  let observable_src id =
-    Circuit.is_alive c id
-    && match Circuit.kind c id with Gate.Input -> false | _ -> true
-  in
-  (* Queue a decided candidate, computing its sets on the pre-splice
-     circuit. The dirty region is the fanout cone of the cut inputs, the
-     member gates and the sweep boundary; an immediate commit would dirty
-     the same region at this walk position. The observer set: evaluation
-     at a root [y] reads only the fanin structure of [y]'s strict fanin
-     cone and the fanout lists of its member gates, so [y] can distinguish
-     the deferred circuit from the committed one iff that cone contains a
-     node the commit restructures (a reader of the replaced root) or whose
-     fanout list it changes (a surviving cut input or a sweep-boundary
-     node) — equivalently iff [y] lies in the fanout cone of a live reader
-     of one of those. Dead regions cannot re-export an edge, so a
-     surviving cut input itself scores identically before and after the
-     landing and is not an observer. The sets stay valid while queued: no
-     later decision can reach into a queued splice's region without first
-     landing it (its root would be a skipped casualty or an observer). *)
-  let decide g cand =
+  (* Land the splice chosen at root [g]. Before it lands, dirty the fanout
+     cone of its cut inputs, its member gates and its sweep boundary on the
+     pre-splice graph: the sweep inside [Replace.splice] cascades upstream
+     past the cut, and the survivors on that boundary change fanout degree
+     — which [Subcircuit.removable_gates] reads. If the splice stands,
+     dirty the nodes it imported (ids allocated past [since]) and their
+     fanout cones, so the next pass re-evaluates the rebuilt region; fresh
+     nodes are output-reachable by construction (the splice retargets the
+     old root's readers onto them), so the reachability predicate learns
+     them here. A refused splice was rolled back and leaves [g] dirty for
+     the next pass, where the reference walk also re-evaluates it. *)
+  let commit g cand =
     let sub = cand.sub in
     let idx = vstate.attempts in
     vstate.attempts <- idx + 1;
     Obs.Counter.incr dirty_regions_c;
-    let dead, boundary =
-      splice_casualties c ~queued_dead:pending_members sub cand.unit_
-    in
-    List.iter (Footprint.add pending_members) dead;
     let seeds =
       Array.fold_left
         (fun acc input -> input :: acc)
@@ -662,42 +596,9 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
     in
     Obs.Histogram.observe dirty_nodes_h
       (Footprint.Worklist.mark_fanout_cone c st.wl
-         (List.rev_append boundary seeds));
-    let obs = Footprint.create (Circuit.size c) in
-    let srcs =
-      sub.Subcircuit.root
-      :: List.rev_append
-           (List.filter observable_src boundary)
-           (List.filter observable_src (Array.to_list sub.Subcircuit.inputs))
-    in
-    let obs_seeds =
-      List.concat_map
-        (fun v ->
-          List.filter
-            (fun r -> not (Footprint.mem pending_members r))
-            (Circuit.fanouts c v))
-        srcs
-    in
-    ignore (Footprint.mark_fanout_cone c obs obs_seeds);
-    { p_root = g; p_cand = cand; p_idx = idx; p_obs = obs; p_dead = dead;
-      p_boundary = boundary }
-  in
-  (* Land one queued splice. On success, dirty the nodes it imported (ids
-     allocated past [since]) and their fanout cones, so the next pass
-     re-evaluates the rebuilt region; fresh nodes are output-reachable by
-     construction (the splice retargets the old root's readers onto them),
-     so the reachability predicate learns them here. Then dirty the cone of
-     the sweep boundary on the post-splice graph: the sweep inside
-     [Replace.splice] cascades upstream past the cut, and the survivors on
-     that boundary change fanout degree — which
-     [Subcircuit.removable_gates] reads. *)
-  let commit ~pre_verified p =
+         (List.rev_append (sweep_boundary c sub cand.unit_) seeds));
     let since = Circuit.size c in
-    let sound =
-      apply ?pool opts vstate ~pre_verified c ~root:p.p_root ~idx:p.p_idx
-        p.p_cand
-    in
-    if sound then begin
+    if apply ?pool opts vstate c ~root:g ~idx cand then begin
       incr replacements;
       let fresh = ref [] in
       for id = Circuit.size c - 1 downto since do
@@ -706,97 +607,8 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
           Footprint.add st.reachable id
         end
       done;
-      ignore (Footprint.Worklist.mark_fanout_cone c st.wl !fresh);
-      ignore (Footprint.Worklist.mark_fanout_cone c st.wl p.p_boundary)
-    end;
-    sound
-  in
-  (* Land a decision-order group. Its exhaustive local checks run as one
-     read-only wave across the pool (each re-extracts its sub from the
-     current circuit); the mutations stay serial in decision order, the
-     fixed tie-break (and id allocation order) that keeps deferred commits
-     bit-identical to immediate ones. Verifying the whole group before any
-     of it lands is sound because an older commit could only perturb a
-     newer verification by reaching into its sub, which needs the newer
-     root inside the older splice's observer set — impossible for
-     co-queued splices, since a root popped while another splice was
-     queued either landed it as an observer or was skipped as a
-     casualty. *)
-  let land_group ps =
-    Obs.Span.with_ "engine.commit_flush" (fun () ->
-        let m = Array.length ps in
-        assert (
-          let disjoint = ref true in
-          Array.iteri
-            (fun i p ->
-              for j = i + 1 to m - 1 do
-                if Footprint.mem p.p_obs ps.(j).p_root then disjoint := false
-              done)
-            ps;
-          !disjoint);
-        if Obs.Journal.enabled () then
-          Obs.Journal.emit "commit_flush" [ ("batch", Obs_json.Int m) ];
-        Obs.Counter.incr commit_waves_c;
-        let pre_verified =
-          match pool with
-          | Some pool when m > 1 && opts.verify_local ->
-            Array.iter
-              (fun ok -> if not ok then Replace.reject ())
-              (Pool.map pool ~chunk:1
-                 (fun p ->
-                   (not p.p_cand.exact)
-                   || Replace.implements c p.p_cand.sub p.p_cand.unit_)
-                 ps);
-            true
-          | _ -> false
-        in
-        Array.iter
-          (fun p ->
-            if commit ~pre_verified p then begin
-              if m > 1 then Obs.Counter.incr concurrent_commits_c
-            end
-            else begin
-              (* Refused and rolled back: the root survives with its old
-                 structure, but the walk is already past it — schedule it,
-                 its fanins, and its predicted casualties (skipped while
-                 the splice was queued, alive again now) for the next pass
-                 instead. *)
-              Footprint.Worklist.push st.wl p.p_root;
-              Array.iter
-                (fun f -> if is_gate c f then Footprint.Worklist.push st.wl f)
-                (Circuit.fanins c p.p_root);
-              List.iter
-                (fun d -> if is_gate c d then Footprint.Worklist.push st.wl d)
-                p.p_dead
-            end)
-          ps)
-  in
-  let land_all () =
-    if !pending <> [] then begin
-      let ps = Array.of_list (List.rev !pending) in
-      pending := [];
-      Footprint.clear pending_members;
-      land_group ps
+      ignore (Footprint.Worklist.mark_fanout_cone c st.wl !fresh)
     end
-  in
-  (* Touch rule at root [g] (the walk is about to read [g]'s region): land
-     the decision-order prefix up to the newest splice whose observer set
-     contains [g] — every splice the evaluation of [g] could observe, and
-     everything decided before them so fresh ids keep their immediate-mode
-     allocation order — while newer splices stay queued. *)
-  let land_covering g =
-    let rec split kept_oldest_first = function
-      | [] -> ()
-      | p :: older when Footprint.mem p.p_obs g ->
-        pending := List.rev kept_oldest_first;
-        Footprint.clear pending_members;
-        List.iter
-          (fun q -> List.iter (Footprint.add pending_members) q.p_dead)
-          kept_oldest_first;
-        land_group (Array.of_list (List.rev (p :: older)))
-      | p :: older -> split (p :: kept_oldest_first) older
-    in
-    split [] !pending
   in
   let order = Circuit.topo_order c in
   let pos = Array.make (Circuit.size c) (-1) in
@@ -809,23 +621,13 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
     | None -> continue_ := false
     | Some g ->
       Obs.Counter.incr worklist_popped_c;
-      if
-        is_gate c g
-        && Footprint.mem st.reachable g
-        && not (Footprint.mem pending_members g)
-      then begin
-        land_covering g;
-        if is_gate c g then begin
-          Footprint.remove dirty g;
-          match choose ?pool ?cache ~sc objective opts ~sim labels c g with
-          | None -> ()
-          | Some cand ->
-            pending := decide g cand :: !pending;
-            if List.length !pending >= commit_batch then land_all ()
-        end
+      if is_gate c g && Footprint.mem st.reachable g then begin
+        Footprint.remove dirty g;
+        match choose ?pool ?cache ~sc objective opts ~sim labels c g with
+        | None -> ()
+        | Some cand -> Obs.Span.with_ "engine.commit_flush" (fun () -> commit g cand)
       end
   done;
-  land_all ();
   !replacements
 
 (* One pass of the paper's full walk, the oracle the production walk is
@@ -854,7 +656,7 @@ let run_pass_reference ?pool ?cache objective opts vstate sc c =
           vstate.attempts <- idx + 1;
           (* A refused splice was rolled back, so [g] is intact: continue
              as if no candidate had improved on it. *)
-          if apply ?pool opts vstate ~pre_verified:false c ~root:g ~idx cand
+          if apply ?pool opts vstate c ~root:g ~idx cand
           then Some cand
           else None
       in
@@ -871,10 +673,10 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
   let golden = if opts.verify_global then Some (Circuit.copy c) else None in
   (* Establish "alive implies output-reachable (or Input)" before the first
      pass. Every splice sweeps, so the invariant then holds for the whole
-     run — and the production walk's casualty prediction depends on it: a
+     run — and the production walk's [sweep_boundary] depends on it: a
      pre-existing unreachable node would count as a live reader when the
-     cascade decides what a queued splice kills, while the splice's global
-     sweep reaps it along with everything it was propping up. *)
+     cascade decides what a splice kills, while the splice's global sweep
+     reaps it along with everything it was propping up. *)
   ignore (Circuit.sweep c);
   let gates_before = Circuit.two_input_gate_count c in
   let paths_before = Paths.total c in
@@ -949,6 +751,6 @@ let optimize objective opts c = run ~reference:false objective opts c
 let optimize_reference objective opts c = run ~reference:true objective opts c
 
 module Test_hooks = struct
-  let optimize_unsound ~nth objective opts c =
-    run ~inject_unsound:nth ~reference:false objective opts c
+  let optimize_unsound ?(reference = false) ~nth objective opts c =
+    run ~inject_unsound:nth ~reference objective opts c
 end

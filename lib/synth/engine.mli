@@ -11,11 +11,10 @@
     There is one production path, {!optimize}, and one reference oracle,
     {!optimize_reference}, which the tests and the bench hold it to
     bit-for-bit. The reference is the walk just described, committing each
-    splice at once. The production walk (DESIGN.md §13, §17) tracks the
-    footprint of every splice, so later passes pop only the dirty roots
-    from an ordered worklist; accepted splices queue and land in small
-    groups whose local verifications fan out across the [domains] pool,
-    while the mutations stay serial in decision order. *)
+    splice at once. The production walk (DESIGN.md §13, §17) commits each
+    splice at once too, and also tracks the footprint of every splice, so
+    later passes pop only the dirty roots from an ordered worklist.
+    Candidate scoring fans out across the [domains] pool. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -119,16 +118,15 @@ val optimize : objective -> options -> Circuit.t -> stats
     [engine.realised], [engine.accepted], [engine.verify_checks],
     [engine.verify_refused], [engine.verify_unknown], [engine.dirty_regions]
     (splice footprints marked dirty), [engine.worklist_popped] (dirty roots
-    popped from the pass worklist), [engine.commit_waves] (landed commit
-    groups, each verified as one wave), [engine.concurrent_commits]
-    (splices landed through a multi-splice group), [engine.enumerate_ns]
-    and [engine.score_ns] (nanoseconds spent enumerating cuts and scoring
-    them: extraction, identification and unit cost), and the {!Idcache}
-    probes [idcache.hits], [idcache.disk_hits], [idcache.misses];
-    histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
-    dirtied per footprint) and [idcache.class_hits]; spans [engine.pass]
-    (one per resynthesis pass) and [engine.commit_flush] (one per landed
-    commit group).
+    popped from the pass worklist), [engine.enumerate_ns] and
+    [engine.score_ns] (nanoseconds spent enumerating cuts and scoring them:
+    extraction, identification and unit cost), and the {!Idcache} probes
+    [idcache.hits], [idcache.disk_hits], [idcache.misses]; histograms
+    [engine.cut_size], [engine.dirty_nodes] (nodes newly dirtied per
+    footprint) and [idcache.class_hits]; spans [engine.pass] (one per
+    resynthesis pass) and [engine.commit_flush] (one per splice: its
+    footprint marks, the splice and its miter check). [engine.commit_waves]
+    is retired and always 0.
     [extract.words] counts the 64-minterm words swept by the bit-parallel
     extractor (see {!Subcircuit.extract}). *)
 
@@ -141,8 +139,11 @@ val optimize_reference : objective -> options -> Circuit.t -> stats
 
 (** Fault injection for the test suite. *)
 module Test_hooks : sig
-  val optimize_unsound : nth:int -> objective -> options -> Circuit.t -> stats
-  (** {!optimize} with the [nth] accepted replacement (1-based) corrupted
-      by inverting the spliced root {e after} local verification, so only
-      the {!verify} miter can catch it. Never use this outside tests. *)
+  val optimize_unsound :
+    ?reference:bool -> nth:int -> objective -> options -> Circuit.t -> stats
+  (** {!optimize} (or, with [~reference:true], {!optimize_reference}) with
+      the [nth] accepted replacement (1-based) corrupted by inverting the
+      spliced root {e after} local verification, so only the {!verify}
+      miter can catch it. Both walks refuse the same splice at the same
+      point and stay bit-identical. Never use this outside tests. *)
 end

@@ -1,15 +1,5 @@
 (** Splicing a comparison unit in place of a subcircuit. *)
 
-val implements : Circuit.t -> Subcircuit.t -> Comparison_unit.built -> bool
-(** Exhaustive local check: does the unit compute exactly the subcircuit's
-    extracted function? This is the read-only half of [splice]'s
-    [verify_local]; the engine's deferred-commit path runs it concurrently
-    across pending splices before any of them mutates the circuit. *)
-
-val reject : unit -> 'a
-(** Raise the [Failure] that [splice] raises on a failed local check (the
-    engine re-uses it when a concurrent {!implements} pre-check fails). *)
-
 val splice :
   ?verify_local:bool ->
   Circuit.t ->

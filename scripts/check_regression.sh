@@ -13,9 +13,8 @@
 #   - `speedups` and `kernels`: every parallel or word-parallel kernel is
 #     bit-identical to its serial baseline;
 #   - `incremental`: the production engine reproduces the reference full
-#     walk bit-for-bit (`identical_results`), pops and re-enumerates less
-#     than it and lands deferred splices in multi-splice groups (`gate_ok`,
-#     `concurrent_commits` > 0) — DESIGN.md §13, §17;
+#     walk bit-for-bit (`identical_results`) and pops and re-enumerates
+#     less than it (`gate_ok`) — DESIGN.md §13, §17;
 #   - `idcache`: the persistent identification cache's determinism
 #     contract (off = cold = warm bit-identity, warm-start disk hits, no
 #     warm misses — a deterministic rerun is answered entirely from the
@@ -85,7 +84,6 @@ require speedups '"identical_results": true'
 require kernels '"identical_results": true'
 require incremental '"identical_results": true'
 require incremental '"gate_ok": true'
-require incremental '"concurrent_commits": [1-9]'
 require idcache '"identical_results": true'
 require idcache '"gate_ok": true'
 require sat_atpg '"escalation_ok": true'

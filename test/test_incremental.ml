@@ -1,8 +1,8 @@
-(* Incremental, region-parallel resynthesis (DESIGN.md §13, §17): dirty-region
-   tracking, deferred splice commits and the pool work-size cutoff. The
-   load-bearing property is bit-identity — the production engine must
-   reproduce the reference full walk ([Engine.optimize_reference]) exactly,
-   for every configuration. *)
+(* Incremental resynthesis (DESIGN.md §13, §17): dirty-region tracking,
+   the ordered worklist and the pool work-size cutoff. The load-bearing
+   property is bit-identity — the production engine must reproduce the
+   reference full walk ([Engine.optimize_reference]) exactly, for every
+   configuration. *)
 
 open Helpers
 
@@ -281,6 +281,46 @@ let gen_profile seed =
     seed = Int64.of_int seed;
   }
 
+(* Refused splices: the CEC guard rolls back a splice corrupted through
+   [Engine.Test_hooks.optimize_unsound] at the walk position where it was
+   chosen, in both walks, so the production walk stays bit-identical to
+   the reference on refusing runs too. Each pinned (seed, nth, objective)
+   diverged while the production walk landed its splices in deferred
+   groups, refusing them after the walk had moved on. *)
+let test_refused_splice_identity () =
+  let options = { Engine.default_options with Engine.verify = `Full } in
+  List.iter
+    (fun (seed, nth, objective) ->
+      let c0 = Circuit_gen.generate (gen_profile seed) in
+      let run reference =
+        let c = Circuit.copy c0 in
+        let stats =
+          Engine.Test_hooks.optimize_unsound ~reference ~nth objective options c
+        in
+        Check.validate c;
+        (stats, Bench_format.to_string c)
+      in
+      let ((stats, _) as want) = run true in
+      if stats.Engine.verify_refused = 0 then
+        Alcotest.failf "seed %d, nth %d: no splice was refused" seed nth;
+      if run false <> want then
+        Alcotest.failf
+          "seed %d, nth %d: production diverged from the reference after a refusal"
+          seed nth)
+    [
+      (20, 5, Engine.Gates);
+      (20, 5, Engine.Paths);
+      (44, 5, Engine.Gates);
+      (60, 5, Engine.Paths);
+      (70, 3, Engine.Paths);
+      (75, 5, Engine.Paths);
+      (89, 5, Engine.Gates);
+      (89, 5, Engine.Paths);
+      (96, 5, Engine.Paths);
+      (97, 5, Engine.Gates);
+      (97, 5, Engine.Paths);
+    ]
+
 let prop_identity objective ~name =
   QCheck.Test.make ~name ~count:20 (QCheck.int_range 1 100_000) (fun seed ->
       diverging_variants objective (Circuit_gen.generate (gen_profile seed))
@@ -306,6 +346,7 @@ let suite =
     ("equivalence under default options", `Quick, test_incremental_equivalence);
     ("second pass skips clean roots", `Quick, test_incremental_skips_clean_roots);
     ("sweep-cascade boundary re-dirtied", `Quick, test_sweep_cascade_boundary);
+    ("identity: refused splices", `Quick, test_refused_splice_identity);
   ]
 
 let qchecks = [ prop_incremental_identity; prop_incremental_identity_paths ]

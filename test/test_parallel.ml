@@ -50,6 +50,15 @@ let test_pool_exception_propagates () =
       let got = Pool.map pool (fun x -> x + 1) [| 1; 2 |] in
       check bool_ "pool usable after failure" true (got = [| 2; 3 |]))
 
+let test_pool_domain_limit () =
+  (* Refused before anything is spawned: past the runtime's limit the
+     spawn itself fails, with the workers before it already running. *)
+  match Pool.create ~domains:(Pool.max_domains + 1) () with
+  | exception Invalid_argument _ -> ()
+  | pool ->
+    Pool.shutdown pool;
+    Alcotest.fail "a pool above Pool.max_domains was created"
+
 let test_lowest_bit () =
   let reference mask =
     let rec go i =
@@ -180,6 +189,7 @@ let suite =
     ("campaign: parallel = serial on .bench", `Quick, test_campaign_parallel_bench_files);
     ("pdf: parallel = serial", `Quick, test_pdf_parallel_identity);
     ("engine: parallel = serial", `Quick, test_engine_parallel_identity);
+    ("pool: width above the runtime limit", `Quick, test_pool_domain_limit);
   ]
 
 let qchecks = [ prop_campaign_parallel; prop_engine_parallel ]
