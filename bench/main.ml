@@ -5,7 +5,7 @@
      --full         paper-scale budgets where feasible
      --only IDS     comma-separated subset of: figures,table1,table2,table3,
                     table4,table5,table6,table7,cec,ablations,micro,kernels,
-                    incremental,idcache,sat_atpg
+                    incremental,idcache,sat_atpg,journal
      --only-circuits NAMES
                     comma-separated benchmark filter (e.g. irs1423,irs5378)
                     applied to the per-circuit sections (table2-7, cec);
@@ -23,10 +23,6 @@
                     "json" prints the JSON document, anything else is a
                     file path receiving the JSON (see DESIGN.md §9)
      --trace        print the span trace tree when the run finishes
-     --trace-out FILE
-                    record begin/end/instant events during the run and
-                    write them to FILE as a Chrome trace-event JSON array
-                    (chrome://tracing / Perfetto; see DESIGN.md §11)
    Every table prints our measured rows next to the paper's published rows;
    absolute numbers differ (synthetic stand-in circuits, scaled budgets) but
    the qualitative shape is the claim under test. EXPERIMENTS.md records a
@@ -39,7 +35,6 @@ let json_file : string option ref = ref None
 let domains = ref (Pool.default_domains ())
 let metrics : string option ref = ref None
 let trace = ref false
-let trace_out : string option ref = ref None
 
 let () =
   let rec parse = function
@@ -73,9 +68,6 @@ let () =
     | "--trace" :: rest ->
       trace := true;
       parse rest
-    | "--trace-out" :: file :: rest ->
-      trace_out := Some file;
-      parse rest
     | "--domains" :: n :: rest ->
       (match int_of_string_opt n with
       | Some n when n > Pool.max_domains ->
@@ -93,7 +85,7 @@ let () =
         "error: unknown argument %s\n\
          usage: main.exe [--quick|--full] [--only-sections IDS] \
          [--only-circuits NAMES] [--json FILE] [--domains N] \
-         [--metrics text|json|FILE] [--trace] [--trace-out FILE]\n\
+         [--metrics text|json|FILE] [--trace]\n\
          (--only is an alias of --only-sections)\n"
         other;
       exit 2
@@ -101,8 +93,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   (* The JSON snapshot always embeds the observability registry, so collect
      whenever any sink wants it. *)
-  if !metrics <> None || !trace || !json_file <> None then Obs.enable ();
-  if !trace_out <> None then Obs.Trace.enable ()
+  if !metrics <> None || !trace || !json_file <> None then Obs.enable ()
 
 let enabled id = !only = [] || List.mem id !only
 
@@ -1727,15 +1718,6 @@ let write_json file =
            r.jr_gate_ok))
     (List.rev !json_journal);
   Buffer.add_string b "\n  ],\n";
-  (* Schema v2: a summary of the event-tracing buffers, so a snapshot
-     records whether its trace (if any) was complete or lossy. *)
-  let ts = Obs.Trace.stats () in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"trace_events\": {\"enabled\": %b, \"rings\": %d, \"recorded\": %d, \
-        \"dropped\": %d},\n"
-       (Obs.Trace.enabled ()) ts.Obs.Trace.rings ts.Obs.Trace.recorded
-       ts.Obs.Trace.dropped);
   (* The observability registry (counters, histograms, span trace) rides
      along in the snapshot; schema in DESIGN.md §9. *)
   Buffer.add_string b (Printf.sprintf "  \"metrics\": %s\n}\n" (Obs.Export.to_json ()));
@@ -1769,20 +1751,13 @@ let () =
     with Sys_error msg ->
       Printf.eprintf "error: could not write %s: %s\n" file msg;
       exit 1));
-  (match !trace_out with
-  | None -> ()
-  | Some file -> (
-    try
-      Obs.Trace.write_file file;
-      let s = Obs.Trace.stats () in
-      Printf.printf "wrote %s (%d events, %d dropped)\n" file s.Obs.Trace.recorded
-        s.Obs.Trace.dropped
-    with Sys_error msg ->
-      Printf.eprintf "error: could not write %s: %s\n" file msg;
-      exit 1));
   if !trace then prerr_string (Obs.Export.trace_text ());
   match !metrics with
   | None -> ()
   | Some "text" -> print_string (Obs.Export.to_text ())
   | Some "json" -> print_endline (Obs.Export.to_json ())
-  | Some path -> Obs.Export.write_file path
+  | Some path -> (
+    try Obs.Export.write_file path
+    with Sys_error msg ->
+      Printf.eprintf "error: could not write %s: %s\n" path msg;
+      exit 1)

@@ -3,13 +3,15 @@
    Circuits are read from ISCAS-style .bench files ("-" reads stdin), or
    taken from the built-in benchmark registry with --bench NAME.
 
-   Every subcommand accepts --metrics [text|json|FILE], --trace, and
-   --trace-out FILE (Chrome trace-event export; observability, see Obs and
-   DESIGN.md §9 and §11); optimize/check/fsim/atpg additionally accept
-   --journal FILE (structured decision journal, DESIGN.md §16, analysed
-   with `sft report`). With --metrics json the metrics document owns
-   stdout and all human-readable output moves to stderr, so
-   `sft fsim --metrics json -` composes in a pipe. *)
+   Every subcommand that runs a computation accepts --metrics
+   [text|json|FILE], --trace and --journal FILE (observability, see Obs
+   and DESIGN.md §9; the structured decision journal, DESIGN.md §16, is
+   analysed with `sft report` and converted to a Chrome trace with
+   `sft report --chrome`, §11). With --metrics json the metrics document
+   owns stdout and all human-readable output moves to stderr, so
+   `sft fsim --metrics json -` composes in a pipe. An output file that
+   cannot be written ends the command with `sft: PATH: reason` and exit 1;
+   journal and metrics files are checked before the command runs. *)
 
 open Cmdliner
 
@@ -19,6 +21,22 @@ let die fmt =
       prerr_endline ("sft: " ^ msg);
       exit 1)
     fmt
+
+(* [writing path f] runs [f], which writes [path], and turns a failure
+   into [sft: PATH: reason]. Errors from opening a file already name it;
+   errors from writing to it do not. *)
+let writing path f =
+  try f ()
+  with Sys_error msg ->
+    if String.starts_with ~prefix:(path ^ ": ") msg then die "%s" msg
+    else die "%s: %s" path msg
+
+(* Probe an output path before the work that fills it: creates no file
+   and truncates none. *)
+let check_writable path =
+  let existed = Sys.file_exists path in
+  writing path (fun () -> close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path));
+  if not existed then Sys.remove path
 
 let load ~file ~bench =
   match (file, bench) with
@@ -101,16 +119,6 @@ let trace_arg =
     & info [ "trace" ]
         ~doc:"Collect span timings and print the trace tree to stderr.")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Record begin/end/instant events while the command runs and write \
-           them to FILE as a Chrome trace-event JSON array (open with \
-           chrome://tracing or Perfetto).")
-
 let journal_arg =
   Arg.(
     value
@@ -118,21 +126,22 @@ let journal_arg =
     & info [ "journal" ] ~docv:"FILE"
         ~doc:
           "Record a structured decision journal to FILE as JSONL while the \
-           command runs: splice accepts/rollbacks with cut and gain, \
-           identification verdicts tagged by cache source, PODEM aborts and \
-           their SAT-escalation outcomes, redundancy proofs, CEC verdicts \
-           and periodic runtime (GC/RSS) samples. Analyse afterwards with \
-           $(b,sft report). Implies metrics collection; results are \
-           bit-identical with or without a journal.")
+           command runs: span closes, splice accepts/rollbacks with cut and \
+           gain, PODEM aborts and their SAT-escalation outcomes, redundancy \
+           proofs, CEC verdicts and periodic runtime (GC/RSS) samples, with \
+           every counter in the footer. Analyse afterwards with \
+           $(b,sft report), or convert it to a Chrome trace with \
+           $(b,sft report --chrome). Implies metrics collection; results \
+           are bit-identical with or without a journal.")
 
-(* [with_obs ~cmd metrics trace trace_out body] runs [body ppf] with
+(* [with_obs ~cmd metrics trace journal body] runs [body ppf] with
    observability enabled as requested and exports the registry afterwards
    (also on failure, so an interrupted run still reports what it measured).
-   [journal], where a command offers it, opens an [Obs.Journal] destined for
-   the given file and tagged with [cmd]; journaling needs the funnel
-   counters, so it switches metrics collection on too. [ppf] is where the
-   command's human-readable output goes: stderr when stdout carries JSON. *)
-let with_obs ?journal ~cmd metrics trace trace_out body =
+   [journal] opens an [Obs.Journal] destined for the given file and tagged
+   with [cmd]; journaling needs the funnel counters, so it switches metrics
+   collection on too. [ppf] is where the command's human-readable output
+   goes: stderr when stdout carries JSON. *)
+let with_obs ~cmd metrics trace journal body =
   let metrics =
     match metrics with
     | None -> MNone
@@ -140,8 +149,9 @@ let with_obs ?journal ~cmd metrics trace trace_out body =
     | Some "json" -> MJson
     | Some path -> MFile path
   in
+  (match metrics with MFile path -> check_writable path | _ -> ());
+  Option.iter check_writable journal;
   if metrics <> MNone || trace then Obs.enable ();
-  if trace_out <> None then Obs.Trace.enable ();
   (match journal with
   | Some path ->
     Obs.enable ();
@@ -157,31 +167,23 @@ let with_obs ?journal ~cmd metrics trace trace_out body =
       (match journal with
       | Some path ->
         Obs.Runtime.sample ();
-        let s = Obs.Journal.finish () in
+        let s = writing path Obs.Journal.finish in
         if s.Obs.Journal.dropped > 0 then
           Printf.eprintf "sft: journal %s: %d event(s) dropped (buffers full)\n"
             path s.Obs.Journal.dropped
       | None -> ());
       if trace then prerr_string (Obs.Export.trace_text ());
-      (match trace_out with
-      | Some path ->
-        Obs.Trace.write_file path;
-        let s = Obs.Trace.stats () in
-        if s.Obs.Trace.dropped > 0 then
-          Printf.eprintf "sft: trace %s: %d event(s) dropped (buffers full)\n"
-            path s.Obs.Trace.dropped
-      | None -> ());
       match metrics with
       | MNone -> ()
       | MText -> print_string (Obs.Export.to_text ())
       | MJson -> print_endline (Obs.Export.to_json ())
-      | MFile path -> Obs.Export.write_file path)
+      | MFile path -> writing path (fun () -> Obs.Export.write_file path))
     (fun () -> body ppf)
 
 let save ppf output c =
   match output with
   | Some path ->
-    Bench_format.write_file path c;
+    writing path (fun () -> Bench_format.write_file path c);
     Format.fprintf ppf "wrote %s@." path
   | None -> ()
 
@@ -197,13 +199,13 @@ let print_stats ppf c =
 (* --- stats ---------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run file bench metrics trace trace_out =
-    with_obs ~cmd:"stats" metrics trace trace_out (fun ppf ->
+  let run file bench metrics trace journal =
+    with_obs ~cmd:"stats" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         print_stats ppf c)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics (Procedure 1 path count included).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -232,8 +234,8 @@ let list_cmd =
 (* --- gen ------------------------------------------------------------------ *)
 
 let gen_cmd =
-  let run name raw output metrics trace trace_out =
-    with_obs ~cmd:"gen" metrics trace trace_out (fun ppf ->
+  let run name raw output metrics trace journal =
+    with_obs ~cmd:"gen" metrics trace journal (fun ppf ->
         let e = Benchmarks.find name in
         let c =
           if raw then Circuit_gen.generate e.Benchmarks.profile else Benchmarks.build e
@@ -247,14 +249,14 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a benchmark stand-in and optionally write it out.")
-    Term.(const run $ name_arg $ raw $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ name_arg $ raw $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
   let run file bench objective k engine budget no_merge verify dontcares units
-      no_id_cache cache_dir domains output metrics trace trace_out journal =
-    with_obs ?journal ~cmd:"optimize" metrics trace trace_out (fun ppf ->
+      no_id_cache cache_dir domains output metrics trace journal =
+    with_obs ~cmd:"optimize" metrics trace journal (fun ppf ->
         if k < 1 || k > Engine.max_k then die "-k %d is outside 1..%d" k Engine.max_k;
         if budget < 1 then die "--budget %d is below 1" budget;
         if units < 1 then die "--units %d is below 1" units;
@@ -347,14 +349,14 @@ let optimize_cmd =
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
       $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ domains_arg
-      $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
+      $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
 let check_cmd =
-  let run file_a file_b budget domains metrics trace trace_out journal =
+  let run file_a file_b budget domains metrics trace journal =
     let code =
-      with_obs ?journal ~cmd:"check" metrics trace trace_out (fun ppf ->
+      with_obs ~cmd:"check" metrics trace journal (fun ppf ->
           let a = load ~file:(Some file_a) ~bench:None in
           let b = load ~file:(Some file_b) ~bench:None in
           let result =
@@ -419,14 +421,13 @@ let check_cmd =
           status: 0 equivalent, 1 counterexample (printed as an input \
           assignment), 2 budget exhausted.")
     Term.(
-      const run $ file_a $ file_b $ budget $ domains_arg $ metrics_arg $ trace_arg
-      $ trace_out_arg $ journal_arg)
+      const run $ file_a $ file_b $ budget $ domains_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- rar ------------------------------------------------------------------ *)
 
 let rar_cmd =
-  let run file bench additions trials seed output metrics trace trace_out =
-    with_obs ~cmd:"rar" metrics trace trace_out (fun ppf ->
+  let run file bench additions trials seed output metrics trace journal =
+    with_obs ~cmd:"rar" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let options =
           { Rar.default_options with Rar.max_additions = additions; max_trials = trials; seed }
@@ -442,13 +443,13 @@ let rar_cmd =
     (Cmd.info "rar" ~doc:"Redundancy-addition-and-removal baseline (RAMBO_C stand-in).")
     Term.(
       const run $ file_arg $ bench_arg $ additions $ trials $ seed_arg $ output_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg)
+      $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- redundancy ------------------------------------------------------------ *)
 
 let redundancy_cmd =
-  let run file bench no_sat seed output metrics trace trace_out =
-    with_obs ~cmd:"redundancy" metrics trace trace_out (fun ppf ->
+  let run file bench no_sat seed output metrics trace journal =
+    with_obs ~cmd:"redundancy" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let report = Redundancy.remove ~sat:(not no_sat) ~seed c in
         Format.fprintf ppf "%a@." Redundancy.pp_report report;
@@ -464,7 +465,7 @@ let redundancy_cmd =
   Cmd.v
     (Cmd.info "redundancy" ~doc:"Remove stuck-at redundancies (the paper's [15] step).")
     Term.(
-      const run $ file_arg $ bench_arg $ no_sat $ seed_arg $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+      const run $ file_arg $ bench_arg $ no_sat $ seed_arg $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- fsim ------------------------------------------------------------------ *)
 
@@ -492,8 +493,8 @@ let sat_atpg_flag =
            denominator.")
 
 let fsim_cmd =
-  let run file bench patterns domains seed sat_atpg metrics trace trace_out journal =
-    with_obs ?journal ~cmd:"fsim" metrics trace trace_out (fun ppf ->
+  let run file bench patterns domains seed sat_atpg metrics trace journal =
+    with_obs ~cmd:"fsim" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let cfg = { Campaign.default with max_patterns = patterns; domains; seed } in
         if not sat_atpg then
@@ -531,13 +532,13 @@ let fsim_cmd =
     (Cmd.info "fsim" ~doc:"Random-pattern stuck-at fault simulation campaign (Table 6).")
     Term.(
       const run $ file_arg $ bench_arg $ patterns $ domains_arg $ seed_arg
-      $ sat_atpg_flag $ metrics_arg $ trace_arg $ trace_out_arg $ journal_arg)
+      $ sat_atpg_flag $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- atpg ------------------------------------------------------------------ *)
 
 let atpg_cmd =
-  let run file bench limit sat_atpg metrics trace trace_out journal =
-    with_obs ?journal ~cmd:"atpg" metrics trace trace_out (fun ppf ->
+  let run file bench limit sat_atpg metrics trace journal =
+    with_obs ~cmd:"atpg" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let faults = Fault.collapsed c in
         let stats = Podem.generate_all ~backtrack_limit:limit c faults in
@@ -556,13 +557,13 @@ let atpg_cmd =
   Cmd.v (Cmd.info "atpg" ~doc:"Run PODEM on every collapsed stuck-at fault.")
     Term.(
       const run $ file_arg $ bench_arg $ limit $ sat_atpg_flag $ metrics_arg
-      $ trace_arg $ trace_out_arg $ journal_arg)
+      $ trace_arg $ journal_arg)
 
 (* --- pdf ------------------------------------------------------------------ *)
 
 let pdf_cmd =
-  let run file bench pairs window domains seed metrics trace trace_out =
-    with_obs ~cmd:"pdf" metrics trace trace_out (fun ppf ->
+  let run file bench pairs window domains seed metrics trace journal =
+    with_obs ~cmd:"pdf" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let r =
           Pdf_campaign.exec
@@ -586,20 +587,20 @@ let pdf_cmd =
        ~doc:"Random-pattern robust path-delay-fault campaign (Table 7).")
     Term.(
       const run $ file_arg $ bench_arg $ pairs $ window $ domains_arg $ seed_arg
-      $ metrics_arg $ trace_arg $ trace_out_arg)
+      $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- map ------------------------------------------------------------------ *)
 
 let map_cmd =
-  let run file bench metrics trace trace_out =
-    with_obs ~cmd:"map" metrics trace trace_out (fun ppf ->
+  let run file bench metrics trace journal =
+    with_obs ~cmd:"map" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let r = Mapper.map c in
         Format.fprintf ppf "%s: literals %d, longest path %d cells, cells used %d@."
           (Circuit.name c) r.Mapper.literals r.Mapper.longest r.Mapper.cells_used)
   in
   Cmd.v (Cmd.info "map" ~doc:"Technology-map the circuit and report literals/depth (Table 4).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- identify --------------------------------------------------------------- *)
 
@@ -633,8 +634,8 @@ let identify_cmd =
 (* --- sop ------------------------------------------------------------------- *)
 
 let sop_cmd =
-  let run n minterms output metrics trace trace_out =
-    with_obs ~cmd:"sop" metrics trace trace_out (fun ppf ->
+  let run n minterms output metrics trace journal =
+    with_obs ~cmd:"sop" metrics trace journal (fun ppf ->
         let ms =
           String.split_on_char ',' minterms
           |> List.filter (fun s -> String.trim s <> "")
@@ -657,13 +658,13 @@ let sop_cmd =
   in
   Cmd.v
     (Cmd.info "sop" ~doc:"Minimise to two-level form (Quine-McCluskey) and build the netlist.")
-    Term.(const run $ n $ minterms $ output_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ n $ minterms $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- pdfatpg ----------------------------------------------------------------- *)
 
 let pdfatpg_cmd =
-  let run file bench limit max_paths seed metrics trace trace_out =
-    with_obs ~cmd:"pdfatpg" metrics trace trace_out (fun ppf ->
+  let run file bench limit max_paths seed metrics trace journal =
+    with_obs ~cmd:"pdfatpg" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
         let s = Pdf_atpg.classify_all ~backtrack_limit:limit ~max_paths ~seed c in
         Format.fprintf ppf "%a@." Pdf_atpg.pp_summary s)
@@ -677,16 +678,12 @@ let pdfatpg_cmd =
   Cmd.v
     (Cmd.info "pdfatpg"
        ~doc:"Classify every path delay fault as robustly testable/untestable (exact ATPG).")
-    Term.(const run $ file_arg $ bench_arg $ limit $ max_paths $ seed_arg $ metrics_arg $ trace_arg $ trace_out_arg)
+    Term.(const run $ file_arg $ bench_arg $ limit $ max_paths $ seed_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- bench-diff -------------------------------------------------------------- *)
 
 let bench_diff_cmd =
   let run old_file new_file threshold metrics =
-    let read path =
-      try In_channel.with_open_bin path In_channel.input_all
-      with Sys_error msg -> die "%s" msg
-    in
     let metrics =
       match metrics with
       | None -> None
@@ -696,11 +693,7 @@ let bench_diff_cmd =
           |> List.map String.trim
           |> List.filter (fun s -> s <> ""))
     in
-    let result =
-      Bench_diff.diff ~threshold ?metrics ~old_name:old_file
-        ~old_text:(read old_file) ~new_name:new_file ~new_text:(read new_file)
-        ()
-    in
+    let result = Bench_diff.diff_files ~threshold ?metrics old_file new_file in
     (match result with
     | Ok (report, _) -> print_string report
     | Error msg -> prerr_endline ("sft: bench-diff: " ^ msg));
@@ -745,32 +738,39 @@ let bench_diff_cmd =
           Compares circuits, wall times, speedups, coverage counters and CEC \
           verdicts on the intersection of the two files. Exit status: 0 no \
           regression, 1 regression beyond the threshold, 2 incomparable \
-          (parse error, schema mismatch, or nothing aligned).")
+          (unreadable file, parse error, schema mismatch, or nothing \
+          aligned).")
     Term.(const run $ old_file $ new_file $ threshold $ metrics)
 
 (* --- report ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run files diff json output =
+  let run files diff json output chrome =
     let load path =
       match Run_report.load path with
       | Ok r -> r
-      | Error msg -> die "report: %s" msg
+      | Error msg -> die "%s" msg
     in
-    let emit text =
-      match output with
-      | Some path -> Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
-      | None -> print_string text
+    let write path text =
+      writing path (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text))
     in
-    match diff with
-    | true -> (
+    let emit text = match output with Some path -> write path text | None -> print_string text in
+    match (chrome, diff) with
+    | Some out, _ -> (
+      match files with
+      | [ file ] ->
+        write out (Obs_json.to_string (Run_report.to_chrome (load file)) ^ "\n");
+        Printf.printf "wrote %s\n" out
+      | _ -> die "report: --chrome takes exactly one journal")
+    | None, true -> (
       match files with
       | [ a; b ] ->
         let a = load a and b = load b in
         emit (Run_report.diff a b);
         if not (Run_report.funnel_ok a && Run_report.funnel_ok b) then exit 1
       | _ -> die "report: --diff takes exactly two journals")
-    | false ->
+    | None, false ->
       if files = [] then die "report: give at least one journal file";
       let runs = List.map load files in
       if json then
@@ -813,15 +813,28 @@ let report_cmd =
             "Emit the report as a single JSON document (report_version 1) \
              with a top-level $(b,funnel_ok) conjunction for scripting.")
   in
+  let chrome =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chrome" ] ~docv:"OUT"
+          ~doc:
+            "Instead of reporting, convert the one JOURNAL to a Chrome \
+             trace-event JSON array in OUT (open with chrome://tracing or \
+             Perfetto): each span becomes a complete slice on its domain's \
+             thread, every other event an instant carrying its fields.")
+  in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Analyse decision journals recorded with $(b,--journal): per-phase \
           wall/GC breakdown, the decision funnel (candidates, identified, \
           verified, committed), identification-source and SAT-escalation \
-          tables. Exit status: 0 ok, 1 the decision-funnel invariant \
-          (committed <= verified <= identified <= candidates) is violated.")
-    Term.(const run $ files $ diff $ json $ output_arg)
+          tables; or, with $(b,--chrome), a Chrome trace of the run. Exit \
+          status: 0 ok, 1 the decision-funnel invariant (committed <= \
+          verified <= identified <= candidates) is violated or a file \
+          cannot be read or written.")
+    Term.(const run $ files $ diff $ json $ output_arg $ chrome)
 
 let () =
   let doc = "synthesis-for-testability with comparison units (Pomeranz & Reddy, DAC'95)" in

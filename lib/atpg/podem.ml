@@ -239,7 +239,6 @@ let generate ?(backtrack_limit = Limits.default.Limits.podem_backtracks) c
       | Exhausted -> Untestable
       | exception Abort ->
         Obs.Counter.incr aborted_c;
-        Obs.Trace.instant ~cat:"atpg" "podem.aborted";
         if Obs.Journal.enabled () then
           Obs.Journal.emit "podem_abort"
             (Fault.journal_fields f

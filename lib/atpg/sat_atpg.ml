@@ -177,7 +177,6 @@ let run t (f : Fault.t) =
           Test vec
         | Sat.Unsat -> redundant ()
         | Sat.Unknown ->
-          Obs.Trace.instant ~cat:"atpg" "atpg.sat_budget_exhausted";
           journal "unknown";
           Unknown t.budget))
 

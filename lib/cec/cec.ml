@@ -277,12 +277,8 @@ let check_stats ?(budget = default_budget) ?pool a b =
       in
       (match verdict with
       | Equivalent -> Obs.Counter.incr equivalent_c
-      | Counterexample _ ->
-        Obs.Counter.incr cex_c;
-        Obs.Trace.instant ~cat:"cec" "cec.counterexample"
-      | Unknown _ ->
-        Obs.Counter.incr unknown_c;
-        Obs.Trace.instant ~cat:"cec" "cec.budget_exhausted");
+      | Counterexample _ -> Obs.Counter.incr cex_c
+      | Unknown _ -> Obs.Counter.incr unknown_c);
       Obs.Counter.add decisions_c stats.decisions;
       Obs.Counter.add conflicts_c stats.conflicts;
       Obs.Counter.add propagations_c stats.propagations;

@@ -168,7 +168,6 @@ let exec cfg c =
     let fresh = mark st waves in
     Obs.Counter.incr pairs_c;
     if fresh > 0 then begin
-      Obs.Trace.instant ~cat:"pdf" "pdf.effective";
       Obs.Counter.incr effective_c;
       Obs.Counter.add detected_c fresh;
       Obs.Histogram.observe gap_h (!applied - !last_effective);

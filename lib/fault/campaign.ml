@@ -114,7 +114,6 @@ let run_internal cfg c =
           alive_count := !alive_count - fresh;
           if best > !last_effective then last_effective := best;
           applied := !applied + batch;
-          if fresh > 0 then Obs.Trace.instant ~cat:"fsim" "fsim.effective";
           Obs.Counter.add patterns_c batch;
           Obs.Counter.incr batches_c;
           Obs.Histogram.observe batch_drops_h fresh)
@@ -173,7 +172,6 @@ let run_internal cfg c =
             best_per_slot;
           applied := !applied + batch;
           incr batch_no;
-          if fresh_total > 0 then Obs.Trace.instant ~cat:"fsim" "fsim.effective";
           Obs.Counter.add patterns_c batch;
           Obs.Counter.incr batches_c;
           Obs.Histogram.observe batch_drops_h fresh_total)

@@ -84,22 +84,9 @@ let find t f =
     Atomic.incr e.hits;
     Obs.Counter.incr hits_c;
     if e.from_disk then Obs.Counter.incr disk_hits_c;
-    if Obs.Journal.enabled () then
-      Obs.Journal.emit "identify"
-        [
-          ( "src",
-            Obs_json.String (if e.from_disk then "idcache_raw" else "run_cache")
-          );
-          ("verdict", Obs_json.Bool (e.verdict <> None));
-        ];
     Some e.verdict
 
 let record t f v =
-  if Obs.Journal.enabled () then
-    Obs.Journal.emit "identify"
-      [
-        ("src", Obs_json.String "fresh"); ("verdict", Obs_json.Bool (v <> None));
-      ];
   if not (TT.mem t.table f) then begin
     TT.add t.table f { verdict = v; from_disk = false; hits = Atomic.make 0 };
     t.fresh <- Id_store.Raw (f, v) :: t.fresh

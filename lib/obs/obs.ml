@@ -7,16 +7,15 @@
    domains aggregate into the same tree without interleaving corruption.
    The registry mutex is also reused for idempotent probe registration.
 
-   The on/off switch is one atomic int with three independent bits —
-   metrics (counters, histograms, span tree), event tracing (per-domain
-   event buffers, Chrome trace export) and the decision journal (per-domain
-   event buffers, JSONL file) — so the fully-disabled fast path in every
-   probe is still a single atomic load and one predictable branch. *)
+   The on/off switch is one atomic int with two independent bits —
+   metrics (counters, histograms, span tree) and the decision journal
+   (per-domain event buffers, JSONL file) — so the fully-disabled fast path
+   in every probe is still a single atomic load and one predictable
+   branch. *)
 
 let state = Atomic.make 0
 let metrics_bit = 1
-let trace_bit = 2
-let journal_bit = 4
+let journal_bit = 2
 
 let rec set_bit b =
   let s = Atomic.get state in
@@ -142,241 +141,16 @@ module Histogram = struct
   let sum h = Atomic.get h.h_sum
 end
 
-(* --- event tracing -------------------------------------------------------- *)
-
-(* Bounded per-domain event buffers. Each domain appends to a private,
-   fixed-capacity buffer (no locking, no allocation beyond the event
-   record), so tracing never blocks a worker and never grows without
-   bound; a full buffer counts drops instead.
-
-   Balance invariant: a Chrome trace wants every B (begin) matched by an E
-   (end) on the same tid. Emitting a B therefore also *reserves* one slot
-   for its future E ([reserved]), and a B that does not fit pushes [false]
-   on [span_ok] so the matching end is suppressed with it. The invariant
-   [len + reserved <= capacity] guarantees a reserved E always has room:
-   drops can lose whole spans but can never unbalance the stream. *)
-
-module Trace = struct
-  type phase = B | E | I | X
-
-  type event = {
-    ev_name : string;
-    ev_cat : string;
-    ev_ph : phase;
-    ev_ts : float; (* raw [now ()] at emission *)
-    ev_dur : float; (* X only, seconds, >= 0 *)
-  }
-
-  let dummy_event = { ev_name = ""; ev_cat = ""; ev_ph = I; ev_ts = 0.; ev_dur = 0. }
-
-  type ring = {
-    r_tid : int; (* Domain.self of the owning domain *)
-    r_gen : int; (* reset generation this ring belongs to *)
-    r_events : event array; (* fixed capacity *)
-    mutable r_len : int;
-    mutable r_reserved : int; (* slots promised to pending E events *)
-    mutable r_dropped : int;
-    mutable r_span_ok : bool list; (* per open span: was its B recorded? *)
-  }
-
-  (* Export epoch: timestamps are exported relative to process start so
-     they stay small and positive (clamped, the clock is wall time). *)
-  let epoch = now ()
-
-  let default_capacity = 65_536
-  let capacity_cell = Atomic.make default_capacity
-  let set_capacity n = Atomic.set capacity_cell (max 16 n)
-  let capacity () = Atomic.get capacity_cell
-
-  (* All rings ever registered in the current generation, guarded by [mu].
-     [reset] empties the list and bumps the generation; a domain whose
-     cached ring is stale re-registers a fresh one, so buffers from
-     finished pool domains are reclaimed at every reset. *)
-  let rings : ring list ref = ref [] (* reversed registration order *)
-  let generation = Atomic.make 0
-
-  let ring_key : ring option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let get_ring () =
-    let slot = Domain.DLS.get ring_key in
-    let gen = Atomic.get generation in
-    match !slot with
-    | Some r when r.r_gen = gen -> r
-    | _ ->
-      let r =
-        {
-          r_tid = (Domain.self () :> int);
-          r_gen = gen;
-          r_events = Array.make (Atomic.get capacity_cell) dummy_event;
-          r_len = 0;
-          r_reserved = 0;
-          r_dropped = 0;
-          r_span_ok = [];
-        }
-      in
-      locked (fun () -> rings := r :: !rings);
-      slot := Some r;
-      r
-
-  let enabled () = Atomic.get state land trace_bit <> 0
-  let enable () = set_bit trace_bit
-  let disable () = clear_bit trace_bit
-
-  let push r ev =
-    r.r_events.(r.r_len) <- ev;
-    r.r_len <- r.r_len + 1
-
-  let has_room r extra = r.r_len + r.r_reserved + extra <= Array.length r.r_events
-
-  (* Internal emitters: callers have already checked [enabled] (or, for
-     span ends, captured the decision at span entry — an end must always
-     pop [r_span_ok], even if tracing was switched off mid-span). *)
-
-  let emit_begin ~cat name =
-    let r = get_ring () in
-    if has_room r 2 then begin
-      push r { ev_name = name; ev_cat = cat; ev_ph = B; ev_ts = now (); ev_dur = 0. };
-      r.r_reserved <- r.r_reserved + 1;
-      r.r_span_ok <- true :: r.r_span_ok
-    end
-    else begin
-      r.r_dropped <- r.r_dropped + 1;
-      r.r_span_ok <- false :: r.r_span_ok
-    end
-
-  let emit_end ~cat name =
-    let r = get_ring () in
-    match r.r_span_ok with
-    | true :: tl ->
-      r.r_span_ok <- tl;
-      r.r_reserved <- r.r_reserved - 1;
-      push r { ev_name = name; ev_cat = cat; ev_ph = E; ev_ts = now (); ev_dur = 0. }
-    | false :: tl ->
-      r.r_span_ok <- tl;
-      r.r_dropped <- r.r_dropped + 1
-    | [] ->
-      (* unmatched end (tracing enabled mid-span): drop, never unbalance *)
-      r.r_dropped <- r.r_dropped + 1
-
-  let instant ?(cat = "sft") name =
-    if Atomic.get state land trace_bit <> 0 then begin
-      let r = get_ring () in
-      if has_room r 1 then
-        push r { ev_name = name; ev_cat = cat; ev_ph = I; ev_ts = now (); ev_dur = 0. }
-      else r.r_dropped <- r.r_dropped + 1
-    end
-
-  let complete ?(cat = "sft") name ~ts ~dur =
-    if Atomic.get state land trace_bit <> 0 then begin
-      let r = get_ring () in
-      if has_room r 1 then
-        push r
-          { ev_name = name; ev_cat = cat; ev_ph = X; ev_ts = ts; ev_dur = max 0. dur }
-      else r.r_dropped <- r.r_dropped + 1
-    end
-
-  type summary = { rings : int; recorded : int; dropped : int }
-
-  let stats () =
-    locked (fun () ->
-        List.fold_left
-          (fun acc r ->
-            {
-              rings = acc.rings + 1;
-              recorded = acc.recorded + r.r_len;
-              dropped = acc.dropped + r.r_dropped;
-            })
-          { rings = 0; recorded = 0; dropped = 0 }
-          !rings)
-
-  let reset () =
-    locked (fun () ->
-        rings := [];
-        Atomic.incr generation)
-
-  (* Chrome trace-event JSON (the "JSON array format" Perfetto and
-     chrome://tracing accept): one object per event, one [pid] for the
-     process, the owning domain's id as [tid]. Timestamps and durations
-     are microseconds; [ts] is relative to [epoch] and clamped to >= 0
-     (the clock is wall time and may step). *)
-
-  let phase_string = function B -> "B" | E -> "E" | I -> "i" | X -> "X"
-
-  let event_json tid ev =
-    let base =
-      [
-        ("name", Obs_json.String ev.ev_name);
-        ("cat", Obs_json.String ev.ev_cat);
-        ("ph", Obs_json.String (phase_string ev.ev_ph));
-        ("ts", Obs_json.Float (max 0. ((ev.ev_ts -. epoch) *. 1e6)));
-        ("pid", Obs_json.Int 1);
-        ("tid", Obs_json.Int tid);
-      ]
-    in
-    let extra =
-      match ev.ev_ph with
-      | X -> [ ("dur", Obs_json.Float (ev.ev_dur *. 1e6)) ]
-      | I -> [ ("s", Obs_json.String "t") ]
-      | B | E -> []
-    in
-    Obs_json.Obj (base @ extra)
-
-  let metadata_json tid =
-    Obs_json.Obj
-      [
-        ("name", Obs_json.String "thread_name");
-        ("ph", Obs_json.String "M");
-        ("pid", Obs_json.Int 1);
-        ("tid", Obs_json.Int tid);
-        ( "args",
-          Obs_json.Obj
-            [ ("name", Obs_json.String (Printf.sprintf "domain%d" tid)) ] );
-      ]
-
-  let dropped_json tid count =
-    Obs_json.Obj
-      [
-        ("name", Obs_json.String "trace.dropped");
-        ("cat", Obs_json.String "trace");
-        ("ph", Obs_json.String "i");
-        ("ts", Obs_json.Float (max 0. ((now () -. epoch) *. 1e6)));
-        ("pid", Obs_json.Int 1);
-        ("tid", Obs_json.Int tid);
-        ("s", Obs_json.String "t");
-        ("args", Obs_json.Obj [ ("count", Obs_json.Int count) ]);
-      ]
-
-  let to_json_value () =
-    locked (fun () ->
-        let rs =
-          List.rev !rings
-          |> List.filter (fun r -> r.r_len > 0 || r.r_dropped > 0)
-        in
-        let per_ring r =
-          let events = List.init r.r_len (fun i -> event_json r.r_tid r.r_events.(i)) in
-          let drops = if r.r_dropped > 0 then [ dropped_json r.r_tid r.r_dropped ] else [] in
-          (metadata_json r.r_tid :: events) @ drops
-        in
-        Obs_json.List (List.concat_map per_ring rs))
-
-  let to_json () = Obs_json.to_string (to_json_value ())
-
-  let write_file file =
-    let oc = open_out file in
-    output_string oc (to_json ());
-    output_char oc '\n';
-    close_out oc
-end
-
 (* --- decision journal ----------------------------------------------------- *)
 
-(* Append-only structured run record (DESIGN.md §16). Same shape as the
-   trace rings: each domain appends decision events to a private bounded
-   buffer (one atomic fetch-and-add for the global sequence id, no locks),
-   and [finish] — the single writer — merges every buffer in sequence order
-   and streams the run out as JSONL. A full buffer counts drops; journaling
-   never blocks a worker and never perturbs the computation it records. *)
+(* Append-only structured run record (DESIGN.md §16), the one event stream:
+   each domain appends events to a private bounded buffer (one atomic
+   fetch-and-add for the global sequence id, no locks), and [finish] — the
+   single writer — merges every buffer in sequence order and streams the
+   run out as JSONL. A full buffer counts drops; journaling never blocks a
+   worker and never perturbs the computation it records. [reset] bumps a
+   generation counter, so a domain whose cached buffer is stale registers a
+   fresh one and buffers of finished pool domains are reclaimed. *)
 
 module Journal = struct
   type event = {
@@ -396,7 +170,9 @@ module Journal = struct
     mutable b_dropped : int;
   }
 
-  let default_capacity = 65_536
+  (* 2^17 events (1 MB of slots per domain): room for a whole RAR run on
+     irs1423, about 79,000 events. *)
+  let default_capacity = 131_072
   let capacity_cell = Atomic.make default_capacity
   let set_capacity n = Atomic.set capacity_cell (max 16 n)
   let capacity () = Atomic.get capacity_cell
@@ -406,8 +182,7 @@ module Journal = struct
   let seq = Atomic.make 0
 
   (* Open-journal metadata (destination path, producing command, open
-     timestamp) and the buffer registry, both guarded by [mu]; generation
-     bumps reclaim stale per-domain buffers exactly like the trace rings. *)
+     timestamp) and the buffer registry, both guarded by [mu]. *)
   let meta : (string * string * float) option ref = ref None
   let bufs : buf list ref = ref [] (* reversed registration order *)
   let generation = Atomic.make 0
@@ -436,17 +211,21 @@ module Journal = struct
 
   let enabled () = Atomic.get state land journal_bit <> 0
 
-  let emit kind fields =
+  (* [emit_at ts] stamps the event with a [now ()] reading the caller
+     already took; [emit] reads the clock only when the journal is on. *)
+  let emit_at ts kind fields =
     if Atomic.get state land journal_bit <> 0 then begin
       let b = get_buf () in
       if b.b_len < Array.length b.b_events then begin
         let s = Atomic.fetch_and_add seq 1 in
-        b.b_events.(b.b_len) <-
-          { je_seq = s; je_ts = now (); je_kind = kind; je_fields = fields };
+        b.b_events.(b.b_len) <- { je_seq = s; je_ts = ts; je_kind = kind; je_fields = fields };
         b.b_len <- b.b_len + 1
       end
       else b.b_dropped <- b.b_dropped + 1
     end
+
+  let emit kind fields =
+    if Atomic.get state land journal_bit <> 0 then emit_at (now ()) kind fields
 
   type summary = { buffers : int; recorded : int; dropped : int }
 
@@ -701,7 +480,6 @@ module Span = struct
     if s = 0 then f ()
     else begin
       let metrics = s land metrics_bit <> 0 in
-      let tracing = s land trace_bit <> 0 in
       let journaling = s land journal_bit <> 0 in
       let node =
         if not metrics then None
@@ -722,15 +500,16 @@ module Span = struct
           Some node
         end
       in
-      if tracing then Trace.emit_begin ~cat:"span" name;
       let t0 = now () in
       Fun.protect
         ~finally:(fun () ->
-          (* Wall time can step backwards: never account a negative span. *)
-          let dt = max 0. (now () -. t0) in
-          if tracing then Trace.emit_end ~cat:"span" name;
+          (* Wall time can step backwards: never account a negative span.
+             The span event carries the reading that ends [dt], so a
+             reader recovers the start as [ts - dur_s]. *)
+          let t1 = now () in
+          let dt = max 0. (t1 -. t0) in
           if journaling then begin
-            Journal.emit "span"
+            Journal.emit_at t1 "span"
               [ ("name", Obs_json.String name); ("dur_s", Obs_json.Float dt) ];
             Runtime.maybe_sample ()
           end;
@@ -777,7 +556,6 @@ let reset () =
       root.s_kid_order <- [];
       root.s_calls <- 0;
       root.s_wall <- 0.);
-  Trace.reset ();
   Journal.reset ();
   Runtime.reset ()
 

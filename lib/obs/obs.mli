@@ -1,23 +1,23 @@
-(** Observability: counters, histograms, hierarchical span timers, bounded
-    event tracing and a structured decision journal.
+(** Observability: counters, histograms, hierarchical span timers and a
+    structured decision journal, the one event stream.
 
     A process-wide registry of named probes with text and JSON exporters.
     Everything is safe to use from {!Domain} pool workers: counter and
     histogram updates are single atomic operations, span bookkeeping takes a
-    mutex only on span entry/exit (never inside the timed region), and trace
-    and journal events go to a private per-domain buffer with no locking at
-    all.
+    mutex only on span entry/exit (never inside the timed region), and
+    journal events go to a private per-domain buffer with no locking at
+    all. A Chrome trace of a run is derived from its journal afterwards
+    ([sft report --chrome], DESIGN.md §11).
 
     {b Disabled is free.} The whole subsystem sits behind one global state
-    word with three independent bits — metrics ({!enable}), event tracing
-    ({!Trace.enable}) and the decision journal ({!Journal.start}) — off by
-    default. A disabled probe is a single atomic load and a predictable
+    word with two independent bits — metrics ({!enable}) and the decision
+    journal ({!Journal.start}) — off by default. A disabled probe is a single atomic load and a predictable
     branch — a few nanoseconds — so probes may sit in hot loops. Probes
     never influence the computation they observe: enabling or disabling
     observability cannot change any result bit.
 
     {b Reset vs. journal.} {!reset} clears {e recorded data} — counters,
-    histograms, the span tree, trace buffers, buffered journal events and
+    histograms, the span tree, buffered journal events and
     the runtime sampler's baselines — but does not close an open journal:
     the destination file and producing command set by {!Journal.start}
     survive, and only {!Journal.finish} writes the file. A [reset] between
@@ -42,22 +42,21 @@ val enabled : unit -> bool
 (** Whether the metrics bit (counters, histograms, span tree) is on. *)
 
 val enable : unit -> unit
-(** Switch metrics collection on. Independent of {!Trace.enable} and
-    {!Journal.start}. *)
+(** Switch metrics collection on. Independent of {!Journal.start}. *)
 
 val disable : unit -> unit
 (** Switch metrics collection off. Recorded data is kept (see {!reset}). *)
 
 val reset : unit -> unit
 (** Zero every counter and histogram, drop the recorded span tree, discard
-    all trace and journal buffers and re-arm the runtime sampler's GC/RSS
+    all journal buffers and re-arm the runtime sampler's GC/RSS
     baselines ({!Runtime.reset}). Registered probe definitions survive
     (names stay in the registry), and an open journal stays open — see the
     header note on reset vs. journal. *)
 
 val now : unit -> float
-(** Wall-clock seconds — the single clock behind span timing, trace events
-    and pool busy accounting, exposed so instrumented code does not need
+(** Wall-clock seconds — the single clock behind span timing, journal
+    events and pool busy accounting, exposed so instrumented code does not need
     its own timing dependency. {b Not monotonic}: see the clock caveat
     above; clamp any duration computed from two reads to [>= 0]. *)
 
@@ -101,101 +100,27 @@ module Histogram : sig
   (** Sum of all observed values. *)
 end
 
-module Trace : sig
-  (** Event-level timeline: who ran what, on which domain, when.
-
-      Every participating domain owns a private fixed-capacity buffer of
-      events; emission is append-only with no locking, so tracing never
-      blocks a worker. A full buffer {e drops} further events (counted in
-      {!stats}) instead of growing or overwriting — memory is bounded by
-      [capacity () * live domains] regardless of circuit size.
-
-      Events follow the Chrome trace-event model: [B]/[E] begin/end pairs
-      (fed automatically by {!Span.with_}), [i] instants (explicit probes)
-      and [X] complete events with a duration (pool chunk execution).
-      {b Balance guarantee:} a [B] also reserves buffer space for its [E],
-      and a dropped [B] suppresses its matching [E], so the exported stream
-      always has balanced begin/end pairs per (tid, name) — even under
-      overflow. *)
-
-  val enabled : unit -> bool
-  (** Whether the tracing bit is on. *)
-
-  val enable : unit -> unit
-  (** Switch event collection on. Tracing is independent of the metrics
-      bit: {!Span.with_} emits events whenever tracing is on, and records
-      the aggregate span tree whenever metrics are on. *)
-
-  val disable : unit -> unit
-  (** Switch event collection off. Buffered events are kept for export. *)
-
-  val set_capacity : int -> unit
-  (** Per-domain buffer capacity in events (default 65536, clamped to
-      [>= 16]). Affects buffers created afterwards — call it before
-      {!enable} (or after {!reset}) from the orchestrating domain. *)
-
-  val capacity : unit -> int
-  (** The capacity newly created per-domain buffers will get. *)
-
-  val instant : ?cat:string -> string -> unit
-  (** Record an [i] (instant) event on the calling domain's timeline.
-      [cat] defaults to ["sft"]. One atomic load when tracing is off. *)
-
-  val complete : ?cat:string -> string -> ts:float -> dur:float -> unit
-  (** Record an [X] (complete) event: a slice that started at [ts] (a raw
-      {!now} reading) and lasted [dur] seconds (clamped to [>= 0]). *)
-
-  type summary = { rings : int; recorded : int; dropped : int }
-
-  val stats : unit -> summary
-  (** Buffer totals across all domains that emitted events since the last
-      {!reset}. [dropped > 0] means the capacity was too small for the run
-      (raise it with {!set_capacity}); results are unaffected either way. *)
-
-  val reset : unit -> unit
-  (** Discard every buffer. Also performed by {!Obs.reset}. *)
-
-  val to_json_value : unit -> Obs_json.t
-  (** The recorded timeline as a Chrome trace-event JSON array (the "JSON
-      array format" accepted by Perfetto / chrome://tracing): one object
-      per event with [name], [cat], [ph] (["B"|"E"|"i"|"X"]), [ts]
-      (microseconds, relative to process start, clamped [>= 0]), [pid] 1
-      and the owning domain id as [tid]; [X] events carry [dur]
-      (microseconds). Each domain's stream is prefixed with an [M]
-      (metadata) [thread_name] event and, when events were dropped,
-      suffixed with a [trace.dropped] instant whose [args.count] is the
-      drop count.
-
-      Call after parallel work has quiesced (pools shut down / joined):
-      buffers are read without synchronisation. *)
-
-  val to_json : unit -> string
-  (** {!to_json_value} rendered compactly on one line. *)
-
-  val write_file : string -> unit
-  (** Write {!to_json} (plus a trailing newline) to a file — the CLI's
-      [--trace-out FILE]. *)
-end
-
 module Journal : sig
   (** Append-only structured decision journal (DESIGN.md §16).
 
       Records {e typed decision events} — splice accepts and rollbacks,
-      identification verdicts with their cache source, PODEM aborts and SAT
-      escalation outcomes, redundancy proofs, CEC verdicts, span closes,
-      runtime samples — so a finished run can be analysed offline with
-      [sft report]. Same buffering contract as {!Trace}: each domain
-      appends to a private bounded buffer (no locks on the emit path; a
-      full buffer counts drops instead of blocking or growing), and
-      {!finish} — the single writer — merges every buffer in global
-      sequence order and streams the run out as JSONL.
+      PODEM aborts and SAT escalation outcomes, redundancy proofs, CEC
+      verdicts, span closes, runtime samples — so a finished run can be
+      analysed offline with [sft report], or converted to a Chrome trace
+      with [sft report --chrome]. Each domain appends to a private bounded
+      buffer (no locks on the emit path; a full buffer counts drops instead
+      of blocking or growing), and {!finish} — the single writer — merges
+      every buffer in global sequence order and streams the run out as
+      JSONL.
 
       {b File format} (one compact {!Obs_json} object per line):
       a [journal_begin] header carrying [journal_version], the producing
       command and the absolute open timestamp; then one line per event with
       [ev] (the kind), [seq] (global emission order across domains), [ts]
       (seconds since the header timestamp, clamped [>= 0]), [dom] (emitting
-      domain id) and the event's own fields; then a [journal_end] footer
+      domain id) and the event's own fields — a [span] event's [ts] is the
+      very reading that ends its [dur_s], so [ts - dur_s] is the span's
+      start; then a [journal_end] footer
       with event/drop totals, wall seconds and a snapshot of every
       registered counter. *)
 
@@ -209,7 +134,7 @@ module Journal : sig
       header with the producing command [cmd] (e.g. ["optimize"]). Drops
       any events buffered since the previous journal and resets the global
       sequence counter. [capacity] overrides the per-domain buffer capacity
-      (default 65536, clamped to [>= 16]) for buffers created afterwards.
+      (default 131072, clamped to [>= 16]) for buffers created afterwards.
       Nothing is written until {!finish}. *)
 
   val emit : string -> (string * Obs_json.t) list -> unit
@@ -218,7 +143,7 @@ module Journal : sig
       No-op (one atomic load) when the journal is off; never blocks. *)
 
   val set_capacity : int -> unit
-  (** Per-domain buffer capacity in events (default 65536, clamped to
+  (** Per-domain buffer capacity in events (default 131072, clamped to
       [>= 16]); the sticky form of {!start}'s [capacity]. Affects buffers
       created afterwards. *)
 
@@ -235,8 +160,8 @@ module Journal : sig
   (** Close the journal: switch the bit off, merge all buffers in sequence
       order, write the JSONL file (header, events, footer) and return what
       was written. Returns zeros without touching the filesystem if no
-      journal was open. Call after parallel work has quiesced, as with
-      {!Trace.to_json_value}. *)
+      journal was open. Call after parallel work has quiesced: buffers are
+      read without synchronisation. *)
 
   val reset : unit -> unit
   (** Discard buffered events (the open journal, if any, stays open). Also
@@ -288,10 +213,10 @@ module Span : sig
       [name] under the innermost enclosing span of the {e current domain}
       (pool workers therefore root their spans at the top level). Wall
       clock and call count accumulate across calls; reentrant and
-      exception-safe; durations are clamped to [>= 0] (wall clock). When
-      {!Trace.enabled}, entry and exit additionally emit [B]/[E] events on
-      the calling domain's timeline. When the whole subsystem is disabled
-      this is exactly [f ()]. *)
+      exception-safe; durations are clamped to [>= 0] (wall clock). While a
+      journal is open, exit also appends a [span] event on the calling
+      domain. When the whole subsystem is disabled this is exactly
+      [f ()]. *)
 
   type info = {
     name : string;

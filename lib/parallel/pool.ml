@@ -174,19 +174,17 @@ let with_pool ?domains f =
 
 let for_chunks t ?chunk ?(serial_below = 0) ~n body =
   if n < 0 then invalid_arg "Pool.for_chunks: negative range";
-  (* Chunk bodies are timed only when observability (metrics or event
-     tracing) is on; the disabled path runs the raw body with no clock
-     reads. The busy-time delta is clamped to >= 0: Obs.now is wall time
-     and may step backwards. *)
+  (* Chunk bodies are timed only when metrics are on; the disabled path
+     runs the raw body with no clock reads. The busy-time delta is clamped
+     to >= 0: Obs.now is wall time and may step backwards. *)
   let body =
-    if not (Obs.enabled () || Obs.Trace.enabled ()) then body
+    if not (Obs.enabled ()) then body
     else
       fun ~slot ~lo ~hi ->
         let t0 = Obs.now () in
         Fun.protect
           ~finally:(fun () ->
             let dt = Obs.now () -. t0 in
-            Obs.Trace.complete ~cat:"pool" "pool.chunk" ~ts:t0 ~dur:dt;
             Obs.Counter.add t.busy.(slot) (max 0 (int_of_float (dt *. 1e6)));
             Obs.Counter.incr (chunks_counter ()))
           (fun () -> body ~slot ~lo ~hi)

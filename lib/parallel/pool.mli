@@ -22,10 +22,9 @@
 
     When {!Obs.enabled} is on, every chunk execution is accounted to the
     counters [pool.chunks] (total chunks) and [pool.domain<slot>.busy_us]
-    (per-slot busy microseconds, aggregated across pools); when
-    {!Obs.Trace.enabled}, each chunk additionally emits a [pool.chunk]
-    complete ([X]) event on the executing domain's timeline. Disabled
-    probes cost nothing on the chunk path. *)
+    (per-slot busy microseconds, aggregated across pools), which journal
+    [runtime_sample] events also carry. Disabled probes cost nothing on the
+    chunk path. *)
 
 type t
 

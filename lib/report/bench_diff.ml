@@ -313,6 +313,16 @@ let diff ?(threshold = 5.) ?(metrics = default_metrics) ~old_name ~old_text
       ( Table.render t ^ summary,
         if !regressions = 0 then Clean else Regressions !regressions )
 
+let diff_files ?threshold ?metrics old_path new_path =
+  let read path =
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error msg -> Error msg
+  in
+  let ( let* ) = Result.bind in
+  let* old_text = read old_path in
+  let* new_text = read new_path in
+  diff ?threshold ?metrics ~old_name:old_path ~old_text ~new_name:new_path ~new_text ()
+
 let exit_code = function
   | Ok (_, Clean) -> 0
   | Ok (_, Regressions _) -> 1

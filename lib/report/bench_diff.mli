@@ -37,6 +37,17 @@ val diff :
     requested, or nothing is comparable. [threshold] defaults to [5.]
     (percent); [metrics] defaults to {!default_metrics}. *)
 
+val diff_files :
+  ?threshold:float ->
+  ?metrics:string list ->
+  string ->
+  string ->
+  (string * status, string) result
+(** [diff_files old_path new_path] reads both snapshot files and runs
+    {!diff} on them, named by their paths. A file that cannot be read is
+    an [Error] naming it: a missing snapshot is incomparable (exit 2), not
+    a regression. *)
+
 val exit_code : (string * status, string) result -> int
 (** CLI exit-code mapping: [Ok (_, Clean)] is 0, [Ok (_, Regressions _)]
     is 1, [Error _] is 2. *)

@@ -10,14 +10,14 @@ type phase = { ph_name : string; ph_calls : int; ph_wall : float }
 type t = {
   path : string;
   cmd : string;
-  events : int;
   dropped : int;
   truncated : bool;
   wall_s : float;
   counters : (string * int) list; (* footer snapshot; [] when truncated *)
+  evs : Obs_json.t list; (* event lines in file order *)
   spans : (string, int * float) Hashtbl.t;
-  (* Tallies keyed by a qualified label, e.g. "identify/fresh",
-     "sat_escalation/redundant", "cec_check/equivalent". *)
+  (* Tallies keyed by a qualified label, e.g. "sat_escalation/redundant",
+     "cec_check/equivalent". *)
   tallies : (string, int) Hashtbl.t;
   accepts : int;
   rollbacks : int;
@@ -72,7 +72,7 @@ let tally t key = Option.value ~default:0 (Hashtbl.find_opt t.tallies key)
 
 let load path =
   match read_lines path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | Error msg -> Error msg (* Sys_error already names the file *)
   | Ok [] -> Error (Printf.sprintf "%s: empty file" path)
   | Ok (header :: rest) -> (
     match Obs_json.parse header with
@@ -85,11 +85,11 @@ let load path =
           {
             path;
             cmd;
-            events = 0;
             dropped = 0;
             truncated = true;
             wall_s = 0.;
             counters = [];
+            evs = [];
             spans = Hashtbl.create 16;
             tallies = Hashtbl.create 16;
             accepts = 0;
@@ -140,7 +140,7 @@ let load path =
                       counters;
                     }
               | Some kind ->
-                let r = { r with events = r.events + 1 } in
+                let r = { r with evs = j :: r.evs } in
                 (* Truncated runs have no footer: keep the high-water
                    timestamp as a wall-time stand-in. *)
                 let r =
@@ -183,14 +183,6 @@ let load path =
                       gain = r.gain + Option.value ~default:0 (int_field "gain" j);
                     }
                   | "splice_rollback" -> { r with rollbacks = r.rollbacks + 1 }
-                  | "identify" ->
-                    let src = Option.value ~default:"?" (str_field "src" j) in
-                    bump r.tallies ("identify/" ^ src) 1;
-                    (match Obs_json.member "verdict" j with
-                    | Some (Obs_json.Bool true) ->
-                      bump r.tallies ("identify_pos/" ^ src) 1
-                    | _ -> ());
-                    r
                   | "sat_escalation" ->
                     let o = Option.value ~default:"?" (str_field "outcome" j) in
                     bump r.tallies ("sat_escalation/" ^ o) 1;
@@ -204,14 +196,15 @@ let load path =
                     bump r.tallies ("redundancy_proof/" ^ m) 1;
                     r
                   | kind ->
-                    (* podem_abort, cec_unknown, and any event kind a
+                    (* podem_abort, cec_unknown, the per-lookup identify
+                       events of older journals, and any event kind a
                        newer writer may add. *)
                     bump r.tallies kind 1;
                     r
                 in
                 read (n + 1) r more))
         in
-        read 2 empty rest
+        Result.map (fun r -> { r with evs = List.rev r.evs }) (read 2 empty rest)
       | Some "journal_begin", Some v ->
         Error (Printf.sprintf "%s: unsupported journal_version %d" path v)
       | _ -> Error (Printf.sprintf "%s: not a journal (no journal_begin)" path)))
@@ -220,7 +213,7 @@ let load path =
 
 let path t = t.path
 let cmd t = t.cmd
-let events t = t.events
+let events t = List.length t.evs
 let dropped t = t.dropped
 let truncated t = t.truncated
 let wall_s t = t.wall_s
@@ -258,6 +251,20 @@ let phases t =
          | 0 -> String.compare a.ph_name b.ph_name
          | c -> c)
 
+(* Identification sources from the footer's cache counters: a miss is a
+   fresh identification, and a hit was answered by this run or by the disk
+   store. *)
+let sources t =
+  let disk = counter t "idcache.disk_hits" in
+  [
+    ("fresh", counter t "idcache.misses");
+    ("run_cache", counter t "idcache.hits" - disk);
+    ("idcache_raw", disk);
+  ]
+
+let tallies t prefix labels =
+  List.map (fun l -> (l, tally t (prefix ^ "/" ^ l))) labels
+
 (* --- text rendering ------------------------------------------------------- *)
 
 let pct part total = if total <= 0. then 0. else 100. *. part /. total
@@ -266,7 +273,7 @@ let render t =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "== run report: %s ==\ncmd %s   events %s   dropped %s   wall %.3fs%s\n"
-       t.path t.cmd (Table.int t.events) (Table.int t.dropped) t.wall_s
+       t.path t.cmd (Table.int (events t)) (Table.int t.dropped) t.wall_s
        (if t.truncated then "   [TRUNCATED: no footer]" else ""));
   (match phases t with
   | [] -> ()
@@ -307,24 +314,18 @@ let render t =
     Buffer.add_string b
       (Printf.sprintf "engine phases: enumerate %.3fs, score %.3fs (%.1f%% of wall)\n"
          enumerate_s score_s (pct (enumerate_s +. score_s) t.wall_s));
-  let tally_table title prefix labels =
-    let rows =
-      List.filter_map
-        (fun l ->
-          let n = tally t (prefix ^ "/" ^ l) in
-          if n = 0 then None else Some (l, n))
-        labels
-    in
+  let count_table title rows =
+    let rows = List.filter (fun (_, n) -> n <> 0) rows in
     if rows <> [] then begin
       let tbl = Table.create ~title ~columns:[ "kind"; "count" ] in
       List.iter (fun (l, n) -> Table.add_row tbl [ l; Table.int n ]) rows;
       Buffer.add_string b (Table.render tbl)
     end
   in
-  tally_table "identification sources" "identify" [ "fresh"; "run_cache"; "idcache_raw" ];
-  tally_table "sat escalations" "sat_escalation" [ "test"; "redundant"; "unknown" ];
-  tally_table "redundancy proofs" "redundancy_proof" [ "podem"; "sat" ];
-  tally_table "cec checks" "cec_check" [ "equivalent"; "counterexample"; "unknown" ];
+  count_table "identification sources" (sources t);
+  count_table "sat escalations" (tallies t "sat_escalation" [ "test"; "redundant"; "unknown" ]);
+  count_table "redundancy proofs" (tallies t "redundancy_proof" [ "podem"; "sat" ]);
+  count_table "cec checks" (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]);
   let misc =
     List.filter_map
       (fun k ->
@@ -338,9 +339,7 @@ let render t =
 
 (* --- JSON ----------------------------------------------------------------- *)
 
-let tallies_json t prefix labels =
-  Obs_json.Obj
-    (List.map (fun l -> (l, Obs_json.Int (tally t (prefix ^ "/" ^ l)))) labels)
+let counts_json rows = Obs_json.Obj (List.map (fun (l, n) -> (l, Obs_json.Int n)) rows)
 
 let run_json t =
   let f = funnel t in
@@ -349,7 +348,7 @@ let run_json t =
     [
       ("path", Obs_json.String t.path);
       ("cmd", Obs_json.String t.cmd);
-      ("events", Obs_json.Int t.events);
+      ("events", Obs_json.Int (events t));
       ("dropped", Obs_json.Int t.dropped);
       ("truncated", Obs_json.Bool t.truncated);
       ("wall_s", Obs_json.Float t.wall_s);
@@ -386,12 +385,12 @@ let run_json t =
             ("compactions", Obs_json.Int t.compactions);
             ("peak_rss_kb", Obs_json.Int t.peak_rss_kb);
           ] );
-      ("identify", tallies_json t "identify" [ "fresh"; "run_cache"; "idcache_raw" ]);
+      ("identify", counts_json (sources t));
       ( "sat_escalations",
-        tallies_json t "sat_escalation" [ "test"; "redundant"; "unknown" ] );
-      ("redundancy_proofs", tallies_json t "redundancy_proof" [ "podem"; "sat" ]);
+        counts_json (tallies t "sat_escalation" [ "test"; "redundant"; "unknown" ]) );
+      ("redundancy_proofs", counts_json (tallies t "redundancy_proof" [ "podem"; "sat" ]));
       ( "cec_checks",
-        tallies_json t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]
+        counts_json (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ])
       );
       ("podem_aborts", Obs_json.Int (tally t "podem_abort"));
     ]
@@ -425,7 +424,7 @@ let diff a b =
         Table.int (int_of_float v))
   in
   frow "wall_s" a.wall_s b.wall_s (Printf.sprintf "%.4f");
-  irow "events" a.events b.events;
+  irow "events" (events a) (events b);
   irow "dropped" a.dropped b.dropped;
   let fa = funnel a and fb = funnel b in
   irow "candidates" fa.candidates fb.candidates;
@@ -467,3 +466,63 @@ let diff a b =
     Buffer.add_string buf (Table.render ptbl)
   end;
   Buffer.contents buf
+
+(* --- Chrome trace ----------------------------------------------------------- *)
+
+let to_chrome t =
+  let us s = Obs_json.Float (s *. 1e6) in
+  let dom j = Option.value ~default:0 (int_field "dom" j) in
+  let trace_event ~tid name ph ts rest =
+    Obs_json.Obj
+      ([
+         ("name", Obs_json.String name);
+         ("ph", Obs_json.String ph);
+         ("ts", us ts);
+         ("pid", Obs_json.Int 1);
+         ("tid", Obs_json.Int tid);
+       ]
+      @ rest)
+  in
+  let event j =
+    let ts = Option.value ~default:0. (float_field "ts" j) in
+    match str_field "ev" j with
+    | Some "span" ->
+      (* [ts] is the reading that ended [dur_s]; clamp a start that falls
+         before the journal opened. *)
+      let dur = Option.value ~default:0. (float_field "dur_s" j) in
+      let start = max 0. (ts -. dur) in
+      trace_event ~tid:(dom j)
+        (Option.value ~default:"?" (str_field "name" j))
+        "X" start
+        [ ("dur", us (ts -. start)) ]
+    | kind ->
+      let own =
+        match j with
+        | Obs_json.Obj kvs ->
+          List.filter (fun (k, _) -> not (List.mem k [ "ev"; "seq"; "ts"; "dom" ])) kvs
+        | _ -> []
+      in
+      trace_event ~tid:(dom j) (Option.value ~default:"?" kind) "i" ts
+        [ ("s", Obs_json.String "t"); ("args", Obs_json.Obj own) ]
+  in
+  let thread d =
+    Obs_json.Obj
+      [
+        ("name", Obs_json.String "thread_name");
+        ("ph", Obs_json.String "M");
+        ("pid", Obs_json.Int 1);
+        ("tid", Obs_json.Int d);
+        ("args", Obs_json.Obj [ ("name", Obs_json.String (Printf.sprintf "domain%d" d)) ]);
+      ]
+  in
+  let dropped =
+    if t.dropped = 0 then []
+    else
+      [
+        trace_event ~tid:0 "journal.dropped" "i" t.wall_s
+          [ ("s", Obs_json.String "g"); ("args", Obs_json.Obj [ ("count", Obs_json.Int t.dropped) ]) ];
+      ]
+  in
+  Obs_json.List
+    (List.map thread (List.sort_uniq Int.compare (List.map dom t.evs))
+    @ List.map event t.evs @ dropped)

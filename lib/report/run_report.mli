@@ -5,7 +5,9 @@
     per decision event, and a [journal_end] footer with counter totals.
     {!load} parses one file into an aggregate {!t}: per-phase wall time
     from [span] events, GC/RSS movement from [runtime_sample] events, the
-    decision funnel, cache-effectiveness and SAT-escalation tallies.
+    decision funnel, identification sources from the footer's [idcache.*]
+    counters and SAT-escalation tallies. The run keeps its events, so
+    {!to_chrome} can turn it into a Chrome trace.
     Truncated journals (crashed run, no footer) still load — [truncated]
     is set, footer-derived fields fall back to zero and {!render} prints
     no funnel line.
@@ -83,6 +85,18 @@ val to_json_value : t list -> Obs_json.t
     [{"report_version": 1, "funnel_ok": <all runs>, "runs": [...]}].
     The top-level [funnel_ok] is the conjunction over runs so scripts can
     gate on one field. *)
+
+val to_chrome : t -> Obs_json.t
+(** The run as a Chrome trace-event JSON array (the "JSON array format"
+    Perfetto and chrome://tracing open), one [pid] and the emitting domain
+    as [tid]. Each [span] event becomes a complete ([X]) slice ending at
+    its [ts] and starting [dur_s] earlier (clamped at the journal's
+    start); every other event becomes a thread-scoped instant ([i]) whose
+    [args] are its own fields (all but [ev], [seq], [ts] and [dom]).
+    Timestamps are microseconds since the journal opened. Each domain gets
+    a [thread_name] metadata ([M]) record first; a journal whose footer
+    counts dropped events ends with a global [journal.dropped] instant
+    whose [args.count] is that number. *)
 
 val diff : t -> t -> string
 (** Run-to-run comparison in the spirit of [bench-diff]: wall, events,

@@ -534,7 +534,6 @@ let apply ?pool opts vstate c ~root ~idx cand =
         Circuit.overwrite c ~with_:before;
         vstate.refused <- vstate.refused + 1;
         Obs.Counter.incr verify_refused_c;
-        Obs.Trace.instant ~cat:"engine" "engine.verify_refused";
         if Obs.Journal.enabled () then
           Obs.Journal.emit "splice_rollback"
             [
@@ -546,7 +545,6 @@ let apply ?pool opts vstate c ~root ~idx cand =
   in
   if sound then begin
     Obs.Counter.incr accepted_c;
-    Obs.Trace.instant ~cat:"engine" "engine.accepted";
     if Obs.Journal.enabled () then
       Obs.Journal.emit "splice_accept"
         [

@@ -37,7 +37,6 @@ let snap ?(version = 2) ?(name = "micro") ?(gates = 170) ?(paths = 639)
     {"circuit": "%s", "pair": "orig-vs-p2", "verdict": "%s",
      "outputs_solved": 16, "decisions": 10, "conflicts": 0, "wall_seconds": 0.1}
   ],
-  "trace_events": {"enabled": false, "rings": 0, "recorded": 0, "dropped": 0},
   "metrics": {"counters": {"fsim.faults_dropped": 420, "pdf.faults_detected": %d}}
 }|}
     version wall name gates paths name speedup name verdict detected
@@ -129,6 +128,22 @@ let test_disjoint_sets_are_incomparable () =
 let test_unknown_metric_rejected () =
   expect_exit "unknown metric name" 2 (diff ~metrics:[ "bogus" ] (snap ()) (snap ()))
 
+(* A snapshot that cannot be read is incomparable, not a regression. *)
+let test_unreadable_snapshot_is_incomparable () =
+  let path = Filename.temp_file "sft_test" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (snap ()));
+      let missing = Filename.concat path "absent.json" in
+      let r = Bench_diff.diff_files missing path in
+      expect_exit "missing old snapshot" 2 r;
+      (match r with
+      | Error msg -> check bool_ "error names the file" true (contains ~affix:missing msg)
+      | Ok _ -> Alcotest.fail "missing snapshot compared");
+      expect_exit "missing new snapshot" 2 (Bench_diff.diff_files path missing);
+      expect_exit "readable snapshots compare" 0 (Bench_diff.diff_files path path))
+
 let suite =
   [
     ("identical snapshots diff clean", `Quick, test_identical_is_clean);
@@ -141,4 +156,5 @@ let suite =
     ("malformed snapshot is incomparable", `Quick, test_malformed_snapshot_is_incomparable);
     ("disjoint circuit sets are incomparable", `Quick, test_disjoint_sets_are_incomparable);
     ("unknown metric is rejected", `Quick, test_unknown_metric_rejected);
+    ("unreadable snapshot is incomparable", `Quick, test_unreadable_snapshot_is_incomparable);
   ]

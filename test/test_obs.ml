@@ -181,161 +181,6 @@ let test_histogram_edges () =
             (Obs_json.member "max" hj = Some (Obs_json.Int max_int))
         | None -> Alcotest.fail "edge histogram missing from export"))
 
-(* --- event tracing -------------------------------------------------------- *)
-
-let with_trace f =
-  let cap0 = Obs.Trace.capacity () in
-  Obs.reset ();
-  Obs.Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.disable ();
-      Obs.Trace.set_capacity cap0;
-      Obs.reset ())
-    f
-
-(* Count B/E balance and proper nesting per tid over an exported trace. *)
-let check_balanced events =
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun ev ->
-      let field k =
-        match Obs_json.member k ev with
-        | Some (Obs_json.String s) -> s
-        | _ -> ""
-      in
-      let tid =
-        match Obs_json.member "tid" ev with Some (Obs_json.Int t) -> t | _ -> -1
-      in
-      let s =
-        match Hashtbl.find_opt stacks tid with
-        | Some s -> s
-        | None ->
-          let s = ref [] in
-          Hashtbl.add stacks tid s;
-          s
-      in
-      match field "ph" with
-      | "B" -> s := field "name" :: !s
-      | "E" -> (
-        match !s with
-        | top :: rest ->
-          check bool_ "E matches innermost B" true (top = field "name");
-          s := rest
-        | [] -> Alcotest.fail "E without matching B")
-      | _ -> ())
-    events;
-  Hashtbl.iter
-    (fun _ s -> check bool_ "no span left open" true (!s = []))
-    stacks
-
-let test_trace_disabled_is_silent () =
-  Obs.reset ();
-  Obs.Trace.disable ();
-  Obs.Trace.instant "test.trace.noop";
-  Obs.Trace.complete "test.trace.noop" ~ts:0. ~dur:1.;
-  let s = Obs.Trace.stats () in
-  check int_ "nothing recorded while disabled" 0 s.Obs.Trace.recorded;
-  check int_ "nothing dropped while disabled" 0 s.Obs.Trace.dropped
-
-let test_trace_records_and_exports () =
-  with_trace (fun () ->
-      Obs.Span.with_ "test.trace.outer" (fun () ->
-          Obs.Trace.instant ~cat:"test" "test.trace.tick";
-          Obs.Span.with_ "test.trace.inner" ignore);
-      Obs.Trace.complete ~cat:"test" "test.trace.block" ~ts:(Obs.now ()) ~dur:0.25;
-      let s = Obs.Trace.stats () in
-      check int_ "B+E pairs, instant and X recorded" 6 s.Obs.Trace.recorded;
-      check int_ "nothing dropped" 0 s.Obs.Trace.dropped;
-      match Obs_json.parse (Obs.Trace.to_json ()) with
-      | Error msg -> Alcotest.failf "trace export invalid: %s" msg
-      | Ok (Obs_json.List events) ->
-        check_balanced events;
-        let has name ph =
-          List.exists
-            (fun ev ->
-              Obs_json.member "name" ev = Some (Obs_json.String name)
-              && Obs_json.member "ph" ev = Some (Obs_json.String ph))
-            events
-        in
-        check bool_ "instant exported as i" true (has "test.trace.tick" "i");
-        check bool_ "complete exported as X" true (has "test.trace.block" "X");
-        check bool_ "thread metadata exported" true (has "thread_name" "M");
-        List.iter
-          (fun ev ->
-            (match Obs_json.member "pid" ev with
-            | Some (Obs_json.Int 1) -> ()
-            | _ -> Alcotest.fail "event without pid 1");
-            match Obs_json.member "ts" ev with
-            | Some (Obs_json.Float ts) ->
-              check bool_ "ts clamped to >= 0" true (ts >= 0.)
-            | Some (Obs_json.Int ts) ->
-              check bool_ "ts clamped to >= 0" true (ts >= 0)
-            | Some _ -> Alcotest.fail "non-numeric ts"
-            | None -> () (* M metadata carries no ts *))
-          events
-      | Ok _ -> Alcotest.fail "trace export is not an array")
-
-let test_trace_overflow_stays_balanced () =
-  with_trace (fun () ->
-      Obs.Trace.set_capacity 16;
-      (* The capacity applies to buffers created after the call; force a
-         fresh ring for this domain. *)
-      Obs.Trace.reset ();
-      for _ = 1 to 100 do
-        Obs.Span.with_ "test.trace.span" (fun () ->
-            Obs.Trace.instant "test.trace.tick")
-      done;
-      let s = Obs.Trace.stats () in
-      check bool_ "overflow drops are counted" true (s.Obs.Trace.dropped > 0);
-      check bool_ "recorded events bounded by capacity" true (s.Obs.Trace.recorded <= 16);
-      match Obs_json.parse (Obs.Trace.to_json ()) with
-      | Error msg -> Alcotest.failf "overflowed trace export invalid: %s" msg
-      | Ok (Obs_json.List events) ->
-        check_balanced events;
-        check bool_ "dropped-events marker present" true
-          (List.exists
-             (fun ev ->
-               Obs_json.member "name" ev = Some (Obs_json.String "trace.dropped"))
-             events)
-      | Ok _ -> Alcotest.fail "trace export is not an array")
-
-let test_trace_overflow_balanced_under_pool () =
-  (* The documented drop contract from multiple domains: tiny rings, pool
-     workers emitting concurrently — drops are counted and the exported
-     stream still has balanced B/E pairs on every tid. *)
-  with_trace (fun () ->
-      Obs.Trace.set_capacity 16;
-      Obs.Trace.reset ();
-      (* Chunks this small can all be drained by the submitting domain
-         before a worker wakes; block each chunk until two have started so
-         at least two domains (two rings) demonstrably participate. *)
-      let started = Atomic.make 0 in
-      Pool.with_pool ~domains:4 (fun pool ->
-          Pool.for_chunks pool ~chunk:5 ~n:400 (fun ~slot:_ ~lo ~hi ->
-              Atomic.incr started;
-              while Atomic.get started < 2 do
-                Domain.cpu_relax ()
-              done;
-              for _ = lo to hi - 1 do
-                Obs.Span.with_ "test.trace.pool_span" (fun () ->
-                    Obs.Trace.instant "test.trace.pool_tick")
-              done));
-      let s = Obs.Trace.stats () in
-      check bool_ "pool workers overflowed the rings" true
-        (s.Obs.Trace.dropped > 0);
-      check bool_ "multiple rings participated" true (s.Obs.Trace.rings > 1);
-      match Obs_json.parse (Obs.Trace.to_json ()) with
-      | Error msg -> Alcotest.failf "pool-overflow trace invalid: %s" msg
-      | Ok (Obs_json.List events) ->
-        check_balanced events;
-        check bool_ "dropped-events marker present" true
-          (List.exists
-             (fun ev ->
-               Obs_json.member "name" ev = Some (Obs_json.String "trace.dropped"))
-             events)
-      | Ok _ -> Alcotest.fail "trace export is not an array")
-
 (* --- journal -------------------------------------------------------------- *)
 
 let with_journal path f =
@@ -380,9 +225,8 @@ let test_journal_disabled_is_silent () =
 let test_journal_roundtrip_multidomain () =
   let path = Filename.temp_file "sft_test" ".journal" in
   with_journal path (fun () ->
-      (* Same rendezvous as the trace-overflow test: hold each chunk until
-         two have started, so the events provably land in more than one
-         domain-local buffer. *)
+      (* Hold each chunk until two have started, so the events provably
+         land in more than one domain-local buffer. *)
       let started = Atomic.make 0 in
       Pool.with_pool ~domains:4 (fun pool ->
           Pool.for_chunks pool ~chunk:7 ~n:200 (fun ~slot ~lo ~hi ->
@@ -529,33 +373,6 @@ let test_campaign_unchanged_by_journal () =
   in
   check bool_ "journaled campaign is bit-identical" true (plain = journaled)
 
-let test_campaign_unchanged_by_tracing () =
-  let c = mixed () in
-  let cfg = { Campaign.default with max_patterns = 2_048; domains = 2; seed = 9L } in
-  Obs.disable ();
-  Obs.Trace.disable ();
-  Obs.reset ();
-  let plain = Campaign.exec cfg (Circuit.copy c) in
-  let traced = with_trace (fun () -> Campaign.exec cfg (Circuit.copy c)) in
-  check bool_ "traced campaign is bit-identical" true (plain = traced);
-  let overflowed =
-    with_trace (fun () ->
-        Obs.Trace.set_capacity 16;
-        Obs.Trace.reset ();
-        (* Saturate this domain's buffer so every event of the campaign
-           itself lands in the overflow path. *)
-        for _ = 1 to 32 do
-          Obs.Trace.instant "test.trace.fill"
-        done;
-        let r = Campaign.exec cfg (Circuit.copy c) in
-        let s = Obs.Trace.stats () in
-        check bool_ "tiny buffers overflow during the campaign" true
-          (s.Obs.Trace.dropped > 0);
-        r)
-  in
-  check bool_ "campaign under buffer overflow is bit-identical" true
-    (plain = overflowed)
-
 let test_campaign_unchanged_by_obs () =
   let c = mixed () in
   let cfg = { Campaign.default with max_patterns = 2_048; domains = 2; seed = 9L } in
@@ -575,6 +392,27 @@ let test_campaign_unchanged_by_obs () =
   in
   check bool_ "config-enabled obs is bit-identical too" true (plain = via_config)
 
+(* The journal holds a whole resynthesis run in a small buffer: one
+   [splice_accept] per accepted replacement, nothing dropped. *)
+let test_journal_optimize_fits () =
+  let c = Benchmarks.build (Benchmarks.find "irs1423") in
+  let path = Filename.temp_file "sft_test" ".journal" in
+  with_journal path (fun () ->
+      ignore (Obs.Journal.finish ());
+      Obs.enable ();
+      Obs.Journal.start ~capacity:1024 ~cmd:"test" path;
+      let stats = Engine.optimize Engine.Gates Engine.default_options c in
+      let w = Obs.Journal.finish () in
+      check int_ "nothing dropped" 0 w.Obs.Journal.dropped;
+      check bool_ "the run accepted replacements" true (stats.Engine.replacements > 0);
+      let accepts =
+        List.length
+          (List.filter
+             (fun j -> Obs_json.member "ev" j = Some (Obs_json.String "splice_accept"))
+             (journal_lines path))
+      in
+      check int_ "one splice_accept per replacement" stats.Engine.replacements accepts)
+
 let suite =
   [
     ("counters: atomic under 4 domains", `Quick, test_counter_atomic_under_pool);
@@ -584,12 +422,6 @@ let suite =
     ("json: parser error paths", `Quick, test_json_error_paths);
     ("histograms: edge observations", `Quick, test_histogram_edges);
     ("export: documented schema keys", `Quick, test_export_schema);
-    ("trace: disabled is silent", `Quick, test_trace_disabled_is_silent);
-    ("trace: records and exports events", `Quick, test_trace_records_and_exports);
-    ("trace: overflow stays balanced", `Quick, test_trace_overflow_stays_balanced);
-    ( "trace: pool overflow balanced per domain",
-      `Quick,
-      test_trace_overflow_balanced_under_pool );
     ("journal: disabled is silent", `Quick, test_journal_disabled_is_silent);
     ( "journal: multi-domain round-trip",
       `Quick,
@@ -597,7 +429,7 @@ let suite =
     ("journal: overflow drops counted", `Quick, test_journal_overflow_drops_counted);
     ("journal: survives Obs.reset", `Quick, test_journal_survives_obs_reset);
     ("runtime: sampler counts and resets", `Quick, test_runtime_sampler_and_reset);
-    ("campaign: trace on = trace off", `Quick, test_campaign_unchanged_by_tracing);
     ("campaign: obs on = obs off", `Quick, test_campaign_unchanged_by_obs);
     ("campaign: journal on = journal off", `Quick, test_campaign_unchanged_by_journal);
+    ("journal: optimize fits 1024 events", `Quick, test_journal_optimize_fits);
   ]

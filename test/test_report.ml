@@ -188,6 +188,133 @@ let test_run_report_engine_phases () =
       check bool_ "no phase line without timers" false
         (contains ~affix:"engine phases" (Run_report.render (load_ok path))))
 
+(* Identification sources come from the footer's cache counters: a miss is
+   a fresh identification, a disk hit came from the store, any other hit
+   from the run. *)
+let test_run_report_sources_from_counters () =
+  let counted =
+    {|{"ev":"journal_end","events":1,"dropped":0,"wall_s":2.5,"counters":{"idcache.hits":120,"idcache.disk_hits":20,"idcache.misses":30}}|}
+  in
+  with_journal [ header; List.hd body; counted ] (fun path ->
+      let r = load_ok path in
+      check bool_ "table rendered" true
+        (contains ~affix:"identification sources" (Run_report.render r));
+      match Run_report.to_json_value [ r ] with
+      | Obs_json.Obj fields -> (
+        match List.assoc "runs" fields with
+        | Obs_json.List [ run ] ->
+          check bool_ "counts from counters" true
+            (Obs_json.member "identify" run
+            = Some
+                (Obs_json.Obj
+                   [
+                     ("fresh", Obs_json.Int 30);
+                     ("run_cache", Obs_json.Int 100);
+                     ("idcache_raw", Obs_json.Int 20);
+                   ]))
+        | _ -> Alcotest.fail "runs is not a one-element list")
+      | _ -> Alcotest.fail "to_json_value not an object")
+
+(* --- Chrome traces from journals ------------------------------------------- *)
+
+let chrome_of lines =
+  with_journal lines (fun path ->
+      match Run_report.to_chrome (load_ok path) with
+      | Obs_json.List evs -> evs
+      | _ -> Alcotest.fail "Chrome trace is not an array")
+
+let str k j = match Obs_json.member k j with Some (Obs_json.String s) -> s | _ -> ""
+
+let num k j =
+  match Obs_json.member k j with
+  | Some (Obs_json.Float f) -> f
+  | Some (Obs_json.Int i) -> float_of_int i
+  | _ -> Float.nan
+
+let named name evs = List.filter (fun j -> str "name" j = name) evs
+let near a b = Float.abs (a -. b) < 1e-3
+
+(* A span event's ts is the end of its dur_s: on domain 0, inner ends at
+   2.0 s after 0.5 s inside outer, which ends at 3.0 s after 2.0 s; domain
+   1 runs its own span meanwhile. *)
+let test_chrome_spans_nest () =
+  let evs =
+    chrome_of
+      [
+        header;
+        {|{"ev":"span","seq":0,"ts":2.0,"dom":0,"name":"inner","dur_s":0.5}|};
+        {|{"ev":"span","seq":1,"ts":1.8,"dom":1,"name":"worker","dur_s":0.6}|};
+        {|{"ev":"span","seq":2,"ts":3.0,"dom":0,"name":"outer","dur_s":2.0}|};
+        footer ~candidates:0 ~identified:0;
+      ]
+  in
+  let slice name =
+    match named name evs with
+    | [ j ] ->
+      check bool_ (name ^ " is a complete slice") true (str "ph" j = "X");
+      j
+    | _ -> Alcotest.failf "expected one %s slice" name
+  in
+  let outer = slice "outer" and inner = slice "inner" and worker = slice "worker" in
+  let tid j = Obs_json.member "tid" j in
+  check bool_ "one domain, one tid" true (tid outer = tid inner);
+  check bool_ "two domains, two tids" true (tid worker <> tid outer);
+  check bool_ "start is ts - dur_s, in microseconds" true
+    (near (num "ts" outer) 1e6 && near (num "dur" outer) 2e6);
+  check bool_ "inner nests in outer" true
+    (num "ts" inner >= num "ts" outer
+    && num "ts" inner +. num "dur" inner <= num "ts" outer +. num "dur" outer);
+  check int_ "a thread_name record per domain" 2 (List.length (named "thread_name" evs))
+
+let test_chrome_instants_carry_fields () =
+  let evs =
+    chrome_of
+      [
+        header;
+        {|{"ev":"sat_escalation","seq":0,"ts":0.25,"dom":0,"node":12,"stuck_at":1,"outcome":"redundant"}|};
+        footer ~candidates:0 ~identified:0;
+      ]
+  in
+  match named "sat_escalation" evs with
+  | [ j ] ->
+    check bool_ "an instant" true (str "ph" j = "i");
+    check bool_ "at its ts" true (near (num "ts" j) 0.25e6);
+    check bool_ "args are the event's own fields" true
+      (Obs_json.member "args" j
+      = Some
+          (Obs_json.Obj
+             [
+               ("node", Obs_json.Int 12);
+               ("stuck_at", Obs_json.Int 1);
+               ("outcome", Obs_json.String "redundant");
+             ]))
+  | _ -> Alcotest.fail "expected one sat_escalation instant"
+
+let test_chrome_dropped_marker () =
+  let lossy =
+    {|{"ev":"journal_end","events":5,"dropped":7,"wall_s":2.5,"counters":{}}|}
+  in
+  (match List.rev (chrome_of ((header :: body) @ [ lossy ])) with
+  | last :: _ ->
+    check bool_ "the trace ends with the marker" true (str "name" last = "journal.dropped");
+    check bool_ "marker carries the count" true
+      (Obs_json.member "args" last = Some (Obs_json.Obj [ ("count", Obs_json.Int 7) ]))
+  | [] -> Alcotest.fail "empty trace");
+  check int_ "no marker without drops" 0
+    (List.length
+       (named "journal.dropped"
+          (chrome_of ((header :: body) @ [ footer ~candidates:50 ~identified:10 ]))))
+
+(* [body] is in the format written before identification events were
+   retired: every line still converts. *)
+let test_chrome_parent_format () =
+  let evs = chrome_of ((header :: body) @ [ footer ~candidates:50 ~identified:10 ]) in
+  check int_ "five events and two thread records" 7 (List.length evs);
+  check int_ "identify lookups become instants" 2
+    (List.length (List.filter (fun j -> str "ph" j = "i") (named "identify" evs)));
+  check int_ "the span becomes a slice" 1
+    (List.length (List.filter (fun j -> str "ph" j = "X") (named "engine.pass" evs)))
+
 let suite =
   [
     ("thousands separators", `Quick, test_int_formatting);
@@ -200,4 +327,9 @@ let suite =
     ("run report: rejects non-journals", `Quick, test_run_report_rejects_non_journal);
     ("run report: json schema and diff", `Quick, test_run_report_json_and_diff);
     ("run report: engine phase split", `Quick, test_run_report_engine_phases);
+    ("run report: sources from counters", `Quick, test_run_report_sources_from_counters);
+    ("chrome: spans nest per domain", `Quick, test_chrome_spans_nest);
+    ("chrome: instants carry fields", `Quick, test_chrome_instants_carry_fields);
+    ("chrome: dropped-events marker", `Quick, test_chrome_dropped_marker);
+    ("chrome: parent-format journal", `Quick, test_chrome_parent_format);
   ]

@@ -1,19 +1,23 @@
-(* CI helper for the @trace-smoke alias: validate that a --trace-out file is
-   a well-formed Chrome trace-event JSON array (DESIGN.md §11).
+(* CI helper for the @trace-smoke alias: validate that a Chrome trace
+   written by `sft report --chrome` is a well-formed trace-event JSON array
+   (DESIGN.md §11).
 
    Checks, per the trace-event format:
-     - the document is a JSON array of event objects;
+     - the document is a non-empty JSON array of event objects;
      - every event carries string "name"/"ph" and integer "pid"/"tid";
-     - "ph" is one of B, E, i, X, M;
+     - "ph" is one of X (complete slice), i (instant), M (metadata);
      - all events share a single pid;
-     - per tid, B and E events balance and nest properly (every E closes
-       the most recent open B of the same name);
-     - B/E/i/X events carry a non-negative numeric "ts" (and X a
-       non-negative "dur").
+     - X and i events carry a non-negative numeric "ts", X events a
+       non-negative "dur";
+     - per tid, X slices nest: any two are disjoint or one contains the
+       other. Slice bounds come from journal timestamps printed to twelve
+       significant digits, so they are compared within half a microsecond,
+       below the clock's resolution.
 
    Usage: validate_trace.exe FILE *)
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_trace: " ^ m); exit 1) fmt
+let eps_us = 0.5
 
 let () =
   let file = if Array.length Sys.argv > 1 then Sys.argv.(1) else die "usage: validate_trace FILE" in
@@ -42,54 +46,54 @@ let () =
   in
   let pids = Hashtbl.create 4 in
   let tids = Hashtbl.create 8 in
-  (* per-tid stack of open B event names *)
-  let open_spans : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack_of tid =
-    match Hashtbl.find_opt open_spans tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add open_spans tid s;
-      s
-  in
-  let n_events = ref 0 in
+  (* per-tid (start, end, name) of every X slice *)
+  let slices : (int, (float * float * string) list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun ev ->
-      incr n_events;
       let name = str_field ev "name" in
       let ph = str_field ev "ph" in
       Hashtbl.replace pids (int_field ev "pid") ();
       let tid = int_field ev "tid" in
       Hashtbl.replace tids tid ();
-      (match ph with
-      | "B" | "E" | "i" | "X" ->
-        if num_field ev "ts" < 0. then die "%s: %s event %S with negative ts" file ph name
-      | "M" -> ()
-      | other -> die "%s: event %S with unknown phase %S" file name other);
       match ph with
-      | "B" ->
-        let s = stack_of tid in
-        s := name :: !s
-      | "E" -> (
-        let s = stack_of tid in
-        match !s with
-        | top :: rest ->
-          if top <> name then
-            die "%s: tid %d: E %S closes open B %S (improper nesting)" file tid name top;
-          s := rest
-        | [] -> die "%s: tid %d: E %S without a matching B" file tid name)
-      | "X" ->
-        if num_field ev "dur" < 0. then die "%s: X event %S with negative dur" file name
-      | _ -> ())
+      | "M" -> ()
+      | "i" | "X" ->
+        let ts = num_field ev "ts" in
+        if ts < 0. then die "%s: %s event %S with negative ts" file ph name;
+        if ph = "X" then begin
+          let dur = num_field ev "dur" in
+          if dur < 0. then die "%s: X event %S with negative dur" file name;
+          match Hashtbl.find_opt slices tid with
+          | Some l -> l := (ts, ts +. dur, name) :: !l
+          | None -> Hashtbl.add slices tid (ref [ (ts, ts +. dur, name) ])
+        end
+      | other -> die "%s: event %S with unknown phase %S" file name other)
     events;
-  if !n_events = 0 then die "%s: empty trace (no events recorded)" file;
+  if events = [] then die "%s: empty trace (no events recorded)" file;
   if Hashtbl.length pids <> 1 then
     die "%s: expected a single pid, found %d" file (Hashtbl.length pids);
+  (* Sorted by start, longest first, each slice must either begin after the
+     innermost open slice ends or end inside it. *)
   Hashtbl.iter
-    (fun tid s ->
-      match !s with
-      | [] -> ()
-      | top :: _ -> die "%s: tid %d: B %S left open at end of trace" file tid top)
-    open_spans;
-  Printf.printf "%s: trace valid (%d events, %d threads)\n" file !n_events
+    (fun tid l ->
+      let sorted =
+        List.sort
+          (fun (s1, e1, _) (s2, e2, _) ->
+            match Float.compare s1 s2 with 0 -> Float.compare e2 e1 | c -> c)
+          !l
+      in
+      ignore
+        (List.fold_left
+           (fun open_ (s, e, name) ->
+             let rec close = function
+               | (_, oe, _) :: rest when oe <= s +. eps_us -> close rest
+               | stack -> stack
+             in
+             match close open_ with
+             | (_, oe, oname) :: _ when e > oe +. eps_us ->
+               die "%s: tid %d: slice %S overlaps %S without nesting" file tid name oname
+             | stack -> (s, e, name) :: stack)
+           [] sorted))
+    slices;
+  Printf.printf "%s: trace valid (%d events, %d threads)\n" file (List.length events)
     (Hashtbl.length tids)
