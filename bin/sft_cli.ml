@@ -604,14 +604,29 @@ let map_cmd =
 
 (* --- identify --------------------------------------------------------------- *)
 
+(* The table [identify] and [sop] read from [-n N MINTERMS]: N within the
+   tables' arity range and every comma-separated minterm a number below
+   2^N, or exit 1 naming the first bad argument. *)
+let table_of_args n minterms =
+  if n < 0 || n > Truthtable.max_arity then
+    die "-n %d is outside 0..%d" n Truthtable.max_arity;
+  let ms =
+    String.split_on_char ',' minterms
+    |> List.filter_map (fun s ->
+           let s = String.trim s in
+           if s = "" then None
+           else
+             match int_of_string_opt s with
+             | None -> die "bad minterm %S" s
+             | Some m when m < 0 || m >= 1 lsl n ->
+               die "minterm %d is outside 0..%d" m ((1 lsl n) - 1)
+             | Some m -> Some m)
+  in
+  Truthtable.of_minterms n ms
+
 let identify_cmd =
   let run n minterms =
-    let ms =
-      String.split_on_char ',' minterms
-      |> List.filter (fun s -> String.trim s <> "")
-      |> List.map (fun s -> int_of_string (String.trim s))
-    in
-    let f = Truthtable.of_minterms n ms in
+    let f = table_of_args n minterms in
     match Comparison_fn.identify_exact f with
     | None -> print_endline "not a comparison function (nor is its complement)"
     | Some spec ->
@@ -636,12 +651,7 @@ let identify_cmd =
 let sop_cmd =
   let run n minterms output metrics trace journal =
     with_obs ~cmd:"sop" metrics trace journal (fun ppf ->
-        let ms =
-          String.split_on_char ',' minterms
-          |> List.filter (fun s -> String.trim s <> "")
-          |> List.map (fun s -> int_of_string (String.trim s))
-        in
-        let f = Truthtable.of_minterms n ms in
+        let f = table_of_args n minterms in
         let cover = Sop.minimise f in
         Format.fprintf ppf "%d cubes, %d literals:@." (List.length cover) (Sop.literals cover);
         List.iter (fun cube -> Format.fprintf ppf "  %a@." (Sop.pp_cube ~n) cube) cover;

@@ -151,19 +151,55 @@ let spec_of_perm f perm ~complemented =
   | Some (lo, hi) -> Some { perm; lo; hi; complemented }
   | None -> None
 
-let identify_exact f =
+(* A necessary condition for the minterms with [f = v] to be a non-empty
+   interval under some variable order (DESIGN.md §15.5). Cofactor away the
+   literal factors; what remains must be constant 1, or have a variable x
+   such that its x = 0 half is positive unate and its x = 1 half negative
+   unate in every other remaining variable. Both kernels read [f] in place,
+   for every arity alike, so a rejected table costs no allocation. *)
+let may_be_interval f v =
   let n = Truthtable.arity f in
-  let ms = { sufpre_memo = TTpair.create 64; interval_memo = TT.create 64 } in
-  let from_picks complemented picks =
-    let perm = Array.of_list (absolute picks n) in
-    spec_of_perm f perm ~complemented
-  in
-  match interval ms f with
-  | Some picks -> from_picks false picks
-  | None -> (
-    match interval ms (Truthtable.lnot f) with
-    | Some picks -> from_picks true picks
-    | None -> None)
+  let ones = Truthtable.popcount f in
+  let on = if v then ones else (1 lsl n) - ones in
+  on > 0
+  &&
+  let free = ((1 lsl n) - 1) land lnot (Truthtable.literal_factors f v) in
+  let nfree = ref 0 in
+  for y = 1 to n do
+    if free land (1 lsl (y - 1)) <> 0 then incr nfree
+  done;
+  (* the remainder is constant 1 when the minterms fill their subcube *)
+  on = 1 lsl !nfree
+  ||
+  let splits = ref free and y = ref 1 in
+  while !splits <> 0 && !y <= n do
+    let bit = 1 lsl (!y - 1) in
+    if free land bit <> 0 then
+      splits := !splits land (Truthtable.unate_splits f ~var:!y ~positive:v lor bit);
+    incr y
+  done;
+  !splits <> 0
+
+(* The prefilter only skips searches that would fail: [interval] returns
+   picks only for a non-empty interval, which passes [may_be_interval]. So
+   every verdict, spec included, is the unfiltered search's. *)
+let identify_exact f =
+  let on = may_be_interval f true and off = may_be_interval f false in
+  if not (on || off) then None
+  else begin
+    let n = Truthtable.arity f in
+    let ms = { sufpre_memo = TTpair.create 64; interval_memo = TT.create 64 } in
+    let from_picks complemented picks =
+      let perm = Array.of_list (absolute picks n) in
+      spec_of_perm f perm ~complemented
+    in
+    match if on then interval ms f else None with
+    | Some picks -> from_picks false picks
+    | None -> (
+      match if off then interval ms (Truthtable.lnot f) else None with
+      | Some picks -> from_picks true picks
+      | None -> None)
+  end
 
 (* --- Sampled engine ------------------------------------------------------ *)
 

@@ -21,7 +21,7 @@ let check_arity n =
 let nwords n = if n <= 6 then 1 else 1 lsl (n - 6)
 
 (* Live bits of the (single) word when n < 6; all-ones otherwise. *)
-let tail_mask n =
+let[@inline] tail_mask n =
   if n >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl n)) 1L
 
 (* Standard simulation patterns: bit [j] of [sim_patterns.(p)] is bit [p] of
@@ -290,6 +290,84 @@ let cofactor t ~var v =
       done
   end;
   r
+
+(* The two kernels below summarise a set of minterms without listing it:
+   the OR [bits] of its non-empty words says which in-word index bits take
+   which values, and the AND [iand] / OR [ior] of those words' indices does
+   the same for the index bits that select words. Variable [x_i] is index
+   bit [n - i] and bit [i - 1] of the returned masks. *)
+
+(* Does some member have index bit [p] = 0? *)
+let[@inline] some_at0 bits iand p =
+  if p < 6 then not (Int64.equal (Int64.logand bits period_masks.(p)) 0L)
+  else iand land (1 lsl (p - 6)) = 0
+
+(* Does some member have index bit [p] = 1? *)
+let[@inline] some_at1 bits ior p =
+  if p < 6 then not (Int64.equal (Int64.logand bits sim_patterns.(p)) 0L)
+  else ior land (1 lsl (p - 6)) <> 0
+
+let literal_factors t v =
+  let n = t.n in
+  let full = tail_mask n in
+  let bits = ref 0L and iand = ref (-1) and ior = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    let x = if v then t.words.(w) else Int64.logand (Int64.lognot t.words.(w)) full in
+    if not (Int64.equal x 0L) then begin
+      bits := Int64.logor !bits x;
+      iand := !iand land w;
+      ior := !ior lor w
+    end
+  done;
+  let r = ref 0 in
+  for p = 0 to n - 1 do
+    if not (some_at0 !bits !iand p && some_at1 !bits !ior p) then
+      r := !r lor (1 lsl (n - 1 - p))
+  done;
+  !r
+
+let unate_splits t ~var ~positive =
+  if var < 1 || var > t.n then invalid_arg "Truthtable.unate_splits: variable out of range";
+  let n = t.n in
+  let py = n - var in
+  (* Pair every minterm m with x_var = 0 with m + 2^py: in-word, by a shift
+     within the word; otherwise, word [w] with word [w lor stride]. *)
+  let d = if py < 6 then 1 lsl py else 0 in
+  let m = if py < 6 then period_masks.(py) else -1L in
+  let stride = if py < 6 then 0 else 1 lsl (py - 6) in
+  (* [a]: the violations that rule out x = 0 as a split value; [b]: those
+     that rule out x = 1. *)
+  let a_bits = ref 0L and a_iand = ref (-1) and b_bits = ref 0L and b_ior = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    if w land stride = 0 then begin
+      let x = t.words.(w) in
+      let lo = Int64.logand x m in
+      let hi =
+        if py < 6 then Int64.logand (Int64.shift_right_logical x d) m
+        else t.words.(w lor stride)
+      in
+      (* [down]: t falls as x_var rises (not positive unate); [up]: it rises
+         (not negative unate). *)
+      let down = Int64.logand lo (Int64.lognot hi) in
+      let up = Int64.logand hi (Int64.lognot lo) in
+      let a = if positive then down else up in
+      let b = if positive then up else down in
+      if not (Int64.equal a 0L) then begin
+        a_bits := Int64.logor !a_bits a;
+        a_iand := !a_iand land w
+      end;
+      if not (Int64.equal b 0L) then begin
+        b_bits := Int64.logor !b_bits b;
+        b_ior := !b_ior lor w
+      end
+    end
+  done;
+  let r = ref 0 in
+  for p = 0 to n - 1 do
+    if p <> py && not (some_at0 !a_bits !a_iand p || some_at1 !b_bits !b_ior p) then
+      r := !r lor (1 lsl (n - 1 - p))
+  done;
+  !r
 
 let depends_on t i = not (equal (cofactor t ~var:i true) (cofactor t ~var:i false))
 

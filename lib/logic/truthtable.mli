@@ -8,6 +8,9 @@
 
 type t
 
+val max_arity : int
+(** The widest table: 16 inputs. *)
+
 val arity : t -> int
 (** Number of input variables [n]. *)
 
@@ -73,6 +76,21 @@ val lxor_ : t -> t -> t
 val cofactor : t -> var:int -> bool -> t
 (** [cofactor f ~var:i v] is the (n-1)-input function f with [x_i] fixed to
     [v]; remaining variables keep their relative order. *)
+
+val literal_factors : t -> bool -> int
+(** [literal_factors f v]: the variables on which every minterm with
+    [f = v] takes the same value — the literals that divide [f] ([v] true)
+    or its complement — as a mask with bit [i - 1] for [x_i]. Every
+    variable when no minterm has [f = v]. Reads the packed words in place
+    and allocates nothing. *)
+
+val unate_splits : t -> var:int -> positive:bool -> int
+(** [unate_splits f ~var:y ~positive:true]: the variables [x <> y] (bit
+    [i - 1] for [x_i]) such that [f] restricted to [x = 0] is positive
+    unate in [y] and [f] restricted to [x = 1] is negative unate in [y];
+    with [~positive:false], negative at [x = 0] and positive at [x = 1].
+    A word-parallel pass over the table, like {!cofactor} in both index-bit
+    regimes, that allocates nothing. *)
 
 val depends_on : t -> int -> bool
 (** Does the function depend on variable [x_i]? *)

@@ -11,7 +11,15 @@ type t = {
   mutable len : int;
   mutable pis : int list; (* reverse declaration order *)
   mutable pos : (int * string option) list; (* reverse declaration order *)
-  mutable fanout_cache : int list array option;
+  mutable index : index option;
+}
+
+(* Derived lookups, built together on first use and dropped by every
+   structural mutation: the readers of each node, and which nodes a
+   primary output designates. *)
+and index = {
+  fanout : int list array;
+  output : Bytes.t;
 }
 
 let dead_node = { kind = Gate.Const0; fanins = [||]; node_name = None; alive = false }
@@ -23,7 +31,7 @@ let create ?(name = "circuit") () =
     len = 0;
     pis = [];
     pos = [];
-    fanout_cache = None;
+    index = None;
   }
 
 let name c = c.circuit_name
@@ -36,7 +44,7 @@ let node c id =
   if not n.alive then invalid_arg (Printf.sprintf "Circuit: node %d is dead" id);
   n
 
-let invalidate c = c.fanout_cache <- None
+let invalidate c = c.index <- None
 
 let grow c =
   if c.len = Array.length c.nodes then begin
@@ -145,17 +153,22 @@ let two_input_gate_count c =
       k := !k + Gate.two_input_equivalents n.kind (Array.length n.fanins));
   !k
 
-let build_fanouts c =
-  let fo = Array.make c.len [] in
+(* Published whole, so domains that read a circuit concurrently see
+   either no index or a complete one. *)
+let build_index c =
+  let fanout = Array.make c.len [] in
   for i = c.len - 1 downto 0 do
     let n = c.nodes.(i) in
-    if n.alive then Array.iter (fun f -> fo.(f) <- i :: fo.(f)) n.fanins
+    if n.alive then Array.iter (fun f -> fanout.(f) <- i :: fanout.(f)) n.fanins
   done;
-  c.fanout_cache <- Some fo;
-  fo
+  let output = Bytes.make c.len '\000' in
+  List.iter (fun (o, _) -> Bytes.set output o '\001') c.pos;
+  let ix = { fanout; output } in
+  c.index <- Some ix;
+  ix
 
-let fanout_index c =
-  match c.fanout_cache with Some fo -> fo | None -> build_fanouts c
+let index c = match c.index with Some ix -> ix | None -> build_index c
+let fanout_index c = (index c).fanout
 
 let fanouts c id =
   ignore (node c id);
@@ -163,7 +176,7 @@ let fanouts c id =
 
 let fanout_degree c id = List.length (fanouts c id)
 
-let is_output c id = List.exists (fun (o, _) -> o = id) c.pos
+let is_output c id = id >= 0 && id < c.len && Bytes.get (index c).output id <> '\000'
 
 let topo_order c =
   let n = c.len in
@@ -260,7 +273,7 @@ let copy c =
     len = c.len;
     pis = c.pis;
     pos = c.pos;
-    fanout_cache = None;
+    index = None;
   }
 
 let overwrite c ~with_ =
@@ -270,7 +283,7 @@ let overwrite c ~with_ =
   c.len <- src.len;
   c.pis <- src.pis;
   c.pos <- src.pos;
-  c.fanout_cache <- None
+  c.index <- None
 
 let compact c =
   let order = topo_order c in

@@ -8,7 +8,8 @@
 
     Deletion leaves a tombstone so ids of live nodes never move; use
     {!compact} to renumber densely. All structural mutation invalidates the
-    cached fanout index, which is rebuilt lazily. *)
+    cached index (the fanout lists and the primary-output bitmap), which is
+    rebuilt lazily. *)
 
 type t
 
@@ -79,7 +80,8 @@ val fanout_degree : t -> int -> int
 (** Number of gate pins reading this node (primary outputs not counted). *)
 
 val is_output : t -> int -> bool
-(** Does any primary output designate this node? *)
+(** Does any primary output designate this node? False for ids out of
+    range. O(1): reads a bitmap built with the fanout index. *)
 
 val iter_live : t -> (int -> unit) -> unit
 (** Apply to every live node id in increasing id order. *)

@@ -235,11 +235,11 @@ let funnel_ok t =
   && (t.truncated
      || (f.verified <= f.identified && f.identified <= f.candidates))
 
-(* The engine's phase timers ([engine.enumerate_ns], [engine.score_ns]),
-   in seconds, from the footer's counters. *)
-let engine_phase_s t =
-  let s name = float_of_int (counter t name) /. 1e9 in
-  (s "engine.enumerate_ns", s "engine.score_ns")
+(* The engine's phase timers in seconds, from the footer's counters:
+   [enumerate] and [score] per batch, then [score]'s per-candidate split. *)
+let engine_phases = [ "enumerate"; "score" ]
+let score_split = [ "extract"; "identify"; "cost" ]
+let engine_phase_s t name = float_of_int (counter t ("engine." ^ name ^ "_ns")) /. 1e9
 
 let phases t =
   Hashtbl.fold
@@ -309,11 +309,16 @@ let render t =
          (Table.int f.candidates) (Table.int f.identified)
          (Table.int f.verified) (Table.int f.committed) (Table.int t.gain)
          (if funnel_ok t then "" else "   [FUNNEL VIOLATION]"));
-  let enumerate_s, score_s = engine_phase_s t in
+  let enumerate_s = engine_phase_s t "enumerate" and score_s = engine_phase_s t "score" in
   if enumerate_s +. score_s > 0. then
     Buffer.add_string b
       (Printf.sprintf "engine phases: enumerate %.3fs, score %.3fs (%.1f%% of wall)\n"
          enumerate_s score_s (pct (enumerate_s +. score_s) t.wall_s));
+  if List.exists (fun p -> engine_phase_s t p > 0.) score_split then
+    Buffer.add_string b
+      (Printf.sprintf "score split: %s\n"
+         (String.concat ", "
+            (List.map (fun p -> Printf.sprintf "%s %.3fs" p (engine_phase_s t p)) score_split)));
   let count_table title rows =
     let rows = List.filter (fun (_, n) -> n <> 0) rows in
     if rows <> [] then begin
@@ -343,7 +348,6 @@ let counts_json rows = Obs_json.Obj (List.map (fun (l, n) -> (l, Obs_json.Int n)
 
 let run_json t =
   let f = funnel t in
-  let enumerate_s, score_s = engine_phase_s t in
   Obs_json.Obj
     [
       ("path", Obs_json.String t.path);
@@ -364,7 +368,9 @@ let run_json t =
           ] );
       ( "engine_phases",
         Obs_json.Obj
-          [ ("enumerate_s", Obs_json.Float enumerate_s); ("score_s", Obs_json.Float score_s) ] );
+          (List.map
+             (fun p -> (p ^ "_s", Obs_json.Float (engine_phase_s t p)))
+             (engine_phases @ score_split)) );
       ( "phases",
         Obs_json.List
           (List.map
@@ -432,9 +438,10 @@ let diff a b =
   irow "verified" fa.verified fb.verified;
   irow "committed" fa.committed fb.committed;
   irow "gain" a.gain b.gain;
-  let ea, sa = engine_phase_s a and eb, sb = engine_phase_s b in
-  frow "enumerate_s" ea eb (Printf.sprintf "%.4f");
-  frow "score_s" sa sb (Printf.sprintf "%.4f");
+  List.iter
+    (fun p ->
+      frow (p ^ "_s") (engine_phase_s a p) (engine_phase_s b p) (Printf.sprintf "%.4f"))
+    (engine_phases @ score_split);
   frow "minor_words" a.minor_words b.minor_words (Printf.sprintf "%.3g");
   frow "major_words" a.major_words b.major_words (Printf.sprintf "%.3g");
   irow "peak_rss_kb" a.peak_rss_kb b.peak_rss_kb;

@@ -92,6 +92,21 @@ let score_ns_c =
     ~help:"nanoseconds scoring cuts: extract, identify, cost (metrics on only)"
     "engine.score_ns"
 
+(* The split of [score_ns], summed per candidate: with a pool they add up
+   time across domains, so they can exceed the batch wall. *)
+let extract_ns_c =
+  Obs.Counter.make ~help:"nanoseconds extracting cut functions (metrics on only)"
+    "engine.extract_ns"
+
+let identify_ns_c =
+  Obs.Counter.make
+    ~help:"nanoseconds identifying cut functions, cache lookups included (metrics on only)"
+    "engine.identify_ns"
+
+let cost_ns_c =
+  Obs.Counter.make ~help:"nanoseconds costing identified cuts (metrics on only)"
+    "engine.cost_ns"
+
 let elapsed_ns t0 t1 = max 0 (int_of_float ((t1 -. t0) *. 1e9))
 
 type stats = {
@@ -285,7 +300,9 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
   let eval scratch idx sub =
     let rng = Rng.create (candidate_seed opts.seed root idx) in
     Obs.Histogram.observe cut_size_h (Array.length sub.Subcircuit.inputs);
+    let ta = if timed then Obs.now () else 0. in
     let tt = Subcircuit.extract ~scratch c sub in
+    let tb = if timed then Obs.now () else 0. in
     let misses = ref [] in
     let identify tt =
       match cache with
@@ -298,8 +315,10 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
           misses := (tt, verdict) :: !misses;
           verdict)
     in
+    let realised = realise opts rng ~identify ~sim c sub tt in
+    let tc = if timed then Obs.now () else 0. in
     let cand =
-      match realise opts rng ~identify ~sim c sub tt with
+      match realised with
       | None -> None
       | Some (plan, exact) ->
         Obs.Counter.incr realised_c;
@@ -312,6 +331,11 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
         let new_paths = replaced_path_label labels sub input_paths in
         Some { sub; unit_ = plan; gain; new_paths; exact }
     in
+    if timed then begin
+      Obs.Counter.add extract_ns_c (elapsed_ns ta tb);
+      Obs.Counter.add identify_ns_c (elapsed_ns tb tc);
+      Obs.Counter.add cost_ns_c (elapsed_ns tc (Obs.now ()))
+    end;
     (cand, !misses)
   in
   let scored =
@@ -420,7 +444,6 @@ let sweep_boundary c (sub : Subcircuit.t) (built : Comparison_unit.built) =
     (fun j pi ->
       if used_unit.(pi) then Hashtbl.replace used sub.Subcircuit.inputs.(j) ())
     (Circuit.inputs unit_c);
-  let outputs = Circuit.outputs c in
   let dead = Hashtbl.create 16 in
   let dead_list = ref [] in
   let kill id =
@@ -440,7 +463,7 @@ let sweep_boundary c (sub : Subcircuit.t) (built : Comparison_unit.built) =
           && (not (gone f))
           && (match Circuit.kind c f with Gate.Input -> false | _ -> true)
           && (not (Hashtbl.mem used f))
-          && (not (Array.exists (Int.equal f) outputs))
+          && (not (Circuit.is_output c f))
           && List.for_all gone (Circuit.fanouts c f)
         then begin
           kill f;

@@ -119,8 +119,14 @@ val optimize : objective -> options -> Circuit.t -> stats
     [engine.verify_refused], [engine.verify_unknown], [engine.dirty_regions]
     (splice footprints marked dirty), [engine.worklist_popped] (dirty roots
     popped from the pass worklist), [engine.enumerate_ns] and
-    [engine.score_ns] (nanoseconds spent enumerating cuts and scoring them:
-    extraction, identification and unit cost), and the {!Idcache} probes
+    [engine.score_ns] (nanoseconds spent enumerating cuts and scoring them,
+    per batch of a root's cuts), [engine.extract_ns], [engine.identify_ns]
+    and [engine.cost_ns] (the scoring split, summed per candidate:
+    extraction; identification, i.e. the cache lookup, any miss and the
+    don't-care or multi-unit fallbacks when enabled; and the unit cost,
+    removable gates and path label — with a pool they sum time across
+    domains, so together they can exceed [engine.score_ns]; all five only
+    while metrics are on), and the {!Idcache} probes
     [idcache.hits], [idcache.disk_hits], [idcache.misses]; histograms
     [engine.cut_size], [engine.dirty_nodes] (nodes newly dirtied per
     footprint) and [idcache.class_hits]; spans [engine.pass] (one per

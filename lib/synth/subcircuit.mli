@@ -18,7 +18,7 @@ val pp : Format.formatter -> t -> unit
 
 type dedup
 (** Reusable enumeration scratch for {!enumerate}: the breadth-first queue
-    of gate sets and their dedup table. *)
+    of gate sets, kept flat in int arrays, and their dedup table. *)
 
 val dedup : unit -> dedup
 (** Fresh, empty scratch. The engine keeps one per optimisation run and
@@ -40,16 +40,20 @@ val enumerate : ?dedup:dedup -> k:int -> max_candidates:int -> Circuit.t -> int 
 val extract : ?scratch:int64 array -> Circuit.t -> t -> Truthtable.t
 (** The function computed on [root] in terms of [inputs], by bit-parallel
     local simulation: each cut input is driven with its standard 64-bit
-    pattern and the member gates are swept once per 64 minterms — a single
+    pattern and the member gates the root reads are swept, in the order of
+    a depth-first search from the root, once per 64 minterms — a single
     sweep when the cut has at most 6 inputs (the default K). [scratch] is
     an optional word buffer of at least [Circuit.size c] slots reused
     across calls (one is allocated when absent). Emits the [extract.words]
-    counter when {!Obs} is enabled. *)
+    counter when {!Obs} is enabled. Raises [Invalid_argument] when the
+    members the root reads form a cycle. *)
 
 val extract_scalar : Circuit.t -> t -> Truthtable.t
 (** Reference implementation of {!extract}: one evaluation of the member
-    gates per minterm. Kept for differential tests and the bench harness'
-    kernel baseline; {!extract} is bit-identical and up to 64x faster. *)
+    gates per minterm, in the whole circuit's topological order (so it
+    shares no member ordering with {!extract}). Kept for differential tests
+    and the bench harness' kernel baseline; {!extract} is bit-identical and
+    up to 64x faster. *)
 
 val removable_gates : Circuit.t -> t -> int list
 (** Member gates that die if the subcircuit is replaced: everything except

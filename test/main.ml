@@ -2,6 +2,7 @@ let () =
   Alcotest.run "sft"
     [
       ("netlist", Test_netlist.suite);
+      Helpers.qsuite "netlist-properties" Test_netlist.qchecks;
       ("logic", Test_logic.suite);
       Helpers.qsuite "logic-properties" Test_logic.qchecks;
       ("wordlevel", Test_wordlevel.suite);
@@ -13,6 +14,7 @@ let () =
       Helpers.qsuite "imply-properties" Test_imply.qchecks;
       ("delay", Test_delay.suite);
       ("comparison", Test_comparison.suite);
+      Helpers.qsuite "comparison-properties" Test_comparison.qchecks;
       ("synth", Test_synth.suite);
       Helpers.qsuite "synth-properties" Test_synth.qchecks;
       ("rar", Test_rar.suite);

@@ -84,6 +84,117 @@ let test_exact_vs_exhaustive_sampled () =
     | None -> ()
   done
 
+(* --- The prefilter keeps every verdict ------------------------------------- *)
+
+let spec_string = function
+  | None -> "none"
+  | Some s -> Format.asprintf "%a" Comparison_fn.pp_spec s
+
+(* The production search returns the unfiltered search's verdict: the
+   same spec, not just the same [Some] / [None]. *)
+let same_as_reference f =
+  let got = Comparison_fn.identify_exact f in
+  let want = Ref_comparison_fn.identify_exact f in
+  if got <> want then
+    Alcotest.failf "%s: %s, reference %s" (Truthtable.to_string f) (spec_string got)
+      (spec_string want)
+
+let test_identify_all_4_input_tables () =
+  for bits = 0 to 0xFFFF do
+    same_as_reference (Truthtable.of_words 4 [| Int64.of_int bits |])
+  done
+
+(* Every table extracted from irs1423 at K = 6, once each. *)
+let test_identify_irs1423_tables () =
+  let c = Benchmarks.build (Benchmarks.find "irs1423") in
+  let seen = Hashtbl.create 4096 in
+  Array.iter
+    (fun root ->
+      match Circuit.kind c root with
+      | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
+      | _ ->
+        List.iter
+          (fun sub -> Hashtbl.replace seen (Subcircuit.extract c sub) ())
+          (Subcircuit.enumerate ~k:6 ~max_candidates:64 c root))
+    (Circuit.topo_order c);
+  check bool_ "thousands of tables" true (Hashtbl.length seen > 1000);
+  Hashtbl.iter (fun f () -> same_as_reference f) seen
+
+let random_spec rng n =
+  let total = 1 lsl n in
+  let lo = Rng.int rng total in
+  let hi = lo + Rng.int rng (total - lo) in
+  let perm = Array.init n (fun i -> i + 1) in
+  Rng.shuffle rng perm;
+  { Comparison_fn.perm; lo; hi; complemented = Rng.bool rng }
+
+let random_spec_table rng n = Comparison_fn.spec_table n (random_spec rng n)
+
+(* Random 5- to 8-input tables (one, two and four words): uniformly random
+   ones, spec tables, and spec tables with one minterm flipped. *)
+let qcheck_identify_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (n, mode, seed) ->
+          let rng = Rng.create (Int64.of_int seed) in
+          match mode with
+          | 0 -> Truthtable.create n (fun _ -> Rng.bool rng)
+          | 1 -> random_spec_table rng n
+          | _ ->
+            let t = random_spec_table rng n in
+            let m = Rng.int rng (1 lsl n) in
+            Truthtable.set t m (not (Truthtable.get t m)))
+        (triple (int_range 5 8) (int_bound 2) (int_bound 1_000_000)))
+  in
+  QCheck.Test.make ~count:300 ~name:"identify_exact matches the unfiltered search"
+    (QCheck.make ~print:Truthtable.to_string gen)
+    (fun f ->
+      same_as_reference f;
+      true)
+
+(* Every spec's table is identified, with a spec that denotes it. *)
+let check_spec_identified n spec =
+  let f = Comparison_fn.spec_table n spec in
+  match Comparison_fn.identify_exact f with
+  | Some s when Comparison_fn.check f s -> ()
+  | got ->
+    Alcotest.failf "%s (%a) identified as %s" (Truthtable.to_string f) Comparison_fn.pp_spec
+      spec (spec_string got)
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+      l
+
+let test_identify_complete_small () =
+  for n = 0 to 4 do
+    let perms = permutations (List.init n (fun i -> i + 1)) in
+    for lo = 0 to (1 lsl n) - 1 do
+      for hi = lo to (1 lsl n) - 1 do
+        List.iter
+          (fun p ->
+            List.iter
+              (fun complemented ->
+                check_spec_identified n
+                  { Comparison_fn.perm = Array.of_list p; lo; hi; complemented })
+              [ false; true ])
+          perms
+      done
+    done
+  done
+
+let test_identify_complete_sampled () =
+  let rng = Rng.create 23L in
+  List.iter
+    (fun n ->
+      for _ = 1 to 2000 do
+        check_spec_identified n (random_spec rng n)
+      done)
+    [ 5; 6 ]
+
 (* --- Comparison units ----------------------------------------------------- *)
 
 let test_unit_figure1 () =
@@ -269,4 +380,10 @@ let suite =
     ("unit: Figure 6 robust test set", `Quick, test_unit_fully_robustly_testable);
     ("unit: all 4-var units fully robustly testable", `Quick, test_units_fully_testable_sweep);
     ("unit: cost matches build (n<=6)", `Quick, test_unit_cost_matches_build);
+    ("identify: = unfiltered search, all 4-input tables", `Quick, test_identify_all_4_input_tables);
+    ("identify: = unfiltered search, irs1423 at K = 6", `Quick, test_identify_irs1423_tables);
+    ("identify: every spec table, n <= 4", `Quick, test_identify_complete_small);
+    ("identify: sampled spec tables, n = 5, 6", `Quick, test_identify_complete_sampled);
   ]
+
+let qchecks = [ qcheck_identify_matches_reference ]

@@ -289,3 +289,57 @@ let suite =
     ("cleanup: xor cancellation", `Quick, test_xor_cancellation);
     ("cleanup: random circuits preserve function", `Quick, test_simplify_preserves_function);
   ]
+
+(* --- is_output against the output list -------------------------------------- *)
+
+(* Random mutation sequences over a small circuit whose fanins always have
+   smaller ids than their readers (so [retarget] onto a smaller id never
+   closes a cycle). After every step [is_output] must agree with the
+   output list on every id, dead and out-of-range ones included, on the
+   circuit and on a copy taken before the next step. *)
+let qcheck_is_output_tracks_outputs =
+  let step_gen = QCheck.Gen.(triple (int_bound 6) (int_bound 1_000) (int_bound 1_000)) in
+  let print steps =
+    String.concat "; " (List.map (fun (op, a, b) -> Printf.sprintf "%d %d %d" op a b) steps)
+  in
+  QCheck.Test.make ~count:100 ~name:"is_output agrees with outputs under mutation"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 60) step_gen))
+    (fun steps ->
+      let c = ref (Circuit.create ()) in
+      for _ = 1 to 4 do ignore (Circuit.add_input !c) done;
+      let snapshot = ref (Circuit.copy !c) in
+      let live () =
+        let acc = ref [] in
+        Circuit.iter_live !c (fun id -> acc := id :: !acc);
+        Array.of_list (List.rev !acc)
+      in
+      let pick a = let l = live () in l.(a mod Array.length l) in
+      let agrees c =
+        let outs = Circuit.outputs c in
+        let ok = ref true in
+        for id = -2 to Circuit.size c + 2 do
+          if Circuit.is_output c id <> Array.mem id outs then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun (op, a, b) ->
+          (match op with
+          | 0 ->
+            let x = pick a and y = pick b in
+            if x = y then ignore (Circuit.add_gate !c Gate.Not [| x |])
+            else
+              ignore
+                (Circuit.add_gate !c [| Gate.And; Gate.Or; Gate.Xor |].(a mod 3) [| x; y |])
+          | 1 -> Circuit.mark_output !c (pick a)
+          | 2 ->
+            let x = pick a and y = pick b in
+            if x <> y then Circuit.retarget !c ~from_:(max x y) ~to_:(min x y)
+          | 3 -> ignore (Circuit.sweep !c)
+          | 4 -> Circuit.overwrite !c ~with_:!snapshot
+          | 5 -> snapshot := Circuit.copy !c
+          | _ -> c := fst (Circuit.compact !c));
+          agrees !c && agrees (Circuit.copy !c))
+        steps)
+
+let qchecks = [ qcheck_is_output_tracks_outputs ]

@@ -188,6 +188,41 @@ let test_run_report_engine_phases () =
       check bool_ "no phase line without timers" false
         (contains ~affix:"engine phases" (Run_report.render (load_ok path))))
 
+(* The per-candidate score split is its own line and its own JSON keys; a
+   run that timed only enumerate and score prints no split line. *)
+let test_run_report_score_split () =
+  let split_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.candidates":50,"engine.realised":10,"engine.enumerate_ns":750000000,"engine.score_ns":1250000000,"engine.extract_ns":250000000,"engine.identify_ns":500000000,"engine.cost_ns":125000000}}|}
+  in
+  with_journal ((header :: body) @ [ split_footer ]) (fun path ->
+      let r = load_ok path in
+      check bool_ "split line" true
+        (contains ~affix:"score split: extract 0.250s, identify 0.500s, cost 0.125s"
+           (Run_report.render r));
+      match Run_report.to_json_value [ r ] with
+      | Obs_json.Obj fields -> (
+        match List.assoc "runs" fields with
+        | Obs_json.List [ run ] ->
+          check bool_ "split keys" true
+            (Obs_json.member "engine_phases" run
+            = Some
+                (Obs_json.Obj
+                   [
+                     ("enumerate_s", Obs_json.Float 0.75);
+                     ("score_s", Obs_json.Float 1.25);
+                     ("extract_s", Obs_json.Float 0.25);
+                     ("identify_s", Obs_json.Float 0.5);
+                     ("cost_s", Obs_json.Float 0.125);
+                   ]))
+        | _ -> Alcotest.fail "runs is not a one-element list")
+      | _ -> Alcotest.fail "to_json_value not an object");
+  let timed_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.enumerate_ns":750000000,"engine.score_ns":1250000000}}|}
+  in
+  with_journal ((header :: body) @ [ timed_footer ]) (fun path ->
+      check bool_ "no split line without split timers" false
+        (contains ~affix:"score split" (Run_report.render (load_ok path))))
+
 (* Identification sources come from the footer's cache counters: a miss is
    a fresh identification, a disk hit came from the store, any other hit
    from the run. *)
@@ -332,4 +367,5 @@ let suite =
     ("chrome: instants carry fields", `Quick, test_chrome_instants_carry_fields);
     ("chrome: dropped-events marker", `Quick, test_chrome_dropped_marker);
     ("chrome: parent-format journal", `Quick, test_chrome_parent_format);
+    ("run report: score split", `Quick, test_run_report_score_split);
   ]

@@ -365,6 +365,27 @@ let test_sampled_engine_also_works () =
       Alcotest.failf "seed %d: sampled engine broke the function" seed
   done
 
+(* Extraction orders the members the root reads by a DFS from the root;
+   a member set that closes a cycle is refused, not evaluated. *)
+let test_extract_member_order () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input c in
+  let b = Circuit.add_input c in
+  (* ids deliberately out of topological order: g2 reads g3 *)
+  let g1 = Circuit.add_gate c Gate.And [| a; b |] in
+  let g2 = Circuit.add_gate c Gate.And [| a; b |] in
+  let g3 = Circuit.add_gate c Gate.Not [| g1 |] in
+  Circuit.set_fanins c g2 [| g3; a |];
+  Circuit.mark_output c g2;
+  let s = { Subcircuit.root = g2; gates = [ g1; g2; g3 ]; inputs = [| a; b |] } in
+  (* AND(NOT(AND(a, b)), a) is 1 only on a = 1, b = 0: minterm 2 *)
+  check bool_ "extract" true (Truthtable.minterms (Subcircuit.extract c s) = [ 2 ]);
+  check bool_ "extract_scalar" true
+    (Truthtable.equal (Subcircuit.extract c s) (Subcircuit.extract_scalar c s));
+  Circuit.set_fanins c g1 [| a; g2 |];
+  Alcotest.check_raises "cyclic member set" (Invalid_argument "Subcircuit: cyclic member set")
+    (fun () -> ignore (Subcircuit.extract c s))
+
 let suite =
   [
     ("enumerate: c17 candidates", `Quick, test_enumerate_c17);
@@ -382,6 +403,7 @@ let suite =
     ("enumerate: repeated fanin", `Quick, test_enumerate_repeated_fanin);
     ("enumerate: constant fanins", `Quick, test_enumerate_constant_fanins);
     ("enumerate: push budget binds", `Quick, test_enumerate_push_budget_binds);
+    ("extract: member order and cycles", `Quick, test_extract_member_order);
   ]
 
 let qchecks = [ qcheck_enumerate_matches_reference ]

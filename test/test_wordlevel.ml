@@ -44,6 +44,59 @@ let ref_interval r =
     let hi = List.nth ms (List.length ms - 1) in
     if List.length ms = hi - lo + 1 then Some (lo, hi) else None
 
+let bit_of m n i = (m lsr (n - i)) land 1
+
+(* Reference literal factors: the variables on which every minterm with
+   value [v] agrees (all of them when there is none). *)
+let ref_literal_factors r n v =
+  let mask = ref 0 in
+  for i = 1 to n do
+    let seen = [| false; false |] in
+    Array.iteri (fun m x -> if x = v then seen.(bit_of m n i) <- true) r;
+    if not (seen.(0) && seen.(1)) then mask := !mask lor (1 lsl (i - 1))
+  done;
+  !mask
+
+(* Reference splits: x qualifies when every pair (m, m + x_y) that falls as
+   x_y rises has x = 1 and every pair that rises has x = 0 (the other way
+   round when not [positive]). *)
+let ref_unate_splits r n y positive =
+  let mask = ref 0 in
+  for x = 1 to n do
+    if x <> y then begin
+      let ok = ref true in
+      Array.iteri
+        (fun m a ->
+          if bit_of m n y = 0 then begin
+            let b = r.(m lor (1 lsl (n - y))) in
+            let xv = bit_of m n x in
+            let falls = a && not b and rises = b && not a in
+            let bad_at0, bad_at1 = if positive then (falls, rises) else (rises, falls) in
+            if (bad_at0 && xv = 0) || (bad_at1 && xv = 1) then ok := false
+          end)
+        r;
+      if !ok then mask := !mask lor (1 lsl (x - 1))
+    end
+  done;
+  !mask
+
+let check_unate_kernels msg n r t =
+  List.iter
+    (fun v ->
+      check int_
+        (Printf.sprintf "%s: literal_factors %b" msg v)
+        (ref_literal_factors r n v) (Truthtable.literal_factors t v))
+    [ false; true ];
+  for y = 1 to n do
+    List.iter
+      (fun positive ->
+        check int_
+          (Printf.sprintf "%s: unate_splits x%d positive=%b" msg y positive)
+          (ref_unate_splits r n y positive)
+          (Truthtable.unate_splits t ~var:y ~positive))
+      [ false; true ]
+  done
+
 (* Exercise every kernel once against the reference for one random table. *)
 let check_kernels n seed =
   let rng = Rng.create (Int64.of_int (seed + (n * 1000) + 7)) in
@@ -82,6 +135,17 @@ let check_kernels n seed =
           (Truthtable.cofactor a ~var:i v))
       [ false; true ]
   done;
+  check_unate_kernels "random" n ra a;
+  (* a scrambled interval, whose splits are rarely empty *)
+  if n > 0 then begin
+    let irng = Rng.create (Int64.of_int (seed + (n * 1000) + 11)) in
+    let lo = Rng.int irng sz in
+    let hi = lo + Rng.int irng (sz - lo) in
+    let p = Array.init n (fun j -> j + 1) in
+    Rng.shuffle irng p;
+    let t = Truthtable.permute (Truthtable.interval n ~lo ~hi) p in
+    check_unate_kernels "interval" n (Array.init sz (Truthtable.get t)) t
+  end;
   let pi = Array.init n (fun j -> j + 1) in
   Rng.shuffle rng pi;
   check_against_ref "permute" n
