@@ -4,17 +4,16 @@
      --quick        smaller pattern budgets / single K (for CI-style runs)
      --full         paper-scale budgets where feasible
      --only IDS     comma-separated subset of: figures,table1,table2,table3,
-                    table4,table5,table6,table7,cec,ablations,micro,kernels,
-                    incremental,idcache,sat_atpg,journal
+                    table4,table5,table6,table7,cec,ablations,incremental,
+                    idcache,sat_atpg,journal (an unknown id exits 2)
      --only-circuits NAMES
                     comma-separated benchmark filter (e.g. irs1423,irs5378)
                     applied to the per-circuit sections (table2-7, cec);
                     lets small machines produce a complete, reproducible
                     snapshot of the circuits they can carry
-     --json FILE    write a machine-readable BENCH_results.json snapshot
-                    (per-section wall clock, circuit sizes, parallel
-                    speedups and the observability registry; schema in
-                    DESIGN.md "Parallel execution" and §9)
+     --json FILE    write the machine-readable snapshot: each section's
+                    rows with its declared gate and exact keys, plus the
+                    observability registry (schema 3, DESIGN.md §8)
      --domains N    domain budget for the parallel kernels (0 or omitted
                     picks Pool.default_domains (), i.e. recommended - 1;
                     resolved by Pool.domains_of_flag like the CLI flag;
@@ -36,65 +35,6 @@ let domains = ref (Pool.default_domains ())
 let metrics : string option ref = ref None
 let trace = ref false
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--full" :: rest ->
-      quick := false;
-      parse rest
-    | "--only" :: ids :: rest | "--only-sections" :: ids :: rest ->
-      only := String.split_on_char ',' ids;
-      parse rest
-    | "--only-circuits" :: names :: rest ->
-      only_circuits := String.split_on_char ',' names;
-      List.iter
-        (fun n ->
-          if not (List.exists (fun e -> e.Benchmarks.name = n) Benchmarks.all)
-          then begin
-            Printf.eprintf "error: unknown benchmark %s (see `sft list`)\n" n;
-            exit 2
-          end)
-        !only_circuits;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_file := Some file;
-      parse rest
-    | "--metrics" :: sink :: rest ->
-      metrics := Some sink;
-      parse rest
-    | "--trace" :: rest ->
-      trace := true;
-      parse rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n > Pool.max_domains ->
-        Printf.eprintf "error: --domains %d is above the runtime's limit of %d\n" n
-          Pool.max_domains;
-        exit 2
-      | Some n -> domains := Pool.domains_of_flag n
-      | None ->
-        Printf.eprintf "error: --domains expects an integer, got %s\n" n;
-        exit 2);
-      parse rest
-    | other :: _ ->
-      (* A typo'd flag must not silently fall through to a full-scale run. *)
-      Printf.eprintf
-        "error: unknown argument %s\n\
-         usage: main.exe [--quick|--full] [--only-sections IDS] \
-         [--only-circuits NAMES] [--json FILE] [--domains N] \
-         [--metrics text|json|FILE] [--trace]\n\
-         (--only is an alias of --only-sections)\n"
-        other;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* The JSON snapshot always embeds the observability registry, so collect
-     whenever any sink wants it. *)
-  if !metrics <> None || !trace || !json_file <> None then Obs.enable ()
-
 let enabled id = !only = [] || List.mem id !only
 
 let circuit_enabled e =
@@ -106,9 +46,8 @@ let bench_small () = List.filter circuit_enabled Benchmarks.small
 (* CPU time for the per-section progress lines (historic behaviour) ... *)
 let now () = Sys.time ()
 
-(* ... but wall clock for everything recorded in the JSON snapshot: the
-   whole point of the parallel kernels is wall-clock speedup. Obs.now is
-   the observability layer's (non-monotonic) clock, hence the clamps. *)
+(* ... but wall clock for everything recorded in the JSON snapshot. Obs.now
+   is the observability layer's (non-monotonic) clock, hence the clamps. *)
 let wall () = Obs.now ()
 
 let time_wall f =
@@ -116,157 +55,72 @@ let time_wall f =
   let r = f () in
   (r, max 0. (wall () -. t0))
 
-(* --- JSON snapshot accumulators ----------------------------------------- *)
+(* --- snapshot rows ------------------------------------------------------- *)
 
-type speedup_row = {
-  sp_kernel : string;
-  sp_circuit : string;
-  sp_domains : int;
-  sp_serial : float;
-  sp_parallel : float;
-  sp_identical : bool;
+(* The running section's rows, newest first, and why it did not run. *)
+let rows : Obs_json.t list ref = ref []
+let skipped : string option ref = ref None
+
+(* Rows align by their first field when two snapshots are diffed. *)
+let row fields = rows := Obs_json.Obj fields :: !rows
+
+(* A table's "ours" row: its numbers under [keys], after the row's name. *)
+let ours_row name keys values =
+  row
+    (("circuit", Obs_json.String name)
+    :: List.map2 (fun k v -> (k, Obs_json.Int v)) keys values)
+
+let skip reason =
+  Printf.printf "skipped (%s)\n" reason;
+  skipped := Some reason
+
+type section = {
+  id : string;
+  title : string;
+  gate_keys : string list; (* booleans every row must hold true *)
+  exact_keys : string list; (* values a later snapshot must repeat *)
+  run : unit -> unit;
 }
 
-(* Word-parallel kernels (DESIGN.md §12): baseline = the scalar reference,
-   accelerated = the shipping bit-parallel/cached path, on one domain. *)
-type kernel_row = {
-  kr_kernel : string;
-  kr_baseline_ns : float;
-  kr_accel_ns : float;
-  kr_identical : bool;
-}
-
-(* Incremental resynthesis (DESIGN.md §13, §17): the cost of a second pass
-   on a large synthetic circuit, the reference full walk vs the production
-   worklist walk, plus the pop counter and the bit-identity check CI gates
-   on. *)
-type incr_row = {
-  in_circuit : string;
-  in_domains : int;
-  in_pass2_cuts_full : int;
-  in_pass2_cuts_incr : int;
-  in_reenum_fraction : float;
-  in_pass2_full_s : float;
-  in_pass2_incr_s : float;
-  in_speedup : float;
-  in_popped : int;
-  in_total_roots : int; (* full-walk visit bound: passes x circuit size *)
-  in_pop_fraction : float;
-  in_identical : bool; (* reference = production = production on the pool *)
-  in_gate_ok : bool; (* identical && speedup >= 1 && fraction < 1 && pop fraction < 1 *)
-}
-
-(* Persistent identification cache (DESIGN.md §15): lookup traffic of the
-   same resynthesis run cold (empty store), warm (the store the cold run
-   published) and with the cache off, plus the bit-identity and hit-rate
-   checks CI gates on. *)
-type idc_row = {
-  ic_circuit : string;
-  ic_cold_hits : int;
-  ic_cold_misses : int;
-  ic_warm_hits : int;
-  ic_warm_disk_hits : int;
-  ic_warm_misses : int;
-  ic_cold_hit_rate : float;
-  ic_warm_hit_rate : float;
-  ic_identical : bool; (* off = cold = warm *)
-  ic_gate_ok : bool;
-      (* identical && warm disk hits > 0 && warm misses = 0 (the store
-         answers every lookup of a deterministic rerun) && warm rate >=
-         cold rate *)
-}
-
-(* SAT-powered ATPG (DESIGN.md §14): how many faults the bounded PODEM
-   search abandons, and how many of those the exact SAT escalation settles
-   (test found or redundancy proved). [sa_escalation_ok] is the CI gate:
-   no fault may remain undecided after escalation. *)
-type sat_atpg_row = {
-  sa_circuit : string;
-  sa_survivors : int;
-  sa_aborted_before : int;
-  sa_sat_tests : int;
-  sa_sat_redundant : int;
-  sa_aborted_after : int;
-  sa_conflict_budget : int;
-  sa_escalation_ok : bool;
-  sa_seconds : float;
-}
-
-(* Decision journal (DESIGN.md §16): the same resynthesis run with and
-   without a journal attached. [jr_identical] is the bit-identity gate
-   (journaling never perturbs results); [jr_gate_ok] additionally requires
-   the journal to load cleanly, record events, and satisfy the decision-
-   funnel invariant. *)
-type journal_row = {
-  jr_circuit : string;
-  jr_events : int;
-  jr_dropped : int;
-  jr_plain_s : float;
-  jr_journal_s : float;
-  jr_overhead_pct : float;
-  jr_identical : bool; (* plain = journaled *)
-  jr_funnel_ok : bool;
-  jr_gate_ok : bool;
-}
-
-let json_sections : (string * string * float) list ref = ref []
-let json_circuits : (string * int * int * int * int) list ref = ref []
-let json_speedups : speedup_row list ref = ref []
-let json_kernels : kernel_row list ref = ref []
-let json_incremental : incr_row list ref = ref []
-let json_idcache : idc_row list ref = ref []
-let json_sat_atpg : sat_atpg_row list ref = ref []
-let json_journal : journal_row list ref = ref []
-
-let record_circuit name c =
-  let row =
-    ( name,
-      Circuit.num_inputs c,
-      Circuit.num_outputs c,
-      Circuit.two_input_gate_count c,
-      try Paths.total c with Paths.Overflow -> -1 )
-  in
-  if not (List.mem row !json_circuits) then json_circuits := row :: !json_circuits
-
-let section id title f =
-  if enabled id then begin
-    Printf.printf "\n################ %s — %s\n%!" id title;
-    let t0 = now () in
-    let w0 = wall () in
-    Obs.Span.with_ ("bench." ^ id) f;
-    json_sections := (id, title, max 0. (wall () -. w0)) :: !json_sections;
-    Printf.printf "[%s done in %.1fs cpu]\n%!" id (now () -. t0)
-  end
+let run_section s =
+  Printf.printf "\n################ %s — %s\n%!" s.id s.title;
+  rows := [];
+  skipped := None;
+  let t0 = now () in
+  let w0 = wall () in
+  Obs.Span.with_ ("bench." ^ s.id) s.run;
+  let secs = max 0. (wall () -. w0) in
+  Printf.printf "[%s done in %.1fs cpu]\n%!" s.id (now () -. t0);
+  let strings l = Obs_json.List (List.map (fun k -> Obs_json.String k) l) in
+  Obs_json.Obj
+    ([
+       ("id", Obs_json.String s.id);
+       ("title", Obs_json.String s.title);
+       ("wall_seconds", Obs_json.Float secs);
+       ("gate_keys", strings s.gate_keys);
+       ("exact_keys", strings s.exact_keys);
+       ("rows", Obs_json.List (List.rev !rows));
+     ]
+    @ match !skipped with Some r -> [ ("skipped", Obs_json.String r) ] | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Shared circuit versions, computed once per benchmark name.          *)
 (* ------------------------------------------------------------------ *)
 
-let memo : (string, Circuit.t) Hashtbl.t = Hashtbl.create 32
-
-(* Derived circuits (Procedure 2/3, RAR, ...) are deterministic, so they are
-   also cached on disk; re-runs and partial runs (--only) then skip the
-   expensive resynthesis. Delete data/cache to recompute from scratch. *)
-let cache_dir = "data/cache"
+(* Derived circuits (Procedure 2/3, RAR, ...) are deterministic, so each is
+   built once per run and handed out as a copy. *)
+let memo : (string * string, Circuit.t) Hashtbl.t = Hashtbl.create 32
 
 let version name variant build =
-  let mode = if !quick then "quick" else "full" in
-  let key = name ^ "/" ^ variant ^ "/" ^ mode in
-  let file = Printf.sprintf "%s/%s.%s.%s.bench" cache_dir name variant mode in
-  match Hashtbl.find_opt memo key with
-  | Some c -> Circuit.copy c
-  | None ->
-    let c =
-      if Sys.file_exists file then Bench_format.read_file file
-      else begin
-        let c = build () in
-        if Sys.file_exists cache_dir && Sys.is_directory cache_dir then
-          Bench_format.write_file file c;
-        c
-      end
-    in
-    Hashtbl.replace memo key c;
-    Circuit.copy c
+  let c =
+    match Hashtbl.find_opt memo (name, variant) with
+    | Some c -> c
+    | None ->
+      let c = build () in
+      Hashtbl.replace memo (name, variant) c;
+      c
+  in
+  Circuit.copy c
 
 let original e = version e.Benchmarks.name "orig" (fun () -> Benchmarks.build e)
 
@@ -347,6 +201,8 @@ let figures () =
     (Comparison_unit.build_interval ~lo:5 ~hi:7 4);
   show "Figure 6: unit for L=11, U=12" (Comparison_unit.build_interval ~lo:11 ~hi:12 4)
 
+let table1_keys = [ "v1"; "v2" ]
+
 let table1 () =
   (* The complete robust test set of the Figure 6 unit. The paper's Table 1
      lists one (pair of) tests per structural path fault; we generate and
@@ -367,12 +223,13 @@ let table1 () =
         String.concat ""
           (Array.to_list (Array.map (fun x -> if x then "1" else "0") v))
       in
-      Table.add_row t
-        [
-          String.concat "-" (Array.to_list (Array.map name test.Unit_testgen.path));
-          Robust.direction_to_string test.Unit_testgen.direction;
-          vec test.Unit_testgen.v1 ^ " -> " ^ vec test.Unit_testgen.v2;
-        ])
+      let path = String.concat "-" (Array.to_list (Array.map name test.Unit_testgen.path)) in
+      let direction = Robust.direction_to_string test.Unit_testgen.direction in
+      let v1 = vec test.Unit_testgen.v1 and v2 = vec test.Unit_testgen.v2 in
+      Table.add_row t [ path; direction; v1 ^ " -> " ^ v2 ];
+      row
+        Obs_json.
+          [ ("fault", String (path ^ " " ^ direction)); ("v1", String v1); ("v2", String v2) ])
     r.Unit_testgen.tests;
   Table.print t;
   Printf.printf
@@ -399,6 +256,9 @@ let paper_table2 =
 
 let opt_int v = if v < 0 then "-" else Table.int v
 
+let table2_keys =
+  [ "gates_orig"; "gates_p2"; "gates_p2rr"; "paths_orig"; "paths_p2"; "paths_p2rr" ]
+
 let table2 () =
   let t =
     Table.create ~title:"Table 2 — Procedure 2 (2-input gates and paths)"
@@ -414,12 +274,11 @@ let table2 () =
       let orig = original e in
       let p2 = proc2 e in
       let p2rr = proc2_redrem e in
-      Table.add_row t
-        [
-          name; "ours";
-          Table.int (gates2 orig); Table.int (gates2 p2); Table.int (gates2 p2rr);
-          Table.int (paths orig); Table.int (paths p2); Table.int (paths p2rr);
-        ];
+      let values =
+        [ gates2 orig; gates2 p2; gates2 p2rr; paths orig; paths p2; paths p2rr ]
+      in
+      Table.add_row t (name :: "ours" :: List.map Table.int values);
+      ours_row name table2_keys values;
       match List.find_opt (fun (n, _, _) -> n = name) paper_table2 with
       | Some (_, (g1, g2, g3), (p1, p2v, p3v)) ->
         Table.add_row t
@@ -444,6 +303,9 @@ let paper_table3 =
     ("irs13207", (2737, 261_312), (2266, 577_911), (2171, 163_525));
   ]
 
+let table3_keys =
+  [ "gates_orig"; "paths_orig"; "gates_rar"; "paths_rar"; "gates_rar_p2"; "paths_rar_p2" ]
+
 let table3 () =
   let t =
     Table.create ~title:"Table 3 — RAR baseline vs RAR + Procedure 2"
@@ -459,13 +321,9 @@ let table3 () =
       let orig = original e in
       let r = rar e in
       let rp = rar_proc2 e in
-      Table.add_row t
-        [
-          name; "ours";
-          Table.int (gates2 orig); Table.int (paths orig);
-          Table.int (gates2 r); Table.int (paths r);
-          Table.int (gates2 rp); Table.int (paths rp);
-        ];
+      let values = [ gates2 orig; paths orig; gates2 r; paths r; gates2 rp; paths rp ] in
+      Table.add_row t (name :: "ours" :: List.map Table.int values);
+      ours_row name table3_keys values;
       match List.find_opt (fun (n, _, _, _) -> n = name) paper_table3 with
       | Some (_, (g0, p0), (g1, p1), (g2, p2)) ->
         Table.add_row t
@@ -501,50 +359,47 @@ let paper_table4b =
     ("irs13207", ((4591, 35), (4487, 35)));
   ]
 
+let table4_keys =
+  [
+    "literals_orig"; "longest_orig"; "literals_p2"; "longest_p2"; "literals_rar";
+    "longest_rar"; "literals_rar_p2"; "longest_rar_p2";
+  ]
+
 let table4 () =
   let ta =
     Table.create ~title:"Table 4(a) — technology mapping: original vs Procedure 2"
       ~columns:[ "circuit"; "which"; "lit orig"; "longest"; "lit P2"; "longest P2" ]
+  in
+  let tb =
+    Table.create ~title:"Table 4(b) — technology mapping: RAR vs RAR + Procedure 2"
+      ~columns:[ "circuit"; "which"; "lit RAR"; "longest"; "lit RAR+P2"; "longest" ]
+  in
+  let add t name (m1, m2) paper =
+    Table.add_row t
+      [
+        name; "ours";
+        Table.int m1.Mapper.literals; string_of_int m1.Mapper.longest;
+        Table.int m2.Mapper.literals; string_of_int m2.Mapper.longest;
+      ];
+    match List.assoc_opt name paper with
+    | Some ((l0, d0), (l2, d2)) ->
+      Table.add_row t
+        [ name; "paper"; Table.int l0; string_of_int d0; Table.int l2; string_of_int d2 ]
+    | None -> ()
   in
   List.iter
     (fun e ->
       let name = e.Benchmarks.name in
       let m0 = Mapper.map (original e) in
       let m2 = Mapper.map (proc2 e) in
-      Table.add_row ta
-        [
-          name; "ours";
-          Table.int m0.Mapper.literals; string_of_int m0.Mapper.longest;
-          Table.int m2.Mapper.literals; string_of_int m2.Mapper.longest;
-        ];
-      match List.assoc_opt name paper_table4a with
-      | Some ((l0, d0), (l2, d2)) ->
-        Table.add_row ta
-          [ name; "paper"; Table.int l0; string_of_int d0; Table.int l2; string_of_int d2 ]
-      | None -> ())
+      let m1 = Mapper.map (rar e) in
+      let m3 = Mapper.map (rar_proc2 e) in
+      add ta name (m0, m2) paper_table4a;
+      add tb name (m1, m3) paper_table4b;
+      ours_row name table4_keys
+        (List.concat_map (fun m -> [ m.Mapper.literals; m.Mapper.longest ]) [ m0; m2; m1; m3 ]))
     (bench_small ());
   Table.print ta;
-  let tb =
-    Table.create ~title:"Table 4(b) — technology mapping: RAR vs RAR + Procedure 2"
-      ~columns:[ "circuit"; "which"; "lit RAR"; "longest"; "lit RAR+P2"; "longest" ]
-  in
-  List.iter
-    (fun e ->
-      let name = e.Benchmarks.name in
-      let m1 = Mapper.map (rar e) in
-      let m2 = Mapper.map (rar_proc2 e) in
-      Table.add_row tb
-        [
-          name; "ours";
-          Table.int m1.Mapper.literals; string_of_int m1.Mapper.longest;
-          Table.int m2.Mapper.literals; string_of_int m2.Mapper.longest;
-        ];
-      match List.assoc_opt name paper_table4b with
-      | Some ((l0, d0), (l2, d2)) ->
-        Table.add_row tb
-          [ name; "paper"; Table.int l0; string_of_int d0; Table.int l2; string_of_int d2 ]
-      | None -> ())
-    (bench_small ());
   Table.print tb;
   print_endline
     "shape under test: literal savings track the 2-input-gate savings and the\n\
@@ -566,6 +421,9 @@ let paper_table5 =
     ("irs38584", (1455, 1700), (12_139, 11_953), (565_433, 156_201));
   ]
 
+let table5_keys =
+  [ "inputs"; "outputs"; "gates_orig"; "gates_p3"; "paths_orig"; "paths_p3" ]
+
 let table5 () =
   let t =
     Table.create ~title:"Table 5 — Procedure 3 (path minimisation)"
@@ -577,14 +435,12 @@ let table5 () =
       let name = e.Benchmarks.name in
       let orig = original e in
       let p3 = proc3 e in
+      let inputs = Circuit.num_inputs orig and outputs = Circuit.num_outputs orig in
+      let rest = [ gates2 orig; gates2 p3; paths orig; paths p3 ] in
       Table.add_row t
-        [
-          name; "ours";
-          string_of_int (Circuit.num_inputs orig);
-          string_of_int (Circuit.num_outputs orig);
-          Table.int (gates2 orig); Table.int (gates2 p3);
-          Table.int (paths orig); Table.int (paths p3);
-        ];
+        (name :: "ours" :: string_of_int inputs :: string_of_int outputs
+        :: List.map Table.int rest);
+      ours_row name table5_keys (inputs :: outputs :: rest);
       match List.find_opt (fun (n, _, _, _) -> n = name) paper_table5 with
       | Some (_, (i, o), (g0, g1), (p0, p1)) ->
         Table.add_row t
@@ -613,6 +469,9 @@ let paper_table6 =
     ("irs38584", (33_536, 9, 25_454_368), (30_802, 9, 25_454_368));
   ]
 
+let table6_keys =
+  [ "faults"; "remain"; "eff_patt"; "faults_p2rr"; "remain_p2rr"; "eff_patt_p2rr" ]
+
 let table6 () =
   let budget = if !quick then 50_000 else 200_000 in
   Printf.printf "pattern budget: %s (paper: 30,000,000)\n" (Table.int budget);
@@ -638,6 +497,11 @@ let table6 () =
           Table.int r1.Campaign.total_faults; string_of_int r1.Campaign.remaining;
           Table.int r1.Campaign.last_effective_pattern;
         ];
+      ours_row name table6_keys
+        (List.concat_map
+           (fun r ->
+             Campaign.[ r.total_faults; r.remaining; r.last_effective_pattern ])
+           [ r0; r1 ]);
       match List.find_opt (fun (n, _, _) -> n = name) paper_table6 with
       | Some (_, (f0, rem0, e0), (f1, rem1, e1)) ->
         Table.add_row t
@@ -656,13 +520,14 @@ let table6 () =
 (* Table 7 — robust PDF detection by random patterns (irs13207)        *)
 (* ------------------------------------------------------------------ *)
 
+let table7_keys = [ "eff"; "detected"; "faults"; "detected_p2"; "faults_p2" ]
+
 let table7 () =
   let window = if !quick then 5_000 else 10_000 in
   let max_pairs = if !quick then 100_000 else 200_000 in
   Printf.printf "stop window: %s ineffective pairs (paper: 100,000)\n" (Table.int window);
   let e = Benchmarks.find "irs13207" in
-  if not (circuit_enabled e) then
-    print_endline "skipped (irs13207 excluded by --only-circuits)"
+  if not (circuit_enabled e) then skip "irs13207 excluded by --only-circuits"
   else begin
   let t =
     Table.create ~title:"Table 7 — robust PDF detection by random patterns, irs13207"
@@ -678,20 +543,22 @@ let table7 () =
       (Table.int r.Pdf_campaign.detected)
       (Table.int r.Pdf_campaign.total_faults)
   in
-  let row base_name base_circuit modified =
+  let ours base_name base_circuit modified =
     let r0 = run base_circuit in
     let r1 = run modified in
-    Table.add_row t
-      [
-        base_name; "ours";
-        Table.int
-          (max r0.Pdf_campaign.last_effective_pattern
-             r1.Pdf_campaign.last_effective_pattern);
-        fmt r0; fmt r1;
-      ]
+    let eff =
+      max r0.Pdf_campaign.last_effective_pattern r1.Pdf_campaign.last_effective_pattern
+    in
+    Table.add_row t [ base_name; "ours"; Table.int eff; fmt r0; fmt r1 ];
+    row
+      (("base", Obs_json.String base_name)
+      :: List.map2
+           (fun k v -> (k, Obs_json.Int v))
+           table7_keys
+           Pdf_campaign.[ eff; r0.detected; r0.total_faults; r1.detected; r1.total_faults ])
   in
-  row "original" (original e) (proc2 e);
-  row "RAR" (rar e) (rar_proc2 e);
+  ours "original" (original e) (proc2 e);
+  ours "RAR" (rar e) (rar_proc2 e);
   Table.add_row t [ "original"; "paper"; "131,000"; "7,304/522,624"; "8,324/170,348" ];
   Table.add_row t [ "RAMBO_C"; "paper"; "132,000"; "7,459/1,155,822"; "8,096/327,050" ];
   Table.print t;
@@ -704,22 +571,11 @@ let table7 () =
 (* CEC — SAT-proved equivalence of the resynthesised circuits           *)
 (* ------------------------------------------------------------------ *)
 
-type cec_row = {
-  cc_circuit : string;
-  cc_pair : string;
-  cc_verdict : string;
-  cc_outputs : int;
-  cc_decisions : int;
-  cc_conflicts : int;
-  cc_seconds : float;
-}
-
-let json_cec : cec_row list ref = ref []
-
 (* Every table row above compares a resynthesised circuit against its
    original; this section SAT-proves (Cec.check_stats, DESIGN.md §10) that
    each of those pairs really computes the same function, so the size and
-   testability numbers describe the *same* circuit family. *)
+   testability numbers describe the *same* circuit family. Each row's
+   [equivalent] is a declared gate. *)
 let cec () =
   let t =
     Table.create ~title:"Equivalence — SAT miter proofs for the resynthesised circuits"
@@ -741,17 +597,17 @@ let cec () =
             in
             let vs = Format.asprintf "%a" Cec.pp_verdict verdict in
             let short = if String.length vs > 24 then String.sub vs 0 21 ^ "..." else vs in
-            json_cec :=
-              {
-                cc_circuit = name;
-                cc_pair = pair;
-                cc_verdict = short;
-                cc_outputs = s.Cec.outputs_checked;
-                cc_decisions = s.Cec.decisions;
-                cc_conflicts = s.Cec.conflicts;
-                cc_seconds = secs;
-              }
-              :: !json_cec;
+            row
+              Obs_json.
+                [
+                  ("pair", String (name ^ " " ^ pair));
+                  ("equivalent", Bool (verdict = Cec.Equivalent));
+                  ("verdict", String short);
+                  ("outputs_solved", Int s.Cec.outputs_checked);
+                  ("decisions", Int s.Cec.decisions);
+                  ("conflicts", Int s.Cec.conflicts);
+                  ("wall_seconds", Float secs);
+                ];
             Table.add_row t
               [
                 name; pair; short;
@@ -774,9 +630,12 @@ let cec () =
 (* Measures the escalation path of DESIGN.md §14 on the raw (pre-removal)
    stand-ins: random-pattern campaign for the easy faults, a deliberately
    starved PODEM (low backtrack limit) to manufacture a realistic abort
-   worklist, then Sat_atpg.escalate to settle it exactly. The CI gate
-   (scripts/check_regression.sh) requires escalation_ok on every row:
-   no fault may remain undecided after the SAT pass. *)
+   worklist, then Sat_atpg.escalate to settle it exactly. Each row's
+   [escalation_ok] is a declared gate (no fault may remain undecided after
+   the SAT pass), and PODEM's verdict counts must equal the baseline's: a
+   changed abort set would still escalate cleanly (DESIGN.md §18). *)
+let sat_atpg_keys = [ "survivors"; "aborted_before"; "sat_tests"; "sat_redundant" ]
+
 let sat_atpg () =
   let t =
     Table.create ~title:"SAT ATPG — escalation of PODEM-aborted faults (raw stand-ins)"
@@ -790,6 +649,8 @@ let sat_atpg () =
   in
   let podem_backtracks = 20 in
   let limits = Limits.default in
+  if entries = [] then skip "its circuits are excluded by --only-circuits"
+  else begin
   List.iter
     (fun e ->
       let name = e.Benchmarks.name in
@@ -807,19 +668,19 @@ let sat_atpg () =
       in
       let undecided = List.length esc.Sat_atpg.unknown in
       let ok = undecided = 0 in
-      json_sat_atpg :=
-        {
-          sa_circuit = name;
-          sa_survivors = survivors;
-          sa_aborted_before = aborted;
-          sa_sat_tests = List.length esc.Sat_atpg.tests;
-          sa_sat_redundant = List.length esc.Sat_atpg.redundant;
-          sa_aborted_after = undecided;
-          sa_conflict_budget = limits.Limits.sat_conflicts;
-          sa_escalation_ok = ok;
-          sa_seconds = secs;
-        }
-        :: !json_sat_atpg;
+      row
+        Obs_json.
+          [
+            ("circuit", String name);
+            ("survivors", Int survivors);
+            ("aborted_before", Int aborted);
+            ("sat_tests", Int (List.length esc.Sat_atpg.tests));
+            ("sat_redundant", Int (List.length esc.Sat_atpg.redundant));
+            ("aborted_after", Int undecided);
+            ("conflict_budget", Int limits.Limits.sat_conflicts);
+            ("escalation_ok", Bool ok);
+            ("wall_seconds", Float secs);
+          ];
       Table.add_row t
         [
           name; Table.int survivors; Table.int aborted;
@@ -838,6 +699,7 @@ let sat_atpg () =
   print_endline
     "every SAT test vector is replay-validated against the fault simulator, and\n\
      `ok' asserts that no PODEM abort survives the exact escalation pass."
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
@@ -963,293 +825,7 @@ let ablations () =
      count drops faster than testable count).\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per table/figure               *)
-(* ------------------------------------------------------------------ *)
-
-let rec micro () =
-  let open Bechamel in
-  let c17 = Benchmarks.c17 () in
-  let unit_spec =
-    { Comparison_fn.perm = [| 4; 3; 1; 2 |]; lo = 5; hi = 10; complemented = false }
-  in
-  let f2 = Truthtable.of_minterms 4 [ 1; 5; 6; 9; 10; 14 ] in
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
-  let cmp = Compiled.of_circuit small in
-  let sim = Fsim.create cmp in
-  let rng = Rng.create 3L in
-  let n_pi = Circuit.num_inputs small in
-  let faults = Array.of_list (Fault.collapsed small) in
-  let tests =
-    [
-      Test.make ~name:"fig1: build comparison unit"
-        (Staged.stage (fun () -> Comparison_unit.build ~n:4 unit_spec));
-      Test.make ~name:"table1: unit robust test set"
-        (Staged.stage (fun () ->
-             Unit_testgen.generate (Comparison_unit.build ~n:4 unit_spec)));
-      Test.make ~name:"sec3.4: exact identification of f2"
-        (Staged.stage (fun () -> Comparison_fn.identify_exact f2));
-      Test.make ~name:"table2: Procedure-2 pass (130 gates)"
-        (Staged.stage (fun () ->
-             let c = Circuit.copy small in
-             Procedure2.run ~options:{ (proc2_options 5) with Engine.max_passes = 1 } c));
-      Test.make ~name:"table3: RAR 64-pattern sim filter"
-        (Staged.stage (fun () ->
-             Compiled.simulate cmp (Array.init n_pi (fun _ -> Rng.next64 rng))));
-      Test.make ~name:"table4: technology map c17"
-        (Staged.stage (fun () -> Mapper.map c17));
-      Test.make ~name:"table5: Procedure-3 pass (130 gates)"
-        (Staged.stage (fun () ->
-             let c = Circuit.copy small in
-             Procedure3.run ~options:{ (proc2_options 5) with Engine.max_passes = 1 } c));
-      Test.make ~name:"table6: PPSFP batch over all faults"
-        (Staged.stage (fun () ->
-             Fsim.load_patterns sim (Array.init n_pi (fun _ -> Rng.next64 rng));
-             Array.iter (fun f -> ignore (Fsim.detect sim f)) faults));
-      Test.make ~name:"table7: wave sim + robust count"
-        (Staged.stage (fun () ->
-             let v1 = Array.init n_pi (fun _ -> Rng.bool rng) in
-             let v2 = Array.init n_pi (fun _ -> Rng.bool rng) in
-             let waves = Wave.simulate cmp ~v1 ~v2 in
-             Pdf_campaign.count_robust cmp waves));
-      Test.make ~name:"proc1: path counting"
-        (Staged.stage (fun () -> Paths.total small));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if !quick then 0.05 else 0.25))
-      ~kde:None ()
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Printf.printf "%-44s %16s\n" "kernel" "ns/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name r ->
-          match Analyze.OLS.estimates r with
-          | Some [ est ] -> Printf.printf "%-44s %16.1f\n" name est
-          | Some _ | None -> Printf.printf "%-44s %16s\n" name "n/a")
-        stats)
-    tests;
-  parallel_speedups ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-engine speedups: the three hottest loops, measured serial   *)
-(* (1 domain) against the --domains pool, with a bit-identity check.    *)
-(* ------------------------------------------------------------------ *)
-
-and parallel_speedups () =
-  let nd = !domains in
-  Printf.printf "\nparallel kernels: 1 domain vs %d domains (recommended %d)\n" nd
-    (Domain.recommended_domain_count ());
-  let report row =
-    json_speedups := row :: !json_speedups;
-    Printf.printf "%-28s %-10s serial %8.3fs  parallel %8.3fs  speedup %5.2fx  %s\n%!"
-      row.sp_kernel row.sp_circuit row.sp_serial row.sp_parallel
-      (if row.sp_parallel > 0. then row.sp_serial /. row.sp_parallel else 0.)
-      (if row.sp_identical then "bit-identical" else "RESULTS DIFFER (bug!)")
-  in
-  (* Fault-simulation campaign: shard the fault list. *)
-  let par_circuit =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro-par";
-        n_pi = 32;
-        n_po = 20;
-        n_gates = (if !quick then 400 else 900);
-        depth = 12;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 1234L;
-      }
-  in
-  record_circuit "micro-par" par_circuit;
-  let budget = if !quick then 2_048 else 16_384 in
-  let fsim_cfg d = { Campaign.default with max_patterns = budget; domains = d; seed = 7L } in
-  let r1, t1 = time_wall (fun () -> Campaign.exec (fsim_cfg 1) par_circuit) in
-  let rn, tn = time_wall (fun () -> Campaign.exec (fsim_cfg nd) par_circuit) in
-  report
-    {
-      sp_kernel = "fault_sim_campaign";
-      sp_circuit = "micro-par";
-      sp_domains = nd;
-      sp_serial = t1;
-      sp_parallel = tn;
-      sp_identical = r1 = rn;
-    };
-  (* Robust PDF campaign: fan out the wave simulations. *)
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
-  record_circuit "micro" small;
-  let pairs = if !quick then 2_000 else 20_000 in
-  let pdf_cfg d =
-    { Pdf_campaign.default with max_pairs = pairs; stop_window = pairs; domains = d; seed = 77L }
-  in
-  let p1, tp1 = time_wall (fun () -> Pdf_campaign.exec (pdf_cfg 1) small) in
-  let pn, tpn = time_wall (fun () -> Pdf_campaign.exec (pdf_cfg nd) small) in
-  report
-    {
-      sp_kernel = "pdf_campaign";
-      sp_circuit = "micro";
-      sp_domains = nd;
-      sp_serial = tp1;
-      sp_parallel = tpn;
-      sp_identical = p1 = pn;
-    };
-  (* Resynthesis engine: concurrent candidate scoring. *)
-  let engine_opts d =
-    { (proc2_options 5) with Engine.max_candidates = 32; max_passes = 1; domains = d }
-  in
-  let (s1, c1), te1 =
-    time_wall (fun () ->
-        let c = Circuit.copy par_circuit in
-        (Procedure2.run ~options:(engine_opts 1) c, c))
-  in
-  let (sn, cn), ten =
-    time_wall (fun () ->
-        let c = Circuit.copy par_circuit in
-        (Procedure2.run ~options:(engine_opts nd) c, c))
-  in
-  report
-    {
-      sp_kernel = "engine_score_candidates";
-      sp_circuit = "micro-par";
-      sp_domains = nd;
-      sp_serial = te1;
-      sp_parallel = ten;
-      sp_identical = s1 = sn && Bench_format.to_string c1 = Bench_format.to_string cn;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Word-parallel kernels: the candidate-evaluation hot paths measured   *)
-(* against their scalar baselines, single-domain (DESIGN.md §12).       *)
-(* ------------------------------------------------------------------ *)
-
-let kernels () =
-  let report row =
-    json_kernels := row :: !json_kernels;
-    Printf.printf "%-28s scalar %10.1f ns/call  word %10.1f ns/call  speedup %5.2fx  %s\n%!"
-      row.kr_kernel row.kr_baseline_ns row.kr_accel_ns
-      (if row.kr_accel_ns > 0. then row.kr_baseline_ns /. row.kr_accel_ns else 0.)
-      (if row.kr_identical then "bit-identical" else "RESULTS DIFFER (bug!)")
-  in
-  let small =
-    Circuit_gen.generate
-      {
-        Circuit_gen.name = "micro";
-        n_pi = 24;
-        n_po = 16;
-        n_gates = 130;
-        depth = 10;
-        combine_pct = 25;
-        xor_pct = 4;
-        seed = 99L;
-      }
-  in
-  record_circuit "micro" small;
-  (* Every K=6 candidate cone of the micro circuit, the same workload the
-     resynthesis inner loop sees. *)
-  let subs =
-    Array.to_list (Circuit.topo_order small)
-    |> List.filter (fun id ->
-           match Circuit.kind small id with
-           | Gate.Input | Gate.Const0 | Gate.Const1 -> false
-           | _ -> true)
-    |> List.concat_map (fun root -> Subcircuit.enumerate ~k:6 ~max_candidates:16 small root)
-    |> Array.of_list
-  in
-  let reps = if !quick then 5 else 20 in
-  let calls = reps * Array.length subs in
-  let per_call secs = max 0. secs *. 1e9 /. float_of_int (max 1 calls) in
-  let scalar_tts = Array.map (Subcircuit.extract_scalar small) subs in
-  let word_tts = Array.map (Subcircuit.extract small) subs in
-  let _, t_scalar =
-    time_wall (fun () ->
-        for _ = 1 to reps do
-          Array.iter (fun s -> ignore (Subcircuit.extract_scalar small s)) subs
-        done)
-  in
-  let scratch = Array.make (Circuit.size small) 0L in
-  let _, t_word =
-    time_wall (fun () ->
-        for _ = 1 to reps do
-          Array.iter (fun s -> ignore (Subcircuit.extract ~scratch small s)) subs
-        done)
-  in
-  report
-    {
-      kr_kernel = "subcircuit_extract_k6";
-      kr_baseline_ns = per_call t_scalar;
-      kr_accel_ns = per_call t_word;
-      kr_identical =
-        (try Array.for_all2 Truthtable.equal scalar_tts word_tts
-         with Invalid_argument _ -> false);
-    };
-  (* Identification over the same cone functions: every call computed from
-     scratch vs the engine's identification cache (first encounter
-     computes, repeats hit — the steady state of a multi-pass optimisation
-     run). *)
-  let verdicts_plain = Array.map Comparison_fn.identify_exact word_tts in
-  let cache = Idcache.create () in
-  let cached_identify tt =
-    match Idcache.find cache tt with
-    | Some v -> v
-    | None ->
-      let v = Comparison_fn.identify_exact tt in
-      Idcache.record cache tt v;
-      v
-  in
-  let verdicts_cached = Array.map cached_identify word_tts in
-  let _, t_plain =
-    time_wall (fun () ->
-        for _ = 1 to reps do
-          Array.iter (fun tt -> ignore (Comparison_fn.identify_exact tt)) word_tts
-        done)
-  in
-  let _, t_cached =
-    time_wall (fun () ->
-        for _ = 1 to reps do
-          Array.iter (fun tt -> ignore (cached_identify tt)) word_tts
-        done)
-  in
-  report
-    {
-      kr_kernel = "identify_exact_cached";
-      kr_baseline_ns = per_call t_plain;
-      kr_accel_ns = per_call t_cached;
-      kr_identical = verdicts_plain = verdicts_cached;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Incremental resynthesis: second-pass cost on a large synthetic       *)
+(* Incremental resynthesis: second-pass work on a large synthetic      *)
 (* circuit, the reference full walk vs the production worklist walk,   *)
 (* and the bit-identity of the two (DESIGN.md §13, §17).                *)
 (* ------------------------------------------------------------------ *)
@@ -1257,7 +833,7 @@ let kernels () =
 let incremental () =
   (* Cut enumeration and pop counts come from the engine.*
      counters, so collection must be on even when no --json/--metrics
-     sink asked for it (this section registers last: earlier sections keep
+     sink asked for it (this section registers late: earlier sections keep
      their baseline probe cost when run together without a sink). *)
   Obs.enable ();
   let base =
@@ -1276,75 +852,37 @@ let incremental () =
         seed = 4242L;
       }
   in
-  record_circuit "incr-large" base;
   let candidates_c = Obs.Counter.make "engine.candidates" in
   let popped_c = Obs.Counter.make "engine.worklist_popped" in
   let opts ~passes ~domains =
     { (proc2_options 4) with Engine.max_candidates = 24; max_passes = passes; domains }
   in
-  (* The timed configurations below are all serial (domains = 1), so they
-     are measured in process CPU time, not wall clock: the pass-2 cost is
-     a difference of two short runs and scheduler noise on a loaded box
-     would otherwise dominate it (the §8 wall-clock rationale only applies
-     to the parallel kernels). The counter deltas are exactly
-     reproducible. *)
+  (* One run per configuration. The counter deltas are exact, so pass 2's
+     cuts are the difference of the two-pass and one-pass runs' counts;
+     each wall is its own run's and is reported, not gated. *)
   let run optimize o =
     let c = Circuit.copy base in
     let counters = [ candidates_c; popped_c ] in
     let v0 = List.map Obs.Counter.value counters in
-    let t0 = Sys.time () in
-    let stats = optimize Engine.Gates o c in
-    let t = max 0. (Sys.time () -. t0) in
+    let stats, secs = time_wall (fun () -> optimize Engine.Gates o c) in
     let deltas = List.map2 (fun k v -> Obs.Counter.value k - v) counters v0 in
-    (stats, Bench_format.to_string c, deltas, t, Circuit.size c)
+    (stats, Bench_format.to_string c, deltas, secs, Circuit.size c)
   in
   let reference = Engine.optimize_reference and production = Engine.optimize in
   let one = opts ~passes:1 ~domains:1 and two = opts ~passes:2 ~domains:1 in
-  (* Pass-2 cost = (two-pass run) - (one-pass run). The cut counts are
-     exact (deterministic enumeration), taken from one run of each. *)
   let s1f, _, d1f, _, _ = run reference one in
-  let sf, nf, d2f, _, _ = run reference two in
+  let sf, nf, d2f, wall_reference, _ = run reference two in
   let _, _, d1i, _, _ = run production one in
-  let si, ni, d2i, _, size = run production two in
-  (* Even CPU time jitters (allocation, GC, the host's speed drifting):
-     each round runs all four configurations back to back, and the pass-2
-     time is the median over rounds of the round's difference. A minimum
-     is no estimator here: a few runs land well below the rest, and a
-     difference of two minima taken minutes apart can lose the whole
-     pass-2 cost. *)
-  let cpu optimize o =
-    let _, _, _, t, _ = run optimize o in
-    t
-  in
-  let rounds =
-    Array.init 7 (fun _ ->
-        let f1 = cpu reference one in
-        let f2 = cpu reference two in
-        let i1 = cpu production one in
-        let i2 = cpu production two in
-        (f2 -. f1, i2 -. i1))
-  in
-  let median xs =
-    Array.sort Float.compare xs;
-    xs.(Array.length xs / 2)
-  in
+  let si, ni, d2i, wall_production, size = run production two in
   (* The production walk scoring candidates on the --domains pool must
      land the exact same netlist. *)
-  let sc, nc, _, _, _ = run production (opts ~passes:2 ~domains:!domains) in
+  let sc, nc, _, wall_pool, _ = run production (opts ~passes:2 ~domains:!domains) in
   let cuts = function c :: _ -> c | [] -> 0 in
   let pass2_cuts_full = max 0 (cuts d2f - cuts d1f) in
   let pass2_cuts_incr = max 0 (cuts d2i - cuts d1i) in
   let fraction =
     if pass2_cuts_full = 0 then 1.
     else float_of_int pass2_cuts_incr /. float_of_int pass2_cuts_full
-  in
-  let pass2_full_s = max 0. (median (Array.map fst rounds)) in
-  let pass2_incr_s = max 0. (median (Array.map snd rounds)) in
-  (* An unmeasurably cheap incremental pass counts as fast, not as a
-     division-by-zero failure of the gate. *)
-  let speedup =
-    if pass2_incr_s <= 0. then if pass2_full_s <= 0. then 1. else 99.99
-    else pass2_full_s /. pass2_incr_s
   in
   let popped = match d2i with [ _; p ] -> p | _ -> assert false in
   (* The full walk visits every root of every pass; the worklist pops only
@@ -1354,34 +892,36 @@ let incremental () =
     if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots
   in
   let identical = sf = si && sf = sc && nf = ni && nf = nc in
-  let row =
-    {
-      in_circuit = "incr-large";
-      in_domains = !domains;
-      in_pass2_cuts_full = pass2_cuts_full;
-      in_pass2_cuts_incr = pass2_cuts_incr;
-      in_reenum_fraction = fraction;
-      in_pass2_full_s = pass2_full_s;
-      in_pass2_incr_s = pass2_incr_s;
-      in_speedup = speedup;
-      in_popped = popped;
-      in_total_roots = total_roots;
-      in_pop_fraction = pop_fraction;
-      in_identical = identical;
-      in_gate_ok = identical && speedup >= 1. && fraction < 1. && pop_fraction < 1.;
-    }
-  in
-  json_incremental := row :: !json_incremental;
-  Printf.printf "incremental resynthesis on %s (%d two-input gates, %d replacements in pass 1)\n"
-    row.in_circuit
-    (Circuit.two_input_gate_count base)
-    s1f.Engine.replacements;
+  row
+    Obs_json.
+      [
+        ("circuit", String "incr-large");
+        ("gates", Int (gates2 base));
+        ("paths", Int (paths base));
+        ("domains", Int !domains);
+        ("pass2_cuts_full", Int pass2_cuts_full);
+        ("pass2_cuts_incremental", Int pass2_cuts_incr);
+        ("reenum_fraction", Float fraction);
+        ("worklist_popped", Int popped);
+        ("total_roots", Int total_roots);
+        ("pop_fraction", Float pop_fraction);
+        ("reference_wall_seconds", Float wall_reference);
+        ("production_wall_seconds", Float wall_production);
+        ("pool_wall_seconds", Float wall_pool);
+        ("identical_results", Bool identical);
+        ("gate_ok", Bool (identical && fraction < 1. && pop_fraction < 1.));
+      ];
+  Printf.printf
+    "incremental resynthesis on incr-large (%d two-input gates, %d replacements in pass 1)\n"
+    (gates2 base) s1f.Engine.replacements;
   Printf.printf "  pass-2 cuts   full %8d   incremental %8d   (%.1f%% re-enumerated)\n"
     pass2_cuts_full pass2_cuts_incr (100. *. fraction);
-  Printf.printf "  pass-2 cpu    full %7.3fs   incremental %7.3fs   (speedup %.2fx)\n"
-    pass2_full_s pass2_incr_s speedup;
   Printf.printf "  worklist pops %d of %d full-walk visits (%.2f%%)\n" popped
     total_roots (100. *. pop_fraction);
+  Printf.printf
+    "  two-pass wall (one run each): reference %.3fs, production %.3fs, \
+     production at --domains %d %.3fs\n"
+    wall_reference wall_production !domains wall_pool;
   Printf.printf
     "  identical results: %b (reference vs production vs production domains=%d)\n%!"
     identical !domains
@@ -1407,21 +947,6 @@ let idcache () =
         seed = 2424L;
       }
   in
-  record_circuit "idc-large" base;
-  (* The persistent store lives in its own subdirectory of the derived-
-     circuit cache (or the temp dir when data/cache is absent) and is wiped
-     first, so "cold" genuinely starts from an empty store. *)
-  let store_dir =
-    let parent =
-      if Sys.file_exists cache_dir && Sys.is_directory cache_dir then cache_dir
-      else Filename.get_temp_dir_name ()
-    in
-    Filename.concat parent "idcache-bench"
-  in
-  if Sys.file_exists store_dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat store_dir f))
-      (Sys.readdir store_dir);
   let hits_c = Obs.Counter.make "idcache.hits" in
   let disk_c = Obs.Counter.make "idcache.disk_hits" in
   let miss_c = Obs.Counter.make "idcache.misses" in
@@ -1448,31 +973,36 @@ let idcache () =
       Obs.Counter.value disk_c - d0,
       Obs.Counter.value miss_c - m0 )
   in
+  (* A fresh store, so "cold" starts empty; it is deleted afterwards. *)
+  let store = Filename.temp_dir "sft_idcache_bench" "" in
   let s_off, n_off, _, _, _ = run (opts ~id_cache:false ~cache_dir:None) in
-  let s_cold, n_cold, ch, _, cm = run (opts ~id_cache:true ~cache_dir:(Some store_dir)) in
-  let s_warm, n_warm, wh, wd, wm = run (opts ~id_cache:true ~cache_dir:(Some store_dir)) in
+  let s_cold, n_cold, ch, _, cm = run (opts ~id_cache:true ~cache_dir:(Some store)) in
+  let s_warm, n_warm, wh, wd, wm = run (opts ~id_cache:true ~cache_dir:(Some store)) in
+  Array.iter (fun f -> Sys.remove (Filename.concat store f)) (Sys.readdir store);
+  Sys.rmdir store;
   let rate h m = if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m) in
   let cold_rate = rate ch cm and warm_rate = rate wh wm in
   let identical = s_off = s_cold && s_off = s_warm && n_off = n_cold && n_off = n_warm in
-  let row =
-    {
-      ic_circuit = "idc-large";
-      ic_cold_hits = ch;
-      ic_cold_misses = cm;
-      ic_warm_hits = wh;
-      ic_warm_disk_hits = wd;
-      ic_warm_misses = wm;
-      ic_cold_hit_rate = cold_rate;
-      ic_warm_hit_rate = warm_rate;
-      ic_identical = identical;
-      ic_gate_ok = identical && wd > 0 && wm = 0 && warm_rate >= cold_rate;
-    }
-  in
-  json_idcache := row :: !json_idcache;
-  Printf.printf "persistent identification cache on %s (%d two-input gates, store %s)\n"
-    row.ic_circuit
-    (Circuit.two_input_gate_count base)
-    store_dir;
+  (* A deterministic rerun is answered entirely from the store. *)
+  let gate_ok = identical && wd > 0 && wm = 0 && warm_rate >= cold_rate in
+  row
+    Obs_json.
+      [
+        ("circuit", String "idc-large");
+        ("gates", Int (gates2 base));
+        ("paths", Int (paths base));
+        ("cold_hits", Int ch);
+        ("cold_misses", Int cm);
+        ("warm_hits", Int wh);
+        ("warm_disk_hits", Int wd);
+        ("warm_misses", Int wm);
+        ("cold_hit_rate", Float cold_rate);
+        ("warm_hit_rate", Float warm_rate);
+        ("identical_results", Bool identical);
+        ("gate_ok", Bool gate_ok);
+      ];
+  Printf.printf "persistent identification cache on idc-large (%d two-input gates, fresh store)\n"
+    (gates2 base);
   Printf.printf "  cold   hits %8d   misses %8d   (hit rate %.1f%%)\n" ch cm
     (100. *. cold_rate);
   Printf.printf "  warm   hits %8d   misses %8d   (hit rate %.1f%%, disk hits %d)\n" wh wm
@@ -1498,15 +1028,13 @@ let journal () =
         seed = 2424L;
       }
   in
-  record_circuit "jr-large" base;
   let o =
     { (proc2_options 4) with Engine.max_candidates = 24; max_passes = 2; domains = 1 }
   in
   let run () =
     let c = Circuit.copy base in
-    let t0 = wall () in
-    let stats = Engine.optimize Engine.Gates o c in
-    (stats, Bench_format.to_string c, max 0. (wall () -. t0))
+    let stats, secs = time_wall (fun () -> Engine.optimize Engine.Gates o c) in
+    (stats, Bench_format.to_string c, secs)
   in
   (* One throwaway run warms the allocator and the engine's lazy state so
      the plain-vs-journaled wall comparison isn't dominated by first-run
@@ -1540,22 +1068,23 @@ let journal () =
   let overhead =
     if t_plain > 0. then 100. *. ((t_j -. t_plain) /. t_plain) else 0.
   in
-  let row =
-    {
-      jr_circuit = "jr-large";
-      jr_events = events;
-      jr_dropped = dropped;
-      jr_plain_s = t_plain;
-      jr_journal_s = t_j;
-      jr_overhead_pct = overhead;
-      jr_identical = identical;
-      jr_funnel_ok = funnel_ok;
-      jr_gate_ok = identical && funnel_ok && events > 0 && w.Obs.Journal.dropped = 0;
-    }
-  in
-  json_journal := row :: !json_journal;
-  Printf.printf "decision journal on %s (%d two-input gates)\n" row.jr_circuit
-    (Circuit.two_input_gate_count base);
+  row
+    Obs_json.
+      [
+        ("circuit", String "jr-large");
+        ("gates", Int (gates2 base));
+        ("paths", Int (paths base));
+        ("events", Int events);
+        ("dropped", Int dropped);
+        ("plain_seconds", Float t_plain);
+        ("journal_seconds", Float t_j);
+        ("overhead_pct", Float overhead);
+        ("funnel_ok", Bool funnel_ok);
+        ("identical_results", Bool identical);
+        ( "gate_ok",
+          Bool (identical && funnel_ok && events > 0 && w.Obs.Journal.dropped = 0) );
+      ];
+  Printf.printf "decision journal on jr-large (%d two-input gates)\n" (gates2 base);
   Printf.printf "  plain    %7.3fs   journaled %7.3fs   (overhead %+.1f%%)\n"
     t_plain t_j overhead;
   Printf.printf "  events %d, dropped %d\n" events dropped;
@@ -1563,191 +1092,137 @@ let journal () =
   Printf.printf "  identical results: %b (plain vs journaled)\n%!" identical
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable snapshot (--json FILE). Schema: DESIGN.md,          *)
-(* "Parallel execution" section.                                        *)
+(* Sections, the snapshot (--json FILE, schema in DESIGN.md §8), main  *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Every section in run order, with the keys its rows declare: each
+   [gates] key must read true in every row, and each [exact] key must
+   equal the baseline's when `sft bench-diff` compares two snapshots. *)
+let sections =
+  let s ?(gates = []) ?(exact = []) id title run =
+    { id; title; gate_keys = gates; exact_keys = exact; run }
+  in
+  let flags = [ "identical_results"; "gate_ok" ] in
+  [
+    s "figures" "comparison-unit structures (Figures 1-6)" figures;
+    s "table1" "robust test set of a comparison unit" table1 ~exact:table1_keys;
+    s "table2" "Procedure 2: gates and paths" table2 ~exact:table2_keys;
+    s "table3" "RAR baseline comparison" table3 ~exact:table3_keys;
+    s "table4" "technology mapping" table4 ~exact:table4_keys;
+    s "table5" "Procedure 3: path minimisation" table5 ~exact:table5_keys;
+    s "table6" "random-pattern stuck-at testability" table6 ~exact:table6_keys;
+    s "table7" "robust PDF random-pattern campaigns" table7 ~exact:table7_keys;
+    s "cec" "SAT equivalence proofs of the resynthesised circuits" cec
+      ~gates:[ "equivalent" ];
+    s "ablations" "design-choice ablations" ablations;
+    s "incremental" "incremental resynthesis vs the reference full walk" incremental
+      ~gates:flags;
+    s "idcache" "persistent identification cache: cold vs warm vs off" idcache
+      ~gates:flags;
+    s "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg
+      ~gates:[ "escalation_ok" ] ~exact:sat_atpg_keys;
+    s "journal" "decision journal: overhead and bit-identity" journal ~gates:flags;
+  ]
 
-let write_json file =
-  let b = Buffer.create 4096 in
-  let item first s = (if not first then Buffer.add_string b ",\n"); Buffer.add_string b s in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
-  Buffer.add_string b "  \"generator\": \"sft bench harness\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if !quick then "quick" else "full"));
-  Buffer.add_string b (Printf.sprintf "  \"domains\": %d,\n" !domains);
-  (* Record the --only-circuits scope so a committed snapshot says which
-     benchmarks it covers; null means the unrestricted circuit set. *)
-  Buffer.add_string b
-    (match !only_circuits with
-    | [] -> "  \"only_circuits\": null,\n"
-    | names ->
-      Printf.sprintf "  \"only_circuits\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) names)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string b "  \"sections\": [\n";
-  List.iteri
-    (fun i (id, title, secs) ->
-      item (i = 0)
-        (Printf.sprintf "    {\"id\": \"%s\", \"title\": \"%s\", \"wall_seconds\": %.6f}"
-           (json_escape id) (json_escape title) secs))
-    (List.rev !json_sections);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"circuits\": [\n";
-  List.iteri
-    (fun i (name, pis, pos, gates2, paths) ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"inputs\": %d, \"outputs\": %d, \"gates2\": %d, \
-            \"paths\": %s}"
-           (json_escape name) pis pos gates2
-           (if paths < 0 then "null" else string_of_int paths)))
-    (List.rev !json_circuits);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"speedups\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"circuit\": \"%s\", \"domains\": %d, \
-            \"serial_seconds\": %.6f, \"parallel_seconds\": %.6f, \"speedup\": %.4f, \
-            \"identical_results\": %b}"
-           (json_escape r.sp_kernel) (json_escape r.sp_circuit) r.sp_domains
-           r.sp_serial r.sp_parallel
-           (if r.sp_parallel > 0. then r.sp_serial /. r.sp_parallel else 0.)
-           r.sp_identical))
-    (List.rev !json_speedups);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"baseline_ns\": %.1f, \"accelerated_ns\": %.1f, \
-            \"speedup\": %.4f, \"identical_results\": %b}"
-           (json_escape r.kr_kernel) r.kr_baseline_ns r.kr_accel_ns
-           (if r.kr_accel_ns > 0. then r.kr_baseline_ns /. r.kr_accel_ns else 0.)
-           r.kr_identical))
-    (List.rev !json_kernels);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"incremental\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"domains\": %d, \"pass2_cuts_full\": %d, \
-            \"pass2_cuts_incremental\": %d, \"reenum_fraction\": %.4f, \
-            \"pass2_full_seconds\": %.6f, \"pass2_incremental_seconds\": %.6f, \
-            \"speedup\": %.4f, \"worklist_popped\": %d, \"total_roots\": %d, \
-            \"pop_fraction\": %.4f, \"identical_results\": %b, \
-            \"gate_ok\": %b}"
-           (json_escape r.in_circuit) r.in_domains r.in_pass2_cuts_full
-           r.in_pass2_cuts_incr r.in_reenum_fraction r.in_pass2_full_s
-           r.in_pass2_incr_s r.in_speedup r.in_popped r.in_total_roots
-           r.in_pop_fraction r.in_identical r.in_gate_ok))
-    (List.rev !json_incremental);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"idcache\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"cold_hits\": %d, \"cold_misses\": %d, \
-            \"warm_hits\": %d, \"warm_disk_hits\": %d, \"warm_misses\": %d, \
-            \"cold_hit_rate\": %.4f, \"warm_hit_rate\": %.4f, \
-            \"identical_results\": %b, \"gate_ok\": %b}"
-           (json_escape r.ic_circuit) r.ic_cold_hits r.ic_cold_misses r.ic_warm_hits
-           r.ic_warm_disk_hits r.ic_warm_misses r.ic_cold_hit_rate r.ic_warm_hit_rate
-           r.ic_identical r.ic_gate_ok))
-    (List.rev !json_idcache);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"cec\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"pair\": \"%s\", \"verdict\": \"%s\", \
-            \"outputs_solved\": %d, \"decisions\": %d, \"conflicts\": %d, \
-            \"wall_seconds\": %.6f}"
-           (json_escape r.cc_circuit) (json_escape r.cc_pair)
-           (json_escape r.cc_verdict) r.cc_outputs r.cc_decisions r.cc_conflicts
-           r.cc_seconds))
-    (List.rev !json_cec);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"sat_atpg\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"survivors\": %d, \"aborted_before\": %d, \
-            \"sat_tests\": %d, \"sat_redundant\": %d, \"aborted_after\": %d, \
-            \"conflict_budget\": %d, \"escalation_ok\": %b, \"wall_seconds\": %.6f}"
-           (json_escape r.sa_circuit) r.sa_survivors r.sa_aborted_before
-           r.sa_sat_tests r.sa_sat_redundant r.sa_aborted_after
-           r.sa_conflict_budget r.sa_escalation_ok r.sa_seconds))
-    (List.rev !json_sat_atpg);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"journal\": [\n";
-  List.iteri
-    (fun i r ->
-      item (i = 0)
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"events\": %d, \"dropped\": %d, \
-            \"plain_seconds\": %.6f, \"journal_seconds\": %.6f, \
-            \"overhead_pct\": %.2f, \"funnel_ok\": %b, \
-            \"identical_results\": %b, \"gate_ok\": %b}"
-           (json_escape r.jr_circuit) r.jr_events r.jr_dropped r.jr_plain_s
-           r.jr_journal_s r.jr_overhead_pct r.jr_funnel_ok r.jr_identical
-           r.jr_gate_ok))
-    (List.rev !json_journal);
-  Buffer.add_string b "\n  ],\n";
-  (* The observability registry (counters, histograms, span trace) rides
-     along in the snapshot; schema in DESIGN.md §9. *)
-  Buffer.add_string b (Printf.sprintf "  \"metrics\": %s\n}\n" (Obs.Export.to_json ()));
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+let write_snapshot file recorded =
+  let doc =
+    Obs_json.
+      [
+        ("schema_version", Int 3);
+        ("generator", String "sft bench harness");
+        ("mode", String (if !quick then "quick" else "full"));
+        ("domains", Int !domains);
+        (* The --only-circuits scope; null is the unrestricted set. *)
+        ( "only_circuits",
+          match !only_circuits with
+          | [] -> Null
+          | names -> List (List.map (fun n -> String n) names) );
+        ("recommended_domains", Int (Domain.recommended_domain_count ()));
+        ("sections", List recorded);
+        ("metrics", Obs.Export.to_json_value ());
+      ]
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (Obs_json.to_string (Obs_json.Obj doc));
+      output_char oc '\n');
   Printf.printf "\nwrote %s\n" file
 
 let () =
+  let ids = List.map (fun s -> s.id) sections in
+  let rec parse = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      parse rest
+    | "--full" :: rest ->
+      quick := false;
+      parse rest
+    | ("--only" | "--only-sections") :: list :: rest ->
+      only := String.split_on_char ',' list;
+      (* A typo'd id must not run nothing and still exit 0. *)
+      List.iter
+        (fun id ->
+          if not (List.mem id ids) then begin
+            Printf.eprintf "error: unknown section %s (known: %s)\n" id
+              (String.concat "," ids);
+            exit 2
+          end)
+        !only;
+      parse rest
+    | "--only-circuits" :: names :: rest ->
+      only_circuits := String.split_on_char ',' names;
+      List.iter
+        (fun n ->
+          if not (List.exists (fun e -> e.Benchmarks.name = n) Benchmarks.all)
+          then begin
+            Printf.eprintf "error: unknown benchmark %s (see `sft list`)\n" n;
+            exit 2
+          end)
+        !only_circuits;
+      parse rest
+    | "--json" :: file :: rest ->
+      json_file := Some file;
+      parse rest
+    | "--metrics" :: sink :: rest ->
+      metrics := Some sink;
+      parse rest
+    | "--trace" :: rest ->
+      trace := true;
+      parse rest
+    | "--domains" :: n :: rest ->
+      (match int_of_string_opt n with
+      | Some n when n > Pool.max_domains ->
+        Printf.eprintf "error: --domains %d is above the runtime's limit of %d\n" n
+          Pool.max_domains;
+        exit 2
+      | Some n -> domains := Pool.domains_of_flag n
+      | None ->
+        Printf.eprintf "error: --domains expects an integer, got %s\n" n;
+        exit 2);
+      parse rest
+    | other :: _ ->
+      (* A typo'd flag must not silently fall through to a full-scale run. *)
+      Printf.eprintf
+        "error: unknown argument %s\n\
+         usage: main.exe [--quick|--full] [--only-sections IDS] \
+         [--only-circuits NAMES] [--json FILE] [--domains N] \
+         [--metrics text|json|FILE] [--trace]\n\
+         (--only is an alias of --only-sections)\n"
+        other;
+      exit 2
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  (* The JSON snapshot always embeds the observability registry, so collect
+     whenever any sink wants it. *)
+  if !metrics <> None || !trace || !json_file <> None then Obs.enable ();
   Printf.printf "sft bench harness (%s mode)\n" (if !quick then "quick" else "full");
-  section "figures" "comparison-unit structures (Figures 1-6)" figures;
-  section "table1" "robust test set of a comparison unit" table1;
-  section "table2" "Procedure 2: gates and paths" table2;
-  section "table3" "RAR baseline comparison" table3;
-  section "table4" "technology mapping" table4;
-  section "table5" "Procedure 3: path minimisation" table5;
-  section "table6" "random-pattern stuck-at testability" table6;
-  section "table7" "robust PDF random-pattern campaigns" table7;
-  section "cec" "SAT equivalence proofs of the resynthesised circuits" cec;
-  section "ablations" "design-choice ablations" ablations;
-  section "micro" "Bechamel micro-benchmarks" micro;
-  section "kernels" "word-parallel kernels vs scalar baselines" kernels;
-  section "incremental" "incremental resynthesis vs the reference full walk" incremental;
-  section "idcache" "persistent identification cache: cold vs warm vs off" idcache;
-  section "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg;
-  section "journal" "decision journal: overhead and bit-identity" journal;
+  let recorded =
+    List.filter_map (fun s -> if enabled s.id then Some (run_section s) else None) sections
+  in
   (match !json_file with
   | None -> ()
   | Some file -> (
-    try write_json file
+    try write_snapshot file recorded
     with Sys_error msg ->
       Printf.eprintf "error: could not write %s: %s\n" file msg;
       exit 1));

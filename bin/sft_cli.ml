@@ -727,9 +727,9 @@ let bench_diff_cmd =
       & info [ "threshold" ] ~docv:"PCT"
           ~doc:
             "Regression tolerance in percent: a metric must be worse than OLD \
-             by more than PCT to count as a regression (CEC verdicts ignore \
-             the threshold). Use $(b,0) for a strict gate on deterministic \
-             metrics.")
+             by more than PCT to count as a regression (declared gates and \
+             exact keys ignore the threshold). Use $(b,0) for a strict gate \
+             on deterministic metrics.")
   in
   let metrics =
     Arg.(
@@ -738,18 +738,21 @@ let bench_diff_cmd =
       & info [ "metrics" ] ~docv:"LIST"
           ~doc:
             (Printf.sprintf
-               "Comma-separated metrics to compare (default: all). Known: %s."
+               "Comma-separated threshold metrics to compare (default: all). \
+                Known: %s. Declared gates and exact keys are always checked."
                (String.concat ", " Bench_diff.default_metrics)))
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Diff two bench-harness $(b,--json) snapshots and flag regressions. \
-          Compares circuits, wall times, speedups, coverage counters and CEC \
-          verdicts on the intersection of the two files. Exit status: 0 no \
-          regression, 1 regression beyond the threshold, 2 incomparable \
-          (unreadable file, parse error, schema mismatch, or nothing \
-          aligned).")
+          Every gate a section declares must be true, and every section, \
+          table row and exact value of OLD must be in NEW unchanged; \
+          generated-circuit sizes, wall times and coverage counters are \
+          compared against the threshold. Exit status: 0 no regression, 1 \
+          regression, 2 incomparable (unreadable file, parse error, a \
+          different schema version, mode or circuit scope, or nothing to \
+          compare).")
     Term.(const run $ old_file $ new_file $ threshold $ metrics)
 
 (* --- report ------------------------------------------------------------------ *)

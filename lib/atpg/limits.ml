@@ -1,7 +1,6 @@
 type t = {
   justify_backtracks : int;
   podem_backtracks : int;
-  equiv_backtracks : int;
   sat_conflicts : int;
 }
 
@@ -9,6 +8,5 @@ let default =
   {
     justify_backtracks = 200;
     podem_backtracks = 1000;
-    equiv_backtracks = 20_000;
     sat_conflicts = 100_000;
   }

@@ -9,8 +9,6 @@
       where many calls are made and each answer is advisory.
     - [podem_backtracks] ([1000]) — {!Podem.generate} decides a single
       fault; an abort is escalated (see {!Sat_atpg}) rather than retried.
-    - [equiv_backtracks] ([20_000]) — {!Equiv.check} proves a whole-miter
-      property once per query and can afford a deep search.
     - [sat_conflicts] ([100_000]) — conflict budget per fault for the SAT
       escalation path, matching [Cec.default_budget].
 
@@ -20,10 +18,9 @@
 type t = {
   justify_backtracks : int;
   podem_backtracks : int;
-  equiv_backtracks : int;
   sat_conflicts : int;
 }
 
 val default : t
 (** [{ justify_backtracks = 200; podem_backtracks = 1000;
-       equiv_backtracks = 20_000; sat_conflicts = 100_000 }]. *)
+       sat_conflicts = 100_000 }]. *)

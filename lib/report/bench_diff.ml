@@ -1,145 +1,110 @@
 (* Diff two bench-harness --json snapshots (BENCH_results.json) and decide
    whether the new one regresses on the old one.
 
-   The aligner is deliberately forgiving about coverage — snapshots from
-   --only / --only-circuits runs simply compare on their intersection —
-   but strict about meaning: schema versions must match, and a snapshot
-   that fails to parse, or a pair with nothing comparable at all, is
-   "incomparable" (exit 2) rather than a vacuous pass. *)
+   A snapshot (schema 3) is a list of sections. Each holds rows keyed by
+   their first field and declares two kinds of key: [gate_keys], booleans
+   every row must hold true, and [exact_keys], values a later snapshot must
+   repeat. One evaluator applies the same rules to every section, at any
+   threshold, and the threshold metrics then compare the numbers that may
+   drift. A snapshot that fails to parse, or a pair that differs in schema
+   version, mode or circuit scope, is "incomparable" (exit 2) rather than a
+   vacuous pass. *)
 
-type direction =
-  | Lower_better
-  | Higher_better
-
-type metric = {
-  m_key : string; (* --metrics name *)
-  m_dir : direction;
-  m_rows : snapshot -> snapshot -> (string * float * float) list;
-      (* aligned (item, old, new) pairs *)
+type section = {
+  id : string;
+  wall : float option;
+  gate_keys : string list;
+  exact_keys : string list;
+  rows : (string * (string * Obs_json.t) list) list; (* first field's value, fields *)
+  skipped : string option;
 }
 
-and snapshot = {
-  sn_version : int;
-  sn_mode : string;
-  sn_circuits : (string * (float * float option)) list; (* gates2, paths *)
-  sn_sections : (string * float) list; (* id -> wall seconds *)
-  sn_speedups : (string * float) list; (* "kernel/circuit" -> speedup *)
-  sn_cec : (string * string) list; (* "circuit/pair" -> verdict *)
-  sn_counters : (string * float) list;
+type snapshot = {
+  mode : Obs_json.t;
+  only_circuits : Obs_json.t;
+  sections : section list;
+  counters : (string * float) list;
 }
 
 (* --- snapshot parsing ----------------------------------------------------- *)
+
+let schema_version = 3
 
 let num = function
   | Obs_json.Int i -> Some (float_of_int i)
   | Obs_json.Float f -> Some f
   | _ -> None
 
-let str = function Obs_json.String s -> Some s | _ -> None
+let text = function
+  | Obs_json.String s -> s
+  | Obs_json.Int i -> Table.int i
+  | v -> Obs_json.to_string v
 
-let supported_versions = [ 1; 2 ]
+let member key doc = Option.value ~default:Obs_json.Null (Obs_json.member key doc)
 
-let parse_snapshot ~name text =
-  let ( let* ) = Result.bind in
+let list = function Obs_json.List xs -> xs | _ -> []
+
+let strings v = List.filter_map (function Obs_json.String s -> Some s | _ -> None) (list v)
+
+let parse_section v =
+  match member "id" v with
+  | Obs_json.String id ->
+    Some
+      {
+        id;
+        wall = num (member "wall_seconds" v);
+        gate_keys = strings (member "gate_keys" v);
+        exact_keys = strings (member "exact_keys" v);
+        rows =
+          List.filter_map
+            (function
+              | Obs_json.Obj ((_, key) :: _ as fields) -> Some (text key, fields)
+              | _ -> None)
+            (list (member "rows" v));
+        skipped = (match member "skipped" v with Obs_json.String r -> Some r | _ -> None);
+      }
+  | _ -> None
+
+let parse_snapshot doc =
+  {
+    mode = member "mode" doc;
+    only_circuits = member "only_circuits" doc;
+    sections = List.filter_map parse_section (list (member "sections" doc));
+    counters =
+      (match member "counters" (member "metrics" doc) with
+      | Obs_json.Obj kvs ->
+        List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (num v)) kvs
+      | _ -> []);
+  }
+
+let parse_version ~name text =
   let fail fmt = Printf.ksprintf (fun m -> Error (name ^ ": " ^ m)) fmt in
-  let* doc =
-    match Obs_json.parse text with
-    | Ok doc -> Ok doc
-    | Error msg -> fail "invalid JSON: %s" msg
-  in
-  let* version =
+  match Obs_json.parse text with
+  | Error msg -> fail "invalid JSON: %s" msg
+  | Ok doc -> (
     match Obs_json.member "schema_version" doc with
-    | Some (Obs_json.Int v) ->
-      if List.mem v supported_versions then Ok v
-      else
-        fail "unsupported schema_version %d (this tool understands %s)" v
-          (String.concat ", " (List.map string_of_int supported_versions))
+    | Some (Obs_json.Int v) -> Ok (v, doc)
     | Some _ -> fail "schema_version is not an integer"
-    | None -> fail "schema_version missing (not a bench --json snapshot?)"
-  in
-  let list_field key =
-    match Obs_json.member key doc with
-    | Some (Obs_json.List xs) -> xs
-    | Some _ | None -> []
-  in
-  let mode =
-    match Obs_json.member "mode" doc with Some (Obs_json.String m) -> m | _ -> ""
-  in
-  let circuits =
-    List.filter_map
-      (fun row ->
-        match
-          ( Option.bind (Obs_json.member "name" row) str,
-            Option.bind (Obs_json.member "gates2" row) num )
-        with
-        | Some n, Some g ->
-          Some (n, (g, Option.bind (Obs_json.member "paths" row) num))
-        | _ -> None)
-      (list_field "circuits")
-  in
-  let sections =
-    List.filter_map
-      (fun row ->
-        match
-          ( Option.bind (Obs_json.member "id" row) str,
-            Option.bind (Obs_json.member "wall_seconds" row) num )
-        with
-        | Some id, Some w -> Some (id, w)
-        | _ -> None)
-      (list_field "sections")
-  in
-  let speedups =
-    List.filter_map
-      (fun row ->
-        match
-          ( Option.bind (Obs_json.member "kernel" row) str,
-            Option.bind (Obs_json.member "circuit" row) str,
-            Option.bind (Obs_json.member "speedup" row) num )
-        with
-        | Some k, Some c, Some s -> Some (k ^ "/" ^ c, s)
-        | _ -> None)
-      (list_field "speedups")
-  in
-  let cec =
-    List.filter_map
-      (fun row ->
-        match
-          ( Option.bind (Obs_json.member "circuit" row) str,
-            Option.bind (Obs_json.member "pair" row) str,
-            Option.bind (Obs_json.member "verdict" row) str )
-        with
-        | Some c, Some p, Some v -> Some (c ^ "/" ^ p, v)
-        | _ -> None)
-      (list_field "cec")
-  in
-  let counters =
-    match
-      Option.bind (Obs_json.member "metrics" doc) (Obs_json.member "counters")
-    with
-    | Some (Obs_json.Obj kvs) ->
-      List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (num v)) kvs
-    | _ -> []
-  in
-  Ok
-    {
-      sn_version = version;
-      sn_mode = mode;
-      sn_circuits = circuits;
-      sn_sections = sections;
-      sn_speedups = speedups;
-      sn_cec = cec;
-      sn_counters = counters;
-    }
+    | None -> fail "schema_version missing (not a bench --json snapshot?)")
 
-(* --- metric definitions --------------------------------------------------- *)
+(* --- threshold metrics ---------------------------------------------------- *)
 
-let align old_rows new_rows =
-  List.filter_map
-    (fun (item, ov) ->
-      match List.assoc_opt item new_rows with
-      | Some nv -> Some (item, ov, nv)
-      | None -> None)
-    old_rows
+type direction =
+  | Lower_better
+  | Higher_better
+
+(* A row field named [key] that no section declares exact: the sizes of
+   the bench's generated inputs. Exact keys are compared by the rules. *)
+let field key sn =
+  List.concat_map
+    (fun s ->
+      if List.mem key s.exact_keys then []
+      else
+        List.filter_map
+          (fun (k, fields) ->
+            Option.map (fun v -> (s.id ^ "/" ^ k, v)) (Option.bind (List.assoc_opt key fields) num))
+          s.rows)
+    sn.sections
 
 (* Coverage counters: detections reported by the two random-pattern
    campaigns. More detected faults from the same harness = better. *)
@@ -147,50 +112,17 @@ let coverage_keys = [ "fsim.faults_dropped"; "pdf.faults_detected" ]
 
 let metrics_table =
   [
-    {
-      m_key = "gates";
-      m_dir = Lower_better;
-      m_rows =
-        (fun o n ->
-          align
-            (List.map (fun (k, (g, _)) -> (k, g)) o.sn_circuits)
-            (List.map (fun (k, (g, _)) -> (k, g)) n.sn_circuits));
-    };
-    {
-      m_key = "paths";
-      m_dir = Lower_better;
-      m_rows =
-        (fun o n ->
-          let paths_of c =
-            List.filter_map
-              (fun (k, (_, p)) -> Option.map (fun p -> (k, p)) p)
-              c.sn_circuits
-          in
-          align (paths_of o) (paths_of n));
-    };
-    {
-      m_key = "coverage";
-      m_dir = Higher_better;
-      m_rows =
-        (fun o n ->
-          let pick c =
-            List.filter (fun (k, _) -> List.mem k coverage_keys) c.sn_counters
-          in
-          align (pick o) (pick n));
-    };
-    {
-      m_key = "wall";
-      m_dir = Lower_better;
-      m_rows = (fun o n -> align o.sn_sections n.sn_sections);
-    };
-    {
-      m_key = "speedup";
-      m_dir = Higher_better;
-      m_rows = (fun o n -> align o.sn_speedups n.sn_speedups);
-    };
+    ("gates", Lower_better, field "gates");
+    ("paths", Lower_better, field "paths");
+    ( "coverage",
+      Higher_better,
+      fun sn -> List.filter (fun (k, _) -> List.mem k coverage_keys) sn.counters );
+    ( "wall",
+      Lower_better,
+      fun sn -> List.filter_map (fun s -> Option.map (fun w -> (s.id, w)) s.wall) sn.sections );
   ]
 
-let default_metrics = List.map (fun m -> m.m_key) metrics_table @ [ "cec" ]
+let default_metrics = List.map (fun (k, _, _) -> k) metrics_table
 
 (* --- diffing -------------------------------------------------------------- *)
 
@@ -216,13 +148,13 @@ let fmt_delta v =
     if v >= 0. then "+" ^ s else s
   else Printf.sprintf "%+.4f" v
 
+let union a b = a @ List.filter (fun k -> not (List.mem k a)) b
+
 let diff ?(threshold = 5.) ?(metrics = default_metrics) ~old_name ~old_text
     ~new_name ~new_text () =
   let ( let* ) = Result.bind in
   let* () =
-    match
-      List.filter (fun k -> not (List.mem k default_metrics)) metrics
-    with
+    match List.filter (fun k -> not (List.mem k default_metrics)) metrics with
     | [] -> Ok ()
     | bad ->
       Error
@@ -231,16 +163,32 @@ let diff ?(threshold = 5.) ?(metrics = default_metrics) ~old_name ~old_text
            (String.concat ", " bad)
            (String.concat ", " default_metrics))
   in
-  let* old_sn = parse_snapshot ~name:old_name old_text in
-  let* new_sn = parse_snapshot ~name:new_name new_text in
+  let* old_version, old_doc = parse_version ~name:old_name old_text in
+  let* new_version, new_doc = parse_version ~name:new_name new_text in
   let* () =
-    if old_sn.sn_version <> new_sn.sn_version then
+    if old_version <> new_version then
       Error
         (Printf.sprintf
            "schema versions differ (%s is v%d, %s is v%d): regenerate the \
             older snapshot before diffing"
-           old_name old_sn.sn_version new_name new_sn.sn_version)
+           old_name old_version new_name new_version)
+    else if old_version <> schema_version then
+      Error
+        (Printf.sprintf "unsupported schema_version %d (this tool understands %d)"
+           old_version schema_version)
     else Ok ()
+  in
+  let old_sn = parse_snapshot old_doc and new_sn = parse_snapshot new_doc in
+  let* () =
+    let scope what o n =
+      if o = n then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s differs (%s has %s, %s has %s): rerun at the baseline's scope"
+             what old_name (Obs_json.to_string o) new_name (Obs_json.to_string n))
+    in
+    let* () = scope "mode" old_sn.mode new_sn.mode in
+    scope "only_circuits" old_sn.only_circuits new_sn.only_circuits
   in
   let t =
     Table.create
@@ -249,65 +197,108 @@ let diff ?(threshold = 5.) ?(metrics = default_metrics) ~old_name ~old_text
   in
   let compared = ref 0 in
   let regressions = ref 0 in
-  let numeric m =
-    List.iter
-      (fun (item, ov, nv) ->
-        incr compared;
-        let w = worsening m.m_dir ov nv in
-        let regressed = w > threshold in
-        if regressed then incr regressions;
-        let status =
-          if regressed then "REGRESSION"
-          else if w > 0. then "ok (within threshold)"
-          else if (match m.m_dir with
-                  | Lower_better -> nv < ov
-                  | Higher_better -> nv > ov)
-          then "improved"
-          else "ok"
-        in
-        Table.add_row t
-          [
-            m.m_key; item; fmt_value ov; fmt_value nv; fmt_delta (nv -. ov);
-            Printf.sprintf "%.1f" w; status;
-          ])
-      (m.m_rows old_sn new_sn)
+  let ok ~checks cells =
+    compared := !compared + checks;
+    Table.add_row t (cells @ [ "-"; "-"; "ok" ])
   in
-  List.iter (fun m -> if List.mem m.m_key metrics then numeric m) metrics_table;
-  (* CEC verdicts are pass/fail, not a percentage: any aligned pair whose
-     proof degrades from `equivalent' is a regression at every threshold. *)
-  if List.mem "cec" metrics then
-    List.iter
-      (fun (item, ov, nv) ->
-        incr compared;
-        let regressed = ov = "equivalent" && nv <> "equivalent" in
-        if regressed then incr regressions;
-        Table.add_row t
-          [
-            "cec"; item; ov; nv;
-            (if ov = nv then "=" else "changed");
-            "-";
-            (if regressed then "REGRESSION" else "ok");
-          ])
-      (List.filter_map
-         (fun (item, ov) ->
-           Option.map (fun nv -> (item, ov, nv)) (List.assoc_opt item new_sn.sn_cec))
-         old_sn.sn_cec);
+  let regress metric item ov nv =
+    incr compared;
+    incr regressions;
+    Table.add_row t [ metric; item; ov; nv; "-"; "-"; "REGRESSION" ]
+  in
+  let value = function Some v -> text v | None -> "missing" in
+  (* The rules: every declared gate of the new snapshot (or of the old one,
+     for the same section) is present and true in every new row; every
+     section and row of the old snapshot is in the new one; every exact
+     value of an old row is repeated, and every declared exact key is
+     recorded. *)
+  List.iter
+    (fun os ->
+      if not (List.exists (fun s -> s.id = os.id) new_sn.sections) then
+        regress "section" os.id "present" "missing")
+    old_sn.sections;
+  List.iter
+    (fun ns ->
+      let os = List.find_opt (fun s -> s.id = ns.id) old_sn.sections in
+      let old_rows = match os with Some s -> s.rows | None -> [] in
+      let gates = union ns.gate_keys (match os with Some s -> s.gate_keys | None -> []) in
+      let exact = union ns.exact_keys (match os with Some s -> s.exact_keys | None -> []) in
+      (match ns.skipped with
+      | Some reason -> Table.add_row t [ "section"; ns.id; "-"; "skipped"; "-"; "-"; reason ]
+      | None ->
+        if gates <> [] && ns.rows = [] then
+          regress "gate" (ns.id ^ ": " ^ String.concat ", " gates) "true" "no rows");
+      List.iter
+        (fun (key, _) ->
+          if not (List.mem_assoc key ns.rows) then
+            regress "row" (ns.id ^ "/" ^ key) "present" "missing")
+        old_rows;
+      List.iter
+        (fun (key, fields) ->
+          let item = ns.id ^ "/" ^ key in
+          let old_fields = Option.value ~default:[] (List.assoc_opt key old_rows) in
+          let good_gates, bad_gates =
+            List.partition (fun g -> List.assoc_opt g fields = Some (Obs_json.Bool true)) gates
+          in
+          List.iter
+            (fun g -> regress "gate" (item ^ ": " ^ g) "true" (value (List.assoc_opt g fields)))
+            bad_gates;
+          if good_gates <> [] then
+            ok ~checks:(List.length good_gates)
+              [ "gate"; item ^ ": " ^ String.concat ", " good_gates; "true"; "true" ];
+          let equal = ref 0 in
+          List.iter
+            (fun x ->
+              match (List.assoc_opt x old_fields, List.assoc_opt x fields) with
+              | Some a, Some b when a = b -> incr equal
+              | Some a, b -> regress "exact" (item ^ ": " ^ x) (text a) (value b)
+              | None, None when List.mem x ns.exact_keys ->
+                regress "exact" (item ^ ": " ^ x) "-" "missing"
+              | None, _ -> ())
+            exact;
+          if !equal > 0 then
+            ok ~checks:!equal [ "exact"; Printf.sprintf "%s (%d keys)" item !equal; "="; "=" ])
+        ns.rows)
+    new_sn.sections;
+  List.iter
+    (fun (key, dir, select) ->
+      if List.mem key metrics then
+        let news = select new_sn in
+        List.iter
+          (fun (item, ov) ->
+            match List.assoc_opt item news with
+            | None -> ()
+            | Some nv ->
+              incr compared;
+              let w = worsening dir ov nv in
+              let regressed = w > threshold in
+              if regressed then incr regressions;
+              let status =
+                if regressed then "REGRESSION"
+                else if w > 0. then "ok (within threshold)"
+                else if (match dir with Lower_better -> nv < ov | Higher_better -> nv > ov)
+                then "improved"
+                else "ok"
+              in
+              Table.add_row t
+                [
+                  key; item; fmt_value ov; fmt_value nv; fmt_delta (nv -. ov);
+                  Printf.sprintf "%.1f" w; status;
+                ])
+          (select old_sn))
+    metrics_table;
   if !compared = 0 then
     Error
-      (Printf.sprintf
-         "nothing comparable between %s and %s for metrics %s (disjoint \
-          circuit/section sets?)"
+      (Printf.sprintf "nothing comparable between %s and %s (no sections or metrics %s)"
          old_name new_name (String.concat "," metrics))
   else
     let summary =
-      Printf.sprintf
-        "%d comparison%s, %d regression%s (threshold %.1f%%, old mode %S, new \
-         mode %S)\n"
+      Printf.sprintf "%d comparison%s, %d regression%s (threshold %.1f%%, mode %s)\n"
         !compared
         (if !compared = 1 then "" else "s")
         !regressions
         (if !regressions = 1 then "" else "s")
-        threshold old_sn.sn_mode new_sn.sn_mode
+        threshold (Obs_json.to_string new_sn.mode)
     in
     Ok
       ( Table.render t ^ summary,

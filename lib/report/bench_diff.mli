@@ -1,25 +1,37 @@
 (** Regression diffing between two bench-harness [--json] snapshots.
 
-    [diff] parses both snapshots with {!Obs_json}, aligns circuits,
-    sections, speedup rows, CEC verdicts and coverage counters by name,
-    and renders every aligned comparison as one {!Table} row. A numeric
-    comparison regresses when the new value is worse than the old by
-    more than [threshold] percent; a CEC comparison regresses whenever a
-    pair previously proved [equivalent] no longer is, at any threshold.
+    [diff] parses both snapshots (schema 3) with {!Obs_json}. A snapshot
+    is a list of sections; each holds rows keyed by their first field and
+    declares [gate_keys] (booleans) and [exact_keys] (values to repeat).
+    One evaluator applies the same rules to every section, at any
+    threshold, and each failure is a regression naming its item:
+    - every declared gate of the new snapshot (or of the old one, for the
+      same section) is present and [true] in every new row, and a section
+      that declares gates but recorded no rows and no skip reason fails;
+    - every section and row of the old snapshot is in the new one;
+    - every exact value of an old row is repeated in the new row, and
+      every exact key the new section declares is recorded.
 
-    Alignment is on the intersection of the two snapshots, so a
-    [--only]/[--only-circuits] smoke run can be diffed against a full
-    baseline — but if nothing at all aligns, or the snapshots disagree
-    on [schema_version], the result is an [Error] (exit 2), never a
-    vacuous pass. *)
+    The threshold metrics then compare what may drift: a number regresses
+    when it is worse than the old one by more than [threshold] percent.
+    They are [gates] and [paths] (row fields of those names that no
+    section declares exact: the sizes of the bench's generated inputs),
+    [coverage] (the campaigns' detection counters) and [wall] (section
+    wall seconds). The report is a {!Table}: one row per failed check,
+    per threshold comparison, and per row whose gates or exact values
+    all hold.
+
+    Snapshots that differ in [schema_version], [mode] or [only_circuits]
+    are an [Error] (exit 2), and so is a pair with nothing to compare:
+    never a vacuous pass. *)
 
 type status =
   | Clean  (** no comparison regressed *)
   | Regressions of int  (** number of regressed comparisons *)
 
 val default_metrics : string list
-(** ["gates"; "paths"; "coverage"; "wall"; "speedup"; "cec"] — the valid
-    values for [metrics], in rendering order. *)
+(** ["gates"; "paths"; "coverage"; "wall"] — the valid values for
+    [metrics], in rendering order. The rules always apply. *)
 
 val diff :
   ?threshold:float ->
@@ -33,9 +45,10 @@ val diff :
 (** [diff ~old_name ~old_text ~new_name ~new_text ()] compares the two
     snapshot texts ([*_name] only labels the output). Returns the
     rendered report plus a {!status}, or [Error msg] when a snapshot is
-    malformed, the schema versions differ, an unknown metric was
-    requested, or nothing is comparable. [threshold] defaults to [5.]
-    (percent); [metrics] defaults to {!default_metrics}. *)
+    malformed, the schema versions, modes or circuit scopes differ, an
+    unknown metric was requested, or nothing is comparable. [threshold]
+    defaults to [5.] (percent); [metrics] defaults to
+    {!default_metrics}. *)
 
 val diff_files :
   ?threshold:float ->

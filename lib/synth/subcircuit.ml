@@ -276,37 +276,6 @@ let member_order c s =
   visit s.root;
   if !placed = m then order else Array.sub order 0 !placed
 
-let extract_scalar c s =
-  let n = Array.length s.inputs in
-  if n > 16 then invalid_arg "Subcircuit.extract: too many inputs";
-  (* The whole circuit's topological order, not [member_order]: the
-     differential tests then check [extract]'s member order too. *)
-  let order =
-    Array.of_list
-      (List.filter (fun g -> List.mem g s.gates) (Array.to_list (Circuit.topo_order c)))
-  in
-  let values = Array.make (Circuit.size c) false in
-  Truthtable.create n (fun m ->
-      Array.iteri
-        (fun j input -> values.(input) <- m land (1 lsl (n - 1 - j)) <> 0)
-        s.inputs;
-      Array.iter
-        (fun g ->
-          let fins = Circuit.fanins c g in
-          let vals =
-            Array.map
-              (fun f ->
-                match Circuit.kind c f with
-                | Gate.Const0 -> false
-                | Gate.Const1 -> true
-                | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or
-                | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> values.(f))
-              fins
-          in
-          values.(g) <- Gate.eval (Circuit.kind c g) vals)
-        order;
-      values.(s.root))
-
 let extract_words_c =
   Obs.Counter.make ~help:"64-minterm words swept by bit-parallel extract" "extract.words"
 

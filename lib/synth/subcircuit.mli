@@ -48,13 +48,6 @@ val extract : ?scratch:int64 array -> Circuit.t -> t -> Truthtable.t
     counter when {!Obs} is enabled. Raises [Invalid_argument] when the
     members the root reads form a cycle. *)
 
-val extract_scalar : Circuit.t -> t -> Truthtable.t
-(** Reference implementation of {!extract}: one evaluation of the member
-    gates per minterm, in the whole circuit's topological order (so it
-    shares no member ordering with {!extract}). Kept for differential tests
-    and the bench harness' kernel baseline; {!extract} is bit-identical and
-    up to 64x faster. *)
-
 val removable_gates : Circuit.t -> t -> int list
 (** Member gates that die if the subcircuit is replaced: everything except
     the backward closure of members that are primary outputs or still drive

@@ -4,7 +4,8 @@
    duplicates are found by set equality, so the differential tests compare
    two implementations that share only the circuit accessors. [enumerate]
    also returns how many sets it pushed, so a test can tell whether the
-   push budget bound. *)
+   push budget bound. [extract_scalar], at the end, is the per-minterm
+   reference for [Subcircuit.extract]. *)
 
 module ISet = Set.Make (Int)
 
@@ -78,3 +79,36 @@ let enumerate_counted ~k ~max_candidates c root =
   (List.rev !results, !pushes)
 
 let enumerate ~k ~max_candidates c root = fst (enumerate_counted ~k ~max_candidates c root)
+
+(* Reference [Subcircuit.extract]: one evaluation of the member gates per
+   minterm, in the whole circuit's topological order, so it shares no
+   member ordering with [extract] and the differential tests check that
+   order too. *)
+let extract_scalar c (s : Subcircuit.t) =
+  let n = Array.length s.inputs in
+  if n > 16 then invalid_arg "Ref_subcircuit.extract_scalar: too many inputs";
+  let order =
+    Array.of_list
+      (List.filter (fun g -> List.mem g s.gates) (Array.to_list (Circuit.topo_order c)))
+  in
+  let values = Array.make (Circuit.size c) false in
+  Truthtable.create n (fun m ->
+      Array.iteri
+        (fun j input -> values.(input) <- m land (1 lsl (n - 1 - j)) <> 0)
+        s.inputs;
+      Array.iter
+        (fun g ->
+          let fins = Circuit.fanins c g in
+          let vals =
+            Array.map
+              (fun f ->
+                match Circuit.kind c f with
+                | Gate.Const0 -> false
+                | Gate.Const1 -> true
+                | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or
+                | Gate.Nand | Gate.Nor | Gate.Xor | Gate.Xnor -> values.(f))
+              fins
+          in
+          values.(g) <- Gate.eval (Circuit.kind c g) vals)
+        order;
+      values.(s.root))

@@ -147,20 +147,20 @@ let qcheck_removal_end_state =
 let test_equiv () =
   let c = c17 () in
   let c2 = Bench_format.of_string (Bench_format.to_string c) in
-  (match Equiv.check ~seed:1L c c2 with
-  | Equiv.Equivalent -> ()
-  | Equiv.Counterexample _ | Equiv.Unknown -> Alcotest.fail "c17 = c17");
+  (match Cec.check c c2 with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ | Cec.Unknown _ -> Alcotest.fail "c17 = c17");
   let c3 = Circuit.copy c in
   let order = Circuit.topo_order c3 in
   Circuit.set_kind c3 order.(Array.length order - 1) Gate.And;
-  match Equiv.check ~seed:1L c c3 with
-  | Equiv.Counterexample v ->
+  match Cec.check c c3 with
+  | Cec.Counterexample v ->
     check bool_ "cex differs" true (Eval.run c v <> Eval.run c3 v)
-  | Equiv.Equivalent | Equiv.Unknown -> Alcotest.fail "must find counterexample"
+  | Cec.Equivalent | Cec.Unknown _ -> Alcotest.fail "must find counterexample"
 
 let test_equiv_beyond_simulation () =
-  (* Two structurally different implementations of the same function, where
-     random simulation alone cannot conclude equivalence. *)
+  (* Two structurally different implementations of the same function, with
+     unnamed inputs: the miter matches them by position. *)
   let majority () =
     let c = Circuit.create () in
     let a = Circuit.add_input c in
@@ -185,9 +185,9 @@ let test_equiv_beyond_simulation () =
     Circuit.mark_output c out;
     c
   in
-  match Equiv.check ~sim_patterns:0 ~seed:2L (majority ()) (majority2 ()) with
-  | Equiv.Equivalent -> ()
-  | Equiv.Counterexample _ | Equiv.Unknown ->
+  match Cec.check (majority ()) (majority2 ()) with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ | Cec.Unknown _ ->
     Alcotest.fail "majority implementations are equivalent"
 
 let suite =

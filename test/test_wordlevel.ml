@@ -208,7 +208,7 @@ let test_extract_matches_scalar () =
       (fun root ->
         List.iter
           (fun sub ->
-            let reference = Subcircuit.extract_scalar c sub in
+            let reference = Ref_subcircuit.extract_scalar c sub in
             let word = Subcircuit.extract c sub in
             let word_scratch = Subcircuit.extract ~scratch c sub in
             if not (Truthtable.equal reference word) then
@@ -227,7 +227,7 @@ let test_extract_matches_scalar_wide_cut () =
       (fun root ->
         List.iter
           (fun sub ->
-            if not (Truthtable.equal (Subcircuit.extract_scalar c sub) (Subcircuit.extract c sub))
+            if not (Truthtable.equal (Ref_subcircuit.extract_scalar c sub) (Subcircuit.extract c sub))
             then Alcotest.failf "wide extract mismatch (seed %d, root %d)" seed root)
           (Subcircuit.enumerate ~k:9 ~max_candidates:8 c root))
       (gate_roots c)
@@ -290,7 +290,7 @@ let prop_extract_matches_scalar =
         (fun root ->
           List.for_all
             (fun sub ->
-              Truthtable.equal (Subcircuit.extract_scalar c sub) (Subcircuit.extract c sub))
+              Truthtable.equal (Ref_subcircuit.extract_scalar c sub) (Subcircuit.extract c sub))
             (Subcircuit.enumerate ~k:7 ~max_candidates:6 c root))
         (gate_roots c))
 
