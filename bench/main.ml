@@ -575,7 +575,8 @@ let table7 () =
    original; this section SAT-proves (Cec.check_stats, DESIGN.md §10) that
    each of those pairs really computes the same function, so the size and
    testability numbers describe the *same* circuit family. Each row's
-   [equivalent] is a declared gate. *)
+   [equivalent] is a declared gate, and its solver decisions and conflicts
+   are exact keys: the same miters must get the same search. *)
 let cec () =
   let t =
     Table.create ~title:"Equivalence — SAT miter proofs for the resynthesised circuits"
@@ -633,15 +634,24 @@ let cec () =
    worklist, then Sat_atpg.escalate to settle it exactly. Each row's
    [escalation_ok] is a declared gate (no fault may remain undecided after
    the SAT pass), and PODEM's verdict counts must equal the baseline's: a
-   changed abort set would still escalate cleanly (DESIGN.md §18). *)
-let sat_atpg_keys = [ "survivors"; "aborted_before"; "sat_tests"; "sat_redundant" ]
+   changed abort set would still escalate cleanly (DESIGN.md §18). So must
+   the escalation's solver conflicts and propagations: the same formulas
+   must get the same search, not only the same verdicts. *)
+let sat_atpg_keys =
+  [ "survivors"; "aborted_before"; "sat_tests"; "sat_redundant"; "sat_conflicts";
+    "sat_propagations" ]
 
 let sat_atpg () =
+  (* The search counts come from the sat.* counters, so collection must be
+     on (same rationale as the incremental section). *)
+  Obs.enable ();
+  let conflicts_c = Obs.Counter.make "sat.conflicts" in
+  let propagations_c = Obs.Counter.make "sat.propagations" in
   let t =
     Table.create ~title:"SAT ATPG — escalation of PODEM-aborted faults (raw stand-ins)"
       ~columns:
         [ "circuit"; "survivors"; "podem aborts"; "sat tests"; "sat redundant";
-          "undecided"; "ok"; "seconds" ]
+          "undecided"; "conflicts"; "propagations"; "ok"; "seconds" ]
   in
   let entries =
     if !quick then List.filter circuit_enabled [ Benchmarks.find "irs1423" ]
@@ -655,7 +665,7 @@ let sat_atpg () =
     (fun e ->
       let name = e.Benchmarks.name in
       let c = Circuit_gen.generate e.Benchmarks.profile in
-      let (aborted, esc, survivors), secs =
+      let (aborted, esc, survivors, conflicts, propagations), secs =
         time_wall (fun () ->
             let cfg = { Campaign.default with max_patterns = 4096; seed = 7L } in
             let _, survivors = Campaign.exec_survivors cfg c in
@@ -663,8 +673,11 @@ let sat_atpg () =
               Podem.generate_all ~backtrack_limit:podem_backtracks c survivors
             in
             let aborted = stats.Podem.aborted_faults in
+            let c0 = Obs.Counter.value conflicts_c in
+            let p0 = Obs.Counter.value propagations_c in
             let esc = Sat_atpg.escalate ~limits c aborted in
-            (List.length aborted, esc, List.length survivors))
+            ( List.length aborted, esc, List.length survivors,
+              Obs.Counter.value conflicts_c - c0, Obs.Counter.value propagations_c - p0 ))
       in
       let undecided = List.length esc.Sat_atpg.unknown in
       let ok = undecided = 0 in
@@ -676,6 +689,8 @@ let sat_atpg () =
             ("aborted_before", Int aborted);
             ("sat_tests", Int (List.length esc.Sat_atpg.tests));
             ("sat_redundant", Int (List.length esc.Sat_atpg.redundant));
+            ("sat_conflicts", Int conflicts);
+            ("sat_propagations", Int propagations);
             ("aborted_after", Int undecided);
             ("conflict_budget", Int limits.Limits.sat_conflicts);
             ("escalation_ok", Bool ok);
@@ -686,7 +701,8 @@ let sat_atpg () =
           name; Table.int survivors; Table.int aborted;
           Table.int (List.length esc.Sat_atpg.tests);
           Table.int (List.length esc.Sat_atpg.redundant);
-          Table.int undecided; (if ok then "yes" else "NO");
+          Table.int undecided; Table.int conflicts; Table.int propagations;
+          (if ok then "yes" else "NO");
           Printf.sprintf "%.2f" secs;
         ];
       List.iter
@@ -1036,18 +1052,12 @@ let journal () =
     let stats, secs = time_wall (fun () -> Engine.optimize Engine.Gates o c) in
     (stats, Bench_format.to_string c, secs)
   in
-  (* One throwaway run warms the allocator and the engine's lazy state so
-     the plain-vs-journaled wall comparison isn't dominated by first-run
-     effects; each variant then keeps its best of two runs. *)
-  ignore (run ());
-  let s_plain, n_plain, ta = run () in
-  let _, _, tb = run () in
-  let t_plain = min ta tb in
+  (* One plain run and one journaled run; the journal's footer counts only
+     the journaled run, so its funnel is that run's. *)
+  let s_plain, n_plain, t_plain = run () in
   let path = Filename.temp_file "sft_bench" ".journal" in
   Obs.Journal.start ~cmd:"bench" path;
-  let s_j, n_j, tc = run () in
-  let _, _, td = run () in
-  let t_j = min tc td in
+  let s_j, n_j, t_j = run () in
   let w = Obs.Journal.finish () in
   let identical = s_plain = s_j && n_plain = n_j in
   let events, dropped, funnel_ok, funnel_line =
@@ -1065,9 +1075,6 @@ let journal () =
           f.Run_report.committed )
   in
   Sys.remove path;
-  let overhead =
-    if t_plain > 0. then 100. *. ((t_j -. t_plain) /. t_plain) else 0.
-  in
   row
     Obs_json.
       [
@@ -1078,15 +1085,13 @@ let journal () =
         ("dropped", Int dropped);
         ("plain_seconds", Float t_plain);
         ("journal_seconds", Float t_j);
-        ("overhead_pct", Float overhead);
         ("funnel_ok", Bool funnel_ok);
         ("identical_results", Bool identical);
         ( "gate_ok",
           Bool (identical && funnel_ok && events > 0 && w.Obs.Journal.dropped = 0) );
       ];
   Printf.printf "decision journal on jr-large (%d two-input gates)\n" (gates2 base);
-  Printf.printf "  plain    %7.3fs   journaled %7.3fs   (overhead %+.1f%%)\n"
-    t_plain t_j overhead;
+  Printf.printf "  plain    %7.3fs   journaled %7.3fs\n" t_plain t_j;
   Printf.printf "  events %d, dropped %d\n" events dropped;
   if funnel_line <> "" then Printf.printf "  funnel: %s (holds: %b)\n" funnel_line funnel_ok;
   Printf.printf "  identical results: %b (plain vs journaled)\n%!" identical
@@ -1113,7 +1118,7 @@ let sections =
     s "table6" "random-pattern stuck-at testability" table6 ~exact:table6_keys;
     s "table7" "robust PDF random-pattern campaigns" table7 ~exact:table7_keys;
     s "cec" "SAT equivalence proofs of the resynthesised circuits" cec
-      ~gates:[ "equivalent" ];
+      ~gates:[ "equivalent" ] ~exact:[ "decisions"; "conflicts" ];
     s "ablations" "design-choice ablations" ablations;
     s "incremental" "incremental resynthesis vs the reference full walk" incremental
       ~gates:flags;
@@ -1121,7 +1126,7 @@ let sections =
       ~gates:flags;
     s "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg
       ~gates:[ "escalation_ok" ] ~exact:sat_atpg_keys;
-    s "journal" "decision journal: overhead and bit-identity" journal ~gates:flags;
+    s "journal" "decision journal: funnel and bit-identity" journal ~gates:flags;
   ]
 
 let write_snapshot file recorded =
@@ -1212,6 +1217,18 @@ let () =
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (* An output path that cannot be written fails before any section runs.
+     The probe creates a missing file and never truncates an existing one. *)
+  let could_not_write file msg =
+    Printf.eprintf "error: could not write %s: %s\n" file msg;
+    exit 1
+  in
+  List.iter
+    (fun file ->
+      try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file)
+      with Sys_error msg -> could_not_write file msg)
+    (Option.to_list !json_file
+    @ match !metrics with Some ("text" | "json") | None -> [] | Some path -> [ path ]);
   (* The JSON snapshot always embeds the observability registry, so collect
      whenever any sink wants it. *)
   if !metrics <> None || !trace || !json_file <> None then Obs.enable ();
@@ -1222,17 +1239,11 @@ let () =
   (match !json_file with
   | None -> ()
   | Some file -> (
-    try write_snapshot file recorded
-    with Sys_error msg ->
-      Printf.eprintf "error: could not write %s: %s\n" file msg;
-      exit 1));
+    try write_snapshot file recorded with Sys_error msg -> could_not_write file msg));
   if !trace then prerr_string (Obs.Export.trace_text ());
   match !metrics with
   | None -> ()
   | Some "text" -> print_string (Obs.Export.to_text ())
   | Some "json" -> print_endline (Obs.Export.to_json ())
   | Some path -> (
-    try Obs.Export.write_file path
-    with Sys_error msg ->
-      Printf.eprintf "error: could not write %s: %s\n" path msg;
-      exit 1)
+    try Obs.Export.write_file path with Sys_error msg -> could_not_write path msg)

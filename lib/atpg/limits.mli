@@ -7,7 +7,7 @@
     - [justify_backtracks] ([200]) — {!Justify.search} runs inside tight
       inner loops (don't-care extraction, PDF two-frame justification)
       where many calls are made and each answer is advisory.
-    - [podem_backtracks] ([1000]) — {!Podem.generate} decides a single
+    - [podem_backtracks] ([1000]) — {!Podem.run} decides a single
       fault; an abort is escalated (see {!Sat_atpg}) rather than retried.
     - [sat_conflicts] ([100_000]) — conflict budget per fault for the SAT
       escalation path, matching [Cec.default_budget].

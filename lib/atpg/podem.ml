@@ -12,16 +12,34 @@ let pp_outcome ppf = function
 
 exception Abort
 
+(* One circuit's search context, shared by every fault [run] decides on it.
+   X-path marks carry over from fault to fault: each frontier search takes
+   a fresh mark, so a mark left behind by an earlier search never reads as
+   visited. *)
+type t = {
+  cmp : Compiled.t;
+  limit : int;
+  visited : Bytes.t; (* X-path marks: [mark] for the current search *)
+  mutable mark : char; (* '\001'..'\255'; [visited] is cleared on wrap *)
+}
+
+let create ?(backtrack_limit = Limits.default.Limits.podem_backtracks) c =
+  let cmp = Compiled.of_circuit c in
+  {
+    cmp;
+    limit = backtrack_limit;
+    visited = Bytes.make (Compiled.size cmp) '\000';
+    mark = '\000';
+  }
+
 type state = {
+  ctx : t;
   cmp : Compiled.t;
   imp : Imply.t;
   stuck : Tv.v; (* forced faulty value at the site *)
   site_stem : int; (* node whose good value activates the fault *)
   cone_pos : int array; (* primary outputs in the fault cone *)
-  visited : Bytes.t; (* X-path marks: [mark] for this decision's search *)
-  mutable mark : char; (* '\001'..'\255'; [visited] is cleared on wrap *)
   mutable backtracks : int;
-  limit : int;
 }
 
 (* Outside the fault cone the faulty value is the good value, so D values,
@@ -57,9 +75,9 @@ let on_frontier st id =
 
 (* Is there a path of composite-X lines from [id] to a PO? *)
 let rec x_path st id =
-  Bytes.get st.visited id <> st.mark
+  Bytes.get st.ctx.visited id <> st.ctx.mark
   && begin
-    Bytes.set st.visited id st.mark;
+    Bytes.set st.ctx.visited id st.ctx.mark;
     composite_x st id
     && (Compiled.is_po st.cmp id || Array.exists (x_path st) (Compiled.fanouts st.cmp id))
   end
@@ -69,11 +87,12 @@ let rec x_path st id =
    visited table: a node an earlier, failed search visited has no X-path
    (DESIGN.md §18), so skipping it does not change the answer. *)
 let frontier_gate st =
-  if st.mark = '\255' then begin
-    Bytes.fill st.visited 0 (Bytes.length st.visited) '\000';
-    st.mark <- '\000'
+  let ctx = st.ctx in
+  if ctx.mark = '\255' then begin
+    Bytes.fill ctx.visited 0 (Bytes.length ctx.visited) '\000';
+    ctx.mark <- '\000'
   end;
-  st.mark <- Char.chr (Char.code st.mark + 1);
+  ctx.mark <- Char.chr (Char.code ctx.mark + 1);
   let cone = Imply.cone st.imp in
   let first = ref (-1) and path = ref false and i = ref 0 in
   while (not !path) && !i < Array.length cone do
@@ -195,7 +214,7 @@ let rec search st =
           | Exhausted ->
             st.backtracks <- st.backtracks + 1;
             Obs.Counter.incr backtracks_c;
-            if st.backtracks > st.limit then raise Abort;
+            if st.backtracks > st.ctx.limit then raise Abort;
             (match try_value (Tv.lnot pv) with
             | Found -> Found
             | Exhausted ->
@@ -204,28 +223,25 @@ let rec search st =
     end
   end
 
-let generate ?(backtrack_limit = Limits.default.Limits.podem_backtracks) c
-    (f : Fault.t) =
+let run (ctx : t) (f : Fault.t) =
   Obs.Span.with_ "podem.generate" (fun () ->
-      let cmp = Compiled.of_circuit c in
+      let cmp = ctx.cmp in
       let imp = Imply.create ~fault:f cmp in
       let site_stem =
         match f.Fault.site with
         | Fault.Stem u -> u
-        | Fault.Branch (g, pin) -> (Circuit.fanins c g).(pin)
+        | Fault.Branch (g, pin) -> (Compiled.fanins cmp g).(pin)
       in
       let st =
         {
+          ctx;
           cmp;
           imp;
           stuck = Tv.of_bool f.Fault.stuck;
           site_stem;
           cone_pos =
             Array.of_list (List.filter (Compiled.is_po cmp) (Array.to_list (Imply.cone imp)));
-          visited = Bytes.make (Compiled.size cmp) '\000';
-          mark = '\000';
           backtracks = 0;
-          limit = backtrack_limit;
         }
       in
       match search st with
@@ -253,11 +269,14 @@ type stats = {
   aborted_faults : Fault.t list;
 }
 
+let generate ?backtrack_limit c f = run (create ?backtrack_limit c) f
+
 let generate_all ?backtrack_limit c faults =
   Obs.Span.with_ "podem.generate_all" (fun () ->
+      let ctx = create ?backtrack_limit c in
       List.fold_left
         (fun acc f ->
-          match generate ?backtrack_limit c f with
+          match run ctx f with
           | Test v -> { acc with tested = acc.tested + 1; tests = (f, v) :: acc.tests }
           | Untestable -> { acc with untestable = acc.untestable + 1 }
           | Aborted ->

@@ -9,7 +9,12 @@
     values, and so every verdict and vector, are those of a full dual
     three-valued forward simulation (DESIGN.md §18). A backtrack limit
     bounds the search; exceeding it yields [Aborted], exhausting it yields a
-    proof of untestability. *)
+    proof of untestability.
+
+    {!create} and {!run} mirror {!Sat_atpg.create} and {!Sat_atpg.run}: a
+    fault list on an unchanged circuit ({!generate_all},
+    [Redundancy.find_untestable]) compiles the circuit once, and
+    {!generate} compiles it for each call. *)
 
 type outcome =
   | Test of bool array
@@ -19,11 +24,27 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val generate : ?backtrack_limit:int -> Circuit.t -> Fault.t -> outcome
-(** Default backtrack limit: {!Limits.default}.[podem_backtracks].
+type t
+(** A per-circuit search context: the circuit compiled once ({!Compiled.t}),
+    the backtrack limit and the X-path marks every search reuses.
+    Single-owner mutable state; invalidated if the circuit is mutated after
+    {!create}. *)
+
+val create : ?backtrack_limit:int -> Circuit.t -> t
+(** Compile the (unmodified) circuit for a run of faults. Default backtrack
+    limit: {!Limits.default}.[podem_backtracks]. *)
+
+val run : t -> Fault.t -> outcome
+(** Decide one fault. The outcome, the vector and the decisions and
+    backtracks made do not depend on which faults [run] decided before on
+    the same [t].
 
     Observability (when enabled): counters [podem.decisions],
     [podem.backtracks], [podem.aborted]; span [podem.generate]. *)
+
+val generate : ?backtrack_limit:int -> Circuit.t -> Fault.t -> outcome
+(** [run (create ?backtrack_limit c) f]: the one-shot call, for callers
+    that mutate the circuit between faults. *)
 
 type stats = {
   tested : int;
@@ -36,3 +57,4 @@ type stats = {
 }
 
 val generate_all : ?backtrack_limit:int -> Circuit.t -> Fault.t list -> stats
+(** {!run} every fault on one {!t}. *)

@@ -23,13 +23,12 @@ let find_untestable ?(limits = Limits.default) ?(sat = true)
       { Campaign.default with max_patterns = prefilter_patterns; seed }
       c
   in
+  let podem = Podem.create ~backtrack_limit:limits.Limits.podem_backtracks c in
   let untestable = ref [] in
   let aborted = ref [] in
   List.iter
     (fun f ->
-      match
-        Podem.generate ~backtrack_limit:limits.Limits.podem_backtracks c f
-      with
+      match Podem.run podem f with
       | Podem.Test _ -> ()
       | Podem.Untestable -> untestable := f :: !untestable
       | Podem.Aborted -> aborted := f :: !aborted)

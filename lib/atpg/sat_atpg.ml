@@ -1,9 +1,10 @@
 (* SAT-based test generation and redundancy proofs for single stuck-at
-   faults. Every fault gets its own solver, holding only the fault's cone of
-   influence: the good copy of the fanin cones of the outputs its fanout
-   cone reaches, the faulty copy of the fanout cone inside them, one miter
-   clause and Larrabee's D-chain clauses. The formula depends on nothing
-   but the circuit and the fault, so every caller decides the same one. *)
+   faults. Every fault is decided on a cleared solver holding only the
+   fault's cone of influence: the good copy of the fanin cones of the
+   outputs its fanout cone reaches, the faulty copy of the fanout cone
+   inside them, one miter clause and Larrabee's D-chain clauses. The
+   formula depends on nothing but the circuit and the fault, so every
+   caller decides the same one. *)
 
 type outcome =
   | Test of bool array
@@ -28,6 +29,14 @@ type t = {
   fsim : Fsim.t;
   order : int array;  (* topological order of the live nodes *)
   budget : int;
+  env : Cnf.env;  (* cleared for each fault *)
+  (* Per-node scratch, refilled for each fault: the fanout-cone and
+     cone-of-influence masks, and the good, faulty and D-chain literals. *)
+  fo : bool array;
+  coi : bool array;
+  good : int array;
+  faulty : int array;
+  d : int array;
 }
 
 let create ?(limits = Limits.default) c =
@@ -36,12 +45,18 @@ let create ?(limits = Limits.default) c =
     fsim = Fsim.create (Compiled.of_circuit c);
     order = Circuit.topo_order c;
     budget = limits.Limits.sat_conflicts;
+    env = Cnf.create (Sat.create ());
+    fo = Array.make (Circuit.size c) false;
+    coi = Array.make (Circuit.size c) false;
+    good = Array.make (Circuit.size c) Cnf.no_lit;
+    faulty = Array.make (Circuit.size c) Cnf.no_lit;
+    d = Array.make (Circuit.size c) Cnf.no_lit;
   }
 
 (* Fanout cone of [root] (root included), as a node-id mask: the only nodes
    whose value a fault at/below [root] can change. *)
-let fanout_cone c root =
-  let mask = Array.make (Circuit.size c) false in
+let fanout_cone mask c root =
+  Array.fill mask 0 (Array.length mask) false;
   let rec visit id =
     if not mask.(id) then begin
       mask.(id) <- true;
@@ -53,8 +68,8 @@ let fanout_cone c root =
 
 (* Transitive fanin of [outputs], as a node-id mask: the cone of influence
    when [outputs] are the outputs the fault can reach. *)
-let fanin_cones c outputs =
-  let mask = Array.make (Circuit.size c) false in
+let fanin_cones mask c outputs =
+  Array.fill mask 0 (Array.length mask) false;
   let rec visit id =
     if not mask.(id) then begin
       mask.(id) <- true;
@@ -70,14 +85,19 @@ let fanin_cones c outputs =
    D-chain: [d_v] claims that [v] carries the fault effect (good ≠ faulty)
    on to a primary output, so for a non-output [v] some in-cone fanout does
    too, and the unit [d_root] demands the effect at the fault site.
-   Returns the solver variable of each input position, [-1] outside the
-   cone. *)
-let encode t (f : Fault.t) ~root ~fo ~coi ~reached sat =
+   Encodes into [t]'s environment, cleared first. Returns the solver
+   variable of each input position, [-1] outside the cone. *)
+let encode t (f : Fault.t) ~root ~fo ~coi ~reached =
   let c = t.circuit in
-  let env = Cnf.create sat in
+  let env = t.env in
+  Cnf.clear env;
+  let sat = Cnf.solver env in
   let stuck = if f.Fault.stuck then Cnf.ltrue env else Cnf.lfalse env in
   let n = Circuit.size c in
-  let good = Array.make n Cnf.no_lit and faulty = Array.make n Cnf.no_lit in
+  let good = t.good and faulty = t.faulty and d = t.d in
+  Array.fill good 0 n Cnf.no_lit;
+  Array.fill faulty 0 n Cnf.no_lit;
+  Array.fill d 0 n Cnf.no_lit;
   let pi_vars =
     Array.map
       (fun id ->
@@ -112,8 +132,7 @@ let encode t (f : Fault.t) ~root ~fo ~coi ~reached sat =
     t.order;
   Sat.add_clause sat
     (Array.of_list
-       (List.map (fun o -> Cnf.xor_lits env [ good.(o); faulty.(o) ]) reached));
-  let d = Array.make n Cnf.no_lit in
+       (List.map (fun o -> Cnf.xor_lits env [| good.(o); faulty.(o) |]) reached));
   List.iter (fun v -> d.(v) <- Sat.lit (Sat.new_var sat)) !cone;
   List.iter
     (fun v ->
@@ -146,7 +165,7 @@ let run t (f : Fault.t) =
       let root =
         match f.Fault.site with Fault.Stem u -> u | Fault.Branch (g, _) -> g
       in
-      let fo = fanout_cone c root in
+      let fo = fanout_cone t.fo c root in
       let reached = List.filter (fun o -> fo.(o)) (Array.to_list (Circuit.outputs c)) in
       let journal outcome =
         if Obs.Journal.enabled () then
@@ -162,9 +181,9 @@ let run t (f : Fault.t) =
       match reached with
       | [] -> redundant ()
       | _ -> (
-        let sat = Sat.create () in
-        let coi = fanin_cones c reached in
-        let pi_vars = encode t f ~root ~fo ~coi ~reached sat in
+        let coi = fanin_cones t.coi c reached in
+        let pi_vars = encode t f ~root ~fo ~coi ~reached in
+        let sat = Cnf.solver t.env in
         let options =
           { Sat.Options.default with Sat.Options.budget = Some t.budget }
         in

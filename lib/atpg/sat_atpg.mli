@@ -3,9 +3,10 @@
 
     The escalation tier above {!Podem}: where PODEM's bounded search answers
     [Aborted], this module gives an exact verdict by deciding the fault
-    miter with the {!Sat} solver. Every fault gets a fresh solver holding
-    only its {e cone of influence} — the fanin cones of the primary outputs
-    the fault site's fanout cone reaches:
+    miter with the {!Sat} solver. Every fault is decided on a cleared
+    solver ({!Cnf.clear}) holding only its {e cone of influence} — the
+    fanin cones of the primary outputs the fault site's fanout cone
+    reaches:
 
     - the good copy of every node in that cone;
     - a faulty copy of the fanout cone inside it, whose fanins outside the
@@ -21,8 +22,10 @@
     The formula is a function of the circuit and the fault alone, so
     {!escalate}, [Redundancy.find_untestable] and the re-proofs inside
     [Redundancy.remove] decide the same formula for the same fault and
-    reach the same verdict. A fault whose fanout cone reaches no output is
-    [Redundant] without a solver.
+    reach the same verdict. A cleared solver searches exactly like a fresh
+    one (DESIGN.md §14), so neither the verdict nor the search depends on
+    the faults decided before on the same {!t}. A fault whose fanout cone
+    reaches no output is [Redundant] without a solver.
 
     Soundness is asymmetric, mirroring [Cec]: a [Sat] model is decoded into
     an input vector (inputs outside the cone set to 0) and replayed through
@@ -48,15 +51,19 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 type t
 (** A per-circuit escalation context: the circuit's topological order, the
-    conflict budget and a fault simulator for replay. Single-owner mutable
-    state; invalidated if the circuit is mutated after {!create}. *)
+    conflict budget, a fault simulator for replay, one encoding environment
+    with its solver, cleared for each fault, and per-node scratch arrays,
+    so a fault list allocates the solver's and the encoder's arrays
+    once. Single-owner mutable state;
+    invalidated if the circuit is mutated after {!create}. *)
 
 val create : ?limits:Limits.t -> Circuit.t -> t
 (** Prepare escalation on the (unmodified) circuit. [limits.sat_conflicts]
     becomes the per-fault conflict budget. *)
 
 val run : t -> Fault.t -> outcome
-(** Decide one fault on a solver built for it and dropped afterwards. *)
+(** Decide one fault on [t]'s cleared solver: the same outcome, vector,
+    conflicts and propagations as on a fresh [t]. *)
 
 type escalation = {
   escalated : int;  (** faults submitted *)

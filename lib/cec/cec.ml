@@ -171,7 +171,7 @@ let check_pair ~budget a b pi_map orders (i, j) =
   if la = lb then { pr_verdict = Equivalent; pr_stats = stats () }
   else begin
     (* Assert the miter output: the two roots differ. *)
-    let diff = Cnf.xor_lits env [ la; lb ] in
+    let diff = Cnf.xor_lits env [| la; lb |] in
     Sat.add_clause sat [| diff |];
     let verdict =
       let options = { Sat.Options.default with Sat.Options.budget = Some budget } in

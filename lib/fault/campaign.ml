@@ -101,22 +101,21 @@ let run_internal cfg c =
   let serial () =
     let sim = Fsim.create cmp in
     while !alive_count > 0 && !applied < max_patterns do
-      Obs.Span.with_ "fsim.batch" (fun () ->
-          let batch = min 64 (max_patterns - !applied) in
-          let words = Array.init n_pi (fun _ -> Rng.next64 rng) in
-          Fsim.load_patterns sim words;
-          let batch_mask =
-            if batch = 64 then -1L else Int64.sub (Int64.shift_left 1L batch) 1L
-          in
-          let fresh, best =
-            scan_range ~sim ~fault_list ~alive ~batch_mask ~base:!applied 0 n_faults
-          in
-          alive_count := !alive_count - fresh;
-          if best > !last_effective then last_effective := best;
-          applied := !applied + batch;
-          Obs.Counter.add patterns_c batch;
-          Obs.Counter.incr batches_c;
-          Obs.Histogram.observe batch_drops_h fresh)
+      let batch = min 64 (max_patterns - !applied) in
+      let words = Array.init n_pi (fun _ -> Rng.next64 rng) in
+      Fsim.load_patterns sim words;
+      let batch_mask =
+        if batch = 64 then -1L else Int64.sub (Int64.shift_left 1L batch) 1L
+      in
+      let fresh, best =
+        scan_range ~sim ~fault_list ~alive ~batch_mask ~base:!applied 0 n_faults
+      in
+      alive_count := !alive_count - fresh;
+      if best > !last_effective then last_effective := best;
+      applied := !applied + batch;
+      Obs.Counter.add patterns_c batch;
+      Obs.Counter.incr batches_c;
+      Obs.Histogram.observe batch_drops_h fresh
     done
   in
   (* Parallel campaign: the fault list is sharded across the pool; every
@@ -133,48 +132,47 @@ let run_internal cfg c =
     let best_per_slot = Array.make nslots 0 in
     let batch_no = ref 0 in
     while !alive_count > 0 && !applied < max_patterns do
-      Obs.Span.with_ "fsim.batch" (fun () ->
-          let batch = min 64 (max_patterns - !applied) in
-          let words = Array.init n_pi (fun _ -> Rng.next64 rng) in
-          let batch_mask =
-            if batch = 64 then -1L else Int64.sub (Int64.shift_left 1L batch) 1L
+      let batch = min 64 (max_patterns - !applied) in
+      let words = Array.init n_pi (fun _ -> Rng.next64 rng) in
+      let batch_mask =
+        if batch = 64 then -1L else Int64.sub (Int64.shift_left 1L batch) 1L
+      in
+      let base = !applied in
+      let bno = !batch_no in
+      Array.fill fresh_per_slot 0 nslots 0;
+      (* Below ~256 faults a batch is microseconds of simulation: the
+         job hand-off plus the per-slot pattern reload cost more than
+         they recover, which is where the sub-1.0x pooled numbers on
+         small circuits came from. The cutoff decision shows up in the
+         pool.serial_cutoff / pool.parallel_jobs counters. *)
+      Pool.for_chunks pool ~serial_below:256 ~n:n_faults (fun ~slot ~lo ~hi ->
+          let sim =
+            match sims.(slot) with
+            | Some sim -> sim
+            | None ->
+              let sim = Fsim.create cmp in
+              sims.(slot) <- Some sim;
+              sim
           in
-          let base = !applied in
-          let bno = !batch_no in
-          Array.fill fresh_per_slot 0 nslots 0;
-          (* Below ~256 faults a batch is microseconds of simulation: the
-             job hand-off plus the per-slot pattern reload cost more than
-             they recover, which is where the sub-1.0x pooled numbers on
-             small circuits came from. The cutoff decision shows up in the
-             pool.serial_cutoff / pool.parallel_jobs counters. *)
-          Pool.for_chunks pool ~serial_below:256 ~n:n_faults (fun ~slot ~lo ~hi ->
-              let sim =
-                match sims.(slot) with
-                | Some sim -> sim
-                | None ->
-                  let sim = Fsim.create cmp in
-                  sims.(slot) <- Some sim;
-                  sim
-              in
-              if loaded.(slot) <> bno then begin
-                Fsim.load_patterns sim words;
-                loaded.(slot) <- bno
-              end;
-              let fresh, best =
-                scan_range ~sim ~fault_list ~alive ~batch_mask ~base lo hi
-              in
-              fresh_per_slot.(slot) <- fresh_per_slot.(slot) + fresh;
-              if best > best_per_slot.(slot) then best_per_slot.(slot) <- best);
-          let fresh_total = Array.fold_left ( + ) 0 fresh_per_slot in
-          alive_count := !alive_count - fresh_total;
-          Array.iter
-            (fun b -> if b > !last_effective then last_effective := b)
-            best_per_slot;
-          applied := !applied + batch;
-          incr batch_no;
-          Obs.Counter.add patterns_c batch;
-          Obs.Counter.incr batches_c;
-          Obs.Histogram.observe batch_drops_h fresh_total)
+          if loaded.(slot) <> bno then begin
+            Fsim.load_patterns sim words;
+            loaded.(slot) <- bno
+          end;
+          let fresh, best =
+            scan_range ~sim ~fault_list ~alive ~batch_mask ~base lo hi
+          in
+          fresh_per_slot.(slot) <- fresh_per_slot.(slot) + fresh;
+          if best > best_per_slot.(slot) then best_per_slot.(slot) <- best);
+      let fresh_total = Array.fold_left ( + ) 0 fresh_per_slot in
+      alive_count := !alive_count - fresh_total;
+      Array.iter
+        (fun b -> if b > !last_effective then last_effective := b)
+        best_per_slot;
+      applied := !applied + batch;
+      incr batch_no;
+      Obs.Counter.add patterns_c batch;
+      Obs.Counter.incr batches_c;
+      Obs.Histogram.observe batch_drops_h fresh_total
     done
   in
   Obs.Span.with_ "fsim.campaign" (fun () ->

@@ -46,7 +46,8 @@ val exec : config -> Circuit.t -> result
 
     Observability (when enabled): counters [fsim.patterns],
     [fsim.batches], [fsim.faults_dropped], [fsim.fault_scans]; histogram
-    [fsim.batch_drops]; spans [fsim.campaign] > [fsim.batch]. *)
+    [fsim.batch_drops]; span [fsim.campaign] (one per campaign; batches
+    are counted, not timed). *)
 
 val survivors : config -> Circuit.t -> Fault.t list
 (** The faults left undetected by the same campaign as {!exec}. *)

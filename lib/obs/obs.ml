@@ -185,6 +185,11 @@ module Journal = struct
      timestamp) and the buffer registry, both guarded by [mu]. *)
   let meta : (string * string * float) option ref = ref None
   let bufs : buf list ref = ref [] (* reversed registration order *)
+
+  (* Every counter's value when the journal opened (guarded by [mu]); the
+     footer reports each counter's change since then. [Obs.reset] zeroes
+     the counters and empties this with them. *)
+  let base : (counter * int) list ref = ref []
   let generation = Atomic.make 0
 
   let buf_key : buf option ref Domain.DLS.key =
@@ -249,7 +254,8 @@ module Journal = struct
     (match capacity with Some n -> set_capacity n | None -> ());
     locked (fun () ->
         meta := Some (path, cmd, now ());
-        bufs := []);
+        bufs := [];
+        base := List.map (fun c -> (c, Atomic.get c.c_v)) !counters_order);
     Atomic.incr generation;
     Atomic.set seq 0;
     set_bit journal_bit
@@ -266,11 +272,12 @@ module Journal = struct
 
   let finish () =
     clear_bit journal_bit;
-    let opened, bs =
+    let opened, bs, base0 =
       locked (fun () ->
-          let r = (!meta, !bufs) in
+          let r = (!meta, !bufs, !base) in
           meta := None;
           bufs := [];
+          base := [];
           r)
     in
     Atomic.incr generation;
@@ -315,7 +322,9 @@ module Journal = struct
                  ( "counters",
                    Obs_json.Obj
                      (List.rev_map
-                        (fun c -> (c.c_name, Obs_json.Int (Atomic.get c.c_v)))
+                        (fun c ->
+                          let v0 = Option.value ~default:0 (List.assq_opt c base0) in
+                          (c.c_name, Obs_json.Int (Atomic.get c.c_v - v0)))
                         !counters_order) );
                ]));
       summary
@@ -544,6 +553,7 @@ end
 let reset () =
   locked (fun () ->
       List.iter (fun c -> Atomic.set c.c_v 0) !counters_order;
+      Journal.base := [];
       List.iter
         (fun h ->
           Atomic.set h.h_count 0;

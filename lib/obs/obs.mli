@@ -35,7 +35,7 @@
     {b Probe naming convention} (see DESIGN.md §9): lowercase
     [subsystem.metric] with dots as separators, e.g. [fsim.patterns],
     [engine.cut_size], [pool.domain3.busy_us]. Spans use the same style
-    ([fsim.batch], [engine.pass], [bench.table6]). Counter names ending in
+    ([fsim.campaign], [engine.pass], [bench.table6]). Counter names ending in
     [_us] hold microseconds. *)
 
 val enabled : unit -> bool
@@ -121,8 +121,9 @@ module Journal : sig
       domain id) and the event's own fields — a [span] event's [ts] is the
       very reading that ends its [dur_s], so [ts - dur_s] is the span's
       start; then a [journal_end] footer
-      with event/drop totals, wall seconds and a snapshot of every
-      registered counter. *)
+      with event/drop totals, wall seconds and every registered counter's
+      change since {!start}, so a journal opened mid-process counts only
+      its own window. *)
 
   val enabled : unit -> bool
   (** Whether the journal bit is on ({!start} called, {!finish} not yet).
@@ -132,8 +133,9 @@ module Journal : sig
   val start : ?capacity:int -> cmd:string -> string -> unit
   (** [start ~cmd path] opens a journal destined for [path], tagging the
       header with the producing command [cmd] (e.g. ["optimize"]). Drops
-      any events buffered since the previous journal and resets the global
-      sequence counter. [capacity] overrides the per-domain buffer capacity
+      any events buffered since the previous journal, resets the global
+      sequence counter and snapshots every counter, so the footer can
+      report changes since this call. [capacity] overrides the per-domain buffer capacity
       (default 131072, clamped to [>= 16]) for buffers created afterwards.
       Nothing is written until {!finish}. *)
 
@@ -159,7 +161,9 @@ module Journal : sig
   val finish : unit -> summary
   (** Close the journal: switch the bit off, merge all buffers in sequence
       order, write the JSONL file (header, events, footer) and return what
-      was written. Returns zeros without touching the filesystem if no
+      was written. The footer's counters are changes since {!start} (since
+      the last {!Obs.reset}, if one came later); counters registered after
+      [start] count from 0. Returns zeros without touching the filesystem if no
       journal was open. Call after parallel work has quiesced: buffers are
       read without synchronisation. *)
 

@@ -7,12 +7,16 @@
     or clauses. [Or] is canonicalised to [And] by De Morgan.
 
     Structural hashing keys every [And]/[Xor] node on its (sorted, constant-
-    folded, deduplicated) fanin literals: encoding two circuits into the same
-    environment collapses their shared logic to shared variables. This is
-    what makes per-replacement miters in the resynthesis engine cheap, and
-    what lets {!Sat_atpg} encode a faulty cone against the good circuit —
-    logic the fault cannot change maps to the {e same} literals in both
-    copies. *)
+    folded, deduplicated) fanin literals, hashed and compared as ints:
+    encoding two circuits into the same environment collapses their shared
+    logic to shared variables. This is what makes per-replacement miters in
+    the resynthesis engine cheap, and what lets {!Sat_atpg} encode a faulty
+    cone against the good circuit — logic the fault cannot change maps to
+    the {e same} literals in both copies.
+
+    Fanins are normalised on an [int array] scratch buffer owned by the
+    environment, so encoding a gate allocates only its hash key and the
+    clauses the solver stores. *)
 
 type env
 (** An encoding environment: a solver plus the structural-hash table and the
@@ -21,6 +25,12 @@ type env
 val create : Sat.t -> env
 (** Fresh environment over [sat]; allocates the constant-true variable and
     asserts it with a unit clause. *)
+
+val clear : env -> unit
+(** {!Sat.clear} the solver, empty the structural-hash table and assert the
+    constant-true variable again: the environment is then in the state
+    [create] leaves on a fresh solver, and the same encoding calls give the
+    same variables, clauses and literals. *)
 
 val solver : env -> Sat.t
 (** The solver this environment encodes into. *)
@@ -35,16 +45,20 @@ val no_lit : int
 (** Sentinel ([min_int]) for "no literal encoded": callers that keep a
     per-node literal map fill the nodes they did not encode with it. *)
 
-val and_lits : env -> int list -> int
-(** Conjunction of literals: folds constants, deduplicates, recognises
-    complementary pairs, then hashes. The empty conjunction is {!ltrue}. *)
+val and_lits : env -> int array -> int
+(** Conjunction of literals: folds constants, sorts, deduplicates,
+    recognises complementary pairs, then hashes. A new node's variable gets
+    the clauses [out → l] for each fanin [l] in ascending order, then
+    [l_1 ∧ … ∧ l_k → out]. The empty conjunction is {!ltrue}. The array is
+    not modified. *)
 
-val or_lits : env -> int list -> int
+val or_lits : env -> int array -> int
 (** Disjunction, via De Morgan on {!and_lits}; the empty disjunction is
     {!lfalse}. *)
 
-val xor_lits : env -> int list -> int
-(** Parity of the literals (the netlist semantics of k-ary [Xor]). *)
+val xor_lits : env -> int array -> int
+(** Parity of the literals (the netlist semantics of k-ary [Xor]), folded
+    left to right over two-input XOR nodes. *)
 
 val encode_kind : env -> Gate.kind -> int array -> int
 (** The literal of one gate of kind [kind] over the fanin literals [args]

@@ -24,8 +24,6 @@ module Options = struct
   let default = { budget = None; restart_base = 100; seed = 0L }
 end
 
-type clause = int array
-
 type t = {
   (* per-variable state, indexed by var *)
   mutable assign : int array;  (* -1 unassigned, 0 false, 1 true *)
@@ -36,8 +34,13 @@ type t = {
   mutable seen : bool array;  (* conflict-analysis scratch *)
   mutable heap_pos : int array;  (* var -> heap index, -1 if absent *)
   mutable nvars : int;
-  (* clause database; learned clauses live after [nproblem] *)
-  mutable clauses : clause array;
+  (* clause database: the literals of clause [ci] are
+     [arena.(start.(ci))] to [arena.(start.(ci) + len.(ci) - 1)], the
+     first two watched; problem and learned clauses interleave *)
+  mutable arena : int array;
+  mutable arena_size : int;
+  mutable start : int array;
+  mutable len : int array;
   mutable nclauses : int;
   mutable nproblem : int;
   (* watch lists, indexed by literal *)
@@ -56,6 +59,7 @@ type t = {
   mutable ok : bool;  (* false once a top-level contradiction is known *)
   mutable model : int array;  (* assignment saved by the last Sat outcome *)
   mutable seeded_upto : int;  (* vars whose initial phase was randomised *)
+  mutable scratch : int array;  (* [add_clause]'s normalisation buffer *)
   mutable n_decisions : int;
   mutable n_conflicts : int;
   mutable n_propagations : int;
@@ -71,7 +75,10 @@ let create () =
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
     nvars = 0;
-    clauses = Array.make 64 [||];
+    arena = Array.make 256 0;
+    arena_size = 0;
+    start = Array.make 64 0;
+    len = Array.make 64 0;
     nclauses = 0;
     nproblem = 0;
     watches = Array.make 32 [||];
@@ -87,10 +94,31 @@ let create () =
     ok = true;
     model = [||];
     seeded_upto = 0;
+    scratch = Array.make 16 0;
     n_decisions = 0;
     n_conflicts = 0;
     n_propagations = 0;
   }
+
+(* Every other field is rewritten before it is read — a variable's state
+   and watch lengths by [new_var], its level by [enqueue], the model by a
+   [Sat] outcome — or read only below a size reset here (clause arena,
+   heap, trail, level limits), so the arrays can stay. *)
+let clear t =
+  t.nvars <- 0;
+  t.arena_size <- 0;
+  t.nclauses <- 0;
+  t.nproblem <- 0;
+  t.heap_size <- 0;
+  t.trail_size <- 0;
+  t.levels <- 0;
+  t.qhead <- 0;
+  t.var_inc <- 1.0;
+  t.ok <- true;
+  t.seeded_upto <- 0;
+  t.n_decisions <- 0;
+  t.n_conflicts <- 0;
+  t.n_propagations <- 0
 
 let num_vars t = t.nvars
 let num_clauses t = t.nproblem
@@ -165,7 +193,8 @@ let rec percolate_down t i =
 
 let heap_insert t v =
   if t.heap_pos.(v) < 0 then begin
-    t.heap <- grow_int t.heap (t.heap_size + 1) 0;
+    if Array.length t.heap <= t.heap_size then
+      t.heap <- grow_int t.heap (t.heap_size + 1) 0;
     t.heap.(t.heap_size) <- v;
     t.heap_pos.(v) <- t.heap_size;
     t.heap_size <- t.heap_size + 1;
@@ -204,23 +233,28 @@ let decay t = t.var_inc <- t.var_inc /. 0.95
 let new_var t =
   let v = t.nvars in
   let n = v + 1 in
-  t.assign <- grow_int t.assign n (-1);
-  t.level <- grow_int t.level n 0;
-  t.reason <- grow_int t.reason n (-1);
-  t.activity <- grow_float t.activity n;
-  t.polarity <- grow_bool t.polarity n;
-  t.seen <- grow_bool t.seen n;
-  t.heap_pos <- grow_int t.heap_pos n (-1);
-  t.watches <- grow_arr t.watches (2 * n);
-  t.watch_len <- grow_int t.watch_len (2 * n) 0;
+  (* The per-variable arrays always share one length, and the per-literal
+     ones twice that; growth is checked before assigning because storing
+     into a field of a long-lived record costs a write barrier. *)
+  if Array.length t.assign < n then begin
+    t.assign <- grow_int t.assign n (-1);
+    t.level <- grow_int t.level n 0;
+    t.reason <- grow_int t.reason n (-1);
+    t.activity <- grow_float t.activity n;
+    t.polarity <- grow_bool t.polarity n;
+    t.seen <- grow_bool t.seen n;
+    t.heap_pos <- grow_int t.heap_pos n (-1);
+    t.watches <- grow_arr t.watches (2 * n);
+    t.watch_len <- grow_int t.watch_len (2 * n) 0
+  end;
   t.assign.(v) <- -1;
   t.reason.(v) <- -1;
   t.heap_pos.(v) <- -1;
   t.activity.(v) <- 0.0;
   t.polarity.(v) <- false;
   t.seen.(v) <- false;
-  t.watches.(2 * v) <- [||];
-  t.watches.((2 * v) + 1) <- [||];
+  (* A cleared solver keeps the literals' watch arrays; only the lengths
+     say what they hold. *)
   t.watch_len.(2 * v) <- 0;
   t.watch_len.((2 * v) + 1) <- 0;
   t.nvars <- n;
@@ -239,10 +273,21 @@ let watch t l ci =
   t.watches.(l).(len) <- ci;
   t.watch_len.(l) <- len + 1
 
-let store_clause t c =
+(* Copy the first [k] literals of [c] (k >= 2) into the arena as a new
+   clause and watch its first two. The arrays grow only past their largest
+   size so far, which a cleared solver keeps. *)
+let store_clause t c k =
   let ci = t.nclauses in
-  t.clauses <- grow_arr t.clauses (ci + 1);
-  t.clauses.(ci) <- c;
+  let s = t.arena_size in
+  if Array.length t.start <= ci then begin
+    t.start <- grow_int t.start (ci + 1) 0;
+    t.len <- grow_int t.len (ci + 1) 0
+  end;
+  if Array.length t.arena < s + k then t.arena <- grow_int t.arena (s + k) 0;
+  Array.blit c 0 t.arena s k;
+  t.start.(ci) <- s;
+  t.len.(ci) <- k;
+  t.arena_size <- s + k;
   t.nclauses <- ci + 1;
   watch t c.(0) ci;
   watch t c.(1) ci;
@@ -253,37 +298,55 @@ let enqueue t l reason =
   t.assign.(v) <- 1 lxor (l land 1);
   t.level.(v) <- t.levels;
   t.reason.(v) <- reason;
-  t.trail <- grow_int t.trail (t.trail_size + 1) 0;
+  if Array.length t.trail <= t.trail_size then
+    t.trail <- grow_int t.trail (t.trail_size + 1) 0;
   t.trail.(t.trail_size) <- l;
   t.trail_size <- t.trail_size + 1
 
 (* Clauses may be added at any point between solves: every solve leaves the
    trail at decision level 0, so simplification below always runs under the
-   top-level assignment only. *)
+   top-level assignment only. The literals are sorted by insertion in
+   [scratch] (clauses are short); a literal and its negation differ only in
+   bit 0, so after sorting a complementary pair is an adjacent one. *)
 let add_clause t lits =
   if t.levels <> 0 then invalid_arg "Sat.add_clause: mid-solve";
   if t.ok then begin
-    (* Simplify under the top-level assignment: drop false literals and
-       duplicates, discard satisfied clauses and tautologies. *)
-    let lits = Array.to_list lits in
-    let lits = List.sort_uniq compare lits in
-    let taut =
-      List.exists (fun l -> List.memq (neg l) lits) lits
-      || List.exists (fun l -> lit_value t l = 1) lits
-    in
-    if not taut then begin
-      let lits = List.filter (fun l -> lit_value t l <> 0) lits in
-      match lits with
-      | [] -> t.ok <- false
-      | [ l ] -> enqueue t l (-1) (* top-level unit *)
-      | _ ->
-        let c = Array.of_list lits in
-        let ci = store_clause t c in
+    let n = Array.length lits in
+    if Array.length t.scratch < n then t.scratch <- grow_int t.scratch n 0;
+    let b = t.scratch in
+    for i = 0 to n - 1 do
+      let l = lits.(i) in
+      let j = ref i in
+      while !j > 0 && b.(!j - 1) > l do
+        b.(!j) <- b.(!j - 1);
+        decr j
+      done;
+      b.(!j) <- l
+    done;
+    (* Keep the distinct literals not false at the top level, compacted in
+       place; stop at a tautology or a literal already true. *)
+    let kept = ref 0 and prev = ref (-1) and taut = ref false and i = ref 0 in
+    while (not !taut) && !i < n do
+      let l = b.(!i) in
+      incr i;
+      if l <> !prev then begin
+        if l = neg !prev || lit_value t l = 1 then taut := true
+        else if lit_value t l <> 0 then begin
+          b.(!kept) <- l;
+          incr kept
+        end;
+        prev := l
+      end
+    done;
+    if not !taut then
+      match !kept with
+      | 0 -> t.ok <- false
+      | 1 -> enqueue t b.(0) (-1) (* top-level unit *)
+      | k ->
+        ignore (store_clause t b k);
         (* Problem clauses are interleaved with learned ones in incremental
            use; [nproblem] counts them rather than delimiting a prefix. *)
-        ignore ci;
         t.nproblem <- t.nproblem + 1
-    end
   end
 
 (* --- propagation ---------------------------------------------------------- *)
@@ -304,32 +367,32 @@ let propagate t =
     while !i < len do
       let ci = ws.(!i) in
       incr i;
-      let c = t.clauses.(ci) in
+      let c = t.arena and s = t.start.(ci) in
       (* Make sure the false literal sits in slot 1. *)
-      if c.(0) = false_lit then begin
-        c.(0) <- c.(1);
-        c.(1) <- false_lit
+      if c.(s) = false_lit then begin
+        c.(s) <- c.(s + 1);
+        c.(s + 1) <- false_lit
       end;
-      if lit_value t c.(0) = 1 then begin
+      if lit_value t c.(s) = 1 then begin
         (* Clause already satisfied: keep the watch. *)
         ws.(!j) <- ci;
         incr j
       end
       else begin
         (* Look for a non-false replacement watch. *)
-        let n = Array.length c in
-        let k = ref 2 in
+        let n = s + t.len.(ci) in
+        let k = ref (s + 2) in
         while !k < n && lit_value t c.(!k) = 0 do incr k done;
         if !k < n then begin
-          c.(1) <- c.(!k);
+          c.(s + 1) <- c.(!k);
           c.(!k) <- false_lit;
-          watch t c.(1) ci (* watch moved: drop from this list *)
+          watch t c.(s + 1) ci (* watch moved: drop from this list *)
         end
         else begin
           (* Unit or conflicting. *)
           ws.(!j) <- ci;
           incr j;
-          if lit_value t c.(0) = 0 then begin
+          if lit_value t c.(s) = 0 then begin
             (* Conflict: keep the remaining watches and stop. *)
             while !i < len do
               ws.(!j) <- ws.(!i);
@@ -339,7 +402,7 @@ let propagate t =
             t.qhead <- t.trail_size;
             confl := ci
           end
-          else enqueue t c.(0) ci
+          else enqueue t c.(s) ci
         end
       end
     done;
@@ -374,19 +437,19 @@ let analyze t confl =
   let index = ref (t.trail_size - 1) in
   let continue = ref true in
   while !continue do
-    let c = t.clauses.(!confl) in
-    Array.iter
-      (fun q ->
-        if q <> !p then begin
-          let v = var_of q in
-          if (not t.seen.(v)) && t.level.(v) > 0 then begin
-            t.seen.(v) <- true;
-            bump t v;
-            if t.level.(v) >= t.levels then incr path
-            else learnt := q :: !learnt
-          end
-        end)
-      c;
+    let s = t.start.(!confl) in
+    for i = s to s + t.len.(!confl) - 1 do
+      let q = t.arena.(i) in
+      if q <> !p then begin
+        let v = var_of q in
+        if (not t.seen.(v)) && t.level.(v) > 0 then begin
+          t.seen.(v) <- true;
+          bump t v;
+          if t.level.(v) >= t.levels then incr path
+          else learnt := q :: !learnt
+        end
+      end
+    done;
     (* Next trail literal that contributed to the conflict. *)
     while not t.seen.(var_of t.trail.(!index)) do decr index done;
     let q = t.trail.(!index) in
@@ -456,7 +519,8 @@ let decide t =
   if !v < 0 then false
   else begin
     t.n_decisions <- t.n_decisions + 1;
-    t.trail_lim <- grow_int t.trail_lim (t.levels + 1) 0;
+    if Array.length t.trail_lim <= t.levels then
+      t.trail_lim <- grow_int t.trail_lim (t.levels + 1) 0;
     t.trail_lim.(t.levels) <- t.trail_size;
     t.levels <- t.levels + 1;
     let l = if t.polarity.(!v) then lit !v else neg (lit !v) in
@@ -518,7 +582,7 @@ let solve ?(options = Options.default) t =
           backjump t blevel;
           (if Array.length learnt = 1 then enqueue t learnt.(0) (-1)
            else begin
-             let ci = store_clause t learnt in
+             let ci = store_clause t learnt (Array.length learnt) in
              enqueue t learnt.(0) ci
            end);
           decay t

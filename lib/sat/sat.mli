@@ -6,7 +6,7 @@
     activities (binary max-heap), phase saving and Luby-sequence restarts.
     No preprocessing and no learned-clause deletion — the CNFs produced by
     {!Cnf} for miters are small and heavily structurally shared, every
-    caller builds a fresh solver per query, and the conflict budget bounds
+    query gets a fresh or {!clear}ed solver, and the conflict budget bounds
     memory growth.
 
     The solver is {e incremental} only in the plain sense: after every
@@ -48,6 +48,14 @@ end
 val create : unit -> t
 (** A fresh, empty instance: no variables, no clauses, decision level 0. *)
 
+val clear : t -> unit
+(** Put the solver back in the state of [create ()]: no variables, no
+    clauses, no learned clauses, decision level 0, zeroed statistics. The
+    arrays and the per-literal watch lists stay allocated, and everything
+    the search reads is rewritten as variables and clauses are added again,
+    so the same calls after [clear] make the same search as on a fresh
+    instance. For callers that decide many small formulas in turn. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
 
@@ -64,11 +72,16 @@ val is_neg : int -> bool
 (** Whether the literal is the negated phase of its variable. *)
 
 val add_clause : t -> int array -> unit
-(** Add a clause (a disjunction of literals). Tautologies are dropped,
-    duplicate literals merged; an empty clause (or a contradicting pair of
-    unit clauses) makes the instance trivially unsatisfiable. Clauses may
-    be added at creation time or between solver calls — the solver is
-    always at decision level 0 outside {!solve}. *)
+(** Add a clause (a disjunction of literals). The literals are sorted
+    ascending and duplicates merged; a clause with a complementary pair or
+    a literal already true at decision level 0 is dropped, and literals
+    false at level 0 are left out. What remains is stored in that order
+    (its first two literals are watched), or, for one literal, asserted at
+    level 0; an empty remainder (an empty clause, or one whose literals are
+    all false) makes the instance trivially unsatisfiable. The array is
+    copied, never kept. Clauses may be added at creation time or between
+    solver calls — the solver is always at decision level 0 outside
+    {!solve}. *)
 
 type outcome =
   | Sat  (** A satisfying assignment exists; read it with {!value}. *)
@@ -95,10 +108,13 @@ val num_learnt : t -> int
 (** Learned clauses currently retained. *)
 
 val decisions : t -> int
-(** Cumulative decisions across all solver calls on this [t]. *)
+(** Cumulative decisions across all solver calls on this [t] since it was
+    created or last {!clear}ed. *)
 
 val conflicts : t -> int
-(** Cumulative conflicts across all solver calls on this [t]. *)
+(** Cumulative conflicts across all solver calls on this [t] since it was
+    created or last {!clear}ed. *)
 
 val propagations : t -> int
-(** Cumulative unit propagations across all solver calls on this [t]. *)
+(** Cumulative unit propagations across all solver calls on this [t] since
+    it was created or last {!clear}ed. *)

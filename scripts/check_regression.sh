@@ -6,9 +6,11 @@
 #   - every gate a section declares must be present and true in every row:
 #     the CEC proofs, the incremental, idcache and journal bit-identity
 #     flags, and SAT escalation leaving no fault undecided;
-#   - every section, row and exact key of the baseline must be in the new
-#     snapshot, unchanged: Tables 1-7's "ours" rows and PODEM's verdict
-#     counts in `sat_atpg`;
+#   - every section, row and exact key of the baseline (or of the new
+#     snapshot) must be in the new snapshot, unchanged: Tables 1-7's "ours"
+#     rows, the CEC proofs' solver decisions and conflicts, and in
+#     `sat_atpg` PODEM's verdict counts and the escalation's solver
+#     conflicts and propagations;
 #   - the generated inputs' gates and paths must not grow (threshold 0).
 # Wall times are machine-dependent and not gated. A CLI journal gate
 # follows the bench run.

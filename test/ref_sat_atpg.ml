@@ -20,8 +20,8 @@ let gate env kind args =
   | Gate.Input -> invalid_arg "Ref_sat_atpg.gate: Input"
   | Gate.Const0 -> Cnf.lfalse env
   | Gate.Const1 -> Cnf.ltrue env
-  | Gate.Buf -> List.hd args
-  | Gate.Not -> Sat.neg (List.hd args)
+  | Gate.Buf -> args.(0)
+  | Gate.Not -> Sat.neg args.(0)
   | Gate.And -> Cnf.and_lits env args
   | Gate.Or -> Cnf.or_lits env args
   | Gate.Nand -> Sat.neg (Cnf.and_lits env args)
@@ -52,9 +52,7 @@ let run ?(budget = 100_000) c (f : Fault.t) =
       match Circuit.kind c id with
       | Gate.Input -> ()
       | kind ->
-        good.(id) <-
-          gate env kind
-            (Array.to_list (Array.map (fun x -> good.(x)) (Circuit.fanins c id))))
+        good.(id) <- gate env kind (Array.map (fun x -> good.(x)) (Circuit.fanins c id)))
     order;
   let root = match f.Fault.site with Fault.Stem u -> u | Fault.Branch (g, _) -> g in
   let mask = fanout_cone c root in
@@ -79,12 +77,12 @@ let run ?(budget = 100_000) c (f : Fault.t) =
                       if mask.(x) then faulty.(x) else good.(x))
                   (Circuit.fanins c id)
               in
-              gate env kind (Array.to_list args))))
+              gate env kind args)))
     order;
   let diffs =
     Array.to_list (Circuit.outputs c)
     |> List.filter_map (fun o ->
-           if mask.(o) then Some (Cnf.xor_lits env [ good.(o); faulty.(o) ]) else None)
+           if mask.(o) then Some (Cnf.xor_lits env [| good.(o); faulty.(o) |]) else None)
   in
   Sat.add_clause sat (Array.of_list diffs);
   let options = { Sat.Options.default with Sat.Options.budget = Some budget } in

@@ -28,9 +28,9 @@ let test_sat_basics () =
   | Sat.Sat | Sat.Unknown -> Alcotest.fail "expected UNSAT")
 
 (* Pigeonhole PHP(n+1, n): n+1 pigeons into n holes, classic UNSAT family
-   that actually exercises conflict analysis and restarts. *)
-let php pigeons holes =
-  let s = Sat.create () in
+   that actually exercises conflict analysis and restarts. Built on a fresh
+   solver unless [s] is given. *)
+let php ?(s = Sat.create ()) pigeons holes =
   let v = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.new_var s)) in
   for p = 0 to pigeons - 1 do
     Sat.add_clause s (Array.init holes (fun h -> Sat.lit v.(p).(h)))
@@ -60,6 +60,66 @@ let test_sat_pigeonhole () =
   | Sat.Unknown -> ()
   | Sat.Sat -> Alcotest.fail "PHP(7,6) must not be SAT"
   | Sat.Unsat -> () (* a tiny budget may still suffice; fine either way *)
+
+(* [add_clause] sorts and merges duplicates, drops a clause with a
+   complementary pair or a literal already true, leaves out literals already
+   false, asserts what is left of a one-literal clause at level 0 and stores
+   the rest; the caller's array is never changed. *)
+let test_add_clause_normalises () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  let la = Sat.lit a and lb = Sat.lit b and lc = Sat.lit c in
+  let clause = [| lc; lb; lc |] in
+  Sat.add_clause s clause;
+  check bool_ "caller's array unchanged" true (clause = [| lc; lb; lc |]);
+  check int_ "duplicates merged, clause stored" 1 (Sat.num_clauses s);
+  Sat.add_clause s [| la; lb; Sat.neg la |];
+  check int_ "complementary pair dropped" 1 (Sat.num_clauses s);
+  Sat.add_clause s [| la; la |];
+  check int_ "a unit after merging is asserted, not stored" 1 (Sat.num_clauses s);
+  Sat.add_clause s [| la; lc |];
+  check int_ "a literal true at level 0 drops the clause" 1 (Sat.num_clauses s);
+  Sat.add_clause s [| Sat.neg la; lb; lc |];
+  check int_ "a literal false at level 0 is left out" 2 (Sat.num_clauses s);
+  Sat.add_clause s [| Sat.neg la; Sat.neg lb |];
+  check int_ "all but one literal false: asserted, not stored" 2 (Sat.num_clauses s);
+  (match Sat.solve s with
+  | Sat.Sat ->
+    check bool_ "unit a holds" true (Sat.value s a);
+    check bool_ "derived unit ~b holds" false (Sat.value s b);
+    check bool_ "c follows from the stored clauses" true (Sat.value s c)
+  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "expected SAT");
+  check int_ "the level-0 units decided the instance" 0 (Sat.decisions s);
+  Sat.add_clause s [| Sat.neg la; Sat.neg lc |];
+  (match Sat.solve s with
+  | Sat.Unsat -> ()
+  | Sat.Sat | Sat.Unknown -> Alcotest.fail "all literals false must be UNSAT");
+  let s = Sat.create () in
+  ignore (Sat.new_var s);
+  Sat.add_clause s [||];
+  check int_ "the empty clause is not stored" 0 (Sat.num_clauses s);
+  match Sat.solve s with
+  | Sat.Unsat -> ()
+  | Sat.Sat | Sat.Unknown -> Alcotest.fail "the empty clause must be UNSAT"
+
+let search_stats s outcome =
+  (outcome, Sat.decisions s, Sat.conflicts s, Sat.propagations s, Sat.num_vars s,
+   Sat.num_clauses s, Sat.num_learnt s)
+
+(* A cleared solver that searched a bigger instance (and hit its budget)
+   searches the next instance exactly like a fresh one. *)
+let test_clear_equals_fresh () =
+  let fresh = php 6 5 in
+  let want = search_stats fresh (Sat.solve fresh) in
+  let reused = php 8 7 in
+  (match Sat.solve ~options:{ Sat.Options.default with Sat.Options.budget = Some 50 } reused with
+  | Sat.Unknown -> ()
+  | Sat.Sat | Sat.Unsat -> Alcotest.fail "PHP(8,7) should exhaust 50 conflicts");
+  Sat.clear reused;
+  check int_ "clear empties the solver" 0 (Sat.num_vars reused);
+  ignore (php ~s:reused 6 5);
+  let got = search_stats reused (Sat.solve reused) in
+  check bool_ "same outcome, decisions, conflicts, propagations and sizes" true (got = want)
 
 (* --- equivalence of structurally different implementations ----------------- *)
 
@@ -270,6 +330,8 @@ let suite =
   [
     Alcotest.test_case "sat basics" `Quick test_sat_basics;
     Alcotest.test_case "sat pigeonhole + budget" `Quick test_sat_pigeonhole;
+    Alcotest.test_case "sat add_clause normalisation" `Quick test_add_clause_normalises;
+    Alcotest.test_case "sat clear restores a fresh search" `Quick test_clear_equals_fresh;
     Alcotest.test_case "De Morgan forms equivalent" `Quick test_demorgan_equivalent;
     Alcotest.test_case "constant equivalence" `Quick test_constant_equivalent;
     Alcotest.test_case "input matching by name" `Quick test_name_matching;

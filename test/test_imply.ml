@@ -13,10 +13,13 @@ let with_metrics f =
   Obs.enable ();
   Fun.protect ~finally:(fun () -> if not was then Obs.disable ()) f
 
-let podem_counted ~limit c f =
+(* A search's outcome with the decisions and backtracks it made. *)
+let counted search =
   let d0 = Obs.Counter.value decisions_c and b0 = Obs.Counter.value backtracks_c in
-  let outcome = Podem.generate ~backtrack_limit:limit c f in
+  let outcome = search () in
   (outcome, Obs.Counter.value decisions_c - d0, Obs.Counter.value backtracks_c - b0)
+
+let podem_counted ~limit c f = counted (fun () -> Podem.generate ~backtrack_limit:limit c f)
 
 (* Number of faults whose search disagrees with the reference; the first
    disagreement is printed. *)
@@ -90,6 +93,28 @@ let qcheck_podem =
       let limit = limits.(Rng.int rng (Array.length limits)) in
       podem_mismatches ~limit c (sample_faults rng 6 c) = 0)
 
+(* A fault list decided on one [Podem.t] (one compile, X-path marks carried
+   from fault to fault) gets, fault for fault, the outcome, vector,
+   decisions and backtracks of [Podem.generate]. A third of the circuit's
+   faults, so on most circuits the marks wrap past 255 searches. *)
+let qcheck_podem_reuse =
+  QCheck.Test.make ~count:12 ~name:"Podem.run on one t = Podem.generate"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c = Circuit_gen.generate (profile_of seed) in
+      let limit = [| 0; 5; 20 |].(seed mod 3) in
+      let shared = Podem.create ~backtrack_limit:limit c in
+      with_metrics @@ fun () ->
+      List.for_all
+        (fun f ->
+          let got, gd, gb = counted (fun () -> Podem.run shared f) in
+          let want, wd, wb = podem_counted ~limit c f in
+          if got <> want || gd <> wd || gb <> wb then
+            QCheck.Test.fail_reportf "%s, limit %d: %a (%d decisions, %d backtracks), generate %a (%d, %d)"
+              (Fault.to_string c f) limit Podem.pp_outcome got gd gb Podem.pp_outcome want wd wb;
+          true)
+        (List.filteri (fun i _ -> i mod 3 = 0) (Fault.all c)))
+
 (* Random assignment and unassignment sequences: after every step the
    kernel's good and faulty values equal a full pass on every live node. *)
 let qcheck_kernel =
@@ -152,4 +177,4 @@ let suite =
     ("PODEM = reference on irs1423 sample", `Quick, test_podem_irs1423);
   ]
 
-let qchecks = [ qcheck_kernel; qcheck_podem; qcheck_justify ]
+let qchecks = [ qcheck_kernel; qcheck_podem; qcheck_podem_reuse; qcheck_justify ]

@@ -392,6 +392,42 @@ let test_campaign_unchanged_by_obs () =
   in
   check bool_ "config-enabled obs is bit-identical too" true (plain = via_config)
 
+(* The footer reports each counter's change since [start], so a journal
+   opened after other work counts only its own window. *)
+let test_journal_counters_since_start () =
+  let path = Filename.temp_file "sft_test" ".journal" in
+  let c = Obs.Counter.make "test.journal_window" in
+  let idle = Obs.Counter.make "test.journal_idle" in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Obs.Journal.finish ());
+      Obs.disable ();
+      Obs.reset ();
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Obs.Counter.add c 5;
+      Obs.Counter.add idle 2;
+      Obs.Journal.start ~cmd:"test" path;
+      Obs.Counter.add c 3;
+      ignore (Obs.Journal.finish ());
+      check int_ "the counter itself stays cumulative" 8 (Obs.Counter.value c);
+      let footer =
+        match List.rev (journal_lines path) with
+        | f :: _ -> f
+        | [] -> Alcotest.fail "empty journal file"
+      in
+      let footer_value name =
+        match Obs_json.member "counters" footer with
+        | Some counters -> Obs_json.member name counters
+        | None -> Alcotest.fail "footer without counters"
+      in
+      check bool_ "footer counts the bumps after start" true
+        (footer_value "test.journal_window" = Some (Obs_json.Int 3));
+      check bool_ "a counter idle since start reads 0" true
+        (footer_value "test.journal_idle" = Some (Obs_json.Int 0)))
+
 (* The journal holds a whole resynthesis run in a small buffer: one
    [splice_accept] per accepted replacement, nothing dropped. *)
 let test_journal_optimize_fits () =
@@ -432,4 +468,5 @@ let suite =
     ("campaign: obs on = obs off", `Quick, test_campaign_unchanged_by_obs);
     ("campaign: journal on = journal off", `Quick, test_campaign_unchanged_by_journal);
     ("journal: optimize fits 1024 events", `Quick, test_journal_optimize_fits);
+    ("journal: footer counts since start", `Quick, test_journal_counters_since_start);
   ]

@@ -302,6 +302,68 @@ let qcheck_matches_reference =
           true)
         (Fault.collapsed c))
 
+(* --- reuse: one cleared environment per fault ------------------------------- *)
+
+let conflicts_c = Obs.Counter.make "sat.conflicts"
+let propagations_c = Obs.Counter.make "sat.propagations"
+
+(* [run] with the change of the solver counters (they move only while
+   metrics are on). *)
+let run_counted engine f =
+  let c0 = Obs.Counter.value conflicts_c and p0 = Obs.Counter.value propagations_c in
+  let got = Sat_atpg.run engine f in
+  (got, Obs.Counter.value conflicts_c - c0, Obs.Counter.value propagations_c - p0)
+
+(* A fault list decided on one [t] gets, fault for fault, the outcome,
+   vector and search of a fresh [t]: [Sat.clear] and [Cnf.clear] leave no
+   state behind, also after a fault whose budget ran out. *)
+let qcheck_reuse_equals_fresh =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (n_gates, n_pi, depth, xor_pct, budget, seed) ->
+          ( {
+              Circuit_gen.name = "reuse";
+              n_pi;
+              n_po = 2 + (n_gates / 50);
+              n_gates;
+              depth;
+              combine_pct = 30;
+              xor_pct;
+              seed = Int64.of_int seed;
+            },
+            budget ))
+        (tup6 (int_range 40 250) (int_range 8 20) (int_range 3 10) (int_range 0 20)
+           (oneofl [ 2; 20; 100_000 ]) (int_bound 1_000_000)))
+  in
+  let print (p, budget) =
+    Printf.sprintf "n_gates %d, n_pi %d, depth %d, xor %d%%, seed %Ld, budget %d"
+      p.Circuit_gen.n_gates p.n_pi p.depth p.xor_pct p.seed budget
+  in
+  QCheck.Test.make ~count:8 ~name:"one Sat_atpg.t decides like a fresh t per fault"
+    (QCheck.make ~print gen)
+    (fun (profile, budget) ->
+      let c = Circuit_gen.generate profile in
+      let limits = { Limits.default with Limits.sat_conflicts = budget } in
+      let faults = List.filteri (fun i _ -> i mod 3 = 0) (Fault.collapsed c) in
+      let shared = Sat_atpg.create ~limits c in
+      let was = Obs.enabled () in
+      Obs.enable ();
+      Fun.protect
+        ~finally:(fun () -> if not was then Obs.disable ())
+        (fun () ->
+          List.for_all
+            (fun f ->
+              let got, gc, gp = run_counted shared f in
+              let want, wc, wp = run_counted (Sat_atpg.create ~limits c) f in
+              if got <> want || gc <> wc || gp <> wp then
+                QCheck.Test.fail_reportf
+                  "%s: %a (%d conflicts, %d propagations), fresh %a (%d, %d)"
+                  (Fault.to_string c f) Sat_atpg.pp_outcome got gc gp Sat_atpg.pp_outcome
+                  want wc wp;
+              true)
+            faults))
+
 let suite =
   [
     ("solve basics", `Quick, test_solve_basics);
@@ -316,4 +378,10 @@ let suite =
     ("removal sound with crippled PODEM", `Quick, test_remove_with_tiny_podem);
   ]
 
-let qchecks = [ qcheck_injected_redundant; qcheck_verdicts_exact; qcheck_matches_reference ]
+let qchecks =
+  [
+    qcheck_injected_redundant;
+    qcheck_verdicts_exact;
+    qcheck_matches_reference;
+    qcheck_reuse_equals_fresh;
+  ]
