@@ -635,23 +635,27 @@ let cec () =
    [escalation_ok] is a declared gate (no fault may remain undecided after
    the SAT pass), and PODEM's verdict counts must equal the baseline's: a
    changed abort set would still escalate cleanly (DESIGN.md §18). So must
-   the escalation's solver conflicts and propagations: the same formulas
-   must get the same search, not only the same verdicts. *)
+   PODEM's decisions and backtracks and the escalation's solver conflicts
+   and propagations: the same faults and formulas must get the same
+   search, not only the same verdicts. *)
 let sat_atpg_keys =
-  [ "survivors"; "aborted_before"; "sat_tests"; "sat_redundant"; "sat_conflicts";
-    "sat_propagations" ]
+  [ "survivors"; "aborted_before"; "podem_decisions"; "podem_backtracks"; "sat_tests";
+    "sat_redundant"; "sat_conflicts"; "sat_propagations" ]
 
 let sat_atpg () =
-  (* The search counts come from the sat.* counters, so collection must be
-     on (same rationale as the incremental section). *)
+  (* The search counts come from the podem.* and sat.* counters, so
+     collection must be on (same rationale as the incremental section). *)
   Obs.enable ();
+  let decisions_c = Obs.Counter.make "podem.decisions" in
+  let backtracks_c = Obs.Counter.make "podem.backtracks" in
   let conflicts_c = Obs.Counter.make "sat.conflicts" in
   let propagations_c = Obs.Counter.make "sat.propagations" in
   let t =
     Table.create ~title:"SAT ATPG — escalation of PODEM-aborted faults (raw stand-ins)"
       ~columns:
-        [ "circuit"; "survivors"; "podem aborts"; "sat tests"; "sat redundant";
-          "undecided"; "conflicts"; "propagations"; "ok"; "seconds" ]
+        [ "circuit"; "survivors"; "podem decisions"; "podem backtracks"; "podem aborts";
+          "sat tests"; "sat redundant"; "undecided"; "conflicts"; "propagations"; "ok";
+          "seconds" ]
   in
   let entries =
     if !quick then List.filter circuit_enabled [ Benchmarks.find "irs1423" ]
@@ -665,19 +669,24 @@ let sat_atpg () =
     (fun e ->
       let name = e.Benchmarks.name in
       let c = Circuit_gen.generate e.Benchmarks.profile in
-      let (aborted, esc, survivors, conflicts, propagations), secs =
+      let (aborted, esc, survivors, (decisions, backtracks), (conflicts, propagations)), secs =
         time_wall (fun () ->
             let cfg = { Campaign.default with max_patterns = 4096; seed = 7L } in
             let _, survivors = Campaign.exec_survivors cfg c in
-            let stats =
-              Podem.generate_all ~backtrack_limit:podem_backtracks c survivors
+            let delta c1 c2 f =
+              let v1 = Obs.Counter.value c1 and v2 = Obs.Counter.value c2 in
+              let r = f () in
+              (r, (Obs.Counter.value c1 - v1, Obs.Counter.value c2 - v2))
+            in
+            let stats, podem_search =
+              delta decisions_c backtracks_c (fun () ->
+                  Podem.generate_all ~backtrack_limit:podem_backtracks c survivors)
             in
             let aborted = stats.Podem.aborted_faults in
-            let c0 = Obs.Counter.value conflicts_c in
-            let p0 = Obs.Counter.value propagations_c in
-            let esc = Sat_atpg.escalate ~limits c aborted in
-            ( List.length aborted, esc, List.length survivors,
-              Obs.Counter.value conflicts_c - c0, Obs.Counter.value propagations_c - p0 ))
+            let esc, sat_search =
+              delta conflicts_c propagations_c (fun () -> Sat_atpg.escalate ~limits c aborted)
+            in
+            (List.length aborted, esc, List.length survivors, podem_search, sat_search))
       in
       let undecided = List.length esc.Sat_atpg.unknown in
       let ok = undecided = 0 in
@@ -687,6 +696,8 @@ let sat_atpg () =
             ("circuit", String name);
             ("survivors", Int survivors);
             ("aborted_before", Int aborted);
+            ("podem_decisions", Int decisions);
+            ("podem_backtracks", Int backtracks);
             ("sat_tests", Int (List.length esc.Sat_atpg.tests));
             ("sat_redundant", Int (List.length esc.Sat_atpg.redundant));
             ("sat_conflicts", Int conflicts);
@@ -698,8 +709,8 @@ let sat_atpg () =
           ];
       Table.add_row t
         [
-          name; Table.int survivors; Table.int aborted;
-          Table.int (List.length esc.Sat_atpg.tests);
+          name; Table.int survivors; Table.int decisions; Table.int backtracks;
+          Table.int aborted; Table.int (List.length esc.Sat_atpg.tests);
           Table.int (List.length esc.Sat_atpg.redundant);
           Table.int undecided; Table.int conflicts; Table.int propagations;
           (if ok then "yes" else "NO");

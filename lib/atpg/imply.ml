@@ -1,140 +1,228 @@
+(* A node's value is one byte holding both machines in dual rail: bit 0 "the
+   good value may be 0", bit 1 "may be 1", bits 2 and 3 the same for the
+   faulty value. So F = 01, T = 10 and X = 11 on each machine's pair, and
+   bitwise operations evaluate both machines at once (DESIGN.md §18). *)
+let zeros = 0b0101 (* the may-be-0 rails of both machines *)
+let ones = 0b1010
+let all_x = 0b1111
+let packed_f = 0b0101
+let packed_t = 0b1010
+
+(* Exchange each machine's rails: logical NOT of both machines. *)
+let swap b = ((b lsr 1) land zeros) lor ((b lsl 1) land ones)
+
+(* Both machines of [a XOR b]: 0 is possible from equal values, 1 from
+   different ones. *)
+let xor2 a b =
+  let a0 = a land zeros and a1 = (a lsr 1) land zeros in
+  let b0 = b land zeros and b1 = (b lsr 1) land zeros in
+  (a0 land b0) lor (a1 land b1) lor (((a0 land b1) lor (a1 land b0)) lsl 1)
+
+let pack = function Tv.F -> packed_f | Tv.T -> packed_t | Tv.X -> all_x
+let rails = [| Tv.X; Tv.F; Tv.T; Tv.X |] (* one machine's rails; 00 never occurs *)
+
 type t = {
-  cmp : Compiled.t;
-  good : Tv.v array;
-  faulty : Bytes.t; (* one byte per node: [outside], or a cone node's value *)
-  cone : int array;
-  stuck : Tv.v;
-  stem : int; (* node forced to [stuck]; -1 for branch faults and none *)
-  fault_gate : int; (* gate with the faulted pin; -1 for stem faults and none *)
-  fault_pin : int;
-  pending : Bytes.t; (* gates already in [heap] *)
-  heap : Int_heap.t; (* gates to re-evaluate, by topological position *)
+  kinds : Gate.kind array;
+  fanins : int array array;
+  fanouts : int array array;
+  order : int array;
+  topo_index : int array;
+  values : Bytes.t; (* one packed byte per node *)
+  settled : Bytes.t; (* the fault-free state with every input X *)
+  queue : Level_queue.t;
+  cone : int array; (* the first [cone_size] slots: the cone in order *)
+  mutable cone_size : int;
+  in_cone : int array; (* [stamp] marks the current cone *)
+  mutable stamp : int;
+  mutable stem : int; (* node whose faulty rails are stuck; -1 if none *)
+  mutable fault_gate : int; (* gate with the faulted pin; -1 if none *)
+  mutable fault_pin : int;
+  mutable stuck : int; (* the stuck value's faulty rails (bits 2 and 3) *)
 }
 
-(* A byte of [faulty]: [outside] the cone, else [code] of the faulty value. *)
-let outside = '\000'
-let code = function Tv.F -> '\001' | Tv.T -> '\002' | Tv.X -> '\003'
-let good t id = t.good.(id)
+let byte t id = Char.code (Bytes.get t.values id)
 
-let faulty t id =
-  match Bytes.get t.faulty id with
-  | '\000' -> t.good.(id)
-  | '\001' -> Tv.F
-  | '\002' -> Tv.T
-  | _ -> Tv.X
-
-let cone t = t.cone
-
-(* The value gate [id] reads on [pin] from fanin [f], in the good machine or
-   ([fm]) the faulty one. *)
-let read t fm id pin f =
-  if not fm then t.good.(f)
-  else if id = t.fault_gate && pin = t.fault_pin then t.stuck
-  else faulty t f
-
-let pin_faulty t g pin = read t true g pin (Compiled.fanins t.cmp g).(pin)
-
-let fold_pins t fm id fins op init =
-  let acc = ref init in
-  for pin = 0 to Array.length fins - 1 do
-    acc := op !acc (read t fm id pin fins.(pin))
-  done;
-  !acc
-
-(* Three-valued evaluation of node [id] from its fanins' current values. *)
-let eval t fm id =
-  let fins = Compiled.fanins t.cmp id in
-  match Compiled.kind t.cmp id with
-  | Gate.Input -> t.good.(id)
-  | Gate.Const0 -> Tv.F
-  | Gate.Const1 -> Tv.T
-  | Gate.Buf -> read t fm id 0 fins.(0)
-  | Gate.Not -> Tv.lnot (read t fm id 0 fins.(0))
-  | Gate.And -> fold_pins t fm id fins Tv.land_ Tv.T
-  | Gate.Nand -> Tv.lnot (fold_pins t fm id fins Tv.land_ Tv.T)
-  | Gate.Or -> fold_pins t fm id fins Tv.lor_ Tv.F
-  | Gate.Nor -> Tv.lnot (fold_pins t fm id fins Tv.lor_ Tv.F)
-  | Gate.Xor -> fold_pins t fm id fins Tv.lxor_ Tv.F
-  | Gate.Xnor -> Tv.lnot (fold_pins t fm id fins Tv.lxor_ Tv.F)
-
-let eval_faulty t id = if id = t.stem then t.stuck else eval t true id
-
-let create ?fault cmp =
-  let n = Compiled.size cmp in
-  let stuck, stem, fault_gate, fault_pin =
-    match fault with
-    | None -> (Tv.X, -1, -1, -1)
-    | Some { Fault.site = Fault.Stem u; stuck } -> (Tv.of_bool stuck, u, -1, -1)
-    | Some { Fault.site = Fault.Branch (g, pin); stuck } ->
-      (Tv.of_bool stuck, -1, g, pin)
+(* Both machines of node [id] from its fanins' current bytes; gate
+   [fault_gate] reads the stuck value's faulty rails on [fault_pin], and
+   the faulted stem's faulty rails are the stuck value. *)
+let eval t id =
+  let fins = Array.unsafe_get t.fanins id in
+  let fp = if id = t.fault_gate then t.fault_pin else -1 in
+  let v =
+    match Array.unsafe_get t.kinds id with
+    | Gate.Input ->
+      let g = byte t id land 0b11 in
+      g lor (g lsl 2)
+    | Gate.Const0 -> packed_f
+    | Gate.Const1 -> packed_t
+    | (Gate.Xor | Gate.Xnor) as kind ->
+      let acc = ref packed_f in
+      for pin = 0 to Array.length fins - 1 do
+        let b = byte t (Array.unsafe_get fins pin) in
+        acc := xor2 !acc (if pin = fp then (b land 0b11) lor t.stuck else b)
+      done;
+      (match kind with
+      | Gate.Xor -> !acc
+      | _ -> swap !acc)
+    | (Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind ->
+      (* AND: 1 needs every fanin's 1-rail, 0 needs some fanin's 0-rail;
+         OR is the dual. *)
+      let every = ref all_x and some = ref 0 in
+      for pin = 0 to Array.length fins - 1 do
+        let b = byte t (Array.unsafe_get fins pin) in
+        let b = if pin = fp then (b land 0b11) lor t.stuck else b in
+        every := !every land b;
+        some := !some lor b
+      done;
+      let and_ = (!every land ones) lor (!some land zeros)
+      and or_ = (!some land ones) lor (!every land zeros) in
+      (match kind with
+      | Gate.Buf | Gate.And -> and_
+      | Gate.Not | Gate.Nand -> swap and_
+      | Gate.Or -> or_
+      | _ -> swap or_)
   in
-  let faulty = Bytes.make n outside in
-  let rec mark id =
-    if Bytes.get faulty id = outside then begin
-      Bytes.set faulty id (code Tv.X);
-      Array.iter mark (Compiled.fanouts cmp id)
-    end
-  in
-  if stem >= 0 then mark stem;
-  if fault_gate >= 0 then mark fault_gate;
-  let order = Compiled.order cmp in
-  let cone =
-    Array.of_list
-      (List.filter (fun id -> Bytes.get faulty id <> outside) (Array.to_list order))
-  in
-  let t =
-    {
-      cmp;
-      good = Array.make n Tv.X;
-      faulty;
-      cone;
-      stuck;
-      stem;
-      fault_gate;
-      fault_pin;
-      pending = Bytes.make n '\000';
-      heap = Int_heap.create ();
-    }
-  in
-  Array.iter (fun id -> t.good.(id) <- eval t false id) order;
-  Array.iter (fun id -> Bytes.set t.faulty id (code (eval_faulty t id))) cone;
-  t
+  if id = t.stem then (v land 0b11) lor t.stuck else v
 
-let schedule_fanouts t id =
-  let fanouts = Compiled.fanouts t.cmp id in
+let push_fanouts t id =
+  let fanouts = Array.unsafe_get t.fanouts id in
   for i = 0 to Array.length fanouts - 1 do
-    let g = fanouts.(i) in
-    if Bytes.get t.pending g = '\000' then begin
-      Bytes.set t.pending g '\001';
-      Int_heap.push t.heap (Compiled.topo_index t.cmp).(g)
-    end
+    Level_queue.push t.queue (Array.unsafe_get fanouts i)
   done
 
-(* Positions pop in increasing order and a gate's fanouts sit after it, so
-   each gate is evaluated once, after all of its changed fanins. *)
-let assign t pi v =
-  if not (Tv.equal t.good.(pi) v) then begin
-    t.good.(pi) <- v;
-    schedule_fanouts t pi;
-    let order = Compiled.order t.cmp in
-    while not (Int_heap.is_empty t.heap) do
-      let id = order.(Int_heap.pop t.heap) in
-      Bytes.set t.pending id '\000';
-      let g = eval t false id in
-      let changed = not (Tv.equal g t.good.(id)) in
-      if changed then t.good.(id) <- g;
-      let changed =
-        let old = Bytes.get t.faulty id in
-        if old = outside then changed
-        else begin
-          let f = code (eval_faulty t id) in
-          if f = old then changed
-          else begin
-            Bytes.set t.faulty id f;
-            true
-          end
-        end
-      in
-      if changed then schedule_fanouts t id
+(* Levels pop in nondecreasing order and a gate's fanouts sit on higher
+   levels, so each gate is evaluated once, after all of its changed
+   fanins. *)
+let drain t =
+  let id = ref (Level_queue.pop t.queue) in
+  while !id >= 0 do
+    let v = eval t !id in
+    if v <> byte t !id then begin
+      Bytes.unsafe_set t.values !id (Char.unsafe_chr v);
+      push_fanouts t !id
+    end;
+    id := Level_queue.pop t.queue
+  done
+
+let create cmp =
+  let n = Compiled.size cmp in
+  let order = Compiled.order cmp in
+  let t =
+    {
+      kinds = Array.init n (Compiled.kind cmp);
+      fanins = Array.init n (Compiled.fanins cmp);
+      fanouts = Array.init n (Compiled.fanouts cmp);
+      order;
+      topo_index = Compiled.topo_index cmp;
+      values = Bytes.make n (Char.chr all_x);
+      settled = Bytes.create n;
+      queue = Level_queue.create (Compiled.levels cmp);
+      cone = Array.make n 0;
+      cone_size = 0;
+      in_cone = Array.make n 0;
+      stamp = 0;
+      stem = -1;
+      fault_gate = -1;
+      fault_pin = -1;
+      stuck = 0;
+    }
+  in
+  Array.iter (fun id -> Bytes.set t.values id (Char.chr (eval t id))) order;
+  Bytes.blit t.values 0 t.settled 0 n;
+  t
+
+(* The fanout cone of [site] into [cone], in topological order: mark it
+   breadth-first with a fresh stamp (the buffer doubles as the work list),
+   then collect the marks from [site]'s position on, where every cone node
+   sits, stopping at the last one. *)
+let collect_cone t site =
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp in
+  t.in_cone.(site) <- stamp;
+  t.cone.(0) <- site;
+  let found = ref 1 and next = ref 0 in
+  while !next < !found do
+    let fanouts = t.fanouts.(t.cone.(!next)) in
+    incr next;
+    for i = 0 to Array.length fanouts - 1 do
+      let g = fanouts.(i) in
+      if t.in_cone.(g) <> stamp then begin
+        t.in_cone.(g) <- stamp;
+        t.cone.(!found) <- g;
+        incr found
+      end
     done
+  done;
+  let k = ref 0 and pos = ref t.topo_index.(site) in
+  while !k < !found do
+    let id = t.order.(!pos) in
+    if t.in_cone.(id) = stamp then begin
+      t.cone.(!k) <- id;
+      incr k
+    end;
+    incr pos
+  done;
+  t.cone_size <- !found
+
+let reset ?fault t =
+  Bytes.blit t.settled 0 t.values 0 (Bytes.length t.values);
+  t.cone_size <- 0;
+  t.stem <- -1;
+  t.fault_gate <- -1;
+  t.fault_pin <- -1;
+  match fault with
+  | None -> ()
+  | Some { Fault.site; stuck } ->
+    let node =
+      match site with
+      | Fault.Stem u ->
+        t.stem <- u;
+        u
+      | Fault.Branch (g, pin) ->
+        t.fault_gate <- g;
+        t.fault_pin <- pin;
+        g
+    in
+    t.stuck <- (if stuck then packed_t else packed_f) land 0b1100;
+    (* A dead site has no cone and no effect on any live node. *)
+    if t.topo_index.(node) >= 0 then begin
+      collect_cone t node;
+      Level_queue.push t.queue node;
+      drain t
+    end
+
+let assign t pi v =
+  let v = pack v in
+  let v = if pi = t.stem then (v land 0b11) lor t.stuck else v in
+  if v <> byte t pi then begin
+    Bytes.set t.values pi (Char.chr v);
+    push_fanouts t pi;
+    drain t
   end
+
+let good t id = rails.(byte t id land 0b11)
+let faulty t id = rails.(byte t id lsr 2)
+
+(* Good and faulty known and different: the rail pairs are 01 and 10. *)
+let is_d b = (b lxor (b lsr 2)) land 0b11 = 0b11
+let d t id = is_d (byte t id)
+
+let composite_x t id =
+  let b = byte t id in
+  b land 0b11 = 0b11 || b land 0b1100 = 0b1100
+
+let pin_d t g pin =
+  let b = byte t t.fanins.(g).(pin) in
+  is_d (if g = t.fault_gate && pin = t.fault_pin then (b land 0b11) lor t.stuck else b)
+
+let cone t = t.cone
+let cone_size t = t.cone_size
+
+module Test_hooks = struct
+  let set t id ~good ~faulty =
+    Bytes.set t.values id (Char.chr ((pack good land 0b11) lor (pack faulty land 0b1100)))
+
+  let eval t id =
+    let v = eval t id in
+    (rails.(v land 0b11), rails.(v lsr 2))
+end

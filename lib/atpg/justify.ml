@@ -5,6 +5,12 @@ type verdict =
 
 exception Abort
 
+type t = { cmp : Compiled.t; imp : Imply.t; limit : int }
+
+let create ?(backtrack_limit = Limits.default.Limits.justify_backtracks) c =
+  let cmp = Compiled.of_circuit c in
+  { cmp; imp = Imply.create cmp; limit = backtrack_limit }
+
 type state = {
   cmp : Compiled.t;
   imp : Imply.t;
@@ -90,34 +96,39 @@ let rec search_rec st =
           Imply.assign st.imp pi Tv.X;
           Exhausted)))
 
-let search ?(backtrack_limit = Limits.default.Limits.justify_backtracks) ?rng ?prefer c
-    targets =
+let solve (t : t) ?rng ?prefer targets =
+  Imply.reset t.imp;
+  let st =
+    {
+      cmp = t.cmp;
+      imp = t.imp;
+      targets = Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets);
+      backtracks = 0;
+      limit = t.limit;
+      rng;
+    }
+  in
+  match search_rec st with
+  | Found ->
+    let fill i =
+      match prefer with Some p -> p.(i) | None -> false
+    in
+    let vec =
+      Array.mapi
+        (fun i pi ->
+          match Imply.good st.imp pi with Tv.T -> true | Tv.F -> false | Tv.X -> fill i)
+        (Compiled.inputs t.cmp)
+    in
+    Sat vec
+  | Exhausted -> Unsat
+  | exception Abort -> Unknown
+
+let run t ?rng ?prefer targets =
+  Obs.Span.with_ "justify.search" (fun () -> solve t ?rng ?prefer targets)
+
+let search ?backtrack_limit ?rng ?prefer c targets =
   Obs.Span.with_ "justify.search" (fun () ->
-      let cmp = Compiled.of_circuit c in
-      let st =
-        {
-          cmp;
-          imp = Imply.create cmp;
-          targets = Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets);
-          backtracks = 0;
-          limit = backtrack_limit;
-          rng;
-        }
-      in
-      match search_rec st with
-      | Found ->
-        let fill i =
-          match prefer with Some p -> p.(i) | None -> false
-        in
-        let vec =
-          Array.mapi
-            (fun i pi ->
-              match Imply.good st.imp pi with Tv.T -> true | Tv.F -> false | Tv.X -> fill i)
-            (Compiled.inputs cmp)
-        in
-        Sat vec
-      | Exhausted -> Unsat
-      | exception Abort -> Unknown)
+      solve (create ?backtrack_limit c) ?rng ?prefer targets)
 
 let reachable_exhaustive c targets =
   let n = Circuit.num_inputs c in

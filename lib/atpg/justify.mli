@@ -5,12 +5,37 @@
     objectives from unjustified targets, event-driven three-valued
     implication ({!Imply}, whose values equal a full forward pass). Used
     to prove input combinations of a subcircuit unreachable (controllability
-    don't-cares) — the paper's first "remaining issue" (Sec. 6). *)
+    don't-cares) — the paper's first "remaining issue" (Sec. 6).
+
+    {!create} and {!run} mirror [Podem.create] and [Podem.run]: a run of
+    target sets on an unchanged circuit ([Dontcare.prove_unreachable]'s
+    minterms, [Pdf_atpg.generate]'s frames and retries) compiles the
+    circuit once, and {!search} compiles it for each call. *)
 
 type verdict =
   | Sat of bool array  (** a primary-input vector achieving the targets *)
   | Unsat
   | Unknown  (** backtrack limit exceeded *)
+
+type t
+(** A per-circuit search context: the circuit compiled once ({!Compiled.t}),
+    its implication kernel ({!Imply.t}) and the backtrack limit.
+    Single-owner mutable state; invalidated if the circuit is mutated after
+    {!create}. *)
+
+val create : ?backtrack_limit:int -> Circuit.t -> t
+(** Compile the (unmodified) circuit for a run of target sets. Default
+    backtrack limit: {!Limits.default}.[justify_backtracks]. *)
+
+val run : t -> ?rng:Rng.t -> ?prefer:bool array -> (int * bool) list -> verdict
+(** [run t targets] with [targets] a list of (node id, required value). The
+    verdict does not depend on the target sets [run] decided before on the
+    same [t]. With [rng], backtrace tie-breaks are randomised, so repeated
+    calls explore different witnesses; completeness of the [Unsat] verdict
+    is unaffected. [prefer] supplies values for primary inputs the search
+    left unassigned (default all-false); the two-frame path-delay test
+    generator passes the first vector so unconstrained inputs stay stable.
+    Observability (when enabled): span [justify.search]. *)
 
 val search :
   ?backtrack_limit:int ->
@@ -19,15 +44,9 @@ val search :
   Circuit.t ->
   (int * bool) list ->
   verdict
-(** [search c targets] with [targets] a list of (node id, required value).
-    Default backtrack limit: {!Limits.default}.[justify_backtracks]. With
-    [rng], backtrace tie-breaks are
-    randomised, so repeated calls explore different witnesses; completeness
-    of the [Unsat] verdict is unaffected. [prefer] supplies values for
-    primary inputs the search left unassigned (default all-false); the
-    two-frame path-delay test generator passes the first vector so
-    unconstrained inputs stay stable. Observability (when enabled): span
-    [justify.search]. *)
+(** [run (create ?backtrack_limit c) ?rng ?prefer targets]: the one-shot
+    call, for callers that mutate the circuit between target sets. One
+    [justify.search] span covers the compile and the search. *)
 
 val reachable_exhaustive : Circuit.t -> (int * bool) list -> bool
 (** Ground truth by exhaustive simulation (<= 20 inputs); for testing. *)

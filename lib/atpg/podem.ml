@@ -12,24 +12,30 @@ let pp_outcome ppf = function
 
 exception Abort
 
-(* One circuit's search context, shared by every fault [run] decides on it.
-   X-path marks carry over from fault to fault: each frontier search takes
-   a fresh mark, so a mark left behind by an earlier search never reads as
-   visited. *)
+(* One circuit's search context, shared by every fault [run] decides on it:
+   the implication kernel, reset per fault, and the X-path marks, which
+   carry over from fault to fault: each frontier search takes a fresh mark,
+   so a mark left behind by an earlier search never reads as visited. *)
 type t = {
   cmp : Compiled.t;
+  imp : Imply.t;
   limit : int;
   visited : Bytes.t; (* X-path marks: [mark] for the current search *)
   mutable mark : char; (* '\001'..'\255'; [visited] is cleared on wrap *)
+  cone_pos : int array; (* the first [n_cone_pos]: primary outputs in the cone *)
+  mutable n_cone_pos : int;
 }
 
 let create ?(backtrack_limit = Limits.default.Limits.podem_backtracks) c =
   let cmp = Compiled.of_circuit c in
   {
     cmp;
+    imp = Imply.create cmp;
     limit = backtrack_limit;
     visited = Bytes.make (Compiled.size cmp) '\000';
     mark = '\000';
+    cone_pos = Array.make (Compiled.size cmp) 0;
+    n_cone_pos = 0;
   }
 
 type state = {
@@ -38,20 +44,19 @@ type state = {
   imp : Imply.t;
   stuck : Tv.v; (* forced faulty value at the site *)
   site_stem : int; (* node whose good value activates the fault *)
-  cone_pos : int array; (* primary outputs in the fault cone *)
   mutable backtracks : int;
 }
 
 (* Outside the fault cone the faulty value is the good value, so D values,
    the D-frontier and X-paths all lie in the cone (DESIGN.md §18). *)
-let has_d st id =
-  let g = Imply.good st.imp id and f = Imply.faulty st.imp id in
-  Tv.known g && Tv.known f && not (Tv.equal g f)
-
-let composite_x st id =
-  not (Tv.known (Imply.good st.imp id)) || not (Tv.known (Imply.faulty st.imp id))
-
-let detected st = Array.exists (has_d st) st.cone_pos
+let detected st =
+  let ctx = st.ctx in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < ctx.n_cone_pos do
+    found := Imply.d st.imp ctx.cone_pos.(!i);
+    incr i
+  done;
+  !found
 
 (* D-frontier membership: output composite-X with a D on some input
    (including the injected faulty pin). *)
@@ -60,14 +65,12 @@ let on_frontier st id =
   | Gate.Input | Gate.Const0 | Gate.Const1 -> false
   | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
   | Gate.Xnor ->
-    composite_x st id
+    Imply.composite_x st.imp id
     && begin
-      let fins = Compiled.fanins st.cmp id in
+      let arity = Array.length (Compiled.fanins st.cmp id) in
       let d_in = ref false and pin = ref 0 in
-      while (not !d_in) && !pin < Array.length fins do
-        let gv = Imply.good st.imp fins.(!pin) in
-        let fv = Imply.pin_faulty st.imp id !pin in
-        d_in := Tv.known gv && Tv.known fv && not (Tv.equal gv fv);
+      while (not !d_in) && !pin < arity do
+        d_in := Imply.pin_d st.imp id !pin;
         incr pin
       done;
       !d_in
@@ -78,7 +81,7 @@ let rec x_path st id =
   Bytes.get st.ctx.visited id <> st.ctx.mark
   && begin
     Bytes.set st.ctx.visited id st.ctx.mark;
-    composite_x st id
+    Imply.composite_x st.imp id
     && (Compiled.is_po st.cmp id || Array.exists (x_path st) (Compiled.fanouts st.cmp id))
   end
 
@@ -93,9 +96,9 @@ let frontier_gate st =
     ctx.mark <- '\000'
   end;
   ctx.mark <- Char.chr (Char.code ctx.mark + 1);
-  let cone = Imply.cone st.imp in
+  let cone = Imply.cone st.imp and size = Imply.cone_size st.imp in
   let first = ref (-1) and path = ref false and i = ref 0 in
-  while (not !path) && !i < Array.length cone do
+  while (not !path) && !i < size do
     let id = cone.(!i) in
     if on_frontier st id then begin
       if !first < 0 then first := id;
@@ -225,8 +228,16 @@ let rec search st =
 
 let run (ctx : t) (f : Fault.t) =
   Obs.Span.with_ "podem.generate" (fun () ->
-      let cmp = ctx.cmp in
-      let imp = Imply.create ~fault:f cmp in
+      let cmp = ctx.cmp and imp = ctx.imp in
+      Imply.reset ~fault:f imp;
+      let cone = Imply.cone imp in
+      ctx.n_cone_pos <- 0;
+      for i = 0 to Imply.cone_size imp - 1 do
+        if Compiled.is_po cmp cone.(i) then begin
+          ctx.cone_pos.(ctx.n_cone_pos) <- cone.(i);
+          ctx.n_cone_pos <- ctx.n_cone_pos + 1
+        end
+      done;
       let site_stem =
         match f.Fault.site with
         | Fault.Stem u -> u
@@ -239,8 +250,6 @@ let run (ctx : t) (f : Fault.t) =
           imp;
           stuck = Tv.of_bool f.Fault.stuck;
           site_stem;
-          cone_pos =
-            Array.of_list (List.filter (Compiled.is_po cmp) (Array.to_list (Imply.cone imp)));
           backtracks = 0;
         }
       in

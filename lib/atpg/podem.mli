@@ -3,18 +3,19 @@
     Classic PODEM: decisions are made only on primary inputs, objectives are
     derived from fault activation and the first D-frontier gate in
     topological order. Implication is event-driven ({!Imply}): each decision
-    re-evaluates only the gates whose fanins changed, the good machine on
-    every node and the faulty machine only on the fault site's fanout cone,
-    where detection, the D-frontier and the X-path test also look. The
-    values, and so every verdict and vector, are those of a full dual
-    three-valued forward simulation (DESIGN.md §18). A backtrack limit
-    bounds the search; exceeding it yields [Aborted], exhausting it yields a
-    proof of untestability.
+    re-evaluates only the gates whose fanins changed, both machines at once
+    in one packed byte per node. Detection, the D-frontier and the X-path
+    test look only at the fault site's fanout cone, and read D and
+    composite X straight from the bytes. The values, and so every verdict
+    and vector, are those of a full dual three-valued forward simulation
+    (DESIGN.md §18). A backtrack limit bounds the search; exceeding it
+    yields [Aborted], exhausting it yields a proof of untestability.
 
     {!create} and {!run} mirror {!Sat_atpg.create} and {!Sat_atpg.run}: a
     fault list on an unchanged circuit ({!generate_all},
-    [Redundancy.find_untestable]) compiles the circuit once, and
-    {!generate} compiles it for each call. *)
+    [Redundancy.find_untestable]) compiles the circuit and settles its
+    implication kernel once, resetting the kernel per fault, and
+    {!generate} does both for each call. *)
 
 type outcome =
   | Test of bool array
@@ -23,10 +24,12 @@ type outcome =
   | Aborted
 
 val pp_outcome : Format.formatter -> outcome -> unit
+(** [test] with the vector's bits, [untestable] or [aborted]. *)
 
 type t
 (** A per-circuit search context: the circuit compiled once ({!Compiled.t}),
-    the backtrack limit and the X-path marks every search reuses.
+    its implication kernel ({!Imply.t}), the backtrack limit and the X-path
+    marks every search reuses.
     Single-owner mutable state; invalidated if the circuit is mutated after
     {!create}. *)
 

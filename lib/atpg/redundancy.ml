@@ -18,37 +18,38 @@ type candidates = {
 
 let find_untestable ?(limits = Limits.default) ?(sat = true)
     ?(prefilter_patterns = 4096) ~seed c =
-  let survivors =
-    Campaign.survivors
-      { Campaign.default with max_patterns = prefilter_patterns; seed }
-      c
-  in
-  let podem = Podem.create ~backtrack_limit:limits.Limits.podem_backtracks c in
-  let untestable = ref [] in
-  let aborted = ref [] in
-  List.iter
-    (fun f ->
-      match Podem.run podem f with
-      | Podem.Test _ -> ()
-      | Podem.Untestable -> untestable := f :: !untestable
-      | Podem.Aborted -> aborted := f :: !aborted)
-    survivors;
-  let aborted = List.rev !aborted in
-  if sat then begin
-    let esc = Sat_atpg.escalate ~limits c aborted in
-    {
-      untestable = List.rev !untestable;
-      sat_redundant = esc.Sat_atpg.redundant;
-      unresolved = esc.Sat_atpg.unknown;
-    }
-  end
-  else
-    {
-      untestable = List.rev !untestable;
-      sat_redundant = [];
-      unresolved =
-        List.map (fun f -> (f, limits.Limits.podem_backtracks)) aborted;
-    }
+  Obs.Span.with_ "redundancy.classify" (fun () ->
+      let survivors =
+        Campaign.survivors
+          { Campaign.default with max_patterns = prefilter_patterns; seed }
+          c
+      in
+      let podem = Podem.create ~backtrack_limit:limits.Limits.podem_backtracks c in
+      let untestable = ref [] in
+      let aborted = ref [] in
+      List.iter
+        (fun f ->
+          match Podem.run podem f with
+          | Podem.Test _ -> ()
+          | Podem.Untestable -> untestable := f :: !untestable
+          | Podem.Aborted -> aborted := f :: !aborted)
+        survivors;
+      let aborted = List.rev !aborted in
+      if sat then begin
+        let esc = Sat_atpg.escalate ~limits c aborted in
+        {
+          untestable = List.rev !untestable;
+          sat_redundant = esc.Sat_atpg.redundant;
+          unresolved = esc.Sat_atpg.unknown;
+        }
+      end
+      else
+        {
+          untestable = List.rev !untestable;
+          sat_redundant = [];
+          unresolved =
+            List.map (fun f -> (f, limits.Limits.podem_backtracks)) aborted;
+        })
 
 let tie_off c (f : Fault.t) =
   let const = Circuit.add_const c f.Fault.stuck in
@@ -87,38 +88,39 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
          the tie-off or returns the fault to the undecided pool. The first
          candidate meets the circuit [find_untestable] classified it on, and
          both proofs decide the same formula, so it is always removed. *)
-      List.iter
-        (fun f ->
-          if structurally_valid c f then
-            match
-              Podem.generate ~backtrack_limit:limits.Limits.podem_backtracks c
-                f
-            with
-            | Podem.Untestable ->
-              tie_off c f;
-              if Obs.Journal.enabled () then
-                Obs.Journal.emit "redundancy_proof"
-                  (Fault.journal_fields f
-                  @ [ ("method", Obs_json.String "podem") ]);
-              incr removed
-            | Podem.Test _ -> ()
-            | Podem.Aborted ->
-              if sat then begin
-                let engine = Sat_atpg.create ~limits c in
-                match Sat_atpg.run engine f with
-                | Sat_atpg.Redundant ->
+      Obs.Span.with_ "redundancy.reprove" (fun () ->
+          List.iter
+            (fun f ->
+              if structurally_valid c f then
+                match
+                  Podem.generate ~backtrack_limit:limits.Limits.podem_backtracks c
+                    f
+                with
+                | Podem.Untestable ->
                   tie_off c f;
                   if Obs.Journal.enabled () then
                     Obs.Journal.emit "redundancy_proof"
                       (Fault.journal_fields f
-                      @ [ ("method", Obs_json.String "sat") ]);
-                  incr removed;
-                  incr removed_sat
-                | Sat_atpg.Test _ -> ()
-                | Sat_atpg.Unknown _ -> incr aborted
-              end
-              else incr aborted)
-        candidates);
+                      @ [ ("method", Obs_json.String "podem") ]);
+                  incr removed
+                | Podem.Test _ -> ()
+                | Podem.Aborted ->
+                  if sat then begin
+                    let engine = Sat_atpg.create ~limits c in
+                    match Sat_atpg.run engine f with
+                    | Sat_atpg.Redundant ->
+                      tie_off c f;
+                      if Obs.Journal.enabled () then
+                        Obs.Journal.emit "redundancy_proof"
+                          (Fault.journal_fields f
+                          @ [ ("method", Obs_json.String "sat") ]);
+                      incr removed;
+                      incr removed_sat
+                    | Sat_atpg.Test _ -> ()
+                    | Sat_atpg.Unknown _ -> incr aborted
+                  end
+                  else incr aborted)
+            candidates));
     (* Only a pass without candidates removes nothing; the next pass would
        find none either. *)
     if !removed = removed_before then continue := false

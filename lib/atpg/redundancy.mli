@@ -24,6 +24,7 @@ type report = {
 }
 
 val pp_report : Format.formatter -> report -> unit
+(** One line: removed (SAT-proved), unresolved and passes. *)
 
 type candidates = {
   untestable : Fault.t list;  (** proved untestable by PODEM *)
@@ -42,7 +43,8 @@ val find_untestable :
   Circuit.t ->
   candidates
 (** Classify the collapsed faults surviving a random-pattern prefilter.
-    [sat] (default [true]) escalates PODEM aborts to {!Sat_atpg.escalate}. *)
+    [sat] (default [true]) escalates PODEM aborts to {!Sat_atpg.escalate}.
+    Observability (when enabled): span [redundancy.classify]. *)
 
 val remove :
   ?limits:Limits.t ->
@@ -58,7 +60,10 @@ val remove :
     candidate is always removed and only a pass without candidates stops
     the loop: at exit, {!find_untestable} with the same arguments finds no
     untestable and no SAT-redundant fault, and leaves [aborted] faults
-    unresolved. *)
+    unresolved. Observability (when enabled): per pass, span
+    [redundancy.classify] ({!find_untestable}) and, when it found
+    candidates, span [redundancy.reprove] around their re-proofs and
+    tie-offs. *)
 
 val make_irredundant :
   ?limits:Limits.t ->

@@ -48,6 +48,8 @@ type outcome =
       (** The conflict budget (payload) ran out before a verdict. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
+(** [test] with the vector's bits, [redundant], or [unknown] with the
+    exhausted conflict budget. *)
 
 type t
 (** A per-circuit escalation context: the circuit's topological order, the

@@ -75,13 +75,14 @@ let generate ?(backtrack_limit = 2000) ?(retries = 16) ~seed c ~path ~direction 
       let waves = Wave.simulate cmp ~v1 ~v2 in
       Robust.detects cmp waves path = Some direction
     in
+    let justify = Justify.create ~backtrack_limit c in
     let solve ?rng () =
-      match Justify.search ~backtrack_limit ?rng c targets1 with
+      match Justify.run justify ?rng targets1 with
       | Justify.Unsat -> `Untestable
       | Justify.Unknown -> `Aborted
       | Justify.Sat v1 -> (
         (* unconstrained inputs copy v1 so they stay stable across the pair *)
-        match Justify.search ~backtrack_limit ?rng ~prefer:v1 c targets2 with
+        match Justify.run justify ?rng ~prefer:v1 targets2 with
         | Justify.Unsat -> `Untestable
         | Justify.Unknown -> `Aborted
         | Justify.Sat v2 -> `Candidate (v1, v2))

@@ -11,6 +11,8 @@ type result = {
 }
 
 val pp_result : Format.formatter -> result -> unit
+(** One line: faults, detected, remaining, last effective pattern and
+    patterns applied. *)
 
 val lowest_bit : int64 -> int
 (** 0-based index of the lowest set bit (constant-time de Bruijn lookup);

@@ -12,9 +12,16 @@ type site =
 type t = { site : site; stuck : bool }
 
 val compare : t -> t -> int
+(** Total order on faults (structural). *)
+
 val equal : t -> t -> bool
+(** Same site and stuck value. *)
+
 val pp : Circuit.t -> Format.formatter -> t -> unit
+(** The fault with the circuit's node names. *)
+
 val to_string : Circuit.t -> t -> string
+(** {!pp} to a string. *)
 
 val journal_fields : t -> (string * Obs_json.t) list
 (** The fault as {!Obs.Journal} event fields: [site] (["stem"] with [node],

@@ -4,8 +4,7 @@ type t = {
   fval : int64 array;
   touched : Bytes.t;
   mutable touched_list : int list;
-  pending : Bytes.t;
-  heap : Int_heap.t; (* pending gates by topological position *)
+  queue : Level_queue.t; (* gates to re-evaluate *)
   mutable loaded : bool;
 }
 
@@ -17,8 +16,7 @@ let create cmp =
     fval = Array.make n 0L;
     touched = Bytes.make n '\000';
     touched_list = [];
-    pending = Bytes.make n '\000';
-    heap = Int_heap.create ();
+    queue = Level_queue.create (Compiled.levels cmp);
     loaded = false;
   }
 
@@ -33,11 +31,11 @@ let good_values st = st.good
 
 let value st id = if Bytes.get st.touched id = '\001' then st.fval.(id) else st.good.(id)
 
-let schedule st id =
-  if Bytes.get st.pending id = '\000' then begin
-    Bytes.set st.pending id '\001';
-    Int_heap.push st.heap (Compiled.topo_index st.cmp).(id)
-  end
+let push_fanouts st id =
+  let fanouts = Compiled.fanouts st.cmp id in
+  for i = 0 to Array.length fanouts - 1 do
+    Level_queue.push st.queue fanouts.(i)
+  done
 
 let set_value st id v =
   if Bytes.get st.touched id = '\000' then begin
@@ -92,17 +90,19 @@ let detect st (f : Fault.t) =
   | Fault.Stem u ->
     if forced <> st.good.(u) then begin
       set_value st u forced;
-      Array.iter (fun g -> schedule st g) (Compiled.fanouts st.cmp u)
+      push_fanouts st u
     end
-  | Fault.Branch (g, _) -> schedule st g);
-  while not (Int_heap.is_empty st.heap) do
-    let id = (Compiled.order st.cmp).(Int_heap.pop st.heap) in
-    Bytes.set st.pending id '\000';
-    let v = eval_gate st ~fault_gate ~fault_pin ~forced id in
-    if v <> value st id then begin
-      set_value st id v;
-      Array.iter (fun g -> schedule st g) (Compiled.fanouts st.cmp id)
-    end
+  | Fault.Branch (g, _) -> Level_queue.push st.queue g);
+  (* Levels pop in nondecreasing order and a gate's fanouts sit on higher
+     levels, so each gate is evaluated once, after its changed fanins. *)
+  let id = ref (Level_queue.pop st.queue) in
+  while !id >= 0 do
+    let v = eval_gate st ~fault_gate ~fault_pin ~forced !id in
+    if v <> value st !id then begin
+      set_value st !id v;
+      push_fanouts st !id
+    end;
+    id := Level_queue.pop st.queue
   done;
   let det = ref 0L in
   List.iter

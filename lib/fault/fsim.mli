@@ -2,13 +2,15 @@
     (the FSIM [17] stand-in).
 
     Patterns are processed 64 at a time; for each fault the effect is
-    propagated event-driven from the fault site towards the outputs, and the
-    returned mask has bit [i] set iff pattern [i] of the batch detects the
-    fault on some primary output. *)
+    propagated event-driven from the fault site towards the outputs, in
+    nondecreasing level ({!Level_queue}), and the returned mask has bit [i]
+    set iff pattern [i] of the batch detects the fault on some primary
+    output. *)
 
 type t
 
 val create : Compiled.t -> t
+(** A simulator over a compiled circuit, with no patterns loaded. *)
 
 val load_patterns : t -> int64 array -> unit
 (** Simulate the fault-free circuit on a 64-pattern batch ([pi_words] indexed

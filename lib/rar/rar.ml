@@ -97,76 +97,77 @@ let try_addition opts c gd ns =
    topologically earliest node, so retargeting cannot create cycles. This is
    the node-substitution move of RAR-family optimizers. *)
 let merge_equivalents opts c ~seed =
-  let batches = sim_batches c ~patterns:opts.sim_patterns ~seed in
-  let order = Circuit.topo_order c in
-  let topo_pos = Array.make (Circuit.size c) max_int in
-  Array.iteri (fun i id -> topo_pos.(id) <- i) order;
-  let signature id =
-    let buf = Buffer.create 64 in
-    Array.iter (fun values -> Buffer.add_string buf (Int64.to_string values.(id))) batches;
-    Buffer.contents buf
-  in
-  let inv_signature id =
-    let buf = Buffer.create 64 in
-    Array.iter
-      (fun values -> Buffer.add_string buf (Int64.to_string (Int64.lognot values.(id))))
-      batches;
-    Buffer.contents buf
-  in
-  let groups : (string, int list) Hashtbl.t = Hashtbl.create 97 in
-  Array.iter
-    (fun id ->
-      match Circuit.kind c id with
-      | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
-      | _ ->
-        let key = signature id in
-        Hashtbl.replace groups key (id :: (try Hashtbl.find groups key with Not_found -> [])))
-    order;
-  let prove_equal ~complement a b =
-    let kind = if complement then Gate.Xnor else Gate.Xor in
-    let probe = Circuit.add_gate c kind [| a; b |] in
-    let verdict = Justify.search ~backtrack_limit:opts.removal_backtracks c [ (probe, true) ] in
-    Circuit.delete c probe;
-    verdict = Justify.Unsat
-  in
-  let merged = ref 0 in
-  let try_merge ~complement rep m =
-    if
-      Circuit.is_alive c rep && Circuit.is_alive c m && rep <> m
-      && topo_pos.(rep) < topo_pos.(m)
-      && prove_equal ~complement rep m
-    then begin
-      let target =
-        if complement then Circuit.add_gate c Gate.Not [| rep |] else rep
+  Obs.Span.with_ "rar.merge" (fun () ->
+      let batches = sim_batches c ~patterns:opts.sim_patterns ~seed in
+      let order = Circuit.topo_order c in
+      let topo_pos = Array.make (Circuit.size c) max_int in
+      Array.iteri (fun i id -> topo_pos.(id) <- i) order;
+      let signature id =
+        let buf = Buffer.create 64 in
+        Array.iter (fun values -> Buffer.add_string buf (Int64.to_string values.(id))) batches;
+        Buffer.contents buf
       in
-      Circuit.retarget c ~from_:m ~to_:target;
-      ignore (Circuit.sweep c);
-      incr merged
-    end
-  in
-  Hashtbl.iter
-    (fun _key members ->
-      match List.sort (fun a b -> compare topo_pos.(a) topo_pos.(b)) members with
-      | [] | [ _ ] -> ()
-      | rep :: rest -> List.iter (fun m -> try_merge ~complement:false rep m) rest)
-    groups;
-  (* complementary pairs: a gate whose inverted signature matches another *)
-  Array.iter
-    (fun id ->
-      if Circuit.is_alive c id then
-        match Circuit.kind c id with
-        | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
-        | _ -> (
-          match Hashtbl.find_opt groups (inv_signature id) with
-          | None -> ()
-          | Some members ->
-            List.iter
-              (fun m ->
-                if Circuit.is_alive c m && topo_pos.(id) < topo_pos.(m) then
-                  try_merge ~complement:true id m)
-              members))
-    order;
-  !merged
+      let inv_signature id =
+        let buf = Buffer.create 64 in
+        Array.iter
+          (fun values -> Buffer.add_string buf (Int64.to_string (Int64.lognot values.(id))))
+          batches;
+        Buffer.contents buf
+      in
+      let groups : (string, int list) Hashtbl.t = Hashtbl.create 97 in
+      Array.iter
+        (fun id ->
+          match Circuit.kind c id with
+          | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
+          | _ ->
+            let key = signature id in
+            Hashtbl.replace groups key (id :: (try Hashtbl.find groups key with Not_found -> [])))
+        order;
+      let prove_equal ~complement a b =
+        let kind = if complement then Gate.Xnor else Gate.Xor in
+        let probe = Circuit.add_gate c kind [| a; b |] in
+        let verdict = Justify.search ~backtrack_limit:opts.removal_backtracks c [ (probe, true) ] in
+        Circuit.delete c probe;
+        verdict = Justify.Unsat
+      in
+      let merged = ref 0 in
+      let try_merge ~complement rep m =
+        if
+          Circuit.is_alive c rep && Circuit.is_alive c m && rep <> m
+          && topo_pos.(rep) < topo_pos.(m)
+          && prove_equal ~complement rep m
+        then begin
+          let target =
+            if complement then Circuit.add_gate c Gate.Not [| rep |] else rep
+          in
+          Circuit.retarget c ~from_:m ~to_:target;
+          ignore (Circuit.sweep c);
+          incr merged
+        end
+      in
+      Hashtbl.iter
+        (fun _key members ->
+          match List.sort (fun a b -> compare topo_pos.(a) topo_pos.(b)) members with
+          | [] | [ _ ] -> ()
+          | rep :: rest -> List.iter (fun m -> try_merge ~complement:false rep m) rest)
+        groups;
+      (* complementary pairs: a gate whose inverted signature matches another *)
+      Array.iter
+        (fun id ->
+          if Circuit.is_alive c id then
+            match Circuit.kind c id with
+            | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
+            | _ -> (
+              match Hashtbl.find_opt groups (inv_signature id) with
+              | None -> ()
+              | Some members ->
+                List.iter
+                  (fun m ->
+                    if Circuit.is_alive c m && topo_pos.(id) < topo_pos.(m) then
+                      try_merge ~complement:true id m)
+                  members))
+        order;
+      !merged)
 
 let optimize ?(options = default_options) c =
   let opts = options in
@@ -199,62 +200,63 @@ let optimize ?(options = default_options) c =
     end
   in
   merge_rounds 4;
-  let improving = ref true in
-  while !improving && !additions < opts.max_additions do
-    improving := false;
-    let values = sim_batches c ~patterns:opts.sim_patterns ~seed:(Rng.next64 rng) in
-    let nodes =
-      let acc = ref [] in
-      Circuit.iter_live c (fun id -> acc := id :: !acc);
-      Array.of_list !acc
-    in
-    let gates = Array.of_list (List.filter (is_andor c) (Array.to_list nodes)) in
-    Rng.shuffle rng gates;
-    let trials = ref 0 in
-    let gi = ref 0 in
-    while (not !improving) && !trials < opts.max_trials && !gi < Array.length gates do
-      let gd = gates.(!gi) in
-      incr gi;
-      if Circuit.is_alive c gd && is_andor c gd then begin
-        let tfo = transitive_fanout c gd in
-        let already = Array.to_list (Circuit.fanins c gd) in
-        let sources = Array.copy nodes in
-        Rng.shuffle rng sources;
-        let si = ref 0 in
-        while (not !improving) && !trials < opts.max_trials && !si < Array.length sources
-        do
-          let ns = sources.(!si) in
-          incr si;
-          if
-            Circuit.is_alive c ns && ns <> gd
-            && Bytes.get tfo ns = '\000'
-            && (not (List.mem ns already))
-            && (match Circuit.kind c ns with
-               | Gate.Const0 | Gate.Const1 -> false
-               | _ -> true)
-            && filter_passes c values gd ns
-          then begin
-            incr trials;
-            let snapshot = Circuit.copy c in
-            if try_addition opts c gd ns then begin
-              let before = Circuit.two_input_gate_count snapshot in
-              let saved_removals = !removals in
-              remove ();
-              if Circuit.two_input_gate_count c < before then begin
-                incr additions;
-                improving := true
+  Obs.Span.with_ "rar.trials" (fun () ->
+      let improving = ref true in
+      while !improving && !additions < opts.max_additions do
+        improving := false;
+        let values = sim_batches c ~patterns:opts.sim_patterns ~seed:(Rng.next64 rng) in
+        let nodes =
+          let acc = ref [] in
+          Circuit.iter_live c (fun id -> acc := id :: !acc);
+          Array.of_list !acc
+        in
+        let gates = Array.of_list (List.filter (is_andor c) (Array.to_list nodes)) in
+        Rng.shuffle rng gates;
+        let trials = ref 0 in
+        let gi = ref 0 in
+        while (not !improving) && !trials < opts.max_trials && !gi < Array.length gates do
+          let gd = gates.(!gi) in
+          incr gi;
+          if Circuit.is_alive c gd && is_andor c gd then begin
+            let tfo = transitive_fanout c gd in
+            let already = Array.to_list (Circuit.fanins c gd) in
+            let sources = Array.copy nodes in
+            Rng.shuffle rng sources;
+            let si = ref 0 in
+            while (not !improving) && !trials < opts.max_trials && !si < Array.length sources
+            do
+              let ns = sources.(!si) in
+              incr si;
+              if
+                Circuit.is_alive c ns && ns <> gd
+                && Bytes.get tfo ns = '\000'
+                && (not (List.mem ns already))
+                && (match Circuit.kind c ns with
+                   | Gate.Const0 | Gate.Const1 -> false
+                   | _ -> true)
+                && filter_passes c values gd ns
+              then begin
+                incr trials;
+                let snapshot = Circuit.copy c in
+                if try_addition opts c gd ns then begin
+                  let before = Circuit.two_input_gate_count snapshot in
+                  let saved_removals = !removals in
+                  remove ();
+                  if Circuit.two_input_gate_count c < before then begin
+                    incr additions;
+                    improving := true
+                  end
+                  else begin
+                    (* unproductive addition: roll everything back *)
+                    Circuit.overwrite c ~with_:snapshot;
+                    removals := saved_removals
+                  end
+                end
               end
-              else begin
-                (* unproductive addition: roll everything back *)
-                Circuit.overwrite c ~with_:snapshot;
-                removals := saved_removals
-              end
-            end
+            done
           end
         done
-      end
-    done
-  done;
+      done);
   {
     additions = !additions;
     removals = !removals;

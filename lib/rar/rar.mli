@@ -35,4 +35,7 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val optimize : ?options:options -> Circuit.t -> stats
-(** Mutates the circuit; the result is equivalent to the input. *)
+(** Mutates the circuit; the result is equivalent to the input.
+    Observability (when enabled): span [rar.merge] per node-substitution
+    round and one span [rar.trials] around the wire-addition loop, beside
+    the removal passes' [redundancy.*] spans. *)

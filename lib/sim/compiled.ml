@@ -3,6 +3,7 @@ type t = {
   size : int;
   order : int array;
   topo_index : int array;
+  levels : int array;
   kinds : Gate.kind array;
   fanins : int array array;
   fanouts : int array array;
@@ -23,6 +24,17 @@ let of_circuit c =
       kinds.(id) <- Circuit.kind c id;
       fanins.(id) <- Array.copy (Circuit.fanins c id);
       fanouts.(id) <- Array.of_list (Circuit.fanouts c id));
+  (* Along the order every fanin is levelled before its gate. *)
+  let levels = Array.make size (-1) in
+  Array.iter
+    (fun id ->
+      levels.(id) <-
+        (match kinds.(id) with
+        | Gate.Input | Gate.Const0 | Gate.Const1 -> 0
+        | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor
+        | Gate.Xor | Gate.Xnor ->
+          1 + Array.fold_left (fun acc f -> max acc levels.(f)) 0 fanins.(id)))
+    order;
   let outputs = Circuit.outputs c in
   let po_flags = Bytes.make size '\000' in
   Array.iter (fun o -> Bytes.set po_flags o '\001') outputs;
@@ -31,6 +43,7 @@ let of_circuit c =
     size;
     order;
     topo_index;
+    levels;
     kinds;
     fanins;
     fanouts;
@@ -43,6 +56,7 @@ let circuit t = t.circuit
 let size t = t.size
 let order t = t.order
 let topo_index t = t.topo_index
+let levels t = t.levels
 let kind t id = t.kinds.(id)
 let fanins t id = t.fanins.(id)
 let fanouts t id = t.fanouts.(id)

@@ -7,20 +7,45 @@
 type t
 
 val of_circuit : Circuit.t -> t
+(** Flatten a circuit: one topological sort, copies of every live node's
+    kind, fanins and fanouts, and each node's level. *)
+
 val circuit : t -> Circuit.t
+(** The source circuit. *)
+
 val size : t -> int
+(** Upper bound on node ids ([Circuit.size] of the source). *)
+
 val order : t -> int array
 (** Topological order over live nodes. *)
 
 val topo_index : t -> int array
 (** Inverse of {!order}; dead nodes get [-1]. *)
 
+val levels : t -> int array
+(** Level of every node: [0] for inputs and constants, one more than the
+    highest fanin level for a gate (as [Levelize.levels]); dead nodes get
+    [-1]. A gate's level exceeds each of its fanins', so processing nodes
+    in nondecreasing level is a topological order ({!Level_queue}). Do not
+    mutate. *)
+
 val kind : t -> int -> Gate.kind
+(** Gate kind of a live node. *)
+
 val fanins : t -> int -> int array
+(** Fanin node ids of a live node, in pin order (do not mutate). *)
+
 val fanouts : t -> int -> int array
+(** Fanout node ids of a live node (do not mutate). *)
+
 val inputs : t -> int array
+(** Primary inputs in declaration order. *)
+
 val outputs : t -> int array
+(** Nodes designated as primary outputs, in declaration order. *)
+
 val is_po : t -> int -> bool
+(** The node is in {!outputs}. *)
 
 val eval_node : t -> int64 array -> int -> int64
 (** Evaluate one gate from the value array (gate kinds only). *)

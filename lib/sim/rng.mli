@@ -9,11 +9,18 @@ val create : int64 -> t
 (** Splitmix64 stream seeded explicitly. *)
 
 val copy : t -> t
+(** An independent stream in the same state: both yield the same values
+    from here on. *)
+
 val next64 : t -> int64
+(** The next 64 random bits. *)
+
 val int : t -> int -> int
 (** Uniform over [0 .. bound - 1]; [bound] must be positive. *)
 
 val bool : t -> bool
+(** A fair coin. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates. *)
 

@@ -18,13 +18,14 @@ let observed cmp batches inputs =
 
 let prove_unreachable ?(backtrack_limit = 200) c inputs minterms =
   let k = Array.length inputs in
+  let justify = Justify.create ~backtrack_limit c in
   List.for_all
     (fun m ->
       let targets =
         Array.to_list
           (Array.mapi (fun j input -> (input, m land (1 lsl (k - 1 - j)) <> 0)) inputs)
       in
-      match Justify.search ~backtrack_limit c targets with
+      match Justify.run justify targets with
       | Justify.Unsat -> true
       | Justify.Sat _ | Justify.Unknown -> false)
     minterms

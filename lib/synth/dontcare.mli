@@ -15,5 +15,6 @@ val observed :
 val prove_unreachable :
   ?backtrack_limit:int -> Circuit.t -> int array -> int list -> bool
 (** [prove_unreachable c inputs minterms]: true iff {e every} listed cut
-    minterm is proved unreachable by exhaustive justification search.
-    [Unknown] (budget) counts as reachable, keeping callers sound. *)
+    minterm is proved unreachable by exhaustive justification search, on
+    one {!Justify.t} for all of them. [Unknown] (budget) counts as
+    reachable, keeping callers sound. *)

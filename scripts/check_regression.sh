@@ -9,7 +9,8 @@
 #   - every section, row and exact key of the baseline (or of the new
 #     snapshot) must be in the new snapshot, unchanged: Tables 1-7's "ours"
 #     rows, the CEC proofs' solver decisions and conflicts, and in
-#     `sat_atpg` PODEM's verdict counts and the escalation's solver
+#     `sat_atpg` PODEM's verdict counts, its decisions and backtracks
+#     (`podem_decisions`, `podem_backtracks`) and the escalation's solver
 #     conflicts and propagations;
 #   - the generated inputs' gates and paths must not grow (threshold 0).
 # Wall times are machine-dependent and not gated. A CLI journal gate

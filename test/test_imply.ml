@@ -115,8 +115,19 @@ let qcheck_podem_reuse =
           true)
         (List.filteri (fun i _ -> i mod 3 = 0) (Fault.all c)))
 
-(* Random assignment and unassignment sequences: after every step the
-   kernel's good and faulty values equal a full pass on every live node. *)
+(* The full-pass values under [fault], or without a fault, where the faulty
+   machine is the good one (which no fault changes). *)
+let full_pass c fault assignment =
+  match fault with
+  | Some f -> Ref_atpg.simulate c f assignment
+  | None ->
+    let good, _ = Ref_atpg.simulate c (List.hd (Fault.all c)) assignment in
+    (good, good)
+
+(* One kernel, reset across sampled faults and a fault-free run, under
+   random assignment and unassignment sequences: after the reset and after
+   every step its good and faulty values equal a full pass on every live
+   node. The compiled levels are [Levelize.levels]. *)
 let qcheck_kernel =
   QCheck.Test.make ~count:40 ~name:"event-driven values = full pass"
     QCheck.(int_bound 1_000_000)
@@ -125,24 +136,167 @@ let qcheck_kernel =
       let rng = Rng.create (Int64.of_int (seed + 2)) in
       let cmp = Compiled.of_circuit c in
       let inputs = Compiled.inputs cmp in
-      List.for_all
-        (fun f ->
-          let imp = Imply.create ~fault:f cmp in
-          let assignment = Array.make (Array.length inputs) Tv.X in
-          List.for_all
-            (fun _ ->
-              let i = Rng.int rng (Array.length inputs) in
-              let v = [| Tv.F; Tv.T; Tv.X |].(Rng.int rng 3) in
-              assignment.(i) <- v;
-              Imply.assign imp inputs.(i) v;
-              let good, faul = Ref_atpg.simulate c f assignment in
-              Array.for_all
-                (fun id ->
-                  Tv.equal (Imply.good imp id) good.(id)
-                  && Tv.equal (Imply.faulty imp id) faul.(id))
-                (Compiled.order cmp))
-            (List.init 25 Fun.id))
-        (sample_faults rng 2 c))
+      let imp = Imply.create cmp in
+      let faults = List.map Option.some (sample_faults rng 2 c) in
+      Compiled.levels cmp = Levelize.levels c
+      && List.for_all
+           (fun fault ->
+             Imply.reset ?fault imp;
+             let assignment = Array.make (Array.length inputs) Tv.X in
+             let agrees () =
+               let good, faul = full_pass c fault assignment in
+               Array.for_all
+                 (fun id ->
+                   Tv.equal (Imply.good imp id) good.(id)
+                   && Tv.equal (Imply.faulty imp id) faul.(id))
+                 (Compiled.order cmp)
+             in
+             agrees ()
+             && List.for_all
+                  (fun _ ->
+                    let i = Rng.int rng (Array.length inputs) in
+                    let v = [| Tv.F; Tv.T; Tv.X |].(Rng.int rng 3) in
+                    assignment.(i) <- v;
+                    Imply.assign imp inputs.(i) v;
+                    agrees ())
+                  (List.init 25 Fun.id))
+           (faults @ [ None ] @ faults))
+
+let tvs = [| Tv.F; Tv.T; Tv.X |]
+
+(* The dual-rail folds against the [Tv] folds of [Ref_atpg.eval]: every gate
+   kind with up to 3 pins, every (good, faulty) pair on every pin, without
+   a fault, with the gate's stem stuck and with each pin stuck; and the D
+   and composite-X readings of each pin and input. *)
+let test_dual_rail () =
+  let cases =
+    [ (Gate.Const0, [ 0 ]); (Gate.Const1, [ 0 ]); (Gate.Buf, [ 1 ]); (Gate.Not, [ 1 ]) ]
+    @ List.map
+        (fun k -> (k, [ 1; 2; 3 ]))
+        [ Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ]
+  in
+  let is_d g f = Tv.known g && Tv.known f && not (Tv.equal g f) in
+  let bad = ref 0 and checked = ref 0 in
+  let expect what ok =
+    incr checked;
+    if not ok then begin
+      if !bad = 0 then Format.printf "dual rail: %s@." (Lazy.force what);
+      incr bad
+    end
+  in
+  List.iter
+    (fun (kind, arities) ->
+      List.iter
+        (fun m ->
+          let c = Circuit.create () in
+          let ins = Array.init m (fun _ -> Circuit.add_input c) in
+          let g =
+            match kind with
+            | Gate.Const0 -> Circuit.add_const c false
+            | Gate.Const1 -> Circuit.add_const c true
+            | _ -> Circuit.add_gate c kind ins
+          in
+          Circuit.mark_output c g;
+          let imp = Imply.create (Compiled.of_circuit c) in
+          let faults =
+            None
+            :: List.concat_map
+                 (fun stuck ->
+                   Some { Fault.site = Fault.Stem g; stuck }
+                   :: List.init m (fun pin -> Some { Fault.site = Fault.Branch (g, pin); stuck }))
+                 [ false; true ]
+          in
+          List.iter
+            (fun fault ->
+              Imply.reset ?fault imp;
+              let pin_override pin =
+                match fault with
+                | Some { Fault.site = Fault.Branch (_, p); stuck } when p = pin ->
+                  Some (Tv.of_bool stuck)
+                | _ -> None
+              in
+              for code = 0 to int_of_float (9. ** float_of_int m) - 1 do
+                let pairs =
+                  Array.init m (fun pin ->
+                      let d = code / int_of_float (9. ** float_of_int pin) mod 9 in
+                      (tvs.(d mod 3), tvs.(d / 3)))
+                in
+                Array.iteri
+                  (fun pin (good, faulty) -> Imply.Test_hooks.set imp ins.(pin) ~good ~faulty)
+                  pairs;
+                let read = Array.mapi (fun pin (_, f) -> Option.value ~default:f (pin_override pin)) pairs in
+                let want_good = Ref_atpg.eval kind (Array.map fst pairs) in
+                let want_faulty =
+                  match fault with
+                  | Some { Fault.site = Fault.Stem _; stuck } -> Tv.of_bool stuck
+                  | _ -> Ref_atpg.eval kind read
+                in
+                let got_good, got_faulty = Imply.Test_hooks.eval imp g in
+                let describe () =
+                  Printf.sprintf "%s/%d %s pins %s: got %c/%c, want %c/%c" (Gate.to_string kind) m
+                    (match fault with None -> "no fault" | Some f -> Fault.to_string c f)
+                    (String.concat " "
+                       (Array.to_list
+                          (Array.map (fun (a, b) -> Printf.sprintf "%c/%c" (Tv.to_char a) (Tv.to_char b)) pairs)))
+                    (Tv.to_char got_good) (Tv.to_char got_faulty) (Tv.to_char want_good)
+                    (Tv.to_char want_faulty)
+                in
+                expect (lazy (describe ()))
+                  (Tv.equal got_good want_good && Tv.equal got_faulty want_faulty);
+                Array.iteri
+                  (fun pin (good, faulty) ->
+                    expect (lazy (describe () ^ Printf.sprintf ", D on pin %d" pin))
+                      (Imply.pin_d imp g pin = is_d good read.(pin)
+                      && Imply.d imp ins.(pin) = is_d good faulty
+                      && Imply.composite_x imp ins.(pin)
+                         = not (Tv.known good && Tv.known faulty)))
+                  pairs
+              done)
+            faults)
+        arities)
+    cases;
+  check int_ "dual-rail mismatches" 0 !bad;
+  check bool_ "every case checked" true (!checked > 0)
+
+(* Random pushes onto random levels, some repeated while pending, then
+   drains that push nodes on higher levels as a gate's fanouts are pushed:
+   every pushed node pops once per time it was queued, in nondecreasing
+   level, and the queue is empty after each drain. *)
+let qcheck_level_queue =
+  QCheck.Test.make ~count:200 ~name:"level queue pops each push once, by level"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let n = 1 + Rng.int rng 300 in
+      let depth = 1 + Rng.int rng 20 in
+      let levels = Array.init n (fun _ -> if Rng.int rng 8 = 0 then -1 else Rng.int rng depth) in
+      let live = Array.of_list (List.filter (fun i -> levels.(i) >= 0) (List.init n Fun.id)) in
+      let q = Level_queue.create levels in
+      let pending = Array.make n false in
+      let push id =
+        Level_queue.push q id;
+        pending.(id) <- true
+      in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        if Array.length live > 0 then
+          for _ = 1 to Rng.int rng (2 * n) do
+            push live.(Rng.int rng (Array.length live))
+          done;
+        let last = ref (-1) in
+        let id = ref (Level_queue.pop q) in
+        while !id >= 0 do
+          if (not pending.(!id)) || levels.(!id) < !last then ok := false;
+          pending.(!id) <- false;
+          last := levels.(!id);
+          for _ = 1 to Rng.int rng 4 do
+            let j = live.(Rng.int rng (Array.length live)) in
+            if levels.(j) > levels.(!id) then push j
+          done;
+          id := Level_queue.pop q
+        done
+      done;
+      !ok && Array.for_all not pending)
 
 (* Random 1-3 target sets on generated circuits, with and without an rng
    (two generators from one seed must also end in the same state) and a
@@ -171,10 +325,44 @@ let qcheck_justify =
           && Option.map Rng.next64 r1 = Option.map Rng.next64 r2)
         (List.init 6 Fun.id))
 
+(* A run of target sets on one [Justify.t] (one compile, the kernel reset
+   per set) gets, set for set, the verdict of [Justify.search], with and
+   without an rng (both generators must end in the same state) and a
+   [prefer] fill. *)
+let qcheck_justify_reuse =
+  QCheck.Test.make ~count:30 ~name:"Justify.run on one t = Justify.search"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c = Circuit_gen.generate (profile_of seed) in
+      let rng = Rng.create (Int64.of_int (seed + 4)) in
+      let order = Circuit.topo_order c in
+      let n_in = Circuit.num_inputs c in
+      let backtrack_limit = [| 0; 3; 50 |].(seed mod 3) in
+      let shared = Justify.create ~backtrack_limit c in
+      List.for_all
+        (fun _ ->
+          let targets =
+            List.init (1 + Rng.int rng 3) (fun _ ->
+                (order.(Rng.int rng (Array.length order)), Rng.bool rng))
+          in
+          let prefer = if Rng.bool rng then Some (Array.init n_in (fun _ -> Rng.bool rng)) else None in
+          let tie_seed = if Rng.bool rng then Some (Rng.next64 rng) else None in
+          let r1 = Option.map Rng.create tie_seed and r2 = Option.map Rng.create tie_seed in
+          let got = Justify.run shared ?rng:r1 ?prefer targets in
+          let want = Justify.search ~backtrack_limit ?rng:r2 ?prefer c targets in
+          got = want
+          && Option.map Rng.next64 r1 = Option.map Rng.next64 r2)
+        (List.init 10 Fun.id))
+
 let suite =
   [
     ("PODEM = reference on c17", `Quick, test_podem_c17);
     ("PODEM = reference on irs1423 sample", `Quick, test_podem_irs1423);
+    ("dual-rail folds = Tv folds", `Quick, test_dual_rail);
   ]
 
-let qchecks = [ qcheck_kernel; qcheck_podem; qcheck_podem_reuse; qcheck_justify ]
+let qchecks =
+  [
+    qcheck_kernel; qcheck_level_queue; qcheck_podem; qcheck_podem_reuse; qcheck_justify;
+    qcheck_justify_reuse;
+  ]
