@@ -954,7 +954,7 @@ let incremental () =
     identical !domains
 
 (* ------------------------------------------------------------------ *)
-(* "Persistent identification cache" section (DESIGN.md §15).           *)
+(* "Identification cache" section (DESIGN.md §15).                      *)
 (* ------------------------------------------------------------------ *)
 
 let idcache () =
@@ -975,66 +975,47 @@ let idcache () =
       }
   in
   let hits_c = Obs.Counter.make "idcache.hits" in
-  let disk_c = Obs.Counter.make "idcache.disk_hits" in
   let miss_c = Obs.Counter.make "idcache.misses" in
-  let opts ~id_cache ~cache_dir =
-    {
-      (proc2_options 4) with
-      Engine.max_candidates = 24;
-      max_passes = 2;
-      domains = 1;
-      id_cache;
-      cache_dir;
-    }
-  in
-  let run o =
-    let c = Circuit.copy base in
-    let v0 =
-      (Obs.Counter.value hits_c, Obs.Counter.value disk_c, Obs.Counter.value miss_c)
+  let run id_cache =
+    let o =
+      {
+        (proc2_options 4) with
+        Engine.max_candidates = 24;
+        max_passes = 2;
+        domains = 1;
+        id_cache;
+      }
     in
+    let c = Circuit.copy base in
+    let h0 = Obs.Counter.value hits_c and m0 = Obs.Counter.value miss_c in
     let stats = Engine.optimize Engine.Gates o c in
-    let h0, d0, m0 = v0 in
     ( stats,
       Bench_format.to_string c,
       Obs.Counter.value hits_c - h0,
-      Obs.Counter.value disk_c - d0,
       Obs.Counter.value miss_c - m0 )
   in
-  (* A fresh store, so "cold" starts empty; it is deleted afterwards. *)
-  let store = Filename.temp_dir "sft_idcache_bench" "" in
-  let s_off, n_off, _, _, _ = run (opts ~id_cache:false ~cache_dir:None) in
-  let s_cold, n_cold, ch, _, cm = run (opts ~id_cache:true ~cache_dir:(Some store)) in
-  let s_warm, n_warm, wh, wd, wm = run (opts ~id_cache:true ~cache_dir:(Some store)) in
-  Array.iter (fun f -> Sys.remove (Filename.concat store f)) (Sys.readdir store);
-  Sys.rmdir store;
-  let rate h m = if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m) in
-  let cold_rate = rate ch cm and warm_rate = rate wh wm in
-  let identical = s_off = s_cold && s_off = s_warm && n_off = n_cold && n_off = n_warm in
-  (* A deterministic rerun is answered entirely from the store. *)
-  let gate_ok = identical && wd > 0 && wm = 0 && warm_rate >= cold_rate in
+  let s_off, n_off, _, _ = run false in
+  let s_on, n_on, hits, misses = run true in
+  let rate =
+    if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
+  in
+  let identical = s_off = s_on && n_off = n_on in
   row
     Obs_json.
       [
         ("circuit", String "idc-large");
         ("gates", Int (gates2 base));
         ("paths", Int (paths base));
-        ("cold_hits", Int ch);
-        ("cold_misses", Int cm);
-        ("warm_hits", Int wh);
-        ("warm_disk_hits", Int wd);
-        ("warm_misses", Int wm);
-        ("cold_hit_rate", Float cold_rate);
-        ("warm_hit_rate", Float warm_rate);
+        ("hits", Int hits);
+        ("misses", Int misses);
+        ("hit_rate", Float rate);
         ("identical_results", Bool identical);
-        ("gate_ok", Bool gate_ok);
+        ("gate_ok", Bool (identical && hits > 0));
       ];
-  Printf.printf "persistent identification cache on idc-large (%d two-input gates, fresh store)\n"
-    (gates2 base);
-  Printf.printf "  cold   hits %8d   misses %8d   (hit rate %.1f%%)\n" ch cm
-    (100. *. cold_rate);
-  Printf.printf "  warm   hits %8d   misses %8d   (hit rate %.1f%%, disk hits %d)\n" wh wm
-    (100. *. warm_rate) wd;
-  Printf.printf "  identical results: %b (off vs cold vs warm)\n%!" identical
+  Printf.printf "identification cache on idc-large (%d two-input gates)\n" (gates2 base);
+  Printf.printf "  on     hits %8d   misses %8d   (hit rate %.1f%%)\n" hits misses
+    (100. *. rate);
+  Printf.printf "  identical results: %b (on vs off)\n%!" identical
 
 (* ------------------------------------------------------------------ *)
 (* "Decision journal" section (DESIGN.md §16).                          *)
@@ -1133,8 +1114,7 @@ let sections =
     s "ablations" "design-choice ablations" ablations;
     s "incremental" "incremental resynthesis vs the reference full walk" incremental
       ~gates:flags;
-    s "idcache" "persistent identification cache: cold vs warm vs off" idcache
-      ~gates:flags;
+    s "idcache" "identification cache: on vs off" idcache ~gates:flags;
     s "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg
       ~gates:[ "escalation_ok" ] ~exact:sat_atpg_keys;
     s "journal" "decision journal: funnel and bit-identity" journal ~gates:flags;

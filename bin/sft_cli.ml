@@ -254,8 +254,8 @@ let gen_cmd =
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
-  let run file bench objective k engine budget no_merge verify dontcares units
-      no_id_cache cache_dir domains output metrics trace journal =
+  let run file bench objective k engine budget no_merge dontcares units no_id_cache
+      domains output metrics trace journal =
     with_obs ~cmd:"optimize" metrics trace journal (fun ppf ->
         if k < 1 || k > Engine.max_k then die "-k %d is outside 1..%d" k Engine.max_k;
         if budget < 1 then die "--budget %d is below 1" budget;
@@ -279,11 +279,9 @@ let optimize_cmd =
             Engine.k;
             engine;
             merge = not no_merge;
-            verify_global = verify;
             use_dontcares = dontcares;
             max_units = units;
             id_cache = not no_id_cache;
-            cache_dir;
             domains;
           }
         in
@@ -308,9 +306,6 @@ let optimize_cmd =
     Arg.(value & opt int 200 & info [ "budget" ] ~doc:"Permutation budget for --engine sampled.")
   in
   let no_merge = Arg.(value & flag & info [ "no-merge" ] ~doc:"Disable chain-gate merging.") in
-  let verify =
-    Arg.(value & flag & info [ "verify" ] ~doc:"Random-pattern equivalence check after each pass.")
-  in
   let dontcares =
     Arg.(
       value & flag
@@ -331,25 +326,13 @@ let optimize_cmd =
             "Disable the run-scoped identification cache (results are \
              bit-identical either way; this is a debugging escape hatch).")
   in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist the identification cache in $(docv)/idcache.bin \
-             (DESIGN.md Sec. 15): warm-start from the store if present and \
-             append this run's fresh verdicts at the end. Safe to share \
-             across concurrent runs; results are bit-identical cold, warm \
-             or with the cache off.")
-  in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Resynthesise with comparison units (Procedures 2 and 3 of the paper).")
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
-      $ verify $ dontcares $ units $ no_id_cache $ cache_dir $ domains_arg
-      $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
+      $ dontcares $ units $ no_id_cache $ domains_arg $ output_arg $ metrics_arg
+      $ trace_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
@@ -448,24 +431,22 @@ let rar_cmd =
 (* --- redundancy ------------------------------------------------------------ *)
 
 let redundancy_cmd =
-  let run file bench no_sat seed output metrics trace journal =
+  let run file bench seed output metrics trace journal =
     with_obs ~cmd:"redundancy" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
-        let report = Redundancy.remove ~sat:(not no_sat) ~seed c in
+        let report = Redundancy.remove ~seed c in
         Format.fprintf ppf "%a@." Redundancy.pp_report report;
         print_stats ppf c;
         save ppf output c)
   in
-  let no_sat =
-    Arg.(
-      value & flag
-      & info [ "no-sat" ]
-          ~doc:"Keep PODEM aborts undecided instead of escalating them to SAT.")
-  in
   Cmd.v
-    (Cmd.info "redundancy" ~doc:"Remove stuck-at redundancies (the paper's [15] step).")
+    (Cmd.info "redundancy"
+       ~doc:
+         "Remove stuck-at redundancies (the paper's [15] step); PODEM aborts \
+          escalate to SAT.")
     Term.(
-      const run $ file_arg $ bench_arg $ no_sat $ seed_arg $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
+      const run $ file_arg $ bench_arg $ seed_arg $ output_arg $ metrics_arg $ trace_arg
+      $ journal_arg)
 
 (* --- fsim ------------------------------------------------------------------ *)
 
@@ -567,13 +548,7 @@ let pdf_cmd =
         let c = load ~file ~bench in
         let r =
           Pdf_campaign.exec
-            {
-              Pdf_campaign.default with
-              max_pairs = pairs;
-              stop_window = window;
-              domains;
-              seed;
-            }
+            { Pdf_campaign.max_pairs = pairs; stop_window = window; domains; seed }
             c
         in
         Format.fprintf ppf "%a@." Pdf_campaign.pp_result r)
@@ -675,7 +650,14 @@ let sop_cmd =
 let pdfatpg_cmd =
   let run file bench limit max_paths seed metrics trace journal =
     with_obs ~cmd:"pdfatpg" metrics trace journal (fun ppf ->
+        if max_paths < 1 then die "--max-paths %d is below 1" max_paths;
         let c = load ~file ~bench in
+        (match Paths.total c with
+        | n when n > max_paths ->
+          die "%d paths are above the --max-paths cap of %d" n max_paths
+        | _ -> ()
+        | exception Paths.Overflow ->
+          die "the path count overflows, above the --max-paths cap of %d" max_paths);
         let s = Pdf_atpg.classify_all ~backtrack_limit:limit ~max_paths ~seed c in
         Format.fprintf ppf "%a@." Pdf_atpg.pp_summary s)
   in

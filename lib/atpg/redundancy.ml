@@ -16,8 +16,8 @@ type candidates = {
   unresolved : (Fault.t * int) list;
 }
 
-let find_untestable ?(limits = Limits.default) ?(sat = true)
-    ?(prefilter_patterns = 4096) ~seed c =
+let find_untestable ?(limits = Limits.default) ?(prefilter_patterns = 4096)
+    ~seed c =
   Obs.Span.with_ "redundancy.classify" (fun () ->
       let survivors =
         Campaign.survivors
@@ -34,22 +34,12 @@ let find_untestable ?(limits = Limits.default) ?(sat = true)
           | Podem.Untestable -> untestable := f :: !untestable
           | Podem.Aborted -> aborted := f :: !aborted)
         survivors;
-      let aborted = List.rev !aborted in
-      if sat then begin
-        let esc = Sat_atpg.escalate ~limits c aborted in
-        {
-          untestable = List.rev !untestable;
-          sat_redundant = esc.Sat_atpg.redundant;
-          unresolved = esc.Sat_atpg.unknown;
-        }
-      end
-      else
-        {
-          untestable = List.rev !untestable;
-          sat_redundant = [];
-          unresolved =
-            List.map (fun f -> (f, limits.Limits.podem_backtracks)) aborted;
-        })
+      let esc = Sat_atpg.escalate ~limits c (List.rev !aborted) in
+      {
+        untestable = List.rev !untestable;
+        sat_redundant = esc.Sat_atpg.redundant;
+        unresolved = esc.Sat_atpg.unknown;
+      })
 
 let tie_off c (f : Fault.t) =
   let const = Circuit.add_const c f.Fault.stuck in
@@ -66,7 +56,7 @@ let structurally_valid c (f : Fault.t) =
   | Fault.Stem u -> Circuit.is_alive c u
   | Fault.Branch (g, pin) -> Circuit.is_alive c g && pin < Circuit.fanin_count c g
 
-let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c =
+let remove ?(limits = Limits.default) ?prefilter_patterns ~seed c =
   let removed = ref 0 in
   let removed_sat = ref 0 in
   let aborted = ref 0 in
@@ -74,7 +64,7 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
   let continue = ref true in
   while !continue do
     incr passes;
-    let found = find_untestable ~limits ~sat ?prefilter_patterns ~seed c in
+    let found = find_untestable ~limits ?prefilter_patterns ~seed c in
     aborted := List.length found.unresolved;
     let removed_before = !removed in
     (match found.untestable @ found.sat_redundant with
@@ -104,22 +94,19 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
                       @ [ ("method", Obs_json.String "podem") ]);
                   incr removed
                 | Podem.Test _ -> ()
-                | Podem.Aborted ->
-                  if sat then begin
-                    let engine = Sat_atpg.create ~limits c in
-                    match Sat_atpg.run engine f with
-                    | Sat_atpg.Redundant ->
-                      tie_off c f;
-                      if Obs.Journal.enabled () then
-                        Obs.Journal.emit "redundancy_proof"
-                          (Fault.journal_fields f
-                          @ [ ("method", Obs_json.String "sat") ]);
-                      incr removed;
-                      incr removed_sat
-                    | Sat_atpg.Test _ -> ()
-                    | Sat_atpg.Unknown _ -> incr aborted
-                  end
-                  else incr aborted)
+                | Podem.Aborted -> (
+                  let engine = Sat_atpg.create ~limits c in
+                  match Sat_atpg.run engine f with
+                  | Sat_atpg.Redundant ->
+                    tie_off c f;
+                    if Obs.Journal.enabled () then
+                      Obs.Journal.emit "redundancy_proof"
+                        (Fault.journal_fields f
+                        @ [ ("method", Obs_json.String "sat") ]);
+                    incr removed;
+                    incr removed_sat
+                  | Sat_atpg.Test _ -> ()
+                  | Sat_atpg.Unknown _ -> incr aborted))
             candidates));
     (* Only a pass without candidates removes nothing; the next pass would
        find none either. *)
@@ -132,8 +119,8 @@ let remove ?(limits = Limits.default) ?(sat = true) ?prefilter_patterns ~seed c 
     passes = !passes;
   }
 
-let make_irredundant ?limits ?sat ?prefilter_patterns ~seed c =
+let make_irredundant ?limits ?prefilter_patterns ~seed c =
   let work = Circuit.copy c in
-  let report = remove ?limits ?sat ?prefilter_patterns ~seed work in
+  let report = remove ?limits ?prefilter_patterns ~seed work in
   let fresh, _ = Circuit.compact work in
   (fresh, report)

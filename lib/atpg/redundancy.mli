@@ -8,8 +8,8 @@
 
     Proofs come from two engines: PODEM within {!Limits.t}[.podem_backtracks]
     decides most faults, and every fault it aborts escalates to the exact
-    {!Sat_atpg} decision procedure (unless [~sat:false]), so a fault only
-    stays undecided when the SAT conflict budget also runs out. *)
+    {!Sat_atpg} decision procedure, so a fault only stays undecided when the
+    SAT conflict budget also runs out. *)
 
 type report = {
   removed : int;  (** redundant faults removed (lines tied off) *)
@@ -31,24 +31,21 @@ type candidates = {
   sat_redundant : Fault.t list;
       (** PODEM-aborted faults proved redundant by {!Sat_atpg} *)
   unresolved : (Fault.t * int) list;
-      (** still undecided, with the exhausted conflict (SAT) or backtrack
-          (PODEM-only mode) budget *)
+      (** still undecided, with the exhausted SAT conflict budget *)
 }
 
 val find_untestable :
   ?limits:Limits.t ->
-  ?sat:bool ->
   ?prefilter_patterns:int ->
   seed:int64 ->
   Circuit.t ->
   candidates
-(** Classify the collapsed faults surviving a random-pattern prefilter.
-    [sat] (default [true]) escalates PODEM aborts to {!Sat_atpg.escalate}.
-    Observability (when enabled): span [redundancy.classify]. *)
+(** Classify the collapsed faults surviving a random-pattern prefilter;
+    PODEM aborts escalate to {!Sat_atpg.escalate}. Observability (when
+    enabled): span [redundancy.classify]. *)
 
 val remove :
   ?limits:Limits.t ->
-  ?sat:bool ->
   ?prefilter_patterns:int ->
   seed:int64 ->
   Circuit.t ->
@@ -67,7 +64,6 @@ val remove :
 
 val make_irredundant :
   ?limits:Limits.t ->
-  ?sat:bool ->
   ?prefilter_patterns:int ->
   seed:int64 ->
   Circuit.t ->

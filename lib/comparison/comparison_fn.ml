@@ -152,7 +152,7 @@ let spec_of_perm f perm ~complemented =
   | None -> None
 
 (* A necessary condition for the minterms with [f = v] to be a non-empty
-   interval under some variable order (DESIGN.md §15.5). Cofactor away the
+   interval under some variable order (DESIGN.md §15.4). Cofactor away the
    literal factors; what remains must be constant 1, or have a variable x
    such that its x = 0 half is positive unate and its x = 1 half negative
    unate in every other remaining variable. Both kernels read [f] in place,

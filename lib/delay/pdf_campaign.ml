@@ -97,27 +97,19 @@ let gap_h = Obs.Histogram.make ~help:"pairs between effective pairs" "pdf.effect
 type config = {
   max_pairs : int;
   stop_window : int;
-  max_marked_paths : int;
   domains : int;
   seed : int64;
-  obs : bool;
 }
 
-let default =
-  {
-    max_pairs = 2_000_000;
-    stop_window = 20_000;
-    max_marked_paths = 50_000_000;
-    domains = 0;
-    seed = 1L;
-    obs = false;
-  }
+let default = { max_pairs = 2_000_000; stop_window = 20_000; domains = 0; seed = 1L }
+
+(* The bound on the circuit's path count, and on the total marking work of
+   one campaign. *)
+let max_paths = 50_000_000
 
 let exec cfg c =
-  if cfg.obs then Obs.enable ();
   let max_pairs = cfg.max_pairs in
   let stop_window = cfg.stop_window in
-  let max_marked_paths = cfg.max_marked_paths in
   let seed = cfg.seed in
   let domains = Pool.domains_of_flag cfg.domains in
   let cmp = Compiled.of_circuit c in
@@ -134,7 +126,7 @@ let exec cfg c =
       total := !total + labels.(o))
     outs;
   let total_paths = !total in
-  if total_paths > 50_000_000 then
+  if total_paths > max_paths then
     failwith "Pdf_campaign.exec: too many path faults";
   let st =
     {
@@ -144,7 +136,7 @@ let exec cfg c =
       total_paths;
       detected_bits = Bytes.make (((2 * total_paths) + 7) / 8) '\000';
       detected = 0;
-      marked_budget = max_marked_paths;
+      marked_budget = max_paths;
     }
   in
   let rng = Rng.create seed in

@@ -27,23 +27,22 @@ type config = {
   stop_window : int;
       (** stop after this many consecutive ineffective pairs
           (default 20_000). *)
-  max_marked_paths : int;
-      (** total path-marking work budget (default 50_000_000). *)
   domains : int;
       (** domain-pool width, resolved by {!Pool.domains_of_flag}: [<= 0]
           picks the recommended width, [1] forces the serial path. The
           result is bit-identical for every value. *)
   seed : int64;
-  obs : bool;  (** force-enable {!Obs} collection for this run. *)
 }
 
 val default : config
+(** [{ max_pairs = 2_000_000; stop_window = 20_000; domains = 0; seed = 1L }] *)
 
 val exec : config -> Circuit.t -> result
 (** Apply random two-pattern tests until [config.stop_window] consecutive
-    pairs detect nothing new, or [config.max_pairs] is reached.
-    [config.max_marked_paths] bounds total marking work. Raises [Failure]
-    if the circuit has more than 50 million paths.
+    pairs detect nothing new, or [config.max_pairs] is reached, or path
+    marking has visited 50 million detected paths in all (repeats
+    included). Raises [Failure] if the circuit has more than 50 million
+    paths.
 
     With [config.domains <> 1] the per-pair wave simulations fan out over
     a domain pool in blocks while path marking stays serial in pair order;

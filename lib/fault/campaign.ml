@@ -74,14 +74,11 @@ type config = {
   max_patterns : int;
   domains : int;
   seed : int64;
-  obs : bool;
 }
 
-let default =
-  { faults = None; max_patterns = 1_000_000; domains = 0; seed = 1L; obs = false }
+let default = { faults = None; max_patterns = 1_000_000; domains = 0; seed = 1L }
 
 let run_internal cfg c =
-  if cfg.obs then Obs.enable ();
   let max_patterns = cfg.max_patterns in
   let seed = cfg.seed in
   let domains = Pool.domains_of_flag cfg.domains in

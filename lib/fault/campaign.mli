@@ -27,14 +27,10 @@ type config = {
           picks the recommended width, [1] forces the serial path. The
           result is bit-identical for every value. *)
   seed : int64;
-  obs : bool;
-      (** force-enable {!Obs} collection for this run (the probes also
-          record whenever observability is already enabled globally). *)
 }
 
 val default : config
-(** [{ faults = None; max_patterns = 1_000_000; domains = 0; seed = 1L;
-       obs = false }] *)
+(** [{ faults = None; max_patterns = 1_000_000; domains = 0; seed = 1L }] *)
 
 val exec : config -> Circuit.t -> result
 (** Apply uniform random patterns in 64-wide batches until every fault is

@@ -1,21 +1,18 @@
 type options = {
   max_additions : int;
   max_trials : int;
-  sim_patterns : int;
-  backtrack_limit : int;  (* proof budget for wire additions *)
-  removal_backtracks : int;  (* proof budget inside redundancy removal *)
+  removal_backtracks : int;
   seed : int64;
 }
 
 let default_options =
-  {
-    max_additions = 40;
-    max_trials = 400;
-    sim_patterns = 1024;
-    backtrack_limit = 500;
-    removal_backtracks = 120;
-    seed = 1L;
-  }
+  { max_additions = 40; max_trials = 400; removal_backtracks = 120; seed = 1L }
+
+(* Bit-parallel filter depth for wire additions and merge signatures. *)
+let sim_patterns = 1024
+
+(* PODEM budget for wire-addition proofs. *)
+let addition_backtracks = 500
 
 type stats = {
   additions : int;
@@ -74,7 +71,7 @@ let transitive_fanout c gd =
 (* Add [ns] as an extra input of [gd] and prove the addition redundant: the
    new pin's stuck-at-non-controlling fault must be untestable. On failure
    the gate is restored. *)
-let try_addition opts c gd ns =
+let try_addition c gd ns =
   let old_fanins = Array.copy (Circuit.fanins c gd) in
   let pin = Array.length old_fanins in
   let kind = Circuit.kind c gd in
@@ -85,7 +82,7 @@ let try_addition opts c gd ns =
   in
   Circuit.set_fanins c gd (Array.append old_fanins [| ns |]);
   let fault = { Fault.site = Fault.Branch (gd, pin); stuck = stuck_nc } in
-  match Podem.generate ~backtrack_limit:opts.backtrack_limit c fault with
+  match Podem.generate ~backtrack_limit:addition_backtracks c fault with
   | Podem.Untestable -> true
   | Podem.Test _ | Podem.Aborted ->
     Circuit.set_fanins c gd old_fanins;
@@ -98,7 +95,7 @@ let try_addition opts c gd ns =
    the node-substitution move of RAR-family optimizers. *)
 let merge_equivalents opts c ~seed =
   Obs.Span.with_ "rar.merge" (fun () ->
-      let batches = sim_batches c ~patterns:opts.sim_patterns ~seed in
+      let batches = sim_batches c ~patterns:sim_patterns ~seed in
       let order = Circuit.topo_order c in
       let topo_pos = Array.make (Circuit.size c) max_int in
       Array.iteri (fun i id -> topo_pos.(id) <- i) order;
@@ -204,7 +201,7 @@ let optimize ?(options = default_options) c =
       let improving = ref true in
       while !improving && !additions < opts.max_additions do
         improving := false;
-        let values = sim_batches c ~patterns:opts.sim_patterns ~seed:(Rng.next64 rng) in
+        let values = sim_batches c ~patterns:sim_patterns ~seed:(Rng.next64 rng) in
         let nodes =
           let acc = ref [] in
           Circuit.iter_live c (fun id -> acc := id :: !acc);
@@ -238,7 +235,7 @@ let optimize ?(options = default_options) c =
               then begin
                 incr trials;
                 let snapshot = Circuit.copy c in
-                if try_addition opts c gd ns then begin
+                if try_addition c gd ns then begin
                   let before = Circuit.two_input_gate_count snapshot in
                   let saved_removals = !removals in
                   remove ();

@@ -17,13 +17,17 @@
 type options = {
   max_additions : int;  (** accepted-addition budget *)
   max_trials : int;  (** candidate wires proved per addition round *)
-  sim_patterns : int;  (** bit-parallel filter depth *)
-  backtrack_limit : int;  (** PODEM budget for wire-addition proofs *)
-  removal_backtracks : int;  (** PODEM budget inside redundancy removal *)
+  removal_backtracks : int;
+      (** PODEM budget inside redundancy removal, and justification budget
+          of the merges' equivalence proofs *)
   seed : int64;
 }
+(** The addition filter simulates 1,024 random patterns and each
+    wire-addition proof gets 500 PODEM backtracks. *)
 
 val default_options : options
+(** [{ max_additions = 40; max_trials = 400; removal_backtracks = 120;
+       seed = 1L }] *)
 
 type stats = {
   additions : int;

@@ -252,15 +252,9 @@ let phases t =
          | c -> c)
 
 (* Identification sources from the footer's cache counters: a miss is a
-   fresh identification, and a hit was answered by this run or by the disk
-   store. *)
+   fresh identification, and a hit was answered by the run's cache. *)
 let sources t =
-  let disk = counter t "idcache.disk_hits" in
-  [
-    ("fresh", counter t "idcache.misses");
-    ("run_cache", counter t "idcache.hits" - disk);
-    ("idcache_raw", disk);
-  ]
+  [ ("fresh", counter t "idcache.misses"); ("run_cache", counter t "idcache.hits") ]
 
 let tallies t prefix labels =
   List.map (fun l -> (l, tally t (prefix ^ "/" ^ l))) labels

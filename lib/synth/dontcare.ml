@@ -16,9 +16,9 @@ let observed cmp batches inputs =
   ignore cmp;
   Truthtable.create k (fun m -> seen.(m))
 
-let prove_unreachable ?(backtrack_limit = 200) c inputs minterms =
+let prove_unreachable c inputs minterms =
   let k = Array.length inputs in
-  let justify = Justify.create ~backtrack_limit c in
+  let justify = Justify.create c in
   List.for_all
     (fun m ->
       let targets =

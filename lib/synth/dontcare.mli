@@ -12,9 +12,9 @@ val observed :
 (** [observed cmp batches inputs]: truth table marking every input-cut
     minterm seen in the simulated batches (per-node 64-bit value arrays). *)
 
-val prove_unreachable :
-  ?backtrack_limit:int -> Circuit.t -> int array -> int list -> bool
+val prove_unreachable : Circuit.t -> int array -> int list -> bool
 (** [prove_unreachable c inputs minterms]: true iff {e every} listed cut
     minterm is proved unreachable by exhaustive justification search, on
-    one {!Justify.t} for all of them. [Unknown] (budget) counts as
-    reachable, keeping callers sound. *)
+    one {!Justify.t} for all of them, within
+    {!Limits.default}[.justify_backtracks] backtracks per minterm.
+    [Unknown] (budget) counts as reachable, keeping callers sound. *)

@@ -2,28 +2,17 @@ type objective =
   | Gates
   | Paths
 
-type verify =
-  [ `Off
-  | `Sampled of int
-  | `Full ]
-
 type options = {
   k : int;
   max_candidates : int;
   engine : Comparison_fn.engine;
   merge : bool;
-  verify_local : bool;
-  verify_global : bool;
   max_passes : int;
   seed : int64;
   use_dontcares : bool;
-  dc_backtracks : int;
   max_units : int;
   domains : int;
-  obs : bool;
-  verify : verify;
   id_cache : bool;
-  cache_dir : string option;
 }
 
 let default_options =
@@ -32,18 +21,12 @@ let default_options =
     max_candidates = 64;
     engine = Comparison_fn.Exact;
     merge = true;
-    verify_local = true;
-    verify_global = false;
     max_passes = 16;
     seed = 1L;
     use_dontcares = false;
-    dc_backtracks = 200;
     max_units = 1;
     domains = 0;
-    obs = false;
-    verify = `Sampled 8;
     id_cache = true;
-    cache_dir = None;
   }
 
 (* Observability probes. [cut_size_h] and [realised_c] fire inside worker
@@ -185,10 +168,8 @@ let realise opts rng ~identify ~sim c sub tt =
             let g = Eval.output_table built.Comparison_unit.circuit 0 in
             let diff = Truthtable.minterms (Truthtable.lxor_ g tt) in
             if diff = [] then Some (Built built, true)
-            else if
-              Dontcare.prove_unreachable ~backtrack_limit:opts.dc_backtracks c
-                sub.Subcircuit.inputs diff
-            then Some (Built built, false)
+            else if Dontcare.prove_unreachable c sub.Subcircuit.inputs diff then
+              Some (Built built, false)
             else None
         end)
   in
@@ -383,22 +364,20 @@ let better objective ~current_paths a b =
     | Paths -> a.new_paths < b.new_paths)
 
 (* Whole-circuit SAT verification of accepted replacements (DESIGN.md §10).
-   [attempts] counts accepted splices across passes so a `Sampled cadence is
-   per optimisation run, not per pass; the first acceptance is always
-   proved. [inject_unsound] is the test hook's corruption index (0 =
-   never, see [Test_hooks]). *)
+   [attempts] counts accepted splices across passes, and splice [idx] is
+   proved when [idx mod every = 0]: the first acceptance of the run and
+   every [every]-th after it. Production runs prove every
+   [verify_every]-th; the test hook proves every splice. [inject_unsound]
+   is the test hook's corruption index (0 = never, see [Test_hooks]). *)
 type verify_state = {
   mutable attempts : int;
   mutable checks : int;
   mutable refused : int;
+  every : int;
   inject_unsound : int;
 }
 
-let should_verify (verify : verify) idx =
-  match verify with
-  | `Off -> false
-  | `Full -> true
-  | `Sampled n -> n > 0 && idx mod n = 0
+let verify_every = 8
 
 (* Kind with the complemented function, for the [inject_unsound] test hook. *)
 let inverted_kind = function
@@ -524,15 +503,11 @@ let choose ?pool ?cache ~sc objective opts ~sim labels c g =
 (* Apply one decided splice, SAT-proving it against a snapshot when the
    sampling cadence asks for it. Returns false if the miter refused the
    replacement and rolled it back. *)
-let apply ?pool opts vstate c ~root ~idx cand =
-  (* Don't-care replacements intentionally differ from the subcircuit
-     function on proved-unreachable combinations, so the exhaustive local
-     check only applies to exact ones. *)
-  let verify_local = opts.verify_local && cand.exact in
+let apply ?pool vstate c ~root ~idx cand =
   let snapshot =
-    if should_verify opts.verify idx then Some (Circuit.copy c) else None
+    if idx mod vstate.every = 0 then Some (Circuit.copy c) else None
   in
-  let fresh = Replace.splice ~verify_local c cand.sub cand.unit_ in
+  let fresh = Replace.splice ~exact:cand.exact c cand.sub cand.unit_ in
   (if vstate.inject_unsound = idx + 1 then
      match inverted_kind (Circuit.kind c fresh) with
      | Some k -> Circuit.set_kind c fresh k
@@ -619,7 +594,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
       (Footprint.Worklist.mark_fanout_cone c st.wl
          (List.rev_append (sweep_boundary c sub cand.unit_) seeds));
     let since = Circuit.size c in
-    if apply ?pool opts vstate c ~root:g ~idx cand then begin
+    if apply ?pool vstate c ~root:g ~idx cand then begin
       incr replacements;
       let fresh = ref [] in
       for id = Circuit.size c - 1 downto since do
@@ -677,9 +652,7 @@ let run_pass_reference ?pool ?cache objective opts vstate sc c =
           vstate.attempts <- idx + 1;
           (* A refused splice was rolled back, so [g] is intact: continue
              as if no candidate had improved on it. *)
-          if apply ?pool opts vstate c ~root:g ~idx cand
-          then Some cand
-          else None
+          if apply ?pool vstate c ~root:g ~idx cand then Some cand else None
       in
       match accepted with
       | Some cand ->
@@ -690,8 +663,7 @@ let run_pass_reference ?pool ?cache objective opts vstate sc c =
   done;
   !replacements
 
-let optimize_with ?pool ~reference ~inject_unsound objective opts c =
-  let golden = if opts.verify_global then Some (Circuit.copy c) else None in
+let optimize_with ?pool ~reference ~every ~inject_unsound objective opts c =
   (* Establish "alive implies output-reachable (or Input)" before the first
      pass. Every splice sweeps, so the invariant then holds for the whole
      run — and the production walk's [sweep_boundary] depends on it: a
@@ -702,20 +674,17 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
   let gates_before = Circuit.two_input_gate_count c in
   let paths_before = Paths.total c in
   (* One identification cache per run, shared across candidates, roots and
-     passes — and, when [cache_dir] is set, warm-started from (and flushed
-     back to) the disk store so later runs and concurrent processes share
-     verdicts. Only the exact engine's verdicts are cacheable: the sampled
+     passes. Only the exact engine's verdicts are cacheable: the sampled
      engine consumes the per-candidate random stream, so replaying a cached
      verdict would change results between cache-on and cache-off runs. *)
   let cache =
     match opts.engine with
-    | Comparison_fn.Exact when opts.id_cache ->
-      Some (Idcache.create ?dir:opts.cache_dir ())
+    | Comparison_fn.Exact when opts.id_cache -> Some (Idcache.create ())
     | Comparison_fn.Exact | Comparison_fn.Sampled _ -> None
   in
   let passes = ref 0 in
   let replacements = ref 0 in
-  let vstate = { attempts = 0; checks = 0; refused = 0; inject_unsound } in
+  let vstate = { attempts = 0; checks = 0; refused = 0; every; inject_unsound } in
   let sc = { dedup = Subcircuit.dedup (); scratch = [||] } in
   let run_pass =
     if reference then fun () ->
@@ -733,15 +702,10 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
     incr passes;
     let r = Obs.Span.with_ "engine.pass" run_pass in
     replacements := !replacements + r;
-    (match golden with
-    | Some golden ->
-      if not (Eval.equivalent_random ~patterns:2048 ~seed:opts.seed golden c)
-      then failwith "Engine.optimize: pass broke circuit equivalence"
-    | None -> ());
     if r = 0 then continue := false
   done;
-  (* Per-table hit accounting + disk flush; serial, after the last batch
-     merged, so the frozen-read discipline is respected. *)
+  (* Per-table hit accounting; serial, after the last batch merged, so the
+     frozen-read discipline is respected. *)
   Option.iter Idcache.finish cache;
   {
     passes = !passes;
@@ -757,21 +721,20 @@ let optimize_with ?pool ~reference ~inject_unsound objective opts c =
 (* The widest cut [Subcircuit.extract] takes. *)
 let max_k = 16
 
-let run ?(inject_unsound = 0) ~reference objective opts c =
+let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts c =
   if opts.k < 1 || opts.k > max_k then
     invalid_arg (Printf.sprintf "Engine.optimize: k = %d is outside 1..%d" opts.k max_k);
-  if opts.obs then Obs.enable ();
   let domains = Pool.domains_of_flag opts.domains in
   if domains <= 1 then
-    optimize_with ~reference ~inject_unsound objective opts c
+    optimize_with ~reference ~every ~inject_unsound objective opts c
   else
     Pool.with_pool ~domains (fun pool ->
-        optimize_with ~pool ~reference ~inject_unsound objective opts c)
+        optimize_with ~pool ~reference ~every ~inject_unsound objective opts c)
 
 let optimize objective opts c = run ~reference:false objective opts c
 let optimize_reference objective opts c = run ~reference:true objective opts c
 
 module Test_hooks = struct
   let optimize_unsound ?(reference = false) ~nth objective opts c =
-    run ~inject_unsound:nth ~reference objective opts c
+    run ~every:1 ~inject_unsound:nth ~reference objective opts c
 end

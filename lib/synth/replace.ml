@@ -3,11 +3,11 @@ let implements c (s : Subcircuit.t) (b : Comparison_unit.built) =
   let got = Eval.output_table b.Comparison_unit.circuit 0 in
   Truthtable.equal want got
 
-let splice ?(verify_local = true) c (s : Subcircuit.t) (b : Comparison_unit.built) =
+let splice ~exact c (s : Subcircuit.t) (b : Comparison_unit.built) =
   let unit_c = b.Comparison_unit.circuit in
   if Circuit.num_inputs unit_c <> Array.length s.Subcircuit.inputs then
     invalid_arg "Replace.splice: input arity mismatch";
-  if verify_local && not (implements c s b) then
+  if exact && not (implements c s b) then
     failwith "Replace.splice: unit does not implement the subcircuit function";
   (* Import the unit body. *)
   let remap = Array.make (Circuit.size unit_c) (-1) in

@@ -1,7 +1,7 @@
 (** Splicing a comparison unit in place of a subcircuit. *)
 
 val splice :
-  ?verify_local:bool ->
+  exact:bool ->
   Circuit.t ->
   Subcircuit.t ->
   Comparison_unit.built ->
@@ -11,6 +11,8 @@ val splice :
     designations to the unit output, and sweep the dead subcircuit gates.
     Returns the node id now carrying the function.
 
-    With [verify_local] (default true) the unit's function is checked
-    exhaustively against the subcircuit's extracted function before touching
-    the circuit; a mismatch raises [Failure]. *)
+    With [~exact:true] the unit's function is checked exhaustively against
+    the subcircuit's extracted function before touching the circuit; a
+    mismatch raises [Failure]. A don't-care replacement ([~exact:false])
+    differs from that function on proved-unreachable cut combinations, so
+    it skips the check. *)

@@ -40,6 +40,4 @@ let () =
       Helpers.qsuite "cec-properties" Test_cec.qchecks;
       ("sat-atpg", Test_sat_atpg.suite);
       Helpers.qsuite "sat-atpg-properties" Test_sat_atpg.qchecks;
-      ("idcache", Test_idcache.suite);
-      Helpers.qsuite "idcache-properties" Test_idcache.qchecks;
     ]

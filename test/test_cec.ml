@@ -271,11 +271,12 @@ let test_pool_verdicts () =
 let test_engine_refuses_unsound () =
   (* Corrupt the first accepted replacement via the engine's fault-injection
      hook. The corruption happens after local verification, so only the
-     whole-circuit miter (verify:`Full) can catch it; the engine must roll
-     the splice back and still finish with an equivalent circuit. *)
+     whole-circuit miter, which the hook runs on every splice, can catch
+     it; the engine must roll the splice back and still finish with an
+     equivalent circuit. *)
   let reference = c17 () in
   let c = Circuit.copy reference in
-  let opts = { Engine.default_options with Engine.verify = `Full; seed = 7L } in
+  let opts = { Engine.default_options with Engine.seed = 7L } in
   let stats = Engine.Test_hooks.optimize_unsound ~nth:1 Engine.Gates opts c in
   check bool_ "at least one miter check ran" true (stats.Engine.verify_checks >= 1);
   check bool_ "the corrupted replacement was refused" true
@@ -288,6 +289,44 @@ let test_engine_refuses_unsound () =
   check int_ "clean run refuses nothing" 0 stats2.Engine.verify_refused;
   check bool_ "clean run still equivalent" true
     (Eval.equivalent_exhaustive reference c2)
+
+(* The production cadence: the first accepted splice of a run and every 8th
+   after it are SAT-proved, in both walks. On the committed irs1423 stand-in
+   at the defaults that is 28 replacements and 4 proofs (the README's
+   [sft optimize] transcript); on generated circuits with more than 8
+   replacements, one proof per started group of 8. *)
+let test_engine_verify_cadence () =
+  let opts = { Engine.default_options with Engine.domains = 1 } in
+  let irs1423 = Bench_format.read_file "../data/benchmarks/irs1423.bench" in
+  let generated seed =
+    Circuit_gen.generate
+      {
+        Circuit_gen.name = "cadence";
+        n_pi = 12;
+        n_po = 8;
+        n_gates = 120;
+        depth = 8;
+        combine_pct = 25;
+        xor_pct = 5;
+        seed;
+      }
+  in
+  List.iter
+    (fun (walk, optimize) ->
+      let s = optimize Engine.Gates opts (Circuit.copy irs1423) in
+      check int_ (walk ^ ": irs1423 replacements") 28 s.Engine.replacements;
+      check int_ (walk ^ ": irs1423 proofs") 4 s.Engine.verify_checks;
+      check int_ (walk ^ ": irs1423 refusals") 0 s.Engine.verify_refused;
+      List.iter
+        (fun seed ->
+          let s = optimize Engine.Gates opts (generated seed) in
+          let name = Printf.sprintf "%s: seed %Ld" walk seed in
+          check bool_ (name ^ " replaces more than 8") true (s.Engine.replacements > 8);
+          check int_ (name ^ " proofs") ((s.Engine.replacements + 7) / 8)
+            s.Engine.verify_checks;
+          check int_ (name ^ " refusals") 0 s.Engine.verify_refused)
+        [ 1L; 7L; 9L ])
+    [ ("production", Engine.optimize); ("reference", Engine.optimize_reference) ]
 
 (* --- qcheck: agreement with the exhaustive oracle -------------------------- *)
 
@@ -340,6 +379,7 @@ let suite =
     Alcotest.test_case "pool path matches serial" `Quick test_pool_verdicts;
     Alcotest.test_case "engine refuses unsound rewrites" `Quick
       test_engine_refuses_unsound;
+    Alcotest.test_case "engine proves every 8th splice" `Quick test_engine_verify_cadence;
   ]
 
 let qchecks = [ qcheck_matches_exhaustive; qcheck_copy_equivalent ]

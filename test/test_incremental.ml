@@ -288,7 +288,7 @@ let gen_profile seed =
    diverged while the production walk landed its splices in deferred
    groups, refusing them after the walk had moved on. *)
 let test_refused_splice_identity () =
-  let options = { Engine.default_options with Engine.verify = `Full } in
+  let options = Engine.default_options in
   List.iter
     (fun (seed, nth, objective) ->
       let c0 = Circuit_gen.generate (gen_profile seed) in

@@ -106,7 +106,7 @@ let test_campaign_parallel_bench_files () =
 
 let pdf_eq ~seed c =
   let cfg d =
-    { Pdf_campaign.default with max_pairs = 400; stop_window = 80; domains = d; seed }
+    { Pdf_campaign.max_pairs = 400; stop_window = 80; domains = d; seed }
   in
   Pdf_campaign.exec (cfg 1) c = Pdf_campaign.exec (cfg 4) c
 

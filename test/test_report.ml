@@ -224,11 +224,10 @@ let test_run_report_score_split () =
         (contains ~affix:"score split" (Run_report.render (load_ok path))))
 
 (* Identification sources come from the footer's cache counters: a miss is
-   a fresh identification, a disk hit came from the store, any other hit
-   from the run. *)
+   a fresh identification, a hit came from the run's cache. *)
 let test_run_report_sources_from_counters () =
   let counted =
-    {|{"ev":"journal_end","events":1,"dropped":0,"wall_s":2.5,"counters":{"idcache.hits":120,"idcache.disk_hits":20,"idcache.misses":30}}|}
+    {|{"ev":"journal_end","events":1,"dropped":0,"wall_s":2.5,"counters":{"idcache.hits":120,"idcache.misses":30}}|}
   in
   with_journal [ header; List.hd body; counted ] (fun path ->
       let r = load_ok path in
@@ -242,11 +241,7 @@ let test_run_report_sources_from_counters () =
             (Obs_json.member "identify" run
             = Some
                 (Obs_json.Obj
-                   [
-                     ("fresh", Obs_json.Int 30);
-                     ("run_cache", Obs_json.Int 100);
-                     ("idcache_raw", Obs_json.Int 20);
-                   ]))
+                   [ ("fresh", Obs_json.Int 30); ("run_cache", Obs_json.Int 120) ]))
         | _ -> Alcotest.fail "runs is not a one-element list")
       | _ -> Alcotest.fail "to_json_value not an object")
 

@@ -230,7 +230,7 @@ let test_splice_preserves_function () =
   | None -> Alcotest.fail "expected an identifiable subcircuit in c17"
   | Some (s, spec) ->
     let built = Comparison_unit.build ~n:(Array.length s.Subcircuit.inputs) spec in
-    let _out = Replace.splice c s built in
+    let _out = Replace.splice ~exact:true c s built in
     Check.validate c;
     check bool_ "function preserved" true (Eval.equivalent_exhaustive reference c)
 

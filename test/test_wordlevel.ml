@@ -257,7 +257,7 @@ let optimize_fingerprint options c =
 let test_engine_cache_invariance () =
   for seed = 1 to 4 do
     let c = random_circuit ~n_pi:6 ~n_gates:30 seed in
-    let base = { Engine.default_options with Engine.verify = `Off } in
+    let base = Engine.default_options in
     let reference = optimize_fingerprint { base with Engine.id_cache = false; domains = 1 } c in
     List.iter
       (fun (label, options) ->
