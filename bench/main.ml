@@ -14,10 +14,10 @@
      --json FILE    write the machine-readable snapshot: each section's
                     rows with its declared gate and exact keys, plus the
                     observability registry (schema 3, DESIGN.md §8)
-     --domains N    domain budget for the parallel kernels (0 or omitted
-                    picks Pool.default_domains (), i.e. recommended - 1;
-                    resolved by Pool.domains_of_flag like the CLI flag;
-                    at most Pool.max_domains)
+     --domains N    domain budget for the cec section's pooled miters (0
+                    or omitted picks Pool.default_domains (), i.e.
+                    recommended - 1; resolved by Pool.domains_of_flag like
+                    the CLI flag; at most Pool.max_domains)
      --metrics SINK observability export: "text" prints a readable dump,
                     "json" prints the JSON document, anything else is a
                     file path receiving the JSON (see DESIGN.md §9)
@@ -43,11 +43,9 @@ let circuit_enabled e =
 let bench_all () = List.filter circuit_enabled Benchmarks.all
 let bench_small () = List.filter circuit_enabled Benchmarks.small
 
-(* CPU time for the per-section progress lines (historic behaviour) ... *)
-let now () = Sys.time ()
-
-(* ... but wall clock for everything recorded in the JSON snapshot. Obs.now
-   is the observability layer's (non-monotonic) clock, hence the clamps. *)
+(* The one clock: wall time, for the progress lines and the JSON snapshot.
+   Obs.now is the observability layer's (non-monotonic) clock, hence the
+   clamps. *)
 let wall () = Obs.now ()
 
 let time_wall f =
@@ -86,11 +84,10 @@ let run_section s =
   Printf.printf "\n################ %s — %s\n%!" s.id s.title;
   rows := [];
   skipped := None;
-  let t0 = now () in
   let w0 = wall () in
   Obs.Span.with_ ("bench." ^ s.id) s.run;
   let secs = max 0. (wall () -. w0) in
-  Printf.printf "[%s done in %.1fs cpu]\n%!" s.id (now () -. t0);
+  Printf.printf "[%s done in %.2fs wall]\n%!" s.id secs;
   let strings l = Obs_json.List (List.map (fun k -> Obs_json.String k) l) in
   Obs_json.Obj
     ([
@@ -741,13 +738,13 @@ let ablations () =
   List.iter
     (fun k ->
       let c = original e in
-      let t0 = now () in
-      ignore (Procedure2.run ~options:(proc2_options k) c);
+      let options = proc2_options k in
+      let (), secs = time_wall (fun () -> ignore (Procedure2.run ~options c)) in
       Table.add_row t
         [
           string_of_int k; Table.int (gates2 c); Table.int (paths c);
           string_of_int (Levelize.depth_logic c);
-          Printf.sprintf "%.2f" (now () -. t0);
+          Printf.sprintf "%.2f" secs;
         ])
     [ 4; 5; 6 ];
   Table.print t;
@@ -759,12 +756,11 @@ let ablations () =
     (fun (label, engine) ->
       let c = original e in
       let options = { (proc2_options 5) with Engine.engine } in
-      let t0 = now () in
-      ignore (Procedure2.run ~options c);
+      let (), secs = time_wall (fun () -> ignore (Procedure2.run ~options c)) in
       Table.add_row t
         [
           label; Table.int (gates2 c); Table.int (paths c);
-          Printf.sprintf "%.2f" (now () -. t0);
+          Printf.sprintf "%.2f" secs;
         ])
     [
       ("exact", Comparison_fn.Exact);
@@ -796,12 +792,11 @@ let ablations () =
   List.iter
     (fun (label, options) ->
       let c = original e in
-      let t0 = now () in
-      ignore (Procedure2.run ~options c);
+      let (), secs = time_wall (fun () -> ignore (Procedure2.run ~options c)) in
       Table.add_row t
         [
           label; Table.int (gates2 c); Table.int (paths c);
-          Printf.sprintf "%.2f" (now () -. t0);
+          Printf.sprintf "%.2f" secs;
         ])
     [
       ("baseline (paper)", proc2_options 5);
@@ -881,8 +876,8 @@ let incremental () =
   in
   let candidates_c = Obs.Counter.make "engine.candidates" in
   let popped_c = Obs.Counter.make "engine.worklist_popped" in
-  let opts ~passes ~domains =
-    { (proc2_options 4) with Engine.max_candidates = 24; max_passes = passes; domains }
+  let opts ~passes =
+    { (proc2_options 4) with Engine.max_candidates = 24; max_passes = passes }
   in
   (* One run per configuration. The counter deltas are exact, so pass 2's
      cuts are the difference of the two-pass and one-pass runs' counts;
@@ -896,14 +891,11 @@ let incremental () =
     (stats, Bench_format.to_string c, deltas, secs, Circuit.size c)
   in
   let reference = Engine.optimize_reference and production = Engine.optimize in
-  let one = opts ~passes:1 ~domains:1 and two = opts ~passes:2 ~domains:1 in
+  let one = opts ~passes:1 and two = opts ~passes:2 in
   let s1f, _, d1f, _, _ = run reference one in
   let sf, nf, d2f, wall_reference, _ = run reference two in
   let _, _, d1i, _, _ = run production one in
   let si, ni, d2i, wall_production, size = run production two in
-  (* The production walk scoring candidates on the --domains pool must
-     land the exact same netlist. *)
-  let sc, nc, _, wall_pool, _ = run production (opts ~passes:2 ~domains:!domains) in
   let cuts = function c :: _ -> c | [] -> 0 in
   let pass2_cuts_full = max 0 (cuts d2f - cuts d1f) in
   let pass2_cuts_incr = max 0 (cuts d2i - cuts d1i) in
@@ -918,14 +910,13 @@ let incremental () =
   let pop_fraction =
     if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots
   in
-  let identical = sf = si && sf = sc && nf = ni && nf = nc in
+  let identical = sf = si && nf = ni in
   row
     Obs_json.
       [
         ("circuit", String "incr-large");
         ("gates", Int (gates2 base));
         ("paths", Int (paths base));
-        ("domains", Int !domains);
         ("pass2_cuts_full", Int pass2_cuts_full);
         ("pass2_cuts_incremental", Int pass2_cuts_incr);
         ("reenum_fraction", Float fraction);
@@ -934,7 +925,6 @@ let incremental () =
         ("pop_fraction", Float pop_fraction);
         ("reference_wall_seconds", Float wall_reference);
         ("production_wall_seconds", Float wall_production);
-        ("pool_wall_seconds", Float wall_pool);
         ("identical_results", Bool identical);
         ("gate_ok", Bool (identical && fraction < 1. && pop_fraction < 1.));
       ];
@@ -945,13 +935,9 @@ let incremental () =
     pass2_cuts_full pass2_cuts_incr (100. *. fraction);
   Printf.printf "  worklist pops %d of %d full-walk visits (%.2f%%)\n" popped
     total_roots (100. *. pop_fraction);
-  Printf.printf
-    "  two-pass wall (one run each): reference %.3fs, production %.3fs, \
-     production at --domains %d %.3fs\n"
-    wall_reference wall_production !domains wall_pool;
-  Printf.printf
-    "  identical results: %b (reference vs production vs production domains=%d)\n%!"
-    identical !domains
+  Printf.printf "  two-pass wall (one run each): reference %.3fs, production %.3fs\n"
+    wall_reference wall_production;
+  Printf.printf "  identical results: %b (reference vs production)\n%!" identical
 
 (* ------------------------------------------------------------------ *)
 (* "Identification cache" section (DESIGN.md §15).                      *)
@@ -976,26 +962,20 @@ let idcache () =
   in
   let hits_c = Obs.Counter.make "idcache.hits" in
   let miss_c = Obs.Counter.make "idcache.misses" in
-  let run id_cache =
-    let o =
-      {
-        (proc2_options 4) with
-        Engine.max_candidates = 24;
-        max_passes = 2;
-        domains = 1;
-        id_cache;
-      }
-    in
+  (* The production walk caches identification; the reference walk
+     identifies every cut afresh. *)
+  let run optimize =
+    let o = { (proc2_options 4) with Engine.max_candidates = 24; max_passes = 2 } in
     let c = Circuit.copy base in
     let h0 = Obs.Counter.value hits_c and m0 = Obs.Counter.value miss_c in
-    let stats = Engine.optimize Engine.Gates o c in
+    let stats = optimize Engine.Gates o c in
     ( stats,
       Bench_format.to_string c,
       Obs.Counter.value hits_c - h0,
       Obs.Counter.value miss_c - m0 )
   in
-  let s_off, n_off, _, _ = run false in
-  let s_on, n_on, hits, misses = run true in
+  let s_off, n_off, _, _ = run Engine.optimize_reference in
+  let s_on, n_on, hits, misses = run Engine.optimize in
   let rate =
     if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
   in
@@ -1013,9 +993,10 @@ let idcache () =
         ("gate_ok", Bool (identical && hits > 0));
       ];
   Printf.printf "identification cache on idc-large (%d two-input gates)\n" (gates2 base);
-  Printf.printf "  on     hits %8d   misses %8d   (hit rate %.1f%%)\n" hits misses
-    (100. *. rate);
-  Printf.printf "  identical results: %b (on vs off)\n%!" identical
+  Printf.printf "  cached production walk: hits %8d   misses %8d   (hit rate %.1f%%)\n"
+    hits misses (100. *. rate);
+  Printf.printf "  identical results: %b (cached production vs uncached reference)\n%!"
+    identical
 
 (* ------------------------------------------------------------------ *)
 (* "Decision journal" section (DESIGN.md §16).                          *)
@@ -1037,7 +1018,7 @@ let journal () =
       }
   in
   let o =
-    { (proc2_options 4) with Engine.max_candidates = 24; max_passes = 2; domains = 1 }
+    { (proc2_options 4) with Engine.max_candidates = 24; max_passes = 2 }
   in
   let run () =
     let c = Circuit.copy base in
@@ -1114,7 +1095,8 @@ let sections =
     s "ablations" "design-choice ablations" ablations;
     s "incremental" "incremental resynthesis vs the reference full walk" incremental
       ~gates:flags;
-    s "idcache" "identification cache: on vs off" idcache ~gates:flags;
+    s "idcache" "identification cache: cached production vs uncached reference" idcache
+      ~gates:flags;
     s "sat_atpg" "SAT escalation of PODEM-aborted faults" sat_atpg
       ~gates:[ "escalation_ok" ] ~exact:sat_atpg_keys;
     s "journal" "decision journal: funnel and bit-identity" journal ~gates:flags;

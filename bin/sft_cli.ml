@@ -38,6 +38,10 @@ let check_writable path =
   writing path (fun () -> close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path));
   if not existed then Sys.remove path
 
+(* A registry entry by name, or exit 1 with the bench harness's wording. *)
+let find_bench name =
+  try Benchmarks.find name with Not_found -> die "unknown benchmark %s (see sft list)" name
+
 let load ~file ~bench =
   match (file, bench) with
   | Some "-", None -> (
@@ -48,7 +52,7 @@ let load ~file ~bench =
     match Bench_format.parse_file f with
     | Ok c -> c
     | Error e -> die "%s: %s" f (Bench_format.error_to_string e))
-  | None, Some b -> Benchmarks.build (Benchmarks.find b)
+  | None, Some b -> Benchmarks.build (find_bench b)
   | Some _, Some _ -> die "give either FILE or --bench, not both"
   | None, None -> die "give a .bench FILE or --bench NAME"
 
@@ -74,6 +78,15 @@ let output_arg =
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* An integer option [--FLAG] that must be at least [min]: a lower value
+   ends the command with [sft: --FLAG N is below MIN] before it runs. *)
+let int_at_least ?docv ~min flag default ~doc =
+  let check n =
+    if n < min then die "--%s %d is below %d" flag n min;
+    n
+  in
+  Term.(const check $ Arg.value (Arg.opt Arg.int default (Arg.info [ flag ] ?docv ~doc)))
+
 (* Checked here, before any subcommand runs: a pool wider than the
    runtime's domain limit would die spawning its workers. *)
 let domains_arg =
@@ -89,7 +102,7 @@ let domains_arg =
         & info [ "domains" ] ~docv:"N"
             ~doc:
               (Printf.sprintf
-                 "Computation domains for parallel execution: 0 picks the \
+                 "Computation domains for the parallel fan-out: 0 picks the \
                   recommended domain count, 1 forces the serial path, at \
                   most %d. Results are identical for every value."
                  Pool.max_domains)))
@@ -236,7 +249,7 @@ let list_cmd =
 let gen_cmd =
   let run name raw output metrics trace journal =
     with_obs ~cmd:"gen" metrics trace journal (fun ppf ->
-        let e = Benchmarks.find name in
+        let e = find_bench name in
         let c =
           if raw then Circuit_gen.generate e.Benchmarks.profile else Benchmarks.build e
         in
@@ -254,12 +267,10 @@ let gen_cmd =
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
-  let run file bench objective k engine budget no_merge dontcares units no_id_cache
-      domains output metrics trace journal =
+  let run file bench objective k engine budget no_merge dontcares units output metrics
+      trace journal =
     with_obs ~cmd:"optimize" metrics trace journal (fun ppf ->
         if k < 1 || k > Engine.max_k then die "-k %d is outside 1..%d" k Engine.max_k;
-        if budget < 1 then die "--budget %d is below 1" budget;
-        if units < 1 then die "--units %d is below 1" units;
         let c = load ~file ~bench in
         let objective =
           match objective with
@@ -281,8 +292,6 @@ let optimize_cmd =
             merge = not no_merge;
             use_dontcares = dontcares;
             max_units = units;
-            id_cache = not no_id_cache;
-            domains;
           }
         in
         let stats = Engine.optimize objective options c in
@@ -303,7 +312,7 @@ let optimize_cmd =
       & info [ "engine" ] ~doc:"Identification engine: $(b,exact) or $(b,sampled).")
   in
   let budget =
-    Arg.(value & opt int 200 & info [ "budget" ] ~doc:"Permutation budget for --engine sampled.")
+    int_at_least ~min:1 "budget" 200 ~doc:"Permutation budget for --engine sampled."
   in
   let no_merge = Arg.(value & flag & info [ "no-merge" ] ~doc:"Disable chain-gate merging.") in
   let dontcares =
@@ -313,26 +322,15 @@ let optimize_cmd =
           ~doc:"Exploit controllability don't-cares (paper Sec. 6, issue 1).")
   in
   let units =
-    Arg.(
-      value & opt int 1
-      & info [ "units" ]
-          ~doc:"Allow covers of up to this many comparison units (Sec. 6, issue 2).")
-  in
-  let no_id_cache =
-    Arg.(
-      value & flag
-      & info [ "no-id-cache" ]
-          ~doc:
-            "Disable the run-scoped identification cache (results are \
-             bit-identical either way; this is a debugging escape hatch).")
+    int_at_least ~min:1 "units" 1
+      ~doc:"Allow covers of up to this many comparison units (Sec. 6, issue 2)."
   in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Resynthesise with comparison units (Procedures 2 and 3 of the paper).")
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
-      $ dontcares $ units $ no_id_cache $ domains_arg $ output_arg $ metrics_arg
-      $ trace_arg $ journal_arg)
+      $ dontcares $ units $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
@@ -389,11 +387,8 @@ let check_cmd =
       & info [] ~docv:"B" ~doc:"Second .bench netlist.")
   in
   let budget =
-    Arg.(
-      value
-      & opt int Cec.default_budget
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"SAT conflict budget per output miter; exhausted budget reports unknown.")
+    int_at_least ~docv:"N" ~min:0 "budget" Cec.default_budget
+      ~doc:"SAT conflict budget per output miter; exhausted budget reports unknown."
   in
   Cmd.v
     (Cmd.info "check"
@@ -420,8 +415,8 @@ let rar_cmd =
         print_stats ppf c;
         save ppf output c)
   in
-  let additions = Arg.(value & opt int 40 & info [ "additions" ] ~doc:"Accepted-addition budget.") in
-  let trials = Arg.(value & opt int 400 & info [ "trials" ] ~doc:"Proof attempts per round.") in
+  let additions = int_at_least ~min:0 "additions" 40 ~doc:"Accepted-addition budget." in
+  let trials = int_at_least ~min:0 "trials" 400 ~doc:"Proof attempts per round." in
   Cmd.v
     (Cmd.info "rar" ~doc:"Redundancy-addition-and-removal baseline (RAMBO_C stand-in).")
     Term.(
@@ -474,10 +469,10 @@ let sat_atpg_flag =
            denominator.")
 
 let fsim_cmd =
-  let run file bench patterns domains seed sat_atpg metrics trace journal =
+  let run file bench patterns seed sat_atpg metrics trace journal =
     with_obs ~cmd:"fsim" metrics trace journal (fun ppf ->
         let c = load ~file ~bench in
-        let cfg = { Campaign.default with max_patterns = patterns; domains; seed } in
+        let cfg = { Campaign.default with max_patterns = patterns; seed } in
         if not sat_atpg then
           Format.fprintf ppf "%a@." Campaign.pp_result (Campaign.exec cfg c)
         else begin
@@ -506,14 +501,12 @@ let fsim_cmd =
             detected testable coverage redundant
         end)
   in
-  let patterns =
-    Arg.(value & opt int 100_000 & info [ "patterns" ] ~doc:"Random pattern budget.")
-  in
+  let patterns = int_at_least ~min:0 "patterns" 100_000 ~doc:"Random pattern budget." in
   Cmd.v
     (Cmd.info "fsim" ~doc:"Random-pattern stuck-at fault simulation campaign (Table 6).")
     Term.(
-      const run $ file_arg $ bench_arg $ patterns $ domains_arg $ seed_arg
-      $ sat_atpg_flag $ metrics_arg $ trace_arg $ journal_arg)
+      const run $ file_arg $ bench_arg $ patterns $ seed_arg $ sat_atpg_flag
+      $ metrics_arg $ trace_arg $ journal_arg)
 
 (* --- atpg ------------------------------------------------------------------ *)
 
@@ -530,10 +523,8 @@ let atpg_cmd =
           pp_escalation ppf c (Sat_atpg.escalate c stats.Podem.aborted_faults))
   in
   let limit =
-    Arg.(
-      value
-      & opt int Limits.default.Limits.podem_backtracks
-      & info [ "backtracks" ] ~doc:"PODEM backtrack limit.")
+    int_at_least ~min:0 "backtracks" Limits.default.Limits.podem_backtracks
+      ~doc:"PODEM backtrack limit."
   in
   Cmd.v (Cmd.info "atpg" ~doc:"Run PODEM on every collapsed stuck-at fault.")
     Term.(
@@ -553,9 +544,9 @@ let pdf_cmd =
         in
         Format.fprintf ppf "%a@." Pdf_campaign.pp_result r)
   in
-  let pairs = Arg.(value & opt int 200_000 & info [ "pairs" ] ~doc:"Two-pattern test budget.") in
+  let pairs = int_at_least ~min:0 "pairs" 200_000 ~doc:"Two-pattern test budget." in
   let window =
-    Arg.(value & opt int 20_000 & info [ "window" ] ~doc:"Stop after this many ineffective pairs.")
+    int_at_least ~min:0 "window" 20_000 ~doc:"Stop after this many ineffective pairs."
   in
   Cmd.v
     (Cmd.info "pdf"
@@ -650,7 +641,6 @@ let sop_cmd =
 let pdfatpg_cmd =
   let run file bench limit max_paths seed metrics trace journal =
     with_obs ~cmd:"pdfatpg" metrics trace journal (fun ppf ->
-        if max_paths < 1 then die "--max-paths %d is below 1" max_paths;
         let c = load ~file ~bench in
         (match Paths.total c with
         | n when n > max_paths ->
@@ -661,12 +651,8 @@ let pdfatpg_cmd =
         let s = Pdf_atpg.classify_all ~backtrack_limit:limit ~max_paths ~seed c in
         Format.fprintf ppf "%a@." Pdf_atpg.pp_summary s)
   in
-  let limit =
-    Arg.(value & opt int 2000 & info [ "backtracks" ] ~doc:"Justification budget per frame.")
-  in
-  let max_paths =
-    Arg.(value & opt int 20_000 & info [ "max-paths" ] ~doc:"Path enumeration cap.")
-  in
+  let limit = int_at_least ~min:0 "backtracks" 2000 ~doc:"Justification budget per frame." in
+  let max_paths = int_at_least ~min:1 "max-paths" 20_000 ~doc:"Path enumeration cap." in
   Cmd.v
     (Cmd.info "pdfatpg"
        ~doc:"Classify every path delay fault as robustly testable/untestable (exact ATPG).")

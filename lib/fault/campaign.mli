@@ -23,9 +23,9 @@ type config = {
       (** fault list to target; [None] means {!Fault.collapsed}. *)
   max_patterns : int;  (** random-pattern budget (default 1_000_000). *)
   domains : int;
-      (** domain-pool width, resolved by {!Pool.domains_of_flag}: [<= 0]
-          picks the recommended width, [1] forces the serial path. The
-          result is bit-identical for every value. *)
+      (** Retired: no code reads it, and the campaign runs on one domain
+          whatever its value. It stays only because the [perf/] benchmark
+          names it. *)
   seed : int64;
 }
 
@@ -37,10 +37,6 @@ val exec : config -> Circuit.t -> result
     detected or [config.max_patterns] is exhausted. Detected faults are
     dropped from simulation. Patterns inside a batch count as sequential,
     so [last_effective_pattern] is exact.
-
-    With [config.domains <> 1] the fault list is sharded across a domain
-    pool, each worker simulating with a private {!Fsim.t} over the shared
-    compiled circuit; the result is bit-identical to the serial run.
 
     Observability (when enabled): counters [fsim.patterns],
     [fsim.batches], [fsim.faults_dropped], [fsim.fault_scans]; histogram

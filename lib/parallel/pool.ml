@@ -172,8 +172,9 @@ let with_pool ?domains f =
   let t = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
+(* Cover [0, n) with chunks [body ~slot ~lo ~hi] across the pool; a slot
+   is only ever active in one chunk at a time. *)
 let for_chunks t ?chunk ?(serial_below = 0) ~n body =
-  if n < 0 then invalid_arg "Pool.for_chunks: negative range";
   (* Chunk bodies are timed only when metrics are on; the disabled path
      runs the raw body with no clock reads. The busy-time delta is clamped
      to >= 0: Obs.now is wall time and may step backwards. *)
@@ -203,7 +204,7 @@ let for_chunks t ?chunk ?(serial_below = 0) ~n body =
       let chunk =
         match chunk with
         | Some c when c > 0 -> c
-        | Some _ -> invalid_arg "Pool.for_chunks: chunk must be positive"
+        | Some _ -> invalid_arg "Pool.map: chunk must be positive"
         | None -> max 1 ((n + (t.n_domains * 4) - 1) / (t.n_domains * 4))
       in
       let nchunks = (n + chunk - 1) / chunk in
@@ -244,27 +245,15 @@ let for_chunks t ?chunk ?(serial_below = 0) ~n body =
       | None -> ()
     end
 
-let map_chunks t ?chunk ?serial_below ~state ~f arr =
+let map t ?chunk ?serial_below f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    (* Each slot only ever touches its own entry, so no locking. *)
-    let states = Array.make t.n_domains None in
-    for_chunks t ?chunk ?serial_below ~n (fun ~slot ~lo ~hi ->
-        let st =
-          match states.(slot) with
-          | Some st -> st
-          | None ->
-            let st = state slot in
-            states.(slot) <- Some st;
-            st
-        in
+    (* Each chunk writes only its own indices, so no locking. *)
+    for_chunks t ?chunk ?serial_below ~n (fun ~slot:_ ~lo ~hi ->
         for i = lo to hi - 1 do
-          out.(i) <- Some (f st i arr.(i))
+          out.(i) <- Some (f arr.(i))
         done);
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let map t ?chunk ?serial_below f arr =
-  map_chunks t ?chunk ?serial_below ~state:(fun _ -> ()) ~f:(fun () _ x -> f x) arr

@@ -1,12 +1,13 @@
-(** Reusable [Domain]-based worker pool for the embarrassingly parallel
-    inner loops of the toolchain (fault campaigns, wave simulation,
-    candidate scoring).
+(** Reusable [Domain]-based worker pool for the two coarse fan-outs that
+    win on a second domain: the output miters of a CEC check
+    ([Cec.check_stats]) and the wave simulations of a PDF campaign
+    ([Pdf_campaign.exec]), DESIGN.md §8.
 
     A pool represents a fixed budget of [domains] computation domains: the
     calling domain (slot 0) plus [domains - 1] spawned worker domains
-    (slots 1 .. domains-1). Work is described as a range [0 .. n-1] split into
-    chunks; idle participants grab chunks from a shared atomic counter, so
-    load balancing is dynamic but the mapping from index to result is
+    (slots 1 .. domains-1). A {!map} splits its array into chunks; idle
+    participants grab chunks from a shared atomic counter, so load
+    balancing is dynamic but the mapping from index to result is
     deterministic — results are merged back in index order regardless of
     which domain computed them.
 
@@ -14,11 +15,10 @@
     inline in the calling domain: the serial code path and the parallel
     code path are the same code.
 
-    Determinism contract: as long as the supplied work functions are
-    deterministic per index and do not communicate through shared mutable
-    state (other than writing to disjoint slots of caller-owned arrays),
-    every [map]/[map_chunks]/[for_chunks] call yields results identical to
-    a serial left-to-right execution.
+    Determinism contract: as long as the mapped function is deterministic
+    per element and does not communicate through shared mutable state,
+    every {!map} call yields results identical to a serial left-to-right
+    execution.
 
     When {!Obs.enabled} is on, every chunk execution is accounted to the
     counters [pool.chunks] (total chunks) and [pool.domain<slot>.busy_us]
@@ -37,7 +37,7 @@ val domains_of_flag : int -> int
 (** Canonical interpretation of a user-facing [--domains] / config value:
     any [n <= 0] means "pick for me" ({!default_domains}), [1] forces the
     serial path, [n >= 2] is taken literally. The CLI, the bench harness
-    and the campaign/engine config records all resolve through this single
+    and the PDF campaign's config record all resolve through this single
     function. *)
 
 val max_domains : int
@@ -53,8 +53,7 @@ val create : ?domains:int -> unit -> t
     {!shutdown}, or prefer {!with_pool}. *)
 
 val domains : t -> int
-(** Total participating domains (including the caller), i.e. the number of
-    distinct [slot] values work functions can observe. *)
+(** Total participating domains, including the caller. *)
 
 val shutdown : t -> unit
 (** Stop and join all worker domains. Idempotent. The pool must not be
@@ -63,45 +62,20 @@ val shutdown : t -> unit
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
 
-val for_chunks :
-  t ->
-  ?chunk:int ->
-  ?serial_below:int ->
-  n:int ->
-  (slot:int -> lo:int -> hi:int -> unit) ->
-  unit
-(** [for_chunks t ~n body] covers the range [0 .. n-1] with disjoint chunks
-    [body ~slot ~lo ~hi] executed across the pool. [slot] identifies the
-    executing participant ([0 <= slot < domains t]); a given slot is only
-    ever active in one chunk at a time, so per-slot scratch state needs no
-    locking. [chunk] sets the chunk length (default: [n] split into about
-    4 chunks per participant). Exceptions raised by [body] are re-raised
-    in the caller after the whole submission has drained. With one domain
-    (or [n = 1]) this is exactly [body ~slot:0 ~lo:0 ~hi:n].
+val map : t -> ?chunk:int -> ?serial_below:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map t f arr] is [Array.map f arr], computed across the pool with
+    results in their original positions (deterministic ordered merge).
+    [chunk] sets the chunk length (default: the array split into about 4
+    chunks per participant). The first exception raised by [f] is
+    re-raised in the caller, with its backtrace, after the whole
+    submission has drained; the pool stays usable. With one domain (or
+    one element) this is exactly [Array.map f arr].
 
-    [serial_below] (default 0: never) is the work-size cutoff: submissions
-    with [n < serial_below] run inline on the calling domain even on a
+    [serial_below] (default 0: never) is the work-size cutoff: arrays
+    shorter than it are mapped inline on the calling domain even on a
     multi-domain pool, because publishing a job and waking workers costs
-    more than it buys on tiny ranges. The inline path is the same code the
+    more than it buys on tiny inputs. The inline path is the same code the
     1-domain pool runs, so the determinism contract is unaffected. Each
     cutoff decision is recorded in the [pool.serial_cutoff] counter
     (submissions kept inline) or [pool.parallel_jobs] (submissions fanned
     out) when {!Obs.enabled}. *)
-
-val map_chunks :
-  t ->
-  ?chunk:int ->
-  ?serial_below:int ->
-  state:(int -> 's) ->
-  f:('s -> int -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** Ordered parallel map with per-worker state. [state slot] is called at
-    most once per slot per invocation (lazily, on the slot's first chunk)
-    to build worker-local scratch state — e.g. a simulator instance — and
-    [f st i x] computes the result for index [i]. The returned array
-    satisfies [result.(i) = f st i arr.(i)] with indices in their original
-    positions (deterministic ordered merge). *)
-
-val map : t -> ?chunk:int -> ?serial_below:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_chunks] without per-worker state. *)

@@ -12,7 +12,6 @@ type options = {
   use_dontcares : bool;
   max_units : int;
   domains : int;
-  id_cache : bool;
 }
 
 let default_options =
@@ -26,12 +25,9 @@ let default_options =
     use_dontcares = false;
     max_units = 1;
     domains = 0;
-    id_cache = true;
   }
 
-(* Observability probes. [cut_size_h] and [realised_c] fire inside worker
-   evaluation — counters and histograms are atomic, so that is safe; spans
-   stay on the orchestrating domain. *)
+(* Observability probes. *)
 let candidates_c = Obs.Counter.make ~help:"subcircuit candidates enumerated" "engine.candidates"
 let realised_c = Obs.Counter.make ~help:"candidates realised as units" "engine.realised"
 let accepted_c = Obs.Counter.make ~help:"replacements spliced in" "engine.accepted"
@@ -75,8 +71,7 @@ let score_ns_c =
     ~help:"nanoseconds scoring cuts: extract, identify, cost (metrics on only)"
     "engine.score_ns"
 
-(* The split of [score_ns], summed per candidate: with a pool they add up
-   time across domains, so they can exceed the batch wall. *)
+(* The split of [score_ns], summed per candidate. *)
 let extract_ns_c =
   Obs.Counter.make ~help:"nanoseconds extracting cut functions (metrics on only)"
     "engine.extract_ns"
@@ -91,6 +86,45 @@ let cost_ns_c =
     "engine.cost_ns"
 
 let elapsed_ns t0 t1 = max 0 (int_of_float ((t1 -. t0) *. 1e9))
+
+(* The identification cache's probes (DESIGN.md §15). *)
+let id_hits_c =
+  Obs.Counter.make ~help:"identification verdicts served from the cache"
+    "idcache.hits"
+
+let id_misses_c =
+  Obs.Counter.make ~help:"identification verdicts computed and cached" "idcache.misses"
+
+(* Retired with the NPN class layer and never incremented: the perf
+   benchmark's per-layer metrics still read both names and refuse a run
+   on an unregistered counter, so they stay registered at 0. *)
+let _ : Obs.Counter.t =
+  Obs.Counter.make ~help:"retired: always 0 (NPN class layer removed)"
+    "idcache.npn_hits"
+
+let _ : Obs.Counter.t =
+  Obs.Counter.make ~help:"retired: always 0 (NPN class layer removed)"
+    "idcache.canon_ns"
+
+let table_hits_h =
+  Obs.Histogram.make ~help:"hits per cached table over the run (hit tables only)"
+    "idcache.table_hits"
+
+(* The production walk's identification cache, one per run (DESIGN.md
+   §15): each distinct table's exact verdict, positive or negative, and
+   the hits it served. A hit replays the spec verbatim, so the walk builds
+   the same units as without the cache. *)
+module Verdicts = Hashtbl.Make (struct
+  type t = Truthtable.t
+
+  let equal = Truthtable.equal
+  let hash = Truthtable.hash
+end)
+
+type cached = {
+  verdict : Comparison_fn.spec option;
+  mutable hits : int;
+}
 
 type stats = {
   passes : int;
@@ -145,9 +179,8 @@ type 'u candidate = {
    comparison unit, a multi-unit cover (Sec. 6, issue 2), and a single unit
    under controllability don't-cares (Sec. 6, issue 1; each exploited
    disagreement is proved unreachable first). [identify] is the plain
-   identification engine, possibly wrapped in the run cache by the caller;
-   the don't-care and multi-unit fallbacks are rng-dependent and stay
-   uncached. *)
+   identification engine, possibly behind the run's cache; the don't-care
+   and multi-unit fallbacks are rng-dependent and stay uncached. *)
 let realise opts rng ~identify ~sim c sub tt =
   let n = Array.length sub.Subcircuit.inputs in
   let with_dontcares () =
@@ -188,11 +221,10 @@ let realise opts rng ~identify ~sim c sub tt =
     | Some r -> Some r
     | None -> with_multi ())
 
-(* Candidate evaluations must not share a mutable random stream when they
-   run concurrently, so each candidate derives its own generator from the
-   engine seed, the root and its enumeration index (splitmix64 finaliser).
-   The serial path uses the same derivation, keeping [domains = 1] and
-   [domains = n] runs identical. *)
+(* Each candidate draws from its own generator, derived from the engine
+   seed, the root and its enumeration index (splitmix64 finaliser): the
+   sampled, don't-care and multi-unit results depend on this derivation,
+   so one stream shared by the whole walk would change them. *)
 let candidate_seed base root idx =
   let z =
     Int64.add
@@ -204,8 +236,8 @@ let candidate_seed base root idx =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Scoring scratch shared by every pass of a run: the reusable enumeration
-   dedup table (cleared per root) and the serial extraction buffer
-   (re-allocated when the circuit outgrows it). *)
+   dedup table (cleared per root) and the extraction buffer (re-allocated
+   when the circuit outgrows it). *)
 type scoring = {
   dedup : Subcircuit.dedup;
   mutable scratch : int64 array;
@@ -252,51 +284,43 @@ let make_run_state c =
     reachable = reachable_from_outputs c;
   }
 
-(* Below this many candidates a pooled scoring batch runs inline on the
-   calling domain: publishing a job and waking the workers costs more than
-   scoring a handful of cuts (the source of the sub-1.0x pooled "speedups"
-   on small circuits). Scheduling-only — results are unchanged. *)
-let score_serial_cutoff = 48
-
-(* Enumeration stays serial; [realise] / truth-table extraction fan out
-   across the pool. Results come back in enumeration order (deterministic
-   ordered merge), so the fold over [better] below sees candidates in the
-   same order as a serial run and tie-breaks identically.
-
-   The identification cache is never written during scoring: every
-   evaluation — worker or serial — looks up the frozen cache read-only and
-   records its misses locally; the orchestrating domain merges them below
-   once the whole batch is back. Deferring the serial merge too keeps
-   hit/miss counts identical across [domains] settings. *)
-let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
+(* Score every cut of [root] in enumeration order, so the fold in
+   [choose] tie-breaks on the first of equal candidates. With a [cache],
+   each exact identification is looked up first and a miss is recorded at
+   once. *)
+let score_candidates ?cache ~sc opts ~sim labels c root =
   let timed = Obs.enabled () in
   let t0 = if timed then Obs.now () else 0. in
   let subs =
-    Array.of_list
-      (Subcircuit.enumerate ~dedup:sc.dedup ~k:opts.k
-         ~max_candidates:opts.max_candidates c root)
+    Subcircuit.enumerate ~dedup:sc.dedup ~k:opts.k ~max_candidates:opts.max_candidates
+      c root
   in
   let t1 = if timed then Obs.now () else 0. in
-  Obs.Counter.add candidates_c (Array.length subs);
-  let eval scratch idx sub =
+  Obs.Counter.add candidates_c (List.length subs);
+  if Array.length sc.scratch < Circuit.size c then
+    sc.scratch <- Array.make (Circuit.size c) 0L;
+  let identify rng tt =
+    match cache with
+    | None -> Comparison_fn.identify opts.engine rng tt
+    | Some cache -> (
+      match Verdicts.find_opt cache tt with
+      | Some e ->
+        e.hits <- e.hits + 1;
+        Obs.Counter.incr id_hits_c;
+        e.verdict
+      | None ->
+        Obs.Counter.incr id_misses_c;
+        let verdict = Comparison_fn.identify opts.engine rng tt in
+        Verdicts.add cache tt { verdict; hits = 0 };
+        verdict)
+  in
+  let eval idx sub =
     let rng = Rng.create (candidate_seed opts.seed root idx) in
     Obs.Histogram.observe cut_size_h (Array.length sub.Subcircuit.inputs);
     let ta = if timed then Obs.now () else 0. in
-    let tt = Subcircuit.extract ~scratch c sub in
+    let tt = Subcircuit.extract ~scratch:sc.scratch c sub in
     let tb = if timed then Obs.now () else 0. in
-    let misses = ref [] in
-    let identify tt =
-      match cache with
-      | None -> Comparison_fn.identify opts.engine rng tt
-      | Some cache -> (
-        match Idcache.find cache tt with
-        | Some verdict -> verdict
-        | None ->
-          let verdict = Comparison_fn.identify opts.engine rng tt in
-          misses := (tt, verdict) :: !misses;
-          verdict)
-    in
-    let realised = realise opts rng ~identify ~sim c sub tt in
+    let realised = realise opts rng ~identify:(identify rng) ~sim c sub tt in
     let tc = if timed then Obs.now () else 0. in
     let cand =
       match realised with
@@ -317,37 +341,14 @@ let score_candidates ?pool ?cache ~sc opts ~sim labels c root =
       Obs.Counter.add identify_ns_c (elapsed_ns tb tc);
       Obs.Counter.add cost_ns_c (elapsed_ns tc (Obs.now ()))
     end;
-    (cand, !misses)
+    cand
   in
-  let scored =
-    match pool with
-    | Some pool when Array.length subs > 1 ->
-      (* Workers read the circuit concurrently; materialise the lazy
-         fanout cache up front so they never race to build it. Each worker
-         slot keeps its own extraction scratch for the batch. *)
-      ignore (Circuit.fanouts c root);
-      Pool.map_chunks pool ~chunk:1 ~serial_below:score_serial_cutoff
-        ~state:(fun _ -> Array.make (Circuit.size c) 0L)
-        ~f:eval subs
-    | _ ->
-      if Array.length sc.scratch < Circuit.size c then
-        sc.scratch <- Array.make (Circuit.size c) 0L;
-      Array.mapi (eval sc.scratch) subs
-  in
-  (match cache with
-  | None -> ()
-  | Some cache ->
-    Array.iter
-      (fun (_, misses) ->
-        List.iter
-          (fun (tt, verdict) -> Idcache.record cache tt verdict)
-          (List.rev misses))
-      scored);
+  let cands = List.filter_map Fun.id (List.mapi eval subs) in
   if timed then begin
     Obs.Counter.add enumerate_ns_c (elapsed_ns t0 t1);
     Obs.Counter.add score_ns_c (elapsed_ns t1 (Obs.now ()))
   end;
-  List.filter_map fst (Array.to_list scored)
+  cands
 
 (* Strictly-better-than ordering for the two objectives. [current_paths] is
    the Procedure-1 label on the root before replacement. *)
@@ -486,13 +487,13 @@ let dontcare_sim opts c =
   end
 
 (* The best improving candidate at root [g], if any, with its unit built. *)
-let choose ?pool ?cache ~sc objective opts ~sim labels c g =
+let choose ?cache ~sc objective opts ~sim labels c g =
   List.fold_left
     (fun best cand ->
       if better objective ~current_paths:labels.(g) cand best then Some cand
       else best)
     None
-    (score_candidates ?pool ?cache ~sc opts ~sim labels c g)
+    (score_candidates ?cache ~sc opts ~sim labels c g)
   |> Option.map (fun cand ->
          match cand.unit_ with
          | Built b -> { cand with unit_ = b }
@@ -503,7 +504,7 @@ let choose ?pool ?cache ~sc objective opts ~sim labels c g =
 (* Apply one decided splice, SAT-proving it against a snapshot when the
    sampling cadence asks for it. Returns false if the miter refused the
    replacement and rolled it back. *)
-let apply ?pool vstate c ~root ~idx cand =
+let apply vstate c ~root ~idx cand =
   let snapshot =
     if idx mod vstate.every = 0 then Some (Circuit.copy c) else None
   in
@@ -518,7 +519,7 @@ let apply ?pool vstate c ~root ~idx cand =
     | Some before -> (
       vstate.checks <- vstate.checks + 1;
       Obs.Counter.incr verify_checks_c;
-      match Cec.check ?pool before c with
+      match Cec.check before c with
       | Cec.Equivalent -> true
       | Cec.Unknown _ ->
         (* Budget exhausted is not evidence of unsoundness: the local
@@ -565,7 +566,7 @@ let apply ?pool vstate c ~root ~idx cand =
    would have marked it; a clean root is never queued, because its
    evaluation would reproduce its previous rejection bit-exactly. Each
    accepted splice lands at once, as in the reference walk. *)
-let run_pass ?pool ?cache objective opts vstate sc st c =
+let run_pass ?cache objective opts vstate sc st c =
   let labels = Paths.labels c in
   let sim = dontcare_sim opts c in
   let replacements = ref 0 in
@@ -594,7 +595,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
       (Footprint.Worklist.mark_fanout_cone c st.wl
          (List.rev_append (sweep_boundary c sub cand.unit_) seeds));
     let since = Circuit.size c in
-    if apply ?pool vstate c ~root:g ~idx cand then begin
+    if apply vstate c ~root:g ~idx cand then begin
       incr replacements;
       let fresh = ref [] in
       for id = Circuit.size c - 1 downto since do
@@ -619,7 +620,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
       Obs.Counter.incr worklist_popped_c;
       if is_gate c g && Footprint.mem st.reachable g then begin
         Footprint.remove dirty g;
-        match choose ?pool ?cache ~sc objective opts ~sim labels c g with
+        match choose ?cache ~sc objective opts ~sim labels c g with
         | None -> ()
         | Some cand -> Obs.Span.with_ "engine.commit_flush" (fun () -> commit g cand)
       end
@@ -633,7 +634,7 @@ let run_pass ?pool ?cache objective opts vstate sc st c =
    needs. Outputs start marked; an accepted replacement marks its cut
    inputs, a gate with no improving candidate marks its fanins. Every
    splice commits immediately and no footprint state is kept. *)
-let run_pass_reference ?pool ?cache objective opts vstate sc c =
+let run_pass_reference objective opts vstate sc c =
   let labels = Paths.labels c in
   let sim = dontcare_sim opts c in
   let replacements = ref 0 in
@@ -645,14 +646,14 @@ let run_pass_reference ?pool ?cache objective opts vstate sc c =
     let g = order.(i) in
     if is_gate c g && marked.(g) then begin
       let accepted =
-        match choose ?pool ?cache ~sc objective opts ~sim labels c g with
+        match choose ~sc objective opts ~sim labels c g with
         | None -> None
         | Some cand ->
           let idx = vstate.attempts in
           vstate.attempts <- idx + 1;
           (* A refused splice was rolled back, so [g] is intact: continue
              as if no candidate had improved on it. *)
-          if apply ?pool vstate c ~root:g ~idx cand then Some cand else None
+          if apply vstate c ~root:g ~idx cand then Some cand else None
       in
       match accepted with
       | Some cand ->
@@ -663,7 +664,12 @@ let run_pass_reference ?pool ?cache objective opts vstate sc c =
   done;
   !replacements
 
-let optimize_with ?pool ~reference ~every ~inject_unsound objective opts c =
+(* The widest cut [Subcircuit.extract] takes. *)
+let max_k = 16
+
+let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts c =
+  if opts.k < 1 || opts.k > max_k then
+    invalid_arg (Printf.sprintf "Engine.optimize: k = %d is outside 1..%d" opts.k max_k);
   (* Establish "alive implies output-reachable (or Input)" before the first
      pass. Every splice sweeps, so the invariant then holds for the whole
      run — and the production walk's [sweep_boundary] depends on it: a
@@ -673,28 +679,27 @@ let optimize_with ?pool ~reference ~every ~inject_unsound objective opts c =
   ignore (Circuit.sweep c);
   let gates_before = Circuit.two_input_gate_count c in
   let paths_before = Paths.total c in
-  (* One identification cache per run, shared across candidates, roots and
-     passes. Only the exact engine's verdicts are cacheable: the sampled
-     engine consumes the per-candidate random stream, so replaying a cached
-     verdict would change results between cache-on and cache-off runs. *)
-  let cache =
-    match opts.engine with
-    | Comparison_fn.Exact when opts.id_cache -> Some (Idcache.create ())
-    | Comparison_fn.Exact | Comparison_fn.Sampled _ -> None
-  in
   let passes = ref 0 in
   let replacements = ref 0 in
   let vstate = { attempts = 0; checks = 0; refused = 0; every; inject_unsound } in
   let sc = { dedup = Subcircuit.dedup (); scratch = [||] } in
+  (* The reference walk identifies every cut afresh, so holding the
+     production walk to it also proves the cache changes nothing. Only the
+     exact engine's verdicts are cached: the sampled engine consumes the
+     candidate's random stream, which a replayed verdict would skip. *)
+  let cache =
+    match opts.engine with
+    | Comparison_fn.Exact when not reference -> Some (Verdicts.create 1024)
+    | Comparison_fn.Exact | Comparison_fn.Sampled _ -> None
+  in
   let run_pass =
-    if reference then fun () ->
-      run_pass_reference ?pool ?cache objective opts vstate sc c
+    if reference then fun () -> run_pass_reference objective opts vstate sc c
     else begin
       (* The dirty set starts all-true (the first pass looks at
          everything) and persists across passes: a pass only re-evaluates
          roots whose region some earlier splice touched. *)
       let st = make_run_state c in
-      fun () -> run_pass ?pool ?cache objective opts vstate sc st c
+      fun () -> run_pass ?cache objective opts vstate sc st c
     end
   in
   let continue = ref true in
@@ -704,9 +709,11 @@ let optimize_with ?pool ~reference ~every ~inject_unsound objective opts c =
     replacements := !replacements + r;
     if r = 0 then continue := false
   done;
-  (* Per-table hit accounting; serial, after the last batch merged, so the
-     frozen-read discipline is respected. *)
-  Option.iter Idcache.finish cache;
+  (* How much each cached verdict paid for itself, once per run. *)
+  Option.iter
+    (Verdicts.iter (fun _ e ->
+         if e.hits > 0 then Obs.Histogram.observe table_hits_h e.hits))
+    cache;
   {
     passes = !passes;
     replacements = !replacements;
@@ -717,19 +724,6 @@ let optimize_with ?pool ~reference ~every ~inject_unsound objective opts c =
     verify_checks = vstate.checks;
     verify_refused = vstate.refused;
   }
-
-(* The widest cut [Subcircuit.extract] takes. *)
-let max_k = 16
-
-let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts c =
-  if opts.k < 1 || opts.k > max_k then
-    invalid_arg (Printf.sprintf "Engine.optimize: k = %d is outside 1..%d" opts.k max_k);
-  let domains = Pool.domains_of_flag opts.domains in
-  if domains <= 1 then
-    optimize_with ~reference ~every ~inject_unsound objective opts c
-  else
-    Pool.with_pool ~domains (fun pool ->
-        optimize_with ~pool ~reference ~every ~inject_unsound objective opts c)
 
 let optimize objective opts c = run ~reference:false objective opts c
 let optimize_reference objective opts c = run ~reference:true objective opts c

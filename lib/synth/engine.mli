@@ -11,10 +11,11 @@
     There is one production path, {!optimize}, and one reference oracle,
     {!optimize_reference}, which the tests and the bench hold it to
     bit-for-bit. The reference is the walk just described, committing each
-    splice at once. The production walk (DESIGN.md §13, §17) commits each
-    splice at once too, and also tracks the footprint of every splice, so
-    later passes pop only the dirty roots from an ordered worklist.
-    Candidate scoring fans out across the [domains] pool. *)
+    splice at once and identifying every cut afresh. The production walk
+    (DESIGN.md §13, §17) commits each splice at once too, and also tracks
+    the footprint of every splice, so later passes pop only the dirty roots
+    from an ordered worklist, and replays exact identification verdicts
+    from a per-run cache (DESIGN.md §15). Both run on one domain. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -37,21 +38,9 @@ type options = {
       (** paper Sec. 6, issue 2: cover a subfunction with up to this many
           comparison units sharing a permutation (1 = single units only). *)
   domains : int;
-      (** domain-pool width for concurrent candidate evaluation
-          (enumeration and splicing stay serial), resolved by
-          {!Pool.domains_of_flag}: [<= 0] picks the recommended width, [1]
-          forces the serial path. Results are identical for every value
-          because candidates are scored with per-candidate derived seeds
-          and merged back in enumeration order. *)
-  id_cache : bool;
-      (** Share one in-memory {!Idcache} across all candidates, roots and
-          passes of the run (DESIGN.md §12, §15): each distinct table is
-          identified once and its verdict replayed verbatim on every
-          repeat. Effective only with the deterministic
-          {!Comparison_fn.Exact} engine — sampled verdicts depend on the
-          candidate random stream and are never cached — so results are
-          bit-identical with the cache on or off, and for any [domains]
-          width. The CLI escape hatch is [--no-id-cache]. *)
+      (** Retired: no code reads it, and the engine runs on one domain
+          whatever its value. It stays only because the [perf/] benchmark
+          names it. *)
 }
 (** Every replacement is checked twice. An exact replacement is checked
     exhaustively on its cut before it is spliced (a mismatch raises
@@ -70,8 +59,8 @@ type options = {
 
 val default_options : options
 (** K = 6, 64 candidates, exact identification, merging, at most 16
-    passes, seed 1, extensions off, [domains = 0] (auto) and
-    [id_cache = true] — the [sft optimize] defaults. *)
+    passes, seed 1, extensions off and [domains = 0] — the [sft optimize]
+    defaults. *)
 
 type stats = {
   passes : int;
@@ -104,24 +93,25 @@ val optimize : objective -> options -> Circuit.t -> stats
     and [engine.cost_ns] (the scoring split, summed per candidate:
     extraction; identification, i.e. the cache lookup, any miss and the
     don't-care or multi-unit fallbacks when enabled; and the unit cost,
-    removable gates and path label — with a pool they sum time across
-    domains, so together they can exceed [engine.score_ns]; all five only
-    while metrics are on), and the {!Idcache} probes
-    [idcache.hits] and [idcache.misses]; histograms
-    [engine.cut_size], [engine.dirty_nodes] (nodes newly dirtied per
-    footprint) and [idcache.class_hits]; spans [engine.pass] (one per
+    removable gates and path label; all five only while metrics are on),
+    and the identification cache's [idcache.hits] and [idcache.misses];
+    histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
+    dirtied per footprint) and [idcache.table_hits] (hits per cached table
+    that served any); spans [engine.pass] (one per
     resynthesis pass) and [engine.commit_flush] (one per splice: its
     footprint marks, the splice and its miter check). [engine.commit_waves]
-    is retired and always 0.
+    is retired and always 0, and so are [idcache.npn_hits] and
+    [idcache.canon_ns].
     [extract.words] counts the 64-minterm words swept by the bit-parallel
     extractor (see {!Subcircuit.extract}). *)
 
 val optimize_reference : objective -> options -> Circuit.t -> stats
 (** The paper's full walk: every pass re-evaluates every marked gate and
-    commits each accepted splice immediately, with no footprint state.
-    Same contract as {!optimize} and bit-identical results (stats and
-    netlist); far slower on multi-pass runs. For tests and the bench
-    only — it is the oracle the production walk is checked against. *)
+    commits each accepted splice immediately, with no footprint state and
+    no identification cache. Same contract as {!optimize} and
+    bit-identical results (stats and netlist); far slower on multi-pass
+    runs. For tests and the bench only — it is the oracle the production
+    walk is checked against. *)
 
 (** Fault injection for the test suite. *)
 module Test_hooks : sig

@@ -38,15 +38,15 @@ echo "check_regression: bench run at the record's scope (--quick --only-circuits
 dune exec --no-build bench/main.exe -- \
     --quick --only-circuits irs1423,irs5378 --domains 2 --json "$tmp" > /dev/null
 
-# CLI journal gate (DESIGN.md §16): a journaled multi-domain optimize run
-# must land the same netlist as a plain one, and `sft report` must accept
+# CLI journal gate (DESIGN.md §16): a journaled optimize run must land the
+# same netlist as a plain one, and `sft report` must accept
 # the journal (it exits 1 on a funnel violation) with funnel_ok in its
 # JSON document.
 echo "check_regression: CLI journal bit-identity and report funnel..."
 dune exec --no-build bin/sft_cli.exe -- optimize test/metrics_smoke.bench \
-    --domains 2 -o "$jdir/plain.bench" > /dev/null
+    -o "$jdir/plain.bench" > /dev/null
 dune exec --no-build bin/sft_cli.exe -- optimize test/metrics_smoke.bench \
-    --domains 2 --journal "$jdir/run.journal" -o "$jdir/journaled.bench" > /dev/null
+    --journal "$jdir/run.journal" -o "$jdir/journaled.bench" > /dev/null
 if ! cmp -s "$jdir/plain.bench" "$jdir/journaled.bench"; then
     echo "check_regression: --journal perturbed the optimize result" >&2
     exit 1

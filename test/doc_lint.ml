@@ -127,7 +127,7 @@ let check_markup file line body =
    the previous (or same) line, or starting within the few lines below it —
    the placements odoc attaches to the declaration. The window below the
    `val` must span the longest multi-line signature in the strict set
-   (Pool.for_chunks is seven lines), hence 8. *)
+   (Justify.search is seven lines), hence 8. *)
 let check_val_coverage file s cs =
   let docs =
     List.filter_map

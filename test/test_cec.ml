@@ -296,7 +296,7 @@ let test_engine_refuses_unsound () =
    [sft optimize] transcript); on generated circuits with more than 8
    replacements, one proof per started group of 8. *)
 let test_engine_verify_cadence () =
-  let opts = { Engine.default_options with Engine.domains = 1 } in
+  let opts = Engine.default_options in
   let irs1423 = Bench_format.read_file "../data/benchmarks/irs1423.bench" in
   let generated seed =
     Circuit_gen.generate

@@ -21,14 +21,17 @@ let test_counter_atomic_under_pool () =
       let h = Obs.Histogram.make "test.obs.atomic_h" in
       let n = 100_000 in
       Pool.with_pool ~domains:4 (fun pool ->
-          Pool.for_chunks pool ~chunk:97 ~n (fun ~slot:_ ~lo ~hi ->
-              for _ = lo to hi - 1 do
-                Obs.Counter.incr c
-              done;
-              Obs.Counter.add c (hi - lo);
-              Obs.Histogram.observe h (hi - lo)));
+          ignore
+            (Pool.map pool ~chunk:97
+               (fun _ ->
+                 Obs.Counter.incr c;
+                 Obs.Counter.add c 1;
+                 Obs.Histogram.observe h 1)
+               (Array.make n ())));
       check int_ "no lost increments across 4 domains" (2 * n) (Obs.Counter.value c);
-      check int_ "histogram sum equals range total" n (Obs.Histogram.sum h))
+      check int_ "histogram sum equals element total" n (Obs.Histogram.sum h);
+      check bool_ "pool chunks exported" true
+        (List.assoc "pool.chunks" (Obs.Export.counters ()) > 0))
 
 let test_disabled_probes_record_nothing () =
   Obs.reset ();
@@ -225,19 +228,23 @@ let test_journal_disabled_is_silent () =
 let test_journal_roundtrip_multidomain () =
   let path = Filename.temp_file "sft_test" ".journal" in
   with_journal path (fun () ->
-      (* Hold each chunk until two have started, so the events provably
+      (* Hold each element until two have started, so the events provably
          land in more than one domain-local buffer. *)
       let started = Atomic.make 0 in
       Pool.with_pool ~domains:4 (fun pool ->
-          Pool.for_chunks pool ~chunk:7 ~n:200 (fun ~slot ~lo ~hi ->
-              Atomic.incr started;
-              while Atomic.get started < 2 do
-                Domain.cpu_relax ()
-              done;
-              for i = lo to hi - 1 do
-                Obs.Journal.emit "test_event"
-                  [ ("i", Obs_json.Int i); ("slot", Obs_json.Int slot) ]
-              done));
+          ignore
+            (Pool.map pool ~chunk:7
+               (fun i ->
+                 Atomic.incr started;
+                 while Atomic.get started < 2 do
+                   Domain.cpu_relax ()
+                 done;
+                 Obs.Journal.emit "test_event"
+                   [
+                     ("i", Obs_json.Int i);
+                     ("domain", Obs_json.Int (Domain.self () :> int));
+                   ])
+               (Array.init 200 Fun.id)));
       (* The pool itself journals a [runtime_sample] after the fan-out
          drains, so counts are lower bounds; payload checks below filter
          to our own event kind. *)
@@ -361,7 +368,7 @@ let test_runtime_sampler_and_reset () =
 
 let test_campaign_unchanged_by_journal () =
   let c = mixed () in
-  let cfg = { Campaign.default with max_patterns = 2_048; domains = 2; seed = 9L } in
+  let cfg = { Campaign.default with max_patterns = 2_048; seed = 9L } in
   Obs.disable ();
   Obs.reset ();
   let plain = Campaign.exec cfg (Circuit.copy c) in
@@ -375,7 +382,7 @@ let test_campaign_unchanged_by_journal () =
 
 let test_campaign_unchanged_by_obs () =
   let c = mixed () in
-  let cfg = { Campaign.default with max_patterns = 2_048; domains = 2; seed = 9L } in
+  let cfg = { Campaign.default with max_patterns = 2_048; seed = 9L } in
   Obs.disable ();
   Obs.reset ();
   let plain = Campaign.exec cfg (Circuit.copy c) in

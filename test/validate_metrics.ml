@@ -25,8 +25,6 @@ let () =
   (match List.assoc_opt "fsim.patterns" counters with
   | Some (Obs_json.Int n) when n > 0 -> ()
   | Some _ | None -> die "%s: counter fsim.patterns missing or not positive" file);
-  if not (List.mem_assoc "pool.chunks" counters) then
-    die "%s: counter pool.chunks missing" file;
   (match Obs_json.member "histograms" doc with
   | Some (Obs_json.Obj _) -> ()
   | _ -> die "%s: histograms object missing" file);
