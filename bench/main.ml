@@ -18,10 +18,10 @@
                     or omitted picks Pool.default_domains (), i.e.
                     recommended - 1; resolved by Pool.domains_of_flag like
                     the CLI flag; at most Pool.max_domains)
-     --metrics SINK observability export: "text" prints a readable dump,
-                    "json" prints the JSON document, anything else is a
-                    file path receiving the JSON (see DESIGN.md §9)
-     --trace        print the span trace tree when the run finishes
+     --metrics SINK observability export: "text" prints a readable dump
+                    ending in the span tree, "json" prints the JSON
+                    document, anything else is a file path receiving the
+                    JSON (see DESIGN.md §9)
    Every table prints our measured rows next to the paper's published rows;
    absolute numbers differ (synthetic stand-in circuits, scaled budgets) but
    the qualitative shape is the claim under test. EXPERIMENTS.md records a
@@ -33,7 +33,6 @@ let only_circuits : string list ref = ref []
 let json_file : string option ref = ref None
 let domains = ref (Pool.default_domains ())
 let metrics : string option ref = ref None
-let trace = ref false
 
 let enabled id = !only = [] || List.mem id !only
 
@@ -580,42 +579,37 @@ let cec () =
       ~columns:
         [ "circuit"; "pair"; "verdict"; "outputs solved"; "decisions"; "conflicts"; "seconds" ]
   in
-  let with_pool f =
-    if !domains <= 1 then f None
-    else Pool.with_pool ~domains:!domains (fun p -> f (Some p))
-  in
-  with_pool (fun pool ->
-      List.iter
-        (fun e ->
-          let name = e.Benchmarks.name in
-          let orig = original e in
-          let check pair c =
-            let (verdict, s), secs =
-              time_wall (fun () -> Cec.check_stats ?pool orig c)
-            in
-            let vs = Format.asprintf "%a" Cec.pp_verdict verdict in
-            let short = if String.length vs > 24 then String.sub vs 0 21 ^ "..." else vs in
-            row
-              Obs_json.
-                [
-                  ("pair", String (name ^ " " ^ pair));
-                  ("equivalent", Bool (verdict = Cec.Equivalent));
-                  ("verdict", String short);
-                  ("outputs_solved", Int s.Cec.outputs_checked);
-                  ("decisions", Int s.Cec.decisions);
-                  ("conflicts", Int s.Cec.conflicts);
-                  ("wall_seconds", Float secs);
-                ];
-            Table.add_row t
-              [
-                name; pair; short;
-                Table.int s.Cec.outputs_checked; Table.int s.Cec.decisions;
-                Table.int s.Cec.conflicts; Printf.sprintf "%.2f" secs;
-              ]
-          in
-          check "orig-vs-p2" (proc2 e);
-          check "orig-vs-p3" (proc3 e))
-        (bench_all ()));
+  List.iter
+    (fun e ->
+      let name = e.Benchmarks.name in
+      let orig = original e in
+      let check pair c =
+        let (verdict, s), secs =
+          time_wall (fun () -> Cec.check_stats ~domains:!domains orig c)
+        in
+        let vs = Format.asprintf "%a" Cec.pp_verdict verdict in
+        let short = if String.length vs > 24 then String.sub vs 0 21 ^ "..." else vs in
+        row
+          Obs_json.
+            [
+              ("pair", String (name ^ " " ^ pair));
+              ("equivalent", Bool (verdict = Cec.Equivalent));
+              ("verdict", String short);
+              ("outputs_solved", Int s.Cec.outputs_checked);
+              ("decisions", Int s.Cec.decisions);
+              ("conflicts", Int s.Cec.conflicts);
+              ("wall_seconds", Float secs);
+            ];
+        Table.add_row t
+          [
+            name; pair; short;
+            Table.int s.Cec.outputs_checked; Table.int s.Cec.decisions;
+            Table.int s.Cec.conflicts; Printf.sprintf "%.2f" secs;
+          ]
+      in
+      check "orig-vs-p2" (proc2 e);
+      check "orig-vs-p3" (proc3 e))
+    (bench_all ());
   Table.print t;
   print_endline
     "every verdict must read `equivalent': resynthesis is function-preserving, and\n\
@@ -1164,9 +1158,6 @@ let () =
     | "--metrics" :: sink :: rest ->
       metrics := Some sink;
       parse rest
-    | "--trace" :: rest ->
-      trace := true;
-      parse rest
     | "--domains" :: n :: rest ->
       (match int_of_string_opt n with
       | Some n when n > Pool.max_domains ->
@@ -1184,7 +1175,7 @@ let () =
         "error: unknown argument %s\n\
          usage: main.exe [--quick|--full] [--only-sections IDS] \
          [--only-circuits NAMES] [--json FILE] [--domains N] \
-         [--metrics text|json|FILE] [--trace]\n\
+         [--metrics text|json|FILE]\n\
          (--only is an alias of --only-sections)\n"
         other;
       exit 2
@@ -1204,7 +1195,7 @@ let () =
     @ match !metrics with Some ("text" | "json") | None -> [] | Some path -> [ path ]);
   (* The JSON snapshot always embeds the observability registry, so collect
      whenever any sink wants it. *)
-  if !metrics <> None || !trace || !json_file <> None then Obs.enable ();
+  if !metrics <> None || !json_file <> None then Obs.enable ();
   Printf.printf "sft bench harness (%s mode)\n" (if !quick then "quick" else "full");
   let recorded =
     List.filter_map (fun s -> if enabled s.id then Some (run_section s) else None) sections
@@ -1213,7 +1204,6 @@ let () =
   | None -> ()
   | Some file -> (
     try write_snapshot file recorded with Sys_error msg -> could_not_write file msg));
-  if !trace then prerr_string (Obs.Export.trace_text ());
   match !metrics with
   | None -> ()
   | Some "text" -> print_string (Obs.Export.to_text ())

@@ -4,7 +4,7 @@
    taken from the built-in benchmark registry with --bench NAME.
 
    Every subcommand that runs a computation accepts --metrics
-   [text|json|FILE], --trace and --journal FILE (observability, see Obs
+   [text|json|FILE] and --journal FILE (observability, see Obs
    and DESIGN.md §9; the structured decision journal, DESIGN.md §16, is
    analysed with `sft report` and converted to a Chrome trace with
    `sft report --chrome`, §11). With --metrics json the metrics document
@@ -126,12 +126,6 @@ let metrics_arg =
            JSON document on stdout (human output moves to stderr), anything \
            else is a file path that receives the JSON.")
 
-let trace_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:"Collect span timings and print the trace tree to stderr.")
-
 let journal_arg =
   Arg.(
     value
@@ -147,14 +141,14 @@ let journal_arg =
            $(b,sft report --chrome). Implies metrics collection; results \
            are bit-identical with or without a journal.")
 
-(* [with_obs ~cmd metrics trace journal body] runs [body ppf] with
+(* [with_obs ~cmd metrics journal body] runs [body ppf] with
    observability enabled as requested and exports the registry afterwards
    (also on failure, so an interrupted run still reports what it measured).
    [journal] opens an [Obs.Journal] destined for the given file and tagged
    with [cmd]; journaling needs the funnel counters, so it switches metrics
    collection on too. [ppf] is where the command's human-readable output
    goes: stderr when stdout carries JSON. *)
-let with_obs ~cmd metrics trace journal body =
+let with_obs ~cmd metrics journal body =
   let metrics =
     match metrics with
     | None -> MNone
@@ -164,7 +158,7 @@ let with_obs ~cmd metrics trace journal body =
   in
   (match metrics with MFile path -> check_writable path | _ -> ());
   Option.iter check_writable journal;
-  if metrics <> MNone || trace then Obs.enable ();
+  if metrics <> MNone then Obs.enable ();
   (match journal with
   | Some path ->
     Obs.enable ();
@@ -182,10 +176,10 @@ let with_obs ~cmd metrics trace journal body =
         Obs.Runtime.sample ();
         let s = writing path Obs.Journal.finish in
         if s.Obs.Journal.dropped > 0 then
-          Printf.eprintf "sft: journal %s: %d event(s) dropped (buffers full)\n"
+          Printf.eprintf
+            "sft: journal %s: %d event(s) dropped (buffer full or emitted off the main domain)\n"
             path s.Obs.Journal.dropped
       | None -> ());
-      if trace then prerr_string (Obs.Export.trace_text ());
       match metrics with
       | MNone -> ()
       | MText -> print_string (Obs.Export.to_text ())
@@ -212,13 +206,13 @@ let print_stats ppf c =
 (* --- stats ---------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run file bench metrics trace journal =
-    with_obs ~cmd:"stats" metrics trace journal (fun ppf ->
+  let run file bench metrics journal =
+    with_obs ~cmd:"stats" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         print_stats ppf c)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics (Procedure 1 path count included).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ journal_arg)
+    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ journal_arg)
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -247,8 +241,8 @@ let list_cmd =
 (* --- gen ------------------------------------------------------------------ *)
 
 let gen_cmd =
-  let run name raw output metrics trace journal =
-    with_obs ~cmd:"gen" metrics trace journal (fun ppf ->
+  let run name raw output metrics journal =
+    with_obs ~cmd:"gen" metrics journal (fun ppf ->
         let e = find_bench name in
         let c =
           if raw then Circuit_gen.generate e.Benchmarks.profile else Benchmarks.build e
@@ -262,14 +256,14 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a benchmark stand-in and optionally write it out.")
-    Term.(const run $ name_arg $ raw $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
+    Term.(const run $ name_arg $ raw $ output_arg $ metrics_arg $ journal_arg)
 
 (* --- optimize ------------------------------------------------------------- *)
 
 let optimize_cmd =
   let run file bench objective k engine budget no_merge dontcares units output metrics
-      trace journal =
-    with_obs ~cmd:"optimize" metrics trace journal (fun ppf ->
+      journal =
+    with_obs ~cmd:"optimize" metrics journal (fun ppf ->
         if k < 1 || k > Engine.max_k then die "-k %d is outside 1..%d" k Engine.max_k;
         let c = load ~file ~bench in
         let objective =
@@ -330,24 +324,17 @@ let optimize_cmd =
        ~doc:"Resynthesise with comparison units (Procedures 2 and 3 of the paper).")
     Term.(
       const run $ file_arg $ bench_arg $ objective $ k $ engine $ budget $ no_merge
-      $ dontcares $ units $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
+      $ dontcares $ units $ output_arg $ metrics_arg $ journal_arg)
 
 (* --- check ----------------------------------------------------------------- *)
 
 let check_cmd =
-  let run file_a file_b budget domains metrics trace journal =
+  let run file_a file_b budget domains metrics journal =
     let code =
-      with_obs ~cmd:"check" metrics trace journal (fun ppf ->
+      with_obs ~cmd:"check" metrics journal (fun ppf ->
           let a = load ~file:(Some file_a) ~bench:None in
           let b = load ~file:(Some file_b) ~bench:None in
-          let result =
-            let domains = Pool.domains_of_flag domains in
-            if domains <= 1 then Cec.check_stats ~budget a b
-            else
-              Pool.with_pool ~domains (fun pool ->
-                  Cec.check_stats ~budget ~pool a b)
-          in
-          match result with
+          match Cec.check_stats ~budget ~domains:(Pool.domains_of_flag domains) a b with
           | exception Cec.Interface_mismatch msg ->
             die "%s vs %s: %s" file_a file_b msg
           | verdict, s ->
@@ -399,13 +386,13 @@ let check_cmd =
           status: 0 equivalent, 1 counterexample (printed as an input \
           assignment), 2 budget exhausted.")
     Term.(
-      const run $ file_a $ file_b $ budget $ domains_arg $ metrics_arg $ trace_arg $ journal_arg)
+      const run $ file_a $ file_b $ budget $ domains_arg $ metrics_arg $ journal_arg)
 
 (* --- rar ------------------------------------------------------------------ *)
 
 let rar_cmd =
-  let run file bench additions trials seed output metrics trace journal =
-    with_obs ~cmd:"rar" metrics trace journal (fun ppf ->
+  let run file bench additions trials seed output metrics journal =
+    with_obs ~cmd:"rar" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let options =
           { Rar.default_options with Rar.max_additions = additions; max_trials = trials; seed }
@@ -421,13 +408,13 @@ let rar_cmd =
     (Cmd.info "rar" ~doc:"Redundancy-addition-and-removal baseline (RAMBO_C stand-in).")
     Term.(
       const run $ file_arg $ bench_arg $ additions $ trials $ seed_arg $ output_arg
-      $ metrics_arg $ trace_arg $ journal_arg)
+      $ metrics_arg $ journal_arg)
 
 (* --- redundancy ------------------------------------------------------------ *)
 
 let redundancy_cmd =
-  let run file bench seed output metrics trace journal =
-    with_obs ~cmd:"redundancy" metrics trace journal (fun ppf ->
+  let run file bench seed output metrics journal =
+    with_obs ~cmd:"redundancy" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let report = Redundancy.remove ~seed c in
         Format.fprintf ppf "%a@." Redundancy.pp_report report;
@@ -440,8 +427,7 @@ let redundancy_cmd =
          "Remove stuck-at redundancies (the paper's [15] step); PODEM aborts \
           escalate to SAT.")
     Term.(
-      const run $ file_arg $ bench_arg $ seed_arg $ output_arg $ metrics_arg $ trace_arg
-      $ journal_arg)
+      const run $ file_arg $ bench_arg $ seed_arg $ output_arg $ metrics_arg $ journal_arg)
 
 (* --- fsim ------------------------------------------------------------------ *)
 
@@ -469,8 +455,8 @@ let sat_atpg_flag =
            denominator.")
 
 let fsim_cmd =
-  let run file bench patterns seed sat_atpg metrics trace journal =
-    with_obs ~cmd:"fsim" metrics trace journal (fun ppf ->
+  let run file bench patterns seed sat_atpg metrics journal =
+    with_obs ~cmd:"fsim" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let cfg = { Campaign.default with max_patterns = patterns; seed } in
         if not sat_atpg then
@@ -506,13 +492,13 @@ let fsim_cmd =
     (Cmd.info "fsim" ~doc:"Random-pattern stuck-at fault simulation campaign (Table 6).")
     Term.(
       const run $ file_arg $ bench_arg $ patterns $ seed_arg $ sat_atpg_flag
-      $ metrics_arg $ trace_arg $ journal_arg)
+      $ metrics_arg $ journal_arg)
 
 (* --- atpg ------------------------------------------------------------------ *)
 
 let atpg_cmd =
-  let run file bench limit sat_atpg metrics trace journal =
-    with_obs ~cmd:"atpg" metrics trace journal (fun ppf ->
+  let run file bench limit sat_atpg metrics journal =
+    with_obs ~cmd:"atpg" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let faults = Fault.collapsed c in
         let stats = Podem.generate_all ~backtrack_limit:limit c faults in
@@ -529,13 +515,13 @@ let atpg_cmd =
   Cmd.v (Cmd.info "atpg" ~doc:"Run PODEM on every collapsed stuck-at fault.")
     Term.(
       const run $ file_arg $ bench_arg $ limit $ sat_atpg_flag $ metrics_arg
-      $ trace_arg $ journal_arg)
+      $ journal_arg)
 
 (* --- pdf ------------------------------------------------------------------ *)
 
 let pdf_cmd =
-  let run file bench pairs window domains seed metrics trace journal =
-    with_obs ~cmd:"pdf" metrics trace journal (fun ppf ->
+  let run file bench pairs window domains seed metrics journal =
+    with_obs ~cmd:"pdf" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let r =
           Pdf_campaign.exec
@@ -553,20 +539,20 @@ let pdf_cmd =
        ~doc:"Random-pattern robust path-delay-fault campaign (Table 7).")
     Term.(
       const run $ file_arg $ bench_arg $ pairs $ window $ domains_arg $ seed_arg
-      $ metrics_arg $ trace_arg $ journal_arg)
+      $ metrics_arg $ journal_arg)
 
 (* --- map ------------------------------------------------------------------ *)
 
 let map_cmd =
-  let run file bench metrics trace journal =
-    with_obs ~cmd:"map" metrics trace journal (fun ppf ->
+  let run file bench metrics journal =
+    with_obs ~cmd:"map" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         let r = Mapper.map c in
         Format.fprintf ppf "%s: literals %d, longest path %d cells, cells used %d@."
           (Circuit.name c) r.Mapper.literals r.Mapper.longest r.Mapper.cells_used)
   in
   Cmd.v (Cmd.info "map" ~doc:"Technology-map the circuit and report literals/depth (Table 4).")
-    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ trace_arg $ journal_arg)
+    Term.(const run $ file_arg $ bench_arg $ metrics_arg $ journal_arg)
 
 (* --- identify --------------------------------------------------------------- *)
 
@@ -615,8 +601,8 @@ let identify_cmd =
 (* --- sop ------------------------------------------------------------------- *)
 
 let sop_cmd =
-  let run n minterms output metrics trace journal =
-    with_obs ~cmd:"sop" metrics trace journal (fun ppf ->
+  let run n minterms output metrics journal =
+    with_obs ~cmd:"sop" metrics journal (fun ppf ->
         let f = table_of_args n minterms in
         let cover = Sop.minimise f in
         Format.fprintf ppf "%d cubes, %d literals:@." (List.length cover) (Sop.literals cover);
@@ -634,13 +620,13 @@ let sop_cmd =
   in
   Cmd.v
     (Cmd.info "sop" ~doc:"Minimise to two-level form (Quine-McCluskey) and build the netlist.")
-    Term.(const run $ n $ minterms $ output_arg $ metrics_arg $ trace_arg $ journal_arg)
+    Term.(const run $ n $ minterms $ output_arg $ metrics_arg $ journal_arg)
 
 (* --- pdfatpg ----------------------------------------------------------------- *)
 
 let pdfatpg_cmd =
-  let run file bench limit max_paths seed metrics trace journal =
-    with_obs ~cmd:"pdfatpg" metrics trace journal (fun ppf ->
+  let run file bench limit max_paths seed metrics journal =
+    with_obs ~cmd:"pdfatpg" metrics journal (fun ppf ->
         let c = load ~file ~bench in
         (match Paths.total c with
         | n when n > max_paths ->
@@ -656,7 +642,7 @@ let pdfatpg_cmd =
   Cmd.v
     (Cmd.info "pdfatpg"
        ~doc:"Classify every path delay fault as robustly testable/untestable (exact ATPG).")
-    Term.(const run $ file_arg $ bench_arg $ limit $ max_paths $ seed_arg $ metrics_arg $ trace_arg $ journal_arg)
+    Term.(const run $ file_arg $ bench_arg $ limit $ max_paths $ seed_arg $ metrics_arg $ journal_arg)
 
 (* --- bench-diff -------------------------------------------------------------- *)
 

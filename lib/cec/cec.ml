@@ -231,7 +231,7 @@ let structural_filter a b pi_map pairs =
   Array.of_list
     (List.filter (fun (i, j) -> la.(i) <> lb.(j)) (Array.to_list pairs))
 
-let check_stats ?(budget = default_budget) ?pool a b =
+let check_stats ?(budget = default_budget) ?(domains = 1) a b =
   Obs.Span.with_ "cec.check" (fun () ->
       Obs.Counter.incr checks_c;
       let pi_map = match_inputs a b in
@@ -239,10 +239,11 @@ let check_stats ?(budget = default_budget) ?pool a b =
       let pairs = structural_filter a b pi_map all_pairs in
       let orders = (Circuit.topo_order a, Circuit.topo_order b) in
       let results =
-        match pool with
-        | Some pool when Array.length pairs > 1 ->
-          Pool.map pool ~chunk:1 (check_pair ~budget a b pi_map orders) pairs
-        | _ ->
+        if domains > 1 && Array.length pairs > 1 then
+          (* The pool lives only while the surviving pairs are solved. *)
+          Pool.with_pool ~domains (fun pool ->
+              Pool.map pool (check_pair ~budget a b pi_map orders) pairs)
+        else begin
           (* Serial path: stop at the first counterexample — it is the
              lowest-indexed one, which is also what the pool path reports. *)
           let n = Array.length pairs in
@@ -257,6 +258,7 @@ let check_stats ?(budget = default_budget) ?pool a b =
              done
            with Exit -> ());
           Array.of_list (List.rev !acc)
+        end
       in
       let stats = Array.fold_left (fun s r -> add_stats s r.pr_stats) zero_stats results in
       let verdict =
@@ -297,4 +299,4 @@ let check_stats ?(budget = default_budget) ?pool a b =
           ];
       (verdict, stats))
 
-let check ?budget ?pool a b = fst (check_stats ?budget ?pool a b)
+let check ?budget ?domains a b = fst (check_stats ?budget ?domains a b)

@@ -52,16 +52,18 @@ val default_budget : int
 (** Conflict budget per output-pair miter when [?budget] is omitted
     (100_000 — far above anything the resynthesis miters need). *)
 
-val check : ?budget:int -> ?pool:Pool.t -> Circuit.t -> Circuit.t -> verdict
+val check : ?budget:int -> ?domains:int -> Circuit.t -> Circuit.t -> verdict
 (** [check a b] decides functional equivalence of [a] and [b]. The check is
     split per matched output pair — each pair gets its own miter restricted
-    to its transitive fanin cones — and pairs are distributed over [pool]
-    when one is supplied (the verdict is identical for every pool width:
-    the counterexample reported is always the one for the lowest-numbered
-    differing output). Neither circuit is modified. *)
+    to its transitive fanin cones. With [domains] above 1 (default 1), the
+    pairs that survive the structural-hash filter are solved on a pool of
+    that many domains ({!Pool.with_pool}), opened for them alone. The
+    verdict is identical for every width: the counterexample reported is
+    always the one for the lowest-numbered differing output. Neither
+    circuit is modified. *)
 
 val check_stats :
-  ?budget:int -> ?pool:Pool.t -> Circuit.t -> Circuit.t -> verdict * stats
+  ?budget:int -> ?domains:int -> Circuit.t -> Circuit.t -> verdict * stats
 (** Like {!check} but also returns aggregated solver statistics, summed
     across all per-output miters (conflict/decision counts are what the
     bench harness records per circuit). *)

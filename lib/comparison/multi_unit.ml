@@ -72,14 +72,6 @@ let find ?(budget = 200) ?(max_units = 3) rng f =
         }
     | Some _ | None -> None)
 
-let cover_table n cover =
-  let union =
-    List.fold_left
-      (fun acc s -> Truthtable.lor_ acc (Comparison_fn.spec_table n s))
-      (Truthtable.const n false) cover.specs
-  in
-  if cover.complemented then Truthtable.lnot union else union
-
 (* Copy a built unit into [dst], sharing the primary inputs. *)
 let import dst inputs unit_circuit =
   let remap = Array.make (Circuit.size unit_circuit) (-1) in

@@ -23,6 +23,5 @@ val find : ?budget:int -> ?max_units:int -> Rng.t -> Truthtable.t -> cover optio
     (default 3) units. A single-unit cover is returned as such, so callers
     usually try {!Comparison_fn.identify} first. *)
 
-val cover_table : int -> cover -> Truthtable.t
 val build : ?merge:bool -> n:int -> cover -> Comparison_unit.built
 val verify : n:int -> Truthtable.t -> Comparison_unit.built -> bool

@@ -142,8 +142,6 @@ let exec cfg c =
   let rng = Rng.create seed in
   let n_pi = Array.length (Compiled.inputs cmp) in
   let random_vec () = Array.init n_pi (fun _ -> Rng.bool rng) in
-  (* Both code paths draw pairs through the same function so the random
-     stream is consumed identically pair by pair. *)
   let draw_pair () =
     let v1 = random_vec () and v2 = random_vec () in
     (v1, v2)
@@ -166,22 +164,15 @@ let exec cfg c =
       last_effective := !applied
     end
   in
-  let serial () =
-    while continue_ () do
-      let v1, v2 = draw_pair () in
-      let waves = Wave.simulate cmp ~v1 ~v2 in
-      consume waves
-    done
-  in
-  (* Parallel campaign: two-pattern tests are drawn in blocks, their wave
+  (* Two-pattern tests are drawn in blocks of [domains * 4], their wave
      simulations (the dominant cost) fan out across the pool, and the
-     marking pass stays serial in pair order. The serial stopping rule is
+     marking pass stays serial in pair order. The stopping rule is
      re-evaluated before each pair is consumed; pairs simulated beyond the
      stopping point are discarded, so the result — [patterns_applied],
      [last_effective_pattern], the detected set and the marking budget —
-     is bit-identical to the serial run. *)
-  let parallel pool =
-    let block = Pool.domains pool * 4 in
+     is the same at every width. *)
+  let run pool =
+    let block = domains * 4 in
     let stop = ref false in
     while (not !stop) && continue_ () do
       let m = min block (max_pairs - !applied) in
@@ -189,13 +180,7 @@ let exec cfg c =
       for j = 0 to m - 1 do
         pairs.(j) <- draw_pair ()
       done;
-      let waves =
-        (* A wave simulation is heavy, so fan-out pays off already at a
-           handful of pairs; only near-empty trailing blocks stay inline. *)
-        Pool.map pool ~chunk:1 ~serial_below:4
-          (fun (v1, v2) -> Wave.simulate cmp ~v1 ~v2)
-          pairs
-      in
+      let waves = Pool.map pool (fun (v1, v2) -> Wave.simulate cmp ~v1 ~v2) pairs in
       let j = ref 0 in
       while (not !stop) && !j < m do
         if continue_ () then begin
@@ -207,8 +192,7 @@ let exec cfg c =
     done
   in
   Obs.Span.with_ "pdf.campaign" (fun () ->
-      try if domains <= 1 then serial () else Pool.with_pool ~domains parallel
-      with Budget_exhausted -> ());
+      try Pool.with_pool ~domains run with Budget_exhausted -> ());
   {
     total_paths;
     total_faults = 2 * total_paths;

@@ -29,8 +29,8 @@ type config = {
           (default 20_000). *)
   domains : int;
       (** domain-pool width, resolved by {!Pool.domains_of_flag}: [<= 0]
-          picks the recommended width, [1] forces the serial path. The
-          result is bit-identical for every value. *)
+          picks the recommended width, [1] runs on the calling domain
+          alone. The result is bit-identical for every value. *)
   seed : int64;
 }
 
@@ -44,9 +44,10 @@ val exec : config -> Circuit.t -> result
     included). Raises [Failure] if the circuit has more than 50 million
     paths.
 
-    With [config.domains <> 1] the per-pair wave simulations fan out over
-    a domain pool in blocks while path marking stays serial in pair order;
-    the result is bit-identical to the serial run.
+    Pairs are drawn in blocks of four per domain; their wave simulations
+    fan out over a domain pool opened for the campaign, while path
+    marking stays serial in pair order, so the result is bit-identical at
+    every width.
 
     Observability (when enabled): counters [pdf.pairs],
     [pdf.pairs_effective], [pdf.faults_detected]; histogram

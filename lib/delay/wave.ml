@@ -5,16 +5,6 @@ let rising = { init = false; final = true; hf = true }
 let falling = { init = true; final = false; hf = true }
 let has_transition w = w.init <> w.final
 
-let to_string w =
-  let base =
-    match (w.init, w.final) with
-    | false, false -> "000"
-    | true, true -> "111"
-    | false, true -> "0x1"
-    | true, false -> "1x0"
-  in
-  if w.hf then base else base ^ "!"
-
 (* AND-family hazard rule. An input that is stably at the controlling value
    and hazard-free masks everything. Otherwise the output is hazard-free only
    when every input is hazard-free and rising and falling inputs do not mix

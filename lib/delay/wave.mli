@@ -12,8 +12,6 @@ val stable : bool -> t
 val rising : t
 val falling : t
 val has_transition : t -> bool
-val to_string : t -> string
-(** ["000"], ["111"], ["0x1"], ["1x0"], with a trailing [!] when hazardous. *)
 
 val eval : Gate.kind -> t array -> t
 

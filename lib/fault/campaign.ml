@@ -95,9 +95,15 @@ let run_internal cfg c =
   let applied = ref 0 in
   Obs.Span.with_ "fsim.campaign" (fun () ->
       let sim = Fsim.create cmp in
+      (* One pattern array, refilled per batch: a fresh one above 256
+         inputs lands on the major heap, and initialising it with a young
+         boxed word forces a minor collection per batch. *)
+      let words = Array.make n_pi 0L in
       while !alive_count > 0 && !applied < cfg.max_patterns do
         let batch = min 64 (cfg.max_patterns - !applied) in
-        let words = Array.init n_pi (fun _ -> Rng.next64 rng) in
+        for i = 0 to n_pi - 1 do
+          words.(i) <- Rng.next64 rng
+        done;
         Fsim.load_patterns sim words;
         let batch_mask =
           if batch = 64 then -1L else Int64.sub (Int64.shift_left 1L batch) 1L

@@ -4,9 +4,6 @@ type site =
 
 type t = { site : site; stuck : bool }
 
-let compare = Stdlib.compare
-let equal a b = a = b
-
 let site_name c = function
   | Stem id -> (
     match Circuit.node_name c id with

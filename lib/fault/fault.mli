@@ -11,12 +11,6 @@ type site =
 
 type t = { site : site; stuck : bool }
 
-val compare : t -> t -> int
-(** Total order on faults (structural). *)
-
-val equal : t -> t -> bool
-(** Same site and stuck value. *)
-
 val pp : Circuit.t -> Format.formatter -> t -> unit
 (** The fault with the circuit's node names. *)
 

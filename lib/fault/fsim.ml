@@ -27,8 +27,6 @@ let load_patterns st pi_words =
   Compiled.simulate_into st.cmp pi_words st.good;
   st.loaded <- true
 
-let good_values st = st.good
-
 let value st id = if Bytes.get st.touched id = '\001' then st.fval.(id) else st.good.(id)
 
 let push_fanouts st id =

@@ -16,9 +16,6 @@ val load_patterns : t -> int64 array -> unit
 (** Simulate the fault-free circuit on a 64-pattern batch ([pi_words] indexed
     like [Compiled.inputs]). Must be called before {!detect}. *)
 
-val good_values : t -> int64 array
-(** Fault-free node values for the loaded batch (do not mutate). *)
-
 val detect : t -> Fault.t -> int64
 (** Detection mask of the fault under the loaded batch. *)
 

@@ -311,8 +311,3 @@ let compact c =
     (fun (o, nm) -> mark_output ?name:nm fresh remap.(o))
     (List.rev c.pos);
   (fresh, remap)
-
-let pp_stats ppf c =
-  Format.fprintf ppf "%s: %d PI, %d PO, %d gates (%d eq. 2-input)"
-    c.circuit_name (num_inputs c) (num_outputs c) (num_gates c)
-    (two_input_gate_count c)

@@ -127,6 +127,3 @@ val overwrite : t -> with_:t -> unit
 val compact : t -> t * int array
 (** Fresh circuit with dense ids in topological order. The returned array maps
     old ids to new ids ([-1] for dead nodes). *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line summary: inputs, outputs, gates, equivalent 2-input gates. *)

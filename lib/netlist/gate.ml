@@ -11,8 +11,6 @@ type kind =
   | Xor
   | Xnor
 
-let equal (a : kind) (b : kind) = a = b
-
 let to_string = function
   | Input -> "INPUT"
   | Const0 -> "CONST0"
@@ -40,8 +38,6 @@ let of_string s =
   | "XOR" -> Some Xor
   | "XNOR" -> Some Xnor
   | _ -> None
-
-let pp ppf k = Format.pp_print_string ppf (to_string k)
 
 let min_arity = function
   | Input | Const0 | Const1 -> 0

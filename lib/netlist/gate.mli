@@ -17,17 +17,11 @@ type kind =
   | Xor
   | Xnor
 
-val equal : kind -> kind -> bool
-(** Structural equality (same constructor). *)
-
 val to_string : kind -> string
 (** Upper-case mnemonic, e.g. ["NAND"]; also used by the [.bench] writer. *)
 
 val of_string : string -> kind option
 (** Case-insensitive parse of [to_string] mnemonics ([BUFF] accepted). *)
-
-val pp : Format.formatter -> kind -> unit
-(** Prints {!to_string}. *)
 
 val min_arity : kind -> int
 (** Smallest legal fanin count ([0] for inputs and constants). *)

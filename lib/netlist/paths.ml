@@ -25,10 +25,6 @@ let total c =
   let lab = labels c in
   Array.fold_left (fun acc o -> add_checked acc lab.(o)) 0 (Circuit.outputs c)
 
-let count_to c id =
-  let lab = labels c in
-  lab.(id)
-
 let enumerate ?(cap = 1_000_000) c =
   let acc = ref [] in
   let count = ref 0 in

@@ -16,9 +16,6 @@ val labels : Circuit.t -> int array
 val total : Circuit.t -> int
 (** Total number of input-to-output paths in the circuit. *)
 
-val count_to : Circuit.t -> int -> int
-(** Paths from the primary inputs to a given node. *)
-
 val enumerate : ?cap:int -> Circuit.t -> int array list
 (** Explicit list of paths, each an array of node ids from a primary input to
     a primary output (each primary-output designation yields its own paths).

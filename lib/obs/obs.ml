@@ -1,17 +1,17 @@
 (* Process-wide probe registry behind a single on/off word.
 
    Counters and histograms are plain records of [Atomic.t] cells, so pool
-   workers update them without locks. The span tree is shared across
-   domains and guarded by [mu]; each domain tracks its own current-span
-   stack in domain-local storage, so concurrent spans from different
-   domains aggregate into the same tree without interleaving corruption.
-   The registry mutex is also reused for idempotent probe registration.
+   workers update them without locks. Spans and journal events are the
+   main domain's alone: pool workers run leaf work (DESIGN.md §8), so the
+   span tree, its open-span stack and the one journal buffer are plain
+   mutable data. A span on another domain runs untimed and a journal emit
+   there is counted as dropped. The registry mutex guards probe
+   registration, which any domain may do.
 
    The on/off switch is one atomic int with two independent bits —
    metrics (counters, histograms, span tree) and the decision journal
-   (per-domain event buffers, JSONL file) — so the fully-disabled fast path
-   in every probe is still a single atomic load and one predictable
-   branch. *)
+   (event buffer, JSONL file) — so the fully-disabled fast path in every
+   probe is still a single atomic load and one predictable branch. *)
 
 let state = Atomic.make 0
 let metrics_bit = 1
@@ -144,157 +144,101 @@ end
 (* --- decision journal ----------------------------------------------------- *)
 
 (* Append-only structured run record (DESIGN.md §16), the one event stream:
-   each domain appends events to a private bounded buffer (one atomic
-   fetch-and-add for the global sequence id, no locks), and [finish] — the
-   single writer — merges every buffer in sequence order and streams the
-   run out as JSONL. A full buffer counts drops; journaling never blocks a
-   worker and never perturbs the computation it records. [reset] bumps a
-   generation counter, so a domain whose cached buffer is stale registers a
-   fresh one and buffers of finished pool domains are reclaimed. *)
+   the main domain appends events to one bounded buffer, allocated by
+   [start] and released by [finish], and [finish] streams the run out as
+   JSONL. Pool workers run leaf work only (DESIGN.md §8): an emit from any
+   other domain is counted as a drop, as is an emit into a full buffer.
+   Journaling never blocks and never perturbs the computation it records. *)
 
 module Journal = struct
   type event = {
-    je_seq : int;
     je_ts : float; (* raw [now ()] at emission *)
     je_kind : string;
     je_fields : (string * Obs_json.t) list;
   }
 
-  let dummy_event = { je_seq = 0; je_ts = 0.; je_kind = ""; je_fields = [] }
+  let dummy_event = { je_ts = 0.; je_kind = ""; je_fields = [] }
 
-  type buf = {
-    b_tid : int; (* Domain.self of the owning domain *)
-    b_gen : int; (* reset generation this buffer belongs to *)
-    b_events : event array; (* fixed capacity *)
-    mutable b_len : int;
-    mutable b_dropped : int;
+  (* 2^17 events (1 MB of slots): five times a whole RAR run on irs1423,
+     about 24,000 events. *)
+  let capacity = 131_072
+
+  (* The open journal. Only the main domain writes it. *)
+  type opened = {
+    path : string;
+    cmd : string;
+    t0 : float; (* [now ()] at [start] *)
+    events : event array;
+    mutable len : int;
   }
 
-  (* 2^17 events (1 MB of slots per domain): room for a whole RAR run on
-     irs1423, about 79,000 events. *)
-  let default_capacity = 131_072
-  let capacity_cell = Atomic.make default_capacity
-  let set_capacity n = Atomic.set capacity_cell (max 16 n)
-  let capacity () = Atomic.get capacity_cell
+  let current : opened option ref = ref None
 
-  (* Global sequence ids give the merged stream a total order that matches
-     emission order regardless of which domain recorded an event. *)
-  let seq = Atomic.make 0
+  (* Emits that found no room or came from another domain; atomic because
+     pool workers bump it. *)
+  let dropped = Atomic.make 0
 
-  (* Open-journal metadata (destination path, producing command, open
-     timestamp) and the buffer registry, both guarded by [mu]. *)
-  let meta : (string * string * float) option ref = ref None
-  let bufs : buf list ref = ref [] (* reversed registration order *)
-
-  (* Every counter's value when the journal opened (guarded by [mu]); the
-     footer reports each counter's change since then. [Obs.reset] zeroes
-     the counters and empties this with them. *)
+  (* Every counter's value when the journal opened; the footer reports
+     each counter's change since then. [Obs.reset] zeroes the counters and
+     empties this with them. *)
   let base : (counter * int) list ref = ref []
-  let generation = Atomic.make 0
-
-  let buf_key : buf option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let get_buf () =
-    let slot = Domain.DLS.get buf_key in
-    let gen = Atomic.get generation in
-    match !slot with
-    | Some b when b.b_gen = gen -> b
-    | _ ->
-      let b =
-        {
-          b_tid = (Domain.self () :> int);
-          b_gen = gen;
-          b_events = Array.make (Atomic.get capacity_cell) dummy_event;
-          b_len = 0;
-          b_dropped = 0;
-        }
-      in
-      locked (fun () -> bufs := b :: !bufs);
-      slot := Some b;
-      b
 
   let enabled () = Atomic.get state land journal_bit <> 0
 
   (* [emit_at ts] stamps the event with a [now ()] reading the caller
      already took; [emit] reads the clock only when the journal is on. *)
   let emit_at ts kind fields =
-    if Atomic.get state land journal_bit <> 0 then begin
-      let b = get_buf () in
-      if b.b_len < Array.length b.b_events then begin
-        let s = Atomic.fetch_and_add seq 1 in
-        b.b_events.(b.b_len) <- { je_seq = s; je_ts = ts; je_kind = kind; je_fields = fields };
-        b.b_len <- b.b_len + 1
-      end
-      else b.b_dropped <- b.b_dropped + 1
-    end
+    if Atomic.get state land journal_bit <> 0 then
+      match !current with
+      | Some j when Domain.is_main_domain () && j.len < capacity ->
+        j.events.(j.len) <- { je_ts = ts; je_kind = kind; je_fields = fields };
+        j.len <- j.len + 1
+      | _ -> Atomic.incr dropped
 
   let emit kind fields =
     if Atomic.get state land journal_bit <> 0 then emit_at (now ()) kind fields
 
-  type summary = { buffers : int; recorded : int; dropped : int }
+  type summary = { recorded : int; dropped : int }
 
   let stats () =
-    locked (fun () ->
-        List.fold_left
-          (fun acc b ->
-            {
-              buffers = acc.buffers + 1;
-              recorded = acc.recorded + b.b_len;
-              dropped = acc.dropped + b.b_dropped;
-            })
-          { buffers = 0; recorded = 0; dropped = 0 }
-          !bufs)
+    {
+      recorded = (match !current with Some j -> j.len | None -> 0);
+      dropped = Atomic.get dropped;
+    }
 
   let reset () =
-    locked (fun () -> bufs := []);
-    Atomic.incr generation
+    Option.iter (fun j -> j.len <- 0) !current;
+    Atomic.set dropped 0
 
-  let start ?capacity ~cmd path =
-    (match capacity with Some n -> set_capacity n | None -> ());
-    locked (fun () ->
-        meta := Some (path, cmd, now ());
-        bufs := [];
-        base := List.map (fun c -> (c, Atomic.get c.c_v)) !counters_order);
-    Atomic.incr generation;
-    Atomic.set seq 0;
+  let start ~cmd path =
+    current :=
+      Some { path; cmd; t0 = now (); events = Array.make capacity dummy_event; len = 0 };
+    Atomic.set dropped 0;
+    base := locked (fun () -> List.map (fun c -> (c, Atomic.get c.c_v)) !counters_order);
     set_bit journal_bit
 
   let version = 1
 
-  let event_json ~t0 tid e =
+  (* Every event is the main domain's, whose id is 0, and its place in the
+     buffer is its emission order. *)
+  let event_json ~t0 seq e =
     Obs_json.Obj
       (("ev", Obs_json.String e.je_kind)
-      :: ("seq", Obs_json.Int e.je_seq)
+      :: ("seq", Obs_json.Int seq)
       :: ("ts", Obs_json.Float (max 0. (e.je_ts -. t0)))
-      :: ("dom", Obs_json.Int tid)
+      :: ("dom", Obs_json.Int 0)
       :: e.je_fields)
 
   let finish () =
     clear_bit journal_bit;
-    let opened, bs, base0 =
-      locked (fun () ->
-          let r = (!meta, !bufs, !base) in
-          meta := None;
-          bufs := [];
-          base := [];
-          r)
-    in
-    Atomic.incr generation;
-    match opened with
-    | None -> { buffers = 0; recorded = 0; dropped = 0 }
-    | Some (path, cmd, t0) ->
-      let events =
-        List.concat_map
-          (fun b -> List.init b.b_len (fun i -> (b.b_tid, b.b_events.(i))))
-          bs
-        |> List.sort (fun (_, a) (_, b) -> Int.compare a.je_seq b.je_seq)
-      in
-      let dropped = List.fold_left (fun acc b -> acc + b.b_dropped) 0 bs in
-      let summary =
-        { buffers = List.length bs; recorded = List.length events; dropped }
-      in
-      let oc = open_out path in
+    match !current with
+    | None -> { recorded = 0; dropped = 0 }
+    | Some j ->
+      current := None;
+      let base0 = !base in
+      base := [];
+      let summary = { recorded = j.len; dropped = Atomic.get dropped } in
+      let oc = open_out j.path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
@@ -308,17 +252,19 @@ module Journal = struct
                  ("ev", Obs_json.String "journal_begin");
                  ("journal_version", Obs_json.Int version);
                  ("tool", Obs_json.String "sft");
-                 ("cmd", Obs_json.String cmd);
-                 ("ts", Obs_json.Float t0);
+                 ("cmd", Obs_json.String j.cmd);
+                 ("ts", Obs_json.Float j.t0);
                ]);
-          List.iter (fun (tid, e) -> line (event_json ~t0 tid e)) events;
+          for i = 0 to j.len - 1 do
+            line (event_json ~t0:j.t0 i j.events.(i))
+          done;
           line
             (Obs_json.Obj
                [
                  ("ev", Obs_json.String "journal_end");
                  ("events", Obs_json.Int summary.recorded);
-                 ("dropped", Obs_json.Int dropped);
-                 ("wall_s", Obs_json.Float (max 0. (now () -. t0)));
+                 ("dropped", Obs_json.Int summary.dropped);
+                 ("wall_s", Obs_json.Float (max 0. (now () -. j.t0)));
                  ( "counters",
                    Obs_json.Obj
                      (List.rev_map
@@ -345,17 +291,17 @@ let fresh_node name =
 
 let root = fresh_node ""
 
-(* Per-domain stack of open spans; a worker domain starts at the root. *)
-let stack_key : node list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* The main domain's open spans, innermost first. Only the main domain
+   records spans, so the tree and this stack need no lock. *)
+let stack : node list ref = ref []
 
 (* --- runtime sampler ------------------------------------------------------ *)
 
-(* Low-rate process-health sampler: GC deltas ([Gc.quick_stat] is
-   domain-local in OCaml 5, so only the main domain samples), peak RSS from
-   /proc, and per-domain pool busy counters. Each sample moves the
-   [runtime.*] counters and, when a journal is open, appends a
-   [runtime_sample] event; [maybe_sample] rate-limits so it can sit on hot
-   exits (span close, pool fan-out drain) without measurable cost. *)
+(* Low-rate process-health sampler on the main domain ([Gc.quick_stat] is
+   domain-local in OCaml 5): GC deltas and peak RSS from /proc. Each
+   sample moves the [runtime.*] counters and, when a journal is open,
+   appends a [runtime_sample] event; [maybe_sample] rate-limits so it can
+   sit on span exits without measurable cost. *)
 
 module Runtime = struct
   let samples_c = Counter.make "runtime.samples"
@@ -376,8 +322,8 @@ module Runtime = struct
   let sampler =
     { s_init = false; s_last = 0.; s_minor = 0.; s_major = 0.; s_compactions = 0; s_count = 0 }
 
-  let interval_cell = Atomic.make 0.25
-  let set_interval s = Atomic.set interval_cell (max 0.01 s)
+  (* Minimum seconds between [maybe_sample] samples. *)
+  let interval = 0.25
 
   (* Peak resident set (kB) from /proc/self/status VmHWM; 0 where absent. *)
   let maxrss_kb () =
@@ -396,56 +342,34 @@ module Runtime = struct
       in
       Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
 
-  (* Busy-time snapshot of the pool's per-domain counters (every counter
-     named pool.domainN...), reported inside journal samples so a report can
-     plot utilisation. *)
-  let busy_fields () =
-    let cs = locked (fun () -> !counters_order) in
-    List.filter_map
-      (fun c ->
-        if String.length c.c_name > 11 && String.sub c.c_name 0 11 = "pool.domain" then
-          Some (c.c_name, Obs_json.Int (Atomic.get c.c_v))
-        else None)
-      (List.rev cs)
-
-  let sample_locked () =
-    let q = Gc.quick_stat () in
-    let t = now () in
-    if not sampler.s_init then begin
-      sampler.s_init <- true;
-      sampler.s_minor <- q.Gc.minor_words;
-      sampler.s_major <- q.Gc.major_words;
-      sampler.s_compactions <- q.Gc.compactions
-    end;
-    let dminor = max 0. (q.Gc.minor_words -. sampler.s_minor) in
-    let dmajor = max 0. (q.Gc.major_words -. sampler.s_major) in
-    let dcompact = max 0 (q.Gc.compactions - sampler.s_compactions) in
-    sampler.s_minor <- q.Gc.minor_words;
-    sampler.s_major <- q.Gc.major_words;
-    sampler.s_compactions <- q.Gc.compactions;
-    sampler.s_last <- t;
-    sampler.s_count <- sampler.s_count + 1;
-    let rss = maxrss_kb () in
-    (* Counters are monotonic: keep maxrss at its peak by adding the
-       difference rather than overwriting. *)
-    let prev_rss = Counter.value maxrss_c in
-    (dminor, dmajor, dcompact, q.Gc.heap_words, rss, max 0 (rss - prev_rss))
-
   let sample () =
     if Atomic.get state land (metrics_bit lor journal_bit) <> 0
        && Domain.is_main_domain ()
     then begin
-      let span =
-        match !(Domain.DLS.get stack_key) with n :: _ -> n.s_name | [] -> ""
-      in
-      let dminor, dmajor, dcompact, heap_words, rss, drss =
-        locked sample_locked
-      in
+      let span = match !stack with n :: _ -> n.s_name | [] -> "" in
+      let q = Gc.quick_stat () in
+      if not sampler.s_init then begin
+        sampler.s_init <- true;
+        sampler.s_minor <- q.Gc.minor_words;
+        sampler.s_major <- q.Gc.major_words;
+        sampler.s_compactions <- q.Gc.compactions
+      end;
+      let dminor = max 0. (q.Gc.minor_words -. sampler.s_minor) in
+      let dmajor = max 0. (q.Gc.major_words -. sampler.s_major) in
+      let dcompact = max 0 (q.Gc.compactions - sampler.s_compactions) in
+      sampler.s_minor <- q.Gc.minor_words;
+      sampler.s_major <- q.Gc.major_words;
+      sampler.s_compactions <- q.Gc.compactions;
+      sampler.s_last <- now ();
+      sampler.s_count <- sampler.s_count + 1;
+      let rss = maxrss_kb () in
       Counter.incr samples_c;
       Counter.add minor_c (int_of_float dminor);
       Counter.add major_c (int_of_float dmajor);
       Counter.add compactions_c dcompact;
-      Counter.add maxrss_c drss;
+      (* Counters are monotonic: keep maxrss at its peak by adding the
+         difference rather than overwriting. *)
+      Counter.add maxrss_c (max 0 (rss - Counter.value maxrss_c));
       if Atomic.get state land journal_bit <> 0 then
         Journal.emit "runtime_sample"
           [
@@ -453,57 +377,45 @@ module Runtime = struct
             ("minor_words_d", Obs_json.Float dminor);
             ("major_words_d", Obs_json.Float dmajor);
             ("compactions_d", Obs_json.Int dcompact);
-            ("heap_words", Obs_json.Int heap_words);
+            ("heap_words", Obs_json.Int q.Gc.heap_words);
             ("maxrss_kb", Obs_json.Int rss);
-            ("busy_us", Obs_json.Obj (busy_fields ()));
           ]
     end
 
   let maybe_sample () =
     if Atomic.get state land (metrics_bit lor journal_bit) <> 0
        && Domain.is_main_domain ()
-    then begin
-      let due =
-        locked (fun () ->
-            now () -. sampler.s_last >= Atomic.get interval_cell
-            || not sampler.s_init)
-      in
-      if due then sample ()
-    end
+       && ((not sampler.s_init) || now () -. sampler.s_last >= interval)
+    then sample ()
 
-  let samples () = locked (fun () -> sampler.s_count)
+  let samples () = sampler.s_count
 
   let reset () =
-    locked (fun () ->
-        sampler.s_init <- false;
-        sampler.s_last <- 0.;
-        sampler.s_minor <- 0.;
-        sampler.s_major <- 0.;
-        sampler.s_compactions <- 0;
-        sampler.s_count <- 0)
+    sampler.s_init <- false;
+    sampler.s_last <- 0.;
+    sampler.s_minor <- 0.;
+    sampler.s_major <- 0.;
+    sampler.s_compactions <- 0;
+    sampler.s_count <- 0
 end
 
 module Span = struct
   let with_ name f =
     let s = Atomic.get state in
-    if s = 0 then f ()
+    if s = 0 || not (Domain.is_main_domain ()) then f ()
     else begin
-      let metrics = s land metrics_bit <> 0 in
-      let journaling = s land journal_bit <> 0 in
       let node =
-        if not metrics then None
+        if s land metrics_bit = 0 then None
         else begin
-          let stack = Domain.DLS.get stack_key in
           let parent = match !stack with n :: _ -> n | [] -> root in
           let node =
-            locked (fun () ->
-                match Hashtbl.find_opt parent.s_kids name with
-                | Some n -> n
-                | None ->
-                  let n = fresh_node name in
-                  Hashtbl.add parent.s_kids name n;
-                  parent.s_kid_order <- name :: parent.s_kid_order;
-                  n)
+            match Hashtbl.find_opt parent.s_kids name with
+            | Some n -> n
+            | None ->
+              let n = fresh_node name in
+              Hashtbl.add parent.s_kids name n;
+              parent.s_kid_order <- name :: parent.s_kid_order;
+              n
           in
           stack := node :: !stack;
           Some node
@@ -517,7 +429,7 @@ module Span = struct
              reader recovers the start as [ts - dur_s]. *)
           let t1 = now () in
           let dt = max 0. (t1 -. t0) in
-          if journaling then begin
+          if s land journal_bit <> 0 then begin
             Journal.emit_at t1 "span"
               [ ("name", Obs_json.String name); ("dur_s", Obs_json.Float dt) ];
             Runtime.maybe_sample ()
@@ -525,11 +437,9 @@ module Span = struct
           match node with
           | None -> ()
           | Some node ->
-            let stack = Domain.DLS.get stack_key in
             (match !stack with _ :: tl -> stack := tl | [] -> ());
-            locked (fun () ->
-                node.s_calls <- node.s_calls + 1;
-                node.s_wall <- node.s_wall +. dt))
+            node.s_calls <- node.s_calls + 1;
+            node.s_wall <- node.s_wall +. dt)
         f
     end
 
@@ -544,8 +454,7 @@ module Span = struct
         List.rev_map (fun k -> info_of (Hashtbl.find n.s_kids k)) n.s_kid_order;
     }
 
-  let snapshot () =
-    locked (fun () -> (info_of root).children)
+  let snapshot () = (info_of root).children
 end
 
 (* --- reset --------------------------------------------------------------- *)
@@ -553,7 +462,6 @@ end
 let reset () =
   locked (fun () ->
       List.iter (fun c -> Atomic.set c.c_v 0) !counters_order;
-      Journal.base := [];
       List.iter
         (fun h ->
           Atomic.set h.h_count 0;
@@ -561,11 +469,10 @@ let reset () =
           Atomic.set h.h_min max_int;
           Atomic.set h.h_max min_int;
           Array.iter (fun b -> Atomic.set b 0) h.h_buckets)
-        !histograms_order;
-      Hashtbl.reset root.s_kids;
-      root.s_kid_order <- [];
-      root.s_calls <- 0;
-      root.s_wall <- 0.);
+        !histograms_order);
+  Hashtbl.reset root.s_kids;
+  root.s_kid_order <- [];
+  Journal.base := [];
   Journal.reset ();
   Runtime.reset ()
 

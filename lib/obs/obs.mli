@@ -2,12 +2,12 @@
     structured decision journal, the one event stream.
 
     A process-wide registry of named probes with text and JSON exporters.
-    Everything is safe to use from {!Domain} pool workers: counter and
-    histogram updates are single atomic operations, span bookkeeping takes a
-    mutex only on span entry/exit (never inside the timed region), and
-    journal events go to a private per-domain buffer with no locking at
-    all. A Chrome trace of a run is derived from its journal afterwards
-    ([sft report --chrome], DESIGN.md §11).
+    Pool workers run leaf work only (DESIGN.md §8). Counter and histogram
+    updates are single atomic operations, kept from any domain. Spans and
+    journal events are recorded on the main domain alone: a span on
+    another domain runs untimed, and a journal event emitted there is
+    counted as dropped. A Chrome trace of a run is derived from its
+    journal afterwards ([sft report --chrome], DESIGN.md §11).
 
     {b Disabled is free.} The whole subsystem sits behind one global state
     word with two independent bits — metrics ({!enable}) and the decision
@@ -17,8 +17,8 @@
     observability cannot change any result bit.
 
     {b Reset vs. journal.} {!reset} clears {e recorded data} — counters,
-    histograms, the span tree, buffered journal events and
-    the runtime sampler's baselines — but does not close an open journal:
+    histograms, the span tree, buffered journal events, the drop count
+    and the runtime sampler's baselines — but does not close an open journal:
     the destination file and producing command set by {!Journal.start}
     survive, and only {!Journal.finish} writes the file. A [reset] between
     [start] and [finish] therefore yields a journal that covers just the
@@ -34,9 +34,9 @@
 
     {b Probe naming convention} (see DESIGN.md §9): lowercase
     [subsystem.metric] with dots as separators, e.g. [fsim.patterns],
-    [engine.cut_size], [pool.domain3.busy_us]. Spans use the same style
+    [engine.cut_size], [engine.score_ns]. Spans use the same style
     ([fsim.campaign], [engine.pass], [bench.table6]). Counter names ending in
-    [_us] hold microseconds. *)
+    [_us] hold microseconds, [_ns] nanoseconds. *)
 
 val enabled : unit -> bool
 (** Whether the metrics bit (counters, histograms, span tree) is on. *)
@@ -49,14 +49,14 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 (** Zero every counter and histogram, drop the recorded span tree, discard
-    all journal buffers and re-arm the runtime sampler's GC/RSS
-    baselines ({!Runtime.reset}). Registered probe definitions survive
+    buffered journal events and the drop count, and re-arm the runtime
+    sampler's GC/RSS baselines. Registered probe definitions survive
     (names stay in the registry), and an open journal stays open — see the
     header note on reset vs. journal. *)
 
 val now : unit -> float
-(** Wall-clock seconds — the single clock behind span timing, journal
-    events and pool busy accounting, exposed so instrumented code does not need
+(** Wall-clock seconds — the single clock behind span timing and journal
+    events, exposed so instrumented code does not need
     its own timing dependency. {b Not monotonic}: see the clock caveat
     above; clamp any duration computed from two reads to [>= 0]. *)
 
@@ -107,20 +107,20 @@ module Journal : sig
       PODEM aborts and SAT escalation outcomes, redundancy proofs, CEC
       verdicts, span closes, runtime samples — so a finished run can be
       analysed offline with [sft report], or converted to a Chrome trace
-      with [sft report --chrome]. Each domain appends to a private bounded
-      buffer (no locks on the emit path; a full buffer counts drops instead
-      of blocking or growing), and {!finish} — the single writer — merges
-      every buffer in global sequence order and streams the run out as
-      JSONL.
+      with [sft report --chrome]. The main domain appends to one bounded
+      buffer of {!capacity} events, allocated by {!start} and released by
+      {!finish}, which streams the run out as JSONL. An event emitted on
+      another domain, or into a full buffer, is counted as dropped: the
+      journal never blocks or grows.
 
       {b File format} (one compact {!Obs_json} object per line):
       a [journal_begin] header carrying [journal_version], the producing
       command and the absolute open timestamp; then one line per event with
-      [ev] (the kind), [seq] (global emission order across domains), [ts]
-      (seconds since the header timestamp, clamped [>= 0]), [dom] (emitting
-      domain id) and the event's own fields — a [span] event's [ts] is the
-      very reading that ends its [dur_s], so [ts - dur_s] is the span's
-      start; then a [journal_end] footer
+      [ev] (the kind), [seq] (emission order), [ts] (seconds since the
+      header timestamp, clamped [>= 0]), [dom] (the emitting domain's id,
+      always 0, the main domain's) and the event's own fields — a [span]
+      event's [ts] is the very reading that ends its [dur_s], so
+      [ts - dur_s] is the span's start; then a [journal_end] footer
       with event/drop totals, wall seconds and every registered counter's
       change since {!start}, so a journal opened mid-process counts only
       its own window. *)
@@ -130,51 +130,40 @@ module Journal : sig
       Call sites building non-trivial field lists should gate on this so a
       disabled probe stays one atomic load. *)
 
-  val start : ?capacity:int -> cmd:string -> string -> unit
+  val capacity : int
+  (** Events the buffer holds: 131,072, about 1 MB of slots, five times a
+      whole [sft rar] run on irs1423. *)
+
+  val start : cmd:string -> string -> unit
   (** [start ~cmd path] opens a journal destined for [path], tagging the
-      header with the producing command [cmd] (e.g. ["optimize"]). Drops
-      any events buffered since the previous journal, resets the global
-      sequence counter and snapshots every counter, so the footer can
-      report changes since this call. [capacity] overrides the per-domain buffer capacity
-      (default 131072, clamped to [>= 16]) for buffers created afterwards.
-      Nothing is written until {!finish}. *)
+      header with the producing command [cmd] (e.g. ["optimize"]).
+      Allocates a fresh, empty buffer, zeroes the drop count and
+      snapshots every counter, so the footer can report changes since this
+      call. Nothing is written until {!finish}. *)
 
   val emit : string -> (string * Obs_json.t) list -> unit
-  (** [emit kind fields] appends one event to the calling domain's buffer,
-      stamping it with the next global sequence id and the current {!now}.
-      No-op (one atomic load) when the journal is off; never blocks. *)
+  (** [emit kind fields] appends one event, stamped with the current
+      {!now}, to the buffer. Counted as dropped instead when the buffer
+      is full or the caller is not the main domain. No-op (one atomic
+      load) when the journal is off; never blocks. *)
 
-  val set_capacity : int -> unit
-  (** Per-domain buffer capacity in events (default 131072, clamped to
-      [>= 16]); the sticky form of {!start}'s [capacity]. Affects buffers
-      created afterwards. *)
-
-  val capacity : unit -> int
-  (** The capacity newly created per-domain buffers will get. *)
-
-  type summary = { buffers : int; recorded : int; dropped : int }
+  type summary = { recorded : int; dropped : int }
 
   val stats : unit -> summary
-  (** Buffer totals for the currently buffered (unwritten) events.
-      [dropped > 0] means per-domain capacity was too small for the run. *)
+  (** Events buffered so far, and events dropped since {!start}: emitted
+      off the main domain or past {!capacity}. *)
 
   val finish : unit -> summary
-  (** Close the journal: switch the bit off, merge all buffers in sequence
-      order, write the JSONL file (header, events, footer) and return what
-      was written. The footer's counters are changes since {!start} (since
+  (** Close the journal: switch the bit off, write the JSONL file
+      (header, events, footer), release the buffer and return what was
+      written. The footer's counters are changes since {!start} (since
       the last {!Obs.reset}, if one came later); counters registered after
       [start] count from 0. Returns zeros without touching the filesystem if no
-      journal was open. Call after parallel work has quiesced: buffers are
-      read without synchronisation. *)
-
-  val reset : unit -> unit
-  (** Discard buffered events (the open journal, if any, stays open). Also
-      performed by {!Obs.reset}. *)
+      journal was open. *)
 end
 
 module Runtime : sig
-  (** Low-rate process-health sampler: GC churn, peak RSS and pool busy
-      time.
+  (** Low-rate process-health sampler: GC churn and peak RSS.
 
       Each sample reads [Gc.quick_stat] {e on the main domain only} (GC
       statistics are domain-local in OCaml 5), computes deltas against the
@@ -183,9 +172,9 @@ module Runtime : sig
       [runtime.major_words], [runtime.compactions], [runtime.maxrss_kb] —
       the latter kept at the peak by adding differences) and, when a
       journal is open, as a [runtime_sample] journal event additionally
-      carrying the innermost open span, the live heap size and a snapshot
-      of the per-domain [pool.domainN.*] busy counters. Peak RSS comes from
-      [/proc/self/status] ([VmHWM]), reported as 0 where unavailable. *)
+      carrying the innermost open span and the live heap size. Peak RSS
+      comes from [/proc/self/status] ([VmHWM]), reported as 0 where
+      unavailable. *)
 
   val sample : unit -> unit
   (** Take one sample now (main domain, metrics or journal on; otherwise a
@@ -193,34 +182,25 @@ module Runtime : sig
       final deltas. *)
 
   val maybe_sample : unit -> unit
-  (** Rate-limited {!sample}: does nothing unless the configured interval
-      has elapsed since the previous sample. Cheap enough for hot exits —
-      one atomic load when both metrics and journal are off, and
-      {!Span.with_} calls it on every span close while journaling. *)
-
-  val set_interval : float -> unit
-  (** Minimum seconds between {!maybe_sample} samples (default 0.25,
-      clamped to [>= 0.01]). *)
+  (** Rate-limited {!sample}: does nothing unless 0.25 s have elapsed
+      since the previous sample. Cheap enough for hot exits — one atomic
+      load when both metrics and journal are off, and {!Span.with_} calls
+      it on every span close while journaling. *)
 
   val samples : unit -> int
-  (** Samples taken since the last {!reset}. *)
-
-  val reset : unit -> unit
-  (** Forget the sampler's baselines and sample count, so the next sample
-      re-anchors against current GC/RSS readings instead of reporting a
-      cross-reset delta. Also performed by {!Obs.reset}. *)
+  (** Samples taken since the last {!Obs.reset}, which also forgets the
+      sampler's baselines, so the next sample re-anchors against current
+      GC/RSS readings instead of reporting a cross-reset delta. *)
 end
 
 module Span : sig
   val with_ : string -> (unit -> 'a) -> 'a
   (** [with_ name f] times [f ()] and accounts it to the trace-tree node
-      [name] under the innermost enclosing span of the {e current domain}
-      (pool workers therefore root their spans at the top level). Wall
-      clock and call count accumulate across calls; reentrant and
-      exception-safe; durations are clamped to [>= 0] (wall clock). While a
-      journal is open, exit also appends a [span] event on the calling
-      domain. When the whole subsystem is disabled this is exactly
-      [f ()]. *)
+      [name] under the innermost enclosing span. Wall clock and call count
+      accumulate across calls; reentrant and exception-safe; durations are
+      clamped to [>= 0] (wall clock). While a journal is open, exit also
+      appends a [span] event. When the whole subsystem is disabled, or the
+      caller is not the main domain, this is exactly [f ()]. *)
 
   type info = {
     name : string;
@@ -252,10 +232,8 @@ module Export : sig
   (** [to_json_value] rendered compactly on one line. *)
 
   val to_text : unit -> string
-  (** Human-readable dump: counters, histograms, then the span tree. *)
-
-  val trace_text : unit -> string
-  (** Just the span tree, indented two spaces per level. *)
+  (** Human-readable dump: counters, histograms, then the span tree,
+      indented two spaces per level. *)
 
   val write_file : string -> unit
   (** Write [to_json ()] (plus a trailing newline) to a file. *)

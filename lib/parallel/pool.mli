@@ -1,30 +1,24 @@
-(** Reusable [Domain]-based worker pool for the two coarse fan-outs that
-    win on a second domain: the output miters of a CEC check
-    ([Cec.check_stats]) and the wave simulations of a PDF campaign
-    ([Pdf_campaign.exec]), DESIGN.md §8.
+(** [Domain]-based worker pool for the two coarse fan-outs that win on a
+    second domain: the output miters of a CEC check ([Cec.check_stats
+    ~domains]) and the wave simulations of a PDF campaign
+    ([Pdf_campaign.exec]), DESIGN.md §8. Each fan-out opens its own pool
+    with {!with_pool} around the work it splits and shuts it down when
+    that work is done, so no parked domain outlives it.
 
-    A pool represents a fixed budget of [domains] computation domains: the
-    calling domain (slot 0) plus [domains - 1] spawned worker domains
-    (slots 1 .. domains-1). A {!map} splits its array into chunks; idle
-    participants grab chunks from a shared atomic counter, so load
-    balancing is dynamic but the mapping from index to result is
-    deterministic — results are merged back in index order regardless of
-    which domain computed them.
-
-    A pool whose [domains] is 1 spawns nothing and runs every submission
-    inline in the calling domain: the serial code path and the parallel
-    code path are the same code.
+    A pool of [domains] participants is the calling domain plus
+    [domains - 1] spawned worker domains. {!map} hands out one element per
+    task from a shared atomic cursor, so load balancing is dynamic, but
+    each result lands at its own index. A pool whose [domains] is 1
+    spawns nothing and {!map} is [Array.map].
 
     Determinism contract: as long as the mapped function is deterministic
     per element and does not communicate through shared mutable state,
     every {!map} call yields results identical to a serial left-to-right
     execution.
 
-    When {!Obs.enabled} is on, every chunk execution is accounted to the
-    counters [pool.chunks] (total chunks) and [pool.domain<slot>.busy_us]
-    (per-slot busy microseconds, aggregated across pools), which journal
-    [runtime_sample] events also carry. Disabled probes cost nothing on the
-    chunk path. *)
+    Workers run leaf work only: counter and histogram updates from a
+    worker are kept, but spans and journal events are recorded on the
+    main domain alone (see {!Obs}). The pool itself records nothing. *)
 
 type t
 
@@ -45,37 +39,17 @@ val max_domains : int
     hosts), counting the calling domain. Entry points check a
     user-supplied domain count against it before spawning anything. *)
 
-val create : ?domains:int -> unit -> t
-(** Spawn a pool of [domains - 1] worker domains ([domains] defaults to
-    {!default_domains}; values [<= 1] are clamped to 1 and spawn nothing).
-    Raises [Invalid_argument], before spawning, if [domains] is above
-    {!max_domains}. Pools hold OS-level resources — release with
-    {!shutdown}, or prefer {!with_pool}. *)
-
-val domains : t -> int
-(** Total participating domains, including the caller. *)
-
-val shutdown : t -> unit
-(** Stop and join all worker domains. Idempotent. The pool must not be
-    used afterwards. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
+(** [with_pool ~domains f] spawns [domains - 1] worker domains ([domains]
+    defaults to {!default_domains}; values [<= 1] spawn nothing), runs [f]
+    with the pool, then stops and joins the workers, also when [f] raises.
+    Raises [Invalid_argument], before spawning, if [domains] is above
+    {!max_domains}. *)
 
-val map : t -> ?chunk:int -> ?serial_below:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f arr] is [Array.map f arr], computed across the pool with
-    results in their original positions (deterministic ordered merge).
-    [chunk] sets the chunk length (default: the array split into about 4
-    chunks per participant). The first exception raised by [f] is
-    re-raised in the caller, with its backtrace, after the whole
-    submission has drained; the pool stays usable. With one domain (or
-    one element) this is exactly [Array.map f arr].
-
-    [serial_below] (default 0: never) is the work-size cutoff: arrays
-    shorter than it are mapped inline on the calling domain even on a
-    multi-domain pool, because publishing a job and waking workers costs
-    more than it buys on tiny inputs. The inline path is the same code the
-    1-domain pool runs, so the determinism contract is unaffected. Each
-    cutoff decision is recorded in the [pool.serial_cutoff] counter
-    (submissions kept inline) or [pool.parallel_jobs] (submissions fanned
-    out) when {!Obs.enabled}. *)
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
+(** [map t f arr] is [Array.map f arr], computed across the pool one
+    element per task, with results in their original positions. The
+    first exception raised by [f] is re-raised in the caller, with its
+    backtrace, after the whole submission has drained; the pool stays
+    usable. With one domain (or at most one element) this is exactly
+    [Array.map f arr]. *)

@@ -12,7 +12,6 @@ let propagations_c =
 let lit v = 2 * v
 let neg l = l lxor 1
 let var_of l = l lsr 1
-let is_neg l = l land 1 = 1
 
 module Options = struct
   type t = {

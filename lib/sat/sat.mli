@@ -19,7 +19,7 @@
 
     Variables are dense non-negative integers handed out by {!new_var}.
     Literals are integers [2*v] (positive) and [2*v + 1] (negated); use
-    {!lit}, {!neg}, {!var_of} and {!is_neg} instead of relying on the
+    {!lit}, {!neg} and {!var_of} instead of relying on the
     encoding. A [t] is single-owner mutable state: never share one across
     domains. *)
 
@@ -67,9 +67,6 @@ val neg : int -> int
 
 val var_of : int -> int
 (** Variable underlying a literal. *)
-
-val is_neg : int -> bool
-(** Whether the literal is the negated phase of its variable. *)
 
 val add_clause : t -> int array -> unit
 (** Add a clause (a disjunction of literals). The literals are sorted

@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
 
 (* splitmix64 *)
 let next64 t =

@@ -8,10 +8,6 @@ type t
 val create : int64 -> t
 (** Splitmix64 stream seeded explicitly. *)
 
-val copy : t -> t
-(** An independent stream in the same state: both yield the same values
-    from here on. *)
-
 val next64 : t -> int64
 (** The next 64 random bits. *)
 

@@ -4,11 +4,6 @@ type t = {
   inputs : int array;
 }
 
-let pp ppf s =
-  Format.fprintf ppf "root %d, gates {%s}, inputs [%s]" s.root
-    (String.concat " " (List.map string_of_int s.gates))
-    (String.concat " " (Array.to_list (Array.map string_of_int s.inputs)))
-
 let is_gate c id =
   match Circuit.kind c id with
   | Gate.Input | Gate.Const0 | Gate.Const1 -> false

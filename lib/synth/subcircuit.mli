@@ -14,8 +14,6 @@ type t = {
           first) *)
 }
 
-val pp : Format.formatter -> t -> unit
-
 type dedup
 (** Reusable enumeration scratch for {!enumerate}: the breadth-first queue
     of gate sets, kept flat in int arrays, and their dedup table. *)

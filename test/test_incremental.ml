@@ -1,5 +1,5 @@
-(* Incremental resynthesis (DESIGN.md §13, §17): dirty-region tracking,
-   the ordered worklist and the pool work-size cutoff. The load-bearing
+(* Incremental resynthesis (DESIGN.md §13, §17): dirty-region tracking
+   and the ordered worklist. The load-bearing
    property is bit-identity — the production engine must reproduce the
    reference full walk ([Engine.optimize_reference]) exactly, for every
    configuration. *)
@@ -111,26 +111,6 @@ let test_worklist_cursor () =
   check bool_ "unplaced id deferred" true (Footprint.Worklist.pop wl = None);
   Footprint.Worklist.start_pass wl ~pos:(Array.init 10 (fun i -> i));
   check (Alcotest.list int_) "placed next pass" [ 9 ] (drain wl)
-
-(* --- Pool work-size cutoff -------------------------------------------------- *)
-
-let test_pool_serial_cutoff () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let caller = Domain.self () in
-      let on_caller =
-        Pool.map pool ~serial_below:1000 (fun _ -> Domain.self () = caller)
-          (Array.make 100 ())
-      in
-      check bool_ "below cutoff stays on the calling domain" true
-        (Array.for_all Fun.id on_caller);
-      let input = Array.init 257 (fun i -> i) in
-      let expect = Array.map (fun x -> x * 3) input in
-      check bool_ "map below cutoff" true
-        (Pool.map pool ~serial_below:1000 (fun x -> x * 3) input = expect);
-      check bool_ "map above cutoff" true
-        (Pool.map pool ~serial_below:10 (fun x -> x * 3) input = expect);
-      check bool_ "map at boundary" true
-        (Pool.map pool ~serial_below:257 (fun x -> x * 3) input = expect))
 
 (* --- Bit-identity: production = reference full walk ------------------------ *)
 
@@ -319,7 +299,6 @@ let suite =
     ("footprint: fanout cone marking", `Quick, test_footprint_cone);
     ("worklist: topological pop order", `Quick, test_worklist_ordering);
     ("worklist: cursor and deferral", `Quick, test_worklist_cursor);
-    ("pool: work-size cutoff", `Quick, test_pool_serial_cutoff);
     ("identity: gates objective", `Quick, test_incremental_identity_gates);
     ("identity: paths objective", `Quick, test_incremental_identity_paths);
     ("identity: don't-cares and multi-unit", `Quick, test_incremental_identity_extensions);

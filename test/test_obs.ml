@@ -1,6 +1,6 @@
 (* The sft.obs observability subsystem: atomic counters under domain pools,
-   span nesting, the JSON exporter, and the guarantee that enabling probes
-   never changes a computation's result. *)
+   main-domain spans and journal, span nesting, the JSON exporter, and the
+   guarantee that enabling probes never changes a computation's result. *)
 
 open Helpers
 
@@ -22,16 +22,14 @@ let test_counter_atomic_under_pool () =
       let n = 100_000 in
       Pool.with_pool ~domains:4 (fun pool ->
           ignore
-            (Pool.map pool ~chunk:97
+            (Pool.map pool
                (fun _ ->
                  Obs.Counter.incr c;
                  Obs.Counter.add c 1;
                  Obs.Histogram.observe h 1)
                (Array.make n ())));
       check int_ "no lost increments across 4 domains" (2 * n) (Obs.Counter.value c);
-      check int_ "histogram sum equals element total" n (Obs.Histogram.sum h);
-      check bool_ "pool chunks exported" true
-        (List.assoc "pool.chunks" (Obs.Export.counters ()) > 0))
+      check int_ "histogram sum equals element total" n (Obs.Histogram.sum h))
 
 let test_disabled_probes_record_nothing () =
   Obs.reset ();
@@ -187,12 +185,10 @@ let test_histogram_edges () =
 (* --- journal -------------------------------------------------------------- *)
 
 let with_journal path f =
-  let cap0 = Obs.Journal.capacity () in
   Obs.reset ();
   Fun.protect
     ~finally:(fun () ->
       ignore (Obs.Journal.finish ());
-      Obs.Journal.set_capacity cap0;
       Obs.disable ();
       Obs.reset ();
       if Sys.file_exists path then Sys.remove path)
@@ -225,41 +221,28 @@ let test_journal_disabled_is_silent () =
   check int_ "finish without start writes nothing" 0
     (Obs.Journal.finish ()).Obs.Journal.recorded
 
-let test_journal_roundtrip_multidomain () =
+let ev_kind j =
+  match Obs_json.member "ev" j with Some (Obs_json.String s) -> s | _ -> ""
+
+let int_field name j =
+  match Obs_json.member name j with
+  | Some (Obs_json.Int i) -> i
+  | _ -> Alcotest.failf "event without int field %s" name
+
+(* Header, one line per event in emission order, footer. *)
+let test_journal_roundtrip () =
   let path = Filename.temp_file "sft_test" ".journal" in
   with_journal path (fun () ->
-      (* Hold each element until two have started, so the events provably
-         land in more than one domain-local buffer. *)
-      let started = Atomic.make 0 in
-      Pool.with_pool ~domains:4 (fun pool ->
-          ignore
-            (Pool.map pool ~chunk:7
-               (fun i ->
-                 Atomic.incr started;
-                 while Atomic.get started < 2 do
-                   Domain.cpu_relax ()
-                 done;
-                 Obs.Journal.emit "test_event"
-                   [
-                     ("i", Obs_json.Int i);
-                     ("domain", Obs_json.Int (Domain.self () :> int));
-                   ])
-               (Array.init 200 Fun.id)));
-      (* The pool itself journals a [runtime_sample] after the fan-out
-         drains, so counts are lower bounds; payload checks below filter
-         to our own event kind. *)
-      let s = Obs.Journal.stats () in
-      check bool_ "every event buffered" true (s.Obs.Journal.recorded >= 200);
-      check bool_ "events spread across domain buffers" true
-        (s.Obs.Journal.buffers > 1);
+      for i = 0 to 199 do
+        Obs.Journal.emit "test_event" [ ("i", Obs_json.Int i) ]
+      done;
+      check int_ "every event buffered" 200 (Obs.Journal.stats ()).Obs.Journal.recorded;
       let w = Obs.Journal.finish () in
-      check bool_ "finish reports all events" true (w.Obs.Journal.recorded >= 200);
+      check int_ "finish reports all events" 200 w.Obs.Journal.recorded;
       check int_ "no drops" 0 w.Obs.Journal.dropped;
       match journal_lines path with
       | header :: rest ->
-        check bool_ "header is journal_begin" true
-          (Obs_json.member "ev" header
-          = Some (Obs_json.String "journal_begin"));
+        check bool_ "header is journal_begin" true (ev_kind header = "journal_begin");
         check bool_ "header carries version 1" true
           (Obs_json.member "journal_version" header = Some (Obs_json.Int 1));
         let events, footer =
@@ -267,64 +250,101 @@ let test_journal_roundtrip_multidomain () =
           | f :: revd -> (List.rev revd, f)
           | [] -> Alcotest.fail "no footer"
         in
-        check bool_ "footer is journal_end" true
-          (Obs_json.member "ev" footer = Some (Obs_json.String "journal_end"));
+        check bool_ "footer is journal_end" true (ev_kind footer = "journal_end");
         check bool_ "footer embeds counters" true
           (match Obs_json.member "counters" footer with
           | Some (Obs_json.Obj _) -> true
           | _ -> false);
-        check bool_ "one line per event" true (List.length events >= 200);
-        (* Global sequence ids give a total order across domains: the
-           merged stream must be strictly increasing, with timestamps
-           relative and clamped. *)
-        let last = ref (-1) in
-        let seen = Array.make 200 false in
-        List.iter
-          (fun ev ->
-            (match Obs_json.member "seq" ev with
-            | Some (Obs_json.Int s) ->
-              check bool_ "seq strictly increasing" true (s > !last);
-              last := s
-            | _ -> Alcotest.fail "event without seq");
-            (match Obs_json.member "ts" ev with
-            | Some (Obs_json.Float ts) ->
-              check bool_ "ts clamped to >= 0" true (ts >= 0.)
-            | _ -> Alcotest.fail "event without float ts");
-            (match Obs_json.member "dom" ev with
-            | Some (Obs_json.Int _) -> ()
-            | _ -> Alcotest.fail "event without dom");
-            if Obs_json.member "ev" ev = Some (Obs_json.String "test_event")
-            then
-              match Obs_json.member "i" ev with
-              | Some (Obs_json.Int i) -> seen.(i) <- true
-              | _ -> Alcotest.fail "test_event without payload field")
-          events;
-        check bool_ "every emitted payload present exactly once" true
-          (Array.for_all Fun.id seen)
+        check int_ "one line per event" 200 (List.length events);
+        (* [seq] is the emission order, timestamps are relative and
+           clamped, and every event is the main domain's. *)
+        List.iteri
+          (fun k ev ->
+            check int_ "seq is the emission order" k (int_field "seq" ev);
+            check int_ "payload in emission order" k (int_field "i" ev);
+            check int_ "dom is the main domain" 0 (int_field "dom" ev);
+            match Obs_json.member "ts" ev with
+            | Some (Obs_json.Float ts) -> check bool_ "ts clamped to >= 0" true (ts >= 0.)
+            | _ -> Alcotest.fail "event without float ts")
+          events
+      | [] -> Alcotest.fail "empty journal file")
+
+(* Pool workers run leaf work: their counter and histogram updates are
+   kept, their spans run untimed and their journal events are dropped. *)
+let test_workers_leaf_probes () =
+  let path = Filename.temp_file "sft_test" ".journal" in
+  with_journal path (fun () ->
+      Obs.enable ();
+      let c = Obs.Counter.make "test.obs.worker" in
+      let h = Obs.Histogram.make "test.obs.worker_h" in
+      let n = 1000 in
+      let main = Domain.self () in
+      (* Hold each element until two have started, so at least one runs
+         on a worker: the first blocks its own domain meanwhile. *)
+      let started = Atomic.make 0 in
+      let on_main =
+        Obs.Span.with_ "test.obs.fanout" (fun () ->
+            Pool.with_pool ~domains:4 (fun pool ->
+                Pool.map pool
+                  (fun i ->
+                    Atomic.incr started;
+                    while Atomic.get started < 2 do
+                      Domain.cpu_relax ()
+                    done;
+                    Obs.Counter.incr c;
+                    Obs.Histogram.observe h 1;
+                    Obs.Span.with_ "test.obs.element" (fun () ->
+                        Obs.Journal.emit "test_element" [ ("i", Obs_json.Int i) ]);
+                    Domain.self () = main)
+                  (Array.init n Fun.id)))
+      in
+      let mains = Array.fold_left (fun k m -> if m then k + 1 else k) 0 on_main in
+      check bool_ "some elements ran on workers" true (mains < n);
+      check int_ "every counter update kept" n (Obs.Counter.value c);
+      check int_ "every histogram update kept" n (Obs.Histogram.count h);
+      let spans = Obs.Span.snapshot () in
+      check bool_ "no worker span at the top level" true
+        (not (List.exists (fun s -> s.Obs.Span.name = "test.obs.element") spans));
+      let element_calls =
+        match List.find_opt (fun s -> s.Obs.Span.name = "test.obs.fanout") spans with
+        | Some f -> (
+          match
+            List.find_opt (fun s -> s.Obs.Span.name = "test.obs.element") f.Obs.Span.children
+          with
+          | Some e -> e.Obs.Span.calls
+          | None -> 0)
+        | None -> Alcotest.fail "the main-domain span is missing"
+      in
+      check int_ "only main-domain element spans are timed" mains element_calls;
+      let w = Obs.Journal.finish () in
+      check int_ "each worker emit is dropped" (n - mains) w.Obs.Journal.dropped;
+      let lines = journal_lines path in
+      let written =
+        List.filter_map
+          (fun j -> if ev_kind j = "test_element" then Some (int_field "i" j) else None)
+          lines
+      in
+      let expect = List.filter (fun i -> on_main.(i)) (List.init n Fun.id) in
+      check (Alcotest.list int_) "only main-domain events are written" expect written;
+      match List.rev lines with
+      | footer :: _ ->
+        check int_ "the footer counts the drops" (n - mains) (int_field "dropped" footer)
       | [] -> Alcotest.fail "empty journal file")
 
 let test_journal_overflow_drops_counted () =
   let path = Filename.temp_file "sft_test" ".journal" in
   with_journal path (fun () ->
-      ignore (Obs.Journal.finish ());
-      Obs.Journal.start ~capacity:16 ~cmd:"test" path;
-      for i = 1 to 100 do
+      for i = 1 to Obs.Journal.capacity + 100 do
         Obs.Journal.emit "test_event" [ ("i", Obs_json.Int i) ]
       done;
       let s = Obs.Journal.stats () in
-      check bool_ "overflow drops are counted" true (s.Obs.Journal.dropped > 0);
-      check bool_ "recorded bounded by capacity" true
-        (s.Obs.Journal.recorded <= 16);
-      let w = Obs.Journal.finish () in
-      check bool_ "footer records the drops" true (w.Obs.Journal.dropped > 0);
-      match journal_lines path with
-      | _ :: rest ->
-        let footer = List.nth rest (List.length rest - 1) in
-        check bool_ "dropped field in footer positive" true
-          (match Obs_json.member "dropped" footer with
-          | Some (Obs_json.Int d) -> d > 0
-          | _ -> false)
-      | [] -> Alcotest.fail "empty journal file")
+      check int_ "the buffer holds its capacity" Obs.Journal.capacity
+        s.Obs.Journal.recorded;
+      check int_ "every event past capacity is dropped" 100 s.Obs.Journal.dropped;
+      (* Discard the full buffer rather than write it out. *)
+      Obs.reset ();
+      check int_ "reset zeroes the drop count" 0 (Obs.Journal.stats ()).Obs.Journal.dropped;
+      check int_ "nothing left to write" 0 (Obs.Journal.finish ()).Obs.Journal.recorded)
 
 let test_journal_survives_obs_reset () =
   let path = Filename.temp_file "sft_test" ".journal" in
@@ -427,18 +447,17 @@ let test_journal_counters_since_start () =
       check bool_ "a counter idle since start reads 0" true
         (footer_value "test.journal_idle" = Some (Obs_json.Int 0)))
 
-(* The journal holds a whole resynthesis run in a small buffer: one
+(* A whole resynthesis run of irs1423 fits in 1024 events: one
    [splice_accept] per accepted replacement, nothing dropped. *)
 let test_journal_optimize_fits () =
   let c = Benchmarks.build (Benchmarks.find "irs1423") in
   let path = Filename.temp_file "sft_test" ".journal" in
   with_journal path (fun () ->
-      ignore (Obs.Journal.finish ());
       Obs.enable ();
-      Obs.Journal.start ~capacity:1024 ~cmd:"test" path;
       let stats = Engine.optimize Engine.Gates Engine.default_options c in
       let w = Obs.Journal.finish () in
       check int_ "nothing dropped" 0 w.Obs.Journal.dropped;
+      check bool_ "at most 1024 events" true (w.Obs.Journal.recorded <= 1024);
       check bool_ "the run accepted replacements" true (stats.Engine.replacements > 0);
       let accepts =
         List.length
@@ -458,9 +477,8 @@ let suite =
     ("histograms: edge observations", `Quick, test_histogram_edges);
     ("export: documented schema keys", `Quick, test_export_schema);
     ("journal: disabled is silent", `Quick, test_journal_disabled_is_silent);
-    ( "journal: multi-domain round-trip",
-      `Quick,
-      test_journal_roundtrip_multidomain );
+    ("journal: round-trip", `Quick, test_journal_roundtrip);
+    ("workers: leaf probes only", `Quick, test_workers_leaf_probes);
     ("journal: overflow drops counted", `Quick, test_journal_overflow_drops_counted);
     ("journal: survives Obs.reset", `Quick, test_journal_survives_obs_reset);
     ("runtime: sampler counts and resets", `Quick, test_runtime_sampler_and_reset);

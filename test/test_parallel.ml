@@ -7,16 +7,15 @@ open Helpers
 
 let test_pool_map_ordered () =
   Pool.with_pool ~domains:4 (fun pool ->
-      check int_ "four domains" 4 (Pool.domains pool);
       let input = Array.init 1000 (fun i -> i) in
       let got = Pool.map pool (fun x -> x * x) input in
       check bool_ "ordered map" true (got = Array.map (fun x -> x * x) input);
-      (* reuse across submissions, odd sizes, chunk boundaries *)
-      let got = Pool.map pool ~chunk:7 (fun x -> x - 1) (Array.init 13 (fun i -> i)) in
+      (* reuse across submissions, an odd size, one element, none *)
+      let got = Pool.map pool (fun x -> x - 1) (Array.init 13 (fun i -> i)) in
       check bool_ "second submission" true (got = Array.init 13 (fun i -> i - 1));
+      check bool_ "one element" true (Pool.map pool (fun x -> x + 1) [| 1 |] = [| 2 |]);
       check bool_ "empty input" true (Pool.map pool (fun x -> x) [||] = [||]));
   Pool.with_pool ~domains:1 (fun pool ->
-      check int_ "serial pool" 1 (Pool.domains pool);
       let got = Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       check bool_ "serial pool map" true (got = [| 2; 3; 4 |]))
 
@@ -38,11 +37,9 @@ let test_pool_exception_propagates () =
 let test_pool_domain_limit () =
   (* Refused before anything is spawned: past the runtime's limit the
      spawn itself fails, with the workers before it already running. *)
-  match Pool.create ~domains:(Pool.max_domains + 1) () with
+  match Pool.with_pool ~domains:(Pool.max_domains + 1) ignore with
   | exception Invalid_argument _ -> ()
-  | pool ->
-    Pool.shutdown pool;
-    Alcotest.fail "a pool above Pool.max_domains was created"
+  | () -> Alcotest.fail "a pool above Pool.max_domains was created"
 
 let test_lowest_bit () =
   let reference mask =
