@@ -11,65 +11,95 @@ let create ?(backtrack_limit = Limits.default.Limits.justify_backtracks) c =
   let cmp = Compiled.of_circuit c in
   { cmp; imp = Imply.create cmp; limit = backtrack_limit }
 
+(* What the search must make true: every target line at its value, or the
+   pair objective of [distinguish], [a XOR b = want]. *)
+type objective =
+  | Targets of (int * Tv.v) array
+  | Differ of { a : int; b : int; want : Tv.v }
+
 type state = {
   cmp : Compiled.t;
   imp : Imply.t;
-  targets : (int * Tv.v) array;
+  objective : objective;
   mutable backtracks : int;
   limit : int;
   rng : Rng.t option;  (* randomises backtrace tie-breaks for retries *)
 }
 
 let status st =
-  (* Conflict: a target line is known and wrong. Satisfied: all targets hold. *)
-  let conflict = ref false in
-  let open_target = ref None in
-  Array.iter
-    (fun (node, want) ->
-      let v = Imply.good st.imp node in
-      if Tv.known v then begin
-        if not (Tv.equal v want) then conflict := true
-      end
-      else if !open_target = None then open_target := Some (node, want))
-    st.targets;
-  if !conflict then `Conflict
-  else match !open_target with None -> `Satisfied | Some t -> `Open t
+  match st.objective with
+  | Targets targets ->
+    (* Conflict: a target line is known and wrong. Satisfied: all targets hold. *)
+    let conflict = ref false in
+    let open_target = ref None in
+    Array.iter
+      (fun (node, want) ->
+        let v = Imply.good st.imp node in
+        if Tv.known v then begin
+          if not (Tv.equal v want) then conflict := true
+        end
+        else if !open_target = None then open_target := Some (node, want))
+      targets;
+    if !conflict then `Conflict
+    else (match !open_target with None -> `Satisfied | Some t -> `Open t)
+  | Differ { a; b; want } ->
+    (* The value and the backtrace step of an XOR gate over [|a; b|]
+       targeted to [want]: the pair is open while either line is X, and the
+       objective moves into the first X line with the parity of the other
+       line, when known. *)
+    let va = Imply.good st.imp a and vb = Imply.good st.imp b in
+    if Tv.known va && Tv.known vb then
+      if Tv.equal (Tv.lxor_ va vb) want then `Satisfied else `Conflict
+    else if not (Tv.known va) then
+      `Open (a, if Tv.known vb then Tv.lxor_ want vb else want)
+    else `Open (b, Tv.lxor_ want va)
 
-(* Pick an unassigned fanin; with an rng, pick uniformly among them. *)
+let unassigned st f = not (Tv.known (Imply.good st.imp f))
+
+let rec first_unassigned st fins i =
+  if i = Array.length fins then -1
+  else if unassigned st fins.(i) then fins.(i)
+  else first_unassigned st fins (i + 1)
+
+let rec nth_unassigned st fins i k =
+  if not (unassigned st fins.(i)) then nth_unassigned st fins (i + 1) k
+  else if k = 0 then fins.(i)
+  else nth_unassigned st fins (i + 1) (k - 1)
+
+(* An unassigned fanin, or -1 when there is none: the first one, or with an
+   rng the k-th of the n unassigned ones for a single draw
+   [k = Rng.int rng n]. *)
 let pick_x st fins =
-  let xs = Array.to_list fins |> List.filter (fun f -> not (Tv.known (Imply.good st.imp f))) in
-  match (xs, st.rng) with
-  | [], _ -> None
-  | x :: _, None -> Some x
-  | xs, Some rng -> Some (List.nth xs (Rng.int rng (List.length xs)))
+  match st.rng with
+  | None -> first_unassigned st fins 0
+  | Some rng ->
+    let n = ref 0 in
+    for i = 0 to Array.length fins - 1 do
+      if unassigned st fins.(i) then incr n
+    done;
+    if !n = 0 then -1 else nth_unassigned st fins 0 (Rng.int rng !n)
 
-let backtrace st node v =
-  let rec walk node v =
-    match Compiled.kind st.cmp node with
-    | Gate.Input -> if Tv.known (Imply.good st.imp node) then None else Some (node, v)
-    | Gate.Const0 | Gate.Const1 -> None
-    | Gate.Buf -> walk (Compiled.fanins st.cmp node).(0) v
-    | Gate.Not -> walk (Compiled.fanins st.cmp node).(0) (Tv.lnot v)
-    | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind ->
-      let invert = Gate.inverting kind in
-      let phase = if invert then Tv.lnot v else v in
-      let fins = Compiled.fanins st.cmp node in
-      Option.bind (pick_x st fins) (fun f -> walk f phase)
-    | (Gate.Xor | Gate.Xnor) as kind ->
-      let invert = Gate.inverting kind in
-      let phase = if invert then Tv.lnot v else v in
-      let fins = Compiled.fanins st.cmp node in
-      let x_input = ref None in
-      let parity = ref Tv.F in
-      Array.iter
-        (fun f ->
-          let v = Imply.good st.imp f in
-          if Tv.known v then parity := Tv.lxor_ !parity v
-          else if !x_input = None then x_input := Some f)
-        fins;
-      Option.bind !x_input (fun f -> walk f (Tv.lxor_ phase !parity))
-  in
-  walk node v
+let rec backtrace st node v =
+  match Compiled.kind st.cmp node with
+  | Gate.Input -> if Tv.known (Imply.good st.imp node) then None else Some (node, v)
+  | Gate.Const0 | Gate.Const1 -> None
+  | Gate.Buf -> backtrace st (Compiled.fanins st.cmp node).(0) v
+  | Gate.Not -> backtrace st (Compiled.fanins st.cmp node).(0) (Tv.lnot v)
+  | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind ->
+    let phase = if Gate.inverting kind then Tv.lnot v else v in
+    let f = pick_x st (Compiled.fanins st.cmp node) in
+    if f < 0 then None else backtrace st f phase
+  | (Gate.Xor | Gate.Xnor) as kind ->
+    let phase = if Gate.inverting kind then Tv.lnot v else v in
+    let fins = Compiled.fanins st.cmp node in
+    let x_input = ref (-1) in
+    let parity = ref Tv.F in
+    for i = 0 to Array.length fins - 1 do
+      let v = Imply.good st.imp fins.(i) in
+      if Tv.known v then parity := Tv.lxor_ !parity v
+      else if !x_input < 0 then x_input := fins.(i)
+    done;
+    if !x_input < 0 then None else backtrace st !x_input (Tv.lxor_ phase !parity)
 
 type outcome = Found | Exhausted
 
@@ -96,13 +126,13 @@ let rec search_rec st =
           Imply.assign st.imp pi Tv.X;
           Exhausted)))
 
-let solve (t : t) ?rng ?prefer targets =
+let solve (t : t) ?rng ?prefer objective =
   Imply.reset t.imp;
   let st =
     {
       cmp = t.cmp;
       imp = t.imp;
-      targets = Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets);
+      objective;
       backtracks = 0;
       limit = t.limit;
       rng;
@@ -124,11 +154,13 @@ let solve (t : t) ?rng ?prefer targets =
   | exception Abort -> Unknown
 
 let run t ?rng ?prefer targets =
-  Obs.Span.with_ "justify.search" (fun () -> solve t ?rng ?prefer targets)
-
-let search ?backtrack_limit ?rng ?prefer c targets =
   Obs.Span.with_ "justify.search" (fun () ->
-      solve (create ?backtrack_limit c) ?rng ?prefer targets)
+      solve t ?rng ?prefer
+        (Targets (Array.of_list (List.map (fun (n, b) -> (n, Tv.of_bool b)) targets))))
+
+let distinguish t ?rng ~complement a b =
+  Obs.Span.with_ "justify.search" (fun () ->
+      solve t ?rng (Differ { a; b; want = Tv.of_bool (not complement) }))
 
 let reachable_exhaustive c targets =
   let n = Circuit.num_inputs c in

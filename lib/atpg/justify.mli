@@ -10,7 +10,9 @@
     {!create} and {!run} mirror [Podem.create] and [Podem.run]: a run of
     target sets on an unchanged circuit ([Dontcare.prove_unreachable]'s
     minterms, [Pdf_atpg.generate]'s frames and retries) compiles the
-    circuit once, and {!search} compiles it for each call. *)
+    circuit once. {!distinguish} asks whether two lines can differ (or
+    agree) on the same compiled circuit, without adding a gate: RAR's
+    merge proofs compile once per circuit version. *)
 
 type verdict =
   | Sat of bool array  (** a primary-input vector achieving the targets *)
@@ -37,16 +39,17 @@ val run : t -> ?rng:Rng.t -> ?prefer:bool array -> (int * bool) list -> verdict
     generator passes the first vector so unconstrained inputs stay stable.
     Observability (when enabled): span [justify.search]. *)
 
-val search :
-  ?backtrack_limit:int ->
-  ?rng:Rng.t ->
-  ?prefer:bool array ->
-  Circuit.t ->
-  (int * bool) list ->
-  verdict
-(** [run (create ?backtrack_limit c) ?rng ?prefer targets]: the one-shot
-    call, for callers that mutate the circuit between target sets. One
-    [justify.search] span covers the compile and the search. *)
+val distinguish : t -> ?rng:Rng.t -> complement:bool -> int -> int -> verdict
+(** [distinguish t ~complement a b] searches for an input vector on which
+    [a XOR b] is 1 ([a XNOR b] with [complement]): [Unsat] proves the two
+    lines equal (complementary with [complement]), and [Unknown] means the
+    backtrack limit ran out. The search is, step for step, {!run} on a
+    copy of the circuit
+    with an XOR (XNOR) gate over [[|a; b|]] targeted to 1: the objective is
+    open while either line is X, and its backtrace enters the first X line
+    of [a], [b] with the wanted parity of the other line. Same verdict,
+    witness (unassigned inputs false) and rng draws; nothing is added to
+    the circuit. Observability (when enabled): span [justify.search]. *)
 
 val reachable_exhaustive : Circuit.t -> (int * bool) list -> bool
 (** Ground truth by exhaustive simulation (<= 20 inputs); for testing. *)

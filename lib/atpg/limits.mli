@@ -4,7 +4,7 @@
     this one record instead of scattering magic numbers per module, so the
     relative sizing is documented and tunable in one place:
 
-    - [justify_backtracks] ([200]) — {!Justify.search} runs inside tight
+    - [justify_backtracks] ([200]) — {!Justify.run} runs inside tight
       inner loops (don't-care extraction, PDF two-frame justification)
       where many calls are made and each answer is advisory.
     - [podem_backtracks] ([1000]) — {!Podem.run} decides a single

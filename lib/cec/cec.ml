@@ -239,10 +239,24 @@ let check_stats ?(budget = default_budget) ?(domains = 1) a b =
       let pairs = structural_filter a b pi_map all_pairs in
       let orders = (Circuit.topo_order a, Circuit.topo_order b) in
       let results =
-        if domains > 1 && Array.length pairs > 1 then
-          (* The pool lives only while the surviving pairs are solved. *)
-          Pool.with_pool ~domains (fun pool ->
-              Pool.map pool (check_pair ~budget a b pi_map orders) pairs)
+        if domains > 1 && Array.length pairs > 1 then begin
+          (* The pool lives only while the surviving pairs are solved. It
+             solves every pair, so keep the results up to the first
+             counterexample, as the serial path does: verdict, statistics
+             and output count are then the same at every width. *)
+          let all =
+            Pool.with_pool ~domains (fun pool ->
+                Pool.map pool (check_pair ~budget a b pi_map orders) pairs)
+          in
+          let rec first_cex i =
+            if i = Array.length all then i
+            else
+              match all.(i).pr_verdict with
+              | Counterexample _ -> i + 1
+              | Equivalent | Unknown _ -> first_cex (i + 1)
+          in
+          Array.sub all 0 (first_cex 0)
+        end
         else begin
           (* Serial path: stop at the first counterexample — it is the
              lowest-indexed one, which is also what the pool path reports. *)

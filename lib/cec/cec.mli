@@ -65,5 +65,8 @@ val check : ?budget:int -> ?domains:int -> Circuit.t -> Circuit.t -> verdict
 val check_stats :
   ?budget:int -> ?domains:int -> Circuit.t -> Circuit.t -> verdict * stats
 (** Like {!check} but also returns aggregated solver statistics, summed
-    across all per-output miters (conflict/decision counts are what the
-    bench harness records per circuit). *)
+    across the per-output miters up to and including the first
+    counterexample (conflict/decision counts are what the bench harness
+    records per circuit). The pool solves every surviving pair and drops
+    the results after the first counterexample, so [(verdict, stats)] is
+    the same at every width. *)

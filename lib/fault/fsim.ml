@@ -1,9 +1,17 @@
+(* [words] holds the current word of every node, 8 bytes per node id: the
+   fault-free word, or the faulty one for the nodes on the touched stack,
+   which [detect] restores before it returns. One slot past the last node
+   holds the stuck word of the current fault, read by the faulted pin.
+   Words are only read and written through [Bytes.get_int64_ne] and
+   [set_int64_ne] and never passed to a function that is not inlined, so
+   none is boxed: [detect] allocates only the box of a nonzero mask. *)
 type t = {
   cmp : Compiled.t;
   good : int64 array;
-  fval : int64 array;
+  words : Bytes.t;
   touched : Bytes.t;
-  mutable touched_list : int list;
+  stack : int array; (* the touched node ids, [n_touched] of them *)
+  mutable n_touched : int;
   queue : Level_queue.t; (* gates to re-evaluate *)
   mutable loaded : bool;
 }
@@ -13,9 +21,10 @@ let create cmp =
   {
     cmp;
     good = Array.make n 0L;
-    fval = Array.make n 0L;
+    words = Bytes.make (8 * (n + 1)) '\000';
     touched = Bytes.make n '\000';
-    touched_list = [];
+    stack = Array.make n 0;
+    n_touched = 0;
     queue = Level_queue.create (Compiled.levels cmp);
     loaded = false;
   }
@@ -25,91 +34,94 @@ let loads_c = Obs.Counter.make ~help:"fault-free batch simulations" "fsim.loads"
 let load_patterns st pi_words =
   Obs.Counter.incr loads_c;
   Compiled.simulate_into st.cmp pi_words st.good;
+  for id = 0 to Array.length st.good - 1 do
+    Bytes.set_int64_ne st.words (8 * id) st.good.(id)
+  done;
   st.loaded <- true
 
-let value st id = if Bytes.get st.touched id = '\001' then st.fval.(id) else st.good.(id)
+let word st id = Bytes.get_int64_ne st.words (8 * id)
 
-let push_fanouts st id =
+(* Node [id] now holds a faulty word: push it on the touched stack once, and
+   queue its fanouts. *)
+let touch st id =
+  if Bytes.unsafe_get st.touched id = '\000' then begin
+    Bytes.unsafe_set st.touched id '\001';
+    st.stack.(st.n_touched) <- id;
+    st.n_touched <- st.n_touched + 1
+  end;
   let fanouts = Compiled.fanouts st.cmp id in
   for i = 0 to Array.length fanouts - 1 do
     Level_queue.push st.queue fanouts.(i)
   done
 
-let set_value st id v =
-  if Bytes.get st.touched id = '\000' then begin
-    Bytes.set st.touched id '\001';
-    st.touched_list <- id :: st.touched_list
-  end;
-  st.fval.(id) <- v
+(* The slot pin [i] of gate [id] reads: [stuck] on the faulted branch
+   ([fault_gate] is -1 for a stem fault), else the fanin's. *)
+let[@inline] src ~fault_gate ~fault_pin ~stuck (id : int) (fins : int array) i =
+  if id = fault_gate && i = fault_pin then stuck else fins.(i)
 
-(* Evaluate gate [id] from current (possibly faulty) fanin values, applying a
-   branch-pin override when [id] is the faulted gate. *)
-let eval_gate st ~fault_gate ~fault_pin ~forced id =
+(* Re-evaluate gate [id] from its fanins' current words and store the result
+   when it changed. *)
+let update st ~fault_gate ~fault_pin ~stuck id =
   let fins = Compiled.fanins st.cmp id in
   let n = Array.length fins in
-  let pin_value i = if id = fault_gate && i = fault_pin then forced else value st fins.(i) in
   let kind = Compiled.kind st.cmp id in
-  match kind with
-  | Gate.Input -> value st id
-  | Gate.Const0 -> 0L
-  | Gate.Const1 -> -1L
-  | Gate.Buf -> pin_value 0
-  | Gate.Not -> Int64.lognot (pin_value 0)
+  let acc = ref 0L in
+  (match kind with
+  | Gate.Input -> acc := word st id
+  | Gate.Const0 -> ()
+  | Gate.Const1 -> acc := -1L
+  | Gate.Buf | Gate.Not -> acc := word st (src ~fault_gate ~fault_pin ~stuck id fins 0)
   | Gate.And | Gate.Nand ->
-    let acc = ref (-1L) in
+    acc := -1L;
     for i = 0 to n - 1 do
-      acc := Int64.logand !acc (pin_value i)
-    done;
-    if kind = Gate.Nand then Int64.lognot !acc else !acc
+      acc := Int64.logand !acc (word st (src ~fault_gate ~fault_pin ~stuck id fins i))
+    done
   | Gate.Or | Gate.Nor ->
-    let acc = ref 0L in
     for i = 0 to n - 1 do
-      acc := Int64.logor !acc (pin_value i)
-    done;
-    if kind = Gate.Nor then Int64.lognot !acc else !acc
+      acc := Int64.logor !acc (word st (src ~fault_gate ~fault_pin ~stuck id fins i))
+    done
   | Gate.Xor | Gate.Xnor ->
-    let acc = ref 0L in
     for i = 0 to n - 1 do
-      acc := Int64.logxor !acc (pin_value i)
-    done;
-    if kind = Gate.Xnor then Int64.lognot !acc else !acc
-
-let reset st =
-  List.iter (fun id -> Bytes.set st.touched id '\000') st.touched_list;
-  st.touched_list <- []
+      acc := Int64.logxor !acc (word st (src ~fault_gate ~fault_pin ~stuck id fins i))
+    done);
+  if Gate.inverting kind then acc := Int64.lognot !acc;
+  if !acc <> word st id then begin
+    Bytes.set_int64_ne st.words (8 * id) !acc;
+    touch st id
+  end
 
 let detect st (f : Fault.t) =
   if not st.loaded then invalid_arg "Fsim.detect: no patterns loaded";
-  let forced = if f.Fault.stuck then -1L else 0L in
-  let fault_gate, fault_pin =
-    match f.Fault.site with Fault.Branch (g, pin) -> (g, pin) | Fault.Stem _ -> (-1, -1)
-  in
+  let stuck = Array.length st.stack in
+  Bytes.set_int64_ne st.words (8 * stuck) (if f.Fault.stuck then -1L else 0L);
+  let fault_gate = match f.Fault.site with Fault.Branch (g, _) -> g | Fault.Stem _ -> -1 in
+  let fault_pin = match f.Fault.site with Fault.Branch (_, p) -> p | Fault.Stem _ -> -1 in
   (match f.Fault.site with
   | Fault.Stem u ->
-    if forced <> st.good.(u) then begin
-      set_value st u forced;
-      push_fanouts st u
+    if word st stuck <> word st u then begin
+      Bytes.set_int64_ne st.words (8 * u) (word st stuck);
+      touch st u
     end
   | Fault.Branch (g, _) -> Level_queue.push st.queue g);
   (* Levels pop in nondecreasing order and a gate's fanouts sit on higher
      levels, so each gate is evaluated once, after its changed fanins. *)
   let id = ref (Level_queue.pop st.queue) in
   while !id >= 0 do
-    let v = eval_gate st ~fault_gate ~fault_pin ~forced !id in
-    if v <> value st !id then begin
-      set_value st !id v;
-      push_fanouts st !id
-    end;
+    update st ~fault_gate ~fault_pin ~stuck !id;
     id := Level_queue.pop st.queue
   done;
   let det = ref 0L in
-  List.iter
-    (fun id ->
-      if Compiled.is_po st.cmp id then
-        det := Int64.logor !det (Int64.logxor st.fval.(id) st.good.(id)))
-    st.touched_list;
-  reset st;
-  !det
+  for k = 0 to st.n_touched - 1 do
+    let id = st.stack.(k) in
+    let good = st.good.(id) in
+    if Compiled.is_po st.cmp id then det := Int64.logor !det (Int64.logxor (word st id) good);
+    Bytes.set_int64_ne st.words (8 * id) good;
+    Bytes.unsafe_set st.touched id '\000'
+  done;
+  st.n_touched <- 0;
+  (* An undetected fault, the common case once the easy faults are dropped,
+     returns the preallocated 0L instead of boxing its mask. *)
+  if !det = 0L then 0L else !det
 
 let detect_single st f vector =
   let words = Array.map (fun b -> if b then 1L else 0L) vector in

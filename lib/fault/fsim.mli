@@ -17,7 +17,9 @@ val load_patterns : t -> int64 array -> unit
     like [Compiled.inputs]). Must be called before {!detect}. *)
 
 val detect : t -> Fault.t -> int64
-(** Detection mask of the fault under the loaded batch. *)
+(** Detection mask of the fault under the loaded batch. Works in buffers
+    the [t] owns and allocates nothing, apart from boxing a nonzero
+    mask. *)
 
 val detect_single : t -> Fault.t -> bool array -> bool
 (** Convenience: does this single input vector detect the fault? Loads a

@@ -88,11 +88,21 @@ let try_addition c gd ns =
     Circuit.set_fanins c gd old_fanins;
     false
 
+let merge_unsat_c =
+  Obs.Counter.make ~help:"merge proofs ending UNSAT (pair merged)" "rar.merge_unsat"
+
+let merge_sat_c =
+  Obs.Counter.make ~help:"merge proofs finding a distinguishing vector" "rar.merge_sat"
+
+let merge_unknown_c =
+  Obs.Counter.make ~help:"merge proofs hitting the backtrack limit" "rar.merge_unknown"
+
 (* Merge functionally equivalent (or complementary) gates: candidates share a
-   64xB-bit simulation signature; each pair is then proved by justification
-   search on a temporary XOR/XNOR (UNSAT <=> equivalent). The survivor is the
-   topologically earliest node, so retargeting cannot create cycles. This is
-   the node-substitution move of RAR-family optimizers. *)
+   64xB-bit simulation signature; each pair is then proved by justifying
+   [a XOR b] ([a XNOR b]) on the compiled circuit (UNSAT <=> equivalent).
+   The survivor is the topologically earliest node, so retargeting cannot
+   create cycles. This is the node-substitution move of RAR-family
+   optimizers. *)
 let merge_equivalents opts c ~seed =
   Obs.Span.with_ "rar.merge" (fun () ->
       let batches = sim_batches c ~patterns:sim_patterns ~seed in
@@ -120,11 +130,24 @@ let merge_equivalents opts c ~seed =
             let key = signature id in
             Hashtbl.replace groups key (id :: (try Hashtbl.find groups key with Not_found -> [])))
         order;
+      (* One compiled view per circuit version: built at the first proof and
+         again only after a merge has changed the circuit. *)
+      let view = ref None in
       let prove_equal ~complement a b =
-        let kind = if complement then Gate.Xnor else Gate.Xor in
-        let probe = Circuit.add_gate c kind [| a; b |] in
-        let verdict = Justify.search ~backtrack_limit:opts.removal_backtracks c [ (probe, true) ] in
-        Circuit.delete c probe;
+        let justify =
+          match !view with
+          | Some j -> j
+          | None ->
+            let j = Justify.create ~backtrack_limit:opts.removal_backtracks c in
+            view := Some j;
+            j
+        in
+        let verdict = Justify.distinguish justify ~complement a b in
+        Obs.Counter.incr
+          (match verdict with
+          | Justify.Unsat -> merge_unsat_c
+          | Justify.Sat _ -> merge_sat_c
+          | Justify.Unknown -> merge_unknown_c);
         verdict = Justify.Unsat
       in
       let merged = ref 0 in
@@ -139,6 +162,7 @@ let merge_equivalents opts c ~seed =
           in
           Circuit.retarget c ~from_:m ~to_:target;
           ignore (Circuit.sweep c);
+          view := None;
           incr merged
         end
       in

@@ -39,7 +39,11 @@ type stats = {
 val pp_stats : Format.formatter -> stats -> unit
 
 val optimize : ?options:options -> Circuit.t -> stats
-(** Mutates the circuit; the result is equivalent to the input.
+(** Mutates the circuit; the result is equivalent to the input. Each merge
+    proof is one {!Justify.distinguish} call on a compiled view of the
+    circuit that is rebuilt only after a merge has changed it.
     Observability (when enabled): span [rar.merge] per node-substitution
     round and one span [rar.trials] around the wire-addition loop, beside
-    the removal passes' [redundancy.*] spans. *)
+    the removal passes' [redundancy.*] spans; counters [rar.merge_unsat]
+    (pair merged), [rar.merge_sat] and [rar.merge_unknown], one per merge
+    proof by verdict. *)

@@ -9,6 +9,7 @@ let () =
       Helpers.qsuite "wordlevel-properties" Test_wordlevel.qchecks;
       ("sim", Test_sim.suite);
       ("fault", Test_fault.suite);
+      Helpers.qsuite "fault-properties" Test_fault.qchecks;
       ("atpg", Test_atpg.suite);
       ("imply", Test_imply.suite);
       Helpers.qsuite "imply-properties" Test_imply.qchecks;

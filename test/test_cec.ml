@@ -265,10 +265,16 @@ let test_pool_verdicts () =
   check bool_ "same verdict and solver counts serial vs pool" true (serial = pooled);
   let m = Circuit.copy o in
   mutated_gate_kind m;
-  match (Cec.check c m, Cec.check ~domains:2 c m) with
-  | Cec.Counterexample v1, Cec.Counterexample v2 ->
-    check bool_ "same counterexample serial vs pool" true (v1 = v2)
-  | v, _ -> Alcotest.failf "pool: expected counterexample, got %a" Cec.pp_verdict v
+  (* The pool solves every surviving pair, the serial path stops at the
+     first counterexample: the statistics must still agree. *)
+  let serial = Cec.check_stats c m and pooled = Cec.check_stats ~domains:2 c m in
+  match (serial, pooled) with
+  | (Cec.Counterexample v1, s1), (Cec.Counterexample v2, s2) ->
+    check bool_ "same counterexample serial vs pool" true (v1 = v2);
+    check int_ "same outputs solved serial vs pool" s1.Cec.outputs_checked
+      s2.Cec.outputs_checked;
+    check bool_ "same solver counts serial vs pool" true (s1 = s2)
+  | (v, _), _ -> Alcotest.failf "pool: expected counterexample, got %a" Cec.pp_verdict v
 
 (* --- engine integration: unsound rewrites are refused ---------------------- *)
 

@@ -19,7 +19,7 @@ let test_justify_agrees_with_exhaustive () =
       in
       if consistent then begin
         let truth = Justify.reachable_exhaustive c targets in
-        match Justify.search ~backtrack_limit:10_000 c targets with
+        match Justify.run (Justify.create ~backtrack_limit:10_000 c) targets with
         | Justify.Sat vec ->
           if not truth then Alcotest.failf "seed %d: SAT but unreachable" seed;
           let values = Eval.node_values c vec in
@@ -43,10 +43,11 @@ let test_justify_simple () =
   let h = Circuit.add_gate c Gate.Or [| a; b |] in
   Circuit.mark_output c g;
   Circuit.mark_output c h;
-  (match Justify.search c [ (g, true) ] with
+  let justify = Justify.create c in
+  (match Justify.run justify [ (g, true) ] with
   | Justify.Unsat -> ()
   | Justify.Sat _ | Justify.Unknown -> Alcotest.fail "a AND a' = 1 is unreachable");
-  match Justify.search c [ (h, true); (a, false) ] with
+  match Justify.run justify [ (h, true); (a, false) ] with
   | Justify.Sat vec ->
     check bool_ "a=0" false vec.(0);
     check bool_ "b=1" true vec.(1)

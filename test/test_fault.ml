@@ -71,6 +71,68 @@ let test_detect_matches_naive () =
       faults
   done
 
+(* Circuits for the [Fsim] qcheck: every gate kind, up to 4 fanins, XOR and
+   XNOR included, and dead node ids: gates that reach no output are swept,
+   and now and then a gate is added and deleted at once. *)
+let fsim_circuit seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let c = Circuit.create () in
+  let nodes = ref [] in
+  for _ = 1 to 2 + Rng.int rng 7 do
+    nodes := Circuit.add_input c :: !nodes
+  done;
+  let kinds = [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not; Gate.Buf |] in
+  for _ = 1 to 4 + Rng.int rng 30 do
+    let pool = Array.of_list !nodes in
+    let kind = kinds.(Rng.int rng (Array.length kinds)) in
+    let arity = match kind with Gate.Not | Gate.Buf -> 1 | _ -> 2 + Rng.int rng 3 in
+    let fins = List.sort_uniq compare (List.init arity (fun _ -> pool.(Rng.int rng (Array.length pool)))) in
+    nodes := Circuit.add_gate c kind (Array.of_list fins) :: !nodes;
+    if Rng.int rng 5 = 0 then begin
+      let id = Circuit.add_gate c Gate.Not [| pool.(Rng.int rng (Array.length pool)) |] in
+      Circuit.delete c id
+    end
+  done;
+  (* the last three nodes and one at random are outputs *)
+  let pool = Array.of_list !nodes in
+  List.iter
+    (fun o -> if not (Circuit.is_output c o) then Circuit.mark_output c o)
+    [ pool.(0); pool.(1); pool.(2); pool.(Rng.int rng (Array.length pool)) ];
+  ignore (Circuit.sweep c);
+  c
+
+(* Full 64-bit masks against the naive model, slot by slot, for every fault
+   and three batches, on one [Fsim.t]. *)
+let qcheck_detect_full_masks =
+  QCheck.Test.make ~count:40 ~name:"Fsim.detect = naive faulty simulation, 64 slots"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c = fsim_circuit seed in
+      let sim = Fsim.create (Compiled.of_circuit c) in
+      let rng = Rng.create (Int64.of_int (seed + 1)) in
+      let faults = Fault.all c in
+      List.for_all
+        (fun _ ->
+          let words = Array.init (Circuit.num_inputs c) (fun _ -> Rng.next64 rng) in
+          Fsim.load_patterns sim words;
+          let slots =
+            Array.init 64 (fun slot ->
+                Array.map (fun w -> Int64.logand (Int64.shift_right_logical w slot) 1L = 1L) words)
+          in
+          let good = Array.map (Eval.run c) slots in
+          List.for_all
+            (fun f ->
+              let mask = Fsim.detect sim f in
+              let want = ref 0L in
+              Array.iteri
+                (fun slot inputs ->
+                  if good.(slot) <> faulty_run c f inputs then
+                    want := Int64.logor !want (Int64.shift_left 1L slot))
+                slots;
+              mask = !want)
+            faults)
+        [ 1; 2; 3 ])
+
 let test_campaign_c17 () =
   let c = c17 () in
   let r = Campaign.exec { Campaign.default with max_patterns = 10_000; seed = 7L } c in
@@ -113,3 +175,5 @@ let suite =
     ("campaign reports undetectable faults", `Quick, test_campaign_detects_undetectable);
     ("campaign is deterministic", `Quick, test_campaign_deterministic);
   ]
+
+let qchecks = [ qcheck_detect_full_masks ]

@@ -319,18 +319,18 @@ let qcheck_justify =
           let prefer = if Rng.bool rng then Some (Array.init n_in (fun _ -> Rng.bool rng)) else None in
           let tie_seed = if Rng.bool rng then Some (Rng.next64 rng) else None in
           let r1 = Option.map Rng.create tie_seed and r2 = Option.map Rng.create tie_seed in
-          let got = Justify.search ~backtrack_limit ?rng:r1 ?prefer c targets in
+          let got = Justify.run (Justify.create ~backtrack_limit c) ?rng:r1 ?prefer targets in
           let want = Ref_atpg.justify ~backtrack_limit ?rng:r2 ?prefer c targets in
           got = want
           && Option.map Rng.next64 r1 = Option.map Rng.next64 r2)
         (List.init 6 Fun.id))
 
 (* A run of target sets on one [Justify.t] (one compile, the kernel reset
-   per set) gets, set for set, the verdict of [Justify.search], with and
+   per set) gets, set for set, the verdict of a fresh [Justify.t], with and
    without an rng (both generators must end in the same state) and a
    [prefer] fill. *)
 let qcheck_justify_reuse =
-  QCheck.Test.make ~count:30 ~name:"Justify.run on one t = Justify.search"
+  QCheck.Test.make ~count:30 ~name:"Justify.run on one t = Justify.run on a fresh t"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let c = Circuit_gen.generate (profile_of seed) in
@@ -349,20 +349,120 @@ let qcheck_justify_reuse =
           let tie_seed = if Rng.bool rng then Some (Rng.next64 rng) else None in
           let r1 = Option.map Rng.create tie_seed and r2 = Option.map Rng.create tie_seed in
           let got = Justify.run shared ?rng:r1 ?prefer targets in
-          let want = Justify.search ~backtrack_limit ?rng:r2 ?prefer c targets in
+          let want = Justify.run (Justify.create ~backtrack_limit c) ?rng:r2 ?prefer targets in
           got = want
           && Option.map Rng.next64 r1 = Option.map Rng.next64 r2)
         (List.init 10 Fun.id))
+
+(* [Justify.distinguish] stands for [Justify.run] on a copy of the circuit
+   with an XOR (XNOR with [complement]) probe over [[|a; b|]] targeted to
+   1, the probe RAR's merge proofs used to add. *)
+let probe_verdict ~backtrack_limit ?rng c ~complement a b =
+  let copy = Circuit.copy c in
+  let probe = Circuit.add_gate copy (if complement then Gate.Xnor else Gate.Xor) [| a; b |] in
+  Justify.run (Justify.create ~backtrack_limit copy) ?rng [ (probe, true) ]
+
+(* Pairs as RAR's merges pick them: a gate and a later gate whose 1,024-pattern
+   signature equals its own ([complement] false) or its complement (true). *)
+let signature_pairs c =
+  let cmp = Compiled.of_circuit c in
+  let rng = Rng.create 11L in
+  let n_pi = Circuit.num_inputs c in
+  let batches =
+    Array.init 16 (fun _ -> Compiled.simulate cmp (Array.init n_pi (fun _ -> Rng.next64 rng)))
+  in
+  let signature id = List.init 16 (fun k -> batches.(k).(id)) in
+  let gates =
+    List.filter
+      (fun id ->
+        match Circuit.kind c id with
+        | Gate.Input | Gate.Const0 | Gate.Const1 -> false
+        | _ -> true)
+      (Array.to_list (Circuit.topo_order c))
+  in
+  let pos = Hashtbl.create 97 and groups = Hashtbl.create 97 in
+  List.iteri
+    (fun i id ->
+      Hashtbl.replace pos id i;
+      Hashtbl.add groups (signature id) id)
+    gates;
+  List.concat_map
+    (fun a ->
+      let later complement key =
+        List.filter_map
+          (fun b -> if Hashtbl.find pos b > Hashtbl.find pos a then Some (complement, a, b) else None)
+          (Hashtbl.find_all groups key)
+      in
+      later false (signature a) @ later true (List.map Int64.lognot (signature a)))
+    gates
+
+(* [n] pairs of distinct live nodes with a random polarity. *)
+let random_pairs rng c n =
+  let order = Circuit.topo_order c in
+  List.filter
+    (fun (_, a, b) -> a <> b)
+    (List.init n (fun _ ->
+         let pick () = order.(Rng.int rng (Array.length order)) in
+         let complement = Rng.bool rng in
+         let a = pick () in
+         (complement, a, pick ())))
+
+let first n l = List.filteri (fun i _ -> i < n) l
+
+(* Pairs decided on one [Justify.t] per backtrack limit get the verdict and
+   witness of the probe copy; with an rng, both generators end in the same
+   state. *)
+let distinguish_mismatches rng c pairs =
+  List.fold_left
+    (fun bad backtrack_limit ->
+      let shared = Justify.create ~backtrack_limit c in
+      List.fold_left
+        (fun bad (complement, a, b) ->
+          let tie_seed = if Rng.bool rng then Some (Rng.next64 rng) else None in
+          let r1 = Option.map Rng.create tie_seed and r2 = Option.map Rng.create tie_seed in
+          let got = Justify.distinguish shared ?rng:r1 ~complement a b in
+          let want = probe_verdict ~backtrack_limit ?rng:r2 c ~complement a b in
+          if got = want && Option.map Rng.next64 r1 = Option.map Rng.next64 r2 then bad
+          else begin
+            if bad = 0 then
+              Format.printf "distinguish %d %d (complement %b, limit %d, rng %b) differs@." a b
+                complement backtrack_limit (tie_seed <> None);
+            bad + 1
+          end)
+        bad pairs)
+    0 [ 0; 5; 120; 200 ]
+
+(* Every merge-style pair of the irs1423 stand-in (up to 200), plus random
+   pairs. *)
+let test_distinguish_irs1423 () =
+  let c = Benchmarks.build (Benchmarks.find "irs1423") in
+  let rng = Rng.create 23L in
+  let pairs = first 200 (signature_pairs c) @ random_pairs rng c 40 in
+  check bool_ "merge-style pairs found" true (List.length pairs > 60);
+  check int_ "irs1423 pairs" 0 (distinguish_mismatches rng c pairs)
+
+let qcheck_distinguish =
+  QCheck.Test.make ~count:40 ~name:"Justify.distinguish = Justify.run on an XOR probe"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p = profile_of seed in
+      let c = Circuit_gen.generate { p with Circuit_gen.xor_pct = max 10 p.Circuit_gen.xor_pct } in
+      let rng = Rng.create (Int64.of_int (seed + 5)) in
+      let merge_style = Array.of_list (signature_pairs c) in
+      Rng.shuffle rng merge_style;
+      let pairs = first 12 (Array.to_list merge_style) @ random_pairs rng c 8 in
+      distinguish_mismatches rng c pairs = 0)
 
 let suite =
   [
     ("PODEM = reference on c17", `Quick, test_podem_c17);
     ("PODEM = reference on irs1423 sample", `Quick, test_podem_irs1423);
     ("dual-rail folds = Tv folds", `Quick, test_dual_rail);
+    ("distinguish = XOR probe on irs1423", `Quick, test_distinguish_irs1423);
   ]
 
 let qchecks =
   [
     qcheck_kernel; qcheck_level_queue; qcheck_podem; qcheck_podem_reuse; qcheck_justify;
-    qcheck_justify_reuse;
+    qcheck_justify_reuse; qcheck_distinguish;
   ]
