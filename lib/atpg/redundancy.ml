@@ -16,13 +16,98 @@ type candidates = {
   unresolved : (Fault.t * int) list;
 }
 
-let find_untestable ?(limits = Limits.default) ?(prefilter_patterns = 4096)
+(* Test vectors kept across classifications (DESIGN.md §19), 64 to a
+   batch: bit [k] of word [i] is input [i] of the batch's [k]th vector.
+   The newest batch, at the head, may be partly filled. *)
+type batch = { words : int64 array; mutable count : int }
+type tests = { inputs : int; mutable batches : batch list }
+
+let tests c = { inputs = Circuit.num_inputs c; batches = [] }
+
+let keep store v =
+  let b =
+    match store.batches with
+    | b :: _ when b.count < 64 -> b
+    | _ ->
+      let b = { words = Array.make store.inputs 0L; count = 0 } in
+      store.batches <- b :: store.batches;
+      b
+  in
+  let bit = Int64.shift_left 1L b.count in
+  Array.iteri (fun i x -> if x then b.words.(i) <- Int64.logor b.words.(i) bit) v;
+  b.count <- b.count + 1
+
+(* The items of [items] whose fault no vector of [store] detects on [c], in
+   order. A vector detects a fault on [c] whatever circuit it was generated
+   for, so each dropped fault is testable. *)
+let undetected store c ~fault items =
+  match (store.batches, items) with
+  | [], _ | _, [] -> items
+  | batches, _ ->
+    let sim = Fsim.create (Compiled.of_circuit c) in
+    let faults = Array.of_list (List.map fault items) in
+    let alive = Array.make (Array.length faults) true in
+    let left = ref (Array.length faults) in
+    List.iter
+      (fun b ->
+        if !left > 0 then begin
+          Fsim.load_patterns sim b.words;
+          let mask =
+            if b.count = 64 then -1L else Int64.pred (Int64.shift_left 1L b.count)
+          in
+          Array.iteri
+            (fun i f ->
+              if alive.(i) && Int64.logand (Fsim.detect sim f) mask <> 0L then begin
+                alive.(i) <- false;
+                decr left
+              end)
+            faults
+        end)
+      (List.rev batches);
+    List.filteri (fun i _ -> alive.(i)) items
+
+let carried_detected_c =
+  Obs.Counter.make ~help:"faults settled by carried test vectors"
+    "redundancy.carried_detected"
+
+let find_untestable ?(limits = Limits.default) ?(prefilter_patterns = 4096) ?tests:store
     ~seed c =
+  (match store with
+  | Some s when s.inputs <> Circuit.num_inputs c ->
+    invalid_arg
+      (Printf.sprintf
+         "Redundancy: the test store holds %d-input vectors, the circuit has %d inputs"
+         s.inputs (Circuit.num_inputs c))
+  | _ -> ());
   Obs.Span.with_ "redundancy.classify" (fun () ->
+      let faults = Fault.collapsed c in
+      let remaining =
+        match store with
+        | None -> faults
+        | Some s ->
+          Obs.Span.with_ "redundancy.carried" (fun () ->
+              let left = undetected s c ~fault:Fun.id faults in
+              Obs.Counter.add carried_detected_c (List.length faults - List.length left);
+              left)
+      in
       let survivors =
         Campaign.survivors
-          { Campaign.default with max_patterns = prefilter_patterns; seed }
+          {
+            Campaign.default with
+            faults = Some remaining;
+            max_patterns = prefilter_patterns;
+            seed;
+          }
           c
+      in
+      (* This call's own vectors, for the SAT-undecided faults below. *)
+      let fresh = tests c in
+      let record v =
+        match store with
+        | None -> ()
+        | Some s ->
+          keep s v;
+          keep fresh v
       in
       let podem = Podem.create ~backtrack_limit:limits.Limits.podem_backtracks c in
       let untestable = ref [] in
@@ -30,15 +115,20 @@ let find_untestable ?(limits = Limits.default) ?(prefilter_patterns = 4096)
       List.iter
         (fun f ->
           match Podem.run podem f with
-          | Podem.Test _ -> ()
+          | Podem.Test v -> record v
           | Podem.Untestable -> untestable := f :: !untestable
           | Podem.Aborted -> aborted := f :: !aborted)
         survivors;
       let esc = Sat_atpg.escalate ~limits c (List.rev !aborted) in
+      List.iter (fun (_, v) -> record v) esc.Sat_atpg.tests;
+      (* The older vectors missed every fault that reached SAT, so after
+         this no stored vector detects an unresolved fault ([fresh] stays
+         empty without a store). *)
+      let unresolved = undetected fresh c ~fault:fst esc.Sat_atpg.unknown in
       {
         untestable = List.rev !untestable;
         sat_redundant = esc.Sat_atpg.redundant;
-        unresolved = esc.Sat_atpg.unknown;
+        unresolved;
       })
 
 let tie_off c (f : Fault.t) =
@@ -56,7 +146,8 @@ let structurally_valid c (f : Fault.t) =
   | Fault.Stem u -> Circuit.is_alive c u
   | Fault.Branch (g, pin) -> Circuit.is_alive c g && pin < Circuit.fanin_count c g
 
-let remove ?(limits = Limits.default) ?prefilter_patterns ~seed c =
+let remove ?(limits = Limits.default) ?prefilter_patterns ?tests:store ~seed c =
+  let store = match store with Some s -> s | None -> tests c in
   let removed = ref 0 in
   let removed_sat = ref 0 in
   let aborted = ref 0 in
@@ -64,7 +155,7 @@ let remove ?(limits = Limits.default) ?prefilter_patterns ~seed c =
   let continue = ref true in
   while !continue do
     incr passes;
-    let found = find_untestable ~limits ?prefilter_patterns ~seed c in
+    let found = find_untestable ~limits ?prefilter_patterns ~tests:store ~seed c in
     aborted := List.length found.unresolved;
     let removed_before = !removed in
     (match found.untestable @ found.sat_redundant with

@@ -1,13 +1,14 @@
-(* [words] holds the current word of every node, 8 bytes per node id: the
-   fault-free word, or the faulty one for the nodes on the touched stack,
-   which [detect] restores before it returns. One slot past the last node
-   holds the stuck word of the current fault, read by the faulted pin.
-   Words are only read and written through [Bytes.get_int64_ne] and
-   [set_int64_ne] and never passed to a function that is not inlined, so
-   none is boxed: [detect] allocates only the box of a nonzero mask. *)
+(* [good] holds the fault-free word of every node and [words] the current
+   one, 8 bytes per node id: the fault-free word, or the faulty one for the
+   nodes on the touched stack, which [detect] restores before it returns.
+   One slot of [words] past the last node holds the stuck word of the
+   current fault, read by the faulted pin. Words are only read and written
+   through [Bytes.get_int64_ne] and [set_int64_ne] and never passed to a
+   function that is not inlined, so none is boxed: loading a batch
+   allocates nothing, and [detect] only the box of a nonzero mask. *)
 type t = {
   cmp : Compiled.t;
-  good : int64 array;
+  good : Bytes.t;
   words : Bytes.t;
   touched : Bytes.t;
   stack : int array; (* the touched node ids, [n_touched] of them *)
@@ -20,7 +21,7 @@ let create cmp =
   let n = Compiled.size cmp in
   {
     cmp;
-    good = Array.make n 0L;
+    good = Bytes.make (8 * n) '\000';
     words = Bytes.make (8 * (n + 1)) '\000';
     touched = Bytes.make n '\000';
     stack = Array.make n 0;
@@ -34,9 +35,7 @@ let loads_c = Obs.Counter.make ~help:"fault-free batch simulations" "fsim.loads"
 let load_patterns st pi_words =
   Obs.Counter.incr loads_c;
   Compiled.simulate_into st.cmp pi_words st.good;
-  for id = 0 to Array.length st.good - 1 do
-    Bytes.set_int64_ne st.words (8 * id) st.good.(id)
-  done;
+  Bytes.blit st.good 0 st.words 0 (Bytes.length st.good);
   st.loaded <- true
 
 let word st id = Bytes.get_int64_ne st.words (8 * id)
@@ -113,7 +112,7 @@ let detect st (f : Fault.t) =
   let det = ref 0L in
   for k = 0 to st.n_touched - 1 do
     let id = st.stack.(k) in
-    let good = st.good.(id) in
+    let good = Bytes.get_int64_ne st.good (8 * id) in
     if Compiled.is_po st.cmp id then det := Int64.logor !det (Int64.logxor (word st id) good);
     Bytes.set_int64_ne st.words (8 * id) good;
     Bytes.unsafe_set st.touched id '\000'

@@ -197,12 +197,15 @@ let optimize ?(options = default_options) c =
   let removals = ref 0 in
   let additions = ref 0 in
   let removal_seed = ref (Rng.next64 rng) in
+  (* One store for every removal call: vectors from rolled-back trials stay
+     sound on the circuit they are simulated on. *)
+  let tests = Redundancy.tests c in
   let remove () =
     let r =
       Redundancy.remove
         ~limits:
           { Limits.default with Limits.podem_backtracks = opts.removal_backtracks }
-        ~prefilter_patterns:16_384 ~seed:!removal_seed c
+        ~prefilter_patterns:16_384 ~tests ~seed:!removal_seed c
     in
     removal_seed := Rng.next64 rng;
     removals := !removals + r.Redundancy.removed

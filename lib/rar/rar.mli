@@ -41,7 +41,11 @@ val pp_stats : Format.formatter -> stats -> unit
 val optimize : ?options:options -> Circuit.t -> stats
 (** Mutates the circuit; the result is equivalent to the input. Each merge
     proof is one {!Justify.distinguish} call on a compiled view of the
-    circuit that is rebuilt only after a merge has changed it.
+    circuit that is rebuilt only after a merge has changed it. Every
+    removal call of one [optimize] shares one {!Redundancy.tests} store, so
+    a vector PODEM or SAT found after one trial settles its faults in every
+    later classification; removals and the result are those of calls that
+    carry nothing.
     Observability (when enabled): span [rar.merge] per node-substitution
     round and one span [rar.trials] around the wire-addition loop, beside
     the removal passes' [redundancy.*] spans; counters [rar.merge_unsat]

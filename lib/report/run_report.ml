@@ -324,6 +324,10 @@ let render t =
   count_table "identification sources" (sources t);
   count_table "sat escalations" (tallies t "sat_escalation" [ "test"; "redundant"; "unknown" ]);
   count_table "redundancy proofs" (tallies t "redundancy_proof" [ "podem"; "sat" ]);
+  let carried = counter t "redundancy.carried_detected" in
+  if carried > 0 then
+    Buffer.add_string b
+      (Printf.sprintf "redundancy: %s faults settled by carried tests\n" (Table.int carried));
   count_table "cec checks" (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]);
   let misc =
     List.filter_map
@@ -389,6 +393,7 @@ let run_json t =
       ( "sat_escalations",
         counts_json (tallies t "sat_escalation" [ "test"; "redundant"; "unknown" ]) );
       ("redundancy_proofs", counts_json (tallies t "redundancy_proof" [ "podem"; "sat" ]));
+      ("carried_detected", Obs_json.Int (counter t "redundancy.carried_detected"));
       ( "cec_checks",
         counts_json (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ])
       );

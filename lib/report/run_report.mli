@@ -80,7 +80,9 @@ val render : t -> string
     [engine.enumerate_ns] and [engine.score_ns]) and the score split into
     extract, identify and cost ([engine.extract_ns], [engine.identify_ns],
     [engine.cost_ns]), identification-source and
-    SAT-escalation tables — sections with no data are omitted. *)
+    SAT-escalation tables, and the faults redundancy removal settled with
+    carried test vectors (counter [redundancy.carried_detected]) —
+    sections with no data are omitted. *)
 
 val to_json_value : t list -> Obs_json.t
 (** All loaded runs as one JSON document:

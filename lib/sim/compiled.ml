@@ -64,64 +64,47 @@ let inputs t = t.inputs
 let outputs t = t.outputs
 let is_po t id = Bytes.get t.po_flags id <> '\000'
 
-let eval_node t values id =
+(* Node words live in a byte buffer, 8 bytes per node id, read and written
+   only through [Bytes.get_int64_ne] and [set_int64_ne], so no word is
+   boxed. *)
+let[@inline] word v id = Bytes.get_int64_ne v (8 * id)
+
+(* Write gate [id]'s word, computed from its fanins' words in [v]. *)
+let eval_gate t v id =
   let fins = t.fanins.(id) in
   let n = Array.length fins in
-  match t.kinds.(id) with
-  | Gate.Input -> values.(id)
-  | Gate.Const0 -> 0L
-  | Gate.Const1 -> -1L
-  | Gate.Buf -> values.(fins.(0))
-  | Gate.Not -> Int64.lognot values.(fins.(0))
-  | Gate.And ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logand !acc values.(fins.(i))
-    done;
-    !acc
-  | Gate.Nand ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logand !acc values.(fins.(i))
-    done;
-    Int64.lognot !acc
-  | Gate.Or ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logor !acc values.(fins.(i))
-    done;
-    !acc
-  | Gate.Nor ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logor !acc values.(fins.(i))
-    done;
-    Int64.lognot !acc
-  | Gate.Xor ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logxor !acc values.(fins.(i))
-    done;
-    !acc
-  | Gate.Xnor ->
-    let acc = ref values.(fins.(0)) in
-    for i = 1 to n - 1 do
-      acc := Int64.logxor !acc values.(fins.(i))
-    done;
-    Int64.lognot !acc
+  let kind = t.kinds.(id) in
+  let acc = ref 0L in
+  (match kind with
+  | Gate.Input | Gate.Const0 -> ()
+  | Gate.Const1 -> acc := -1L
+  | Gate.Buf | Gate.Not -> acc := word v fins.(0)
+  | Gate.And | Gate.Nand ->
+    acc := -1L;
+    for i = 0 to n - 1 do
+      acc := Int64.logand !acc (word v fins.(i))
+    done
+  | Gate.Or | Gate.Nor ->
+    for i = 0 to n - 1 do
+      acc := Int64.logor !acc (word v fins.(i))
+    done
+  | Gate.Xor | Gate.Xnor ->
+    for i = 0 to n - 1 do
+      acc := Int64.logxor !acc (word v fins.(i))
+    done);
+  if Gate.inverting kind then acc := Int64.lognot !acc;
+  Bytes.set_int64_ne v (8 * id) !acc
 
-let simulate_into t pi_words values =
+let simulate_into t pi_words v =
   if Array.length pi_words <> Array.length t.inputs then
     invalid_arg "Compiled.simulate: input word count mismatch";
-  Array.iteri (fun i pi -> values.(pi) <- pi_words.(i)) t.inputs;
+  if Bytes.length v < 8 * t.size then invalid_arg "Compiled.simulate_into: buffer too small";
+  Array.iteri (fun i pi -> Bytes.set_int64_ne v (8 * pi) pi_words.(i)) t.inputs;
   Array.iter
-    (fun id ->
-      match t.kinds.(id) with
-      | Gate.Input -> ()
-      | _ -> values.(id) <- eval_node t values id)
+    (fun id -> match t.kinds.(id) with Gate.Input -> () | _ -> eval_gate t v id)
     t.order
 
 let simulate t pi_words =
-  let values = Array.make t.size 0L in
-  simulate_into t pi_words values;
-  values
+  let v = Bytes.make (8 * t.size) '\000' in
+  simulate_into t pi_words v;
+  Array.init t.size (word v)

@@ -47,12 +47,13 @@ val outputs : t -> int array
 val is_po : t -> int -> bool
 (** The node is in {!outputs}. *)
 
-val eval_node : t -> int64 array -> int -> int64
-(** Evaluate one gate from the value array (gate kinds only). *)
-
 val simulate : t -> int64 array -> int64 array
 (** [simulate t pi_words] runs 64 parallel patterns; [pi_words] is indexed
-    like {!inputs}. Returns the per-node value array (fresh). *)
+    like {!inputs}. Returns the per-node value array (fresh; dead nodes
+    read [0L]). *)
 
-val simulate_into : t -> int64 array -> int64 array -> unit
-(** As {!simulate} but fills a caller-provided per-node array. *)
+val simulate_into : t -> int64 array -> Bytes.t -> unit
+(** As {!simulate}, but writes every live node's word into a caller-provided
+    buffer of at least [8 * size t] bytes, 8 bytes per node id, read back
+    with [Bytes.get_int64_ne buf (8 * id)]. Dead nodes' bytes are left as
+    they were. Allocates nothing: no word is boxed. *)

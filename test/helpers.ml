@@ -70,4 +70,17 @@ let random_circuit ?(n_pi = 5) ?(n_gates = 20) ?(n_po = 3) seed =
   done;
   c
 
+(* Exhaustive ground truth: is the fault detected by any input vector? *)
+let detectable_exhaustive c f =
+  let fsim = Fsim.create (Compiled.of_circuit c) in
+  let n = Circuit.num_inputs c in
+  let found = ref false in
+  for v = 0 to (1 lsl n) - 1 do
+    if not !found then begin
+      let vec = Array.init n (fun i -> (v lsr i) land 1 = 1) in
+      if Fsim.detect_single fsim f vec then found := true
+    end
+  done;
+  !found
+
 let qsuite name cases = (name, List.map QCheck_alcotest.to_alcotest cases)

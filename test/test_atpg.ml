@@ -106,15 +106,19 @@ let test_redundancy_preserves_random () =
       (Eval.equivalent_exhaustive reference fresh)
   done
 
-(* Removal must end in the exact end state: once it stops, a fresh
-   classification with the same limits, seed and prefilter finds nothing
-   left to remove, leaves exactly [report.aborted] faults undecided, and
-   the function is unchanged (proved by SAT: with 13 inputs, exhaustive
-   simulation would be the slowest part of the check). Starved budgets (no
-   PODEM backtracks, a handful of SAT conflicts) stress the re-proofs,
-   which must reach the verdict that classified the fault; a re-proof that
-   decided a different formula used to give up on proved redundancies and
-   stop early. *)
+(* Removal must end in the exact end state: once it stops, a classification
+   with the same limits, seed, prefilter and test store finds nothing left
+   to remove and leaves exactly [report.aborted] faults undecided; one
+   without the store still finds nothing to remove (it may leave more
+   faults undecided, the ones the store's vectors detect); and the function
+   is unchanged (proved by SAT: with 13 inputs, exhaustive simulation would
+   be the slowest part of the check). Starved budgets (no PODEM
+   backtracks, a handful of SAT conflicts) stress the re-proofs, which must
+   reach the verdict that classified the fault; a re-proof that decided a
+   different formula used to give up on proved redundancies and stop early.
+   They also leave SAT-undecided faults that a vector found later in the
+   same classification detects, which [find_untestable] must drop for the
+   equality to hold. *)
 let stall_profile seed =
   {
     Circuit_gen.name = "stall";
@@ -127,22 +131,134 @@ let stall_profile seed =
     seed = Int64.of_int seed;
   }
 
+let starved sat_conflicts =
+  { Limits.default with Limits.podem_backtracks = 0; sat_conflicts }
+
+let print_case (seed, conflicts) = Printf.sprintf "seed %d, sat_conflicts %d" seed conflicts
+
+let removal_end_state (seed, sat_conflicts) =
+  let c = Circuit_gen.generate (stall_profile seed) in
+  let reference = Circuit.copy c in
+  let limits = starved sat_conflicts in
+  let seed = Int64.of_int seed in
+  let tests = Redundancy.tests c in
+  let report = Redundancy.remove ~limits ~prefilter_patterns:256 ~tests ~seed c in
+  let left = Redundancy.find_untestable ~limits ~prefilter_patterns:256 ~tests ~seed c in
+  let bare = Redundancy.find_untestable ~limits ~prefilter_patterns:256 ~seed c in
+  left.Redundancy.untestable = []
+  && left.Redundancy.sat_redundant = []
+  && List.length left.Redundancy.unresolved = report.Redundancy.aborted
+  && bare.Redundancy.untestable = []
+  && bare.Redundancy.sat_redundant = []
+  && List.length bare.Redundancy.unresolved >= report.Redundancy.aborted
+  && Cec.check reference c = Cec.Equivalent
+
 let qcheck_removal_end_state =
   QCheck.Test.make ~count:40 ~name:"redundancy removal stops when a pass removes nothing"
-    (QCheck.make
-       ~print:(fun (seed, conflicts) -> Printf.sprintf "seed %d, sat_conflicts %d" seed conflicts)
-       QCheck.Gen.(pair (int_range 1 40) (oneofl [ 0; 1; 2; 5 ])))
-    (fun (seed, sat_conflicts) ->
-      let c = Circuit_gen.generate (stall_profile seed) in
-      let reference = Circuit.copy c in
-      let limits = { Limits.default with Limits.podem_backtracks = 0; sat_conflicts } in
-      let seed = Int64.of_int seed in
-      let report = Redundancy.remove ~limits ~prefilter_patterns:256 ~seed c in
-      let left = Redundancy.find_untestable ~limits ~prefilter_patterns:256 ~seed c in
-      left.Redundancy.untestable = []
-      && left.Redundancy.sat_redundant = []
-      && List.length left.Redundancy.unresolved = report.Redundancy.aborted
-      && Cec.check reference c = Cec.Equivalent)
+    (QCheck.make ~print:print_case QCheck.Gen.(pair (int_range 1 40) (oneofl [ 0; 1; 2; 5 ])))
+    removal_end_state
+
+(* [sub] keeps some of [l]'s elements, in [l]'s order. *)
+let rec is_sublist sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | x :: sub', y :: l' -> if x = y then is_sublist sub' l' else is_sublist sub l'
+
+(* A copy with the same inputs and one and/or gate's kind flipped, like the
+   circuit of a rolled-back RAR trial. *)
+let mutated c seed =
+  let m = Circuit.copy c in
+  let gates =
+    List.filter
+      (fun id ->
+        match Circuit.kind m id with
+        | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> true
+        | _ -> false)
+      (Array.to_list (Circuit.topo_order m))
+  in
+  (match gates with
+  | [] -> ()
+  | _ ->
+    let g = List.nth gates (seed mod List.length gates) in
+    Circuit.set_kind m g
+      (match Circuit.kind m g with
+      | Gate.And -> Gate.Or
+      | Gate.Or -> Gate.And
+      | Gate.Nand -> Gate.Nor
+      | _ -> Gate.Nand));
+  m
+
+(* A carried vector only settles faults it detects on the current circuit:
+   with a store holding stale vectors (from a mutated copy) and the
+   circuit's own earlier classification (another prefilter seed),
+   [find_untestable] returns the same untestable and SAT-redundant lists as
+   without it, and an unresolved list that drops only faults exhaustive
+   simulation detects; [remove] with such a store makes the same removals
+   and writes the same netlist. Which faults stay undecided depends on
+   which vectors a run found, so two stores' [aborted] counts are not
+   ordered; each is at most what the last pass leaves without a store. *)
+let carried_tests_hold (seed, sat_conflicts) =
+  let c = Circuit_gen.generate (stall_profile seed) in
+  let limits = starved sat_conflicts in
+  let classify ?tests ~seed c =
+    Redundancy.find_untestable ~limits ~prefilter_patterns:256 ?tests
+      ~seed:(Int64.of_int seed) c
+  in
+  let stale () =
+    let tests = Redundancy.tests c in
+    ignore (classify ~tests ~seed:(seed + 1) (mutated c seed));
+    ignore (classify ~tests ~seed:(seed + 2) c);
+    tests
+  in
+  let plain = classify ~seed c in
+  let carried = classify ~tests:(stale ()) ~seed c in
+  let dropped =
+    List.filter
+      (fun u -> not (List.mem u carried.Redundancy.unresolved))
+      plain.Redundancy.unresolved
+  in
+  let remove ?tests () =
+    let w = Circuit.copy c in
+    let r =
+      Redundancy.remove ~limits ~prefilter_patterns:256 ?tests ~seed:(Int64.of_int seed) w
+    in
+    (w, r)
+  in
+  let w, r = remove () in
+  let w', r' = remove ~tests:(stale ()) () in
+  (* Without carried vectors the last pass would leave this many. *)
+  let bare = List.length (classify ~seed w).Redundancy.unresolved in
+  carried.Redundancy.untestable = plain.Redundancy.untestable
+  && carried.Redundancy.sat_redundant = plain.Redundancy.sat_redundant
+  && is_sublist carried.Redundancy.unresolved plain.Redundancy.unresolved
+  && List.for_all (fun (f, _) -> detectable_exhaustive c f) dropped
+  && Bench_format.to_string w' = Bench_format.to_string w
+  && r'.Redundancy.removed = r.Redundancy.removed
+  && r'.Redundancy.proved_redundant_sat = r.Redundancy.proved_redundant_sat
+  && r'.Redundancy.passes = r.Redundancy.passes
+  && r.Redundancy.aborted <= bare
+  && r'.Redundancy.aborted <= bare
+
+let qcheck_carried_tests =
+  QCheck.Test.make ~count:40 ~name:"carried tests change no removal decision"
+    (QCheck.make ~print:print_case QCheck.Gen.(pair (int_range 1 400) (oneofl [ 0; 1; 2; 5; 20 ])))
+    carried_tests_hold
+
+(* A store holds vectors for one input count: handing it a circuit with
+   another raises, from both entry points. *)
+let test_tests_input_count () =
+  let store = Redundancy.tests (random_circuit ~n_pi:5 7) in
+  let other = random_circuit ~n_pi:6 7 in
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check bool_ "find_untestable raises" true
+    (raises (fun () -> ignore (Redundancy.find_untestable ~tests:store ~seed:1L other)));
+  check bool_ "remove raises" true
+    (raises (fun () -> ignore (Redundancy.remove ~tests:store ~seed:1L other)))
 
 let test_equiv () =
   let c = c17 () in
@@ -200,4 +316,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_removal_end_state;
     ("miter equivalence", `Quick, test_equiv);
     ("miter equivalence via PODEM only", `Quick, test_equiv_beyond_simulation);
+    QCheck_alcotest.to_alcotest qcheck_carried_tests;
+    ("a test store rejects another input count", `Quick, test_tests_input_count);
   ]

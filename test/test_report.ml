@@ -345,6 +345,28 @@ let test_chrome_parent_format () =
   check int_ "the span becomes a slice" 1
     (List.length (List.filter (fun j -> str "ph" j = "X") (named "engine.pass" evs)))
 
+(* Faults settled by carried test vectors are one render line and one JSON
+   key, read from the footer; a run that carried nothing prints no line. *)
+let test_run_report_carried () =
+  let carried_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.candidates":50,"engine.realised":10,"redundancy.carried_detected":12789}}|}
+  in
+  with_journal ((header :: body) @ [ carried_footer ]) (fun path ->
+      let r = load_ok path in
+      check bool_ "carried line" true
+        (contains ~affix:"redundancy: 12,789 faults settled by carried tests"
+           (Run_report.render r));
+      match Obs_json.member "runs" (Run_report.to_json_value [ r ]) with
+      | Some (Obs_json.List [ run ]) ->
+        check bool_ "carried_detected key" true
+          (Obs_json.member "carried_detected" run = Some (Obs_json.Int 12789))
+      | _ -> Alcotest.fail "runs is not a one-element list");
+  with_journal
+    ((header :: body) @ [ footer ~candidates:50 ~identified:10 ])
+    (fun path ->
+      check bool_ "no carried line" false
+        (contains ~affix:"carried tests" (Run_report.render (load_ok path))))
+
 let suite =
   [
     ("thousands separators", `Quick, test_int_formatting);
@@ -363,4 +385,5 @@ let suite =
     ("chrome: dropped-events marker", `Quick, test_chrome_dropped_marker);
     ("chrome: parent-format journal", `Quick, test_chrome_parent_format);
     ("run report: score split", `Quick, test_run_report_score_split);
+    ("run report: carried tests", `Quick, test_run_report_carried);
   ]

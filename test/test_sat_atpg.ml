@@ -9,19 +9,6 @@
 
 open Helpers
 
-(* Exhaustive ground truth: is the fault detected by any input vector? *)
-let detectable_exhaustive c f =
-  let fsim = Fsim.create (Compiled.of_circuit c) in
-  let n = Circuit.num_inputs c in
-  let found = ref false in
-  for v = 0 to (1 lsl n) - 1 do
-    if not !found then begin
-      let vec = Array.init n (fun i -> (v lsr i) land 1 = 1) in
-      if Fsim.detect_single fsim f vec then found := true
-    end
-  done;
-  !found
-
 (* --- solver ------------------------------------------------------------------ *)
 
 (* Clauses added between calls constrain the next call; a top-level
