@@ -369,12 +369,56 @@ let unate_splits t ~var ~positive =
   done;
   !r
 
-let depends_on t i = not (equal (cofactor t ~var:i true) (cofactor t ~var:i false))
+(* [x_i] is essential iff some pair of minterms differing only in index
+   bit [p = n - i] disagrees: in-word, a shift by [2^p] lines the pairs up
+   under the periodic mask; above, whole words pair up. *)
+let support_mask t =
+  let n = t.n in
+  let nw = Array.length t.words in
+  let r = ref 0 in
+  for p = 0 to n - 1 do
+    let differs =
+      if p < 6 then begin
+        let d = 1 lsl p in
+        let m = period_masks.(p) in
+        let w = ref 0 in
+        while
+          !w < nw
+          && Int64.equal
+               (Int64.logand
+                  (Int64.logxor t.words.(!w) (Int64.shift_right_logical t.words.(!w) d))
+                  m)
+               0L
+        do
+          incr w
+        done;
+        !w < nw
+      end
+      else begin
+        let stride = 1 lsl (p - 6) in
+        let w = ref 0 in
+        while
+          !w < nw
+          && (!w land stride <> 0 || Int64.equal t.words.(!w) t.words.(!w lor stride))
+        do
+          incr w
+        done;
+        !w < nw
+      end
+    in
+    if differs then r := !r lor (1 lsl (n - 1 - p))
+  done;
+  !r
+
+let depends_on t i =
+  if i < 1 || i > t.n then invalid_arg "Truthtable.depends_on: variable out of range";
+  support_mask t land (1 lsl (i - 1)) <> 0
 
 let support t =
+  let m = support_mask t in
   let acc = ref [] in
   for i = t.n downto 1 do
-    if depends_on t i then acc := i :: !acc
+    if m land (1 lsl (i - 1)) <> 0 then acc := i :: !acc
   done;
   !acc
 

@@ -92,11 +92,20 @@ val unate_splits : t -> var:int -> positive:bool -> int
     A word-parallel pass over the table, like {!cofactor} in both index-bit
     regimes, that allocates nothing. *)
 
+val support_mask : t -> int
+(** The variables the function depends on (its essential inputs) as a
+    mask: bit [i - 1] is set iff [x_i] is essential. One word-parallel
+    pass per variable over the table in place, in both index-bit regimes
+    like {!cofactor}, that stops at the first disagreeing pair and
+    allocates nothing. *)
+
 val depends_on : t -> int -> bool
-(** Does the function depend on variable [x_i]? *)
+(** Does the function depend on variable [x_i]? Read from
+    {!support_mask}. *)
 
 val support : t -> int list
-(** Variables the function depends on, 1-based, increasing. *)
+(** Variables the function depends on, 1-based, increasing: the bits of
+    {!support_mask}. *)
 
 val permute : t -> int array -> t
 (** [permute f pi] renames variables: position [j] (0-based) of the new

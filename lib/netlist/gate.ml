@@ -110,29 +110,6 @@ let eval_word k inputs =
   | Xor -> fold_word Int64.logxor 0L inputs
   | Xnor -> Int64.lognot (fold_word Int64.logxor 0L inputs)
 
-let fold_word_on f init values fanins =
-  let acc = ref init in
-  for i = 0 to Array.length fanins - 1 do
-    acc := f !acc values.(fanins.(i))
-  done;
-  !acc
-
-let eval_word_on k values fanins =
-  let n = Array.length fanins in
-  check_arity k n;
-  match k with
-  | Input -> invalid_arg "Gate.eval_word_on: Input has no logic function"
-  | Const0 -> 0L
-  | Const1 -> -1L
-  | Buf -> values.(fanins.(0))
-  | Not -> Int64.lognot values.(fanins.(0))
-  | And -> fold_word_on Int64.logand (-1L) values fanins
-  | Nand -> Int64.lognot (fold_word_on Int64.logand (-1L) values fanins)
-  | Or -> fold_word_on Int64.logor 0L values fanins
-  | Nor -> Int64.lognot (fold_word_on Int64.logor 0L values fanins)
-  | Xor -> fold_word_on Int64.logxor 0L values fanins
-  | Xnor -> Int64.lognot (fold_word_on Int64.logxor 0L values fanins)
-
 let two_input_equivalents k arity =
   match k with
   | Input | Const0 | Const1 | Buf | Not -> 0

@@ -44,12 +44,6 @@ val eval : kind -> bool array -> bool
 val eval_word : kind -> int64 array -> int64
 (** Bit-parallel evaluation over 64 patterns at once. *)
 
-val eval_word_on : kind -> int64 array -> int array -> int64
-(** [eval_word_on k values fanins] is
-    [eval_word k [| values.(fanins.(0)); ... |]] without materialising the
-    argument array — the allocation-free form used by the bit-parallel
-    subcircuit extractor's inner loop. *)
-
 val two_input_equivalents : kind -> int -> int
 (** [two_input_equivalents k arity] is the equivalent 2-input gate count of a
     gate of kind [k] with [arity] fanins: [arity - 1] for logic gates, [0] for

@@ -241,6 +241,11 @@ let engine_phases = [ "enumerate"; "score" ]
 let score_split = [ "extract"; "identify"; "cost" ]
 let engine_phase_s t name = float_of_int (counter t ("engine." ^ name ^ "_ns")) /. 1e9
 
+(* The production walk's shortcuts (DESIGN.md §13.2): candidates a bound
+   skipped, roots scored from their replay record, and the replay time. *)
+let shortcuts t =
+  (counter t "engine.pruned", counter t "engine.replayed", engine_phase_s t "replay")
+
 let phases t =
   Hashtbl.fold
     (fun name (calls, wall) acc ->
@@ -304,15 +309,22 @@ let render t =
          (Table.int f.verified) (Table.int f.committed) (Table.int t.gain)
          (if funnel_ok t then "" else "   [FUNNEL VIOLATION]"));
   let enumerate_s = engine_phase_s t "enumerate" and score_s = engine_phase_s t "score" in
-  if enumerate_s +. score_s > 0. then
+  let pruned, replayed, replay_s = shortcuts t in
+  if enumerate_s +. score_s +. replay_s > 0. then
     Buffer.add_string b
-      (Printf.sprintf "engine phases: enumerate %.3fs, score %.3fs (%.1f%% of wall)\n"
-         enumerate_s score_s (pct (enumerate_s +. score_s) t.wall_s));
+      (Printf.sprintf "engine phases: enumerate %.3fs, score %.3fs%s (%.1f%% of wall)\n"
+         enumerate_s score_s
+         (if replay_s > 0. then Printf.sprintf ", replay %.3fs" replay_s else "")
+         (pct (enumerate_s +. score_s +. replay_s) t.wall_s));
   if List.exists (fun p -> engine_phase_s t p > 0.) score_split then
     Buffer.add_string b
       (Printf.sprintf "score split: %s\n"
          (String.concat ", "
             (List.map (fun p -> Printf.sprintf "%s %.3fs" p (engine_phase_s t p)) score_split)));
+  if pruned + replayed > 0 then
+    Buffer.add_string b
+      (Printf.sprintf "scoring shortcuts: %s candidates pruned by a bound, %s roots replayed\n"
+         (Table.int pruned) (Table.int replayed));
   let count_table title rows =
     let rows = List.filter (fun (_, n) -> n <> 0) rows in
     if rows <> [] then begin
@@ -369,6 +381,14 @@ let run_json t =
           (List.map
              (fun p -> (p ^ "_s", Obs_json.Float (engine_phase_s t p)))
              (engine_phases @ score_split)) );
+      ( "shortcuts",
+        let pruned, replayed, replay_s = shortcuts t in
+        Obs_json.Obj
+          [
+            ("pruned", Obs_json.Int pruned);
+            ("replayed", Obs_json.Int replayed);
+            ("replay_s", Obs_json.Float replay_s);
+          ] );
       ( "phases",
         Obs_json.List
           (List.map
@@ -441,6 +461,10 @@ let diff a b =
     (fun p ->
       frow (p ^ "_s") (engine_phase_s a p) (engine_phase_s b p) (Printf.sprintf "%.4f"))
     (engine_phases @ score_split);
+  let pa, ra, sa = shortcuts a and pb, rb, sb = shortcuts b in
+  irow "pruned" pa pb;
+  irow "replayed" ra rb;
+  frow "replay_s" sa sb (Printf.sprintf "%.4f");
   frow "minor_words" a.minor_words b.minor_words (Printf.sprintf "%.3g");
   frow "major_words" a.major_words b.major_words (Printf.sprintf "%.3g");
   irow "peak_rss_kb" a.peak_rss_kb b.peak_rss_kb;

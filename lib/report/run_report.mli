@@ -76,10 +76,13 @@ val phases : t -> phase list
 
 val render : t -> string
 (** Human-readable report: header, phase table, runtime/GC summary,
-    decision funnel, the engine's enumerate/score split (counters
-    [engine.enumerate_ns] and [engine.score_ns]) and the score split into
+    decision funnel, the engine's enumerate/score/replay split (counters
+    [engine.enumerate_ns], [engine.score_ns] and, when nonzero,
+    [engine.replay_ns]) and the score split into
     extract, identify and cost ([engine.extract_ns], [engine.identify_ns],
-    [engine.cost_ns]), identification-source and
+    [engine.cost_ns]), the production walk's shortcuts (a [scoring
+    shortcuts:] line from [engine.pruned] and [engine.replayed]),
+    identification-source and
     SAT-escalation tables, and the faults redundancy removal settled with
     carried test vectors (counter [redundancy.carried_detected]) —
     sections with no data are omitted. *)

@@ -85,7 +85,21 @@ let cost_ns_c =
   Obs.Counter.make ~help:"nanoseconds costing identified cuts (metrics on only)"
     "engine.cost_ns"
 
+let replay_ns_c =
+  Obs.Counter.make
+    ~help:"nanoseconds scoring roots from their replay records (metrics on only)"
+    "engine.replay_ns"
+
 let elapsed_ns t0 t1 = max 0 (int_of_float ((t1 -. t0) *. 1e9))
+
+(* The production walk's two shortcuts (DESIGN.md §13.2). *)
+let pruned_c =
+  Obs.Counter.make ~help:"candidates a bound proved unable to win, never identified"
+    "engine.pruned"
+
+let replayed_c =
+  Obs.Counter.make ~help:"roots scored from their replay record, not enumerated"
+    "engine.replayed"
 
 (* The identification cache's probes (DESIGN.md §15). *)
 let id_hits_c =
@@ -111,9 +125,10 @@ let table_hits_h =
     "idcache.table_hits"
 
 (* The production walk's identification cache, one per run (DESIGN.md
-   §15): each distinct table's exact verdict, positive or negative, and
-   the hits it served. A hit replays the spec verbatim, so the walk builds
-   the same units as without the cache. *)
+   §15): each distinct table's exact verdict, positive (its spec's code in
+   the run's registry) or negative ([no_spec]), and the hits it served. A
+   hit replays the spec verbatim, so the walk builds the same units as
+   without the cache. *)
 module Verdicts = Hashtbl.Make (struct
   type t = Truthtable.t
 
@@ -122,9 +137,45 @@ module Verdicts = Hashtbl.Make (struct
 end)
 
 type cached = {
-  verdict : Comparison_fn.spec option;
+  verdict : int;
   mutable hits : int;
 }
+
+(* A cut's verdict code, in the cache and in replay records: a spec's
+   index in the run's registry, [no_spec] when identification found none
+   and no fallback is configured, or [unscored] when the cut must be
+   realised when it is next scored (a bound skipped it, or a fallback
+   built its unit, which depends on more than the table). *)
+let no_spec = -2
+let unscored = -1
+
+(* The production walk's identified specs, each with its unit cost, so a
+   cache hit or a replayed verdict costs nothing to score. *)
+type registry = {
+  mutable specs : Comparison_fn.spec array;
+  mutable gates2 : int array;
+  mutable paths : int array array;
+  mutable len : int;
+}
+
+let register reg ~n spec =
+  if reg.len = Array.length reg.specs then begin
+    let grow a fill =
+      let b = Array.make (max 64 (2 * reg.len)) fill in
+      Array.blit a 0 b 0 reg.len;
+      b
+    in
+    reg.specs <- grow reg.specs spec;
+    reg.gates2 <- grow reg.gates2 0;
+    reg.paths <- grow reg.paths [||]
+  end;
+  let gates2, input_paths = Comparison_unit.cost ~n spec in
+  let id = reg.len in
+  reg.specs.(id) <- spec;
+  reg.gates2.(id) <- gates2;
+  reg.paths.(id) <- input_paths;
+  reg.len <- id + 1;
+  id
 
 type stats = {
   passes : int;
@@ -175,13 +226,13 @@ type 'u candidate = {
   exact : bool;  (** false for don't-care replacements (care-set verified) *)
 }
 
-(* Build the replacement unit for a subcircuit, trying in order: a single
-   comparison unit, a multi-unit cover (Sec. 6, issue 2), and a single unit
-   under controllability don't-cares (Sec. 6, issue 1; each exploited
-   disagreement is proved unreachable first). [identify] is the plain
-   identification engine, possibly behind the run's cache; the don't-care
-   and multi-unit fallbacks are rng-dependent and stay uncached. *)
-let realise opts rng ~identify ~sim c sub tt =
+(* The fallbacks tried when plain identification finds no spec: a single
+   unit under controllability don't-cares (Sec. 6, issue 1; each exploited
+   disagreement is proved unreachable first), then a multi-unit cover
+   (Sec. 6, issue 2). Both are rng-dependent, stay uncached, and build
+   their unit to check or cover the function. [rng] returns the
+   candidate's one generator. *)
+let fallback opts rng ~sim c sub tt =
   let n = Array.length sub.Subcircuit.inputs in
   let with_dontcares () =
     if not opts.use_dontcares then None
@@ -194,7 +245,7 @@ let realise opts rng ~identify ~sim c sub tt =
         if Truthtable.is_const dc = Some false then None
         else begin
           let care_on = Truthtable.land_ tt seen in
-          match Comparison_fn.identify_dc rng ~care_on ~dc with
+          match Comparison_fn.identify_dc (rng ()) ~care_on ~dc with
           | None -> None
           | Some spec ->
             let built = Comparison_unit.build ~merge:opts.merge ~n spec in
@@ -209,17 +260,23 @@ let realise opts rng ~identify ~sim c sub tt =
   let with_multi () =
     if opts.max_units <= 1 then None
     else
-      match Multi_unit.find ~max_units:opts.max_units rng tt with
+      match Multi_unit.find ~max_units:opts.max_units (rng ()) tt with
       | Some cover -> Some (Built (Multi_unit.build ~merge:opts.merge ~n cover), true)
       | None -> None
   in
+  (* a don't-care single unit is usually cheaper than a multi-unit cover *)
+  match with_dontcares () with
+  | Some r -> Some r
+  | None -> with_multi ()
+
+let has_fallback opts = opts.use_dontcares || opts.max_units > 1
+
+(* Build the replacement unit for a subcircuit: a single comparison unit,
+   else the fallbacks. [identify] is the plain identification engine. *)
+let realise opts rng ~identify ~sim c sub tt =
   match identify tt with
   | Some spec -> Some (Spec spec, true)
-  | None -> (
-    (* a don't-care single unit is usually cheaper than a multi-unit cover *)
-    match with_dontcares () with
-    | Some r -> Some r
-    | None -> with_multi ())
+  | None -> fallback opts (fun () -> rng) ~sim c sub tt
 
 (* Each candidate draws from its own generator, derived from the engine
    seed, the root and its enumeration index (splitmix64 finaliser): the
@@ -236,11 +293,11 @@ let candidate_seed base root idx =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Scoring scratch shared by every pass of a run: the reusable enumeration
-   dedup table (cleared per root) and the extraction buffer (re-allocated
-   when the circuit outgrows it). *)
+   dedup table (cleared per root) and the kernels' word buffer and marks
+   (grown with the circuit). *)
 type scoring = {
   dedup : Subcircuit.dedup;
-  mutable scratch : int64 array;
+  kern : Subcircuit.scratch;
 }
 
 (* Footprint state of the production walk, threaded through every pass:
@@ -284,11 +341,10 @@ let make_run_state c =
     reachable = reachable_from_outputs c;
   }
 
-(* Score every cut of [root] in enumeration order, so the fold in
-   [choose] tie-breaks on the first of equal candidates. With a [cache],
-   each exact identification is looked up first and a miss is recorded at
-   once. *)
-let score_candidates ?cache ~sc opts ~sim labels c root =
+(* The reference walk's scoring: every cut of [root] in enumeration order,
+   each extracted, identified afresh and costed, so the fold in
+   [choose_reference] tie-breaks on the first of equal candidates. *)
+let score_candidates ~sc opts ~sim labels c root =
   let timed = Obs.enabled () in
   let t0 = if timed then Obs.now () else 0. in
   let subs =
@@ -297,30 +353,15 @@ let score_candidates ?cache ~sc opts ~sim labels c root =
   in
   let t1 = if timed then Obs.now () else 0. in
   Obs.Counter.add candidates_c (List.length subs);
-  if Array.length sc.scratch < Circuit.size c then
-    sc.scratch <- Array.make (Circuit.size c) 0L;
-  let identify rng tt =
-    match cache with
-    | None -> Comparison_fn.identify opts.engine rng tt
-    | Some cache -> (
-      match Verdicts.find_opt cache tt with
-      | Some e ->
-        e.hits <- e.hits + 1;
-        Obs.Counter.incr id_hits_c;
-        e.verdict
-      | None ->
-        Obs.Counter.incr id_misses_c;
-        let verdict = Comparison_fn.identify opts.engine rng tt in
-        Verdicts.add cache tt { verdict; hits = 0 };
-        verdict)
-  in
   let eval idx sub =
     let rng = Rng.create (candidate_seed opts.seed root idx) in
     Obs.Histogram.observe cut_size_h (Array.length sub.Subcircuit.inputs);
     let ta = if timed then Obs.now () else 0. in
-    let tt = Subcircuit.extract ~scratch:sc.scratch c sub in
+    let tt = Subcircuit.extract ~scratch:sc.kern c sub in
     let tb = if timed then Obs.now () else 0. in
-    let realised = realise opts rng ~identify:(identify rng) ~sim c sub tt in
+    let realised =
+      realise opts rng ~identify:(Comparison_fn.identify opts.engine rng) ~sim c sub tt
+    in
     let tc = if timed then Obs.now () else 0. in
     let cand =
       match realised with
@@ -332,7 +373,7 @@ let score_candidates ?cache ~sc opts ~sim labels c root =
           | Spec spec -> Comparison_unit.cost ~n:(Array.length sub.Subcircuit.inputs) spec
           | Built b -> (b.Comparison_unit.gates2, b.Comparison_unit.input_paths)
         in
-        let gain = Subcircuit.removable_cost c sub - gates2 in
+        let gain = Subcircuit.removable_cost ~scratch:sc.kern c sub - gates2 in
         let new_paths = replaced_path_label labels sub input_paths in
         Some { sub; unit_ = plan; gain; new_paths; exact }
     in
@@ -363,6 +404,301 @@ let better objective ~current_paths a b =
     match objective with
     | Gates -> a.gain > b.gain || (a.gain = b.gain && a.new_paths < b.new_paths)
     | Paths -> a.new_paths < b.new_paths)
+
+(* --- The production walk's scoring (DESIGN.md §13.2) ------------------ *)
+
+(* Replay records, one per evaluated root: a [Bytes.t] of its cuts in
+   enumeration order, each [record_head] bytes of header — the cut width
+   (u8), its essential-input mask (u16, bit [j] for [inputs.(j)]) and its
+   verdict code (i32) — then the cut's sorted input ids (i32 each). The
+   records hold no pointer, so they cost the GC nothing to scan. [depth]
+   is the root's {!Subcircuit.read_depth}, -1 without a record;
+   [max_depth] is the largest recorded, and [seen] and [stamp] are the
+   invalidation search's visited marks. *)
+type replay = {
+  mutable records : Bytes.t array;
+  mutable depth : int array;
+  mutable max_depth : int;
+  mutable seen : int array;
+  mutable stamp : int;
+  buf : Buffer.t;
+}
+
+let record_head = 7
+
+(* The production walk's per-run scoring state. *)
+type prod = {
+  cache : cached Verdicts.t option;
+  reg : registry;
+  rp : replay;
+}
+
+let has_record rp id = id < Array.length rp.depth && rp.depth.(id) >= 0
+
+let drop_record rp id =
+  if has_record rp id then begin
+    rp.depth.(id) <- -1;
+    rp.records.(id) <- Bytes.empty
+  end
+
+let drop_all_records rp =
+  Array.fill rp.depth 0 (Array.length rp.depth) (-1);
+  Array.fill rp.records 0 (Array.length rp.records) Bytes.empty
+
+let store_record rp root depth =
+  let n = Array.length rp.depth in
+  if root >= n then begin
+    let cap = max (root + 1) (2 * n) in
+    let depth' = Array.make cap (-1) and records' = Array.make cap Bytes.empty in
+    Array.blit rp.depth 0 depth' 0 n;
+    Array.blit rp.records 0 records' 0 n;
+    rp.depth <- depth';
+    rp.records <- records'
+  end;
+  rp.depth.(root) <- depth;
+  rp.records.(root) <- Buffer.to_bytes rp.buf;
+  if depth > rp.max_depth then rp.max_depth <- depth
+
+let add_cut buf (sub : Subcircuit.t) ~mask verdict =
+  Buffer.add_uint8 buf (Array.length sub.Subcircuit.inputs);
+  Buffer.add_uint16_le buf mask;
+  Buffer.add_int32_le buf (Int32.of_int verdict);
+  Array.iter (fun i -> Buffer.add_int32_le buf (Int32.of_int i)) sub.Subcircuit.inputs
+
+(* Before a splice at [root] lands: drop the record of every root whose
+   enumeration may have read the fanins of a gate the splice rewires —
+   [root]'s readers, which [Replace.splice] retargets onto the fresh unit.
+   A root's enumeration reads only gates within its recorded depth of it
+   along fanin edges, so a breadth-first search over fanout edges from the
+   readers, on the pre-splice graph and [max_depth] deep, finds every
+   such root at its shortest distance; a record is dropped when that
+   distance is within its own depth. Nodes the splice's sweep removes
+   need no search of their own: a live root reads a swept node only
+   through a rewired reader (DESIGN.md §13.2). *)
+let invalidate_readers rp c root =
+  drop_record rp root;
+  let size = Circuit.size c in
+  if Array.length rp.seen < size then rp.seen <- Array.make (max size (2 * Array.length rp.seen)) 0;
+  rp.stamp <- rp.stamp + 1;
+  let stamp = rp.stamp in
+  let frontier = ref [] in
+  List.iter
+    (fun r ->
+      if rp.seen.(r) <> stamp then begin
+        rp.seen.(r) <- stamp;
+        frontier := r :: !frontier
+      end)
+    (Circuit.fanouts c root);
+  let d = ref 0 in
+  while !frontier <> [] do
+    let next = ref [] in
+    List.iter
+      (fun v ->
+        if has_record rp v && rp.depth.(v) >= !d then drop_record rp v;
+        if !d < rp.max_depth then
+          List.iter
+            (fun r ->
+              if rp.seen.(r) <> stamp then begin
+                rp.seen.(r) <- stamp;
+                next := r :: !next
+              end)
+            (Circuit.fanouts c v))
+      !frontier;
+    frontier := !next;
+    incr d
+  done
+
+(* Sum of the path labels of the inputs in [mask]: a lower bound on the
+   root's label after any replacement of the cut (DESIGN.md §13.2). *)
+let essential_label labels (inputs : int array) mask =
+  let acc = ref 0 in
+  Array.iteri (fun j i -> if mask land (1 lsl j) <> 0 then acc := !acc + labels.(i)) inputs;
+  !acc
+
+let popcount x =
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+  go x 0
+
+(* Identify through the run's cache (exact engine) or afresh, registering
+   a found spec; returns its verdict code. *)
+let identify_code p opts rng ~n tt =
+  let fresh () =
+    match Comparison_fn.identify opts.engine (rng ()) tt with
+    | Some spec -> register p.reg ~n spec
+    | None -> no_spec
+  in
+  match p.cache with
+  | None -> fresh ()
+  | Some cache -> (
+    match Verdicts.find_opt cache tt with
+    | Some e ->
+      e.hits <- e.hits + 1;
+      Obs.Counter.incr id_hits_c;
+      e.verdict
+    | None ->
+      Obs.Counter.incr id_misses_c;
+      let verdict = fresh () in
+      Verdicts.add cache tt { verdict; hits = 0 };
+      verdict)
+
+(* Score cut [idx] of [root] against [best], the best improving candidate
+   so far, and return the verdict code to record for it. [verdict] is the
+   cut's recorded code ([unscored] for a fresh cut), [mask] its essential
+   inputs and [tt] its table when already extracted. An [unscored] cut is
+   first held to the objective's bound, and skipped when the bound proves
+   it cannot beat [best]; otherwise it is realised exactly as the
+   reference walk realises it: its own generator, the configured engine,
+   then the fallbacks. *)
+let score_cut p ~sc ~split objective opts ~sim labels c ~best ~root idx sub ~tt ~mask
+    verdict =
+  let t0 = if split then Obs.now () else 0. in
+  let identify_ns = ref 0 in
+  let removable = ref (-1) in
+  let removable_cost () =
+    if !removable < 0 then removable := Subcircuit.removable_cost ~scratch:sc.kern c sub;
+    !removable
+  in
+  (* A don't-care unit may drop inputs, so the bounds' premise fails. *)
+  let pruned =
+    verdict = unscored && (not opts.use_dontcares)
+    &&
+    match objective with
+    | Gates -> (
+      let most = removable_cost () - (popcount mask - 1) in
+      match !best with None -> most < 0 | Some b -> most < b.gain)
+    | Paths -> (
+      let least = essential_label labels sub.Subcircuit.inputs mask in
+      match !best with None -> least >= labels.(root) | Some b -> least >= b.new_paths)
+  in
+  if pruned then begin
+    Obs.Counter.incr pruned_c;
+    if split then Obs.Counter.add cost_ns_c (elapsed_ns t0 (Obs.now ()));
+    verdict
+  end
+  else begin
+    let n = Array.length sub.Subcircuit.inputs in
+    let verdict, realised =
+      if verdict >= 0 then (verdict, Some (Spec p.reg.specs.(verdict), true))
+      else if verdict = no_spec then (verdict, None)
+      else begin
+        let tt = match tt with Some tt -> tt | None -> Subcircuit.extract ~scratch:sc.kern c sub in
+        (* The generator is made only when a draw needs it; the exact
+           engine never draws. *)
+        let gen = ref None in
+        let rng () =
+          match !gen with
+          | Some r -> r
+          | None ->
+            let r = Rng.create (candidate_seed opts.seed root idx) in
+            gen := Some r;
+            r
+        in
+        let ta = if split then Obs.now () else 0. in
+        let r =
+          let code = identify_code p opts rng ~n tt in
+          if code >= 0 then (code, Some (Spec p.reg.specs.(code), true))
+          else
+            ( (if has_fallback opts then unscored else no_spec),
+              fallback opts rng ~sim c sub tt )
+        in
+        if split then identify_ns := elapsed_ns ta (Obs.now ());
+        r
+      end
+    in
+    (match realised with
+    | None -> ()
+    | Some (plan, exact) ->
+      Obs.Counter.incr realised_c;
+      let gates2, input_paths =
+        match plan with
+        | Spec _ -> (p.reg.gates2.(verdict), p.reg.paths.(verdict))
+        | Built b -> (b.Comparison_unit.gates2, b.Comparison_unit.input_paths)
+      in
+      let new_paths = replaced_path_label labels sub input_paths in
+      let current_paths = labels.(root) in
+      (* Under [Paths] the gain only rides along, so it is counted only for
+         a candidate that takes the lead. *)
+      let cand = { sub; unit_ = plan; gain = 0; new_paths; exact } in
+      match objective with
+      | Gates ->
+        let cand = { cand with gain = removable_cost () - gates2 } in
+        if better objective ~current_paths cand !best then best := Some cand
+      | Paths ->
+        if better objective ~current_paths cand !best then
+          best := Some { cand with gain = removable_cost () - gates2 });
+    if split then begin
+      Obs.Counter.add identify_ns_c !identify_ns;
+      Obs.Counter.add cost_ns_c (elapsed_ns t0 (Obs.now ()) - !identify_ns)
+    end;
+    verdict
+  end
+
+(* Score a root whose cuts are enumerated afresh, and record them. *)
+let score_fresh p ~sc objective opts ~sim labels c root =
+  let timed = Obs.enabled () in
+  let t0 = if timed then Obs.now () else 0. in
+  let subs =
+    Subcircuit.enumerate ~dedup:sc.dedup ~k:opts.k ~max_candidates:opts.max_candidates
+      c root
+  in
+  let t1 = if timed then Obs.now () else 0. in
+  Obs.Counter.add candidates_c (List.length subs);
+  Buffer.clear p.rp.buf;
+  let best = ref None in
+  List.iteri
+    (fun idx sub ->
+      Obs.Histogram.observe cut_size_h (Array.length sub.Subcircuit.inputs);
+      let ta = if timed then Obs.now () else 0. in
+      let tt = Subcircuit.extract ~scratch:sc.kern c sub in
+      let mask = Truthtable.support_mask tt in
+      if timed then Obs.Counter.add extract_ns_c (elapsed_ns ta (Obs.now ()));
+      let verdict =
+        score_cut p ~sc ~split:timed objective opts ~sim labels c ~best ~root idx sub
+          ~tt:(Some tt) ~mask unscored
+      in
+      add_cut p.rp.buf sub ~mask verdict)
+    subs;
+  store_record p.rp root (Subcircuit.read_depth sc.dedup);
+  if timed then begin
+    Obs.Counter.add enumerate_ns_c (elapsed_ns t0 t1);
+    Obs.Counter.add score_ns_c (elapsed_ns t1 (Obs.now ()))
+  end;
+  !best
+
+(* Score a root from its record: the same cuts in the same order, each
+   rebuilt from its inputs, with costs, labels and bounds recomputed on
+   the current circuit and recorded verdicts reused. A verdict this
+   scoring settles is written back into the record. *)
+let score_replay p ~sc objective opts ~sim labels c root =
+  let timed = Obs.enabled () in
+  let t0 = if timed then Obs.now () else 0. in
+  Obs.Counter.incr replayed_c;
+  let record = p.rp.records.(root) in
+  let best = ref None in
+  let pos = ref 0 and idx = ref 0 in
+  while !pos < Bytes.length record do
+    let at = !pos in
+    let n = Bytes.get_uint8 record at in
+    let mask = Bytes.get_uint16_le record (at + 1) in
+    let verdict = Int32.to_int (Bytes.get_int32_le record (at + 3)) in
+    Obs.Histogram.observe cut_size_h n;
+    if verdict <> no_spec then begin
+      let inputs =
+        Array.init n (fun j -> Int32.to_int (Bytes.get_int32_le record (at + record_head + (4 * j))))
+      in
+      let sub = Subcircuit.of_cut ~scratch:sc.kern c ~root ~inputs in
+      let settled =
+        score_cut p ~sc ~split:false objective opts ~sim labels c ~best ~root !idx sub
+          ~tt:None ~mask verdict
+      in
+      if settled <> verdict then Bytes.set_int32_le record (at + 3) (Int32.of_int settled)
+    end;
+    pos := at + record_head + (4 * n);
+    incr idx
+  done;
+  Obs.Counter.add candidates_c !idx;
+  if timed then Obs.Counter.add replay_ns_c (elapsed_ns t0 (Obs.now ()));
+  !best
 
 (* Whole-circuit SAT verification of accepted replacements (DESIGN.md §10).
    [attempts] counts accepted splices across passes, and splice [idx] is
@@ -486,20 +822,31 @@ let dontcare_sim opts c =
             Compiled.simulate cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng))) )
   end
 
-(* The best improving candidate at root [g], if any, with its unit built. *)
-let choose ?cache ~sc objective opts ~sim labels c g =
+(* A chosen candidate with its unit built. *)
+let build_unit opts cand =
+  match cand.unit_ with
+  | Built b -> { cand with unit_ = b }
+  | Spec spec ->
+    let n = Array.length cand.sub.Subcircuit.inputs in
+    { cand with unit_ = Comparison_unit.build ~merge:opts.merge ~n spec }
+
+(* The reference walk's choice at root [g]: the best improving candidate,
+   if any, with its unit built. *)
+let choose_reference ~sc objective opts ~sim labels c g =
   List.fold_left
     (fun best cand ->
       if better objective ~current_paths:labels.(g) cand best then Some cand
       else best)
     None
-    (score_candidates ?cache ~sc opts ~sim labels c g)
-  |> Option.map (fun cand ->
-         match cand.unit_ with
-         | Built b -> { cand with unit_ = b }
-         | Spec spec ->
-           let n = Array.length cand.sub.Subcircuit.inputs in
-           { cand with unit_ = Comparison_unit.build ~merge:opts.merge ~n spec })
+    (score_candidates ~sc opts ~sim labels c g)
+  |> Option.map (build_unit opts)
+
+(* The production walk's choice at root [g]: the same candidate, scored
+   from [g]'s record when it has one. *)
+let choose p ~sc objective opts ~sim labels c g =
+  (if has_record p.rp g then score_replay else score_fresh)
+    p ~sc objective opts ~sim labels c g
+  |> Option.map (build_unit opts)
 
 (* Apply one decided splice, SAT-proving it against a snapshot when the
    sampling cadence asks for it. Returns false if the miter refused the
@@ -566,7 +913,7 @@ let apply vstate c ~root ~idx cand =
    would have marked it; a clean root is never queued, because its
    evaluation would reproduce its previous rejection bit-exactly. Each
    accepted splice lands at once, as in the reference walk. *)
-let run_pass ?cache objective opts vstate sc st c =
+let run_pass p objective opts vstate sc st c =
   let labels = Paths.labels c in
   let sim = dontcare_sim opts c in
   let replacements = ref 0 in
@@ -580,7 +927,9 @@ let run_pass ?cache objective opts vstate sc st c =
      nodes are output-reachable by construction (the splice retargets the
      old root's readers onto them), so the reachability predicate learns
      them here. A refused splice was rolled back and leaves [g] dirty for
-     the next pass, where the reference walk also re-evaluates it. *)
+     the next pass, where the reference walk also re-evaluates it. Replay
+     records that the splice's rewiring can reach are dropped before it
+     lands, and every record when it is rolled back. *)
   let commit g cand =
     let sub = cand.sub in
     let idx = vstate.attempts in
@@ -594,8 +943,10 @@ let run_pass ?cache objective opts vstate sc st c =
     Obs.Histogram.observe dirty_nodes_h
       (Footprint.Worklist.mark_fanout_cone c st.wl
          (List.rev_append (sweep_boundary c sub cand.unit_) seeds));
+    invalidate_readers p.rp c g;
     let since = Circuit.size c in
-    if apply vstate c ~root:g ~idx cand then begin
+    if not (apply vstate c ~root:g ~idx cand) then drop_all_records p.rp
+    else begin
       incr replacements;
       let fresh = ref [] in
       for id = Circuit.size c - 1 downto since do
@@ -620,7 +971,7 @@ let run_pass ?cache objective opts vstate sc st c =
       Obs.Counter.incr worklist_popped_c;
       if is_gate c g && Footprint.mem st.reachable g then begin
         Footprint.remove dirty g;
-        match choose ?cache ~sc objective opts ~sim labels c g with
+        match choose p ~sc objective opts ~sim labels c g with
         | None -> ()
         | Some cand -> Obs.Span.with_ "engine.commit_flush" (fun () -> commit g cand)
       end
@@ -646,7 +997,7 @@ let run_pass_reference objective opts vstate sc c =
     let g = order.(i) in
     if is_gate c g && marked.(g) then begin
       let accepted =
-        match choose ~sc objective opts ~sim labels c g with
+        match choose_reference ~sc objective opts ~sim labels c g with
         | None -> None
         | Some cand ->
           let idx = vstate.attempts in
@@ -682,11 +1033,13 @@ let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts 
   let passes = ref 0 in
   let replacements = ref 0 in
   let vstate = { attempts = 0; checks = 0; refused = 0; every; inject_unsound } in
-  let sc = { dedup = Subcircuit.dedup (); scratch = [||] } in
-  (* The reference walk identifies every cut afresh, so holding the
-     production walk to it also proves the cache changes nothing. Only the
-     exact engine's verdicts are cached: the sampled engine consumes the
-     candidate's random stream, which a replayed verdict would skip. *)
+  let sc = { dedup = Subcircuit.dedup (); kern = Subcircuit.scratch () } in
+  (* The reference walk scores every cut afresh, with no bound, record or
+     cache, so holding the production walk to it also proves those change
+     nothing. Only the exact engine's verdicts are cached: the sampled
+     engine draws on the candidate's random stream, so its verdict belongs
+     to the candidate, not the table (a replay record, which keeps the
+     candidate's root and index, may keep it). *)
   let cache =
     match opts.engine with
     | Comparison_fn.Exact when not reference -> Some (Verdicts.create 1024)
@@ -699,7 +1052,22 @@ let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts 
          everything) and persists across passes: a pass only re-evaluates
          roots whose region some earlier splice touched. *)
       let st = make_run_state c in
-      fun () -> run_pass ?cache objective opts vstate sc st c
+      let p =
+        {
+          cache;
+          reg = { specs = [||]; gates2 = [||]; paths = [||]; len = 0 };
+          rp =
+            {
+              records = [||];
+              depth = [||];
+              max_depth = 0;
+              seen = [||];
+              stamp = 0;
+              buf = Buffer.create 1024;
+            };
+        }
+      in
+      fun () -> run_pass p objective opts vstate sc st c
     end
   in
   let continue = ref true in

@@ -15,7 +15,11 @@
     (DESIGN.md §13, §17) commits each splice at once too, and also tracks
     the footprint of every splice, so later passes pop only the dirty roots
     from an ordered worklist, and replays exact identification verdicts
-    from a per-run cache (DESIGN.md §15). Both run on one domain. *)
+    from a per-run cache (DESIGN.md §15). It skips a candidate that a bound
+    proves cannot beat its root's best so far before identifying it, and
+    scores a dirty root whose enumeration region no splice rewired from a
+    record of its earlier scoring (DESIGN.md §13.2). Both run on one
+    domain. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -94,6 +98,10 @@ val optimize : objective -> options -> Circuit.t -> stats
     extraction; identification, i.e. the cache lookup, any miss and the
     don't-care or multi-unit fallbacks when enabled; and the unit cost,
     removable gates and path label; all five only while metrics are on),
+    [engine.pruned] (candidates a bound skipped, never identified),
+    [engine.replayed] (roots scored from their replay record) and
+    [engine.replay_ns] (their time, metrics on only) — [engine.candidates]
+    counts every scored cut, fresh or replayed —
     and the identification cache's [idcache.hits] and [idcache.misses];
     histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
     dirtied per footprint) and [idcache.table_hits] (hits per cached table
@@ -107,10 +115,10 @@ val optimize : objective -> options -> Circuit.t -> stats
 
 val optimize_reference : objective -> options -> Circuit.t -> stats
 (** The paper's full walk: every pass re-evaluates every marked gate and
-    commits each accepted splice immediately, with no footprint state and
-    no identification cache. Same contract as {!optimize} and
-    bit-identical results (stats and netlist); far slower on multi-pass
-    runs. For tests and the bench only — it is the oracle the production
+    commits each accepted splice immediately, with no footprint state, no
+    bound, no replay record and no identification cache. Same contract as
+    {!optimize} and bit-identical results (stats and netlist); far slower
+    on multi-pass runs. For tests and the bench only — it is the oracle the production
     walk is checked against. *)
 
 (** Fault injection for the test suite. *)

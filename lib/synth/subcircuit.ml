@@ -16,8 +16,6 @@ let is_const c id =
   | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
   | Gate.Nor | Gate.Xor | Gate.Xnor -> false
 
-module ISet = Set.Make (Int)
-
 (* Enumeration scratch, reused across roots when the caller owns it. Every
    pushed gate set lives in [arena]: its members, then its input cut (the
    fanins of members outside the set, constants excluded), both sorted
@@ -245,101 +243,203 @@ let enumerate ?dedup:scratch ~k ~max_candidates c root =
   done;
   List.rev !results
 
-(* Topological order of the member gates the root reads: a post-order DFS
-   from the root over the sorted member array. Members the root does not
-   read cannot change its value and are left out. *)
-let member_order c s =
-  let members = Array.of_list s.gates in
-  let m = Array.length members in
-  (* 0 unvisited, 1 on the DFS stack, 2 placed *)
-  let state = Bytes.make m '\000' in
-  let order = Array.make m 0 in
+let read_depth sc =
+  let d = ref 0 in
+  for j = 0 to sc.pushed - 1 do
+    if sc.nmem.(j) > !d then d := sc.nmem.(j)
+  done;
+  max 0 (!d - 1)
+
+(* Kernel scratch, reused across candidates when the caller owns it:
+   [words] holds one 64-bit simulation word per node id (8 bytes each,
+   read and written only through [Bytes.get_int64_ne]/[set_int64_ne] in
+   inlined code, so no word is ever boxed), [marks] one byte per node id,
+   zero between calls, and [order] the members in evaluation order. Both
+   byte tables grow to the circuit on entry. *)
+type scratch = {
+  mutable words : Bytes.t;
+  mutable marks : Bytes.t;
+  mutable order : int array;
+}
+
+let scratch () = { words = Bytes.empty; marks = Bytes.empty; order = [||] }
+let scratch_or_fresh = function Some sc -> sc | None -> scratch ()
+
+let fit sc c =
+  let n = Circuit.size c in
+  if Bytes.length sc.marks < n then begin
+    let cap = max n (2 * Bytes.length sc.marks) in
+    sc.marks <- Bytes.make cap '\000';
+    sc.words <- Bytes.make (8 * cap) '\000'
+  end
+
+let[@inline] mark sc id = Bytes.get sc.marks id
+let[@inline] set_mark sc id v = Bytes.set sc.marks id v
+let clear_marks sc s = List.iter (fun g -> set_mark sc g '\000') s.gates
+
+exception Cyclic
+
+(* Topological order of the member gates the root reads, in [sc.order]: a
+   post-order DFS from the root over the members, marked ['\001'] in
+   [sc.marks] (['\002'] on the DFS stack, ['\003'] placed). Members the
+   root does not read cannot change its value and are left out. Returns
+   the number placed; every mark is zero again on return. *)
+let member_order sc c s =
+  List.iter (fun g -> set_mark sc g '\001') s.gates;
+  let m = List.length s.gates in
+  if Array.length sc.order < m then sc.order <- Array.make (max m (2 * Array.length sc.order)) 0;
   let placed = ref 0 in
   let rec visit g =
-    let i = find_sorted members 0 m g in
-    if i >= 0 then
-      match Bytes.get state i with
-      | '\002' -> ()
-      | '\001' -> invalid_arg "Subcircuit: cyclic member set"
-      | _ ->
-        Bytes.set state i '\001';
-        Array.iter visit (Circuit.fanins c g);
-        Bytes.set state i '\002';
-        order.(!placed) <- g;
-        incr placed
+    match mark sc g with
+    | '\001' ->
+      set_mark sc g '\002';
+      Array.iter visit (Circuit.fanins c g);
+      set_mark sc g '\003';
+      sc.order.(!placed) <- g;
+      incr placed
+    | '\002' -> raise Cyclic
+    | _ -> ()
   in
-  visit s.root;
-  if !placed = m then order else Array.sub order 0 !placed
+  match visit s.root with
+  | () ->
+    clear_marks sc s;
+    !placed
+  | exception Cyclic ->
+    clear_marks sc s;
+    invalid_arg "Subcircuit: cyclic member set"
 
 let extract_words_c =
   Obs.Counter.make ~help:"64-minterm words swept by bit-parallel extract" "extract.words"
 
+let[@inline] word sc id = Bytes.get_int64_ne sc.words (8 * id)
+let[@inline] set_word sc id w = Bytes.set_int64_ne sc.words (8 * id) w
+
 (* Bit-parallel extraction: every cut input gets its standard 64-bit
    simulation pattern and the member gates are swept once per 64 minterms —
-   a single sweep for the default K <= 6. The [scratch] word buffer (one
-   slot per circuit node) is reused across candidates by the engine. *)
+   a single sweep for the default K <= 6. *)
 let extract ?scratch c s =
   let n = Array.length s.inputs in
   if n > 16 then invalid_arg "Subcircuit.extract: too many inputs";
-  let order = member_order c s in
-  let values =
-    match scratch with
-    | Some v when Array.length v >= Circuit.size c -> v
-    | Some _ -> invalid_arg "Subcircuit.extract: scratch smaller than the circuit"
-    | None -> Array.make (Circuit.size c) 0L
-  in
+  let sc = scratch_or_fresh scratch in
+  fit sc c;
+  let placed = member_order sc c s in
+  let order = sc.order in
   (* Constant fanins keep a fixed word for the whole sweep. *)
-  Array.iter
-    (fun g ->
-      Array.iter
-        (fun f ->
-          match Circuit.kind c f with
-          | Gate.Const0 -> values.(f) <- 0L
-          | Gate.Const1 -> values.(f) <- -1L
-          | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
-          | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
-        (Circuit.fanins c g))
-    order;
+  for x = 0 to placed - 1 do
+    Array.iter
+      (fun f ->
+        match Circuit.kind c f with
+        | Gate.Const0 -> set_word sc f 0L
+        | Gate.Const1 -> set_word sc f (-1L)
+        | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand
+        | Gate.Nor | Gate.Xor | Gate.Xnor -> ())
+      (Circuit.fanins c order.(x))
+  done;
   let nw = if n <= 6 then 1 else 1 lsl (n - 6) in
   let out = Array.make nw 0L in
   for w = 0 to nw - 1 do
     (* Minterm [64w + l]: variable x_(j+1) reads index bit n-1-j — bit l of
        the standard pattern when in-block, bit (n-1-j-6) of w otherwise. *)
-    Array.iteri
-      (fun j input ->
-        let p = n - 1 - j in
-        values.(input) <-
-          (if p < 6 then Truthtable.sim_pattern p
-           else if w land (1 lsl (p - 6)) <> 0 then -1L
-           else 0L))
-      s.inputs;
-    Array.iter
-      (fun g -> values.(g) <- Gate.eval_word_on (Circuit.kind c g) values (Circuit.fanins c g))
-      order;
-    out.(w) <- values.(s.root)
+    for j = 0 to n - 1 do
+      let p = n - 1 - j in
+      set_word sc s.inputs.(j)
+        (if p < 6 then Truthtable.sim_pattern p
+         else if w land (1 lsl (p - 6)) <> 0 then -1L
+         else 0L)
+    done;
+    for x = 0 to placed - 1 do
+      let g = order.(x) in
+      let fins = Circuit.fanins c g in
+      let kind = Circuit.kind c g in
+      let acc = ref 0L in
+      (match kind with
+      | Gate.Input -> invalid_arg "Subcircuit.extract: a member is a primary input"
+      | Gate.Const0 -> ()
+      | Gate.Const1 -> acc := -1L
+      | Gate.Buf | Gate.Not -> acc := word sc fins.(0)
+      | Gate.And | Gate.Nand ->
+        acc := -1L;
+        for i = 0 to Array.length fins - 1 do
+          acc := Int64.logand !acc (word sc fins.(i))
+        done
+      | Gate.Or | Gate.Nor ->
+        for i = 0 to Array.length fins - 1 do
+          acc := Int64.logor !acc (word sc fins.(i))
+        done
+      | Gate.Xor | Gate.Xnor ->
+        for i = 0 to Array.length fins - 1 do
+          acc := Int64.logxor !acc (word sc fins.(i))
+        done);
+      set_word sc g (if Gate.inverting kind then Int64.lognot !acc else !acc)
+    done;
+    out.(w) <- word sc s.root
   done;
   Obs.Counter.add extract_words_c nw;
   Truthtable.of_words n out
 
-let removable_gates c s =
-  let set = List.fold_left (fun acc g -> ISet.add g acc) ISet.empty s.gates in
-  let externally_visible g =
-    g <> s.root
-    && (Circuit.is_output c g
-       || List.exists (fun r -> not (ISet.mem r set)) (Circuit.fanouts c g))
-  in
-  let kept = ref ISet.empty in
+(* Members marked ['\001'], then the kept ones re-marked ['\002']: the
+   backward closure, within the members and short of the root, of every
+   member that is an output or has a reader outside the set. What stays
+   ['\001'] is removable. [f] folds over the members with their verdict;
+   every mark is zero again on return. *)
+let fold_removable ?scratch c s f acc =
+  let sc = scratch_or_fresh scratch in
+  fit sc c;
+  List.iter (fun g -> set_mark sc g '\001') s.gates;
   let rec keep g =
-    if (not (ISet.mem g !kept)) && ISet.mem g set && g <> s.root then begin
-      kept := ISet.add g !kept;
+    if g <> s.root && mark sc g = '\001' then begin
+      set_mark sc g '\002';
       Array.iter keep (Circuit.fanins c g)
     end
   in
-  List.iter (fun g -> if externally_visible g then keep g) s.gates;
-  List.filter (fun g -> not (ISet.mem g !kept)) s.gates
+  List.iter
+    (fun g ->
+      if
+        g <> s.root
+        && (Circuit.is_output c g
+           || List.exists (fun r -> mark sc r = '\000') (Circuit.fanouts c g))
+      then keep g)
+    s.gates;
+  let acc =
+    List.fold_left (fun acc g -> f acc g (mark sc g = '\001')) acc s.gates
+  in
+  clear_marks sc s;
+  acc
 
-let removable_cost c s =
-  List.fold_left
-    (fun acc g ->
-      acc + Gate.two_input_equivalents (Circuit.kind c g) (Circuit.fanin_count c g))
-    0 (removable_gates c s)
+let removable_gates ?scratch c s =
+  List.rev
+    (fold_removable ?scratch c s (fun acc g removable -> if removable then g :: acc else acc) [])
+
+let removable_cost ?scratch c s =
+  fold_removable ?scratch c s
+    (fun acc g removable ->
+      if removable then
+        acc + Gate.two_input_equivalents (Circuit.kind c g) (Circuit.fanin_count c g)
+      else acc)
+    0
+
+let of_cut ?scratch c ~root ~inputs =
+  if not (is_gate c root) then invalid_arg "Subcircuit.of_cut: root not a gate";
+  let sc = scratch_or_fresh scratch in
+  fit sc c;
+  let gates = ref [] in
+  let rec visit g =
+    if
+      mark sc g = '\000'
+      && (not (is_const c g))
+      && find_sorted inputs 0 (Array.length inputs) g < 0
+    then begin
+      if not (is_gate c g) then begin
+        List.iter (fun g -> set_mark sc g '\000') !gates;
+        invalid_arg "Subcircuit.of_cut: the cut does not separate the root from an input"
+      end;
+      set_mark sc g '\001';
+      gates := g :: !gates;
+      Array.iter visit (Circuit.fanins c g)
+    end
+  in
+  visit root;
+  let gates = List.sort Int.compare !gates in
+  let s = { root; gates; inputs } in
+  clear_marks sc s;
+  s

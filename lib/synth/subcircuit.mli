@@ -35,21 +35,51 @@ val enumerate : ?dedup:dedup -> k:int -> max_candidates:int -> Circuit.t -> int 
     results are identical with or without it (fresh scratch is used when
     absent). *)
 
-val extract : ?scratch:int64 array -> Circuit.t -> t -> Truthtable.t
+val read_depth : dedup -> int
+(** After {!enumerate} with this scratch: the largest member count of any
+    gate set it pushed, minus one. Every member of a pushed set is reached
+    from the root through members of that set, so no gate whose fanins the
+    enumeration read lies further than this many fanin edges from the
+    root. The engine's replay records use it to bound how far a rewired
+    gate can invalidate them (DESIGN.md §13.2). *)
+
+type scratch
+(** Reusable kernel scratch for {!extract}, {!removable_cost},
+    {!removable_gates} and {!of_cut}: a word buffer of 8 bytes per node id
+    and a byte per node id of marks, which are zero between calls. Both
+    grow to the circuit on entry, so one scratch serves a circuit that
+    grows, and a circuit of any size. *)
+
+val scratch : unit -> scratch
+(** Fresh, empty scratch. The engine keeps one per optimisation run, so
+    steady-state extraction allocates only the output table. *)
+
+val extract : ?scratch:scratch -> Circuit.t -> t -> Truthtable.t
 (** The function computed on [root] in terms of [inputs], by bit-parallel
     local simulation: each cut input is driven with its standard 64-bit
     pattern and the member gates the root reads are swept, in the order of
     a depth-first search from the root, once per 64 minterms — a single
-    sweep when the cut has at most 6 inputs (the default K). [scratch] is
-    an optional word buffer of at least [Circuit.size c] slots reused
-    across calls (one is allocated when absent). Emits the [extract.words]
-    counter when {!Obs} is enabled. Raises [Invalid_argument] when the
-    members the root reads form a cycle. *)
+    sweep when the cut has at most 6 inputs (the default K). Words live in
+    [scratch] (fresh scratch when absent) and are never boxed. Emits the
+    [extract.words] counter when {!Obs} is enabled. Raises
+    [Invalid_argument] when the cut has more than 16 inputs or the members
+    the root reads form a cycle. *)
 
-val removable_gates : Circuit.t -> t -> int list
+val removable_gates : ?scratch:scratch -> Circuit.t -> t -> int list
 (** Member gates that die if the subcircuit is replaced: everything except
     the backward closure of members that are primary outputs or still drive
-    logic outside the subcircuit. The root is always removable. *)
+    logic outside the subcircuit. The root is always removable. Ascending,
+    like [gates]. *)
 
-val removable_cost : Circuit.t -> t -> int
-(** Equivalent-2-input-gate count of {!removable_gates} — the paper's [N]. *)
+val removable_cost : ?scratch:scratch -> Circuit.t -> t -> int
+(** Equivalent-2-input-gate count of {!removable_gates} — the paper's [N].
+    Members are marked in the scratch's byte table; nothing is allocated
+    per member. *)
+
+val of_cut : ?scratch:scratch -> Circuit.t -> root:int -> inputs:int array -> t
+(** The subcircuit of [root] whose cut is [inputs] (sorted ascending): its
+    members are the gates reached from [root] through fanins without
+    passing a cut input or a constant. For a cut that {!enumerate}
+    returned, on an unchanged circuit, this is that candidate's member
+    set. Raises [Invalid_argument] when [root] is not a gate or the walk
+    reaches a primary input that is not on the cut. *)

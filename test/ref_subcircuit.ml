@@ -112,3 +112,43 @@ let extract_scalar c (s : Subcircuit.t) =
           values.(g) <- Gate.eval (Circuit.kind c g) vals)
         order;
       values.(s.root))
+
+(* Reference [Subcircuit.removable_gates] and [removable_cost]: the
+   versions that built [Set.Make (Int)] trees of the members and of the
+   kept closure, before the library marked members in a reused byte
+   table. *)
+let removable_gates c (s : Subcircuit.t) =
+  let set = List.fold_left (fun acc g -> ISet.add g acc) ISet.empty s.gates in
+  let externally_visible g =
+    g <> s.root
+    && (Circuit.is_output c g
+       || List.exists (fun r -> not (ISet.mem r set)) (Circuit.fanouts c g))
+  in
+  let kept = ref ISet.empty in
+  let rec keep g =
+    if (not (ISet.mem g !kept)) && ISet.mem g set && g <> s.root then begin
+      kept := ISet.add g !kept;
+      Array.iter keep (Circuit.fanins c g)
+    end
+  in
+  List.iter (fun g -> if externally_visible g then keep g) s.gates;
+  List.filter (fun g -> not (ISet.mem g !kept)) s.gates
+
+let removable_cost c s =
+  List.fold_left
+    (fun acc g ->
+      acc + Gate.two_input_equivalents (Circuit.kind c g) (Circuit.fanin_count c g))
+    0 (removable_gates c s)
+
+(* Reference [Truthtable.support_mask]: variable [x_i] is essential iff
+   its two cofactors differ. *)
+let support_mask t =
+  let m = ref 0 in
+  for i = 1 to Truthtable.arity t do
+    if
+      not
+        (Truthtable.equal (Truthtable.cofactor t ~var:i true)
+           (Truthtable.cofactor t ~var:i false))
+    then m := !m lor (1 lsl (i - 1))
+  done;
+  !m

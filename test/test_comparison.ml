@@ -386,4 +386,70 @@ let suite =
     ("identify: sampled spec tables, n = 5, 6", `Quick, test_identify_complete_sampled);
   ]
 
-let qchecks = [ qcheck_identify_matches_reference ]
+(* The premises of the engine's bounds (DESIGN.md §13.2), for every spec
+   either engine returns and every multi-unit cover: the spec-level cost
+   is the built unit's 2-input gate count, that count is at least the
+   number of essential inputs minus one, and every essential input has a
+   path to the output. Tables of 0 to 8 variables: random ones, spec
+   tables, spec tables over a subset of the variables (so some inputs are
+   inessential) and one-flip spec tables (which need a cover). *)
+let qcheck_bound_premises =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (n, mode, seed) ->
+          let rng = Rng.create (Int64.of_int seed) in
+          let table =
+            match mode with
+            | 0 -> Truthtable.create n (fun _ -> Rng.bool rng)
+            | 1 -> random_spec_table rng n
+            | 2 ->
+              let vars = List.filter (fun _ -> Rng.bool rng) (List.init n (fun i -> i + 1)) in
+              let inner = random_spec_table rng (List.length vars) in
+              Truthtable.create n (fun m ->
+                  Truthtable.get inner
+                    (List.fold_left
+                       (fun acc i -> (acc lsl 1) lor ((m lsr (n - i)) land 1))
+                       0 vars))
+            | _ ->
+              let t = random_spec_table rng n in
+              if n = 0 then t
+              else
+                let m = Rng.int rng (1 lsl n) in
+                Truthtable.set t m (not (Truthtable.get t m))
+          in
+          (table, seed))
+        (triple (int_range 0 8) (int_bound 3) (int_bound 1_000_000)))
+  in
+  let print (t, seed) = Printf.sprintf "%s (seed %d)" (Truthtable.to_string t) seed in
+  QCheck.Test.make ~count:400 ~name:"bound premises: unit cost, s - 1 gates, a path per input"
+    (QCheck.make ~print gen)
+    (fun (f, seed) ->
+      let n = Truthtable.arity f in
+      let mask = Truthtable.support_mask f in
+      let essential = List.filter (fun j -> mask land (1 lsl j) <> 0) (List.init n Fun.id) in
+      let s = List.length essential in
+      let premises gates2 input_paths =
+        gates2 >= s - 1 && List.for_all (fun j -> input_paths.(j) >= 1) essential
+      in
+      let rng = Rng.create (Int64.of_int seed) in
+      let specs =
+        List.filter_map Fun.id
+          [ Comparison_fn.identify_exact f; Comparison_fn.identify_sampled rng f ]
+      in
+      List.for_all
+        (fun spec ->
+          let gates2, input_paths = Comparison_unit.cost ~n spec in
+          let built = Comparison_unit.build ~n spec in
+          gates2 = Circuit.two_input_gate_count built.Comparison_unit.circuit
+          && premises gates2 input_paths)
+        specs
+      &&
+      match Multi_unit.find ~max_units:2 rng f with
+      | None -> true
+      | Some cover ->
+        let b = Multi_unit.build ~n cover in
+        b.Comparison_unit.gates2 = Circuit.two_input_gate_count b.Comparison_unit.circuit
+        && premises b.Comparison_unit.gates2 b.Comparison_unit.input_paths)
+
+let qchecks = [ qcheck_identify_matches_reference; qcheck_bound_premises ]

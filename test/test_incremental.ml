@@ -289,8 +289,139 @@ let prop_identity objective ~name =
 let prop_incremental_identity =
   prop_identity Engine.Gates ~name:"incremental = full (circuit_gen)"
 
+(* --- The identity grid: bounds and replay at volume ------------------------ *)
+
+(* One configuration of the grid, drawn from [pick]: both objectives, K
+   from 2 to 8, candidate caps 4, 16 and 64 (so both the cap and the
+   [max 256 (20 * max_candidates)] push budget bind), the exact and the
+   sampled engine, and the extensions — a multi-unit cover, whose rng
+   draws follow the sampled engine's, and don't-cares, which switch the
+   bounds off. *)
+let grid_config pick =
+  let objective = if pick land 1 = 0 then Engine.Gates else Engine.Paths in
+  let k = 2 + (pick lsr 1 mod 7) in
+  let max_candidates = [| 4; 16; 64 |].(pick lsr 4 mod 3) in
+  let engine =
+    if pick lsr 6 mod 2 = 0 then Comparison_fn.Exact else Comparison_fn.Sampled 50
+  in
+  let use_dontcares, max_units =
+    match pick lsr 7 mod 4 with
+    | 0 | 1 -> (false, 1)
+    | 2 -> (false, 2)
+    | _ -> (true, 1)
+  in
+  ( objective,
+    { base with Engine.k; max_candidates; engine; use_dontcares; max_units } )
+
+let grid_profile seed =
+  { (gen_profile seed) with Circuit_gen.n_gates = 40; n_pi = 8; n_po = 5 }
+
+(* The grid holds the walks to each other, not to [Check.validate]: at
+   small K both walks can splice a unit that is a bare wire onto a reader
+   that already reads that wire, leaving a gate with a repeated fanin
+   (grid case (60458, 42): K = 2, gate 44 of the output repeats fanin 0).
+   The netlist computes the same function; the fault predates the bounds
+   and the replay and is recorded in ROADMAP.md. *)
+let grid_diverges (seed, pick) =
+  let objective, options = grid_config pick in
+  let c0 = Circuit_gen.generate (grid_profile seed) in
+  let run optimize =
+    let c = Circuit.copy c0 in
+    let stats = optimize objective options c in
+    (stats, Bench_format.to_string c)
+  in
+  run Engine.optimize <> run Engine.optimize_reference
+
+let prop_grid_identity =
+  QCheck.Test.make ~name:"incremental = full, bounds and replay grid" ~count:240
+    QCheck.(pair (int_range 1 100_000) (int_range 0 511))
+    (fun case -> not (grid_diverges case))
+
+(* The grid's configurations must exercise what they are meant to check:
+   over a fixed sample, the production walk prunes candidates and replays
+   roots under both objectives, and replays under the sampled engine, the
+   multi-unit cover and don't-cares. *)
+let test_grid_bites () =
+  let pruned = Obs.Counter.make "engine.pruned" in
+  let replayed = Obs.Counter.make "engine.replayed" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let tally = Hashtbl.create 8 in
+      for seed = 1 to 48 do
+        let pick = (seed * 37) land 511 in
+        let objective, options = grid_config pick in
+        let p0 = Obs.Counter.value pruned and r0 = Obs.Counter.value replayed in
+        if grid_diverges (seed, pick) then
+          Alcotest.failf "grid seed %d, pick %d: production diverged" seed pick;
+        let dp = Obs.Counter.value pruned - p0 and dr = Obs.Counter.value replayed - r0 in
+        let keys =
+          [
+            (match objective with Engine.Gates -> "gates" | Engine.Paths -> "paths");
+            (match options.Engine.engine with
+            | Comparison_fn.Exact -> "exact"
+            | Comparison_fn.Sampled _ -> "sampled");
+            (if options.Engine.use_dontcares then "dontcares"
+             else if options.Engine.max_units > 1 then "multi"
+             else "plain");
+          ]
+        in
+        List.iter
+          (fun key ->
+            let p, r = Option.value ~default:(0, 0) (Hashtbl.find_opt tally key) in
+            Hashtbl.replace tally key (p + dp, r + dr))
+          keys
+      done;
+      List.iter
+        (fun key ->
+          let p, r = Option.value ~default:(0, 0) (Hashtbl.find_opt tally key) in
+          check bool_ (key ^ ": replayed") true (r > 0);
+          (* don't-cares switch the bounds off *)
+          check bool_ (key ^ ": pruned") (key <> "dontcares") (p > 0))
+        [ "gates"; "paths"; "exact"; "sampled"; "plain"; "multi" ];
+      let p, r = Option.value ~default:(0, 0) (Hashtbl.find_opt tally "dontcares") in
+      check bool_ "dontcares: replayed" true (r > 0);
+      check int_ "dontcares: nothing pruned" 0 p)
+
 let prop_incremental_identity_paths =
   prop_identity Engine.Paths ~name:"incremental = full, paths (circuit_gen)"
+
+(* --- The resynthesis stand-ins ----------------------------------------------- *)
+
+let stand_in name = Bench_format.read_file ("../data/benchmarks/" ^ name ^ ".bench")
+
+(* Both walks at the [sft optimize] defaults on the [resynth] workload's
+   three inputs: equal stats and equal netlist text. *)
+let test_stand_in_identity () =
+  List.iter
+    (fun name ->
+      let c0 = stand_in name in
+      let run optimize =
+        let c = Circuit.copy c0 in
+        let stats = optimize Engine.Gates Engine.default_options c in
+        (stats, Bench_format.to_string c)
+      in
+      if run Engine.optimize <> run Engine.optimize_reference then
+        Alcotest.failf "%s: production diverged from the reference walk" name)
+    [ "irs35932"; "irs1423"; "irs13207" ]
+
+(* Procedure 2 at the defaults on irs1423 both prunes candidates and
+   replays roots, and still scores every cut the reference walk would:
+   [engine.candidates] counts replayed cuts too. *)
+let test_stand_in_prunes_and_replays () =
+  let counter = Obs.Counter.make in
+  let pruned = counter "engine.pruned" and replayed = counter "engine.replayed" in
+  let candidates = counter "engine.candidates" and popped = counter "engine.worklist_popped" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let before = List.map Obs.Counter.value [ pruned; replayed; candidates; popped ] in
+      ignore (Procedure2.run (stand_in "irs1423"));
+      match List.map2 (fun k v -> Obs.Counter.value k - v) [ pruned; replayed; candidates; popped ] before with
+      | [ p; r; cands; pops ] ->
+        check bool_ "pruned" true (p > 0);
+        check bool_ "replayed" true (r > 0);
+        check bool_ "fewer replays than pops" true (r < pops);
+        check bool_ "pruned among the candidates" true (p < cands)
+      | _ -> assert false)
 
 let suite =
   [
@@ -306,6 +437,10 @@ let suite =
     ("second pass skips clean roots", `Quick, test_incremental_skips_clean_roots);
     ("sweep-cascade boundary re-dirtied", `Quick, test_sweep_cascade_boundary);
     ("identity: refused splices", `Quick, test_refused_splice_identity);
+    ("identity grid: bounds and replay bite", `Quick, test_grid_bites);
+    ("identity: resynth stand-ins at the defaults", `Quick, test_stand_in_identity);
+    ("stand-in: Procedure 2 prunes and replays", `Quick, test_stand_in_prunes_and_replays);
   ]
 
-let qchecks = [ prop_incremental_identity; prop_incremental_identity_paths ]
+let qchecks =
+  [ prop_incremental_identity; prop_incremental_identity_paths; prop_grid_identity ]

@@ -367,6 +367,51 @@ let test_run_report_carried () =
       check bool_ "no carried line" false
         (contains ~affix:"carried tests" (Run_report.render (load_ok path))))
 
+(* The production walk's shortcuts: the replay timer joins the engine
+   phase line, the pruned and replayed counts get their own line, and
+   all three appear in the JSON document and the diff. A footer without
+   them prints neither. *)
+let test_run_report_shortcuts () =
+  let timed_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.candidates":50,"engine.realised":10,"engine.enumerate_ns":750000000,"engine.score_ns":1000000000,"engine.replay_ns":250000000,"engine.pruned":1234,"engine.replayed":56}}|}
+  in
+  with_journal ((header :: body) @ [ timed_footer ]) (fun path ->
+      let r = load_ok path in
+      let text = Run_report.render r in
+      check bool_ "phase line with replay" true
+        (contains
+           ~affix:"engine phases: enumerate 0.750s, score 1.000s, replay 0.250s (80.0% of wall)"
+           text);
+      check bool_ "shortcut line" true
+        (contains ~affix:"scoring shortcuts: 1,234 candidates pruned by a bound, 56 roots replayed"
+           text);
+      (match Run_report.to_json_value [ r ] with
+      | Obs_json.Obj fields -> (
+        match List.assoc "runs" fields with
+        | Obs_json.List [ run ] ->
+          check bool_ "shortcuts keys" true
+            (Obs_json.member "shortcuts" run
+            = Some
+                (Obs_json.Obj
+                   [
+                     ("pruned", Obs_json.Int 1234);
+                     ("replayed", Obs_json.Int 56);
+                     ("replay_s", Obs_json.Float 0.25);
+                   ]))
+        | _ -> Alcotest.fail "runs is not a one-element list")
+      | _ -> Alcotest.fail "to_json_value not an object");
+      let d = Run_report.diff r r in
+      List.iter
+        (fun row -> check bool_ (row ^ " diff row") true (contains ~affix:row d))
+        [ "pruned"; "replayed"; "replay_s" ]);
+  with_journal
+    ((header :: body) @ [ footer ~candidates:50 ~identified:10 ])
+    (fun path ->
+      let text = Run_report.render (load_ok path) in
+      check bool_ "no shortcut line without counters" false
+        (contains ~affix:"scoring shortcuts" text);
+      check bool_ "no replay without its timer" false (contains ~affix:"replay" text))
+
 let suite =
   [
     ("thousands separators", `Quick, test_int_formatting);
@@ -386,4 +431,5 @@ let suite =
     ("chrome: parent-format journal", `Quick, test_chrome_parent_format);
     ("run report: score split", `Quick, test_run_report_score_split);
     ("run report: carried tests", `Quick, test_run_report_carried);
+    ("run report: pruned and replayed", `Quick, test_run_report_shortcuts);
   ]

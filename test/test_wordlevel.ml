@@ -203,7 +203,7 @@ let gate_roots c =
 let test_extract_matches_scalar () =
   for seed = 1 to 8 do
     let c = random_circuit ~n_pi:6 ~n_gates:24 seed in
-    let scratch = Array.make (Circuit.size c) 0L in
+    let scratch = Subcircuit.scratch () in
     List.iter
       (fun root ->
         List.iter
@@ -233,15 +233,192 @@ let test_extract_matches_scalar_wide_cut () =
       (gate_roots c)
   done
 
-let test_extract_scratch_too_small () =
-  let c = c17 () in
-  let root = (Circuit.outputs c).(0) in
-  match Subcircuit.enumerate ~k:2 ~max_candidates:1 c root with
-  | sub :: _ ->
-    Alcotest.check_raises "undersized scratch rejected"
-      (Invalid_argument "Subcircuit.extract: scratch smaller than the circuit")
-      (fun () -> ignore (Subcircuit.extract ~scratch:(Array.make 1 0L) c sub))
-  | [] -> Alcotest.fail "no candidate"
+(* One scratch serves circuits of any size: it grows on entry, so a scratch
+   first fitted to c17 extracts a larger circuit's cuts exactly. *)
+let test_extract_scratch_grows () =
+  let scratch = Subcircuit.scratch () in
+  let small = c17 () in
+  let root = (Circuit.outputs small).(0) in
+  List.iter
+    (fun sub ->
+      if
+        not
+          (Truthtable.equal (Ref_subcircuit.extract_scalar small sub)
+             (Subcircuit.extract ~scratch small sub))
+      then Alcotest.fail "c17 extract mismatch")
+    (Subcircuit.enumerate ~k:2 ~max_candidates:1 small root);
+  let c = random_circuit ~n_pi:8 ~n_gates:60 3 in
+  check bool_ "larger than c17" true (Circuit.size c > Circuit.size small);
+  List.iter
+    (fun root ->
+      List.iter
+        (fun sub ->
+          if
+            not
+              (Truthtable.equal (Ref_subcircuit.extract_scalar c sub)
+                 (Subcircuit.extract ~scratch c sub))
+          then Alcotest.failf "grown-scratch extract mismatch (root %d)" root)
+        (Subcircuit.enumerate ~k:6 ~max_candidates:8 c root))
+    (gate_roots c)
+
+(* --- the engine's allocation-free kernels against their references -------- *)
+
+(* A table of [n] variables that depends on a random subset of them only:
+   a random function of the chosen variables, so the support mask has
+   gaps at every arity. *)
+let partial_table rng n =
+  let vars = List.filter (fun _ -> Rng.bool rng) (List.init n (fun i -> i + 1)) in
+  let g = random_ref rng (List.length vars) in
+  Truthtable.create n (fun m ->
+      let idx =
+        List.fold_left
+          (fun acc i -> (acc lsl 1) lor ((m lsr (n - i)) land 1))
+          0 vars
+      in
+      g.(idx))
+
+let check_support_mask msg t =
+  let want = Ref_subcircuit.support_mask t in
+  let got = Truthtable.support_mask t in
+  if got <> want then
+    Alcotest.failf "%s: %d-input support mask %x, reference %x" msg (Truthtable.arity t) got
+      want;
+  let listed = List.fold_left (fun acc i -> acc lor (1 lsl (i - 1))) 0 (Truthtable.support t) in
+  if listed <> want then Alcotest.failf "%s: support list disagrees with the mask" msg;
+  for i = 1 to Truthtable.arity t do
+    if Truthtable.depends_on t i <> (want land (1 lsl (i - 1)) <> 0) then
+      Alcotest.failf "%s: depends_on %d disagrees" msg i
+  done
+
+let test_support_mask () =
+  let rng = Rng.create 0x5EL in
+  for n = 0 to 16 do
+    check_support_mask "const 0" (Truthtable.const n false);
+    check_support_mask "const 1" (Truthtable.const n true);
+    for i = 1 to n do
+      check_support_mask "var" (Truthtable.var n i)
+    done;
+    for _ = 1 to (if n <= 10 then 20 else 3) do
+      check_support_mask "random" (tt_of_ref n (random_ref rng n));
+      check_support_mask "partial" (partial_table rng n)
+    done
+  done
+
+(* Random cones over [n_pi] inputs and both constants, with every gate
+   kind and fanins drawn from anything built so far, constants included. *)
+let const_circuit ~n_pi ~n_gates seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let c = Circuit.create () in
+  let pool = ref [ Circuit.add_const c false; Circuit.add_const c true ] in
+  for _ = 1 to n_pi do
+    pool := Circuit.add_input c :: !pool
+  done;
+  let kinds =
+    [| Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not; Gate.Buf |]
+  in
+  let last = ref 0 in
+  for _ = 1 to n_gates do
+    let nodes = Array.of_list !pool in
+    let kind = kinds.(Rng.int rng (Array.length kinds)) in
+    let arity = match kind with Gate.Not | Gate.Buf -> 1 | _ -> 2 + Rng.int rng 2 in
+    (* favour recent nodes, so cones grow deep and cuts wide *)
+    let pick () =
+      let k = Array.length nodes in
+      nodes.(if Rng.bool rng then Rng.int rng (min k 12) else Rng.int rng k)
+    in
+    last := Circuit.add_gate c kind (Array.init arity (fun _ -> pick ()));
+    pool := !last :: !pool
+  done;
+  Circuit.mark_output c !last;
+  c
+
+(* Extract random cones of a constant-laden circuit and hold them to the
+   scalar reference: every enumerated cut up to 16 inputs, and each gate's
+   whole cone down to the primary inputs it reads (one cut of up to 20
+   inputs, kept when it has 1 to 16). The widest cuts are sampled, since
+   the reference evaluates each of their 65,536 minterms on its own.
+   Returns how many cuts of each width were checked. *)
+let check_extract_widths ?(seen = Array.make 17 0) seed =
+  let c = const_circuit ~n_pi:20 ~n_gates:90 seed in
+  let scratch = Subcircuit.scratch () in
+  let check (sub : Subcircuit.t) =
+    let n = Array.length sub.inputs in
+    if n >= 1 && n <= 16 && seen.(n) < (if n >= 12 then 1 else 40) then begin
+      seen.(n) <- seen.(n) + 1;
+      if
+        not
+          (Truthtable.equal (Ref_subcircuit.extract_scalar c sub)
+             (Subcircuit.extract ~scratch c sub))
+      then Alcotest.failf "extract mismatch (seed %d, root %d, %d inputs)" seed sub.root n
+    end
+  in
+  let primary_inputs root =
+    let seen = Hashtbl.create 16 and pis = ref [] in
+    let rec visit id =
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        match Circuit.kind c id with
+        | Gate.Input -> pis := id :: !pis
+        | _ -> Array.iter visit (Circuit.fanins c id)
+      end
+    in
+    visit root;
+    Array.of_list (List.sort Int.compare !pis)
+  in
+  List.iter
+    (fun root ->
+      List.iter check (Subcircuit.enumerate ~k:16 ~max_candidates:16 c root);
+      check (Subcircuit.of_cut c ~root ~inputs:(primary_inputs root)))
+    (gate_roots c);
+  seen
+
+let test_extract_all_widths () =
+  let seen = Array.make 17 0 in
+  for seed = 1 to 6 do
+    ignore (check_extract_widths ~seen seed)
+  done;
+  for n = 1 to 16 do
+    if seen.(n) = 0 then Alcotest.failf "no %d-input cut was checked" n
+  done
+
+(* The marker-based removable-gate count against the [Set]-based one, on
+   cuts whose members include primary outputs and gates read from outside
+   the cut. *)
+let check_removable seed =
+  let c = random_circuit ~n_pi:7 ~n_gates:40 ~n_po:4 seed in
+  let rng = Rng.create (Int64.of_int seed) in
+  Array.iter (fun id -> if Rng.int rng 5 = 0 then Circuit.mark_output c id) (Circuit.topo_order c);
+  let scratch = Subcircuit.scratch () in
+  List.for_all
+    (fun root ->
+      List.for_all
+        (fun sub ->
+          Subcircuit.removable_cost ~scratch c sub = Ref_subcircuit.removable_cost c sub
+          && Subcircuit.removable_gates ~scratch c sub = Ref_subcircuit.removable_gates c sub)
+        (Subcircuit.enumerate ~k:6 ~max_candidates:16 c root))
+    (gate_roots c)
+
+let test_removable_matches_reference () =
+  for seed = 1 to 12 do
+    if not (check_removable seed) then Alcotest.failf "removable mismatch (seed %d)" seed
+  done
+
+(* [Subcircuit.of_cut] rebuilds every enumerated candidate from its root
+   and cut alone. *)
+let test_of_cut_rebuilds_candidates () =
+  for seed = 1 to 8 do
+    let c = const_circuit ~n_pi:8 ~n_gates:40 seed in
+    let scratch = Subcircuit.scratch () in
+    List.iter
+      (fun root ->
+        List.iter
+          (fun (sub : Subcircuit.t) ->
+            let again = Subcircuit.of_cut ~scratch c ~root ~inputs:sub.inputs in
+            if again.gates <> sub.gates then
+              Alcotest.failf "of_cut members differ (seed %d, root %d)" seed root)
+          (Subcircuit.enumerate ~k:6 ~max_candidates:16 c root))
+      (gate_roots c)
+  done
 
 (* --- engine determinism with the identification cache ---------------------- *)
 
@@ -285,6 +462,16 @@ let prop_extract_matches_scalar =
             (Subcircuit.enumerate ~k:7 ~max_candidates:6 c root))
         (gate_roots c))
 
+let prop_extract_all_widths =
+  QCheck.Test.make ~name:"extract matches scalar, 1- to 16-input cuts with constants"
+    ~count:2 arb_seed (fun seed ->
+      ignore (check_extract_widths seed);
+      true)
+
+let prop_removable_matches_reference =
+  QCheck.Test.make ~name:"marker removable_cost matches the Set version" ~count:40 arb_seed
+    check_removable
+
 let prop_compare_consistent =
   QCheck.Test.make ~name:"compare is a total order consistent with equal" ~count:100
     (QCheck.triple (QCheck.int_range 0 9) arb_seed arb_seed)
@@ -305,9 +492,21 @@ let suite =
     Alcotest.test_case "extract matches scalar (k=6)" `Quick test_extract_matches_scalar;
     Alcotest.test_case "extract matches scalar (k=9, multi-word)" `Quick
       test_extract_matches_scalar_wide_cut;
-    Alcotest.test_case "extract rejects undersized scratch" `Quick test_extract_scratch_too_small;
+    Alcotest.test_case "extract grows an undersized scratch" `Quick test_extract_scratch_grows;
     Alcotest.test_case "engine invariant under cache" `Slow test_engine_cache_invariance;
+    Alcotest.test_case "support mask vs cofactors, arities 0-16" `Quick test_support_mask;
+    Alcotest.test_case "extract matches scalar, widths 1-16" `Quick test_extract_all_widths;
+    Alcotest.test_case "removable_cost matches the Set version" `Quick
+      test_removable_matches_reference;
+    Alcotest.test_case "of_cut rebuilds enumerated members" `Quick
+      test_of_cut_rebuilds_candidates;
   ]
 
 let qchecks =
-  [ prop_kernels_match_reference; prop_extract_matches_scalar; prop_compare_consistent ]
+  [
+    prop_kernels_match_reference;
+    prop_extract_matches_scalar;
+    prop_compare_consistent;
+    prop_extract_all_widths;
+    prop_removable_matches_reference;
+  ]
