@@ -842,7 +842,7 @@ let ablations () =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resynthesis: second-pass work on a large synthetic      *)
-(* circuit, the reference full walk vs the production worklist walk,   *)
+(* circuit, the reference full walk vs the production dirty-set walk,  *)
 (* and the bit-identity of the two (DESIGN.md §13, §17).                *)
 (* ------------------------------------------------------------------ *)
 
@@ -898,8 +898,8 @@ let incremental () =
     else float_of_int pass2_cuts_incr /. float_of_int pass2_cuts_full
   in
   let popped = match d2i with [ _; p ] -> p | _ -> assert false in
-  (* The full walk visits every root of every pass; the worklist pops only
-     the dirty ones. *)
+  (* The full walk visits every root of every pass; the production walk
+     reaches only the dirty ones. *)
   let total_roots = si.Engine.passes * size in
   let pop_fraction =
     if total_roots = 0 then 1. else float_of_int popped /. float_of_int total_roots

@@ -34,9 +34,13 @@ val of_string : ?name:string -> string -> Circuit.t
 (** Raising variant of {!parse}: raises {!Parse_error}. *)
 
 val to_string : Circuit.t -> string
+(** The circuit as [.bench] text, which {!of_string} reads back. *)
 
 val read_file : string -> Circuit.t
 (** Raising variant of {!parse_file}: raises {!Parse_error} or
     [Sys_error]. *)
 
 val write_file : string -> Circuit.t -> unit
+(** [write_file path c] writes the {!to_string} text of [c] to [path],
+    replacing any existing file. Raises [Sys_error] when [path] cannot be
+    written. *)

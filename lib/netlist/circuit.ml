@@ -242,25 +242,38 @@ let delete c id =
   c.nodes.(id) <- dead_node;
   invalidate c
 
-let sweep c =
-  let reachable = Bytes.make c.len '\000' in
+(* [state] is 1 on output-reachable nodes, then 2 on each reported
+   survivor, so a fanin shared by several removed nodes is listed once. *)
+let sweep_report c =
+  let state = Bytes.make c.len '\000' in
   let rec mark id =
-    if Bytes.get reachable id = '\000' then begin
-      Bytes.set reachable id '\001';
+    if Bytes.get state id = '\000' then begin
+      Bytes.set state id '\001';
       Array.iter mark c.nodes.(id).fanins
     end
   in
   List.iter (fun (o, _) -> mark o) c.pos;
-  let removed = ref 0 in
+  let removed = ref 0 and fanins = ref [] in
   for i = 0 to c.len - 1 do
     let n = c.nodes.(i) in
-    if n.alive && Bytes.get reachable i = '\000' && n.kind <> Gate.Input then begin
+    if n.alive && Bytes.get state i = '\000' && n.kind <> Gate.Input then begin
       c.nodes.(i) <- dead_node;
+      fanins := n.fanins :: !fanins;
       incr removed
     end
   done;
+  let boundary = ref [] in
+  List.iter
+    (Array.iter (fun f ->
+         if c.nodes.(f).alive && Bytes.get state f <> '\002' then begin
+           Bytes.set state f '\002';
+           boundary := f :: !boundary
+         end))
+    !fanins;
   if !removed > 0 then invalidate c;
-  !removed
+  (!removed, !boundary)
+
+let sweep c = fst (sweep_report c)
 
 let copy c =
   {

@@ -114,6 +114,11 @@ val sweep : t -> int
 (** Delete gates (not inputs) unreachable backwards from the outputs; returns
     the number of nodes removed. *)
 
+val sweep_report : t -> int * int list
+(** {!sweep}, also returning its boundary: every node that survives the
+    sweep and was a fanin of a node it removed, each listed once. These
+    are the survivors whose fanouts the sweep changed. *)
+
 (** {1 Copying} *)
 
 val copy : t -> t

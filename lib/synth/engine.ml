@@ -43,13 +43,16 @@ let verify_unknown_c =
   Obs.Counter.make ~help:"CEC checks hitting the conflict budget" "engine.verify_unknown"
 
 let dirty_regions_c =
-  Obs.Counter.make ~help:"splice footprints marked dirty" "engine.dirty_regions"
+  Obs.Counter.make ~help:"standing splices whose footprints were marked dirty"
+    "engine.dirty_regions"
 
 let dirty_nodes_h =
-  Obs.Histogram.make ~help:"nodes newly dirtied per splice footprint" "engine.dirty_nodes"
+  Obs.Histogram.make ~help:"nodes newly dirtied per standing splice" "engine.dirty_nodes"
 
+(* Named for the position heap the scan replaced; the perf benchmark
+   reads the name. *)
 let worklist_popped_c =
-  Obs.Counter.make ~help:"dirty roots popped from the pass worklist"
+  Obs.Counter.make ~help:"dirty roots the pass scan reached, live or swept"
     "engine.worklist_popped"
 
 (* Retired with the deferred commit queue and never incremented: the perf
@@ -299,47 +302,6 @@ type scoring = {
   dedup : Subcircuit.dedup;
   kern : Subcircuit.scratch;
 }
-
-(* Footprint state of the production walk, threaded through every pass:
-   the persistent dirty worklist and the output-reachable set that stands
-   in for the reference walk's [marked] array. The bitsets grow on demand,
-   so both survive circuit growth. *)
-type run_state = {
-  wl : Footprint.Worklist.t;
-  reachable : Footprint.set;
-}
-
-(* The reference walk's [marked] array computes output-reachability on
-   the fly (outputs seed it, every processed root propagates to its
-   fanins). The production walk visits only dirty roots, so it needs the
-   same predicate as a set: seeded here by one DFS from the outputs,
-   extended with the fresh nodes of every splice. No other node ever
-   becomes reachable — new edges
-   only point at freshly spliced regions — and nodes that stop being
-   reachable are dead (the post-splice sweep removes them), which the
-   [is_gate] check already filters. *)
-let reachable_from_outputs c =
-  let s = Footprint.create (Circuit.size c) in
-  let stack = ref [] in
-  Array.iter (fun o -> stack := o :: !stack) (Circuit.outputs c);
-  let continue_ = ref true in
-  while !continue_ do
-    match !stack with
-    | [] -> continue_ := false
-    | id :: rest ->
-      stack := rest;
-      if Circuit.is_alive c id && not (Footprint.mem s id) then begin
-        Footprint.add s id;
-        Array.iter (fun f -> stack := f :: !stack) (Circuit.fanins c id)
-      end
-  done;
-  s
-
-let make_run_state c =
-  {
-    wl = Footprint.Worklist.create ~all:true (Circuit.size c);
-    reachable = reachable_from_outputs c;
-  }
 
 (* The reference walk's scoring: every cut of [root] in enumeration order,
    each extracted, identified afresh and costed, so the fold in
@@ -736,76 +698,6 @@ let is_gate c id =
   | Gate.Buf | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
   | Gate.Xnor -> true
 
-(* The sweep boundary of a splice, computed on the pre-splice circuit: the
-   live fanins of the nodes its sweep will remove, whose fanout degree the
-   splice changes. [Replace.splice] retargets the root's readers onto the
-   fresh unit and then sweeps global output-reachability; in a DAG whose
-   only edge changes are that retarget, the sweep kills exactly the
-   reference-count cascade from the root — a node dies iff it is neither a
-   primary input, nor an output, nor a cut input the fresh unit reads (the
-   unit's output cone does not necessarily use every cut position), and
-   every one of its readers dies. The list is duplicate-free. *)
-let sweep_boundary c (sub : Subcircuit.t) (built : Comparison_unit.built) =
-  let unit_c = built.Comparison_unit.circuit in
-  let used_unit = Array.make (Circuit.size unit_c) false in
-  let rec mark_unit id =
-    if not used_unit.(id) then begin
-      used_unit.(id) <- true;
-      Array.iter mark_unit (Circuit.fanins unit_c id)
-    end
-  in
-  mark_unit (Circuit.outputs unit_c).(0);
-  let used = Hashtbl.create 8 in
-  Array.iteri
-    (fun j pi ->
-      if used_unit.(pi) then Hashtbl.replace used sub.Subcircuit.inputs.(j) ())
-    (Circuit.inputs unit_c);
-  let dead = Hashtbl.create 16 in
-  let dead_list = ref [] in
-  let kill id =
-    Hashtbl.replace dead id ();
-    dead_list := id :: !dead_list
-  in
-  kill sub.Subcircuit.root;
-  let gone r = Hashtbl.mem dead r in
-  (* Every kill re-examines the victim's fanins, so a fanin is re-checked
-     whenever one of its readers dies: when its last reader goes, the
-     check passes — the fixpoint needs no separate worklist. *)
-  let rec cascade id =
-    Array.iter
-      (fun f ->
-        if
-          Circuit.is_alive c f
-          && (not (gone f))
-          && (match Circuit.kind c f with Gate.Input -> false | _ -> true)
-          && (not (Hashtbl.mem used f))
-          && (not (Circuit.is_output c f))
-          && List.for_all gone (Circuit.fanouts c f)
-        then begin
-          kill f;
-          cascade f
-        end)
-      (Circuit.fanins c id)
-  in
-  cascade sub.Subcircuit.root;
-  let boundary = Hashtbl.create 16 in
-  let boundary_list = ref [] in
-  List.iter
-    (fun d ->
-      Array.iter
-        (fun f ->
-          if
-            Circuit.is_alive c f
-            && (not (gone f))
-            && not (Hashtbl.mem boundary f)
-          then begin
-            Hashtbl.replace boundary f ();
-            boundary_list := f :: !boundary_list
-          end)
-        (Circuit.fanins c d))
-    !dead_list;
-  !boundary_list
-
 (* Simulation snapshot for don't-care analysis. Replacements only rewrite
    logic downstream of the gates still to be processed, so upstream node
    values stay valid for the whole pass. Compiling the circuit is pure
@@ -849,13 +741,13 @@ let choose p ~sc objective opts ~sim labels c g =
   |> Option.map (build_unit opts)
 
 (* Apply one decided splice, SAT-proving it against a snapshot when the
-   sampling cadence asks for it. Returns false if the miter refused the
-   replacement and rolled it back. *)
+   sampling cadence asks for it. Returns the splice's sweep boundary, or
+   [None] if the miter refused the replacement and rolled it back. *)
 let apply vstate c ~root ~idx cand =
   let snapshot =
     if idx mod vstate.every = 0 then Some (Circuit.copy c) else None
   in
-  let fresh = Replace.splice ~exact:cand.exact c cand.sub cand.unit_ in
+  let fresh, boundary = Replace.splice ~exact:cand.exact c cand.sub cand.unit_ in
   (if vstate.inject_unsound = idx + 1 then
      match inverted_kind (Circuit.kind c fresh) with
      | Some k -> Circuit.set_kind c fresh k
@@ -900,81 +792,67 @@ let apply vstate c ~root ~idx cand =
           ("new_paths", Obs_json.Int cand.new_paths);
           ("cut", Obs_json.Int (Array.length cand.sub.Subcircuit.inputs));
           ("exact", Obs_json.Bool cand.exact);
-        ]
-  end;
-  sound
+        ];
+    Some boundary
+  end
+  else None
 
-(* One pass of the production walk (DESIGN.md §13, §17). It pops exactly
-   the dirty roots, in descending topological order — the reference walk's
-   outputs-towards-inputs order, in O(changes) pops instead of O(size)
-   visits (the topological sort itself is already paid for by
-   [Paths.labels]). A popped root is processed iff it is a live gate
-   reachable from an output, which is precisely when the reference walk
-   would have marked it; a clean root is never queued, because its
-   evaluation would reproduce its previous rejection bit-exactly. Each
-   accepted splice lands at once, as in the reference walk. *)
-let run_pass p objective opts vstate sc st c =
+(* One pass of the production walk (DESIGN.md §13, §17): the reference
+   walk's loop with its [marked] array replaced by the run's dirty set. A
+   dirty root is counted as popped and, if it is a live gate, cleared and
+   scored. Every live gate is one the reference walk would mark, since the
+   circuit stays swept, and a clean root is skipped because scoring it
+   would reproduce its previous rejection bit-exactly. Marks a splice sets
+   upstream of the scan are reached later in the pass; marks downstream
+   of it, and the fresh nodes, which [order] does not hold, wait for the
+   next pass. Each accepted splice lands at once, as in the reference
+   walk. *)
+let run_pass p objective opts vstate sc dirty c =
   let labels = Paths.labels c in
   let sim = dontcare_sim opts c in
   let replacements = ref 0 in
-  (* Land the splice chosen at root [g]. Before it lands, dirty the fanout
-     cone of its cut inputs, its member gates and its sweep boundary on the
-     pre-splice graph: the sweep inside [Replace.splice] cascades upstream
-     past the cut, and the survivors on that boundary change fanout degree
-     — which [Subcircuit.removable_gates] reads. If the splice stands,
-     dirty the nodes it imported (ids allocated past [since]) and their
-     fanout cones, so the next pass re-evaluates the rebuilt region; fresh
-     nodes are output-reachable by construction (the splice retargets the
-     old root's readers onto them), so the reachability predicate learns
-     them here. A refused splice was rolled back and leaves [g] dirty for
-     the next pass, where the reference walk also re-evaluates it. Replay
-     records that the splice's rewiring can reach are dropped before it
-     lands, and every record when it is rolled back. *)
+  (* Land the splice chosen at root [g]. If it stands, dirty the fanout
+     cone, on the post-splice graph, of everything whose fanouts it
+     changed or that it created: the sweep's boundary (the sweep can
+     cascade upstream past the cut, and [Subcircuit.removable_cost] reads
+     fanout degrees), the cut inputs, the surviving members and the nodes
+     imported past [since]. A refused splice was rolled back: [g] goes
+     back into the dirty set, so the next pass re-evaluates it as the
+     reference walk does. Replay records that the splice's rewiring can
+     reach are dropped before it lands, and every record when it is
+     rolled back. *)
   let commit g cand =
     let sub = cand.sub in
     let idx = vstate.attempts in
     vstate.attempts <- idx + 1;
-    Obs.Counter.incr dirty_regions_c;
-    let seeds =
-      Array.fold_left
-        (fun acc input -> input :: acc)
-        sub.Subcircuit.gates sub.Subcircuit.inputs
-    in
-    Obs.Histogram.observe dirty_nodes_h
-      (Footprint.Worklist.mark_fanout_cone c st.wl
-         (List.rev_append (sweep_boundary c sub cand.unit_) seeds));
     invalidate_readers p.rp c g;
     let since = Circuit.size c in
-    if not (apply vstate c ~root:g ~idx cand) then drop_all_records p.rp
-    else begin
+    match apply vstate c ~root:g ~idx cand with
+    | None ->
+      drop_all_records p.rp;
+      Footprint.add dirty g
+    | Some boundary ->
       incr replacements;
-      let fresh = ref [] in
-      for id = Circuit.size c - 1 downto since do
-        if Circuit.is_alive c id then begin
-          fresh := id :: !fresh;
-          Footprint.add st.reachable id
-        end
-      done;
-      ignore (Footprint.Worklist.mark_fanout_cone c st.wl !fresh)
-    end
+      Obs.Counter.incr dirty_regions_c;
+      let fresh = List.init (Circuit.size c - since) (( + ) since) in
+      let seeds =
+        List.concat
+          [ boundary; Array.to_list sub.Subcircuit.inputs; sub.Subcircuit.gates; fresh ]
+      in
+      Obs.Histogram.observe dirty_nodes_h (Footprint.mark_fanout_cone c dirty seeds)
   in
   let order = Circuit.topo_order c in
-  let pos = Array.make (Circuit.size c) (-1) in
-  Array.iteri (fun i id -> pos.(id) <- i) order;
-  Footprint.Worklist.start_pass st.wl ~pos;
-  let dirty = Footprint.Worklist.fp st.wl in
-  let continue_ = ref true in
-  while !continue_ do
-    match Footprint.Worklist.pop st.wl with
-    | None -> continue_ := false
-    | Some g ->
+  for i = Array.length order - 1 downto 0 do
+    let g = order.(i) in
+    if Footprint.mem dirty g then begin
       Obs.Counter.incr worklist_popped_c;
-      if is_gate c g && Footprint.mem st.reachable g then begin
+      if is_gate c g then begin
         Footprint.remove dirty g;
         match choose p ~sc objective opts ~sim labels c g with
         | None -> ()
         | Some cand -> Obs.Span.with_ "engine.commit_flush" (fun () -> commit g cand)
       end
+    end
   done;
   !replacements
 
@@ -1004,7 +882,7 @@ let run_pass_reference objective opts vstate sc c =
           vstate.attempts <- idx + 1;
           (* A refused splice was rolled back, so [g] is intact: continue
              as if no candidate had improved on it. *)
-          if apply vstate c ~root:g ~idx cand then Some cand else None
+          Option.map (fun _ -> cand) (apply vstate c ~root:g ~idx cand)
       in
       match accepted with
       | Some cand ->
@@ -1022,11 +900,11 @@ let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts 
   if opts.k < 1 || opts.k > max_k then
     invalid_arg (Printf.sprintf "Engine.optimize: k = %d is outside 1..%d" opts.k max_k);
   (* Establish "alive implies output-reachable (or Input)" before the first
-     pass. Every splice sweeps, so the invariant then holds for the whole
-     run — and the production walk's [sweep_boundary] depends on it: a
-     pre-existing unreachable node would count as a live reader when the
-     cascade decides what a splice kills, while the splice's global sweep
-     reaps it along with everything it was propping up. *)
+     pass. Every splice sweeps and a rollback restores a swept circuit, so
+     the invariant then holds for the whole run, and the production walk's
+     [is_gate] test is the reference walk's marking predicate: a live
+     unreachable gate would be scored by one walk and never marked by the
+     other. *)
   ignore (Circuit.sweep c);
   let gates_before = Circuit.two_input_gate_count c in
   let paths_before = Paths.total c in
@@ -1051,7 +929,7 @@ let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts 
       (* The dirty set starts all-true (the first pass looks at
          everything) and persists across passes: a pass only re-evaluates
          roots whose region some earlier splice touched. *)
-      let st = make_run_state c in
+      let dirty = Footprint.create ~all:true (Circuit.size c) in
       let p =
         {
           cache;
@@ -1067,7 +945,7 @@ let run ?(every = verify_every) ?(inject_unsound = 0) ~reference objective opts 
             };
         }
       in
-      fun () -> run_pass p objective opts vstate sc st c
+      fun () -> run_pass p objective opts vstate sc dirty c
     end
   in
   let continue = ref true in

@@ -13,13 +13,13 @@
     bit-for-bit. The reference is the walk just described, committing each
     splice at once and identifying every cut afresh. The production walk
     (DESIGN.md §13, §17) commits each splice at once too, and also tracks
-    the footprint of every splice, so later passes pop only the dirty roots
-    from an ordered worklist, and replays exact identification verdicts
-    from a per-run cache (DESIGN.md §15). It skips a candidate that a bound
-    proves cannot beat its root's best so far before identifying it, and
-    scores a dirty root whose enumeration region no splice rewired from a
-    record of its earlier scoring (DESIGN.md §13.2). Both run on one
-    domain. *)
+    the footprint of every splice in a dirty set, so a pass walks the same
+    order but scores only the dirty roots, and replays exact
+    identification verdicts from a per-run cache (DESIGN.md §15). It
+    skips a candidate that a bound proves cannot beat its root's best so
+    far before identifying it, and scores a dirty root whose enumeration
+    region no splice rewired from a record of its earlier scoring
+    (DESIGN.md §13.2). Both run on one domain. *)
 
 type objective =
   | Gates  (** Procedure 2: maximise gate reduction, tie-break on paths. *)
@@ -90,8 +90,9 @@ val optimize : objective -> options -> Circuit.t -> stats
     Observability (when enabled): counters [engine.candidates],
     [engine.realised], [engine.accepted], [engine.verify_checks],
     [engine.verify_refused], [engine.verify_unknown], [engine.dirty_regions]
-    (splice footprints marked dirty), [engine.worklist_popped] (dirty roots
-    popped from the pass worklist), [engine.enumerate_ns] and
+    (standing splices whose footprints were marked dirty),
+    [engine.worklist_popped] (dirty roots the pass reached, live or
+    swept), [engine.enumerate_ns] and
     [engine.score_ns] (nanoseconds spent enumerating cuts and scoring them,
     per batch of a root's cuts), [engine.extract_ns], [engine.identify_ns]
     and [engine.cost_ns] (the scoring split, summed per candidate:
@@ -104,12 +105,12 @@ val optimize : objective -> options -> Circuit.t -> stats
     counts every scored cut, fresh or replayed —
     and the identification cache's [idcache.hits] and [idcache.misses];
     histograms [engine.cut_size], [engine.dirty_nodes] (nodes newly
-    dirtied per footprint) and [idcache.table_hits] (hits per cached table
-    that served any); spans [engine.pass] (one per
-    resynthesis pass) and [engine.commit_flush] (one per splice: its
-    footprint marks, the splice and its miter check). [engine.commit_waves]
-    is retired and always 0, and so are [idcache.npn_hits] and
-    [idcache.canon_ns].
+    dirtied per standing splice, the imported unit's included) and
+    [idcache.table_hits] (hits per cached table that served any); spans
+    [engine.pass] (one per resynthesis pass) and [engine.commit_flush]
+    (one per splice: the splice, its miter check and its footprint
+    marks). [engine.commit_waves] is retired and always 0, and so are
+    [idcache.npn_hits] and [idcache.canon_ns].
     [extract.words] counts the 64-minterm words swept by the bit-parallel
     extractor (see {!Subcircuit.extract}). *)
 

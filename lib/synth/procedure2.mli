@@ -3,3 +3,6 @@
     until no further reduction. *)
 
 val run : ?options:Engine.options -> Circuit.t -> Engine.stats
+(** [run c] is {!Engine.optimize} with the [Gates] objective: it rewrites
+    [c] in place and returns the run's statistics. [options] defaults to
+    {!Engine.default_options}. *)

@@ -1,5 +1,5 @@
-(* Incremental resynthesis (DESIGN.md §13, §17): dirty-region tracking
-   and the ordered worklist. The load-bearing
+(* Incremental resynthesis (DESIGN.md §13, §17): dirty-region tracking,
+   the sweep's boundary and the scan over the dirty set. The load-bearing
    property is bit-identity — the production engine must reproduce the
    reference full walk ([Engine.optimize_reference]) exactly, for every
    configuration. *)
@@ -10,21 +10,22 @@ open Helpers
 
 let test_footprint_set () =
   let s = Footprint.create 1 in
-  check int_ "empty" 0 (Footprint.count s);
   check bool_ "no member" false (Footprint.mem s 0);
   Footprint.add s 0;
   Footprint.add s 100 (* forces growth *);
   Footprint.add s 100;
-  check int_ "two members" 2 (Footprint.count s);
+  check bool_ "first member" true (Footprint.mem s 0);
   check bool_ "grown member" true (Footprint.mem s 100);
+  check bool_ "growth adds no member" false (Footprint.mem s 50);
   check bool_ "out of range" false (Footprint.mem s 101);
   check bool_ "negative" false (Footprint.mem s (-1));
   Footprint.remove s 100;
   Footprint.remove s 100;
-  check int_ "after remove" 1 (Footprint.count s);
+  check bool_ "after remove" false (Footprint.mem s 100);
+  check bool_ "others kept" true (Footprint.mem s 0);
   let all = Footprint.create ~all:true 4 in
-  check int_ "all-dirty" 4 (Footprint.count all);
-  check bool_ "all member" true (Footprint.mem all 3)
+  check bool_ "all-dirty" true (List.for_all (Footprint.mem all) [ 0; 1; 2; 3 ]);
+  check bool_ "only the first n" false (Footprint.mem all 4)
 
 let test_footprint_cone () =
   (* mixed(): nb = NOT b feeds x1 and x2; x3 = XOR(x1, x2). The fanout cone
@@ -35,11 +36,10 @@ let test_footprint_cone () =
   let s = Footprint.create (Circuit.size c) in
   let added = Footprint.mark_fanout_cone c s [ nb ] in
   check int_ "cone size" 4 added;
-  check int_ "count agrees" 4 (Footprint.count s);
-  check bool_ "nb dirty" true (Footprint.mem s nb);
   Array.iteri
     (fun i id ->
-      if i < 3 then check bool_ "input clean" false (Footprint.mem s id))
+      if i < 3 then check bool_ "input clean" false (Footprint.mem s id)
+      else check bool_ "cone dirty" true (Footprint.mem s id))
     order;
   (* re-marking from inside the cone adds nothing new *)
   check int_ "idempotent" 0 (Footprint.mark_fanout_cone c s [ order.(4) ]);
@@ -47,70 +47,83 @@ let test_footprint_cone () =
      whole fanout already dirty here) *)
   check int_ "input seed" 1 (Footprint.mark_fanout_cone c s [ order.(1) ])
 
-let test_footprint_setops () =
-  (* clear keeps the backing store but empties the membership *)
-  let s = Footprint.create 4 in
-  Footprint.add s 2;
-  Footprint.add s 9;
-  Footprint.clear s;
-  check int_ "cleared" 0 (Footprint.count s);
-  check bool_ "cleared member" false (Footprint.mem s 2);
-  Footprint.add s 9;
-  check int_ "reusable after clear" 1 (Footprint.count s);
-  check bool_ "grown past the old store" true (Footprint.mem s 9)
+(* --- The sweep's boundary and the repeated-pin fold ------------------------ *)
 
-(* --- Worklist ordering ------------------------------------------------------- *)
+(* A single-output unit over [n] inputs whose output is input [j] itself
+   (a bare wire) or the AND of [used]: the cut inputs it leaves unread
+   lose their reader when the root dies. *)
+let unit_over n output =
+  let u = Circuit.create () in
+  let ins = Array.init n (fun _ -> Circuit.add_input u) in
+  Circuit.mark_output u (output u ins);
+  Comparison_unit.of_circuit u
 
-(* Emulate the engine's contract: a popped root is processed, i.e. removed
-   from the dirty set; un-popped ids stay dirty for the next rebuild. *)
-let drain wl =
-  let rec go acc =
-    match Footprint.Worklist.pop wl with
-    | None -> List.rev acc
-    | Some id ->
-      Footprint.remove (Footprint.Worklist.fp wl) id;
-      go (id :: acc)
-  in
-  go []
+let wire_unit n j = unit_over n (fun _ ins -> ins.(j))
 
-let test_worklist_ordering () =
-  (* all-dirty seed pops in descending topological position *)
-  let wl = Footprint.Worklist.create ~all:true 4 in
-  Footprint.Worklist.start_pass wl ~pos:[| 0; 1; 2; 3 |];
-  check (Alcotest.list int_) "descending" [ 3; 2; 1; 0 ] (drain wl);
-  (* ...of the *position*, not the id: a permuted table reorders pops *)
-  let wl = Footprint.Worklist.create ~all:true 4 in
-  Footprint.Worklist.start_pass wl ~pos:[| 3; 2; 1; 0 |];
-  check (Alcotest.list int_) "by position" [ 0; 1; 2; 3 ] (drain wl)
+let and_unit n used =
+  unit_over n (fun u ins -> Circuit.add_gate u Gate.And (Array.map (fun j -> ins.(j)) used))
 
-let test_worklist_cursor () =
-  (* The sweep-cascade boundary case: a splice at the cursor re-dirties an
-     upstream root (smaller position), which the same pass must still
-     reach; a downstream push (larger position) waits for the next pass. *)
-  let wl = Footprint.Worklist.create 8 in
-  let pos = Array.init 8 (fun i -> i) in
-  Footprint.Worklist.push wl 6;
-  Footprint.Worklist.start_pass wl ~pos;
-  check (Alcotest.option int_) "first pop" (Some 6) (Footprint.Worklist.pop wl);
-  Footprint.remove (Footprint.Worklist.fp wl) 6;
-  Footprint.Worklist.push wl 2 (* upstream: re-enqueued into this pass *);
-  Footprint.Worklist.push wl 2 (* duplicate push is absorbed *);
-  Footprint.Worklist.push wl 7 (* downstream: deferred *);
-  check (Alcotest.list int_) "upstream reached once" [ 2 ] (drain wl);
-  check bool_ "deferred id still dirty" true
-    (Footprint.mem (Footprint.Worklist.fp wl) 7);
-  Footprint.Worklist.start_pass wl ~pos;
-  check (Alcotest.list int_) "next pass picks deferral" [ 7 ] (drain wl);
-  (* an id dirtied mid-pass with no position (freshly spliced) also waits *)
-  let wl = Footprint.Worklist.create 4 in
-  Footprint.Worklist.push wl 3;
-  Footprint.Worklist.start_pass wl ~pos:(Array.init 4 (fun i -> i));
-  check (Alcotest.option int_) "pop placed" (Some 3) (Footprint.Worklist.pop wl);
-  Footprint.remove (Footprint.Worklist.fp wl) 3;
-  Footprint.Worklist.push wl 9 (* beyond the position table *);
-  check bool_ "unplaced id deferred" true (Footprint.Worklist.pop wl = None);
-  Footprint.Worklist.start_pass wl ~pos:(Array.init 10 (fun i -> i));
-  check (Alcotest.list int_) "placed next pass" [ 9 ] (drain wl)
+(* Splice [unit] at cut [sub] and return the reported boundary with the
+   one derived from the alive sets: the live fanins (read before the
+   splice) of every node alive before it and dead after it, sorted. *)
+let boundaries c (sub : Subcircuit.t) unit =
+  let before = Circuit.copy c in
+  let alive = Array.init (Circuit.size c) (Circuit.is_alive c) in
+  let _, reported = Replace.splice ~exact:false c sub unit in
+  let derived = ref [] in
+  Array.iteri
+    (fun id was ->
+      if was && not (Circuit.is_alive c id) then
+        Array.iter
+          (fun f -> if Circuit.is_alive c f then derived := f :: !derived)
+          (Circuit.fanins before id))
+    alive;
+  (List.sort compare reported, List.sort_uniq compare !derived)
+
+let test_sweep_report_cascade () =
+  (* r = AND(x, y) with the cut {x, y}; the unit reads only y, so the cut
+     input x dies with r, and the cascade ends at x's fanins: the primary
+     input a and the gate s, which also feeds the output o2. *)
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let d = Circuit.add_input c and e = Circuit.add_input c in
+  let s = Circuit.add_gate c Gate.And [| d; e |] in
+  let x = Circuit.add_gate c Gate.Or [| a; s |] in
+  let y = Circuit.add_gate c Gate.Not [| b |] in
+  let r = Circuit.add_gate c Gate.And [| x; y |] in
+  Circuit.mark_output c (Circuit.add_gate c Gate.Not [| r |]);
+  Circuit.mark_output c (Circuit.add_gate c Gate.Xor [| s; b |]);
+  let sub = Subcircuit.of_cut c ~root:r ~inputs:[| x; y |] in
+  let reported, derived = boundaries c sub (and_unit 2 [| 1 |]) in
+  check (Alcotest.list int_) "boundary = live fanins of the swept nodes" derived reported;
+  check (Alcotest.list int_) "the cascade's ends" (List.sort compare [ a; s; y ]) reported;
+  check bool_ "the cut input x was swept" false (Circuit.is_alive c x);
+  check bool_ "the shared gate survives" true (Circuit.is_alive c s);
+  Check.validate c
+
+let test_splice_folds_repeated_pins () =
+  (* g = OR(a, b) is replaced by a bare wire to a: its readers already
+     read a, so And/Nand fold the repeated pin (a lone pin leaves a Buf or
+     a Not) and Xor keeps both. *)
+  let c = Circuit.create () in
+  let a = Circuit.add_input c and b = Circuit.add_input c in
+  let g = Circuit.add_gate c Gate.Or [| a; b |] in
+  let r1 = Circuit.add_gate c Gate.And [| g; a; b |] in
+  let r2 = Circuit.add_gate c Gate.Nand [| a; g |] in
+  let r3 = Circuit.add_gate c Gate.And [| g; a |] in
+  let r4 = Circuit.add_gate c Gate.Xor [| g; a |] in
+  List.iter (Circuit.mark_output c) [ r1; r2; r3; r4 ];
+  let sub = Subcircuit.of_cut c ~root:g ~inputs:[| a; b |] in
+  let out, _ = Replace.splice ~exact:false c sub (wire_unit 2 0) in
+  check int_ "the wire carries the function" a out;
+  Check.validate c;
+  let shape id = (Circuit.kind c id, Array.to_list (Circuit.fanins c id)) in
+  let gate = Alcotest.testable (fun ppf k -> Format.pp_print_string ppf (Gate.to_string k)) ( = ) in
+  let node = Alcotest.(pair gate (list int_)) in
+  check node "And keeps its other pins" (Gate.And, [ a; b ]) (shape r1);
+  check node "Nand of one pin is Not" (Gate.Not, [ a ]) (shape r2);
+  check node "And of one pin is Buf" (Gate.Buf, [ a ]) (shape r3);
+  check node "Xor keeps the repeated pin" (Gate.Xor, [ a; a ]) (shape r4)
 
 (* --- Bit-identity: production = reference full walk ------------------------ *)
 
@@ -129,7 +142,7 @@ let fingerprint ?(reference = false) objective options c0 =
 let base =
   { Engine.default_options with Engine.k = 4; max_candidates = 16; max_passes = 8 }
 
-(* Does the production walk (worklist, identification cache) differ from
+(* Does the production walk (dirty set, identification cache) differ from
    the uncached reference walk? *)
 let diverges objective c =
   fingerprint objective base c <> fingerprint ~reference:true objective base c
@@ -174,7 +187,7 @@ let test_incremental_equivalence () =
   done
 
 let test_incremental_skips_clean_roots () =
-  (* A multi-pass run must actually skip work: the production walk pops
+  (* A multi-pass run must actually skip work: the production walk scores
      only dirty roots (well below a full visit per pass), so it enumerates
      fewer candidates than the reference walk, which re-evaluates every
      marked root on every pass. *)
@@ -188,8 +201,8 @@ let test_incremental_skips_clean_roots () =
       let stats = Procedure2.run ~options:base c in
       let pops = Obs.Counter.value popped - p0 in
       let production = Obs.Counter.value candidates - c0 in
-      check bool_ "worklist popped dirty roots" true (pops > 0);
-      check bool_ "worklist pops below full visits" true
+      check bool_ "the scan reached dirty roots" true (pops > 0);
+      check bool_ "dirty roots reached below full visits" true
         (pops < stats.Engine.passes * Circuit.size c);
       let c2 = random_circuit ~n_pi:8 ~n_gates:120 ~n_po:6 160 in
       let c1 = Obs.Counter.value candidates in
@@ -207,7 +220,9 @@ let test_incremental_skips_clean_roots () =
    fanout degree, which removability accounting reads, so roots downstream
    of them must be re-dirtied when the splice lands. These seeds all
    diverged (the reference found more replacements than the production
-   walk) before the engine marked the sweep boundary. *)
+   walk) before the engine marked the sweep boundary, and diverge again
+   when the boundary that [Replace.splice] reports is left out of the
+   marks. *)
 let test_sweep_cascade_boundary () =
   List.iter
     (fun seed ->
@@ -245,9 +260,11 @@ let gen_profile seed =
 (* Refused splices: the CEC guard rolls back a splice corrupted through
    [Engine.Test_hooks.optimize_unsound] at the walk position where it was
    chosen, in both walks, so the production walk stays bit-identical to
-   the reference on refusing runs too. Each pinned (seed, nth, objective)
-   diverged while the production walk landed its splices in deferred
-   groups, refusing them after the walk had moved on. *)
+   the reference on refusing runs too. The first eleven pinned (seed, nth,
+   objective) diverged while the production walk landed its splices in
+   deferred groups, refusing them after the walk had moved on; the last
+   five diverge when a refused root is left clean, since its pre-splice
+   scoring chose the splice and no later mark re-dirties it. *)
 let test_refused_splice_identity () =
   let options = Engine.default_options in
   List.iter
@@ -280,7 +297,47 @@ let test_refused_splice_identity () =
       (96, 5, Engine.Paths);
       (97, 5, Engine.Gates);
       (97, 5, Engine.Paths);
+      (256, 12, Engine.Gates);
+      (264, 8, Engine.Gates);
+      (286, 12, Engine.Gates);
+      (286, 12, Engine.Paths);
+      (289, 12, Engine.Gates);
     ]
+
+(* The sweep's report, differentially: three random cuts of each
+   generated circuit spliced in turn with units that are bare wires or
+   ANDs over a random subset of the cut, so some cut inputs lose their
+   last reader and the sweep cascades past them. *)
+let prop_sweep_report =
+  QCheck.Test.make ~name:"sweep report = live fanins of the swept nodes" ~count:100
+    (QCheck.int_range 1 100_000) (fun seed ->
+      let c = Circuit_gen.generate (gen_profile seed) in
+      let rng = Rng.create (Int64.of_int seed) in
+      let splice_one () =
+        let gates = ref [] in
+        Circuit.iter_live c (fun id ->
+            match Circuit.kind c id with
+            | Gate.Input | Gate.Const0 | Gate.Const1 -> ()
+            | _ -> gates := id :: !gates);
+        let gates = Array.of_list !gates in
+        let root = gates.(Rng.int rng (Array.length gates)) in
+        (* a gate over constants alone has no cut *)
+        match Array.of_list (Subcircuit.enumerate ~k:4 ~max_candidates:16 c root) with
+        | [||] -> true
+        | subs ->
+          let sub = subs.(Rng.int rng (Array.length subs)) in
+          let n = Array.length sub.Subcircuit.inputs in
+          let unit =
+            if Rng.int rng 4 = 0 then wire_unit n (Rng.int rng n)
+            else
+              let used = List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id) in
+              and_unit n (Array.of_list (if used = [] then [ Rng.int rng n ] else used))
+          in
+          let reported, derived = boundaries c sub unit in
+          Check.validate c;
+          reported = derived
+      in
+      splice_one () && splice_one () && splice_one ())
 
 let prop_identity objective ~name =
   QCheck.Test.make ~name ~count:20 (QCheck.int_range 1 100_000) (fun seed ->
@@ -316,21 +373,25 @@ let grid_config pick =
 let grid_profile seed =
   { (gen_profile seed) with Circuit_gen.n_gates = 40; n_pi = 8; n_po = 5 }
 
-(* The grid holds the walks to each other, not to [Check.validate]: at
-   small K both walks can splice a unit that is a bare wire onto a reader
-   that already reads that wire, leaving a gate with a repeated fanin
-   (grid case (60458, 42): K = 2, gate 44 of the output repeats fanin 0).
-   The netlist computes the same function; the fault predates the bounds
-   and the replay and is recorded in ROADMAP.md. *)
+(* The grid holds the walks to each other and each result to
+   [Check.validate], which raises on an ill-formed netlist. *)
 let grid_diverges (seed, pick) =
   let objective, options = grid_config pick in
   let c0 = Circuit_gen.generate (grid_profile seed) in
   let run optimize =
     let c = Circuit.copy c0 in
     let stats = optimize objective options c in
+    Check.validate c;
     (stats, Bench_format.to_string c)
   in
   run Engine.optimize <> run Engine.optimize_reference
+
+(* At K = 2 both walks splice a unit that is a bare wire onto a reader
+   that already reads that wire; the splice folds the repeated pin, which
+   [Check.validate] rejected before (gate 44 repeated fanin 0). *)
+let test_grid_repeated_pin () =
+  if grid_diverges (60458, 42) then
+    Alcotest.fail "grid case (60458, 42): production diverged from the reference walk"
 
 let prop_grid_identity =
   QCheck.Test.make ~name:"incremental = full, bounds and replay grid" ~count:240
@@ -398,6 +459,7 @@ let test_stand_in_identity () =
       let run optimize =
         let c = Circuit.copy c0 in
         let stats = optimize Engine.Gates Engine.default_options c in
+        Check.validate c;
         (stats, Bench_format.to_string c)
       in
       if run Engine.optimize <> run Engine.optimize_reference then
@@ -426,10 +488,10 @@ let test_stand_in_prunes_and_replays () =
 let suite =
   [
     ("footprint: set operations", `Quick, test_footprint_set);
-    ("footprint: clear keeps the store", `Quick, test_footprint_setops);
+    ("sweep report: cascade past a cut input", `Quick, test_sweep_report_cascade);
     ("footprint: fanout cone marking", `Quick, test_footprint_cone);
-    ("worklist: topological pop order", `Quick, test_worklist_ordering);
-    ("worklist: cursor and deferral", `Quick, test_worklist_cursor);
+    ("splice: a bare wire folds repeated pins", `Quick, test_splice_folds_repeated_pins);
+    ("identity grid: repeated-pin case", `Quick, test_grid_repeated_pin);
     ("identity: gates objective", `Quick, test_incremental_identity_gates);
     ("identity: paths objective", `Quick, test_incremental_identity_paths);
     ("identity: don't-cares and multi-unit", `Quick, test_incremental_identity_extensions);
@@ -443,4 +505,9 @@ let suite =
   ]
 
 let qchecks =
-  [ prop_incremental_identity; prop_incremental_identity_paths; prop_grid_identity ]
+  [
+    prop_incremental_identity;
+    prop_incremental_identity_paths;
+    prop_grid_identity;
+    prop_sweep_report;
+  ]
