@@ -570,7 +570,8 @@ let table7 () =
 (* Every table row above compares a resynthesised circuit against its
    original; this section SAT-proves (Cec.check_stats, DESIGN.md §10) that
    each of those pairs really computes the same function, so the size and
-   testability numbers describe the *same* circuit family. Each row's
+   testability numbers describe the *same* circuit family: Procedures 2 and
+   3, RAR and RAR followed by Procedure 2 (Table 3). Each row's
    [equivalent] is a declared gate, and its solver decisions and conflicts
    are exact keys: the same miters must get the same search. *)
 let cec () =
@@ -608,7 +609,9 @@ let cec () =
           ]
       in
       check "orig-vs-p2" (proc2 e);
-      check "orig-vs-p3" (proc3 e))
+      check "orig-vs-p3" (proc3 e);
+      check "orig-vs-rar" (rar e);
+      check "orig-vs-rar+p2" (rar_proc2 e))
     (bench_all ());
   Table.print t;
   print_endline

@@ -162,6 +162,60 @@ let distinguish t ?rng ~complement a b =
   Obs.Span.with_ "justify.search" (fun () ->
       solve t ?rng (Differ { a; b; want = Tv.of_bool (not complement) }))
 
+(* One byte per kind, none of them '\000' or '\001', the flag bytes that
+   follow the last node. *)
+let kind_code = function
+  | Gate.Input -> 'i'
+  | Gate.Const0 -> '0'
+  | Gate.Const1 -> '1'
+  | Gate.Buf -> 'b'
+  | Gate.Not -> 'n'
+  | Gate.And -> 'a'
+  | Gate.Nand -> 'A'
+  | Gate.Or -> 'o'
+  | Gate.Nor -> 'O'
+  | Gate.Xor -> 'x'
+  | Gate.Xnor -> 'X'
+
+(* Unsigned LEB128, so every field delimits itself. *)
+let rec add_uint buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
+    add_uint buf (n lsr 7)
+  end
+
+let pair_key c ~complement a b =
+  let position = Hashtbl.create 64 in
+  Array.iteri (fun i id -> Hashtbl.replace position id i) (Circuit.inputs c);
+  let number = Hashtbl.create 64 in
+  let buf = Buffer.create 256 in
+  (* Post-order from [a], then from [b]: a node is numbered, and its record
+     written, after its fanins in pin order, so the records are in number
+     order and a number is the record's place in the key. *)
+  let rec visit id =
+    match Hashtbl.find_opt number id with
+    | Some n -> n
+    | None ->
+      let kind = Circuit.kind c id in
+      let fanins = Array.map visit (Circuit.fanins c id) in
+      let n = Hashtbl.length number in
+      Hashtbl.add number id n;
+      Buffer.add_char buf (kind_code kind);
+      (match kind with
+      | Gate.Input -> add_uint buf (Hashtbl.find position id)
+      | _ ->
+        add_uint buf (Array.length fanins);
+        Array.iter (add_uint buf) fanins);
+      n
+  in
+  let na = visit a in
+  let nb = visit b in
+  Buffer.add_char buf (if complement then '\001' else '\000');
+  add_uint buf na;
+  add_uint buf nb;
+  Buffer.contents buf
+
 let reachable_exhaustive c targets =
   let n = Circuit.num_inputs c in
   if n > 20 then invalid_arg "Justify.reachable_exhaustive: too many inputs";

@@ -12,7 +12,9 @@
     minterms, [Pdf_atpg.generate]'s frames and retries) compiles the
     circuit once. {!distinguish} asks whether two lines can differ (or
     agree) on the same compiled circuit, without adding a gate: RAR's
-    merge proofs compile once per circuit version. *)
+    merge proofs compile once per circuit version. {!pair_key} names
+    everything such a search reads, so RAR reuses a verdict on an
+    identical cone instead of searching again. *)
 
 type verdict =
   | Sat of bool array  (** a primary-input vector achieving the targets *)
@@ -50,6 +52,20 @@ val distinguish : t -> ?rng:Rng.t -> complement:bool -> int -> int -> verdict
     of [a], [b] with the wanted parity of the other line. Same verdict,
     witness (unassigned inputs false) and rng draws; nothing is added to
     the circuit. Observability (when enabled): span [justify.search]. *)
+
+val pair_key : Circuit.t -> complement:bool -> int -> int -> string
+(** [pair_key c ~complement a b] describes everything
+    [distinguish t ~complement a b] reads of a view [t] of [c]: the union
+    fanin cone of [a] and [b], numbered in first-visit post-order (from
+    [a], then from [b], fanins in pin order), with per node its kind and
+    either its fanin numbers in pin order (a gate or constant) or its
+    position in [Circuit.inputs c] (an input); then the [complement] flag
+    and the numbers of [a] and [b]. The search reads no node outside that
+    cone and no node id, so two pairs with equal keys, on one circuit or
+    two, get the same {!distinguish} verdict from views with the same
+    backtrack limit and no rng, and the same witness when both circuits
+    have as many inputs (DESIGN.md §20). Compare keys whole: equal hashes
+    prove nothing. *)
 
 val reachable_exhaustive : Circuit.t -> (int * bool) list -> bool
 (** Ground truth by exhaustive simulation (<= 20 inputs); for testing. *)

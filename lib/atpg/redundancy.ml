@@ -37,24 +37,26 @@ let keep store v =
   Array.iteri (fun i x -> if x then b.words.(i) <- Int64.logor b.words.(i) bit) v;
   b.count <- b.count + 1
 
+let iter_batches store f =
+  List.iter
+    (fun b ->
+      f b.words (if b.count = 64 then -1L else Int64.pred (Int64.shift_left 1L b.count)))
+    (List.rev store.batches)
+
 (* The items of [items] whose fault no vector of [store] detects on [c], in
    order. A vector detects a fault on [c] whatever circuit it was generated
    for, so each dropped fault is testable. *)
 let undetected store c ~fault items =
   match (store.batches, items) with
   | [], _ | _, [] -> items
-  | batches, _ ->
+  | _ ->
     let sim = Fsim.create (Compiled.of_circuit c) in
     let faults = Array.of_list (List.map fault items) in
     let alive = Array.make (Array.length faults) true in
     let left = ref (Array.length faults) in
-    List.iter
-      (fun b ->
+    iter_batches store (fun words mask ->
         if !left > 0 then begin
-          Fsim.load_patterns sim b.words;
-          let mask =
-            if b.count = 64 then -1L else Int64.pred (Int64.shift_left 1L b.count)
-          in
+          Fsim.load_patterns sim words;
           Array.iteri
             (fun i f ->
               if alive.(i) && Int64.logand (Fsim.detect sim f) mask <> 0L then begin
@@ -62,8 +64,7 @@ let undetected store c ~fault items =
                 decr left
               end)
             faults
-        end)
-      (List.rev batches);
+        end);
     List.filteri (fun i _ -> alive.(i)) items
 
 let carried_detected_c =

@@ -49,6 +49,16 @@ type tests
 val tests : Circuit.t -> tests
 (** An empty store for circuits with as many inputs as the argument. *)
 
+val keep : tests -> bool array -> unit
+(** [keep store v] adds the vector [v], indexed like [Circuit.inputs], to
+    the store's newest batch, or to a new batch when that one holds 64. *)
+
+val iter_batches : tests -> (int64 array -> int64 -> unit) -> unit
+(** [iter_batches store f] calls [f words mask] on every batch, oldest
+    first: bit [k] of [words.(i)] is input [i] of the batch's [k]th vector
+    (the input words {!Compiled.simulate_into} takes), and [mask] sets one
+    bit per vector the batch holds. [f] must not mutate [words]. *)
+
 val find_untestable :
   ?limits:Limits.t ->
   ?prefilter_patterns:int ->

@@ -31,14 +31,19 @@ let is_andor c id =
   | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.Xor
   | Gate.Xnor -> false
 
-(* Bit-parallel node values over several 64-pattern batches. *)
-let sim_batches c ~patterns ~seed =
-  let cmp = Compiled.of_circuit c in
+(* Node [id]'s word in a [Compiled.simulate_into] buffer. *)
+let[@inline] word v id = Bytes.get_int64_ne v (8 * id)
+
+(* Bit-parallel node values over several 64-pattern random batches, one
+   [Compiled.simulate_into] buffer per batch. *)
+let sim_batches cmp ~patterns ~seed =
   let rng = Rng.create seed in
   let n_pi = Array.length (Compiled.inputs cmp) in
   let batches = max 1 ((patterns + 63) / 64) in
   Array.init batches (fun _ ->
-      Compiled.simulate cmp (Array.init n_pi (fun _ -> Rng.next64 rng)))
+      let v = Bytes.make (8 * Compiled.size cmp) '\000' in
+      Compiled.simulate_into cmp (Array.init n_pi (fun _ -> Rng.next64 rng)) v;
+      v)
 
 (* Does the simulation show gd's and/or-phase at the non-controlled value
    while ns is at the controlling value? If so the wire addition would change
@@ -49,10 +54,10 @@ let filter_passes c values_batches gd ns =
   let or_like = match kind with Gate.Or | Gate.Nor -> true | _ -> false in
   Array.for_all
     (fun values ->
-      let out = if invert then Int64.lognot values.(gd) else values.(gd) in
+      let out = if invert then Int64.lognot (word values gd) else word values gd in
       let conflict =
-        if or_like then Int64.logand (Int64.lognot out) values.(ns)
-        else Int64.logand out (Int64.lognot values.(ns))
+        if or_like then Int64.logand (Int64.lognot out) (word values ns)
+        else Int64.logand out (Int64.lognot (word values ns))
       in
       conflict = 0L)
     values_batches
@@ -97,27 +102,72 @@ let merge_sat_c =
 let merge_unknown_c =
   Obs.Counter.make ~help:"merge proofs hitting the backtrack limit" "rar.merge_unknown"
 
+let merge_separated_c =
+  Obs.Counter.make ~help:"merge pairs a kept distinguishing vector separates (no proof)"
+    "rar.merge_separated"
+
+let merge_reused_c =
+  Obs.Counter.make ~help:"merge pairs given the stored verdict of an equal pair key (no proof)"
+    "rar.merge_reused"
+
+(* What the merge rounds of one [optimize] call remember (DESIGN.md §20):
+   every distinguishing vector a proof found, and every Unsat or Unknown
+   verdict under its [Justify.pair_key]. *)
+type memory = {
+  witnesses : Redundancy.tests;
+  verdicts : (string, Justify.verdict) Hashtbl.t;
+}
+
 (* Merge functionally equivalent (or complementary) gates: candidates share a
    64xB-bit simulation signature; each pair is then proved by justifying
-   [a XOR b] ([a XNOR b]) on the compiled circuit (UNSAT <=> equivalent).
-   The survivor is the topologically earliest node, so retargeting cannot
-   create cycles. This is the node-substitution move of RAR-family
-   optimizers. *)
-let merge_equivalents opts c ~seed =
+   [a XOR b] ([a XNOR b]) on the compiled circuit (UNSAT <=> equivalent),
+   unless the memory already decides it. The survivor is the topologically
+   earliest node, so retargeting cannot create cycles. This is the
+   node-substitution move of RAR-family optimizers. *)
+let merge_equivalents opts memory c ~seed =
   Obs.Span.with_ "rar.merge" (fun () ->
-      let batches = sim_batches c ~patterns:sim_patterns ~seed in
-      let order = Circuit.topo_order c in
+      let cmp = Compiled.of_circuit c in
+      let batches = sim_batches cmp ~patterns:sim_patterns ~seed in
+      (* The kept vectors' node values on this round's view: per batch, a
+         buffer and the mask of the vectors it was simulated with. A merge
+         keeps the function of every surviving node, so the values hold for
+         the whole round; a batch is simulated again only after a proof has
+         added a vector to it. *)
+      let kept = ref [||] in
+      let stale = ref true in
+      let refresh () =
+        let i = ref 0 in
+        Redundancy.iter_batches memory.witnesses (fun words mask ->
+            if !i = Array.length !kept then
+              kept := Array.append !kept [| (Bytes.make (8 * Compiled.size cmp) '\000', ref 0L) |];
+            let values, simulated = !kept.(!i) in
+            if !simulated <> mask then begin
+              Compiled.simulate_into cmp words values;
+              simulated := mask
+            end;
+            incr i);
+        stale := false
+      in
+      let separated ~complement a b =
+        if !stale then refresh ();
+        Array.exists
+          (fun (values, mask) ->
+            let differ = Int64.logxor (word values a) (word values b) in
+            Int64.logand (if complement then Int64.lognot differ else differ) !mask <> 0L)
+          !kept
+      in
+      let order = Compiled.order cmp in
       let topo_pos = Array.make (Circuit.size c) max_int in
       Array.iteri (fun i id -> topo_pos.(id) <- i) order;
       let signature id =
         let buf = Buffer.create 64 in
-        Array.iter (fun values -> Buffer.add_string buf (Int64.to_string values.(id))) batches;
+        Array.iter (fun values -> Buffer.add_string buf (Int64.to_string (word values id))) batches;
         Buffer.contents buf
       in
       let inv_signature id =
         let buf = Buffer.create 64 in
         Array.iter
-          (fun values -> Buffer.add_string buf (Int64.to_string (Int64.lognot values.(id))))
+          (fun values -> Buffer.add_string buf (Int64.to_string (Int64.lognot (word values id))))
           batches;
         Buffer.contents buf
       in
@@ -133,7 +183,7 @@ let merge_equivalents opts c ~seed =
       (* One compiled view per circuit version: built at the first proof and
          again only after a merge has changed the circuit. *)
       let view = ref None in
-      let prove_equal ~complement a b =
+      let prove ~complement a b =
         let justify =
           match !view with
           | Some j -> j
@@ -148,7 +198,29 @@ let merge_equivalents opts c ~seed =
           | Justify.Unsat -> merge_unsat_c
           | Justify.Sat _ -> merge_sat_c
           | Justify.Unknown -> merge_unknown_c);
-        verdict = Justify.Unsat
+        verdict
+      in
+      let prove_equal ~complement a b =
+        if separated ~complement a b then begin
+          Obs.Counter.incr merge_separated_c;
+          false
+        end
+        else begin
+          let key = Justify.pair_key c ~complement a b in
+          match Hashtbl.find_opt memory.verdicts key with
+          | Some verdict ->
+            Obs.Counter.incr merge_reused_c;
+            verdict = Justify.Unsat
+          | None -> (
+            match prove ~complement a b with
+            | Justify.Sat v ->
+              Redundancy.keep memory.witnesses v;
+              stale := true;
+              false
+            | (Justify.Unsat | Justify.Unknown) as verdict ->
+              Hashtbl.replace memory.verdicts key verdict;
+              verdict = Justify.Unsat)
+        end
       in
       let merged = ref 0 in
       let try_merge ~complement rep m =
@@ -213,9 +285,10 @@ let optimize ?(options = default_options) c =
   remove ();
   (* node substitution rounds: merge equivalent/complementary gates, then
      clean up, until no merge is found *)
+  let memory = { witnesses = Redundancy.tests c; verdicts = Hashtbl.create 97 } in
   let rec merge_rounds n =
     if n > 0 then begin
-      let merged = merge_equivalents opts c ~seed:(Rng.next64 rng) in
+      let merged = merge_equivalents opts memory c ~seed:(Rng.next64 rng) in
       removals := !removals + merged;
       if merged > 0 then begin
         remove ();
@@ -228,7 +301,9 @@ let optimize ?(options = default_options) c =
       let improving = ref true in
       while !improving && !additions < opts.max_additions do
         improving := false;
-        let values = sim_batches c ~patterns:sim_patterns ~seed:(Rng.next64 rng) in
+        let values =
+          sim_batches (Compiled.of_circuit c) ~patterns:sim_patterns ~seed:(Rng.next64 rng)
+        in
         let nodes =
           let acc = ref [] in
           Circuit.iter_live c (fun id -> acc := id :: !acc);

@@ -41,13 +41,21 @@ val pp_stats : Format.formatter -> stats -> unit
 val optimize : ?options:options -> Circuit.t -> stats
 (** Mutates the circuit; the result is equivalent to the input. Each merge
     proof is one {!Justify.distinguish} call on a compiled view of the
-    circuit that is rebuilt only after a merge has changed it. Every
-    removal call of one [optimize] shares one {!Redundancy.tests} store, so
-    a vector PODEM or SAT found after one trial settles its faults in every
-    later classification; removals and the result are those of calls that
-    carry nothing.
+    circuit that is rebuilt only after a merge has changed it. The merge
+    rounds of one call share a memory (DESIGN.md §20): every
+    distinguishing vector a proof found, packed in a {!Redundancy.tests}
+    store and simulated once per round, and every [Unsat] or [Unknown]
+    verdict under its {!Justify.pair_key}. A pair that a kept vector
+    separates is not proved (it cannot be equivalent), and a pair whose
+    key is stored gets the stored verdict (the search would repeat it), so
+    the pairs tried, their order and every merge are those of rounds that
+    prove every pair. Every removal call of one [optimize] shares one
+    {!Redundancy.tests} store too, so a vector PODEM or SAT found after one
+    trial settles its faults in every later classification; removals and
+    the result are those of calls that carry nothing.
     Observability (when enabled): span [rar.merge] per node-substitution
     round and one span [rar.trials] around the wire-addition loop, beside
     the removal passes' [redundancy.*] spans; counters [rar.merge_unsat]
     (pair merged), [rar.merge_sat] and [rar.merge_unknown], one per merge
-    proof by verdict. *)
+    proof by verdict, and [rar.merge_separated] and [rar.merge_reused],
+    one per pair the memory decided without a proof. *)

@@ -34,14 +34,8 @@ val default_metrics : string list
     [metrics], in rendering order. The rules always apply. *)
 
 val diff :
-  ?threshold:float ->
-  ?metrics:string list ->
-  old_name:string ->
-  old_text:string ->
-  new_name:string ->
-  new_text:string ->
-  unit ->
-  (string * status, string) result
+  ?threshold:float -> ?metrics:string list -> old_name:string -> old_text:string ->
+  new_name:string -> new_text:string -> unit -> (string * status, string) result
 (** [diff ~old_name ~old_text ~new_name ~new_text ()] compares the two
     snapshot texts ([*_name] only labels the output). Returns the
     rendered report plus a {!status}, or [Error msg] when a snapshot is

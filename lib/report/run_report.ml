@@ -261,6 +261,13 @@ let phases t =
 let sources t =
   [ ("fresh", counter t "idcache.misses"); ("run_cache", counter t "idcache.hits") ]
 
+(* RAR's merge pairs (DESIGN.md §20): the proofs by verdict, then the
+   pairs its merge memory decided without one. *)
+let merge_proofs t =
+  List.map
+    (fun k -> (k, counter t ("rar.merge_" ^ k)))
+    [ "unsat"; "sat"; "unknown"; "separated"; "reused" ]
+
 let tallies t prefix labels =
   List.map (fun l -> (l, tally t (prefix ^ "/" ^ l))) labels
 
@@ -340,6 +347,16 @@ let render t =
   if carried > 0 then
     Buffer.add_string b
       (Printf.sprintf "redundancy: %s faults settled by carried tests\n" (Table.int carried));
+  let merge k = List.assoc k (merge_proofs t) in
+  let proved = merge "unsat" + merge "sat" + merge "unknown" in
+  if proved + merge "separated" + merge "reused" > 0 then
+    Buffer.add_string b
+      (Printf.sprintf
+         "merge proofs: %s proved (%s unsat, %s sat, %s unknown), %s separated by kept \
+          vectors, %s reused verdicts\n"
+         (Table.int proved) (Table.int (merge "unsat")) (Table.int (merge "sat"))
+         (Table.int (merge "unknown")) (Table.int (merge "separated"))
+         (Table.int (merge "reused")));
   count_table "cec checks" (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ]);
   let misc =
     List.filter_map
@@ -414,6 +431,7 @@ let run_json t =
         counts_json (tallies t "sat_escalation" [ "test"; "redundant"; "unknown" ]) );
       ("redundancy_proofs", counts_json (tallies t "redundancy_proof" [ "podem"; "sat" ]));
       ("carried_detected", Obs_json.Int (counter t "redundancy.carried_detected"));
+      ("merge_proofs", counts_json (merge_proofs t));
       ( "cec_checks",
         counts_json (tallies t "cec_check" [ "equivalent"; "counterexample"; "unknown" ])
       );

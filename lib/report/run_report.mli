@@ -83,9 +83,12 @@ val render : t -> string
     [engine.cost_ns]), the production walk's shortcuts (a [scoring
     shortcuts:] line from [engine.pruned] and [engine.replayed]),
     identification-source and
-    SAT-escalation tables, and the faults redundancy removal settled with
-    carried test vectors (counter [redundancy.carried_detected]) —
-    sections with no data are omitted. *)
+    SAT-escalation tables, the faults redundancy removal settled with
+    carried test vectors (counter [redundancy.carried_detected]) and RAR's
+    merge pairs (a [merge proofs:] line: the proofs by verdict from
+    [rar.merge_unsat], [rar.merge_sat] and [rar.merge_unknown], then the
+    pairs its merge memory decided without a proof, [rar.merge_separated]
+    and [rar.merge_reused]) — sections with no data are omitted. *)
 
 val to_json_value : t list -> Obs_json.t
 (** All loaded runs as one JSON document:

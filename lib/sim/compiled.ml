@@ -97,14 +97,9 @@ let eval_gate t v id =
 
 let simulate_into t pi_words v =
   if Array.length pi_words <> Array.length t.inputs then
-    invalid_arg "Compiled.simulate: input word count mismatch";
+    invalid_arg "Compiled.simulate_into: input word count mismatch";
   if Bytes.length v < 8 * t.size then invalid_arg "Compiled.simulate_into: buffer too small";
   Array.iteri (fun i pi -> Bytes.set_int64_ne v (8 * pi) pi_words.(i)) t.inputs;
   Array.iter
     (fun id -> match t.kinds.(id) with Gate.Input -> () | _ -> eval_gate t v id)
     t.order
-
-let simulate t pi_words =
-  let v = Bytes.make (8 * t.size) '\000' in
-  simulate_into t pi_words v;
-  Array.init t.size (word v)

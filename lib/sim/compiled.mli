@@ -47,13 +47,9 @@ val outputs : t -> int array
 val is_po : t -> int -> bool
 (** The node is in {!outputs}. *)
 
-val simulate : t -> int64 array -> int64 array
-(** [simulate t pi_words] runs 64 parallel patterns; [pi_words] is indexed
-    like {!inputs}. Returns the per-node value array (fresh; dead nodes
-    read [0L]). *)
-
 val simulate_into : t -> int64 array -> Bytes.t -> unit
-(** As {!simulate}, but writes every live node's word into a caller-provided
-    buffer of at least [8 * size t] bytes, 8 bytes per node id, read back
-    with [Bytes.get_int64_ne buf (8 * id)]. Dead nodes' bytes are left as
-    they were. Allocates nothing: no word is boxed. *)
+(** [simulate_into t pi_words buf] runs 64 parallel patterns, [pi_words]
+    indexed like {!inputs}, and writes every live node's word into a
+    caller-provided buffer of at least [8 * size t] bytes, 8 bytes per node
+    id, read back with [Bytes.get_int64_ne buf (8 * id)]. Dead nodes' bytes
+    are left as they were. Allocates nothing: no word is boxed. *)

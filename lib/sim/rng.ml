@@ -1,11 +1,16 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes, read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne], so a draw boxes no new state. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
 (* splitmix64 *)
 let next64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -1,19 +1,19 @@
-let observed cmp batches inputs =
+let observed batches inputs =
   let k = Array.length inputs in
   if k > 16 then invalid_arg "Dontcare.observed: cut too wide";
   let seen = Array.make (1 lsl k) false in
   Array.iter
-    (fun values ->
+    (fun words ->
       for bit = 0 to 63 do
         let m = ref 0 in
         for j = 0 to k - 1 do
-          if Int64.logand (Int64.shift_right_logical values.(inputs.(j)) bit) 1L = 1L
-          then m := !m lor (1 lsl (k - 1 - j))
+          let w = Bytes.get_int64_ne words (8 * inputs.(j)) in
+          if Int64.logand (Int64.shift_right_logical w bit) 1L = 1L then
+            m := !m lor (1 lsl (k - 1 - j))
         done;
         seen.(!m) <- true
       done)
     batches;
-  ignore cmp;
   Truthtable.create k (fun m -> seen.(m))
 
 let prove_unreachable c inputs minterms =

@@ -7,10 +7,10 @@
     exploited is then {e proved} unreachable with {!Justify}, so replacements
     stay sound. This implements the paper's first "remaining issue" (Sec. 6). *)
 
-val observed :
-  Compiled.t -> int64 array array -> int array -> Truthtable.t
-(** [observed cmp batches inputs]: truth table marking every input-cut
-    minterm seen in the simulated batches (per-node 64-bit value arrays). *)
+val observed : Bytes.t array -> int array -> Truthtable.t
+(** [observed batches inputs]: truth table marking every input-cut minterm
+    seen in the simulated batches, each a {!Compiled.simulate_into} buffer
+    (node [id]'s 64 patterns at byte [8 * id]). *)
 
 val prove_unreachable : Circuit.t -> int array -> int list -> bool
 (** [prove_unreachable c inputs minterms]: true iff {e every} listed cut

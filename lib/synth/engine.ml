@@ -242,8 +242,8 @@ let fallback opts rng ~sim c sub tt =
     else
       match sim with
       | None -> None
-      | Some (cmp0, batches) -> (
-        let seen = Dontcare.observed cmp0 batches sub.Subcircuit.inputs in
+      | Some batches -> (
+        let seen = Dontcare.observed batches sub.Subcircuit.inputs in
         let dc = Truthtable.lnot seen in
         if Truthtable.is_const dc = Some false then None
         else begin
@@ -709,9 +709,10 @@ let dontcare_sim opts c =
     let sim_rng = Rng.create (Int64.logxor opts.seed 0x5FCAL) in
     let n_pi = Array.length (Compiled.inputs cmp0) in
     Some
-      ( cmp0,
-        Array.init 32 (fun _ ->
-            Compiled.simulate cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng))) )
+      (Array.init 32 (fun _ ->
+           let words = Bytes.make (8 * Compiled.size cmp0) '\000' in
+           Compiled.simulate_into cmp0 (Array.init n_pi (fun _ -> Rng.next64 sim_rng)) words;
+           words))
   end
 
 (* A chosen candidate with its unit built. *)

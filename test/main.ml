@@ -19,6 +19,7 @@ let () =
       ("synth", Test_synth.suite);
       Helpers.qsuite "synth-properties" Test_synth.qchecks;
       ("rar", Test_rar.suite);
+      Helpers.qsuite "rar-properties" Test_rar.qchecks;
       ("techmap", Test_techmap.suite);
       ("gen", Test_gen.suite);
       ("report", Test_report.suite);

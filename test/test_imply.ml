@@ -369,9 +369,12 @@ let signature_pairs c =
   let rng = Rng.create 11L in
   let n_pi = Circuit.num_inputs c in
   let batches =
-    Array.init 16 (fun _ -> Compiled.simulate cmp (Array.init n_pi (fun _ -> Rng.next64 rng)))
+    Array.init 16 (fun _ ->
+        let words = Bytes.make (8 * Compiled.size cmp) '\000' in
+        Compiled.simulate_into cmp (Array.init n_pi (fun _ -> Rng.next64 rng)) words;
+        words)
   in
-  let signature id = List.init 16 (fun k -> batches.(k).(id)) in
+  let signature id = List.init 16 (fun k -> Bytes.get_int64_ne batches.(k) (8 * id)) in
   let gates =
     List.filter
       (fun id ->
@@ -453,6 +456,106 @@ let qcheck_distinguish =
       let pairs = first 12 (Array.to_list merge_style) @ random_pairs rng c 8 in
       distinguish_mismatches rng c pairs = 0)
 
+(* A copy of [c] built in a random topological order, so that most node
+   ids differ, with the inputs and the outputs in their declaration order;
+   and the map from [c]'s ids to the copy's. *)
+let permuted_copy rng c =
+  let copy = Circuit.create () in
+  let map = Array.make (Circuit.size c) (-1) in
+  let inputs = Circuit.inputs c in
+  let next_input = ref 0 in
+  let pending = ref (Array.to_list (Circuit.topo_order c)) in
+  while !pending <> [] do
+    let ready =
+      List.filter
+        (fun id ->
+          match Circuit.kind c id with
+          | Gate.Input -> id = inputs.(!next_input)
+          | _ -> Array.for_all (fun f -> map.(f) >= 0) (Circuit.fanins c id))
+        !pending
+    in
+    let id = List.nth ready (Rng.int rng (List.length ready)) in
+    map.(id) <-
+      (match Circuit.kind c id with
+      | Gate.Input ->
+        incr next_input;
+        Circuit.add_input copy
+      | Gate.Const0 -> Circuit.add_const copy false
+      | Gate.Const1 -> Circuit.add_const copy true
+      | kind -> Circuit.add_gate copy kind (Array.map (fun f -> map.(f)) (Circuit.fanins c id)));
+    pending := List.filter (fun p -> p <> id) !pending
+  done;
+  Array.iter (fun o -> Circuit.mark_output copy map.(o)) (Circuit.outputs c);
+  (copy, map)
+
+(* [Justify.pair_key] holds everything [distinguish] reads: a pair and its
+   image in a copy with permuted node ids get equal keys and the same
+   verdict and witness, and within the pairs decided, from either
+   circuit, equal keys never meet different verdicts. *)
+let qcheck_pair_key =
+  QCheck.Test.make ~count:30 ~name:"equal pair keys give equal distinguish verdicts"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p = profile_of seed in
+      let c = Circuit_gen.generate { p with Circuit_gen.xor_pct = max 10 p.Circuit_gen.xor_pct } in
+      let rng = Rng.create (Int64.of_int (seed + 6)) in
+      let copy, map = permuted_copy rng c in
+      let merge_style = Array.of_list (signature_pairs c) in
+      Rng.shuffle rng merge_style;
+      let pairs = first 12 (Array.to_list merge_style) @ random_pairs rng c 8 in
+      let backtrack_limit = [| 0; 5; 120 |].(seed mod 3) in
+      let ours = Justify.create ~backtrack_limit c in
+      let theirs = Justify.create ~backtrack_limit copy in
+      let by_key = Hashtbl.create 64 in
+      let agrees key verdict =
+        match Hashtbl.find_opt by_key key with
+        | Some seen -> seen = verdict
+        | None ->
+          Hashtbl.add by_key key verdict;
+          true
+      in
+      List.for_all
+        (fun (complement, a, b) ->
+          let key = Justify.pair_key c ~complement a b in
+          let verdict = Justify.distinguish ours ~complement a b in
+          let key' = Justify.pair_key copy ~complement map.(a) map.(b) in
+          let verdict' = Justify.distinguish theirs ~complement map.(a) map.(b) in
+          if key <> key' then
+            QCheck.Test.fail_reportf "pair %d %d: the permuted copy's key differs" a b;
+          if verdict <> verdict' then
+            QCheck.Test.fail_reportf "pair %d %d: the permuted copy's verdict differs" a b;
+          agrees key verdict && agrees key' verdict')
+        pairs)
+
+(* Two cones that differ only in the pin order of one gate get different
+   keys: the search's backtrace takes the first unassigned fanin, so pin
+   order can change an Unknown verdict or a witness. On a generated
+   circuit, [a] reads two distinct nodes [u] and [v] and [b] reads them in
+   one pin order or the other; the polarity is in the key too. *)
+let qcheck_pair_key_pins =
+  QCheck.Test.make ~count:30 ~name:"pair keys tell pin orders apart"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c = Circuit_gen.generate (profile_of seed) in
+      let rng = Rng.create (Int64.of_int (seed + 7)) in
+      let order = Circuit.topo_order c in
+      let pick () = order.(Rng.int rng (Array.length order)) in
+      let u = pick () in
+      let v = pick () in
+      let kinds = [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor |] in
+      let ka = kinds.(Rng.int rng 6) and kb = kinds.(Rng.int rng 6) in
+      let key pins ~complement =
+        let c = Circuit.copy c in
+        let a = Circuit.add_gate c ka [| u; v |] in
+        let b = Circuit.add_gate c kb pins in
+        Justify.pair_key c ~complement a b
+      in
+      let base = key [| u; v |] ~complement:false in
+      u = v
+      || base = key [| u; v |] ~complement:false
+         && base <> key [| v; u |] ~complement:false
+         && base <> key [| u; v |] ~complement:true)
+
 let suite =
   [
     ("PODEM = reference on c17", `Quick, test_podem_c17);
@@ -464,5 +567,5 @@ let suite =
 let qchecks =
   [
     qcheck_kernel; qcheck_level_queue; qcheck_podem; qcheck_podem_reuse; qcheck_justify;
-    qcheck_justify_reuse; qcheck_distinguish;
+    qcheck_justify_reuse; qcheck_distinguish; qcheck_pair_key; qcheck_pair_key_pins;
   ]

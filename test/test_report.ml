@@ -367,6 +367,41 @@ let test_run_report_carried () =
       check bool_ "no carried line" false
         (contains ~affix:"carried tests" (Run_report.render (load_ok path))))
 
+(* RAR's merge pairs are one render line and one JSON object, read from the
+   footer: the proofs by verdict, then the pairs the merge memory decided
+   without a proof. A run without merges prints no line. *)
+let test_run_report_merge_proofs () =
+  let merge_footer =
+    {|{"ev":"journal_end","events":5,"dropped":0,"wall_s":2.5,"counters":{"engine.candidates":50,"engine.realised":10,"rar.merge_unsat":21,"rar.merge_sat":30,"rar.merge_unknown":37,"rar.merge_separated":1307,"rar.merge_reused":163}}|}
+  in
+  with_journal ((header :: body) @ [ merge_footer ]) (fun path ->
+      let r = load_ok path in
+      check bool_ "merge line" true
+        (contains
+           ~affix:
+             "merge proofs: 88 proved (21 unsat, 30 sat, 37 unknown), 1,307 separated by \
+              kept vectors, 163 reused verdicts"
+           (Run_report.render r));
+      match Obs_json.member "runs" (Run_report.to_json_value [ r ]) with
+      | Some (Obs_json.List [ run ]) ->
+        check bool_ "merge_proofs key" true
+          (Obs_json.member "merge_proofs" run
+          = Some
+              (Obs_json.Obj
+                 [
+                   ("unsat", Obs_json.Int 21);
+                   ("sat", Obs_json.Int 30);
+                   ("unknown", Obs_json.Int 37);
+                   ("separated", Obs_json.Int 1307);
+                   ("reused", Obs_json.Int 163);
+                 ]))
+      | _ -> Alcotest.fail "runs is not a one-element list");
+  with_journal
+    ((header :: body) @ [ footer ~candidates:50 ~identified:10 ])
+    (fun path ->
+      check bool_ "no merge line" false
+        (contains ~affix:"merge proofs" (Run_report.render (load_ok path))))
+
 (* The production walk's shortcuts: the replay timer joins the engine
    phase line, the pruned and replayed counts get their own line, and
    all three appear in the JSON document and the diff. A footer without
@@ -431,5 +466,6 @@ let suite =
     ("chrome: parent-format journal", `Quick, test_chrome_parent_format);
     ("run report: score split", `Quick, test_run_report_score_split);
     ("run report: carried tests", `Quick, test_run_report_carried);
+    ("run report: merge proofs", `Quick, test_run_report_merge_proofs);
     ("run report: pruned and replayed", `Quick, test_run_report_shortcuts);
   ]
